@@ -24,6 +24,9 @@ CASES = {
     "verdict_cp2.txt": ["verdict", "--fixture", "cp2-attach"],
     "verdict_wedge3_e6.txt": ["verdict", "--fixture", "wedge3-e6"],
     "verdict_even4k.txt": ["verdict", "--fixture", "even-4k"],
+    "verdict_fatwedge_e6.txt": ["verdict", "--fixture", "fatwedge-e6"],
+    "verdict_wedge3_e6_json.txt": ["verdict", "--fixture", "wedge3-e6", "--json"],
+    "attach_wedge3_e6_json.txt": ["attach", "--fixture", "wedge3-e6", "--json"],
     "examples.txt": ["examples"],
 }
 

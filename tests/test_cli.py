@@ -20,6 +20,9 @@ GOLDEN_CASES = [
     ("verdict_cp2.txt", ["verdict", "--fixture", "cp2-attach"], 0),
     ("verdict_wedge3_e6.txt", ["verdict", "--fixture", "wedge3-e6"], 10),
     ("verdict_even4k.txt", ["verdict", "--fixture", "even-4k"], 0),
+    ("verdict_fatwedge_e6.txt", ["verdict", "--fixture", "fatwedge-e6"], 20),
+    ("verdict_wedge3_e6_json.txt", ["verdict", "--fixture", "wedge3-e6", "--json"], 10),
+    ("attach_wedge3_e6_json.txt", ["attach", "--fixture", "wedge3-e6", "--json"], 0),
     ("examples.txt", ["examples"], 0),
 ]
 
