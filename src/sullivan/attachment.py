@@ -18,13 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .dgca import CohomologyClass, CohomologySpace, DecomposableSubspace
 from .errors import InputError, IntegrityError, TruncationError
-from .gca import Element, Generator
-from .linalg import RowSpace, solve_in_span
+from .gca import Element, Generator, Monomial
+# Not called here: perfbench/layertrace.py wraps solve_in_span under every
+# module name bound to it and requires this binding.
+from .linalg import solve_in_span  # noqa: F401
 from .minimal_model import BigradedModel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The basis cochain u, last in degree n.  Class representatives, and so every
+# printed witness, depend on that column order.
+_U = "u"
 
 
 @dataclass(frozen=True)
@@ -100,19 +106,6 @@ class AlphaFunctional:
             self.n, tuple((g, c * x) for g, x in self.coefficients), self.coerced
         )
 
-    def of_element(self, x: Element) -> Fraction:
-        """Linear extension: pairs with the word-length-1 part of x."""
-        total = _ZERO
-        for g, c in self.coefficients:
-            total += c * _generator_coefficient(x, g)
-        return total
-
-
-def _generator_coefficient(x: Element, g: Generator) -> Fraction:
-    from .gca import Monomial
-
-    return x.coefficient(Monomial.of(g))
-
 
 @dataclass(frozen=True)
 class AttachmentElement:
@@ -135,8 +128,6 @@ class AttachmentElement:
         if isinstance(other, AttachmentElement):
             # u annihilates everything of positive degree and itself; it
             # survives only against the scalar parts of the other factor.
-            from .gca import Monomial
-
             unit = Monomial.unit()
             s_scalar = self.body.coefficient(unit)
             o_scalar = other.body.coefficient(unit)
@@ -171,24 +162,13 @@ class AttachmentElement:
         return f"{self.body} + {u_text}"
 
 
-@dataclass(frozen=True)
-class AttachmentClass:
-    """A cohomology class of the attachment complex."""
-
-    degree: int
-    representative: AttachmentElement
-    coordinates: tuple[Fraction, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coordinates)
-
-    def __str__(self):
-        return f"[{self.representative}]"
-
-
 class AttachmentModel:
-    """The twisted complex for one n-cell attachment on a bigraded model."""
+    """The twisted complex for one n-cell attachment on a bigraded model.
+
+    As a cochain complex it is the base model's complex with u appended as
+    the last basis cochain of degree n; `CohomologySpace` reads it through
+    ``basis``, ``d_basis``, ``terms_of``, ``element_of`` and ``d``.
+    """
 
     def __init__(self, base: BigradedModel, alpha: AlphaFunctional):
         self.base = base
@@ -204,32 +184,67 @@ class AttachmentModel:
         for g in alpha.support():
             if g not in known:
                 raise InputError(f"alpha references {g.name!r}, not a model generator")
-        self._cohomology_cache: dict[int, AttachmentCohomology] = {}
+            if g.degree != self.n - 1:
+                raise InputError(
+                    f"alpha is keyed on {g.name!r} of degree {g.degree}; "
+                    f"an {self.n}-cell pairs only with degree {self.n - 1}"
+                )
+        self._alpha_on_basis = {Monomial.of(g): c for g, c in alpha.coefficients}
+        self._cohomology_cache: dict[int, CohomologySpace] = {}
         bad = self.verify_d_squared()
         if bad is not None:
             raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
 
     # --- complex structure -------------------------------------------------
+    def _alpha_of(self, body: Element) -> Fraction:
+        """alpha paired with the word-length-1 part of ``body``."""
+        return sum(
+            (c * body.coefficient(mon) for mon, c in self._alpha_on_basis.items()), _ZERO
+        )
+
     def d(self, x: AttachmentElement) -> AttachmentElement:
         """Twisted differential; the u-part of the input is closed."""
-        body = x.body
-        pairing = _ZERO
-        for g, c in self.alpha.coefficients:
-            pairing += c * _generator_coefficient(body, g)
-        return AttachmentElement(self.base.dgca.d(body), pairing)
+        return AttachmentElement(self.base.dgca.d(x.body), self._alpha_of(x.body))
 
-    def multiply(self, x: AttachmentElement, y: AttachmentElement) -> AttachmentElement:
-        return x * y
+    def basis(self, m: int) -> list:
+        """Degree-m basis cochains: the base monomials, then u in degree n."""
+        basis = self.base.dgca.basis(m)
+        return basis + [_U] if m == self.n else basis
+
+    def d_basis(self, b):
+        """d of one basis cochain, as (cochain, coefficient) pairs."""
+        if b is _U:
+            return ()
+        terms = self.base.dgca.d_monomial(b).terms()
+        c = self._alpha_on_basis.get(b)
+        return [*terms, (_U, c)] if c else terms
+
+    @staticmethod
+    def terms_of(x: AttachmentElement) -> list:
+        terms = list(x.body.terms())
+        if x.u:
+            terms.append((_U, x.u))
+        return terms
+
+    @staticmethod
+    def element_of(terms: Mapping) -> AttachmentElement:
+        body = Element({b: c for b, c in terms.items() if b is not _U})
+        return AttachmentElement(body, terms.get(_U, _ZERO))
 
     def verify_d_squared(self) -> Generator | None:
+        """The first generator g with d_tw(d_tw g) != 0, or None.
+
+        d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, so this is the
+        base model's d^2 check plus alpha on the linear part of every dg.
+        """
+        bad = self.base.dgca.verify_d_squared()
         for g in self.base.generators:
-            dd = self.d(self.d(AttachmentElement(Element.from_generator(g))))
-            if not dd.is_zero:
+            if (bad is not None and g == bad[0]) or self._alpha_of(self.base.d_of(g)):
                 return g
         return None
 
     # --- cohomology ---------------------------------------------------------
-    def cohomology(self, m: int) -> "AttachmentCohomology":
+    def cohomology(self, m: int) -> CohomologySpace:
         if m > self.truncation:
             raise TruncationError(
                 f"attachment cohomology in degree {m} exceeds the truncation "
@@ -237,11 +252,11 @@ class AttachmentModel:
             )
         cached = self._cohomology_cache.get(m)
         if cached is None:
-            cached = AttachmentCohomology(self, m)
+            cached = CohomologySpace(self, m)
             self._cohomology_cache[m] = cached
         return cached
 
-    def u_class(self) -> AttachmentClass:
+    def u_class(self) -> CohomologyClass:
         """The class of u in degree n; zero exactly when u became exact."""
         return self.cohomology(self.n).class_of(
             AttachmentElement(Element.zero(), _ONE)
@@ -251,168 +266,30 @@ class AttachmentModel:
         """A representative of [u] inside Lambda(V), when one exists.
 
         Subtracting a coboundary that contains u trades it for body terms;
-        if no coboundary touches u, the class is genuinely new and None is
-        returned.
+        the shortest such trade is returned.  If no coboundary touches u,
+        the class is genuinely new and None is returned.
         """
-        return self.cohomology(self.n).u_as_body()
+        space = self.cohomology(self.n)
+        u = space.index[_U]
+        best: dict[int, Fraction] | None = None
+        for row in space.coboundaries.fraction_rows():
+            c = row.get(u)
+            if not c:
+                continue
+            body = {col: -v / c for col, v in row.items() if col != u}
+            if best is None or len(body) < len(best):
+                best = body
+        if best is None:
+            return None
+        return Element({space.basis[i]: c for i, c in best.items()})
 
     def u_decomposable(self) -> tuple[bool, list | None]:
         """Is [u] a combination of products of positive-degree classes?"""
         u = self.u_class()
         if u.is_zero:
             raise InputError("u is zero in cohomology; decomposability is undefined")
-        products: list[tuple[tuple[Fraction, ...], AttachmentClass, AttachmentClass]] = []
-        target_space = self.cohomology(self.n)
-        for p in range(1, self.n // 2 + 1):
-            left = self.cohomology(p).classes
-            right = self.cohomology(self.n - p).classes
-            for c1 in left:
-                for c2 in right:
-                    cls = target_space.class_of(c1.representative * c2.representative)
-                    if not cls.is_zero:
-                        products.append((cls.coordinates, c1, c2))
-        if not products:
-            return False, None
-        coeffs = solve_in_span([vec for vec, _, _ in products], u.coordinates)
-        if coeffs is None:
-            return False, None
-        witness = [
-            (c, c1, c2) for c, (_, c1, c2) in zip(coeffs, products) if c
-        ]
-        return True, witness
-
-
-class AttachmentCohomology:
-    """H^m of the attachment complex, canonical representatives included."""
-
-    def __init__(self, mdl: AttachmentModel, m: int):
-        self.model = mdl
-        self.degree = m
-        dgca = mdl.base.dgca
-        source = dgca.basis(m)
-        self._basis = source
-        self._index = {mon: i for i, mon in enumerate(source)}
-        self._u_index = len(source) if m == mdl.n else None
-        ncols = len(source) + (1 if self._u_index is not None else 0)
-
-        target = dgca.basis(m + 1)
-        target_index = {mon: i for i, mon in enumerate(target)}
-        u_target = len(target) if m + 1 == mdl.n else None
-
-        constraint_rows: dict[int, dict[int, Fraction]] = {}
-        for j, mon in enumerate(source):
-            image = mdl.d(AttachmentElement(Element.from_monomial(mon)))
-            for tmon, c in image.body.terms():
-                constraint_rows.setdefault(target_index[tmon], {})[j] = c
-            if image.u:
-                if u_target is None:
-                    raise IntegrityError("u-component appeared in the wrong degree")
-                constraint_rows.setdefault(u_target, {})[j] = image.u
-        constraints = RowSpace()
-        for row in constraint_rows.values():
-            constraints.insert(row)
-        cocycles = constraints.kernel(ncols)
-
-        self._image = RowSpace()
-        if m >= 1:
-            for mon in dgca.basis(m - 1):
-                image = mdl.d(AttachmentElement(Element.from_monomial(mon)))
-                vec = {self._index[t]: c for t, c in image.body.terms()}
-                if image.u:
-                    if self._u_index is None:
-                        raise IntegrityError("u-component appeared in the wrong degree")
-                    vec[self._u_index] = image.u
-                if vec:
-                    self._image.insert(vec)
-
-        classes = RowSpace()
-        for z in cocycles:
-            classes.insert(self._image.reduce(z))
-        self._class_rows = classes.fraction_rows()
-        self._class_pivots = classes.pivots()
-        self.classes = [
-            AttachmentClass(m, self._element(row), self._unit_coords(i))
-            for i, row in enumerate(self._class_rows)
-        ]
-
-    @property
-    def dimension(self) -> int:
-        return len(self._class_rows)
-
-    def _element(self, vec: Mapping[int, Fraction]) -> AttachmentElement:
-        body = {}
-        u = _ZERO
-        for i, c in vec.items():
-            if i == self._u_index:
-                u = c
-            else:
-                body[self._basis[i]] = c
-        return AttachmentElement(Element(body), u)
-
-    def _unit_coords(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(
-            _ONE if j == i else _ZERO for j in range(len(self._class_rows))
-        )
-
-    def _vector(self, x: AttachmentElement) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
-        for mon, c in x.body.terms():
-            i = self._index.get(mon)
-            if i is None:
-                raise InputError(
-                    f"monomial {mon} is not a degree-{self.degree} cochain"
-                )
-            vec[i] = c
-        if x.u:
-            if self._u_index is None:
-                raise InputError(f"u does not live in degree {self.degree}")
-            vec[self._u_index] = x.u
-        return vec
-
-    def u_as_body(self) -> Element | None:
-        if self._u_index is None:
-            return None
-        best: dict[int, Fraction] | None = None
-        for row in self._image.fraction_rows():
-            c = row.get(self._u_index)
-            if not c:
-                continue
-            vec: dict[int, Fraction] = {self._u_index: _ONE}
-            factor = _ONE / c
-            for col, v in row.items():
-                w = vec.get(col, _ZERO) - factor * v
-                if w:
-                    vec[col] = w
-                else:
-                    vec.pop(col, None)
-            if best is None or len(vec) < len(best):
-                best = vec
-        if best is None:
-            return None
-        return self._element(best).body
-
-    def class_of(self, x: AttachmentElement) -> AttachmentClass:
-        if not self.model.d(x).is_zero:
-            raise InputError("element is not a cocycle of the attachment complex")
-        if not x.body.is_zero and x.body.homogeneous_degree() != self.degree:
-            raise InputError("element has the wrong degree")
-        reduced = self._image.reduce(self._vector(x))
-        coords = [_ZERO] * len(self._class_rows)
-        residual = dict(reduced)
-        for i, (p, row) in enumerate(zip(self._class_pivots, self._class_rows)):
-            c = residual.get(p)
-            if not c:
-                continue
-            coords[i] = c
-            for col, v in row.items():
-                w = residual.get(col, _ZERO) - c * v
-                if w:
-                    residual[col] = w
-                else:
-                    residual.pop(col, None)
-        if residual:
-            raise IntegrityError("cocycle does not reduce into the class basis")
-        return AttachmentClass(self.degree, self._element(reduced), tuple(coords))
+        witness = DecomposableSubspace(self, self.n).witness(u)
+        return witness is not None, witness
 
 
 def build_attachment(model: BigradedModel, alpha: AlphaFunctional) -> AttachmentModel:
@@ -422,12 +299,12 @@ def build_attachment(model: BigradedModel, alpha: AlphaFunctional) -> Attachment
 
 def attachment_cohomology(
     mdl: AttachmentModel, m: int
-) -> tuple[int, list[AttachmentClass]]:
+) -> tuple[int, list[CohomologyClass]]:
     space = mdl.cohomology(m)
     return space.dimension, space.classes
 
 
-def u_class(mdl: AttachmentModel) -> AttachmentClass:
+def u_class(mdl: AttachmentModel) -> CohomologyClass:
     return mdl.u_class()
 
 

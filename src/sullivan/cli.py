@@ -343,16 +343,12 @@ def _load_inputs(args) -> tuple[PresentedAlgebra, int, list[AttachSection], obje
     return algebra, truncation, spec.attaches, None
 
 
-def _model_for(args, algebra, truncation, fixture):
-    if fixture is not None:
-        built = build_fixture(fixture.fixture_id)
-        return built.model, built
-    return build_minimal_model(algebra, truncation), None
-
-
 def cmd_model(args) -> int:
     algebra, truncation, _, fixture = _load_inputs(args)
-    model, _ = _model_for(args, algebra, truncation, fixture)
+    if fixture is not None:
+        model = build_fixture(fixture.fixture_id).model
+    else:
+        model = build_minimal_model(algebra, truncation)
     if args.json:
         print(json.dumps(model_json(model, algebra), indent=2))
     else:
@@ -360,7 +356,8 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _attachment_for(args) -> AttachmentModel:
+def _alpha_for(args) -> tuple[BigradedModel, AlphaFunctional]:
+    """The model and the attaching functional of an attach or verdict job."""
     algebra, truncation, attaches, fixture = _load_inputs(args)
     if fixture is not None:
         if fixture.even_half_degree is not None:
@@ -369,21 +366,20 @@ def _attachment_for(args) -> AttachmentModel:
                 "use: verdict --even K"
             )
         built = build_fixture(fixture.fixture_id)
-        if built.attached is None:
+        if built.alpha is None:
             raise InputError(f"fixture {fixture.fixture_id!r} has no attachment")
-        return built.attached
+        return built.model, built.alpha
     if len(attaches) != 1:
         raise InputError("exactly one attach: section is required")
     section = attaches[0]
     if section.cell is None:
         raise InputError("the attach section needs a 'cell N' line")
-    model, _ = _model_for(args, algebra, truncation, None)
-    alpha = AlphaFunctional.build(model, section.cell, section.pairs)
-    return build_attachment(model, alpha)
+    model = build_minimal_model(algebra, truncation)
+    return model, AlphaFunctional.build(model, section.cell, section.pairs)
 
 
 def cmd_attach(args) -> int:
-    attached = _attachment_for(args)
+    attached = build_attachment(*_alpha_for(args))
     if args.json:
         print(json.dumps(attach_json(attached), indent=2))
     else:
@@ -397,8 +393,7 @@ def cmd_verdict(args) -> int:
             return _cmd_verdict_even(args)
     if args.even is not None:
         return _cmd_verdict_even(args)
-    attached = _attachment_for(args)
-    verdict = formality_verdict(attached.base, attached.alpha)
+    verdict = formality_verdict(*_alpha_for(args))
     if args.json:
         print(json.dumps(verdict_json(verdict), indent=2))
     else:

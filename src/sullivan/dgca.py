@@ -8,7 +8,8 @@ declared truncation instead of silently truncating.
 
 Cohomology in each degree is computed by exact linear algebra: cocycles as a
 kernel, coboundaries as a row space, and canonical class representatives
-fixed by the reduced row-echelon form.
+fixed by the reduced row-echelon form.  `CohomologySpace` reads its complex
+through a small interface, so the cell-attachment complex shares it.
 """
 
 from __future__ import annotations
@@ -144,13 +145,30 @@ class FreeDGCA:
     def decomposable_subspace(self, m: int) -> "DecomposableSubspace":
         return DecomposableSubspace(self, m)
 
+    # --- the cochain-complex interface read by CohomologySpace --------------
+    def d_basis(self, mon: Monomial):
+        """d of one basis monomial, as (monomial, coefficient) pairs."""
+        return self.d_monomial(mon).terms()
+
+    @staticmethod
+    def terms_of(x: Element):
+        return x.terms()
+
+    @staticmethod
+    def element_of(terms: Mapping[Monomial, Fraction]) -> Element:
+        return Element(terms)
+
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """A cohomology class with its canonical coordinates."""
+    """A cohomology class with its canonical coordinates.
+
+    The representative is an element of the complex the class came from: an
+    `Element`, or an `AttachmentElement` for a cell-attachment complex.
+    """
 
     degree: int
-    representative: Element
+    representative: object
     coordinates: tuple[Fraction, ...]
 
     @property
@@ -162,40 +180,46 @@ class CohomologyClass:
 
 
 class CohomologySpace:
-    """H^m of a FreeDGCA with canonical representatives."""
+    """H^m of a cochain complex, with canonical representatives.
 
-    def __init__(self, dgca: FreeDGCA, m: int):
-        self.dgca = dgca
+    The complex is read through ``basis(m)`` (the degree-m basis cochains,
+    in a fixed order), ``d_basis(b)`` (d of one basis cochain as (cochain,
+    coefficient) pairs), ``terms_of(x)`` and ``element_of(terms)`` (an
+    element as (cochain, coefficient) pairs and back) and ``d(x)``.  Class
+    representatives are fixed by the reduced row-echelon forms over that
+    basis order.
+    """
+
+    def __init__(self, cochains, m: int):
+        self.cochains = cochains
         self.degree = m
-        source = dgca.basis(m)
-        target = dgca.basis(m + 1)
-        self._basis = source
-        self._index = {mon: i for i, mon in enumerate(source)}
-        target_index = {mon: i for i, mon in enumerate(target)}
+        source = cochains.basis(m)
+        self.basis = source
+        self.index = index = {b: i for i, b in enumerate(source)}
+        target_index = {b: i for i, b in enumerate(cochains.basis(m + 1))}
+        d_basis = cochains.d_basis
 
         # cocycles: kernel of d on the degree-m cochains
         constraint_rows: dict[int, dict[int, Fraction]] = {}
-        for j, mon in enumerate(source):
-            image = dgca.d_monomial(mon)
-            for tmon, c in image.terms():
-                constraint_rows.setdefault(target_index[tmon], {})[j] = c
+        for j, b in enumerate(source):
+            for t, c in d_basis(b):
+                constraint_rows.setdefault(target_index[t], {})[j] = c
         constraints = RowSpace()
         for row in constraint_rows.values():
             constraints.insert(row)
         cocycles = constraints.kernel(len(source))
 
         # coboundaries: image of d from degree m - 1
-        self._image = RowSpace()
+        self.coboundaries = RowSpace()
         if m >= 1:
-            for mon in dgca.basis(m - 1):
-                image = dgca.d_monomial(mon)
-                if image.is_zero:
-                    continue
-                self._image.insert({self._index[t]: c for t, c in image.terms()})
+            for b in cochains.basis(m - 1):
+                image = {index[t]: c for t, c in d_basis(b)}
+                if image:
+                    self.coboundaries.insert(image)
 
         classes = RowSpace()
         for z in cocycles:
-            classes.insert(self._image.reduce(z))
+            classes.insert(self.coboundaries.reduce(z))
         self._class_rows = classes.fraction_rows()
         self._class_pivots = classes.pivots()
         self.classes = [
@@ -207,30 +231,29 @@ class CohomologySpace:
     def dimension(self) -> int:
         return len(self._class_rows)
 
-    def _element(self, vec: Mapping[int, Fraction]) -> Element:
-        return Element({self._basis[i]: c for i, c in vec.items()})
+    def _element(self, vec: Mapping[int, Fraction]):
+        return self.cochains.element_of({self.basis[i]: c for i, c in vec.items()})
 
     def _unit_coords(self, i: int) -> tuple[Fraction, ...]:
         return tuple(
             Fraction(1) if j == i else _ZERO for j in range(len(self._class_rows))
         )
 
-    def vector_of(self, element: Element) -> dict[int, Fraction]:
+    def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
-        for mon, c in element.terms():
-            i = self._index.get(mon)
+        for b, c in self.cochains.terms_of(element):
+            i = self.index.get(b)
             if i is None:
-                raise InputError(f"monomial {mon} is not a degree-{self.degree} cochain")
+                raise InputError(f"{b} is not a degree-{self.degree} cochain")
             vec[i] = c
         return vec
 
-    def class_of(self, element: Element) -> CohomologyClass:
+    def class_of(self, element) -> CohomologyClass:
         """The class of a cocycle, in canonical coordinates."""
-        if not element.is_zero and element.homogeneous_degree() != self.degree:
-            raise InputError("element has the wrong degree for this cohomology group")
-        if not self.dgca.d(element).is_zero:
+        vec = self.vector_of(element)
+        if not self.cochains.d(element).is_zero:
             raise InputError("element is not a cocycle")
-        reduced = self._image.reduce(self.vector_of(element))
+        reduced = self.coboundaries.reduce(vec)
         coords = [_ZERO] * len(self._class_rows)
         residual = dict(reduced)
         for i, (p, row) in enumerate(zip(self._class_pivots, self._class_rows)):
@@ -249,24 +272,28 @@ class CohomologySpace:
         return CohomologyClass(self.degree, self._element(reduced), tuple(coords))
 
     def zero_class(self) -> CohomologyClass:
-        return CohomologyClass(
-            self.degree, Element.zero(), tuple([_ZERO] * len(self._class_rows))
-        )
+        zeros = tuple([_ZERO] * len(self._class_rows))
+        return CohomologyClass(self.degree, self.cochains.element_of({}), zeros)
 
 
 class DecomposableSubspace:
-    """Span of all products of positive-degree classes inside H^m."""
+    """Span of all products of positive-degree classes inside H^m.
 
-    def __init__(self, dgca: FreeDGCA, m: int):
+    ``cochains`` is any complex `CohomologySpace` reads that also has a
+    ``cohomology(m)`` cache and multiplicative representatives.
+    """
+
+    def __init__(self, cochains, m: int):
         self.degree = m
         self._space = RowSpace()
         self._products: list[tuple[tuple[Fraction, ...], CohomologyClass, CohomologyClass]] = []
+        target = cochains.cohomology(m)
         for p in range(1, m // 2 + 1):
-            left = dgca.cohomology(p).classes
-            right = dgca.cohomology(m - p).classes
+            left = cochains.cohomology(p).classes
+            right = cochains.cohomology(m - p).classes
             for c1 in left:
                 for c2 in right:
-                    product = dgca.class_product(c1, c2)
+                    product = target.class_of(c1.representative * c2.representative)
                     if product.is_zero:
                         continue
                     self._products.append((product.coordinates, c1, c2))
@@ -310,11 +337,3 @@ def verify_d_squared(dgca: FreeDGCA):
 def cohomology(dgca: FreeDGCA, m: int) -> tuple[int, list[CohomologyClass]]:
     space = dgca.cohomology(m)
     return space.dimension, space.classes
-
-
-def class_product(dgca: FreeDGCA, c1: CohomologyClass, c2: CohomologyClass) -> CohomologyClass:
-    return dgca.class_product(c1, c2)
-
-
-def decomposable_subspace(dgca: FreeDGCA, m: int) -> DecomposableSubspace:
-    return dgca.decomposable_subspace(m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .attachment import AlphaFunctional, AttachmentModel, build_attachment
@@ -61,7 +62,13 @@ class BuiltFixture:
     algebra: PresentedAlgebra
     model: BigradedModel
     alpha: AlphaFunctional | None
-    attached: AttachmentModel | None
+
+    @cached_property
+    def attached(self) -> AttachmentModel | None:
+        """The fixture's attachment, built on first use."""
+        if self.alpha is None:
+            return None
+        return build_attachment(self.model, self.alpha)
 
 
 def _suffix(name: str) -> str:
@@ -307,19 +314,17 @@ def algebra_of(fixture: Fixture) -> PresentedAlgebra:
 
 
 def build_fixture(fixture_id: str) -> BuiltFixture:
-    """Build the fixture's model (with aliases) and its attachment, if any."""
+    """Build the fixture's model (with aliases) and its alpha, if any."""
     fixture = get_fixture(fixture_id)
     algebra = algebra_of(fixture)
     model = build_minimal_model(algebra, fixture.truncation)
     if fixture._alias_builder is not None:
         model = model.rename(fixture._alias_builder(model))
     alpha = None
-    attached = None
     if fixture.cell is not None and fixture.even_half_degree is None:
         pairs = fixture._alpha_builder(model) if fixture._alpha_builder else []
         alpha = AlphaFunctional.build(model, fixture.cell, pairs)
-        attached = build_attachment(model, alpha)
-    return BuiltFixture(fixture, algebra, model, alpha, attached)
+    return BuiltFixture(fixture, algebra, model, alpha)
 
 
 def even_cells_of(fixture: Fixture) -> list[tuple[int, list[tuple[str, Fraction]]]]:

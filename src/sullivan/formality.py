@@ -34,6 +34,7 @@ from .attachment import (
     build_attachment,
 )
 from .errors import InputError, IntegrityError
+from .fixtures import alias_monomial_targets
 from .gca import Element, Generator, monomial_basis
 from .linalg import RowSpace
 from .minimal_model import BigradedModel, build_minimal_model, verify_standard
@@ -57,12 +58,19 @@ GRADATION_ASSUMPTION = (
 
 @dataclass
 class FormalityVerdict:
-    """Outcome of the criterion, with the clause that fired and a witness."""
+    """Outcome of the criterion, with the clause that fired and a witness.
+
+    ``attached`` is the attachment the verdict was decided on, when one was
+    built; it is not part of the serialised verdict.
+    """
 
     status: str
     clause: str
     witness: dict
     assumptions: list[str] = field(default_factory=list)
+    attached: AttachmentModel | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_json(self) -> dict:
         return {
@@ -81,13 +89,19 @@ def _require_standard(model: BigradedModel):
         )
 
 
+def _hurewicz_zero(model: BigradedModel, alpha: AlphaFunctional) -> bool:
+    return not any(alpha.value(g) for g in model.stage_slice(0, alpha.n - 1))
+
+
+def _special(alpha: AlphaFunctional) -> tuple[bool, list[Generator]]:
+    violators = [g for g in alpha.support() if g.stage != 1]
+    return not violators, violators
+
+
 def hurewicz_vanishes(model: BigradedModel, alpha: AlphaFunctional) -> bool:
     """True when alpha kills every stage-0 generator of degree n-1."""
     _require_standard(model)
-    for g in model.stage_slice(0, alpha.n - 1):
-        if alpha.value(g):
-            return False
-    return True
+    return _hurewicz_zero(model, alpha)
 
 
 def is_special(
@@ -95,8 +109,7 @@ def is_special(
 ) -> tuple[bool, list[Generator]]:
     """Specialness: the support of alpha lies entirely in stage 1."""
     _require_standard(model)
-    violators = [g for g in alpha.support() if g.stage != 1]
-    return not violators, violators
+    return _special(alpha)
 
 
 def _witness_text(witness) -> list[str]:
@@ -116,6 +129,15 @@ def formality_verdict(
 ) -> FormalityVerdict:
     """Apply the cell-attachment criterion to one attachment."""
     _require_standard(model)
+    attached = build_attachment(model, alpha)
+    verdict = _decide(attached)
+    verdict.attached = attached
+    return verdict
+
+
+def _decide(attached: AttachmentModel) -> FormalityVerdict:
+    """The criterion on an attachment whose base is known to be standard."""
+    model, alpha = attached.base, attached.alpha
     assumptions = [BASE_ASSUMPTION, GRADATION_ASSUMPTION]
 
     if alpha.is_zero:
@@ -130,8 +152,7 @@ def formality_verdict(
             assumptions,
         )
 
-    attached = build_attachment(model, alpha)
-    hurewicz_zero = hurewicz_vanishes(model, alpha)
+    hurewicz_zero = _hurewicz_zero(model, alpha)
     u = attached.u_class()
     if hurewicz_zero == u.is_zero:
         raise IntegrityError(
@@ -153,7 +174,7 @@ def formality_verdict(
             assumptions,
         )
 
-    special, violators = is_special(model, alpha)
+    special, violators = _special(alpha)
     decomposable, witness = attached.u_decomposable()
 
     if decomposable and special:
@@ -268,7 +289,7 @@ def even_complex_formality(
             )
             continue
         model = build_minimal_model(current, 4 * k)
-        model = model.rename(_even_aliases(model))
+        model = model.rename(alias_monomial_targets(model, "b", "b"))
         models.append(model)
         _check_even_slices(model, k)
         alpha = AlphaFunctional.build(model, n, pairs)
@@ -286,50 +307,10 @@ def even_complex_formality(
                 "cohomology is no longer generated in degree 2k"
             )
             continue
-        current = _synthesize_presentation(
-            build_attachment(model, alpha), gens, k
-        )
+        current = _synthesize_presentation(verdict.attached, gens, k)
         algebras.append(current)
 
     return EvenComplexResult(k, verdicts, algebras, models)
-
-
-def _even_aliases(model: BigradedModel) -> dict[str, str]:
-    """b-style names for stage-1 generators with monomial differentials.
-
-    g^2 targets become b<suffix>, g*h targets b<suffix><suffix>; generators
-    whose differentials are proper combinations keep their machine names.
-    """
-    mapping: dict[str, str] = {}
-    used = {g.name for g in model.generators}
-    for gen in model.generators:
-        if gen.stage != 1:
-            continue
-        d = model.d_of(gen)
-        mons = d.monomials()
-        if len(mons) != 1 or d.coefficient(mons[0]) != 1:
-            continue
-        powers = mons[0].powers
-        suffixes = []
-        for g, e in powers:
-            if len(g.name) >= 2 and g.name[1:].isdigit():
-                s = g.name[1:]
-            elif len(g.name) == 1:
-                s = ""
-            else:
-                s = "_" + g.name
-            suffixes.extend([s] * (e if e <= 2 else 0))
-        if len(powers) == 1 and powers[0][1] == 2:
-            alias = "b" + suffixes[0]
-        elif len(powers) == 2 and all(e == 1 for _, e in powers):
-            alias = "b" + suffixes[0] + suffixes[1]
-        else:
-            continue
-        if alias in used:
-            continue
-        used.add(alias)
-        mapping[gen.name] = alias
-    return mapping
 
 
 def _check_even_slices(model: BigradedModel, k: int):

@@ -317,11 +317,6 @@ class Element:
         return text
 
 
-def multiply(x: Element, y: Element) -> Element:
-    """Product in the free graded-commutative algebra."""
-    return x * y
-
-
 def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:
     """All monomials of the given degree, in the canonical monomial order."""
     if degree < 0:
@@ -349,11 +344,6 @@ def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:
     rec(0, degree)
     out.sort(key=Monomial.sort_key)
     return out
-
-
-def word_length_split(x: Element) -> dict[int, Element]:
-    """Split an element by word length (number of factors with multiplicity)."""
-    return x.word_length_split()
 
 
 def split_by_stage(x: Element) -> tuple[Element, Element]:

@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
 All arithmetic is arbitrary-precision rational; there is no floating point
-anywhere in the package.  The public entry points (`rref`, `kernel_basis`,
-`solve_in_span`) work on small dense matrices.  `RowSpace` is the engine
-behind them: a Gauss-Jordan accumulator over sparse integer rows, which is
-what keeps the big, very sparse differential slices cheap.  Rows handed to it
-are ``{column: value}`` dicts; values may be ints or Fractions.
+anywhere in the package.  `RowSpace` is the engine: a Gauss-Jordan
+accumulator over sparse integer rows, which is what keeps the big, very
+sparse differential slices cheap.  Rows handed to it are ``{column: value}``
+dicts; values may be ints or Fractions.  `solve_in_span` and
+`intersect_spans` are built on it.
 
->>> m = Matrix([[2, 4], [1, 2]])
->>> r, pivots = rref(m)
->>> r.entries[0], pivots
-([Fraction(1, 1), Fraction(2, 1)], [0])
+>>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
+>>> space.fraction_rows(), space.pivots()
+([{0: Fraction(1, 1), 1: Fraction(2, 1)}], [0])
 """
 
 from __future__ import annotations
@@ -33,41 +32,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise InputError(f"expected an exact rational, got {type(x).__name__}")
-
-
-class Matrix:
-    """Dense matrix of Fractions.  Treated as immutable once built."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = [[_as_fraction(x) for x in row] for row in entries]
-        ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise InputError("matrix rows have unequal lengths")
-        self.rows = len(rows)
-        self.cols = ncols
-        self.entries = rows
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> Vector:
-        return tuple(self.entries[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"Matrix({self.entries!r})"
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -198,30 +162,6 @@ class RowSpace:
                     vec[p] = Fraction(-row[f], row[p])
             out.append(vec)
         return out
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and the (strictly increasing) pivot columns."""
-    space = RowSpace()
-    for i in range(m.rows):
-        space.insert({j: x for j, x in enumerate(m.entries[i]) if x})
-    dense = [[_ZERO] * m.cols for _ in range(m.rows)]
-    for i, row in enumerate(space.fraction_rows()):
-        for c, v in row.items():
-            dense[i][c] = v
-    return Matrix(dense), space.pivots()
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of the null space ``{x : m x = 0}``."""
-    space = RowSpace()
-    for i in range(m.rows):
-        space.insert({j: x for j, x in enumerate(m.entries[i]) if x})
-    return [_densify(vec, m.cols) for vec in space.kernel(m.cols)]
-
-
-def _densify(vec: Mapping[int, Fraction], n: int) -> Vector:
-    return tuple(vec.get(i, _ZERO) for i in range(n))
 
 
 def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Vector | None:

@@ -77,20 +77,7 @@ class BigradedModel:
 
     def rho_of(self, element: Element) -> Element:
         """Multiplicative extension of rho, reduced to canonical form in A."""
-        out = Element.zero()
-        for mon, coeff in element.terms():
-            value = Element.scalar(coeff)
-            for g, e in mon.powers:
-                image = self.rho[g]
-                if image.is_zero:
-                    value = Element.zero()
-                    break
-                for _ in range(e):
-                    value = self.algebra.product(value, image)
-                if value.is_zero:
-                    break
-            out = out + value
-        return self.algebra.reduce(out) if not out.is_zero else out
+        return _rho_of(element, self.rho, self.algebra)
 
     # --- structural checks ------------------------------------------------
     def verify(self) -> list[str]:

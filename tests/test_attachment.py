@@ -8,9 +8,10 @@ from sullivan.attachment import (
     AttachmentElement,
     build_attachment,
 )
-from sullivan.errors import InputError
-from sullivan.gca import Element, Monomial
-from sullivan.minimal_model import build_minimal_model
+from sullivan.dgca import FreeDGCA
+from sullivan.errors import InputError, IntegrityError
+from sullivan.gca import Element, Generator, Monomial
+from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 from conftest import small_presentations
@@ -160,3 +161,36 @@ def test_u_class_vanishing_matches_stage0_support(data, sampler):
         alpha.value(g) for g in model.generators if g.degree == n - 1 and g.stage == 0
     )
     assert att.u_class().is_zero == stage0_hit
+
+
+def _hand_built_model(gens, d_on_gens, truncation):
+    """A BigradedModel from explicit data; rho and the algebra are inert here."""
+    algebra = PresentedAlgebra([], [], truncation + 1)
+    return BigradedModel(
+        FreeDGCA(gens, d_on_gens, truncation),
+        {g: Element.zero() for g in gens},
+        algebra,
+        truncation,
+    )
+
+
+def test_twisted_d_squared_fails_when_alpha_meets_a_linear_part():
+    # dx = y and alpha(y) = 1: d_tw(d_tw x) = d_tw(y) = u
+    x, y = Generator("x", 3, 1, 0), Generator("y", 4, 0, 1)
+    model = _hand_built_model([x, y], {x: Element.from_generator(y)}, 5)
+    alpha = AlphaFunctional.build(model, 5, [("y", 1)])
+    with pytest.raises(IntegrityError, match=r"at x$"):
+        build_attachment(model, alpha)
+
+
+def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
+    # db = a^2, dc = a*b: d(dc) = a^3 != 0, whatever the cell does
+    a, b, c = Generator("a", 2, 0, 0), Generator("b", 3, 1, 1), Generator("c", 4, 2, 2)
+    d_on_gens = {
+        b: Element.from_monomial(Monomial.of(a, 2)),
+        c: Element.from_generator(a) * Element.from_generator(b),
+    }
+    model = _hand_built_model([a, b, c], d_on_gens, 6)
+    alpha = AlphaFunctional.build(model, 4, [("b", 1)])
+    with pytest.raises(IntegrityError, match=r"at c$"):
+        build_attachment(model, alpha)

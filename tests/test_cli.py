@@ -186,3 +186,34 @@ def test_two_cell_notice(tmp_path):
     result = run_cli("attach", "--input", str(job))
     assert result.returncode == 0
     assert "alpha: 0" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "--input", "JOB"],
+        ["verdict", "--fixture", "cp2-attach"],
+        ["verdict", "--fixture", "even-4k"],
+    ],
+    ids=["input", "cp2-attach", "even-4k"],
+)
+def test_verdict_builds_one_attachment(argv, tmp_path, monkeypatch, capsys):
+    from sullivan import cli
+    from sullivan.attachment import AttachmentModel
+
+    job = tmp_path / "job.txt"
+    job.write_text(
+        "algebra:\n  gen a 2\n  rel a^2\n  truncation 4\nattach:\n  cell 4\n  alpha v3_s1_0 1\n",
+        encoding="utf-8",
+    )
+    built = []
+    original = AttachmentModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttachmentModel, "__init__", counting_init)
+    code = cli.main([str(job) if a == "JOB" else a for a in argv])
+    assert code == 0, capsys.readouterr().err
+    assert len(built) == 1

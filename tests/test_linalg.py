@@ -6,9 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from sullivan import linalg
 from sullivan.errors import InputError
-from sullivan.linalg import Matrix, RowSpace, kernel_basis, rref, solve_in_span
+from sullivan.linalg import RowSpace, solve_in_span
 
 F = Fraction
+
+
+def _sparse(entries):
+    """Dense rows as the {column: value} dicts RowSpace takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in entries]
 
 
 def test_doctests():
@@ -16,40 +21,35 @@ def test_doctests():
 
 
 def test_rref_identity_is_fixed():
-    m = Matrix.identity(2)
-    r, pivots = rref(m)
-    assert r == m
-    assert pivots == [0, 1]
+    space = RowSpace([{0: 1}, {1: 1}])
+    assert space.fraction_rows() == [{0: F(1)}, {1: F(1)}]
+    assert space.pivots() == [0, 1]
 
 
 def test_rref_proportional_rows():
-    r, pivots = rref(Matrix([[2, 4], [1, 2]]))
-    assert r == Matrix([[1, 2], [0, 0]])
-    assert pivots == [0]
+    space = RowSpace(_sparse([[2, 4], [1, 2]]))
+    assert space.fraction_rows() == [{0: F(1), 1: F(2)}]
+    assert space.pivots() == [0]
 
 
 def test_rref_row_swap():
-    r, pivots = rref(Matrix([[0, 1], [1, 0]]))
-    assert r == Matrix.identity(2)
-    assert pivots == [0, 1]
+    space = RowSpace(_sparse([[0, 1], [1, 0]]))
+    assert space.fraction_rows() == [{0: F(1)}, {1: F(1)}]
+    assert space.pivots() == [0, 1]
 
 
 def test_kernel_of_zero_matrix_is_everything():
-    vecs = kernel_basis(Matrix.zero(2, 3))
-    assert vecs == [
-        (F(1), F(0), F(0)),
-        (F(0), F(1), F(0)),
-        (F(0), F(0), F(1)),
-    ]
+    space = RowSpace(_sparse([[0, 0, 0], [0, 0, 0]]))
+    assert space.kernel(3) == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
 
 
 def test_kernel_single_row():
-    assert kernel_basis(Matrix([[1, 2]])) == [(F(-2), F(1))]
+    assert RowSpace(_sparse([[1, 2]])).kernel(2) == [{0: F(-2), 1: F(1)}]
 
 
 def test_kernel_of_injective_map_is_empty():
     # one column mapping a^2 -> a^2: rank one, no kernel
-    assert kernel_basis(Matrix([[1]])) == []
+    assert RowSpace(_sparse([[1]])).kernel(1) == []
 
 
 def test_solve_outside_span():
@@ -84,20 +84,19 @@ small_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rref_is_idempotent(entries):
-    m = Matrix(entries)
-    r1, p1 = rref(m)
-    r2, p2 = rref(r1)
-    assert r1 == r2
-    assert p1 == p2
-    assert p1 == sorted(p1)
+    space = RowSpace(_sparse(entries))
+    again = RowSpace(space.fraction_rows())
+    assert again.fraction_rows() == space.fraction_rows()
+    assert again.pivots() == space.pivots()
+    assert space.pivots() == sorted(space.pivots())
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_nullity(entries):
-    m = Matrix(entries)
-    _, pivots = rref(m)
-    assert len(pivots) + len(kernel_basis(m)) == m.cols
+    space = RowSpace(_sparse(entries))
+    cols = len(entries[0])
+    assert space.rank + len(space.kernel(cols)) == cols
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,10 +119,9 @@ def test_solve_reconstructs_combinations(entries, weights):
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
 def test_kernel_vectors_annihilate(entries):
-    m = Matrix(entries)
-    for vec in kernel_basis(m):
-        for row in m.entries:
-            assert sum((a * b for a, b in zip(row, vec)), F(0)) == 0
+    for vec in RowSpace(_sparse(entries)).kernel(len(entries[0])):
+        for row in entries:
+            assert sum((a * vec.get(j, F(0)) for j, a in enumerate(row)), F(0)) == 0
 
 
 def test_rowspace_reduce_and_contains():
