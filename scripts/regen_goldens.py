@@ -20,6 +20,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 CASES = {
     "model_cp1.txt": ["model", "--fixture", "cp1"],
     "model_wedge3_s2.txt": ["model", "--fixture", "wedge3-s2"],
+    "model_wedge3_s2_json.txt": ["model", "--fixture", "wedge3-s2", "--json"],
     "attach_cp2.txt": ["attach", "--fixture", "cp2-attach"],
     "verdict_cp2.txt": ["verdict", "--fixture", "cp2-attach"],
     "verdict_wedge3_e6.txt": ["verdict", "--fixture", "wedge3-e6"],

@@ -16,6 +16,7 @@ def run_cli(*argv, input_text=None):
 GOLDEN_CASES = [
     ("model_cp1.txt", ["model", "--fixture", "cp1"], 0),
     ("model_wedge3_s2.txt", ["model", "--fixture", "wedge3-s2"], 0),
+    ("model_wedge3_s2_json.txt", ["model", "--fixture", "wedge3-s2", "--json"], 0),
     ("attach_cp2.txt", ["attach", "--fixture", "cp2-attach"], 0),
     ("verdict_cp2.txt", ["verdict", "--fixture", "cp2-attach"], 0),
     ("verdict_wedge3_e6.txt", ["verdict", "--fixture", "wedge3-e6"], 10),
