@@ -15,18 +15,11 @@ from .errors import (
     TruncationError,
 )
 from .gca import Element, Generator, Monomial, monomial_basis, normalize_monomial
-from .presented import (
-    PresentedAlgebra,
-    graded_component,
-    indecomposables,
-    product_in_A,
-    validate_presentation,
-)
-from .dgca import FreeDGCA, cohomology, d_extend, verify_d_squared
+from .presented import PresentedAlgebra, validate_presentation
+from .dgca import FreeDGCA
 from .minimal_model import (
     BigradedModel,
     build_minimal_model,
-    stage_slice,
     standardize,
     verify_standard,
 )
@@ -34,10 +27,7 @@ from .attachment import (
     AlphaFunctional,
     AttachmentElement,
     AttachmentModel,
-    attachment_cohomology,
     build_attachment,
-    is_u_decomposable,
-    u_class,
 )
 from .formality import (
     FORMAL,
@@ -73,25 +63,15 @@ __all__ = [
     "PresentedAlgebra",
     "SullivanError",
     "TruncationError",
-    "attachment_cohomology",
     "build_attachment",
     "build_minimal_model",
-    "cohomology",
-    "d_extend",
     "even_complex_formality",
     "formality_verdict",
-    "graded_component",
     "hurewicz_vanishes",
-    "indecomposables",
     "is_special",
-    "is_u_decomposable",
     "monomial_basis",
     "normalize_monomial",
-    "product_in_A",
-    "stage_slice",
     "standardize",
-    "u_class",
     "validate_presentation",
-    "verify_d_squared",
     "verify_standard",
 ]

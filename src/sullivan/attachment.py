@@ -167,7 +167,8 @@ class AttachmentModel:
 
     As a cochain complex it is the base model's complex with u appended as
     the last basis cochain of degree n; `CohomologySpace` reads it through
-    ``basis``, ``d_basis``, ``terms_of``, ``element_of`` and ``d``.
+    ``basis``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
+    ``d``.
     """
 
     def __init__(self, base: BigradedModel, alpha: AlphaFunctional):
@@ -231,6 +232,10 @@ class AttachmentModel:
         body = Element({b: c for b, c in terms.items() if b is not _U})
         return AttachmentElement(body, terms.get(_U, _ZERO))
 
+    def boundaries(self, m: int):
+        """A spanning set of the degree-m coboundaries: d of basis(m - 1)."""
+        return map(self.d_basis, self.basis(m - 1))
+
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.
 
@@ -288,25 +293,10 @@ class AttachmentModel:
         u = self.u_class()
         if u.is_zero:
             raise InputError("u is zero in cohomology; decomposability is undefined")
-        witness = DecomposableSubspace(self, self.n).witness(u)
+        witness = DecomposableSubspace(self.cohomology, self.n).witness(u)
         return witness is not None, witness
 
 
 def build_attachment(model: BigradedModel, alpha: AlphaFunctional) -> AttachmentModel:
     """Attach one cell along ``alpha``; validates the twisted differential."""
     return AttachmentModel(model, alpha)
-
-
-def attachment_cohomology(
-    mdl: AttachmentModel, m: int
-) -> tuple[int, list[CohomologyClass]]:
-    space = mdl.cohomology(m)
-    return space.dimension, space.classes
-
-
-def u_class(mdl: AttachmentModel) -> CohomologyClass:
-    return mdl.u_class()
-
-
-def is_u_decomposable(mdl: AttachmentModel) -> tuple[bool, list | None]:
-    return mdl.u_decomposable()

@@ -8,8 +8,12 @@ declared truncation instead of silently truncating.
 
 Cohomology in each degree is computed by exact linear algebra: cocycles as a
 kernel, coboundaries as a row space, and canonical class representatives
-fixed by the reduced row-echelon form.  `CohomologySpace` reads its complex
-through a small interface, so the cell-attachment complex shares it.
+fixed by the reduced row-echelon form.  `CohomologySpace` and
+`DecomposableSubspace` read their complex through a small interface --
+``basis``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
+``d`` -- which three complexes serve: `FreeDGCA`, the cell-attachment complex
+`attachment.AttachmentModel`, and the presented algebra (A, 0) of
+`presented.PresentedAlgebra`.
 """
 
 from __future__ import annotations
@@ -143,12 +147,16 @@ class FreeDGCA:
         return self.cohomology(c1.degree + c2.degree).class_of(product)
 
     def decomposable_subspace(self, m: int) -> "DecomposableSubspace":
-        return DecomposableSubspace(self, m)
+        return DecomposableSubspace(self.cohomology, m)
 
     # --- the cochain-complex interface read by CohomologySpace --------------
     def d_basis(self, mon: Monomial):
         """d of one basis monomial, as (monomial, coefficient) pairs."""
         return self.d_monomial(mon).terms()
+
+    def boundaries(self, m: int):
+        """A spanning set of the degree-m coboundaries: d of basis(m - 1)."""
+        return map(self.d_basis, self.basis(m - 1))
 
     @staticmethod
     def terms_of(x: Element):
@@ -184,10 +192,11 @@ class CohomologySpace:
 
     The complex is read through ``basis(m)`` (the degree-m basis cochains,
     in a fixed order), ``d_basis(b)`` (d of one basis cochain as (cochain,
-    coefficient) pairs), ``terms_of(x)`` and ``element_of(terms)`` (an
-    element as (cochain, coefficient) pairs and back) and ``d(x)``.  Class
-    representatives are fixed by the reduced row-echelon forms over that
-    basis order.
+    coefficient) pairs), ``boundaries(m)`` (a spanning set of the degree-m
+    coboundaries, each as (cochain, coefficient) pairs), ``terms_of(x)`` and
+    ``element_of(terms)`` (an element as (cochain, coefficient) pairs and
+    back) and ``d(x)``.  Class representatives are fixed by the reduced
+    row-echelon forms over that basis order.
     """
 
     def __init__(self, cochains, m: int):
@@ -196,26 +205,23 @@ class CohomologySpace:
         source = cochains.basis(m)
         self.basis = source
         self.index = index = {b: i for i, b in enumerate(source)}
-        target_index = {b: i for i, b in enumerate(cochains.basis(m + 1))}
-        d_basis = cochains.d_basis
 
-        # cocycles: kernel of d on the degree-m cochains
-        constraint_rows: dict[int, dict[int, Fraction]] = {}
+        # cocycles: kernel of d on the degree-m cochains, one constraint row
+        # per target cochain
+        constraint_rows: dict[object, dict[int, Fraction]] = {}
         for j, b in enumerate(source):
-            for t, c in d_basis(b):
-                constraint_rows.setdefault(target_index[t], {})[j] = c
+            for t, c in cochains.d_basis(b):
+                constraint_rows.setdefault(t, {})[j] = c
         constraints = RowSpace()
         for row in constraint_rows.values():
             constraints.insert(row)
         cocycles = constraints.kernel(len(source))
 
-        # coboundaries: image of d from degree m - 1
         self.coboundaries = RowSpace()
-        if m >= 1:
-            for b in cochains.basis(m - 1):
-                image = {index[t]: c for t, c in d_basis(b)}
-                if image:
-                    self.coboundaries.insert(image)
+        for boundary in cochains.boundaries(m):
+            image = {index[t]: c for t, c in boundary}
+            if image:
+                self.coboundaries.insert(image)
 
         classes = RowSpace()
         for z in cocycles:
@@ -271,26 +277,22 @@ class CohomologySpace:
             raise IntegrityError("cocycle does not reduce into the class basis")
         return CohomologyClass(self.degree, self._element(reduced), tuple(coords))
 
-    def zero_class(self) -> CohomologyClass:
-        zeros = tuple([_ZERO] * len(self._class_rows))
-        return CohomologyClass(self.degree, self.cochains.element_of({}), zeros)
-
 
 class DecomposableSubspace:
     """Span of all products of positive-degree classes inside H^m.
 
-    ``cochains`` is any complex `CohomologySpace` reads that also has a
-    ``cohomology(m)`` cache and multiplicative representatives.
+    ``cohomology`` maps a degree to its cached `CohomologySpace`, over a
+    complex whose class representatives multiply.
     """
 
-    def __init__(self, cochains, m: int):
+    def __init__(self, cohomology, m: int):
         self.degree = m
         self._space = RowSpace()
         self._products: list[tuple[tuple[Fraction, ...], CohomologyClass, CohomologyClass]] = []
-        target = cochains.cohomology(m)
+        target = cohomology(m)
         for p in range(1, m // 2 + 1):
-            left = cochains.cohomology(p).classes
-            right = cochains.cohomology(m - p).classes
+            left = cohomology(p).classes
+            right = cohomology(m - p).classes
             for c1 in left:
                 for c2 in right:
                     product = target.class_of(c1.representative * c2.representative)
@@ -304,6 +306,10 @@ class DecomposableSubspace:
     @property
     def dimension(self) -> int:
         return self._space.rank
+
+    def pivots(self) -> list[int]:
+        """Class coordinates at which the decomposables have their pivots."""
+        return self._space.pivots()
 
     def contains(self, cls: CohomologyClass) -> bool:
         return self._space.contains(
@@ -324,16 +330,3 @@ class DecomposableSubspace:
             for c, (_, c1, c2) in zip(coeffs, self._products)
             if c
         ]
-
-
-def d_extend(dgca: FreeDGCA, x: Element) -> Element:
-    return dgca.d(x)
-
-
-def verify_d_squared(dgca: FreeDGCA):
-    return dgca.verify_d_squared()
-
-
-def cohomology(dgca: FreeDGCA, m: int) -> tuple[int, list[CohomologyClass]]:
-    space = dgca.cohomology(m)
-    return space.dimension, space.classes

@@ -221,12 +221,6 @@ class Element:
             raise InputError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
 
-    def word_length_split(self) -> dict[int, "Element"]:
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for mon, c in self._terms.items():
-            out.setdefault(mon.word_length, {})[mon] = c
-        return {k: Element(v) for k, v in sorted(out.items())}
-
     def filter_terms(self, keep: Callable[[Monomial], bool]) -> "Element":
         return Element({m: c for m, c in self._terms.items() if keep(m)})
 
@@ -322,26 +316,34 @@ def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:
     if degree < 0:
         return []
     ordered = sorted(gens, key=Generator.sort_key)
-    out: list[Monomial] = []
+    count = len(ordered)
+
+    def factors(start: int, remaining: int):
+        for i in range(start, count):
+            g = ordered[i]
+            if g.degree > remaining:
+                return  # ordered by degree first: every later generator is too big
+            cap = 1 if g.is_odd else remaining // g.degree
+            for e in range(1, cap + 1):
+                yield i, remaining - e * g.degree, (g, e)
+
+    out: list[Monomial] = [Monomial.unit()] if degree == 0 else []
     powers: list[tuple[Generator, int]] = []
-
-    def rec(i: int, remaining: int):
+    # One open level per chosen factor: the stack is no deeper than the word length.
+    stack = [factors(0, degree)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if powers:
+                powers.pop()
+            continue
+        i, remaining, power = step
         if remaining == 0:
-            out.append(Monomial(tuple(powers)))
-            return
-        if i == len(ordered):
-            return
-        g = ordered[i]
-        rec(i + 1, remaining)
-        cap = 1 if g.is_odd else remaining // g.degree
-        for e in range(1, cap + 1):
-            if e * g.degree > remaining:
-                break
-            powers.append((g, e))
-            rec(i + 1, remaining - e * g.degree)
-            powers.pop()
-
-    rec(0, degree)
+            out.append(Monomial((*powers, power)))
+        else:
+            powers.append(power)
+            stack.append(factors(i + 1, remaining))
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -205,7 +205,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
     for m in range(2, truncation + 1):
         # stage 0: lifts of the indecomposables of A^m
-        for lift in algebra.indecomposables(m).lifts:
+        for lift in algebra.indecomposables(m):
             if lift.word_length != 1:
                 raise IntegrityError(
                     f"indecomposable lift {lift} is not a single generator"
@@ -227,7 +227,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
         constraint_rows: dict[int, dict[int, Fraction]] = {}
         for i, cls in enumerate(h_space.classes):
             image = _rho_of(cls.representative, rho, algebra)
-            for j, c in enumerate(target_component.coordinates(image)):
+            for j, c in enumerate(target_component.class_of(image).coordinates):
                 if c:
                     constraint_rows.setdefault(j, {})[i] = c
         constraints = RowSpace()
@@ -360,11 +360,6 @@ def preimage_in_v0_v1(
 
 # --------------------------------------------------------------------------
 # standardisation
-
-
-def stage_slice(model: BigradedModel, stage: int, degree: int) -> list[Generator]:
-    """Generators of one stage and one degree, in canonical order."""
-    return model.stage_slice(stage, degree)
 
 
 def verify_standard(model: BigradedModel) -> list[str]:

@@ -2,80 +2,25 @@
 
 A presentation is a list of generators (degrees >= 2, all stage 0), a list of
 homogeneous relation elements in the free cover, and a truncation degree N_A
-beyond which no statement is made.  Graded components are computed by exact
-linear algebra on the degree slices of the relation ideal: the degree-m slice
-is spanned by all products monomial * relation of degree m, and the canonical
-basis of A^m consists of the monomials at the non-pivot columns of its
-reduced row-echelon form.
+beyond which no statement is made.
+
+`PresentedAlgebra` is a cochain complex in the sense of `dgca`: the free cover
+with zero differential, whose degree-m coboundaries are the degree-m slice of
+the relation ideal, spanned by all products monomial * relation of degree m.
+A^m is its cohomology, a `dgca.CohomologySpace`.  Every cochain is a cocycle,
+so the canonical basis of A^m consists of the monomials at the non-pivot
+columns of the reduced row-echelon form of the ideal slice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import expr
+from .dgca import CohomologySpace, DecomposableSubspace
 from .errors import InputError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis
-from .linalg import RowSpace
-
-_ZERO = Fraction(0)
-
-
-class GradedBasis:
-    """Canonical basis of one graded component A^m."""
-
-    def __init__(self, degree: int, monomials: list[Monomial], relation_space: RowSpace):
-        self.degree = degree
-        self._monomials = monomials
-        self._index = {m: i for i, m in enumerate(monomials)}
-        self._relations = relation_space
-        pivots = set(relation_space.pivots())
-        self.representatives: list[Monomial] = [
-            m for i, m in enumerate(monomials) if i not in pivots
-        ]
-        self._rep_positions = [i for i in range(len(monomials)) if i not in pivots]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.representatives)
-
-    def _vector(self, element: Element) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
-        for mon, c in element.terms():
-            i = self._index.get(mon)
-            if i is None:
-                raise InputError(
-                    f"monomial {mon} does not live in degree {self.degree}"
-                )
-            vec[i] = c
-        return vec
-
-    def coordinates(self, element: Element) -> tuple[Fraction, ...]:
-        """Coordinates of the class of ``element`` in the canonical basis."""
-        if not element.is_zero and element.homogeneous_degree() != self.degree:
-            raise InputError("element has the wrong degree for this component")
-        reduced = self._relations.reduce(self._vector(element))
-        return tuple(reduced.get(i, _ZERO) for i in self._rep_positions)
-
-    def reduce(self, element: Element) -> Element:
-        """Canonical representative of the class of ``element``."""
-        coords = self.coordinates(element)
-        return Element(
-            {mon: c for mon, c in zip(self.representatives, coords) if c}
-        )
-
-
-class IndecomposableBasis:
-    """Basis of A^m modulo decomposables, with chosen monomial lifts."""
-
-    def __init__(self, degree: int, lifts: list[Monomial]):
-        self.degree = degree
-        self.lifts = lifts
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lifts)
 
 
 class PresentedAlgebra:
@@ -90,8 +35,7 @@ class PresentedAlgebra:
         self.generators = tuple(generators)
         self.relations = tuple(relations)
         self.truncation = truncation
-        self._components: dict[int, GradedBasis] = {}
-        self._indecomposables: dict[int, IndecomposableBasis] = {}
+        self._components: dict[int, CohomologySpace] = {}
 
     @classmethod
     def from_strings(
@@ -120,70 +64,65 @@ class PresentedAlgebra:
                 return g
         return None
 
-    def _check_degree(self, m: int):
+    def graded_component(self, m: int) -> CohomologySpace:
+        """A^m, with the non-pivot monomials as its canonical basis."""
         if m > self.truncation:
             raise TruncationError(
                 f"degree {m} exceeds the algebra truncation {self.truncation}"
             )
-
-    def graded_component(self, m: int) -> GradedBasis:
-        self._check_degree(m)
         cached = self._components.get(m)
-        if cached is not None:
-            return cached
-        monomials = monomial_basis(self.generators, m) if m >= 0 else []
-        index = {mon: i for i, mon in enumerate(monomials)}
-        space = RowSpace()
+        if cached is None:
+            cached = CohomologySpace(self, m)
+            self._components[m] = cached
+        return cached
+
+    def indecomposables(self, m: int) -> list[Monomial]:
+        """Monomial lifts of a basis of A^m modulo decomposables."""
+        comp = self.graded_component(m)
+        pivots = set(DecomposableSubspace(self.graded_component, m).pivots())
+        return [
+            cls.representative.monomials()[0]
+            for i, cls in enumerate(comp.classes)
+            if i not in pivots
+        ]
+
+    def product(self, x: Element, y: Element) -> Element:
+        """Cup product: multiply in the free cover, reduce modulo relations."""
+        return self.reduce(x * y)
+
+    def reduce(self, x: Element) -> Element:
+        if x.is_zero:
+            return x
+        return self.graded_component(x.homogeneous_degree()).class_of(x).representative
+
+    # --- the cochain-complex interface read by CohomologySpace --------------
+    def basis(self, m: int) -> list[Monomial]:
+        return monomial_basis(self.generators, m)
+
+    @staticmethod
+    def d_basis(mon: Monomial):
+        return ()
+
+    @staticmethod
+    def d(x: Element) -> Element:
+        return Element.zero()
+
+    def boundaries(self, m: int):
+        """The degree-m slice of the relation ideal: cofactor * relation."""
         for rel in self.relations:
             d = rel.homogeneous_degree()
             if d is None or d > m:
                 continue
             for cof in monomial_basis(self.generators, m - d):
-                product = Element.from_monomial(cof) * rel
-                if product.is_zero:
-                    continue
-                space.insert({index[mon]: c for mon, c in product.terms()})
-        basis = GradedBasis(m, monomials, space)
-        self._components[m] = basis
-        return basis
+                yield (Element.from_monomial(cof) * rel).terms()
 
-    def indecomposables(self, m: int) -> IndecomposableBasis:
-        self._check_degree(m)
-        cached = self._indecomposables.get(m)
-        if cached is not None:
-            return cached
-        comp = self.graded_component(m)
-        rep_index = {mon: i for i, mon in enumerate(comp.representatives)}
-        decomposables = RowSpace()
-        for p in range(1, m // 2 + 1):
-            left = self.graded_component(p)
-            right = self.graded_component(m - p)
-            for x in left.representatives:
-                for y in right.representatives:
-                    product = Element.from_monomial(x) * Element.from_monomial(y)
-                    coords = comp.coordinates(product)
-                    vec = {i: c for i, c in enumerate(coords) if c}
-                    if vec:
-                        decomposables.insert(vec)
-        pivots = set(decomposables.pivots())
-        lifts = [mon for i, mon in enumerate(comp.representatives) if i not in pivots]
-        result = IndecomposableBasis(m, lifts)
-        self._indecomposables[m] = result
-        return result
+    @staticmethod
+    def terms_of(x: Element):
+        return x.terms()
 
-    def product(self, x: Element, y: Element) -> Element:
-        """Cup product: multiply in the free cover, reduce modulo relations."""
-        product = x * y
-        if product.is_zero:
-            return product
-        degree = product.homogeneous_degree()
-        self._check_degree(degree)
-        return self.graded_component(degree).reduce(product)
-
-    def reduce(self, x: Element) -> Element:
-        if x.is_zero:
-            return x
-        return self.graded_component(x.homogeneous_degree()).reduce(x)
+    @staticmethod
+    def element_of(terms: Mapping[Monomial, Fraction]) -> Element:
+        return Element(terms)
 
 
 def validate_presentation(algebra: PresentedAlgebra) -> list[str]:
@@ -219,15 +158,3 @@ def validate_presentation(algebra: PresentedAlgebra) -> list[str]:
                 f"{label}: degree {d} exceeds the truncation {algebra.truncation}"
             )
     return problems
-
-
-def graded_component(algebra: PresentedAlgebra, m: int) -> GradedBasis:
-    return algebra.graded_component(m)
-
-
-def indecomposables(algebra: PresentedAlgebra, m: int) -> IndecomposableBasis:
-    return algebra.indecomposables(m)
-
-
-def product_in_A(algebra: PresentedAlgebra, x: Element, y: Element) -> Element:
-    return algebra.product(x, y)

@@ -108,7 +108,7 @@ def test_class_product_square_vanishes(sphere_model):
 
 def test_class_product_with_zero(sphere_model):
     h2 = sphere_model.cohomology(2)
-    zero = sphere_model.cohomology(3).zero_class()
+    zero = sphere_model.cohomology(3).class_of(Element.zero())
     product = sphere_model.class_product(h2.classes[0], zero)
     assert product.is_zero
 

@@ -125,7 +125,7 @@ def test_even_complex_two_spheres():
     final = result.algebras[-1]
     assert final.graded_component(2).dimension == 2
     assert final.graded_component(4).dimension == 1
-    assert [str(m) for m in final.graded_component(4).representatives] == ["a1*a2"]
+    assert [str(c.representative) for c in final.graded_component(4).classes] == ["a1*a2"]
 
 
 def test_even_complex_cp2():

@@ -99,22 +99,10 @@ def test_monomial_basis_degree_zero():
     assert [str(m) for m in monomial_basis([a, b], 0)] == ["1"]
 
 
-def test_word_length_split():
-    x = Element({Monomial.of(a, 2): F(1), Monomial.of(b): F(1)})
-    split = x.word_length_split()
-    assert set(split) == {1, 2}
-    assert split[1] == E(b)
-    assert split[2] == Element({Monomial.of(a, 2): F(1)})
-    assert Element.zero().word_length_split() == {}
-
-
-def test_split_three_terms():
-    m2 = Monomial(((a1, 1), (a2, 1)))
-    m3 = Monomial(((a1, 1), (a2, 1), (Generator("a3", 2, index=5), 1)))
-    x = Element({m2: F(1), m3: F(1)})
-    split = x.word_length_split()
-    assert split[2] == Element({m2: F(1)})
-    assert split[3] == Element({m3: F(1)})
+def test_monomial_basis_many_generators():
+    # more generators than the default recursion limit allows frames
+    gens = [a] + [Generator(f"y{i}", 10, index=10 + i) for i in range(1200)]
+    assert [str(m) for m in monomial_basis(gens, 4)] == ["a^2"]
 
 
 def test_inhomogeneous_degree_raises():

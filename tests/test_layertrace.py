@@ -24,3 +24,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert cli.formality_verdict is original
+
+
+def test_tracer_counts_graded_component_cache_hits(monkeypatch):
+    # The tracer reads PresentedAlgebra._components to count cache hits.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+    import sullivan.minimal_model as minimal_model
+    from sullivan.presented import PresentedAlgebra
+
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        algebra = PresentedAlgebra.from_strings([("a", 2)], ["a^3"], truncation=7)
+        minimal_model.build_minimal_model(algebra, 6)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["presented.graded_component.hits"] > 0
