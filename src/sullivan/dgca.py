@@ -14,6 +14,17 @@ fixed by the reduced row-echelon form.  `CohomologySpace` and
 ``d`` -- which three complexes serve: `FreeDGCA`, the cell-attachment complex
 `attachment.AttachmentModel`, and the presented algebra (A, 0) of
 `presented.PresentedAlgebra`.
+
+Inside a `FreeDGCA` the Leibniz differential runs on integer codes, not on
+`Element` products.  A code is a sorted tuple of ``(position, exponent)``
+pairs, where the position indexes ``FreeDGCA.gens``; because the generators
+are kept in the global generator order, a sorted code is a normalised
+monomial.  On first use each `FreeDGCA` tabulates the parity of every
+generator and d(g) as codes, and d of a monomial is then a merge of small
+int tuples with the Koszul sign counted from odd positions.  `Element`,
+`Monomial` and `Generator` appear only at the API boundary: `d_monomial`
+decodes its result into an `Element`, while `d_basis` hands the code-keyed
+terms straight to `CohomologySpace`, which uses them only as row keys.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ class FreeDGCA:
             self.d_on_gens[g] = dg
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
+        self._code_tables = None
 
     # --- cochain spaces -------------------------------------------------
     def basis(self, m: int) -> list[Monomial]:
@@ -90,22 +102,78 @@ class FreeDGCA:
         return out
 
     def d_monomial(self, mon: Monomial) -> Element:
-        out = Element.zero()
-        powers = mon.powers
-        prefix_degree = 0
-        for idx, (g, e) in enumerate(powers):
-            dg = self.d_on_gens[g]
-            if not dg.is_zero:
-                sign = -1 if prefix_degree % 2 else 1
-                prefix = Element.from_monomial(Monomial(powers[:idx]))
-                rest_powers = powers[idx + 1 :]
-                if e > 1:
-                    rest_powers = ((g, e - 1),) + rest_powers
-                rest = Element.from_monomial(
-                    Monomial(tuple(sorted(rest_powers, key=lambda p: p[0].sort_key())))
-                )
-                out = out + (sign * e) * (prefix * dg * rest)
-            prefix_degree += g.degree * e
+        """d of one monomial by the Leibniz rule."""
+        gens = self.gens
+        return Element(
+            {
+                Monomial(tuple((gens[p], e) for p, e in code)): c
+                for code, c in self._d_code(mon).items()
+            }
+        )
+
+    def _tables(self):
+        """Generator positions, parities, and each d(g) as (code, odd positions,
+        coefficient) triples; built on first use, since many models never take d."""
+        if self._code_tables is None:
+            position = {g: p for p, g in enumerate(self.gens)}
+            odd = tuple(g.is_odd for g in self.gens)
+            d_codes = []
+            for g in self.gens:
+                terms = []
+                for mon, c in self.d_on_gens[g].terms():
+                    code = tuple((position[h], e) for h, e in mon.powers)
+                    odds = tuple(q for q, _ in code if odd[q])
+                    terms.append((code, odds, c.numerator if c.denominator == 1 else c))
+                d_codes.append(tuple(terms))
+            self._code_tables = position, odd, tuple(d_codes)
+        return self._code_tables
+
+    def _d_code(self, mon: Monomial) -> dict[tuple, int | Fraction]:
+        """d of one monomial as {code: coefficient}, with no zero coefficients.
+
+        Terms are listed in the order the Leibniz rule produces them: factor by
+        factor, and within a factor in the order of the terms of d(g).
+        """
+        position, odd, d_codes = self._tables()
+        code = tuple((position[g], e) for g, e in mon.powers)
+        out: dict[tuple, int | Fraction] = {}
+        parity = 0  # parity of the degree of the factors before position i
+        for i, (p, e) in enumerate(code):
+            dg = d_codes[p]
+            if dg:
+                # the term prefix * d(g) * g^(e-1) * suffix; every position in
+                # prefix is below p and every one in rest is at least p
+                prefix = code[:i]
+                rest = code[i + 1 :] if e == 1 else ((p, e - 1), *code[i + 1 :])
+                left = [q for q, _ in prefix if odd[q]]
+                right = [q for q, _ in rest if odd[q]]
+                others = dict(prefix + rest)
+                scale = -e if parity else e
+                for t, t_odds, c in dg:
+                    # Koszul sign: odd factors of the term passing odd factors
+                    # of prefix and rest on their way into sorted position
+                    inversions = 0
+                    for q in t_odds:
+                        if q in others:
+                            break  # an odd factor repeats
+                        for x in left:
+                            if x > q:
+                                inversions += 1
+                        for z in right:
+                            if z < q:
+                                inversions += 1
+                    else:
+                        merged = others.copy()
+                        for q, f in t:
+                            merged[q] = merged.get(q, 0) + f
+                        key = tuple(sorted(merged.items()))
+                        v = out.get(key, 0) + (-scale * c if inversions & 1 else scale * c)
+                        if v:
+                            out[key] = v
+                        else:
+                            out.pop(key, None)
+            if odd[p]:
+                parity ^= e & 1
         return out
 
     def verify_d_squared(self) -> tuple[Generator, Element] | None:
@@ -151,12 +219,16 @@ class FreeDGCA:
 
     # --- the cochain-complex interface read by CohomologySpace --------------
     def d_basis(self, mon: Monomial):
-        """d of one basis monomial, as (monomial, coefficient) pairs."""
-        return self.d_monomial(mon).terms()
+        """d of one basis monomial, as (code, coefficient) pairs.
+
+        `CohomologySpace` uses the targets only as keys of its cocycle
+        constraints, so they stay undecoded.
+        """
+        return self._d_code(mon).items()
 
     def boundaries(self, m: int):
         """A spanning set of the degree-m coboundaries: d of basis(m - 1)."""
-        return map(self.d_basis, self.basis(m - 1))
+        return (self.d_monomial(b).terms() for b in self.basis(m - 1))
 
     @staticmethod
     def terms_of(x: Element):

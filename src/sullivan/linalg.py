@@ -152,14 +152,19 @@ class RowSpace:
 
     def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
         """Canonical (free-variable) basis of ``{x : row . x = 0 for all rows}``."""
+        # one pass over the rows: each non-pivot column's entries, in row order
+        entries: dict[int, list[tuple[int, Fraction]]] = {}
+        for p, row in self._rows.items():
+            lead = row[p]
+            for f, v in row.items():
+                if f != p:
+                    entries.setdefault(f, []).append((p, Fraction(-v, lead)))
         out = []
         for f in range(ncols):
             if f in self._rows:
                 continue
             vec = {f: _ONE}
-            for p, row in self._rows.items():
-                if f in row:
-                    vec[p] = Fraction(-row[f], row[p])
+            vec.update(entries.get(f, ()))
             out.append(vec)
         return out
 

@@ -109,11 +109,14 @@ class PresentedAlgebra:
 
     def boundaries(self, m: int):
         """The degree-m slice of the relation ideal: cofactor * relation."""
+        cofactors: dict[int, list[Monomial]] = {}  # one basis per relation degree
         for rel in self.relations:
             d = rel.homogeneous_degree()
             if d is None or d > m:
                 continue
-            for cof in monomial_basis(self.generators, m - d):
+            if d not in cofactors:
+                cofactors[d] = monomial_basis(self.generators, m - d)
+            for cof in cofactors[d]:
                 yield (Element.from_monomial(cof) * rel).terms()
 
     @staticmethod

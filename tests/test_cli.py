@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import pytest
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(*argv, input_text=None):
+def run_cli(*argv, input_text=None, env=None):
     cmd = [sys.executable, "-m", "sullivan.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, input=input_text)
+    return subprocess.run(cmd, capture_output=True, text=True, input=input_text, env=env)
 
 
 GOLDEN_CASES = [
@@ -31,6 +32,19 @@ GOLDEN_CASES = [
 @pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_outputs_are_stable(name, argv, code):
     result = run_cli(*argv)
+    assert result.returncode == code, result.stderr
+    assert result.stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+HASH_SEED_CASES = [
+    c for c in GOLDEN_CASES if c[0] in ("model_wedge3_s2_json.txt", "verdict_fatwedge_e6.txt")
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name,argv,code", HASH_SEED_CASES, ids=[c[0] for c in HASH_SEED_CASES])
+def test_golden_outputs_under_hash_seeds(name, argv, code, seed):
+    result = run_cli(*argv, env={**os.environ, "PYTHONHASHSEED": seed})
     assert result.returncode == code, result.stderr
     assert result.stdout == (GOLDEN / name).read_text(encoding="utf-8")
 

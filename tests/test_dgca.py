@@ -7,6 +7,8 @@ from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, TruncationError
 from sullivan.gca import Element, Generator, Monomial, monomial_basis
 
+from conftest import coefficients
+
 F = Fraction
 
 
@@ -178,6 +180,90 @@ def test_leibniz_identity_random(data):
     y = _random_element(data, D, q)
     sign = -1 if p % 2 else 1
     assert D.d(x * y) == D.d(x) * y + sign * (x * D.d(y))
+
+
+def reference_d_monomial(D, mon):
+    """Leibniz rule by `Element` products: sum of sign * e * prefix * d(g) * rest.
+
+    Independent of the exponent-code tables `FreeDGCA` computes d with.
+    """
+    out = Element.zero()
+    powers = mon.powers
+    prefix_degree = 0
+    for idx, (g, e) in enumerate(powers):
+        dg = D.d_on_gens[g]
+        if not dg.is_zero:
+            sign = -1 if prefix_degree % 2 else 1
+            prefix = Element.from_monomial(Monomial(powers[:idx]))
+            rest_powers = powers[idx + 1 :]
+            if e > 1:
+                rest_powers = ((g, e - 1),) + rest_powers
+            rest = Element.from_monomial(
+                Monomial(tuple(sorted(rest_powers, key=lambda p: p[0].sort_key())))
+            )
+            out = out + (sign * e) * (prefix * dg * rest)
+        prefix_degree += g.degree * e
+    return out
+
+
+_A1, _A2 = Generator("a1", 2, index=0), Generator("a2", 2, index=1)
+_B1, _B2, _B3 = (Generator(f"b{i}", 3, stage=1, index=1 + i) for i in (1, 2, 3))
+_C = Generator("c", 4, stage=1, index=5)
+_E = Generator("e", 5, stage=2, index=6)
+_H = Generator("h", 8, stage=2, index=7)
+_ORACLE_GENS = (_A1, _A2, _B1, _B2, _B3, _C, _E, _H)
+# Terms every random d carries, so that each draw has an even generator whose
+# d has odd * odd factors (h), an odd generator with d = odd * odd (e), a mixed
+# term (c) and a square (b1).
+_FORCED_TERMS = {
+    _H: Monomial(((_B1, 1), (_B2, 1), (_B3, 1))),
+    _C: Monomial(((_A1, 1), (_B2, 1))),
+    _E: Monomial(((_B1, 1), (_B3, 1))),
+    _B1: Monomial.of(_A1, 2),
+}
+
+
+@st.composite
+def leibniz_dgcas(draw):
+    """A FreeDGCA on mixed-parity generators with a random d (d^2 need not vanish)."""
+    d = {}
+    for g in _ORACLE_GENS:
+        terms = {}
+        if g in _FORCED_TERMS:
+            terms[_FORCED_TERMS[g]] = draw(coefficients)
+        targets = monomial_basis(_ORACLE_GENS, g.degree + 1)
+        for mon in draw(st.lists(st.sampled_from(targets), max_size=3)):
+            terms[mon] = draw(coefficients)
+        d[g] = Element(terms)
+    return FreeDGCA(_ORACLE_GENS, d, truncation=12)
+
+
+@st.composite
+def monomials_of(draw, D):
+    """A monomial with exponents up to 3 on even generators."""
+    powers = []
+    for g in D.gens:
+        e = draw(st.sampled_from([0, 1] if g.is_odd else [0, 0, 1, 2, 3]))
+        if e:
+            powers.append((g, e))
+    return Monomial(tuple(powers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_d_monomial_matches_reference_leibniz(data):
+    D = data.draw(leibniz_dgcas())
+    for _ in range(4):
+        mon = data.draw(monomials_of(D))
+        expected = reference_d_monomial(D, mon)
+        assert D.d_monomial(mon) == expected
+        decoded = Element(
+            {
+                Monomial(tuple((D.gens[p], e) for p, e in code)): c
+                for code, c in D.d_basis(mon)
+            }
+        )
+        assert decoded == expected
 
 
 def _random_element(data, D, degree):
