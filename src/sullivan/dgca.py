@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
@@ -38,6 +39,7 @@ from .gca import Element, Generator, Monomial, monomial_basis
 from .linalg import RowSpace, solve_in_span
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class FreeDGCA:
@@ -103,12 +105,12 @@ class FreeDGCA:
 
     def d_monomial(self, mon: Monomial) -> Element:
         """d of one monomial by the Leibniz rule."""
+        return self._decode(self._d_code(mon))
+
+    def _decode(self, terms: Mapping[tuple, int | Fraction]) -> Element:
         gens = self.gens
         return Element(
-            {
-                Monomial(tuple((gens[p], e) for p, e in code)): c
-                for code, c in self._d_code(mon).items()
-            }
+            {Monomial(tuple((gens[p], e) for p, e in code)): c for code, c in terms.items()}
         )
 
     def _tables(self):
@@ -182,11 +184,16 @@ class FreeDGCA:
             dg = self.d_on_gens[g]
             if dg.is_zero or g.degree + 2 > self.truncation + 2:
                 continue
-            residue = Element.zero()
+            residue: dict[tuple, int | Fraction] = {}
             for mon, coeff in dg.terms():
-                residue = residue + coeff * self.d_monomial(mon)
-            if not residue.is_zero:
-                return g, residue
+                for code, c in self._d_code(mon).items():
+                    v = residue.get(code, 0) + coeff * c
+                    if v:
+                        residue[code] = v
+                    else:
+                        residue.pop(code, None)
+            if residue:
+                return g, self._decode(residue)
         return None
 
     def minimality_violations(self) -> list[Generator]:
@@ -300,8 +307,12 @@ class CohomologySpace:
             classes.insert(self.coboundaries.reduce(z))
         self._class_rows = classes.fraction_rows()
         self._class_pivots = classes.pivots()
-        self.classes = [
-            CohomologyClass(m, self._element(row), self._unit_coords(i))
+
+    @cached_property
+    def classes(self) -> list[CohomologyClass]:
+        """The basis classes, each with unit coordinates; built on first read."""
+        return [
+            CohomologyClass(self.degree, self._element(row), self._unit_coords(i))
             for i, row in enumerate(self._class_rows)
         ]
 
@@ -313,9 +324,27 @@ class CohomologySpace:
         return self.cochains.element_of({self.basis[i]: c for i, c in vec.items()})
 
     def _unit_coords(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(1) if j == i else _ZERO for j in range(len(self._class_rows))
-        )
+        coords = [_ZERO] * len(self._class_rows)
+        coords[i] = _ONE
+        return tuple(coords)
+
+    def combination(self, coords: Mapping[int, Fraction]):
+        """The cocycle sum of coords[i] * (representative of class i).
+
+        ``coords`` maps class positions to coefficients, as a sparse row of
+        class coordinates; the result is an element of the complex.
+        """
+        vec: dict[int, Fraction] = {}
+        for i, c in coords.items():
+            if not c:
+                continue
+            for col, v in self._class_rows[i].items():
+                w = vec.get(col, _ZERO) + c * v
+                if w:
+                    vec[col] = w
+                else:
+                    vec.pop(col, None)
+        return self._element(vec)
 
     def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}

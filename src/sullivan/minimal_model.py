@@ -13,6 +13,15 @@ kernel of the induced map rho*: H^(m+1)(current model) -> A^(m+1):
   a preimage keeps the class); its stage is one more than the largest stage
   appearing in the differential.
 
+The kill step works on class coordinates.  rho* is evaluated only where
+A^(m+1) != 0; where A^(m+1) = 0 (for a wedge of spheres, every m >= 2) the
+kernel is all of H^(m+1) and no rho image is formed.  Each rho image is
+multiplied out in the free cover and reduced in A once.  A kernel row becomes
+its differential through `CohomologySpace.combination`, one sum of sparse
+class rows, so where A^(m+1) = 0 the list of class representatives is never
+built.  The generators a purge may use are put into a `FreeDGCA` only when
+some representative has a pure component.
+
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
 see, while H^m(model) = A^m for every m <= N already holds without them.
@@ -223,13 +232,15 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             continue
         target_component = algebra.graded_component(m + 1)
 
-        # kernel of rho*: H^(m+1) -> A^(m+1), in class coordinates
+        # kernel of rho*: H^(m+1) -> A^(m+1), in class coordinates; when
+        # A^(m+1) = 0 there is no constraint and the kernel is all of H^(m+1)
         constraint_rows: dict[int, dict[int, Fraction]] = {}
-        for i, cls in enumerate(h_space.classes):
-            image = _rho_of(cls.representative, rho, algebra)
-            for j, c in enumerate(target_component.class_of(image).coordinates):
-                if c:
-                    constraint_rows.setdefault(j, {})[i] = c
+        if target_component.dimension:
+            for i, cls in enumerate(h_space.classes):
+                image = _rho_of(cls.representative, rho, algebra)
+                for j, c in enumerate(target_component.class_of(image).coordinates):
+                    if c:
+                        constraint_rows.setdefault(j, {})[i] = c
         constraints = RowSpace()
         for row in constraint_rows.values():
             constraints.insert(row)
@@ -276,41 +287,46 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             handled.insert(row)
 
         # higher stages: remaining kernel classes, purged of pure components.
-        # The purge preimages may involve the stage-1 generators just added,
-        # so rebuild the ambient dgca first.
+        # The purge preimages may involve the stage-1 generators just added
+        # but none of the generators added below, so the ambient dgca is
+        # built on the generators known now, and only if a purge needs it.
         leftovers = RowSpace()
         for vec in kernel:
             leftovers.insert(handled.reduce(vec))
-        leftover_rows = leftovers.fraction_rows()
-        if leftover_rows:
-            extended = FreeDGCA(gens, d_map, truncation)
-            for row in leftover_rows:
-                target = Element.zero()
-                for i, c in row.items():
-                    target = target + c * h_space.classes[i].representative
-                pure, rest = split_by_stage(target)
-                if rest.is_zero:
+        known = len(gens)
+        extended = None
+        for row in leftovers.fraction_rows():
+            target = h_space.combination(row)
+            pure, rest = split_by_stage(target)
+            if rest.is_zero:
+                raise IntegrityError(
+                    "a kernel class with a pure representative escaped the stage-1 layer"
+                )
+            if not pure.is_zero:
+                if extended is None:
+                    extended = FreeDGCA(gens[:known], d_map, truncation)
+                w = preimage_in_v0_v1(extended, extended.gens, pure, m)
+                if w is None:
                     raise IntegrityError(
-                        "a kernel class with a pure representative escaped the stage-1 layer"
+                        "pure component of a kernel representative is not "
+                        "exact; construction invariant broken"
                     )
-                if not pure.is_zero:
-                    w = preimage_in_v0_v1(extended, gens, pure, m)
-                    if w is None:
-                        raise IntegrityError(
-                            "pure component of a kernel representative is not "
-                            "exact; construction invariant broken"
-                        )
-                    target = target - extended.d(w)
-                    still_pure, _ = split_by_stage(target)
-                    if not still_pure.is_zero:
-                        raise IntegrityError("pure component survived its purge")
-                stage = 1 + max(mon.max_stage() for mon in target.monomials())
-                new_generator(stage, target)
+                target = target - extended.d(w)
+                still_pure, _ = split_by_stage(target)
+                if not still_pure.is_zero:
+                    raise IntegrityError("pure component survived its purge")
+            stage = 1 + max(mon.max_stage() for mon in target.monomials())
+            new_generator(stage, target)
 
     return BigradedModel(FreeDGCA(gens, d_map, truncation), rho, algebra, truncation)
 
 
 def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: PresentedAlgebra) -> Element:
+    """rho of ``element``, multiplied out in the free cover and reduced once.
+
+    The relations span an ideal, so reducing only the finished sum gives the
+    same canonical element as reducing after every factor.
+    """
     out = Element.zero()
     for mon, coeff in element.terms():
         value = Element.scalar(coeff)
@@ -320,11 +336,9 @@ def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: Present
                 value = Element.zero()
                 break
             for _ in range(e):
-                value = algebra.product(value, image)
-            if value.is_zero:
-                break
+                value = value * image
         out = out + value
-    return algebra.reduce(out) if not out.is_zero else out
+    return algebra.reduce(out)
 
 
 def preimage_in_v0_v1(

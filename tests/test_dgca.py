@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sullivan.dgca import FreeDGCA
+from sullivan.attachment import AlphaFunctional, AttachmentModel
+from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, TruncationError
 from sullivan.gca import Element, Generator, Monomial, monomial_basis
+from sullivan.minimal_model import BigradedModel
+from sullivan.presented import PresentedAlgebra
 
 from conftest import coefficients
 
@@ -289,3 +292,123 @@ def test_class_product_representative_independence():
     h4 = D.cohomology(4)
     z = h4.class_of(D.d(Element.from_generator(b1)))
     assert z.is_zero
+
+
+def reference_verify_d_squared(D):
+    """The first generator with d(d g) != 0 and its residue, by `Element` sums."""
+    for g in D.gens:
+        residue = Element.zero()
+        for mon, c in D.d_on_gens[g].terms():
+            residue = residue + c * reference_d_monomial(D, mon)
+        if not residue.is_zero:
+            return g, residue
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(leibniz_dgcas())
+def test_verify_d_squared_residue_matches_reference(D):
+    assert D.verify_d_squared() == reference_verify_d_squared(D)
+
+
+def test_verify_d_squared_residue_with_odd_and_even_generators():
+    # d(c) is closed, d(h) is not: d(d h) mixes signs from odd factors
+    # passing each other, and one of its terms dies on b1 * b1 = 0
+    D = FreeDGCA(
+        _ORACLE_GENS,
+        {
+            _B1: Element.from_monomial(Monomial.of(_A1, 2)),
+            _B2: Element.from_monomial(Monomial(((_A1, 1), (_A2, 1)))),
+            _B3: Element.from_monomial(Monomial.of(_A2, 2)),
+            _C: Element(
+                {
+                    Monomial(((_A2, 1), (_B1, 1))): F(1),
+                    Monomial(((_A1, 1), (_B2, 1))): F(-1),
+                }
+            ),
+            _H: Element(
+                {
+                    Monomial(((_B1, 1), (_B2, 1), (_B3, 1))): F(1),
+                    Monomial(((_A1, 1), (_B1, 1), (_C, 1))): F(-2),
+                }
+            ),
+        },
+        truncation=12,
+    )
+    gen, residue = D.verify_d_squared()
+    assert (gen, residue) == reference_verify_d_squared(D)
+    assert gen == _H
+    assert str(residue) == (
+        "-a1*a2*b1*b3 - 2*a1^2*b1*b2 + a1^2*b2*b3 - 2*a1^3*c + a2^2*b1*b2"
+    )
+
+
+def _wedge_stage01(wedge3_s2):
+    """The wedge model cut to its generators of degree <= 3, as a BigradedModel.
+
+    Its H^5 holds the eight triple-product classes the degree-4 generators
+    kill in the full model; their representatives are sums of monomials.
+    """
+    full = wedge3_s2.model
+    gens = [g for g in full.generators if g.degree <= 3]
+    return BigradedModel(
+        FreeDGCA(gens, {g: full.d_of(g) for g in gens}, full.truncation),
+        {g: full.rho[g] for g in gens},
+        full.algebra,
+        full.truncation,
+    )
+
+
+def _combination_spaces(wedge3_s2, fatwedge_e6):
+    """Fresh (complex, degree) pairs of each kind `CohomologySpace` reads."""
+    partial = _wedge_stage01(wedge3_s2)
+    fat = fatwedge_e6.model.dgca
+    presented = PresentedAlgebra.from_strings(
+        [("x", 2), ("y", 2), ("z", 2)], ["x^2 + y*z", "x*y - 2*z^2"], 8
+    )
+    return [
+        (partial.dgca, 5),
+        (FreeDGCA(fat.gens, fat.d_on_gens, fat.truncation), 4),
+        (AttachmentModel(partial, AlphaFunctional.zero(5)), 5),
+        (presented, 4),
+        (presented, 6),
+    ]
+
+
+def test_combination_is_the_sum_of_class_representatives(wedge3_s2, fatwedge_e6):
+    for cochains, m in _combination_spaces(wedge3_s2, fatwedge_e6):
+        space = CohomologySpace(cochains, m)
+        assert space.dimension >= 2, (cochains, m)
+        patterns = [
+            {i: F(1) for i in range(space.dimension)},
+            {i: F((-1) ** i * (i + 1), 2) for i in range(0, space.dimension, 2)},
+            {0: F(3), space.dimension - 1: F(-1, 3), 1: F(0)},
+            {},
+        ]
+        for coords in patterns:
+            expected = F(0) * space.classes[0].representative
+            for i, c in coords.items():
+                expected = expected + c * space.classes[i].representative
+            assert space.combination(coords) == expected
+            assert space.class_of(expected).coordinates == tuple(
+                coords.get(i, F(0)) for i in range(space.dimension)
+            )
+
+
+def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
+    first = _combination_spaces(wedge3_s2, fatwedge_e6)
+    late = _combination_spaces(wedge3_s2, fatwedge_e6)
+    for (cochains_a, m), (cochains_b, _) in zip(first, late):
+        eager = CohomologySpace(cochains_a, m)
+        eager_classes = eager.classes
+        lazy = CohomologySpace(cochains_b, m)
+        # class_of and combination before the class list is first read
+        for cls in eager_classes:
+            assert lazy.class_of(cls.representative).coordinates == cls.coordinates
+        lazy.combination({0: F(2)})
+        assert [(str(c.representative), c.coordinates) for c in lazy.classes] == [
+            (str(c.representative), c.coordinates) for c in eager_classes
+        ]
+        assert [c.representative for c in lazy.classes] == [
+            c.representative for c in eager_classes
+        ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sullivan.errors import InputError, TruncationError
-from sullivan.gca import Element, Monomial, monomial_basis, split_by_stage
+from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
 from sullivan.minimal_model import (
     build_minimal_model,
     standardize,
@@ -13,7 +13,7 @@ from sullivan.minimal_model import (
 )
 from sullivan.presented import PresentedAlgebra
 
-from conftest import small_presentations
+from conftest import coefficients, elements_of, small_presentations
 
 F = Fraction
 
@@ -209,3 +209,77 @@ def test_rho_is_multiplicative_on_samples(data, sampler):
     lhs = model.rho_of(x * y)
     rhs = algebra.product(model.rho_of(x), model.rho_of(y))
     assert lhs == rhs
+
+
+def reference_rho_of(model, element):
+    """rho of ``element`` with the product reduced in A after every factor."""
+    algebra = model.algebra
+    out = Element.zero()
+    for mon, coeff in element.terms():
+        value = Element.scalar(coeff)
+        for g, e in mon.powers:
+            for _ in range(e):
+                value = algebra.product(value, model.rho[g])
+        out = out + value
+    return algebra.reduce(out)
+
+
+# (generators, relations, algebra truncation): A^m != 0 in several degrees
+_RHO_PRESENTATIONS = {
+    "cp3": ([("a", 2)], ["a^4"], 8),
+    "s2xs2": ([("a", 2), ("b", 2)], ["a^2", "b^2"], 8),
+    "cp2xs3": ([("a", 2), ("c", 3)], ["a^3"], 8),
+}
+
+
+@st.composite
+def dense_quadratic_presentations(draw):
+    """Degree-2 generators with quadratic relations that use every square."""
+    k = draw(st.integers(2, 3))
+    gens = [Generator(f"x{i}", 2, 0, i) for i in range(k)]
+    squares = monomial_basis(gens, 4)
+    relations = [
+        Element({mon: draw(coefficients) for mon in squares})
+        for _ in range(draw(st.integers(1, k - 1)))
+    ]
+    return PresentedAlgebra(gens, relations, 7)
+
+
+def _rho_models(algebra):
+    """A built model, a renamed copy, and a copy whose rho is not monomial."""
+    model = build_minimal_model(algebra, algebra.truncation - 1)
+    yield model
+    yield model.rename({g.name: f"r_{g.name}" for g in model.generators})
+    evens = [g for g in model.generators if g.stage == 0 and g.degree == 2]
+    if len(evens) >= 2:
+        # gen -> gen + other: rho(gen) becomes a sum of two classes
+        substituted = model.substitute(evens[0], Element.from_generator(evens[1]))
+        assert len(list(substituted.rho[evens[0]].terms())) == 2
+        yield substituted
+
+
+def _check_rho_against_reference(model, data):
+    for m in range(0, model.truncation + 1):
+        x = data.draw(elements_of(model.dgca, m, max_terms=4))
+        assert model.rho_of(x) == reference_rho_of(model, x), f"degree {m}: {x}"
+    for g in model.generators:
+        dg = model.d_of(g)
+        assert model.rho_of(dg) == reference_rho_of(model, dg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_RHO_PRESENTATIONS)), st.data())
+def test_rho_of_matches_stepwise_reduction(name, data):
+    gens, rels, truncation = _RHO_PRESENTATIONS[name]
+    algebra = PresentedAlgebra.from_strings(gens, rels, truncation)
+    nonzero = [m for m in range(2, truncation + 1) if algebra.graded_component(m).dimension]
+    assert len(nonzero) >= 2
+    for model in _rho_models(algebra):
+        _check_rho_against_reference(model, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dense_quadratic_presentations(), st.data())
+def test_rho_of_matches_stepwise_reduction_dense(algebra, data):
+    for model in _rho_models(algebra):
+        _check_rho_against_reference(model, data)
