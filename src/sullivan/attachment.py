@@ -98,14 +98,6 @@ class AlphaFunctional:
     def support(self) -> list[Generator]:
         return [g for g, _ in self.coefficients]
 
-    def scaled(self, c: Fraction | int) -> "AlphaFunctional":
-        c = Fraction(c)
-        if not c:
-            return AlphaFunctional(self.n, ())
-        return AlphaFunctional(
-            self.n, tuple((g, c * x) for g, x in self.coefficients), self.coerced
-        )
-
 
 @dataclass(frozen=True)
 class AttachmentElement:
@@ -212,13 +204,20 @@ class AttachmentModel:
         basis = self.base.dgca.basis(m)
         return basis + [_U] if m == self.n else basis
 
-    def d_basis(self, b):
-        """d of one basis cochain, as (cochain, coefficient) pairs."""
-        if b is _U:
-            return ()
-        terms = self.base.dgca.d_monomial(b).terms()
+    def _twisted(self, b, terms):
+        """The terms of d(b) in the base model, plus alpha(b) u."""
         c = self._alpha_on_basis.get(b)
         return [*terms, (_U, c)] if c else terms
+
+    def d_basis(self, b):
+        """d of one basis cochain, as (cochain, coefficient) pairs.
+
+        The base model's targets stay code-keyed, as in `FreeDGCA.d_basis`:
+        `CohomologySpace` uses them only as keys of its cocycle constraints.
+        """
+        if b is _U:
+            return ()
+        return self._twisted(b, self.base.dgca.d_basis(b))
 
     @staticmethod
     def terms_of(x: AttachmentElement) -> list:
@@ -233,8 +232,13 @@ class AttachmentModel:
         return AttachmentElement(body, terms.get(_U, _ZERO))
 
     def boundaries(self, m: int):
-        """A spanning set of the degree-m coboundaries: d of basis(m - 1)."""
-        return map(self.d_basis, self.basis(m - 1))
+        """A spanning set of the degree-m coboundaries: d of basis(m - 1).
+
+        Unlike `d_basis`, the terms are keyed by the degree-m basis cochains,
+        which `CohomologySpace` indexes its columns by; d(u) = 0 adds nothing.
+        """
+        dgca = self.base.dgca
+        return (self._twisted(b, dgca.d_monomial(b).terms()) for b in dgca.basis(m - 1))
 
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.

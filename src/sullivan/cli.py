@@ -338,6 +338,8 @@ def _load_inputs(args) -> tuple[PresentedAlgebra, int, list[AttachSection], obje
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {args.input}: not UTF-8 text at byte {exc.start}")
     spec = parse_job(text)
     algebra, truncation = _algebra_from_spec(spec, args.truncation)
     return algebra, truncation, spec.attaches, None

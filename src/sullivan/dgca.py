@@ -6,14 +6,22 @@ statements about degree m require generator data through degree m and
 differential targets through m + 1; operations refuse to answer beyond the
 declared truncation instead of silently truncating.
 
-Cohomology in each degree is computed by exact linear algebra: cocycles as a
-kernel, coboundaries as a row space, and canonical class representatives
-fixed by the reduced row-echelon form.  `CohomologySpace` and
-`DecomposableSubspace` read their complex through a small interface --
-``basis``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
-``d`` -- which three complexes serve: `FreeDGCA`, the cell-attachment complex
-`attachment.AttachmentModel`, and the presented algebra (A, 0) of
-`presented.PresentedAlgebra`.
+Cohomology in each degree is computed by exact linear algebra, with the
+canonical class representatives fixed by a reduced row-echelon form (RREF).
+Two facts let one elimination after the coboundaries B give them.  First,
+since B lies in the cocycles Z, the cocycles reduced modulo B span exactly
+the cocycles with x_p = 0 at every pivot p of B: the kernel of d on the
+non-pivot columns.  Second, the free-variable kernel of an RREF taken in
+reversed column order is the forward RREF of that kernel, with leading
+coefficient 1.  So `CohomologySpace` eliminates the d-constraints of the
+non-pivot cochains once, in reversed column order (`linalg.kernel_rref`),
+and reads the class rows off the kernel.
+
+`CohomologySpace` and `DecomposableSubspace` read their complex through a
+small interface -- ``basis``, ``d_basis``, ``boundaries``, ``terms_of``,
+``element_of`` and ``d`` -- which three complexes serve: `FreeDGCA`, the
+cell-attachment complex `attachment.AttachmentModel`, and the presented
+algebra (A, 0) of `presented.PresentedAlgebra`.
 
 Inside a `FreeDGCA` the Leibniz differential runs on integer codes, not on
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
@@ -36,7 +44,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis
-from .linalg import RowSpace, solve_in_span
+from .linalg import RowSpace, kernel_rref, solve_in_span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,12 +72,12 @@ class FreeDGCA:
                     raise InputError(
                         f"d({g.name}) must be homogeneous of degree {g.degree + 1}"
                     )
-                for mon in dg.monomials():
-                    for h in mon.generators():
-                        if h not in known:
-                            raise InputError(
-                                f"d({g.name}) uses the unknown generator {h.name!r}"
-                            )
+                if any(not known.issuperset(mon.generators()) for mon, _ in dg.terms()):
+                    # name the first unknown generator in printing order
+                    h = next(
+                        h for mon in dg.monomials() for h in mon.generators() if h not in known
+                    )
+                    raise InputError(f"d({g.name}) uses the unknown generator {h.name!r}")
             self.d_on_gens[g] = dg
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
@@ -217,13 +225,6 @@ class FreeDGCA:
             self._cohomology_cache[m] = cached
         return cached
 
-    def class_product(self, c1: "CohomologyClass", c2: "CohomologyClass") -> "CohomologyClass":
-        product = c1.representative * c2.representative
-        return self.cohomology(c1.degree + c2.degree).class_of(product)
-
-    def decomposable_subspace(self, m: int) -> "DecomposableSubspace":
-        return DecomposableSubspace(self.cohomology, m)
-
     # --- the cochain-complex interface read by CohomologySpace --------------
     def d_basis(self, mon: Monomial):
         """d of one basis monomial, as (code, coefficient) pairs.
@@ -274,8 +275,15 @@ class CohomologySpace:
     coefficient) pairs), ``boundaries(m)`` (a spanning set of the degree-m
     coboundaries, each as (cochain, coefficient) pairs), ``terms_of(x)`` and
     ``element_of(terms)`` (an element as (cochain, coefficient) pairs and
-    back) and ``d(x)``.  Class representatives are fixed by the reduced
-    row-echelon forms over that basis order.
+    back) and ``d(x)``; d must square to zero.
+
+    Class representatives are the rows of the reduced row-echelon form, over
+    that basis order, of the cocycles with no coordinate at a pivot column
+    of the coboundaries.  Because the coboundaries are cocycles, that space
+    is the span of the cocycles reduced modulo the coboundaries, and it is
+    the kernel of d on the non-pivot columns; `linalg.kernel_rref` gives its
+    forward reduced form from one elimination in reversed column order, so d
+    is taken only of the non-pivot cochains.
     """
 
     def __init__(self, cochains, m: int):
@@ -285,28 +293,22 @@ class CohomologySpace:
         self.basis = source
         self.index = index = {b: i for i, b in enumerate(source)}
 
-        # cocycles: kernel of d on the degree-m cochains, one constraint row
-        # per target cochain
-        constraint_rows: dict[object, dict[int, Fraction]] = {}
-        for j, b in enumerate(source):
-            for t, c in cochains.d_basis(b):
-                constraint_rows.setdefault(t, {})[j] = c
-        constraints = RowSpace()
-        for row in constraint_rows.values():
-            constraints.insert(row)
-        cocycles = constraints.kernel(len(source))
-
         self.coboundaries = RowSpace()
         for boundary in cochains.boundaries(m):
             image = {index[t]: c for t, c in boundary}
             if image:
                 self.coboundaries.insert(image)
 
-        classes = RowSpace()
-        for z in cocycles:
-            classes.insert(self.coboundaries.reduce(z))
-        self._class_rows = classes.fraction_rows()
-        self._class_pivots = classes.pivots()
+        # classes: the kernel of d on the non-pivot columns, one constraint
+        # row per target cochain
+        pivots = set(self.coboundaries.pivots())
+        free = [j for j in range(len(source)) if j not in pivots]
+        constraint_rows: dict[object, dict[int, Fraction]] = {}
+        for j in free:
+            for t, c in cochains.d_basis(source[j]):
+                constraint_rows.setdefault(t, {})[j] = c
+        self._class_rows = kernel_rref(constraint_rows.values(), free)
+        self._class_pivots = [min(row) for row in self._class_rows]
 
     @cached_property
     def classes(self) -> list[CohomologyClass]:

@@ -4,7 +4,7 @@ All arithmetic is arbitrary-precision rational; there is no floating point
 anywhere in the package.  `RowSpace` is the engine: a Gauss-Jordan
 accumulator over sparse integer rows, which is what keeps the big, very
 sparse differential slices cheap.  Rows handed to it are ``{column: value}``
-dicts; values may be ints or Fractions.  `solve_in_span` and
+dicts; values may be ints or Fractions.  `kernel_rref`, `solve_in_span` and
 `intersect_spans` are built on it.
 
 >>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
@@ -167,6 +167,36 @@ class RowSpace:
             vec.update(entries.get(f, ()))
             out.append(vec)
         return out
+
+
+def kernel_rref(
+    rows: Iterable[Mapping[int, Fraction | int]], columns: Sequence[int]
+) -> list[dict[int, Fraction]]:
+    """Reduced row-echelon basis of the kernel of ``rows`` on ``columns``.
+
+    The kernel is ``{x : x_c = 0 off columns, row . x = 0 for all rows}``;
+    entries of a row outside ``columns`` meet only zero coordinates and are
+    ignored.  ``columns`` must be increasing.  The rows are eliminated with
+    the column order reversed, and the free-variable kernel of that reduced
+    form is already the forward one: the vector of free column f is 1 at f,
+    0 at every other free column, and nonzero elsewhere only at pivots,
+    which in reversed order all lie above f.  So the result, in increasing
+    leading column with leading coefficient 1, is what
+    ``RowSpace(RowSpace(rows).kernel(n)).fraction_rows()`` gives over those
+    columns, without a second elimination.
+
+    >>> kernel_rref([{0: 1, 1: 1, 2: 1}], [0, 1, 2])
+    [{0: Fraction(1, 1), 2: Fraction(-1, 1)}, {1: Fraction(1, 1), 2: Fraction(-1, 1)}]
+    """
+    top = len(columns) - 1
+    flipped = {c: top - i for i, c in enumerate(columns)}
+    space = RowSpace()
+    for row in rows:
+        space.insert({flipped[c]: v for c, v in row.items() if c in flipped})
+    return [
+        {columns[top - c]: v for c, v in vec.items()}
+        for vec in reversed(space.kernel(len(columns)))
+    ]
 
 
 def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Vector | None:

@@ -315,7 +315,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
                 still_pure, _ = split_by_stage(target)
                 if not still_pure.is_zero:
                     raise IntegrityError("pure component survived its purge")
-            stage = 1 + max(mon.max_stage() for mon in target.monomials())
+            stage = 1 + max(mon.max_stage() for mon, _ in target.terms())
             new_generator(stage, target)
 
     return BigradedModel(FreeDGCA(gens, d_map, truncation), rho, algebra, truncation)

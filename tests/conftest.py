@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from sullivan.attachment import AlphaFunctional
+from sullivan.dgca import DecomposableSubspace
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
 from sullivan.presented import PresentedAlgebra
@@ -31,6 +33,30 @@ def wedge3_e6():
 @pytest.fixture(scope="session")
 def fatwedge_e6():
     return build_fixture("fatwedge-e6")
+
+
+# ---------------------------------------------------------------------------
+# helpers built on the library's public API
+
+
+def class_product(dgca, c1, c2):
+    """The class of the product of two class representatives of a FreeDGCA."""
+    product = c1.representative * c2.representative
+    return dgca.cohomology(c1.degree + c2.degree).class_of(product)
+
+
+def decomposable_subspace(dgca, m):
+    return DecomposableSubspace(dgca.cohomology, m)
+
+
+def scaled(alpha, c):
+    """The attaching functional c * alpha."""
+    c = Fraction(c)
+    if not c:
+        return AlphaFunctional(alpha.n, ())
+    return AlphaFunctional(
+        alpha.n, tuple((g, c * x) for g, x in alpha.coefficients), alpha.coerced
+    )
 
 
 # ---------------------------------------------------------------------------

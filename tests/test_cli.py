@@ -137,6 +137,15 @@ def test_parse_error_reports_line(tmp_path):
     assert "line 3" in result.stderr
 
 
+def test_non_utf8_input_is_a_data_error(tmp_path):
+    job = tmp_path / "utf16.txt"
+    job.write_bytes(b"\xff\xfe" + "algebra:\ngen a 2\n".encode("utf-16-le"))
+    result = run_cli("verdict", "--input", str(job))
+    assert result.returncode == 65
+    assert f"cannot read {job}: not UTF-8 text at byte 0" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_unresolved_alpha_names_verbatim(tmp_path):
     job = tmp_path / "job.txt"
     job.write_text(

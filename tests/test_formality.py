@@ -18,7 +18,7 @@ from sullivan.fixtures import algebra_of, even_cells_of, get_fixture
 from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import small_presentations
+from conftest import scaled, small_presentations
 
 F = Fraction
 
@@ -105,9 +105,9 @@ def test_verdict_invariant_under_scaling(fixture_id, c):
     if c == 0:
         return
     base = formality_verdict(built.model, built.alpha)
-    scaled = formality_verdict(built.model, built.alpha.scaled(F(c, 3)))
-    assert scaled.status == base.status
-    assert scaled.clause == base.clause
+    rescaled = formality_verdict(built.model, scaled(built.alpha, F(c, 3)))
+    assert rescaled.status == base.status
+    assert rescaled.clause == base.clause
 
 
 _CACHE: dict = {}

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sullivan import linalg
 from sullivan.errors import InputError
-from sullivan.linalg import RowSpace, solve_in_span
+from sullivan.linalg import RowSpace, kernel_rref, solve_in_span
 
 F = Fraction
 
@@ -138,3 +138,70 @@ def test_intersect_spans():
     meet = linalg.intersect_spans(a, b)
     assert meet == [{1: F(1)}]
     assert linalg.intersect_spans(a, []) == []
+
+
+# entries of every size the elimination meets: small ints, Fractions, and
+# integers and fractions of 200 bits and more
+kernel_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-5, 5), st.integers(1, 4)),
+    st.integers(2**200, 2**210).map(lambda v: v if v % 2 else -v),
+    st.builds(F, st.integers(-(2**220), 2**220), st.integers(2**200, 2**201)),
+)
+
+
+@st.composite
+def kernel_problems(draw):
+    """Sparse rows (some empty) over n columns, and the increasing columns kept."""
+    n = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, n - 1), kernel_entries, max_size=n),
+            max_size=5,
+        )
+    )
+    columns = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return rows, columns, n
+
+
+def _reference_kernel_rref(rows, columns, n):
+    """Two eliminations: the kernel, with x_c = 0 forced off columns, then its RREF."""
+    pinned = [*rows, *({c: 1} for c in range(n) if c not in columns)]
+    return RowSpace(RowSpace(pinned).kernel(n)).fraction_rows()
+
+
+def _sympy_kernel_rref(rows, columns, n):
+    """The same from sympy's exact Matrix: nullspace, then rref."""
+    sympy = pytest.importorskip("sympy")
+    pinned = [*rows, *({c: 1} for c in range(n) if c not in columns)] or [{}]
+    matrix = sympy.Matrix([[sympy.Rational(row.get(j, 0)) for j in range(n)] for row in pinned])
+    null = matrix.nullspace()
+    if not null:
+        return []
+    reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
+    return [
+        {j: F(int(v.p), int(v.q)) for j, v in enumerate(reduced.row(i)) if v}
+        for i in range(len(pivots))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_problems())
+def test_kernel_rref_matches_two_eliminations_and_sympy(problem):
+    rows, columns, n = problem
+    got = kernel_rref(rows, columns)
+    assert got == _reference_kernel_rref(rows, columns, n)
+    assert got == _sympy_kernel_rref(rows, columns, n)
+    leads = [min(vec) for vec in got]
+    assert leads == sorted(leads) and all(vec[p] == 1 for vec, p in zip(got, leads))
+    assert all(set(vec) <= set(columns) for vec in got)
+
+
+def test_kernel_rref_edges():
+    # no rows: the unit vectors of the kept columns, untouched columns included
+    assert kernel_rref([], [1, 4]) == [{1: F(1)}, {4: F(1)}]
+    assert kernel_rref([{0: 1, 2: 1}, {}], []) == []
+    # entries off the kept columns meet only zero coordinates
+    assert kernel_rref([{0: 5, 1: 2, 2: -1}], [1, 2]) == [{1: F(1), 2: F(2)}]
+    big = 2**200 + 1
+    assert kernel_rref([{0: big, 1: F(1, 3)}], [0, 1]) == [{0: F(1), 1: F(-3 * big)}]
