@@ -142,21 +142,32 @@ def parse_job(text: str) -> JobSpec:
 def _algebra_from_spec(spec: JobSpec, truncation_flag: int | None) -> tuple[PresentedAlgebra, int]:
     if truncation_flag is not None:
         spec.truncation = truncation_flag
-    if spec.truncation is None:
+    n = spec.truncation
+    if n is None:
         raise InputError("no truncation given (use 'truncation N' or --truncation)")
+    if n < 2:
+        raise InputError(f"truncation {n} is below 2")
     if not spec.generators:
         raise InputError("A+ = 0; nothing to model")
-    shell = PresentedAlgebra.from_strings(spec.generators, [], spec.truncation + 1)
+    # the model through degree N reads the algebra through degree N + 1
+    shell = PresentedAlgebra.from_strings(spec.generators, [], n + 1)
     by_name = {g.name: g for g in shell.generators}
     relations = [
         expr.parse_element(text, by_name, line=lineno)
         for text, lineno in zip(spec.relations, spec.relation_lines)
     ]
-    algebra = PresentedAlgebra(shell.generators, relations, spec.truncation + 1)
+    for i, rel in enumerate(relations, 1):
+        d = rel.homogeneous_degree() if rel.is_homogeneous else None
+        if d is not None and d > n + 1:
+            raise InputError(
+                f"invalid presentation: relation #{i} ({rel}): degree {d} exceeds "
+                f"N + 1 = {n + 1} for truncation N = {n}"
+            )
+    algebra = PresentedAlgebra(shell.generators, relations, n + 1)
     problems = validate_presentation(algebra)
     if problems:
         raise InputError("invalid presentation: " + "; ".join(problems))
-    return algebra, spec.truncation
+    return algebra, n
 
 
 # ---------------------------------------------------------------------------

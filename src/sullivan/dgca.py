@@ -293,11 +293,9 @@ class CohomologySpace:
         self.basis = source
         self.index = index = {b: i for i, b in enumerate(source)}
 
-        self.coboundaries = RowSpace()
-        for boundary in cochains.boundaries(m):
-            image = {index[t]: c for t, c in boundary}
-            if image:
-                self.coboundaries.insert(image)
+        self.coboundaries = RowSpace(
+            {index[t]: c for t, c in boundary} for boundary in cochains.boundaries(m)
+        )
 
         # classes: the kernel of d on the non-pivot columns, one constraint
         # row per target cochain
@@ -390,7 +388,6 @@ class DecomposableSubspace:
 
     def __init__(self, cohomology, m: int):
         self.degree = m
-        self._space = RowSpace()
         self._products: list[tuple[tuple[Fraction, ...], CohomologyClass, CohomologyClass]] = []
         target = cohomology(m)
         for p in range(1, m // 2 + 1):
@@ -399,12 +396,11 @@ class DecomposableSubspace:
             for c1 in left:
                 for c2 in right:
                     product = target.class_of(c1.representative * c2.representative)
-                    if product.is_zero:
-                        continue
-                    self._products.append((product.coordinates, c1, c2))
-                    self._space.insert(
-                        {i: c for i, c in enumerate(product.coordinates) if c}
-                    )
+                    if not product.is_zero:
+                        self._products.append((product.coordinates, c1, c2))
+        self._space = RowSpace(
+            {i: c for i, c in enumerate(vec) if c} for vec, _, _ in self._products
+        )
 
     @property
     def dimension(self) -> int:

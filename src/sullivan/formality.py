@@ -347,12 +347,12 @@ def _synthesize_presentation(
                 body = body * Element.from_generator(_model_gen(attached, g))
         cls = target.class_of(AttachmentElement(body))
         squares.append(cls.coordinates)
-    constraints = RowSpace()
     ncols = len(pair_monomials)
     dim_target = len(squares[0]) if squares else 0
-    for coord in range(dim_target):
-        row = {j: squares[j][coord] for j in range(ncols) if squares[j][coord]}
-        constraints.insert(row)
+    constraints = RowSpace(
+        {j: squares[j][coord] for j in range(ncols) if squares[j][coord]}
+        for coord in range(dim_target)
+    )
     relations = []
     for vec in constraints.kernel(ncols):
         rel = Element(

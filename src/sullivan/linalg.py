@@ -7,6 +7,13 @@ sparse differential slices cheap.  Rows handed to it are ``{column: value}``
 dicts; values may be ints or Fractions.  `kernel_rref`, `solve_in_span` and
 `intersect_spans` are built on it.
 
+A row of a reduced row-echelon form has no entry left of its pivot, so a
+new pivot p can occur only in the rows whose pivots lie below p: those are
+the only rows an insert back-substitutes into.  A span known up front is
+built by one constructor call, which inserts the rows rightmost leading
+column first; a new pivot then usually lies left of every existing one and
+needs no back-substitution at all.
+
 >>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
 >>> space.fraction_rows(), space.pivots()
 ([{0: Fraction(1, 1), 1: Fraction(2, 1)}], [0])
@@ -14,6 +21,7 @@ dicts; values may be ints or Fractions.  `kernel_rref`, `solve_in_span` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -69,15 +77,20 @@ def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
 class RowSpace:
     """Row space of a set of sparse vectors, kept in fully reduced form.
 
-    Rows are primitive integer dicts.  Insertion order does not matter: the
+    Rows are primitive integer dicts, keyed by pivot column; the pivots are
+    also kept as an increasing list.  Insertion order does not matter: the
     accumulated reduced row-echelon form is the canonical one of the span.
+    It does matter for speed, so ``RowSpace(rows)`` drops the empty rows and
+    inserts the rest by decreasing leading column, shorter rows first among
+    equal leading columns.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_pivots")
 
     def __init__(self, rows: Iterable[Mapping[int, Fraction | int]] = ()):
         self._rows: dict[int, dict[int, int]] = {}
-        for row in rows:
+        self._pivots: list[int] = []
+        for row in sorted(filter(None, rows), key=lambda r: (-min(r), len(r))):
             self.insert(row)
 
     @property
@@ -85,7 +98,7 @@ class RowSpace:
         return len(self._rows)
 
     def pivots(self) -> list[int]:
-        return sorted(self._rows)
+        return list(self._pivots)
 
     def insert(self, row: Mapping[int, Fraction | int]) -> int | None:
         """Add a row; return its pivot column, or None if it was dependent."""
@@ -94,11 +107,16 @@ class RowSpace:
         if not r:
             return None
         p = min(r)
-        # back-substitute the new pivot into the existing rows
-        for q, other in self._rows.items():
+        # back-substitute the new pivot into the rows with a pivot below p;
+        # the rows with a pivot above p have no entry at p
+        rows = self._rows
+        at = bisect_left(self._pivots, p)
+        for q in self._pivots[:at]:
+            other = rows[q]
             if p in other:
-                self._rows[q] = _primitive(self._combine(other, r, p))
-        self._rows[p] = r
+                rows[q] = _primitive(self._combine(other, r, p))
+        rows[p] = r
+        self._pivots.insert(at, p)
         return p
 
     def _eliminate(self, r: dict[int, int]) -> dict[int, int]:
@@ -144,7 +162,7 @@ class RowSpace:
     def fraction_rows(self) -> list[dict[int, Fraction]]:
         """The canonical reduced rows, normalised to leading coefficient 1."""
         out = []
-        for p in sorted(self._rows):
+        for p in self._pivots:
             row = self._rows[p]
             lead = row[p]
             out.append({c: Fraction(v, lead) for c, v in row.items()})
@@ -152,9 +170,10 @@ class RowSpace:
 
     def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
         """Canonical (free-variable) basis of ``{x : row . x = 0 for all rows}``."""
-        # one pass over the rows: each non-pivot column's entries, in row order
+        # one pass over the rows: each non-pivot column's entries, by pivot
         entries: dict[int, list[tuple[int, Fraction]]] = {}
-        for p, row in self._rows.items():
+        for p in self._pivots:
+            row = self._rows[p]
             lead = row[p]
             for f, v in row.items():
                 if f != p:
@@ -190,9 +209,9 @@ def kernel_rref(
     """
     top = len(columns) - 1
     flipped = {c: top - i for i, c in enumerate(columns)}
-    space = RowSpace()
-    for row in rows:
-        space.insert({flipped[c]: v for c, v in row.items() if c in flipped})
+    space = RowSpace(
+        {flipped[c]: v for c, v in row.items() if c in flipped} for row in rows
+    )
     return [
         {columns[top - c]: v for c, v in vec.items()}
         for vec in reversed(space.kernel(len(columns)))
@@ -214,7 +233,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Vector | None:
             raise InputError("solve_in_span: vector lengths differ")
     k = len(basis)
     aug = k  # extra column carrying the right-hand side
-    space = RowSpace()
+    rows: list[dict[int, Fraction]] = []
     for j in range(n):
         row: dict[int, Fraction] = {}
         for i, b in enumerate(basis):
@@ -223,7 +242,8 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Vector | None:
         t = _as_fraction(target[j])
         if t:
             row[aug] = t
-        space.insert(row)
+        rows.append(row)
+    space = RowSpace(rows)
     if aug in space._rows:
         return None
     coeffs = [_ZERO] * k
@@ -240,25 +260,17 @@ def intersect_spans(
     """Canonical basis of span(rows_a) & span(rows_b), as reduced rows."""
     if not rows_a or not rows_b:
         return []
-    cols: set[int] = set()
-    for r in rows_a:
-        cols.update(r)
-    for r in rows_b:
-        cols.update(r)
     ka, kb = len(rows_a), len(rows_b)
     # kernel of [A^T | -B^T]: coefficient vectors with sum a_i A_i = sum b_j B_j
-    space = RowSpace()
-    for c in sorted(cols):
-        row: dict[int, Fraction] = {}
-        for i, r in enumerate(rows_a):
-            if c in r:
-                row[i] = r[c]
-        for j, r in enumerate(rows_b):
-            if c in r:
-                row[ka + j] = -r[c]
-        space.insert(row)
-    meet = RowSpace()
-    for coeff in space.kernel(ka + kb):
+    transposed: dict[int, dict[int, Fraction]] = {}
+    for i, r in enumerate(rows_a):
+        for c, v in r.items():
+            transposed.setdefault(c, {})[i] = v
+    for j, r in enumerate(rows_b):
+        for c, v in r.items():
+            transposed.setdefault(c, {})[ka + j] = -v
+    meet = []
+    for coeff in RowSpace(transposed.values()).kernel(ka + kb):
         vec: dict[int, Fraction] = {}
         for i, r in enumerate(rows_a):
             a = coeff.get(i)
@@ -270,6 +282,5 @@ def intersect_spans(
                     vec[c] = w
                 else:
                     vec.pop(c, None)
-        if vec:
-            meet.insert(vec)
-    return meet.fraction_rows()
+        meet.append(vec)
+    return RowSpace(meet).fraction_rows()

@@ -241,10 +241,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
                 for j, c in enumerate(target_component.class_of(image).coordinates):
                     if c:
                         constraint_rows.setdefault(j, {})[i] = c
-        constraints = RowSpace()
-        for row in constraint_rows.values():
-            constraints.insert(row)
-        kernel = constraints.kernel(h_space.dimension)
+        kernel = RowSpace(constraint_rows.values()).kernel(h_space.dimension)
         if not kernel:
             continue
 
@@ -274,7 +271,6 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
         # stage-1 layer: kernel classes with a representative in Lambda(V_0)
         pure_kernel = intersect_spans(kernel, pure_rows)
-        handled = RowSpace()
         for row in pure_kernel:
             vec = tuple(row.get(i, _ZERO) for i in range(h_space.dimension))
             coeffs = solve_in_span(pure_vectors, vec)
@@ -284,15 +280,13 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
                 {mon: c for mon, c in zip(pure_monomials, coeffs) if c}
             )
             new_generator(1, target)
-            handled.insert(row)
 
         # higher stages: remaining kernel classes, purged of pure components.
         # The purge preimages may involve the stage-1 generators just added
         # but none of the generators added below, so the ambient dgca is
         # built on the generators known now, and only if a purge needs it.
-        leftovers = RowSpace()
-        for vec in kernel:
-            leftovers.insert(handled.reduce(vec))
+        handled = RowSpace(pure_kernel)
+        leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
         known = len(gens)
         extended = None
         for row in leftovers.fraction_rows():

@@ -137,6 +137,33 @@ def test_parse_error_reports_line(tmp_path):
     assert "line 3" in result.stderr
 
 
+@pytest.mark.parametrize("flag", [None, 4])
+def test_relation_above_truncation_names_the_users_n(tmp_path, flag):
+    job = tmp_path / "job.txt"
+    job.write_text("algebra:\ngen a 2\nrel a^3\ntruncation 4\n", encoding="utf-8")
+    argv = ["model", "--input", str(job)]
+    if flag is not None:
+        argv += ["--truncation", str(flag)]
+    result = run_cli(*argv)
+    assert result.returncode == 65
+    assert "relation #1 (a^3): degree 6 exceeds N + 1 = 5 for truncation N = 4" in result.stderr
+    assert "truncation 5" not in result.stderr
+    # degree N + 1 is the highest a relation may have
+    assert run_cli("model", "--input", str(job), "--truncation", "5").returncode == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_truncation_below_two_names_the_users_n(tmp_path, n):
+    job = tmp_path / "job.txt"
+    job.write_text(f"algebra:\ngen a 2\nrel a^2\ntruncation {n}\n", encoding="utf-8")
+    for argv in (["model", "--input", str(job)],
+                 ["verdict", "--input", str(job), "--truncation", str(n)]):
+        result = run_cli(*argv)
+        assert result.returncode == 65
+        assert f"input error: truncation {n} is below 2\n" == result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_non_utf8_input_is_a_data_error(tmp_path):
     job = tmp_path / "utf16.txt"
     job.write_bytes(b"\xff\xfe" + "algebra:\ngen a 2\n".encode("utf-16-le"))

@@ -205,3 +205,130 @@ def test_kernel_rref_edges():
     assert kernel_rref([{0: 5, 1: 2, 2: -1}], [1, 2]) == [{1: F(1), 2: F(2)}]
     big = 2**200 + 1
     assert kernel_rref([{0: big, 1: F(1, 3)}], [0, 1]) == [{0: F(1), 1: F(-3 * big)}]
+
+
+nonzero_entries = kernel_entries.filter(bool)
+
+
+@st.composite
+def row_lists(draw):
+    """Sparse rows over n columns: some empty, some with zero entries, and
+    (when drawn) many that share one leading column."""
+    n = draw(st.integers(1, 7))
+    shared = draw(st.integers(0, n - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        row = draw(st.dictionaries(st.integers(0, n - 1), kernel_entries, max_size=n))
+        if draw(st.booleans()):
+            row = {c: v for c, v in row.items() if c > shared}
+            row[shared] = draw(nonzero_entries)
+        rows.append(row)
+    return rows, n
+
+
+def _inserted_one_by_one(rows):
+    """RowSpace().insert on each row, checking the pivot list and the reduced
+    form after every insert: no row has an entry at another row's pivot."""
+    space = RowSpace()
+    for row in rows:
+        space.insert(row)
+        assert space.pivots() == sorted(space._rows)
+        for p, stored in space._rows.items():
+            assert min(stored) == p
+            assert set(stored) & set(space._rows) == {p}
+    return space
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists(), st.randoms(use_true_random=False))
+def test_constructor_matches_inserts_in_any_order(problem, rng):
+    rows, n = problem
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    built = RowSpace(rows)
+    assert built.pivots() == sorted(built._rows)
+    kernel = [list(vec.items()) for vec in built.kernel(n)]
+    for order in (rows, rows[::-1], shuffled):
+        space = _inserted_one_by_one(order)
+        assert space.fraction_rows() == built.fraction_rows()
+        assert space.pivots() == built.pivots()
+        assert space.rank == built.rank
+        # the kernel vectors list their entries by column, whatever the order
+        assert [list(vec.items()) for vec in space.kernel(n)] == kernel
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy's exact Matrix (sympy is test-only)
+
+
+def _sympy_matrix(rows, n):
+    sympy = pytest.importorskip("sympy")
+    entries = [sympy.Rational(row.get(j, 0)) for row in rows for j in range(n)]
+    return sympy.Matrix(len(rows), n, entries)
+
+
+def _fractions(vector):
+    return {j: F(int(v.p), int(v.q)) for j, v in enumerate(vector) if v}
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists())
+def test_rowspace_matches_sympy(problem):
+    rows, n = problem
+    space = RowSpace(rows)
+    matrix = _sympy_matrix(rows, n)
+    assert space.rank == matrix.rank()
+    assert space.kernel(n) == [_fractions(vec) for vec in matrix.nullspace()]
+    reduced, pivots = matrix.rref()
+    assert space.pivots() == list(pivots)
+    assert space.fraction_rows() == [_fractions(reduced.row(i)) for i in range(len(pivots))]
+
+
+@st.composite
+def span_problems(draw):
+    """k dense basis vectors of length n and a target, in their span or not."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    vector = st.lists(st.one_of(st.just(0), kernel_entries), min_size=n, max_size=n)
+    basis = [tuple(draw(vector)) for _ in range(k)]
+    if draw(st.booleans()):
+        weights = draw(st.lists(kernel_entries, min_size=k, max_size=k))
+        target = tuple(sum((F(w) * b[j] for w, b in zip(weights, basis)), F(0)) for j in range(n))
+    else:
+        target = tuple(draw(vector))
+    return basis, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_problems())
+def test_solve_in_span_matches_sympy(problem):
+    basis, target = problem
+    n = len(target)
+    columns = _sympy_matrix([dict(enumerate(b)) for b in basis], n).T
+    rhs = _sympy_matrix([{0: t} for t in target], 1)
+    got = solve_in_span(basis, target)
+    try:
+        solution, params = columns.gauss_jordan_solve(rhs)
+    except ValueError:  # sympy: the system is inconsistent
+        assert got is None
+        return
+    # the canonical solution sets every free coefficient to zero
+    expected = solution.subs({p: 0 for p in params})
+    assert got == tuple(F(int(v.p), int(v.q)) for v in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(), row_lists())
+def test_intersect_spans_matches_sympy(first, second):
+    rows_a, n = first
+    # both spans in the first problem's n columns
+    rows_b = [{c % n: v for c, v in row.items()} for row in second[0]]
+    meet = linalg.intersect_spans(rows_a, rows_b)
+    rank_a = _sympy_matrix(rows_a, n).rank() if rows_a else 0
+    rank_b = _sympy_matrix(rows_b, n).rank() if rows_b else 0
+    rank_ab = _sympy_matrix(rows_a + rows_b, n).rank() if rows_a + rows_b else 0
+    assert len(meet) == rank_a + rank_b - rank_ab
+    assert meet == RowSpace(meet).fraction_rows()
+    for row in meet:
+        assert _sympy_matrix([*rows_a, row], n).rank() == rank_a
+        assert _sympy_matrix([*rows_b, row], n).rank() == rank_b

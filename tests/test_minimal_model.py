@@ -283,3 +283,63 @@ def test_rho_of_matches_stepwise_reduction(name, data):
 def test_rho_of_matches_stepwise_reduction_dense(algebra, data):
     for model in _rho_models(algebra):
         _check_rho_against_reference(model, data)
+
+
+# ---------------------------------------------------------------------------
+# dimension oracles that do not reuse the construction
+
+
+def _graded_witt_numbers(r, top):
+    """l_k = dim L_k, k = 1..top, of the free graded Lie algebra on r
+    degree-1 generators (the homotopy Lie algebra of a wedge of r 2-spheres).
+
+    Taking logarithms of the PBW identity
+    prod_{k odd} (1 + t^k)^(l_k) / prod_{k even} (1 - t^k)^(l_k) = 1 / (1 - r t)
+    and comparing n times the coefficients of t^n gives
+    sum_{k | n} k l_k e(k, n/k) = r^n, with e(k, j) = (-1)^(j+1) for odd k
+    and e(k, j) = 1 for even k.
+    """
+    dims = {}
+    for n in range(1, top + 1):
+        known = sum(
+            k * dims[k] * (1 if k % 2 == 0 or (n // k) % 2 else -1)
+            for k in range(1, n) if n % k == 0
+        )
+        assert (r ** n - known) % n == 0
+        dims[n] = (r ** n - known) // n
+    return [dims[k] for k in range(1, top + 1)]
+
+
+def test_graded_witt_numbers_by_hand():
+    # one odd generator x: L = span{x, [x, x]}; two: 2, 3 ([x,x], [x,y], [y,y]), 2
+    assert _graded_witt_numbers(1, 4) == [1, 1, 0, 0]
+    assert _graded_witt_numbers(2, 3) == [2, 3, 2]
+
+
+@pytest.mark.parametrize("r,n", [(2, 11), (3, 9)])
+def test_wedge_of_two_spheres_has_witt_many_generators(r, n):
+    gens = [(f"a{i}", 2) for i in range(1, r + 1)]
+    rels = [f"a{i}*a{j}" for i in range(1, r + 1) for j in range(i, r + 1)]
+    model = build_minimal_model(PresentedAlgebra.from_strings(gens, rels, n + 1), n)
+    counts = Counter(g.degree for g in model.generators)
+    # dim V^m = l_(m-1) for m < N; degree N holds no generators
+    witt = _graded_witt_numbers(r, n - 2)
+    assert [counts[m] for m in range(2, n)] == witt
+    assert counts[n] == 0 and set(counts) <= set(range(2, n + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_complex_projective_space_model(k):
+    # CP^k: A = Q[a]/(a^(k+1)), |a| = 2; its model is V = {a, b}, |b| = 2k+1,
+    # db = a^(k+1), with nothing else through degree 2k + 3
+    n = 2 * k + 3
+    algebra = PresentedAlgebra.from_strings([("a", 2)], [f"a^{k + 1}"], n + 1)
+    model = build_minimal_model(algebra, n)
+    assert sorted(g.degree for g in model.generators) == [2, 2 * k + 1]
+    a, b = sorted(model.generators, key=lambda g: g.degree)
+    power = Element.from_generator(a)
+    for _ in range(k):
+        power = power * Element.from_generator(a)
+    ((monomial, c),) = model.d_of(b).terms()
+    assert c != 0 and Element.from_monomial(monomial) == power
+    assert model.d_of(a).is_zero
