@@ -159,8 +159,9 @@ class AttachmentModel:
 
     As a cochain complex it is the base model's complex with u appended as
     the last basis cochain of degree n; `CohomologySpace` reads it through
-    ``basis``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
-    ``d``.
+    ``basis``, ``key``, ``d_basis``, ``boundaries``, ``terms_of``,
+    ``element_of`` and ``d``.  Its column keys are the base model's codes,
+    and u for itself.
     """
 
     def __init__(self, base: BigradedModel, alpha: AlphaFunctional):
@@ -183,6 +184,9 @@ class AttachmentModel:
                     f"an {self.n}-cell pairs only with degree {self.n - 1}"
                 )
         self._alpha_on_basis = {Monomial.of(g): c for g, c in alpha.coefficients}
+        self._alpha_on_keys = {
+            base.dgca.key(mon): c for mon, c in self._alpha_on_basis.items()
+        }
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         bad = self.verify_d_squared()
         if bad is not None:
@@ -204,24 +208,23 @@ class AttachmentModel:
         basis = self.base.dgca.basis(m)
         return basis + [_U] if m == self.n else basis
 
-    def _twisted(self, b, terms):
+    def key(self, b):
+        """The column key of a basis cochain: its code in the base model, or u."""
+        return b if b is _U else self.base.dgca.key(b)
+
+    def _twisted(self, key, terms):
         """The terms of d(b) in the base model, plus alpha(b) u."""
-        c = self._alpha_on_basis.get(b)
+        c = self._alpha_on_keys.get(key)
         return [*terms, (_U, c)] if c else terms
 
-    def d_basis(self, b):
-        """d of one basis cochain, as (cochain, coefficient) pairs.
-
-        The base model's targets stay code-keyed, as in `FreeDGCA.d_basis`:
-        `CohomologySpace` uses them only as keys of its cocycle constraints.
-        """
-        if b is _U:
+    def d_basis(self, key):
+        """d of the basis cochain with this key, as (key, coefficient) pairs."""
+        if key is _U:
             return ()
-        return self._twisted(b, self.base.dgca.d_basis(b))
+        return self._twisted(key, self.base.dgca.d_basis(key))
 
-    @staticmethod
-    def terms_of(x: AttachmentElement) -> list:
-        terms = list(x.body.terms())
+    def terms_of(self, x: AttachmentElement) -> list:
+        terms = self.base.dgca.terms_of(x.body)
         if x.u:
             terms.append((_U, x.u))
         return terms
@@ -232,13 +235,15 @@ class AttachmentModel:
         return AttachmentElement(body, terms.get(_U, _ZERO))
 
     def boundaries(self, m: int):
-        """A spanning set of the degree-m coboundaries: d of basis(m - 1).
+        """A spanning set of the degree-m coboundaries, key-keyed.
 
-        Unlike `d_basis`, the terms are keyed by the degree-m basis cochains,
-        which `CohomologySpace` indexes its columns by; d(u) = 0 adds nothing.
+        The twist changes d only on the degree-(n - 1) generators, and d(u) =
+        0, so off degree n these are the base model's coboundaries.
         """
         dgca = self.base.dgca
-        return (self._twisted(b, dgca.d_monomial(b).terms()) for b in dgca.basis(m - 1))
+        if m != self.n:
+            return dgca.boundaries(m)
+        return (self.d_basis(k) for k in map(dgca.key, dgca.basis(m - 1)))
 
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,11 +73,27 @@ class JobSpec:
     attaches: list[AttachSection] = field(default_factory=list)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(word: str, what: str, lineno: int) -> int:
+    """An optionally signed run of ASCII digits; `int` alone also takes
+    ``2_0`` and non-ASCII digits."""
+    if not _INTEGER.fullmatch(word):
+        raise ParseError(f"bad {what} {word!r}", lineno)
+    return int(word)
+
+
 def parse_job(text: str) -> JobSpec:
-    """Parse the sectioned input format (``algebra:`` / ``attach:``)."""
+    """Parse the sectioned input format (``algebra:`` / ``attach:``).
+
+    A job has at most one ``truncation`` line and each attach section at
+    most one ``cell`` line; a repeated one is refused, not overwritten.
+    """
     spec = JobSpec()
     section = None
     current_attach: AttachSection | None = None
+    truncation_line = cell_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,6 +105,7 @@ def parse_job(text: str) -> JobSpec:
             section = "attach"
             current_attach = AttachSection()
             spec.attaches.append(current_attach)
+            cell_line = None
             continue
         words = line.split()
         directive = words[0]
@@ -95,11 +113,7 @@ def parse_job(text: str) -> JobSpec:
             if directive == "gen":
                 if len(words) != 3:
                     raise ParseError("expected: gen NAME DEGREE", lineno)
-                try:
-                    degree = int(words[2])
-                except ValueError:
-                    raise ParseError(f"bad degree {words[2]!r}", lineno)
-                spec.generators.append((words[1], degree))
+                spec.generators.append((words[1], _integer(words[2], "degree", lineno)))
             elif directive == "rel":
                 rest = line[len("rel") :].strip()
                 if not rest:
@@ -109,10 +123,12 @@ def parse_job(text: str) -> JobSpec:
             elif directive == "truncation":
                 if len(words) != 2:
                     raise ParseError("expected: truncation N", lineno)
-                try:
-                    spec.truncation = int(words[1])
-                except ValueError:
-                    raise ParseError(f"bad truncation {words[1]!r}", lineno)
+                if truncation_line is not None:
+                    raise ParseError(
+                        f"repeated truncation (first given on line {truncation_line})", lineno
+                    )
+                spec.truncation = _integer(words[1], "truncation", lineno)
+                truncation_line = lineno
             else:
                 raise ParseError(f"unknown algebra directive {directive!r}", lineno)
         elif section == "attach":
@@ -120,10 +136,13 @@ def parse_job(text: str) -> JobSpec:
             if directive == "cell":
                 if len(words) != 2:
                     raise ParseError("expected: cell N", lineno)
-                try:
-                    current_attach.cell = int(words[1])
-                except ValueError:
-                    raise ParseError(f"bad cell dimension {words[1]!r}", lineno)
+                if cell_line is not None:
+                    raise ParseError(
+                        f"repeated cell in one attach section (first given on line {cell_line})",
+                        lineno,
+                    )
+                current_attach.cell = _integer(words[1], "cell dimension", lineno)
+                cell_line = lineno
             elif directive == "alpha":
                 if len(words) != 3:
                     raise ParseError("expected: alpha NAME COEFFICIENT", lineno)

@@ -17,22 +17,33 @@ coefficient 1.  So `CohomologySpace` eliminates the d-constraints of the
 non-pivot cochains once, in reversed column order (`linalg.kernel_rref`),
 and reads the class rows off the kernel.
 
+The coboundary rows and class rows of degree k together form an echelon
+basis of Z^k.  If P is its pivot set, d of the basis cochains off P is a
+basis of B^(k+1), so a `FreeDGCA` hands those cochains from `cohomology(k)`
+down to the coboundaries of degree k + 1, and no coboundary row is
+dependent.  A `FreeDGCA` grows by `extend`, which keeps that record where
+the new generators leave it valid; `minimal_model.build_minimal_model` grows
+one complex through every degree.
+
 `CohomologySpace` and `DecomposableSubspace` read their complex through a
-small interface -- ``basis``, ``d_basis``, ``boundaries``, ``terms_of``,
-``element_of`` and ``d`` -- which three complexes serve: `FreeDGCA`, the
-cell-attachment complex `attachment.AttachmentModel`, and the presented
-algebra (A, 0) of `presented.PresentedAlgebra`.
+small interface -- ``basis``, ``key``, ``d_basis``, ``boundaries``,
+``terms_of``, ``element_of`` and ``d`` -- which three complexes serve:
+`FreeDGCA`, the cell-attachment complex `attachment.AttachmentModel`, and
+the presented algebra (A, 0) of `presented.PresentedAlgebra`.  Columns are
+looked up by key: a code in a free complex, u for the attached cell, the
+monomial itself in a presented algebra.
 
 Inside a `FreeDGCA` the Leibniz differential runs on integer codes, not on
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
 pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
-monomial.  On first use each `FreeDGCA` tabulates the parity of every
-generator and d(g) as codes, and d of a monomial is then a merge of small
+monomial.  `FreeDGCA.extend` tabulates the position and parity of each new
+generator and its d(g) as codes, which also checks that d(g) uses only known
+generators, and d of a monomial is then a merge of small
 int tuples with the Koszul sign counted from odd positions.  `Element`,
 `Monomial` and `Generator` appear only at the API boundary: `d_monomial`
-decodes its result into an `Element`, while `d_basis` hands the code-keyed
-terms straight to `CohomologySpace`, which uses them only as row keys.
+decodes its result into an `Element`, while `d_basis` and `boundaries`
+hand code-keyed terms straight to `CohomologySpace`.
 """
 
 from __future__ import annotations
@@ -51,7 +62,11 @@ _ONE = Fraction(1)
 
 
 class FreeDGCA:
-    """Free graded-commutative algebra with a differential on generators."""
+    """Free graded-commutative algebra with a differential on generators.
+
+    The complex grows by `extend`; `__init__` is an extension of the empty
+    complex.
+    """
 
     def __init__(
         self,
@@ -59,29 +74,81 @@ class FreeDGCA:
         d_on_gens: Mapping[Generator, Element],
         truncation: int,
     ):
-        self.gens = tuple(sorted(gens, key=Generator.sort_key))
-        if len(set(self.gens)) != len(self.gens):
-            raise InputError("duplicate generators")
         self.truncation = truncation
+        self.gens: tuple[Generator, ...] = ()
         self.d_on_gens: dict[Generator, Element] = {}
-        known = set(self.gens)
-        for g in self.gens:
-            dg = d_on_gens.get(g, Element.zero())
-            if not dg.is_zero:
-                if dg.homogeneous_degree() != g.degree + 1:
-                    raise InputError(
-                        f"d({g.name}) must be homogeneous of degree {g.degree + 1}"
-                    )
-                if any(not known.issuperset(mon.generators()) for mon, _ in dg.terms()):
-                    # name the first unknown generator in printing order
-                    h = next(
-                        h for mon in dg.monomials() for h in mon.generators() if h not in known
-                    )
-                    raise InputError(f"d({g.name}) uses the unknown generator {h.name!r}")
-            self.d_on_gens[g] = dg
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
-        self._code_tables = None
+        # degree k -> the codes of CohomologySpace(k).complement (see boundaries)
+        self._handed_down: dict[int, list[tuple]] = {}
+        # code tables: generator positions, parities, and each d(g) as
+        # (code, odd positions, coefficient) triples
+        self._position: dict[Generator, int] = {}
+        self._odd: list[bool] = []
+        self._d_codes: list[tuple] = []
+        self.extend(gens, d_on_gens)
+
+    def extend(self, gens: Sequence[Generator], d_on_gens: Mapping[Generator, Element]):
+        """Append generators that sort after every existing one, with their d.
+
+        Only the new d(g) are validated and turned into codes; they may use
+        any old or new generator.  The basis and cohomology caches of every
+        degree at or above the smallest new degree are dropped; code positions
+        stay stable.  A handed-down coboundary record for degree k survives
+        when every new g has k < |g|, k = |g| + 1, or k = |g| and dg = 0: g
+        adds cochains only in degree |g| (g itself) and in degrees >= |g| + 2,
+        so otherwise d of the degree-k cochains still spans the same
+        coboundaries.
+        """
+        new = tuple(sorted(gens, key=Generator.sort_key))
+        if not new:
+            return
+        old = self.d_on_gens
+        if len(set(new)) != len(new) or not old.keys().isdisjoint(new):
+            raise InputError("duplicate generators")
+        if self.gens and new[0].sort_key() < self.gens[-1].sort_key():
+            raise InputError(
+                f"generator {new[0].name!r} sorts before the existing {self.gens[-1].name!r}"
+            )
+        position = self._position | {g: p for p, g in enumerate(new, len(self.gens))}
+        odd = self._odd + [g.is_odd for g in new]
+        added: dict[Generator, Element] = {}
+        d_codes = []
+        for g in new:
+            dg = d_on_gens.get(g, Element.zero())
+            if not dg.is_zero and dg.homogeneous_degree() != g.degree + 1:
+                raise InputError(f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
+            terms = []
+            for mon, c in dg.terms():
+                try:
+                    code = tuple([(position[h], e) for h, e in mon.powers])
+                except KeyError:
+                    # name the first unknown generator in printing order
+                    h = next(
+                        h for mon in dg.monomials() for h in mon.generators() if h not in position
+                    )
+                    raise InputError(
+                        f"d({g.name}) uses the unknown generator {h.name!r}"
+                    ) from None
+                odds = tuple(q for q, _ in code if odd[q])
+                terms.append((code, odds, c.numerator if c.denominator == 1 else c))
+            added[g] = dg
+            d_codes.append(tuple(terms))
+
+        self.gens += new
+        old.update(added)
+        self._position, self._odd = position, odd
+        self._d_codes += d_codes
+        low = new[0].degree
+        for cache in (self._basis_cache, self._cohomology_cache):
+            for m in [m for m in cache if m >= low]:
+                del cache[m]
+        for k in list(self._handed_down):
+            if not all(
+                k < g.degree or k == g.degree + 1 or (k == g.degree and dg.is_zero)
+                for g, dg in added.items()
+            ):
+                del self._handed_down[k]
 
     # --- cochain spaces -------------------------------------------------
     def basis(self, m: int) -> list[Monomial]:
@@ -113,7 +180,7 @@ class FreeDGCA:
 
     def d_monomial(self, mon: Monomial) -> Element:
         """d of one monomial by the Leibniz rule."""
-        return self._decode(self._d_code(mon))
+        return self._decode(self._d_code(self.key(mon)))
 
     def _decode(self, terms: Mapping[tuple, int | Fraction]) -> Element:
         gens = self.gens
@@ -121,31 +188,18 @@ class FreeDGCA:
             {Monomial(tuple((gens[p], e) for p, e in code)): c for code, c in terms.items()}
         )
 
-    def _tables(self):
-        """Generator positions, parities, and each d(g) as (code, odd positions,
-        coefficient) triples; built on first use, since many models never take d."""
-        if self._code_tables is None:
-            position = {g: p for p, g in enumerate(self.gens)}
-            odd = tuple(g.is_odd for g in self.gens)
-            d_codes = []
-            for g in self.gens:
-                terms = []
-                for mon, c in self.d_on_gens[g].terms():
-                    code = tuple((position[h], e) for h, e in mon.powers)
-                    odds = tuple(q for q, _ in code if odd[q])
-                    terms.append((code, odds, c.numerator if c.denominator == 1 else c))
-                d_codes.append(tuple(terms))
-            self._code_tables = position, odd, tuple(d_codes)
-        return self._code_tables
+    def key(self, mon: Monomial) -> tuple:
+        """The code of a monomial: its column key in `CohomologySpace`."""
+        position = self._position
+        return tuple([(position[g], e) for g, e in mon.powers])
 
-    def _d_code(self, mon: Monomial) -> dict[tuple, int | Fraction]:
-        """d of one monomial as {code: coefficient}, with no zero coefficients.
+    def _d_code(self, code: tuple) -> dict[tuple, int | Fraction]:
+        """d of one monomial code as {code: coefficient}, with no zero coefficients.
 
         Terms are listed in the order the Leibniz rule produces them: factor by
         factor, and within a factor in the order of the terms of d(g).
         """
-        position, odd, d_codes = self._tables()
-        code = tuple((position[g], e) for g, e in mon.powers)
+        odd, d_codes = self._odd, self._d_codes
         out: dict[tuple, int | Fraction] = {}
         parity = 0  # parity of the degree of the factors before position i
         for i, (p, e) in enumerate(code):
@@ -194,7 +248,7 @@ class FreeDGCA:
                 continue
             residue: dict[tuple, int | Fraction] = {}
             for mon, coeff in dg.terms():
-                for code, c in self._d_code(mon).items():
+                for code, c in self._d_code(self.key(mon)).items():
                     v = residue.get(code, 0) + coeff * c
                     if v:
                         residue[code] = v
@@ -223,24 +277,36 @@ class FreeDGCA:
         if cached is None:
             cached = CohomologySpace(self, m)
             self._cohomology_cache[m] = cached
+            self._handed_down[m] = cached.complement
         return cached
 
     # --- the cochain-complex interface read by CohomologySpace --------------
-    def d_basis(self, mon: Monomial):
-        """d of one basis monomial, as (code, coefficient) pairs.
-
-        `CohomologySpace` uses the targets only as keys of its cocycle
-        constraints, so they stay undecoded.
-        """
-        return self._d_code(mon).items()
+    def d_basis(self, code: tuple):
+        """d of one basis monomial, given by its code, as (code, coefficient) pairs."""
+        return self._d_code(code).items()
 
     def boundaries(self, m: int):
-        """A spanning set of the degree-m coboundaries: d of basis(m - 1)."""
-        return (self.d_monomial(b).terms() for b in self.basis(m - 1))
+        """The degree-m coboundaries as code-keyed terms of d of degree-(m - 1) cochains.
 
-    @staticmethod
-    def terms_of(x: Element):
-        return x.terms()
+        Once `cohomology(m - 1)` has handed down its complement (see
+        `CohomologySpace`) and no extension has dropped it, these are d of the
+        complement cochains, a basis of B^m; otherwise d of all of basis(m - 1).
+        """
+        codes = self._handed_down.get(m - 1)
+        if codes is None:
+            codes = map(self.key, self.basis(m - 1))
+        return (self._d_code(code).items() for code in codes)
+
+    def terms_of(self, x: Element):
+        """The terms of an element, code-keyed.
+
+        A generator outside the complex gets the position None, so a term
+        holding one matches no column.
+        """
+        position = self._position
+        return [
+            (tuple([(position.get(g), e) for g, e in mon.powers]), c) for mon, c in x.terms()
+        ]
 
     @staticmethod
     def element_of(terms: Mapping[Monomial, Fraction]) -> Element:
@@ -271,11 +337,13 @@ class CohomologySpace:
     """H^m of a cochain complex, with canonical representatives.
 
     The complex is read through ``basis(m)`` (the degree-m basis cochains,
-    in a fixed order), ``d_basis(b)`` (d of one basis cochain as (cochain,
-    coefficient) pairs), ``boundaries(m)`` (a spanning set of the degree-m
-    coboundaries, each as (cochain, coefficient) pairs), ``terms_of(x)`` and
-    ``element_of(terms)`` (an element as (cochain, coefficient) pairs and
-    back) and ``d(x)``; d must square to zero.
+    in a fixed order), ``key(b)`` (the column key of a basis cochain: a code
+    for a free complex), ``d_basis(k)`` (d of the basis cochain with key k,
+    as (key, coefficient) pairs), ``boundaries(m)`` (a spanning set of the
+    degree-m coboundaries, each as (key, coefficient) pairs), ``terms_of(x)``
+    (an element as (key, coefficient) pairs), ``element_of(terms)`` (back
+    from (basis cochain, coefficient) pairs) and ``d(x)``; d must square to
+    zero.
 
     Class representatives are the rows of the reduced row-echelon form, over
     that basis order, of the cocycles with no coordinate at a pivot column
@@ -284,14 +352,21 @@ class CohomologySpace:
     the kernel of d on the non-pivot columns; `linalg.kernel_rref` gives its
     forward reduced form from one elimination in reversed column order, so d
     is taken only of the non-pivot cochains.
+
+    The coboundary rows and the class rows together are an echelon basis of
+    the cocycles Z^m, with pivots P.  So the cochains off P, which
+    ``complement`` lists by key, span a complement of Z^m, and d maps their
+    span isomorphically onto B^(m+1): `FreeDGCA.boundaries` hands them down
+    as a basis of the coboundaries one degree up.
     """
 
     def __init__(self, cochains, m: int):
         self.cochains = cochains
         self.degree = m
         source = cochains.basis(m)
+        keys = list(map(cochains.key, source))
         self.basis = source
-        self.index = index = {b: i for i, b in enumerate(source)}
+        self.index = index = {k: i for i, k in enumerate(keys)}
 
         self.coboundaries = RowSpace(
             {index[t]: c for t, c in boundary} for boundary in cochains.boundaries(m)
@@ -303,10 +378,12 @@ class CohomologySpace:
         free = [j for j in range(len(source)) if j not in pivots]
         constraint_rows: dict[object, dict[int, Fraction]] = {}
         for j in free:
-            for t, c in cochains.d_basis(source[j]):
+            for t, c in cochains.d_basis(keys[j]):
                 constraint_rows.setdefault(t, {})[j] = c
         self._class_rows = kernel_rref(constraint_rows.values(), free)
         self._class_pivots = [min(row) for row in self._class_rows]
+        class_pivots = set(self._class_pivots)
+        self.complement = [keys[j] for j in free if j not in class_pivots]
 
     @cached_property
     def classes(self) -> list[CohomologyClass]:
@@ -332,12 +409,16 @@ class CohomologySpace:
         """The cocycle sum of coords[i] * (representative of class i).
 
         ``coords`` maps class positions to coefficients, as a sparse row of
-        class coordinates; the result is an element of the complex.
+        class coordinates; the result is an element of the complex.  A single
+        nonzero coordinate reads its class row, scaled only if it is not 1.
         """
+        nonzero = [(i, c) for i, c in coords.items() if c]
+        if len(nonzero) == 1:
+            [(i, c)] = nonzero
+            row = self._class_rows[i]
+            return self._element(row if c == 1 else {col: c * v for col, v in row.items()})
         vec: dict[int, Fraction] = {}
-        for i, c in coords.items():
-            if not c:
-                continue
+        for i, c in nonzero:
             for col, v in self._class_rows[i].items():
                 w = vec.get(col, _ZERO) + c * v
                 if w:
@@ -348,10 +429,10 @@ class CohomologySpace:
 
     def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
-        for b, c in self.cochains.terms_of(element):
-            i = self.index.get(b)
+        for k, c in self.cochains.terms_of(element):
+            i = self.index.get(k)
             if i is None:
-                raise InputError(f"{b} is not a degree-{self.degree} cochain")
+                raise InputError(f"{element} has a term outside the degree-{self.degree} cochains")
             vec[i] = c
         return vec
 

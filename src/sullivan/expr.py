@@ -20,7 +20,7 @@ from typing import Mapping
 from .errors import ParseError
 from .gca import Element, Generator, Monomial
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -148,7 +148,7 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
         s = s[1:]
     elif s.startswith("+"):
         s = s[1:]
-    m = re.fullmatch(r"(\d+)(?:\s*/\s*(\d+))?", s.strip())
+    m = re.fullmatch(r"([0-9]+)(?:\s*/\s*([0-9]+))?", s.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}", line)
     num = int(m.group(1))

@@ -18,9 +18,15 @@ A^(m+1) != 0; where A^(m+1) = 0 (for a wedge of spheres, every m >= 2) the
 kernel is all of H^(m+1) and no rho image is formed.  Each rho image is
 multiplied out in the free cover and reduced in A once.  A kernel row becomes
 its differential through `CohomologySpace.combination`, one sum of sparse
-class rows, so where A^(m+1) = 0 the list of class representatives is never
-built.  The generators a purge may use are put into a `FreeDGCA` only when
-some representative has a pure component.
+class rows, read straight off one class row when the kernel row is a unit
+vector, so where A^(m+1) = 0 the list of class representatives is never
+built.
+
+The construction keeps one `FreeDGCA` and extends it: with the stage-0
+generators of degree m, then the stage-1 layer, whose generators a purge may
+use, then the higher-stage layer.  Each batch sorts after every generator
+before it, so code positions and the caches of lower degrees survive, and the
+coboundaries of H^(m+1) come handed down from the cohomology of degree m.
 
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
@@ -207,26 +213,25 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             f"{algebra.truncation}"
         )
 
-    gens: list[Generator] = []
-    d_map: dict[Generator, Element] = {}
+    model = FreeDGCA((), {}, truncation)
     rho: dict[Generator, Element] = {}
     next_index = len(algebra.generators)
 
     for m in range(2, truncation + 1):
         # stage 0: lifts of the indecomposables of A^m
+        lifts = []
         for lift in algebra.indecomposables(m):
             if lift.word_length != 1:
                 raise IntegrityError(
                     f"indecomposable lift {lift} is not a single generator"
                 )
             g = lift.generators()[0]
-            gens.append(g)
-            d_map[g] = Element.zero()
+            lifts.append(g)
             rho[g] = Element.from_monomial(lift)
+        model.extend(lifts, {})
         if m == truncation:
             break
 
-        model = FreeDGCA(gens, d_map, truncation)
         h_space = model.cohomology(m + 1)
         if h_space.dimension == 0:
             continue
@@ -246,7 +251,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             continue
 
         # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
-        stage0 = [g for g in gens if g.stage == 0]
+        stage0 = [g for g in model.gens if g.stage == 0]
         pure_monomials = monomial_basis(stage0, m + 1)
         pure_vectors: list[tuple[Fraction, ...]] = []
         for mon in pure_monomials:
@@ -259,18 +264,18 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
         counters: dict[int, int] = {}
 
-        def new_generator(stage: int, target: Element):
+        def new_generator(stage: int) -> Generator:
             nonlocal next_index
             serial = counters.get(stage, 0)
             counters[stage] = serial + 1
             g = Generator(f"v{m}_s{stage}_{serial}", m, stage, next_index)
             next_index += 1
-            gens.append(g)
-            d_map[g] = target
             rho[g] = Element.zero()
+            return g
 
         # stage-1 layer: kernel classes with a representative in Lambda(V_0)
         pure_kernel = intersect_spans(kernel, pure_rows)
+        layer: dict[Generator, Element] = {}
         for row in pure_kernel:
             vec = tuple(row.get(i, _ZERO) for i in range(h_space.dimension))
             coeffs = solve_in_span(pure_vectors, vec)
@@ -279,16 +284,16 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             target = Element(
                 {mon: c for mon, c in zip(pure_monomials, coeffs) if c}
             )
-            new_generator(1, target)
+            layer[new_generator(1)] = target
+        model.extend(layer, layer)
 
         # higher stages: remaining kernel classes, purged of pure components.
         # The purge preimages may involve the stage-1 generators just added
-        # but none of the generators added below, so the ambient dgca is
-        # built on the generators known now, and only if a purge needs it.
+        # but none of the generators added below, which join the model
+        # together once the layer is complete, in sorted order.
         handled = RowSpace(pure_kernel)
         leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
-        known = len(gens)
-        extended = None
+        layer = {}
         for row in leftovers.fraction_rows():
             target = h_space.combination(row)
             pure, rest = split_by_stage(target)
@@ -297,22 +302,21 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
                     "a kernel class with a pure representative escaped the stage-1 layer"
                 )
             if not pure.is_zero:
-                if extended is None:
-                    extended = FreeDGCA(gens[:known], d_map, truncation)
-                w = preimage_in_v0_v1(extended, extended.gens, pure, m)
+                w = preimage_in_v0_v1(model, model.gens, pure, m)
                 if w is None:
                     raise IntegrityError(
                         "pure component of a kernel representative is not "
                         "exact; construction invariant broken"
                     )
-                target = target - extended.d(w)
+                target = target - model.d(w)
                 still_pure, _ = split_by_stage(target)
                 if not still_pure.is_zero:
                     raise IntegrityError("pure component survived its purge")
             stage = 1 + max(mon.max_stage() for mon, _ in target.terms())
-            new_generator(stage, target)
+            layer[new_generator(stage)] = target
+        model.extend(layer, layer)
 
-    return BigradedModel(FreeDGCA(gens, d_map, truncation), rho, algebra, truncation)
+    return BigradedModel(model, rho, algebra, truncation)
 
 
 def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: PresentedAlgebra) -> Element:

@@ -100,6 +100,10 @@ class PresentedAlgebra:
         return monomial_basis(self.generators, m)
 
     @staticmethod
+    def key(mon: Monomial) -> Monomial:
+        return mon
+
+    @staticmethod
     def d_basis(mon: Monomial):
         return ()
 

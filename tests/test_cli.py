@@ -268,3 +268,59 @@ def test_verdict_builds_one_attachment(argv, tmp_path, monkeypatch, capsys):
     code = cli.main([str(job) if a == "JOB" else a for a in argv])
     assert code == 0, capsys.readouterr().err
     assert len(built) == 1
+
+
+_WEDGE_HEAD = "algebra:\ngen a 2\nrel a^2\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("algebra:\ngen a 2_0\ntruncation 4\n", 2, "bad degree '2_0'"),
+        ("algebra:\ngen a ٢\ntruncation 4\n", 2, "bad degree '٢'"),
+        (_WEDGE_HEAD + "truncation ٥\n", 4, "bad truncation '٥'"),
+        (_WEDGE_HEAD + "truncation 1_0\n", 4, "bad truncation '1_0'"),
+        (_WEDGE_HEAD + "truncation 4\nattach:\ncell ٤\n", 6, "bad cell dimension"),
+        (_WEDGE_HEAD + "truncation 4\nattach:\ncell 4\nalpha b ٢\n", 7,
+         "not a rational literal"),
+        ("algebra:\ngen a 2\nrel a^٢\ntruncation 4\n", 3, ""),
+    ],
+    ids=["underscore-degree", "arabic-degree", "arabic-truncation", "underscore-truncation",
+         "arabic-cell", "arabic-alpha", "arabic-exponent"],
+)
+def test_numbers_take_ascii_digits_only(tmp_path, text, line, message):
+    job = tmp_path / "job.txt"
+    job.write_text(text, encoding="utf-8")
+    result = run_cli("attach" if "attach:" in text else "model", "--input", str(job))
+    assert result.returncode == 65, result.stdout
+    assert result.stderr.startswith("parse error: " + message), result.stderr
+    assert f"(line {line}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text,line,first",
+    [
+        (_WEDGE_HEAD + "truncation 4\ntruncation 3\n", 5, 4),
+        ("algebra:\ntruncation 3\ngen a 2\nalgebra:\ntruncation 3\n", 5, 2),
+        (_WEDGE_HEAD + "truncation 4\nattach:\ncell 4\ncell 3\n", 7, 6),
+    ],
+    ids=["truncation", "truncation-in-second-section", "cell"],
+)
+def test_repeated_truncation_or_cell_is_refused(tmp_path, text, line, first):
+    job = tmp_path / "job.txt"
+    job.write_text(text, encoding="utf-8")
+    result = run_cli("attach" if "attach:" in text else "model", "--input", str(job))
+    assert result.returncode == 65, result.stdout
+    assert f"(first given on line {first}) (line {line})" in result.stderr
+    assert result.stdout == ""
+
+
+def test_signed_and_per_section_numbers_still_parse():
+    from sullivan.cli import parse_job
+
+    spec = parse_job(
+        _WEDGE_HEAD + "truncation +4\nattach:\ncell 4\nalpha b 1\nattach:\ncell 3\n"
+    )
+    assert spec.truncation == 4
+    assert [section.cell for section in spec.attaches] == [4, 3]

@@ -8,7 +8,7 @@ from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, TruncationError
 from sullivan.gca import Element, Generator, Monomial, monomial_basis
 from sullivan.linalg import RowSpace
-from sullivan.minimal_model import BigradedModel
+from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 from conftest import class_product, coefficients, decomposable_subspace, small_presentations
@@ -274,7 +274,7 @@ def test_d_monomial_matches_reference_leibniz(data):
         decoded = Element(
             {
                 Monomial(tuple((D.gens[p], e) for p, e in code)): c
-                for code, c in D.d_basis(mon)
+                for code, c in D.d_basis(D.key(mon))
             }
         )
         assert decoded == expected
@@ -425,6 +425,25 @@ def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
         ]
 
 
+def reference_coboundaries(cochains, m):
+    """Spanning rows of B^m over basis(m), keyed by column index.
+
+    B is d of all of basis(m - 1), not the complex's own `boundaries`; for a
+    presented algebra, whose d is zero, it is the relation ideal's slice,
+    cofactor * relation multiplied out here.
+    """
+    index = {cochains.key(b): i for i, b in enumerate(cochains.basis(m))}
+    if isinstance(cochains, PresentedAlgebra):
+        for rel in cochains.relations:
+            degree = rel.homogeneous_degree()
+            for cofactor in monomial_basis(cochains.generators, m - degree):
+                product = Element.from_monomial(cofactor) * rel
+                yield {index[t]: c for t, c in product.terms()}
+        return
+    for b in cochains.basis(m - 1):
+        yield {index[t]: c for t, c in cochains.d_basis(cochains.key(b))}
+
+
 def reference_class_rows(cochains, m):
     """Class rows and pivots by three eliminations, independent of `kernel_rref`.
 
@@ -432,15 +451,12 @@ def reference_class_rows(cochains, m):
     the coboundary RREF, and the results are row-reduced again.
     """
     source = cochains.basis(m)
-    index = {b: i for i, b in enumerate(source)}
     constraint_rows = {}
     for j, b in enumerate(source):
-        for t, c in cochains.d_basis(b):
+        for t, c in cochains.d_basis(cochains.key(b)):
             constraint_rows.setdefault(t, {})[j] = c
     cocycles = RowSpace(constraint_rows.values()).kernel(len(source))
-    coboundaries = RowSpace(
-        {index[t]: c for t, c in boundary} for boundary in cochains.boundaries(m)
-    )
+    coboundaries = RowSpace(reference_coboundaries(cochains, m))
     classes = RowSpace(coboundaries.reduce(z) for z in cocycles)
     return classes.fraction_rows(), classes.pivots()
 
@@ -514,3 +530,159 @@ def test_class_rows_match_three_pass_reference_complexes(wedge3_s2, cp2_attach, 
 def test_class_rows_match_three_pass_reference_presented(data):
     algebra, truncation = data
     _assert_class_rows_match_reference(algebra, range(0, truncation + 1))
+
+
+# ---------------------------------------------------------------------------
+# one growing complex: extend, and the coboundaries handed down
+
+
+def _pieces(D, m):
+    """Everything `extend` must leave as a fresh build has it, in degree m."""
+    basis = D.basis(m)
+    d_codes = [dict(D.d_basis(D.key(b))) for b in basis]
+    space = D.cohomology(m)
+    return (basis, d_codes, space._class_rows, space._class_pivots,
+            space.coboundaries.fraction_rows())
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_dgcas(), st.data())
+def test_extend_matches_a_fresh_complex(D, data):
+    gens = D.gens
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(gens) - 1), max_size=3)))
+    bounds = [0, *cuts, len(gens)]
+    grown = FreeDGCA(gens[: bounds[1]], D.d_on_gens, _CLOSED_TOP)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        # fill every cache and record, then extend past them
+        for m in range(_CLOSED_TOP + 1):
+            grown.cohomology(m)
+        grown.extend(gens[lo:hi], D.d_on_gens)
+    assert grown.gens == D.gens and grown.d_on_gens == D.d_on_gens
+    # in any order, so that a degree can read a record from before the last
+    # extension rather than one just made
+    for m in data.draw(st.permutations(range(_CLOSED_TOP + 1))):
+        assert _pieces(grown, m) == _pieces(D, m), m
+
+
+def test_extend_refuses_what_init_refuses():
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    x, y = Generator("x", 4, index=2), Generator("y", 3, stage=1, index=3)
+    dx = Element.from_monomial(Monomial(((a, 1), (y, 1))))
+    refusals = [
+        ([a, a], {}, "^duplicate generators$"),
+        ([a, b, x], {x: dx}, "^d\\(x\\) uses the unknown generator 'y'$"),
+    ]
+    for gens, d, message in refusals:
+        with pytest.raises(InputError, match=message):
+            FreeDGCA(gens, d, truncation=8)
+    D = FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
+    D.cohomology(4)
+    before = (D.gens, dict(D.d_on_gens), D.basis(4), dict(D._handed_down))
+    for gens, d, message in [([a], {}, "^duplicate generators$"),
+                             ([x, x], {}, "^duplicate generators$"),
+                             ([x], {x: dx}, "^d\\(x\\) uses the unknown generator 'y'$")]:
+        with pytest.raises(InputError, match=message):
+            D.extend(gens, d)
+    late = Generator("c", 2, index=5)  # sorts before b
+    with pytest.raises(InputError, match="^generator 'c' sorts before the existing 'b'$"):
+        D.extend([late], {})
+    assert (D.gens, D.d_on_gens, D.basis(4), D._handed_down) == before
+    # a batch in any order, whose d uses a generator of the same batch
+    D.extend([y, x], {x: dx})
+    assert D.gens == (a, b, y, x) and D.d_on_gens[x] == dx
+
+
+def _assert_handed_down_rows_are_a_basis(D, degrees):
+    """d of the handed-down cochains: independent, and the span of d(basis(k))."""
+    for k in degrees:
+        D.cohomology(k)
+        assert k in D._handed_down
+        index = {D.key(b): i for i, b in enumerate(D.basis(k + 1))}
+        rows = [{index[t]: c for t, c in terms} for terms in D.boundaries(k + 1)]
+        assert len(rows) == len(D._handed_down[k])
+        assert RowSpace(rows).rank == len(rows), k
+        full = RowSpace(
+            {index[D.key(t)]: c for t, c in D.d_monomial(b).terms()} for b in D.basis(k)
+        )
+        assert RowSpace(rows).fraction_rows() == full.fraction_rows(), k
+
+
+def _built(generators, relations, truncation):
+    algebra = PresentedAlgebra.from_strings(generators, relations, truncation + 1)
+    return build_minimal_model(algebra, truncation).dgca
+
+
+def test_handed_down_rows_are_a_basis_wedge_and_dense():
+    wedge = _built([("a1", 2), ("a2", 2), ("a3", 2)],
+                   ["a1^2", "a2^2", "a3^2", "a1*a2", "a1*a3", "a2*a3"], 7)
+    dense = _built([("x1", 2), ("x2", 2), ("x3", 2)],
+                   ["3*x1^2 - x1*x2 + 2*x3^2", "x1*x3 + 4*x2^2 - x2*x3",
+                    "-2*x1*x2 + x2*x3 + x3^2"], 7)
+    for D in (wedge, dense):
+        _assert_handed_down_rows_are_a_basis(D, range(2, D.truncation))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_dgcas())
+def test_handed_down_rows_are_a_basis_closed(D):
+    _assert_handed_down_rows_are_a_basis(D, range(0, _CLOSED_TOP))
+
+
+def test_extend_keeps_or_drops_the_record():
+    # Lambda(a, b), db = a^2; the record of degree 6 is H^6's complement
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    d = {b: Element.from_monomial(Monomial.of(a, 2))}
+
+    def record_after(degree, dx):
+        D = FreeDGCA([a, b], d, truncation=9)
+        D.cohomology(6)
+        x = Generator("x", degree, stage=2, index=2)
+        D.extend([x], {x: dx})
+        return 6 in D._handed_down
+
+    def a_power(e, times=Element.one()):
+        return Element.from_monomial(Monomial.of(a, e)) * times
+
+    assert record_after(6, Element.zero())  # k = |x| and dx = 0
+    assert not record_after(6, a_power(2, Element.from_generator(b)))  # dx != 0
+    assert record_after(5, a_power(3))  # k = |x| + 1
+    assert record_after(7, a_power(4))  # k < |x|
+    assert not record_after(4, Element.zero())  # x * a in degree 6
+
+
+@pytest.mark.parametrize(
+    "generators,relations",
+    [
+        ([("a1", 2), ("a2", 2), ("a3", 2)], ["a1^2", "a2^2", "a3^2", "a1*a2", "a1*a3", "a2*a3"]),
+        # stage-0 generators above degree 2 extend the complex between kill steps
+        ([("x", 2), ("y", 3), ("z", 4), ("w", 5)], ["x^2", "x*y", "x*z - y^2"]),
+    ],
+    ids=["wedge", "higher-stage-0"],
+)
+def test_build_hands_down_every_coboundary_basis(monkeypatch, generators, relations):
+    # from H^4 on, each H^(m+1) of the build reads the complement that H^m
+    # handed down, through the stage-0 and kill extensions in between
+    seen = []
+    original = FreeDGCA.boundaries
+
+    def spy(self, m):
+        seen.append((m, m - 1 in self._handed_down))
+        return original(self, m)
+
+    monkeypatch.setattr(FreeDGCA, "boundaries", spy)
+    _built(generators, relations, 7)
+    assert [m for m, _ in seen] == list(range(3, 8))
+    assert all(handed for m, handed in seen if m >= 4), seen
+
+
+def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwedge_e6):
+    for cochains, m in _combination_spaces(wedge3_s2, fatwedge_e6):
+        space = CohomologySpace(cochains, m)
+        zeros = {j: F(0) for j in range(space.dimension)}
+        for i in range(space.dimension):
+            for c in (F(1), F(-3, 2), F(2)):
+                expected = F(0) * space.classes[0].representative
+                for j in range(space.dimension):
+                    expected = expected + (c if j == i else F(0)) * space.classes[j].representative
+                for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
+                    assert space.combination(coords) == expected, (cochains, m, coords)
