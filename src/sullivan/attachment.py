@@ -159,9 +159,8 @@ class AttachmentModel:
 
     As a cochain complex it is the base model's complex with u appended as
     the last basis cochain of degree n; `CohomologySpace` reads it through
-    ``basis``, ``key``, ``d_basis``, ``boundaries``, ``terms_of``,
-    ``element_of`` and ``d``.  Its column keys are the base model's codes,
-    and u for itself.
+    ``keys``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
+    ``d``.  Its column keys are the base model's codes, and u for itself.
     """
 
     def __init__(self, base: BigradedModel, alpha: AlphaFunctional):
@@ -203,14 +202,10 @@ class AttachmentModel:
         """Twisted differential; the u-part of the input is closed."""
         return AttachmentElement(self.base.dgca.d(x.body), self._alpha_of(x.body))
 
-    def basis(self, m: int) -> list:
-        """Degree-m basis cochains: the base monomials, then u in degree n."""
-        basis = self.base.dgca.basis(m)
-        return basis + [_U] if m == self.n else basis
-
-    def key(self, b):
-        """The column key of a basis cochain: its code in the base model, or u."""
-        return b if b is _U else self.base.dgca.key(b)
+    def keys(self, m: int) -> list:
+        """Degree-m column keys: the base model's codes, then u in degree n."""
+        keys = self.base.dgca.keys(m)
+        return keys + [_U] if m == self.n else keys
 
     def _twisted(self, key, terms):
         """The terms of d(b) in the base model, plus alpha(b) u."""
@@ -229,9 +224,9 @@ class AttachmentModel:
             terms.append((_U, x.u))
         return terms
 
-    @staticmethod
-    def element_of(terms: Mapping) -> AttachmentElement:
-        body = Element({b: c for b, c in terms.items() if b is not _U})
+    def element_of(self, terms: Mapping) -> AttachmentElement:
+        """The element with these key-keyed terms."""
+        body = self.base.dgca.element_of({k: c for k, c in terms.items() if k is not _U})
         return AttachmentElement(body, terms.get(_U, _ZERO))
 
     def boundaries(self, m: int):
@@ -243,7 +238,7 @@ class AttachmentModel:
         dgca = self.base.dgca
         if m != self.n:
             return dgca.boundaries(m)
-        return (self.d_basis(k) for k in map(dgca.key, dgca.basis(m - 1)))
+        return (self.d_basis(k) for k in dgca.keys(m - 1))
 
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.
@@ -295,7 +290,7 @@ class AttachmentModel:
                 best = body
         if best is None:
             return None
-        return Element({space.basis[i]: c for i, c in best.items()})
+        return self.base.dgca.element_of({space.keys[i]: c for i, c in best.items()})
 
     def u_decomposable(self) -> tuple[bool, list | None]:
         """Is [u] a combination of products of positive-degree classes?"""

@@ -9,13 +9,15 @@ Subcommands:
 
 Input files use a flat sectioned format; see the README for the grammar.
 Exit codes: 0 Formal, 10 NotFormal, 20 Inconclusive, 64 usage errors,
-65 invalid input data, 70 internal integrity failures.
+65 invalid input data, 70 internal integrity failures or output that could
+not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -81,6 +83,13 @@ def _integer(word: str, what: str, lineno: int) -> int:
     ``2_0`` and non-ASCII digits."""
     if not _INTEGER.fullmatch(word):
         raise ParseError(f"bad {what} {word!r}", lineno)
+    return int(word)
+
+
+def _integer_flag(word: str) -> int:
+    """An integer option value, by the rule of `_integer`."""
+    if not _INTEGER.fullmatch(word):
+        raise argparse.ArgumentTypeError(f"invalid integer {word!r}")
     return int(word)
 
 
@@ -534,7 +543,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--input", metavar="FILE", help="sectioned input file")
     p.add_argument("--fixture", metavar="ID", help="bundled fixture id")
-    p.add_argument("--truncation", type=int, metavar="N", help="model truncation")
+    p.add_argument("--truncation", type=_integer_flag, metavar="N", help="model truncation")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -555,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verdict)
     p_verdict.add_argument(
         "--even",
-        type=int,
+        type=_integer_flag,
         metavar="K",
         help="even-complex mode with half-degree K (cells of dimension 4K)",
     )
@@ -570,7 +579,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_INTERNAL
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ParseError as exc:
@@ -585,6 +599,22 @@ def main(argv=None) -> int:
     except SullivanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at the null device.
+
+    The interpreter flushes stdout again at exit, which would fail on the
+    closed pipe and print a traceback.  A stdout without a descriptor, such
+    as a `StringIO` under `contextlib.redirect_stdout`, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

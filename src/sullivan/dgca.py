@@ -26,24 +26,27 @@ the new generators leave it valid; `minimal_model.build_minimal_model` grows
 one complex through every degree.
 
 `CohomologySpace` and `DecomposableSubspace` read their complex through a
-small interface -- ``basis``, ``key``, ``d_basis``, ``boundaries``,
-``terms_of``, ``element_of`` and ``d`` -- which three complexes serve:
-`FreeDGCA`, the cell-attachment complex `attachment.AttachmentModel`, and
-the presented algebra (A, 0) of `presented.PresentedAlgebra`.  Columns are
-looked up by key: a code in a free complex, u for the attached cell, the
-monomial itself in a presented algebra.
+small interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
+``element_of`` and ``d`` -- which three complexes serve: `FreeDGCA`, the
+cell-attachment complex `attachment.AttachmentModel`, and the presented
+algebra (A, 0) of `presented.PresentedAlgebra`.  Columns are keyed by a code
+in a free complex, u for the attached cell, the monomial itself in a
+presented algebra.
 
-Inside a `FreeDGCA` the Leibniz differential runs on integer codes, not on
+Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
 pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
-monomial.  `FreeDGCA.extend` tabulates the position and parity of each new
-generator and its d(g) as codes, which also checks that d(g) uses only known
-generators, and d of a monomial is then a merge of small
-int tuples with the Koszul sign counted from odd positions.  `Element`,
-`Monomial` and `Generator` appear only at the API boundary: `d_monomial`
-decodes its result into an `Element`, while `d_basis` and `boundaries`
-hand code-keyed terms straight to `CohomologySpace`.
+monomial, and increasing code order is the canonical monomial order.
+`FreeDGCA.extend_codes` tabulates the position, degree and parity of each
+new generator and its d(g) as codes, checking the degree of every term;
+`keys(m)` enumerates the codes of degree m over those tables
+(`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
+with the Koszul sign counted from odd positions.  `Element`, `Monomial` and
+`Generator` appear only at the API boundary: ``element_of`` decodes codes
+where a result leaves the complex (a class representative, `d_monomial`,
+each d(g) in ``d_on_gens``, `basis`), and `extend`, `key` and ``terms_of``
+encode the elements handed in.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
-from .gca import Element, Generator, Monomial, monomial_basis
+from .gca import Element, Generator, Monomial, monomial_codes
+# Not called here: perfbench/layertrace.py wraps monomial_basis under every
+# module name bound to it and requires this binding.
+from .gca import monomial_basis  # noqa: F401
 from .linalg import RowSpace, kernel_rref, solve_in_span
 
 _ZERO = Fraction(0)
@@ -77,91 +83,123 @@ class FreeDGCA:
         self.truncation = truncation
         self.gens: tuple[Generator, ...] = ()
         self.d_on_gens: dict[Generator, Element] = {}
-        self._basis_cache: dict[int, list[Monomial]] = {}
+        self._keys_cache: dict[int, list[tuple]] = {}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         # degree k -> the codes of CohomologySpace(k).complement (see boundaries)
         self._handed_down: dict[int, list[tuple]] = {}
-        # code tables: generator positions, parities, and each d(g) as
-        # (code, odd positions, coefficient) triples
+        # code tables: generator positions, degrees and parities, and each
+        # d(g) as (code, odd positions, coefficient) triples
         self._position: dict[Generator, int] = {}
+        self._degree: list[int] = []
         self._odd: list[bool] = []
         self._d_codes: list[tuple] = []
+        # (position, exponent) -> (generator, exponent): one pair object shared
+        # by every decoded monomial
+        self._pairs: dict[tuple[int, int], tuple[Generator, int]] = {}
         self.extend(gens, d_on_gens)
 
     def extend(self, gens: Sequence[Generator], d_on_gens: Mapping[Generator, Element]):
         """Append generators that sort after every existing one, with their d.
 
-        Only the new d(g) are validated and turned into codes; they may use
-        any old or new generator.  The basis and cohomology caches of every
-        degree at or above the smallest new degree are dropped; code positions
-        stay stable.  A handed-down coboundary record for degree k survives
-        when every new g has k < |g|, k = |g| + 1, or k = |g| and dg = 0: g
-        adds cochains only in degree |g| (g itself) and in degrees >= |g| + 2,
-        so otherwise d of the degree-k cochains still spans the same
-        coboundaries.
+        Each new d(g) may use any old or new generator; it is turned into
+        codes, and `extend_codes` validates and appends the batch.
         """
-        new = tuple(sorted(gens, key=Generator.sort_key))
-        if not new:
+        new = sorted(gens, key=Generator.sort_key)
+        position = self._position | {g: p for p, g in enumerate(new, len(self.gens))}
+        layer = []
+        for g in new:
+            dg = d_on_gens.get(g, Element.zero())
+            try:
+                terms = {
+                    tuple([(position[h], e) for h, e in mon.powers]): c for mon, c in dg.terms()
+                }
+            except KeyError:
+                # name the first unknown generator in printing order
+                h = next(
+                    h for mon in dg.monomials() for h in mon.generators() if h not in position
+                )
+                raise InputError(f"d({g.name}) uses the unknown generator {h.name!r}") from None
+            layer.append((g, terms))
+        self.extend_codes(layer)
+
+    def extend_codes(self, layer: Sequence[tuple[Generator, Mapping[tuple, int | Fraction]]]):
+        """Append generators, each with its d given as {code: coefficient}.
+
+        The generators, in any order, must sort after every existing one; the
+        new ones take the next positions in their sorted order, and a code may
+        use any old or new position.  Every term of d(g) must have degree
+        |g| + 1.  A refused batch leaves the complex unchanged.  The keys and
+        cohomology caches of every degree at or above the smallest new degree
+        are dropped; code positions stay stable.  A handed-down coboundary
+        record for degree k survives when every new g has k < |g|,
+        k = |g| + 1, or k = |g| and dg = 0: g adds cochains only in degree |g|
+        (g itself) and in degrees >= |g| + 2, so otherwise d of the degree-k
+        cochains still spans the same coboundaries.
+        """
+        layer = sorted(layer, key=lambda pair: pair[0].sort_key())
+        if not layer:
             return
-        old = self.d_on_gens
-        if len(set(new)) != len(new) or not old.keys().isdisjoint(new):
+        new = tuple(g for g, _ in layer)
+        if len(set(new)) != len(new) or not self._position.keys().isdisjoint(new):
             raise InputError("duplicate generators")
         if self.gens and new[0].sort_key() < self.gens[-1].sort_key():
             raise InputError(
                 f"generator {new[0].name!r} sorts before the existing {self.gens[-1].name!r}"
             )
-        position = self._position | {g: p for p, g in enumerate(new, len(self.gens))}
+        count = len(self.gens) + len(new)
+        degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
-        added: dict[Generator, Element] = {}
         d_codes = []
-        for g in new:
-            dg = d_on_gens.get(g, Element.zero())
-            if not dg.is_zero and dg.homogeneous_degree() != g.degree + 1:
-                raise InputError(f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
-            terms = []
-            for mon, c in dg.terms():
-                try:
-                    code = tuple([(position[h], e) for h, e in mon.powers])
-                except KeyError:
-                    # name the first unknown generator in printing order
-                    h = next(
-                        h for mon in dg.monomials() for h in mon.generators() if h not in position
-                    )
-                    raise InputError(
-                        f"d({g.name}) uses the unknown generator {h.name!r}"
-                    ) from None
-                odds = tuple(q for q, _ in code if odd[q])
-                terms.append((code, odds, c.numerator if c.denominator == 1 else c))
-            added[g] = dg
-            d_codes.append(tuple(terms))
+        for g, terms in layer:
+            triples = []
+            for code, c in terms.items():
+                total = 0
+                for p, e in code:
+                    if not 0 <= p < count:
+                        raise InputError(f"d({g.name}) uses the unknown position {p}")
+                    total += degree[p] * e
+                if total != g.degree + 1:
+                    raise InputError(f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
+                odds = tuple([q for q, _ in code if odd[q]])
+                triples.append((code, odds, c.numerator if c.denominator == 1 else c))
+            d_codes.append(tuple(triples))
 
+        self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
-        old.update(added)
-        self._position, self._odd = position, odd
+        self._degree, self._odd = degree, odd
         self._d_codes += d_codes
+        self.d_on_gens.update((g, self.element_of(terms)) for g, terms in layer)
         low = new[0].degree
-        for cache in (self._basis_cache, self._cohomology_cache):
+        for cache in (self._keys_cache, self._cohomology_cache):
             for m in [m for m in cache if m >= low]:
                 del cache[m]
         for k in list(self._handed_down):
             if not all(
-                k < g.degree or k == g.degree + 1 or (k == g.degree and dg.is_zero)
-                for g, dg in added.items()
+                k < g.degree or k == g.degree + 1 or (k == g.degree and not terms)
+                for g, terms in layer
             ):
                 del self._handed_down[k]
 
     # --- cochain spaces -------------------------------------------------
-    def basis(self, m: int) -> list[Monomial]:
-        """Monomial basis of the degree-m cochains (m <= truncation + 1)."""
+    def keys(self, m: int) -> list[tuple]:
+        """The codes of the degree-m monomials, in the canonical monomial order.
+
+        They are enumerated over the position, degree and parity tables and
+        cached per degree (m <= truncation + 1).
+        """
         if m > self.truncation + 1:
             raise TruncationError(
                 f"degree {m} data requested from a model truncated at {self.truncation}"
             )
-        cached = self._basis_cache.get(m)
+        cached = self._keys_cache.get(m)
         if cached is None:
-            cached = monomial_basis(self.gens, m)
-            self._basis_cache[m] = cached
+            cached = monomial_codes(self._degree, self._odd, m)
+            self._keys_cache[m] = cached
         return cached
+
+    def basis(self, m: int) -> list[Monomial]:
+        """Monomial basis of the degree-m cochains (m <= truncation + 1)."""
+        return list(map(self._monomial, self.keys(m)))
 
     # --- differential ---------------------------------------------------
     def d(self, x: Element) -> Element:
@@ -180,12 +218,12 @@ class FreeDGCA:
 
     def d_monomial(self, mon: Monomial) -> Element:
         """d of one monomial by the Leibniz rule."""
-        return self._decode(self._d_code(self.key(mon)))
+        return self.element_of(self._d_code(self.key(mon)))
 
-    def _decode(self, terms: Mapping[tuple, int | Fraction]) -> Element:
-        gens = self.gens
-        return Element(
-            {Monomial(tuple((gens[p], e) for p, e in code)): c for code, c in terms.items()}
+    def _monomial(self, code: tuple) -> Monomial:
+        pairs, gens = self._pairs, self.gens
+        return Monomial(
+            tuple([pairs.get(pe) or pairs.setdefault(pe, (gens[pe[0]], pe[1])) for pe in code])
         )
 
     def key(self, mon: Monomial) -> tuple:
@@ -255,7 +293,7 @@ class FreeDGCA:
                     else:
                         residue.pop(code, None)
             if residue:
-                return g, self._decode(residue)
+                return g, self.element_of(residue)
         return None
 
     def minimality_violations(self) -> list[Generator]:
@@ -290,11 +328,11 @@ class FreeDGCA:
 
         Once `cohomology(m - 1)` has handed down its complement (see
         `CohomologySpace`) and no extension has dropped it, these are d of the
-        complement cochains, a basis of B^m; otherwise d of all of basis(m - 1).
+        complement cochains, a basis of B^m; otherwise d of every code in keys(m - 1).
         """
         codes = self._handed_down.get(m - 1)
         if codes is None:
-            codes = map(self.key, self.basis(m - 1))
+            codes = self.keys(m - 1)
         return (self._d_code(code).items() for code in codes)
 
     def terms_of(self, x: Element):
@@ -308,9 +346,10 @@ class FreeDGCA:
             (tuple([(position.get(g), e) for g, e in mon.powers]), c) for mon, c in x.terms()
         ]
 
-    @staticmethod
-    def element_of(terms: Mapping[Monomial, Fraction]) -> Element:
-        return Element(terms)
+    def element_of(self, terms: Mapping[tuple, int | Fraction]) -> Element:
+        """The element with these code-keyed terms."""
+        monomial = self._monomial
+        return Element({monomial(code): c for code, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -336,17 +375,17 @@ class CohomologyClass:
 class CohomologySpace:
     """H^m of a cochain complex, with canonical representatives.
 
-    The complex is read through ``basis(m)`` (the degree-m basis cochains,
-    in a fixed order), ``key(b)`` (the column key of a basis cochain: a code
-    for a free complex), ``d_basis(k)`` (d of the basis cochain with key k,
-    as (key, coefficient) pairs), ``boundaries(m)`` (a spanning set of the
-    degree-m coboundaries, each as (key, coefficient) pairs), ``terms_of(x)``
-    (an element as (key, coefficient) pairs), ``element_of(terms)`` (back
-    from (basis cochain, coefficient) pairs) and ``d(x)``; d must square to
-    zero.
+    The complex is read through ``keys(m)`` (the column keys of the
+    degree-m basis cochains, in a fixed order: codes for a free complex),
+    ``d_basis(k)`` (d of the basis cochain with key k, as (key, coefficient)
+    pairs), ``boundaries(m)`` (a spanning set of the degree-m coboundaries,
+    each as (key, coefficient) pairs), ``terms_of(x)`` (an element as (key,
+    coefficient) pairs), ``element_of(terms)`` (back from a {key:
+    coefficient} mapping) and ``d(x)``; d must square to zero.  Columns are
+    decoded only where an element is built.
 
     Class representatives are the rows of the reduced row-echelon form, over
-    that basis order, of the cocycles with no coordinate at a pivot column
+    that key order, of the cocycles with no coordinate at a pivot column
     of the coboundaries.  Because the coboundaries are cocycles, that space
     is the span of the cocycles reduced modulo the coboundaries, and it is
     the kernel of d on the non-pivot columns; `linalg.kernel_rref` gives its
@@ -363,9 +402,7 @@ class CohomologySpace:
     def __init__(self, cochains, m: int):
         self.cochains = cochains
         self.degree = m
-        source = cochains.basis(m)
-        keys = list(map(cochains.key, source))
-        self.basis = source
+        self.keys = keys = cochains.keys(m)
         self.index = index = {k: i for i, k in enumerate(keys)}
 
         self.coboundaries = RowSpace(
@@ -375,7 +412,7 @@ class CohomologySpace:
         # classes: the kernel of d on the non-pivot columns, one constraint
         # row per target cochain
         pivots = set(self.coboundaries.pivots())
-        free = [j for j in range(len(source)) if j not in pivots]
+        free = [j for j in range(len(keys)) if j not in pivots]
         constraint_rows: dict[object, dict[int, Fraction]] = {}
         for j in free:
             for t, c in cochains.d_basis(keys[j]):
@@ -398,34 +435,39 @@ class CohomologySpace:
         return len(self._class_rows)
 
     def _element(self, vec: Mapping[int, Fraction]):
-        return self.cochains.element_of({self.basis[i]: c for i, c in vec.items()})
+        keys = self.keys
+        return self.cochains.element_of({keys[i]: c for i, c in vec.items()})
 
     def _unit_coords(self, i: int) -> tuple[Fraction, ...]:
         coords = [_ZERO] * len(self._class_rows)
         coords[i] = _ONE
         return tuple(coords)
 
-    def combination(self, coords: Mapping[int, Fraction]):
-        """The cocycle sum of coords[i] * (representative of class i).
+    def combination(self, coords: Mapping[int, Fraction]) -> dict:
+        """The cocycle sum of coords[i] * (representative of class i), key-keyed.
 
         ``coords`` maps class positions to coefficients, as a sparse row of
-        class coordinates; the result is an element of the complex.  A single
+        class coordinates; the result maps column keys to coefficients, and
+        ``element_of`` of the complex turns it into an element.  A single
         nonzero coordinate reads its class row, scaled only if it is not 1.
         """
         nonzero = [(i, c) for i, c in coords.items() if c]
         if len(nonzero) == 1:
             [(i, c)] = nonzero
-            row = self._class_rows[i]
-            return self._element(row if c == 1 else {col: c * v for col, v in row.items()})
-        vec: dict[int, Fraction] = {}
-        for i, c in nonzero:
-            for col, v in self._class_rows[i].items():
-                w = vec.get(col, _ZERO) + c * v
-                if w:
-                    vec[col] = w
-                else:
-                    vec.pop(col, None)
-        return self._element(vec)
+            vec = self._class_rows[i]
+            if c != 1:
+                vec = {col: c * v for col, v in vec.items()}
+        else:
+            vec = {}
+            for i, c in nonzero:
+                for col, v in self._class_rows[i].items():
+                    w = vec.get(col, _ZERO) + c * v
+                    if w:
+                        vec[col] = w
+                    else:
+                        vec.pop(col, None)
+        keys = self.keys
+        return {keys[col]: v for col, v in vec.items()}
 
     def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}

@@ -18,6 +18,7 @@ Elements are finite rational combinations of monomials.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -313,39 +314,45 @@ class Element:
 
 def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:
     """All monomials of the given degree, in the canonical monomial order."""
+    ordered = sorted(gens, key=Generator.sort_key)
+    codes = monomial_codes([g.degree for g in ordered], [g.is_odd for g in ordered], degree)
+    return [Monomial(tuple([(ordered[p], e) for p, e in code])) for code in codes]
+
+
+def monomial_codes(degrees: Sequence[int], odd: Sequence[bool], degree: int) -> list[tuple]:
+    """The codes of all monomials of the given degree, in increasing order.
+
+    Position p stands for a generator of degree ``degrees[p]``, odd when
+    ``odd[p]``; the degrees must not decrease.  A code is a tuple of
+    ``(position, exponent)`` pairs with increasing positions.  When the
+    positions follow `Generator.sort_key`, increasing code order is the
+    canonical monomial order.
+
+    The codes of degree r are built from those of every lower degree: a
+    first factor (p, e) followed by each code of degree r - e * degrees[p]
+    whose first position lies above p.  In a sorted list those codes form a
+    suffix, so every degree comes out sorted.
+    """
     if degree < 0:
         return []
-    ordered = sorted(gens, key=Generator.sort_key)
-    count = len(ordered)
-
-    def factors(start: int, remaining: int):
-        for i in range(start, count):
-            g = ordered[i]
-            if g.degree > remaining:
-                return  # ordered by degree first: every later generator is too big
-            cap = 1 if g.is_odd else remaining // g.degree
-            for e in range(1, cap + 1):
-                yield i, remaining - e * g.degree, (g, e)
-
-    out: list[Monomial] = [Monomial.unit()] if degree == 0 else []
-    powers: list[tuple[Generator, int]] = []
-    # One open level per chosen factor: the stack is no deeper than the word length.
-    stack = [factors(0, degree)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if powers:
-                powers.pop()
-            continue
-        i, remaining, power = step
-        if remaining == 0:
-            out.append(Monomial((*powers, power)))
-        else:
-            powers.append(power)
-            stack.append(factors(i + 1, remaining))
-    out.sort(key=Monomial.sort_key)
-    return out
+    codes_of: list[list[tuple]] = [[()]]
+    firsts: list[list[int]] = [[-1]]  # first positions; the empty code takes -1
+    for r in range(1, degree + 1):
+        codes: list[tuple] = []
+        for p, dp in enumerate(degrees):
+            if dp > r:
+                break  # the degrees do not decrease: every later position is too big
+            for e in range(1, (1 if odd[p] else r // dp) + 1):
+                rest = r - e * dp
+                head = ((p, e),)
+                if rest == 0:
+                    codes.append(head)
+                else:
+                    tails = codes_of[rest]
+                    codes += [head + tail for tail in tails[bisect_right(firsts[rest], p) :]]
+        codes_of.append(codes)
+        firsts.append([code[0][0] for code in codes])
+    return codes_of[degree]
 
 
 def split_by_stage(x: Element) -> tuple[Element, Element]:

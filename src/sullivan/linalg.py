@@ -58,14 +58,19 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear denominators and reduce to a primitive integer row."""
+    """Clear denominators and reduce to a primitive integer row.
+
+    An entry is an int or a `Fraction`, never a subclass of one, so a type
+    test tells them apart; `isinstance` would pay for an ABC check on every
+    int entry.
+    """
     den = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is Fraction:
             den = lcm(den, v.denominator)
     out = {}
     for c, v in row.items():
-        if isinstance(v, Fraction):
+        if type(v) is Fraction:
             n = v.numerator * (den // v.denominator)
         else:
             n = v * den

@@ -18,9 +18,12 @@ A^(m+1) != 0; where A^(m+1) = 0 (for a wedge of spheres, every m >= 2) the
 kernel is all of H^(m+1) and no rho image is formed.  Each rho image is
 multiplied out in the free cover and reduced in A once.  A kernel row becomes
 its differential through `CohomologySpace.combination`, one sum of sparse
-class rows, read straight off one class row when the kernel row is a unit
-vector, so where A^(m+1) = 0 the list of class representatives is never
-built.
+class rows keyed by code, read straight off one class row when the kernel row
+is a unit vector, so where A^(m+1) = 0 the list of class representatives is
+never built.  The differential stays in codes until `FreeDGCA.extend_codes`
+takes it: its pure part and its stage are read off a position -> stage
+table, and only the purge of a pure part, through `preimage_in_v0_v1`, goes
+through `Element`s.
 
 The construction keeps one `FreeDGCA` and extends it: with the stage-0
 generators of degree m, then the stage-1 layer, whose generators a purge may
@@ -275,46 +278,56 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
         # stage-1 layer: kernel classes with a representative in Lambda(V_0)
         pure_kernel = intersect_spans(kernel, pure_rows)
-        layer: dict[Generator, Element] = {}
+        layer = []
         for row in pure_kernel:
             vec = tuple(row.get(i, _ZERO) for i in range(h_space.dimension))
             coeffs = solve_in_span(pure_vectors, vec)
             if coeffs is None:
                 raise IntegrityError("pure kernel class lost its pure representative")
-            target = Element(
-                {mon: c for mon, c in zip(pure_monomials, coeffs) if c}
-            )
-            layer[new_generator(1)] = target
-        model.extend(layer, layer)
+            target = {model.key(mon): c for mon, c in zip(pure_monomials, coeffs) if c}
+            layer.append((new_generator(1), target))
+        model.extend_codes(layer)
 
         # higher stages: remaining kernel classes, purged of pure components.
         # The purge preimages may involve the stage-1 generators just added
         # but none of the generators added below, which join the model
         # together once the layer is complete, in sorted order.
+        stage_of = [g.stage for g in model.gens]
+
+        def pure_part(terms: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
+            """The terms whose factors all have stage 0."""
+            return {
+                code: c for code, c in terms.items() if not any(stage_of[p] for p, _ in code)
+            }
+
         handled = RowSpace(pure_kernel)
         leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
-        layer = {}
+        layer = []
         for row in leftovers.fraction_rows():
             target = h_space.combination(row)
-            pure, rest = split_by_stage(target)
-            if rest.is_zero:
+            pure = pure_part(target)
+            if len(pure) == len(target):
                 raise IntegrityError(
                     "a kernel class with a pure representative escaped the stage-1 layer"
                 )
-            if not pure.is_zero:
-                w = preimage_in_v0_v1(model, model.gens, pure, m)
+            if pure:
+                w = preimage_in_v0_v1(model, model.gens, model.element_of(pure), m)
                 if w is None:
                     raise IntegrityError(
                         "pure component of a kernel representative is not "
                         "exact; construction invariant broken"
                     )
-                target = target - model.d(w)
-                still_pure, _ = split_by_stage(target)
-                if not still_pure.is_zero:
+                for code, c in model.terms_of(model.d(w)):
+                    v = target.get(code, _ZERO) - c
+                    if v:
+                        target[code] = v
+                    else:
+                        target.pop(code, None)
+                if pure_part(target):
                     raise IntegrityError("pure component survived its purge")
-            stage = 1 + max(mon.max_stage() for mon, _ in target.terms())
-            layer[new_generator(stage)] = target
-        model.extend(layer, layer)
+            stage = 1 + max(stage_of[p] for code in target for p, _ in code)
+            layer.append((new_generator(stage), target))
+        model.extend_codes(layer)
 
     return BigradedModel(model, rho, algebra, truncation)
 

@@ -96,12 +96,9 @@ class PresentedAlgebra:
         return self.graded_component(x.homogeneous_degree()).class_of(x).representative
 
     # --- the cochain-complex interface read by CohomologySpace --------------
-    def basis(self, m: int) -> list[Monomial]:
+    def keys(self, m: int) -> list[Monomial]:
+        """The degree-m monomials: a presented algebra keys its columns by monomial."""
         return monomial_basis(self.generators, m)
-
-    @staticmethod
-    def key(mon: Monomial) -> Monomial:
-        return mon
 
     @staticmethod
     def d_basis(mon: Monomial):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -324,3 +326,51 @@ def test_signed_and_per_section_numbers_still_parse():
     )
     assert spec.truncation == 4
     assert [section.cell for section in spec.attaches] == [4, 3]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,word",
+    [
+        (["model", "--truncation", "٤"], "--truncation", "٤"),
+        (["model", "--truncation", "2_0"], "--truncation", "2_0"),
+        (["attach", "--truncation", " 4"], "--truncation", " 4"),
+        (["verdict", "--even", "١"], "--even", "١"),
+        (["verdict", "--even", "1_0"], "--even", "1_0"),
+    ],
+    ids=["arabic-truncation", "underscore-truncation", "spaced-truncation", "arabic-even",
+         "underscore-even"],
+)
+def test_integer_flags_take_ascii_digits_only(tmp_path, argv, flag, word):
+    job = tmp_path / "job.txt"
+    job.write_text(_WEDGE_HEAD + "truncation 4\n", encoding="utf-8")
+    result = run_cli(*argv, "--input", str(job))
+    assert result.returncode == 64, result.stdout
+    assert f"error: argument {flag}: invalid integer {word!r}\n" in result.stderr
+    assert result.stdout == ""
+
+
+def test_closed_stdout_exits_70_without_a_traceback(tmp_path):
+    job = tmp_path / "job.txt"
+    job.write_text(_WEDGE_HEAD + "truncation 4\n", encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "sullivan.cli", "model", "--input", str(job)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 70
+    assert result.stderr == ""
+
+
+def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):
+    from sullivan import cli
+
+    def closed_pipe(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_examples", closed_pipe)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["examples"]) == 70

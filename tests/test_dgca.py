@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, TruncationError
-from sullivan.gca import Element, Generator, Monomial, monomial_basis
+from sullivan.gca import (
+    Element,
+    Generator,
+    Monomial,
+    generating_series_dimension,
+    monomial_basis,
+)
 from sullivan.linalg import RowSpace
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
@@ -400,10 +406,30 @@ def test_combination_is_the_sum_of_class_representatives(wedge3_s2, fatwedge_e6)
             expected = F(0) * space.classes[0].representative
             for i, c in coords.items():
                 expected = expected + c * space.classes[i].representative
-            assert space.combination(coords) == expected
+            assert cochains.element_of(space.combination(coords)) == expected
             assert space.class_of(expected).coordinates == tuple(
                 coords.get(i, F(0)) for i in range(space.dimension)
             )
+
+
+@pytest.fixture(scope="module")
+def combination_spaces(wedge3_s2, fatwedge_e6):
+    return [(cochains, CohomologySpace(cochains, m))
+            for cochains, m in _combination_spaces(wedge3_s2, fatwedge_e6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_combination_of_random_coordinates_decodes_to_the_sum(combination_spaces, data):
+    for cochains, space in combination_spaces:
+        positions = st.integers(0, space.dimension - 1)
+        coords = data.draw(st.dictionaries(positions, coefficients | st.just(F(0)), max_size=4))
+        expected = F(0) * space.classes[0].representative
+        for i, c in coords.items():
+            expected = expected + c * space.classes[i].representative
+        combination = space.combination(coords)
+        assert all(combination.values())
+        assert cochains.element_of(combination) == expected
 
 
 def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
@@ -426,13 +452,13 @@ def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
 
 
 def reference_coboundaries(cochains, m):
-    """Spanning rows of B^m over basis(m), keyed by column index.
+    """Spanning rows of B^m over keys(m), keyed by column index.
 
-    B is d of all of basis(m - 1), not the complex's own `boundaries`; for a
-    presented algebra, whose d is zero, it is the relation ideal's slice,
-    cofactor * relation multiplied out here.
+    B is d of every cochain of degree m - 1, not the complex's own
+    `boundaries`; for a presented algebra, whose d is zero, it is the relation
+    ideal's slice, cofactor * relation multiplied out here.
     """
-    index = {cochains.key(b): i for i, b in enumerate(cochains.basis(m))}
+    index = {k: i for i, k in enumerate(cochains.keys(m))}
     if isinstance(cochains, PresentedAlgebra):
         for rel in cochains.relations:
             degree = rel.homogeneous_degree()
@@ -440,8 +466,8 @@ def reference_coboundaries(cochains, m):
                 product = Element.from_monomial(cofactor) * rel
                 yield {index[t]: c for t, c in product.terms()}
         return
-    for b in cochains.basis(m - 1):
-        yield {index[t]: c for t, c in cochains.d_basis(cochains.key(b))}
+    for k in cochains.keys(m - 1):
+        yield {index[t]: c for t, c in cochains.d_basis(k)}
 
 
 def reference_class_rows(cochains, m):
@@ -450,10 +476,10 @@ def reference_class_rows(cochains, m):
     The cocycles are the kernel of the constraint rows; each is reduced modulo
     the coboundary RREF, and the results are row-reduced again.
     """
-    source = cochains.basis(m)
+    source = cochains.keys(m)
     constraint_rows = {}
-    for j, b in enumerate(source):
-        for t, c in cochains.d_basis(cochains.key(b)):
+    for j, k in enumerate(source):
+        for t, c in cochains.d_basis(k):
             constraint_rows.setdefault(t, {})[j] = c
     cocycles = RowSpace(constraint_rows.values()).kernel(len(source))
     coboundaries = RowSpace(reference_coboundaries(cochains, m))
@@ -545,23 +571,87 @@ def _pieces(D, m):
             space.coboundaries.fraction_rows())
 
 
-@settings(max_examples=100, deadline=None)
-@given(closed_dgcas(), st.data())
-def test_extend_matches_a_fresh_complex(D, data):
+def _grow(D, data):
+    """D rebuilt by `extend` in random batches; yields the complex after each.
+
+    Every cache and record is filled before each extension, so that the
+    extension must keep or drop them correctly.
+    """
     gens = D.gens
     cuts = sorted(data.draw(st.sets(st.integers(1, len(gens) - 1), max_size=3)))
     bounds = [0, *cuts, len(gens)]
     grown = FreeDGCA(gens[: bounds[1]], D.d_on_gens, _CLOSED_TOP)
+    yield grown
     for lo, hi in zip(bounds[1:], bounds[2:]):
-        # fill every cache and record, then extend past them
         for m in range(_CLOSED_TOP + 1):
             grown.cohomology(m)
         grown.extend(gens[lo:hi], D.d_on_gens)
+        yield grown
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_dgcas(), st.data())
+def test_extend_matches_a_fresh_complex(D, data):
+    *_, grown = _grow(D, data)
     assert grown.gens == D.gens and grown.d_on_gens == D.d_on_gens
     # in any order, so that a degree can read a record from before the last
     # extension rather than one just made
     for m in data.draw(st.permutations(range(_CLOSED_TOP + 1))):
         assert _pieces(grown, m) == _pieces(D, m), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_dgcas(), st.data())
+def test_keys_are_the_codes_of_the_canonical_basis(D, data):
+    for grown in _grow(D, data):
+        for m in range(_CLOSED_TOP + 2):
+            basis = grown.basis(m)
+            assert basis == monomial_basis(grown.gens, m)
+            assert grown.keys(m) == [grown.key(b) for b in basis]
+            # the canonical order, checked without the enumeration: distinct
+            # normalised monomials of degree m, as many as the generating
+            # series counts, in increasing Monomial.sort_key
+            for b in basis:
+                assert b.degree == m
+                assert all(e == 1 for g, e in b.powers if g.is_odd)
+                keys = [g.sort_key() for g, _ in b.powers]
+                assert keys == sorted(set(keys))
+            order = [b.sort_key() for b in basis]
+            assert all(x < y for x, y in zip(order, order[1:])), m
+            assert len(basis) == generating_series_dimension(grown.gens, m)
+
+
+def test_extend_codes_refuses_bad_codes():
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    x = Generator("x", 4, stage=1, index=2)
+    D = FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
+    D.cohomology(5)
+
+    def state():
+        return (D.gens, dict(D.d_on_gens), D.keys(5), dict(D._handed_down),
+                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
+
+    before = state()
+    refusals = [
+        ([(x, {((0, 2),): F(1)})], "^d\\(x\\) must be homogeneous of degree 5$"),
+        ([(x, {((0, 1), (1, 1)): F(1), ((1, 1),): F(1)})],
+         "^d\\(x\\) must be homogeneous of degree 5$"),
+        ([(x, {((0, 1), (3, 1)): F(1)})], "^d\\(x\\) uses the unknown position 3$"),
+        ([(x, {((-1, 1), (1, 1)): F(1)})], "^d\\(x\\) uses the unknown position -1$"),
+        ([(x, {}), (x, {})], "^duplicate generators$"),
+        ([(b, {})], "^duplicate generators$"),
+        ([(Generator("c", 2, index=5), {})], "^generator 'c' sorts before the existing 'b'$"),
+    ]
+    for layer, message in refusals:
+        with pytest.raises(InputError, match=message):
+            D.extend_codes(layer)
+        assert state() == before, message
+    # a new position may be used by its own batch
+    y = Generator("y", 3, stage=2, index=3)  # sorts between b and x
+    D.extend_codes([(x, {((0, 1), (2, 1)): F(-2)}), (y, {})])
+    assert D.gens == (a, b, y, x)
+    assert D.d_on_gens[x] == -2 * Element.from_monomial(Monomial(((a, 1), (y, 1))))
+    assert D.d(Element.from_generator(x)) == D.d_on_gens[x]
 
 
 def test_extend_refuses_what_init_refuses():
@@ -685,4 +775,5 @@ def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwed
                 for j in range(space.dimension):
                     expected = expected + (c if j == i else F(0)) * space.classes[j].representative
                 for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
-                    assert space.combination(coords) == expected, (cochains, m, coords)
+                    combination = cochains.element_of(space.combination(coords))
+                    assert combination == expected, (cochains, m, coords)
