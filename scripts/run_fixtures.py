@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled fixture end to end and print a one-line summary each.
 
-    python3 scripts/run_fixtures.py            # quick fixtures only
-    python3 scripts/run_fixtures.py --all      # include the slow fat-wedge
+    python3 scripts/run_fixtures.py
+
+Exits 1 when a fixture's status differs from the one it expects.
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -21,19 +21,11 @@ from sullivan.fixtures import (  # noqa: E402
     get_fixture,
 )
 
-SLOW = {"fatwedge-e6"}
-
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--all", action="store_true", help="include slow fixtures")
-    args = parser.parse_args()
     failures = 0
     for fid in fixture_ids():
         fixture = get_fixture(fid)
-        if fid in SLOW and not args.all:
-            print(f"{fid:<12} skipped (rerun with --all)")
-            continue
         started = time.perf_counter()
         if fixture.even_half_degree is not None:
             result = even_complex_formality(

@@ -246,9 +246,14 @@ class AttachmentModel:
         d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, so this is the
         base model's d^2 check plus alpha on the linear part of every dg.
         """
-        bad = self.base.dgca.verify_d_squared()
+        dgca = self.base.dgca
+        bad = dgca.verify_d_squared()
+        alpha = self._alpha_on_keys
         for g in self.base.generators:
-            if (bad is not None and g == bad[0]) or self._alpha_of(self.base.d_of(g)):
+            if bad is not None and g == bad[0]:
+                return g
+            dg = dgca.d_basis(dgca.key(Monomial.of(g)))
+            if sum(alpha.get(k, _ZERO) * c for k, c in dg):
                 return g
         return None
 

@@ -237,7 +237,8 @@ def render_model_text(model: BigradedModel) -> str:
     return _format_table(rows, ["deg", "dim", "generator", "stage", "differential", "rho"])
 
 
-def model_json(model: BigradedModel, algebra: PresentedAlgebra) -> dict:
+def model_json(model: BigradedModel) -> dict:
+    algebra = model.algebra
     return {
         "schema": SCHEMA,
         "command": "model",
@@ -391,7 +392,7 @@ def cmd_model(args) -> int:
     else:
         model = build_minimal_model(algebra, truncation)
     if args.json:
-        print(json.dumps(model_json(model, algebra), indent=2))
+        print(json.dumps(model_json(model), indent=2))
     else:
         print(render_model_text(model))
     return EXIT_OK

@@ -42,11 +42,12 @@ monomial, and increasing code order is the canonical monomial order.
 new generator and its d(g) as codes, checking the degree of every term;
 `keys(m)` enumerates the codes of degree m over those tables
 (`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
-with the Koszul sign counted from odd positions.  `Element`, `Monomial` and
+with the Koszul sign counted from odd positions.  The codes are the only
+form in which a `FreeDGCA` keeps its differential: d(g) is read as
+`d_monomial` of the one-factor monomial g.  `Element`, `Monomial` and
 `Generator` appear only at the API boundary: ``element_of`` decodes codes
 where a result leaves the complex (a class representative, `d_monomial`,
-each d(g) in ``d_on_gens``, `basis`), and `extend`, `key` and ``terms_of``
-encode the elements handed in.
+`basis`), and `extend`, `key` and ``terms_of`` encode the elements handed in.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class FreeDGCA:
     ):
         self.truncation = truncation
         self.gens: tuple[Generator, ...] = ()
-        self.d_on_gens: dict[Generator, Element] = {}
         self._keys_cache: dict[int, list[tuple]] = {}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         # degree k -> the codes of CohomologySpace(k).complement (see boundaries)
@@ -168,7 +168,6 @@ class FreeDGCA:
         self.gens += new
         self._degree, self._odd = degree, odd
         self._d_codes += d_codes
-        self.d_on_gens.update((g, self.element_of(terms)) for g, terms in layer)
         low = new[0].degree
         for cache in (self._keys_cache, self._cohomology_cache):
             for m in [m for m in cache if m >= low]:
@@ -280,30 +279,28 @@ class FreeDGCA:
 
     def verify_d_squared(self) -> tuple[Generator, Element] | None:
         """None when d*d kills every generator, else (generator, residue)."""
-        for g in self.gens:
-            dg = self.d_on_gens[g]
-            if dg.is_zero or g.degree + 2 > self.truncation + 2:
+        for g, dg in zip(self.gens, self._d_codes):
+            if not dg or g.degree > self.truncation:
                 continue
             residue: dict[tuple, int | Fraction] = {}
-            for mon, coeff in dg.terms():
-                for code, c in self._d_code(self.key(mon)).items():
-                    v = residue.get(code, 0) + coeff * c
+            for code, _, coeff in dg:
+                for t, c in self._d_code(code).items():
+                    v = residue.get(t, 0) + coeff * c
                     if v:
-                        residue[code] = v
+                        residue[t] = v
                     else:
-                        residue.pop(code, None)
+                        residue.pop(t, None)
             if residue:
                 return g, self.element_of(residue)
         return None
 
     def minimality_violations(self) -> list[Generator]:
         """Generators whose differential has a word-length-1 part."""
-        bad = []
-        for g in self.gens:
-            dg = self.d_on_gens[g]
-            if any(mon.word_length < 2 for mon in dg.monomials()):
-                bad.append(g)
-        return bad
+        return [
+            g
+            for g, dg in zip(self.gens, self._d_codes)
+            if any(sum(e for _, e in code) < 2 for code, _, _ in dg)
+        ]
 
     # --- cohomology -------------------------------------------------------
     def cohomology(self, m: int) -> "CohomologySpace":

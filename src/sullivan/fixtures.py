@@ -90,11 +90,11 @@ def _single_monomial(model: BigradedModel, gen: Generator) -> Monomial | None:
     return None
 
 
-def alias_monomial_targets(model: BigradedModel, square: str, mixed: str) -> dict[str, str]:
+def alias_monomial_targets(model: BigradedModel) -> dict[str, str]:
     """Alias stage-1 generators with monomial differentials.
 
-    A target g^2 becomes ``square + suffix(g)``; a target g*h becomes
-    ``mixed + suffix(g) + suffix(h)``.  Ambiguous cases are skipped.
+    A target g^2 becomes b + suffix(g); a target g*h becomes
+    b + suffix(g) + suffix(h).  Ambiguous cases are skipped.
     """
     mapping: dict[str, str] = {}
     used = {g.name for g in model.generators}
@@ -104,13 +104,9 @@ def alias_monomial_targets(model: BigradedModel, square: str, mixed: str) -> dic
         mon = _single_monomial(model, gen)
         if mon is None:
             continue
-        powers = mon.powers
-        if len(powers) == 1 and powers[0][1] == 2:
-            alias = square + _suffix(powers[0][0].name)
-        elif len(powers) == 2 and all(e == 1 for _, e in powers):
-            alias = mixed + _suffix(powers[0][0].name) + _suffix(powers[1][0].name)
-        else:
+        if [e for _, e in mon.powers] not in ([2], [1, 1]):
             continue
+        alias = "b" + "".join(_suffix(g.name) for g, _ in mon.powers)
         if alias in used:
             continue
         used.add(alias)
@@ -119,7 +115,7 @@ def alias_monomial_targets(model: BigradedModel, square: str, mixed: str) -> dic
 
 
 def _wedge3_aliases(model: BigradedModel) -> dict[str, str]:
-    mapping = alias_monomial_targets(model, square="b", mixed="b")
+    mapping = alias_monomial_targets(model)
     renamed = model.rename(mapping)
     # name the degree-5 stage-3 generators whose differentials contain a
     # product of two square-type b's after the pair they involve
@@ -199,10 +195,6 @@ def _wedge3_alpha(model: BigradedModel) -> list[tuple[str, Fraction]]:
     return [("k12", Fraction(1))]
 
 
-def _cp_aliases(model: BigradedModel) -> dict[str, str]:
-    return alias_monomial_targets(model, square="b", mixed="b")
-
-
 FIXTURES: dict[str, Fixture] = {}
 
 
@@ -218,7 +210,7 @@ _register(
         ("a^2",),
         truncation=4,
         expected_status=None,
-        _alias_builder=_cp_aliases,
+        _alias_builder=alias_monomial_targets,
     )
 )
 _register(
@@ -231,7 +223,7 @@ _register(
         truncation=4,
         cell=4,
         expected_status="Formal",
-        _alias_builder=_cp_aliases,
+        _alias_builder=alias_monomial_targets,
         _alpha_builder=lambda model: [("b", Fraction(1))],
     )
 )
@@ -243,7 +235,7 @@ _register(
         tuple(_WEDGE3_RELS),
         truncation=5,
         expected_status=None,
-        _alias_builder=lambda model: alias_monomial_targets(model, "b", "b"),
+        _alias_builder=alias_monomial_targets,
     )
 )
 _register(

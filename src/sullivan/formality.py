@@ -289,7 +289,7 @@ def even_complex_formality(
             )
             continue
         model = build_minimal_model(current, 4 * k)
-        model = model.rename(alias_monomial_targets(model, "b", "b"))
+        model = model.rename(alias_monomial_targets(model))
         models.append(model)
         _check_even_slices(model, k)
         alpha = AlphaFunctional.build(model, n, pairs)

@@ -3,15 +3,32 @@
 The construction runs degree by degree.  In degree m it first adjoins stage-0
 generators mapping onto a basis of the indecomposables of A^m (rho sends each
 one to its monomial lift, the differential is zero).  It then kills the
-kernel of the induced map rho*: H^(m+1)(current model) -> A^(m+1):
+kernel K of the induced map rho*: H^(m+1)(current model) -> A^(m+1):
 
 * kernel classes that admit a representative inside Lambda(V_0) become
   stage-1 generators whose differentials are those pure representatives;
-* every remaining kernel class gets a generator whose differential is the
-  canonical representative with its Lambda(V_0)-pure component removed
-  (the pure component is exact on Lambda(V_0).Lambda^+(V_1), and subtracting
-  a preimage keeps the class); its stage is one more than the largest stage
-  appearing in the differential.
+* every remaining kernel class gets a generator whose differential is its
+  canonical representative, which has no Lambda(V_0)-pure term; its stage is
+  one more than the largest stage appearing in the differential.
+
+The second kind never needs a pure part removed.  Call a cochain pure when it
+lies in Lambda(V_0), and let P be the span of the classes of pure monomials.
+
+(a) Stage-0 generators have d = 0, so every pure cochain is a cocycle.  The
+    class rows are the RREF of Z cap span(non-pivot columns of B), and that
+    space contains the pure part of each of its elements, so it splits along
+    pure and non-pure columns and so does its RREF: each class row is either
+    pure or has no pure term.  Let P_c be the span of the pure classes and N
+    the span of the others.
+(b) rho kills stage >= 1, so rho* vanishes on N, and K = N (+) (K cap P_c).
+(c) A pure class row is a combination of pure monomials, so P_c lies in P.
+    Hence K cap P = (K cap P_c) (+) (P cap N), and each of its reduced
+    echelon rows lies in P_c or in N.  Reducing a kernel vector modulo
+    K cap P (the stage-1 layer) therefore leaves a vector in N, and the
+    remaining kernel rows combine non-pure class rows only.
+
+The build checks this: a remaining target with a pure term raises
+`IntegrityError`.
 
 The kill step works on class coordinates.  rho* is evaluated only where
 A^(m+1) != 0; where A^(m+1) = 0 (for a wedge of spheres, every m >= 2) the
@@ -21,23 +38,22 @@ its differential through `CohomologySpace.combination`, one sum of sparse
 class rows keyed by code, read straight off one class row when the kernel row
 is a unit vector, so where A^(m+1) = 0 the list of class representatives is
 never built.  The differential stays in codes until `FreeDGCA.extend_codes`
-takes it: its pure part and its stage are read off a position -> stage
-table, and only the purge of a pure part, through `preimage_in_v0_v1`, goes
-through `Element`s.
+takes it, and its stage is read off a position -> stage table.
 
 The construction keeps one `FreeDGCA` and extends it: with the stage-0
-generators of degree m, then the stage-1 layer, whose generators a purge may
-use, then the higher-stage layer.  Each batch sorts after every generator
-before it, so code positions and the caches of lower degrees survive, and the
-coboundaries of H^(m+1) come handed down from the cohomology of degree m.
+generators of degree m, then the stage-1 layer, then the higher-stage layer.
+Each batch sorts after every generator before it, so code positions and the
+caches of lower degrees survive, and the coboundaries of H^(m+1) come handed
+down from the cohomology of degree m.
 
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
 see, while H^m(model) = A^m for every m <= N already holds without them.
 
-The same pure-component solve powers `standardize`, which repairs a model
-whose positive-stage differentials have acquired Lambda(V_0)-pure parts, by
-the substitution y -> y - (preimage).
+`standardize` repairs a model whose positive-stage differentials have
+acquired Lambda(V_0)-pure parts: it solves for a preimage of the pure part in
+Lambda(V_0).Lambda^+(V_1) (`preimage_in_v0_v1`) and substitutes
+y -> y - (preimage).
 """
 
 from __future__ import annotations
@@ -79,7 +95,8 @@ class BigradedModel:
         return None
 
     def d_of(self, gen: Generator) -> Element:
-        return self.dgca.d_on_gens[gen]
+        """d(gen): d of the one-factor monomial gen."""
+        return self.dgca.d_monomial(Monomial.of(gen))
 
     def stage_slice(self, stage: int, degree: int) -> list[Generator]:
         if degree > self.truncation:
@@ -135,14 +152,13 @@ class BigradedModel:
         for mon in delta.monomials():
             if gen in mon.generators():
                 raise InputError("substitution may not be recursive")
-        old_d = self.dgca.d_on_gens
         replacement = Element.from_generator(gen) - delta  # old gen in the new basis
         new_d: dict[Generator, Element] = {}
         for g in self.generators:
             if g == gen:
-                new_d[g] = old_d[g] + self.dgca.d(delta)
+                new_d[g] = self.d_of(g) + self.dgca.d(delta)
             else:
-                new_d[g] = _substitute_in_element(old_d[g], gen, replacement)
+                new_d[g] = _substitute_in_element(self.d_of(g), gen, replacement)
         new_rho = dict(self.rho)
         new_rho[gen] = self.algebra.reduce(self.rho[gen] + self.rho_of(delta))
         return BigradedModel(
@@ -162,10 +178,7 @@ class BigradedModel:
                 raise InputError(f"rename target {new_name!r} already in use")
             taken.add(new_name)
             gmap[g] = Generator(new_name, g.degree, g.stage, g.index)
-        new_d = {
-            gmap[g]: _map_generators(dg, gmap)
-            for g, dg in self.dgca.d_on_gens.items()
-        }
+        new_d = {gmap[g]: _map_generators(self.d_of(g), gmap) for g in self.generators}
         new_rho = {gmap[g]: img for g, img in self.rho.items()}
         return BigradedModel(
             FreeDGCA(tuple(gmap[g] for g in self.generators), new_d, self.truncation),
@@ -288,45 +301,20 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             layer.append((new_generator(1), target))
         model.extend_codes(layer)
 
-        # higher stages: remaining kernel classes, purged of pure components.
-        # The purge preimages may involve the stage-1 generators just added
-        # but none of the generators added below, which join the model
-        # together once the layer is complete, in sorted order.
+        # higher stages: the remaining kernel classes, which combine class
+        # rows with no pure term (see the module docstring).  Their
+        # generators join the model together once the layer is complete, in
+        # sorted order.
         stage_of = [g.stage for g in model.gens]
-
-        def pure_part(terms: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
-            """The terms whose factors all have stage 0."""
-            return {
-                code: c for code, c in terms.items() if not any(stage_of[p] for p, _ in code)
-            }
-
         handled = RowSpace(pure_kernel)
         leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
         layer = []
         for row in leftovers.fraction_rows():
             target = h_space.combination(row)
-            pure = pure_part(target)
-            if len(pure) == len(target):
-                raise IntegrityError(
-                    "a kernel class with a pure representative escaped the stage-1 layer"
-                )
-            if pure:
-                w = preimage_in_v0_v1(model, model.gens, model.element_of(pure), m)
-                if w is None:
-                    raise IntegrityError(
-                        "pure component of a kernel representative is not "
-                        "exact; construction invariant broken"
-                    )
-                for code, c in model.terms_of(model.d(w)):
-                    v = target.get(code, _ZERO) - c
-                    if v:
-                        target[code] = v
-                    else:
-                        target.pop(code, None)
-                if pure_part(target):
-                    raise IntegrityError("pure component survived its purge")
-            stage = 1 + max(stage_of[p] for code in target for p, _ in code)
-            layer.append((new_generator(stage), target))
+            stages = [max(stage_of[p] for p, _ in code) for code in target]
+            if not all(stages):
+                raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
+            layer.append((new_generator(1 + max(stages)), target))
         model.extend_codes(layer)
 
     return BigradedModel(model, rho, algebra, truncation)

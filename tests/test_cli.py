@@ -272,6 +272,24 @@ def test_verdict_builds_one_attachment(argv, tmp_path, monkeypatch, capsys):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("fixture", ["cp1", "wedge3-s2"])
+def test_model_json_builds_each_algebra_degree_once(fixture, monkeypatch, capsys):
+    """The JSON cohomology dimensions read the A^m the model was built on."""
+    from sullivan import cli, presented
+
+    built = {}
+    original = presented.CohomologySpace
+
+    def counting(cochains, m):
+        built[m] = built.get(m, 0) + 1
+        return original(cochains, m)
+
+    monkeypatch.setattr(presented, "CohomologySpace", counting)
+    assert cli.main(["model", "--fixture", fixture, "--json"]) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["cohomology"]
+    assert built and all(n == 1 for n in built.values()), built
+
+
 _WEDGE_HEAD = "algebra:\ngen a 2\nrel a^2\n"
 
 

@@ -36,6 +36,11 @@ def gens_of(dgca):
     return {g.name: g for g in dgca.gens}
 
 
+def d_on_gens(D):
+    """Each d(g) as an `Element`, read through the complex as d of the monomial g."""
+    return {g: D.d_monomial(Monomial.of(g)) for g in D.gens}
+
+
 def test_leibniz_on_product(sphere_model):
     g = gens_of(sphere_model)
     ab = Element.from_monomial(Monomial(((g["a"], 1), (g["b"], 1))))
@@ -202,16 +207,18 @@ def test_leibniz_identity_random(data):
     assert D.d(x * y) == D.d(x) * y + sign * (x * D.d(y))
 
 
-def reference_d_monomial(D, mon):
+def reference_d_monomial(d, mon):
     """Leibniz rule by `Element` products: sum of sign * e * prefix * d(g) * rest.
 
-    Independent of the exponent-code tables `FreeDGCA` computes d with.
+    ``d`` maps generators to the `Element`s given for their differentials, so
+    the rule is independent of the exponent-code tables `FreeDGCA` computes d
+    with.
     """
     out = Element.zero()
     powers = mon.powers
     prefix_degree = 0
     for idx, (g, e) in enumerate(powers):
-        dg = D.d_on_gens[g]
+        dg = d.get(g, Element.zero())
         if not dg.is_zero:
             sign = -1 if prefix_degree % 2 else 1
             prefix = Element.from_monomial(Monomial(powers[:idx]))
@@ -244,8 +251,8 @@ _FORCED_TERMS = {
 
 
 @st.composite
-def leibniz_dgcas(draw):
-    """A FreeDGCA on mixed-parity generators with a random d (d^2 need not vanish)."""
+def leibniz_differentials(draw):
+    """A random d on the mixed-parity generators _ORACLE_GENS (d^2 need not vanish)."""
     d = {}
     for g in _ORACLE_GENS:
         terms = {}
@@ -255,7 +262,7 @@ def leibniz_dgcas(draw):
         for mon in draw(st.lists(st.sampled_from(targets), max_size=3)):
             terms[mon] = draw(coefficients)
         d[g] = Element(terms)
-    return FreeDGCA(_ORACLE_GENS, d, truncation=12)
+    return d
 
 
 @st.composite
@@ -272,10 +279,11 @@ def monomials_of(draw, D):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_d_monomial_matches_reference_leibniz(data):
-    D = data.draw(leibniz_dgcas())
+    d = data.draw(leibniz_differentials())
+    D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
     for _ in range(4):
         mon = data.draw(monomials_of(D))
-        expected = reference_d_monomial(D, mon)
+        expected = reference_d_monomial(d, mon)
         assert D.d_monomial(mon) == expected
         decoded = Element(
             {
@@ -311,53 +319,91 @@ def test_class_product_representative_independence():
     assert z.is_zero
 
 
-def reference_verify_d_squared(D):
+def reference_verify_d_squared(gens, d):
     """The first generator with d(d g) != 0 and its residue, by `Element` sums."""
-    for g in D.gens:
+    for g in gens:
         residue = Element.zero()
-        for mon, c in D.d_on_gens[g].terms():
-            residue = residue + c * reference_d_monomial(D, mon)
+        for mon, c in d.get(g, Element.zero()).terms():
+            residue = residue + c * reference_d_monomial(d, mon)
         if not residue.is_zero:
             return g, residue
     return None
 
 
 @settings(max_examples=200, deadline=None)
-@given(leibniz_dgcas())
-def test_verify_d_squared_residue_matches_reference(D):
-    assert D.verify_d_squared() == reference_verify_d_squared(D)
+@given(leibniz_differentials())
+def test_verify_d_squared_residue_matches_reference(d):
+    D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
+    assert D.verify_d_squared() == reference_verify_d_squared(_ORACLE_GENS, d)
 
 
 def test_verify_d_squared_residue_with_odd_and_even_generators():
     # d(c) is closed, d(h) is not: d(d h) mixes signs from odd factors
     # passing each other, and one of its terms dies on b1 * b1 = 0
-    D = FreeDGCA(
-        _ORACLE_GENS,
-        {
-            _B1: Element.from_monomial(Monomial.of(_A1, 2)),
-            _B2: Element.from_monomial(Monomial(((_A1, 1), (_A2, 1)))),
-            _B3: Element.from_monomial(Monomial.of(_A2, 2)),
-            _C: Element(
-                {
-                    Monomial(((_A2, 1), (_B1, 1))): F(1),
-                    Monomial(((_A1, 1), (_B2, 1))): F(-1),
-                }
-            ),
-            _H: Element(
-                {
-                    Monomial(((_B1, 1), (_B2, 1), (_B3, 1))): F(1),
-                    Monomial(((_A1, 1), (_B1, 1), (_C, 1))): F(-2),
-                }
-            ),
-        },
-        truncation=12,
-    )
+    d = {
+        _B1: Element.from_monomial(Monomial.of(_A1, 2)),
+        _B2: Element.from_monomial(Monomial(((_A1, 1), (_A2, 1)))),
+        _B3: Element.from_monomial(Monomial.of(_A2, 2)),
+        _C: Element(
+            {
+                Monomial(((_A2, 1), (_B1, 1))): F(1),
+                Monomial(((_A1, 1), (_B2, 1))): F(-1),
+            }
+        ),
+        _H: Element(
+            {
+                Monomial(((_B1, 1), (_B2, 1), (_B3, 1))): F(1),
+                Monomial(((_A1, 1), (_B1, 1), (_C, 1))): F(-2),
+            }
+        ),
+    }
+    D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
     gen, residue = D.verify_d_squared()
-    assert (gen, residue) == reference_verify_d_squared(D)
+    assert (gen, residue) == reference_verify_d_squared(_ORACLE_GENS, d)
     assert gen == _H
     assert str(residue) == (
         "-a1*a2*b1*b3 - 2*a1^2*b1*b2 + a1^2*b2*b3 - 2*a1^3*c + a2^2*b1*b2"
     )
+
+
+def test_d_of_a_generator_is_the_element_given_for_it_hand_built():
+    # several terms, a Fraction coefficient, odd * odd factors and a
+    # generator with d = 0
+    d = {
+        _B2: F(3, 2) * Element.from_monomial(Monomial(((_A1, 1), (_A2, 1)))),
+        _C: Element(
+            {
+                Monomial(((_A2, 1), (_B1, 1))): F(1),
+                Monomial(((_A1, 1), (_B2, 1))): F(-1, 3),
+            }
+        ),
+        _E: -2 * Element.from_monomial(Monomial(((_B1, 1), (_B3, 1)))),
+        _H: Element.from_monomial(Monomial(((_B1, 1), (_B2, 1), (_B3, 1)))),
+    }
+    D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
+    for g in _ORACLE_GENS:
+        assert D.d_monomial(Monomial.of(g)) == d.get(g, Element.zero()), g.name
+        assert D.d(Element.from_generator(g)) == d.get(g, Element.zero()), g.name
+
+
+def test_minimality_violations_flag_a_linear_term():
+    a = Generator("a", 2, index=0)
+    b, x = Generator("b", 3, stage=1, index=1), Generator("x", 3, stage=1, index=2)
+    c = Generator("c", 4, stage=1, index=3)
+    e = Generator("e", 5, stage=2, index=4)
+    a2 = Element.from_monomial(Monomial.of(a, 2))
+    D = FreeDGCA(
+        [a, b, x, c, e],
+        {
+            b: a2 + Element.from_generator(c),  # a linear term beside a square
+            x: -2 * Element.from_generator(c),  # a linear term alone
+            c: Element.zero(),
+            e: Element.from_monomial(Monomial(((b, 1), (x, 1)))),
+        },
+        truncation=6,
+    )
+    assert D.minimality_violations() == [b, x]
+    assert FreeDGCA([a, b], {b: a2}, truncation=6).minimality_violations() == []
 
 
 def _wedge_stage01(wedge3_s2):
@@ -385,7 +431,7 @@ def _combination_spaces(wedge3_s2, fatwedge_e6):
     )
     return [
         (partial.dgca, 5),
-        (FreeDGCA(fat.gens, fat.d_on_gens, fat.truncation), 4),
+        (FreeDGCA(fat.gens, d_on_gens(fat), fat.truncation), 4),
         (AttachmentModel(partial, AlphaFunctional.zero(5)), 5),
         (presented, 4),
         (presented, 6),
@@ -497,11 +543,12 @@ _CLOSED_TOP = 7
 
 
 @st.composite
-def closed_dgcas(draw):
-    """A FreeDGCA on mixed-parity generators whose random d squares to zero.
+def closed_differentials(draw):
+    """Mixed-parity generators and a random d on them that squares to zero.
 
     Each d(g) is a random combination of the cocycles of degree |g| + 1 built
     from the generators before g, so d(d g) = 0 holds by construction.
+    Returns the generators and d as {generator: Element}.
     """
     degrees = sorted([2, 3, *draw(st.lists(st.integers(2, 6), min_size=2, max_size=4))])
     gens = [Generator(f"g{i}", deg, index=i) for i, deg in enumerate(degrees)]
@@ -519,7 +566,12 @@ def closed_dgcas(draw):
             for j, v in z.items():
                 target = target + Element.from_monomial(basis[j], c * v)
         d[g] = target
-    return FreeDGCA(gens, d, truncation=_CLOSED_TOP)
+    return gens, d
+
+
+def closed_dgcas():
+    """A FreeDGCA on mixed-parity generators whose random d squares to zero."""
+    return closed_differentials().map(lambda gens_d: FreeDGCA(*gens_d, _CLOSED_TOP))
 
 
 @settings(max_examples=150, deadline=None)
@@ -527,6 +579,15 @@ def closed_dgcas(draw):
 def test_class_rows_match_three_pass_reference_free(D):
     assert D.verify_d_squared() is None
     _assert_class_rows_match_reference(D, range(0, _CLOSED_TOP + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_differentials())
+def test_d_of_a_generator_is_the_element_given_for_it_closed(gens_d):
+    gens, d = gens_d
+    D = FreeDGCA(gens, d, _CLOSED_TOP)
+    for g in gens:
+        assert D.d_monomial(Monomial.of(g)) == d[g], g.name
 
 
 def test_class_rows_match_three_pass_reference_complexes(wedge3_s2, cp2_attach, wedge3_e6):
@@ -580,12 +641,13 @@ def _grow(D, data):
     gens = D.gens
     cuts = sorted(data.draw(st.sets(st.integers(1, len(gens) - 1), max_size=3)))
     bounds = [0, *cuts, len(gens)]
-    grown = FreeDGCA(gens[: bounds[1]], D.d_on_gens, _CLOSED_TOP)
+    d = d_on_gens(D)
+    grown = FreeDGCA(gens[: bounds[1]], d, _CLOSED_TOP)
     yield grown
     for lo, hi in zip(bounds[1:], bounds[2:]):
         for m in range(_CLOSED_TOP + 1):
             grown.cohomology(m)
-        grown.extend(gens[lo:hi], D.d_on_gens)
+        grown.extend(gens[lo:hi], d)
         yield grown
 
 
@@ -593,7 +655,7 @@ def _grow(D, data):
 @given(closed_dgcas(), st.data())
 def test_extend_matches_a_fresh_complex(D, data):
     *_, grown = _grow(D, data)
-    assert grown.gens == D.gens and grown.d_on_gens == D.d_on_gens
+    assert grown.gens == D.gens and d_on_gens(grown) == d_on_gens(D)
     # in any order, so that a degree can read a record from before the last
     # extension rather than one just made
     for m in data.draw(st.permutations(range(_CLOSED_TOP + 1))):
@@ -628,7 +690,7 @@ def test_extend_codes_refuses_bad_codes():
     D.cohomology(5)
 
     def state():
-        return (D.gens, dict(D.d_on_gens), D.keys(5), dict(D._handed_down),
+        return (D.gens, d_on_gens(D), D.keys(5), dict(D._handed_down),
                 dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
 
     before = state()
@@ -650,8 +712,8 @@ def test_extend_codes_refuses_bad_codes():
     y = Generator("y", 3, stage=2, index=3)  # sorts between b and x
     D.extend_codes([(x, {((0, 1), (2, 1)): F(-2)}), (y, {})])
     assert D.gens == (a, b, y, x)
-    assert D.d_on_gens[x] == -2 * Element.from_monomial(Monomial(((a, 1), (y, 1))))
-    assert D.d(Element.from_generator(x)) == D.d_on_gens[x]
+    assert d_on_gens(D)[x] == -2 * Element.from_monomial(Monomial(((a, 1), (y, 1))))
+    assert D.d(Element.from_generator(x)) == d_on_gens(D)[x]
 
 
 def test_extend_refuses_what_init_refuses():
@@ -667,7 +729,7 @@ def test_extend_refuses_what_init_refuses():
             FreeDGCA(gens, d, truncation=8)
     D = FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
     D.cohomology(4)
-    before = (D.gens, dict(D.d_on_gens), D.basis(4), dict(D._handed_down))
+    before = (D.gens, d_on_gens(D), D.basis(4), dict(D._handed_down))
     for gens, d, message in [([a], {}, "^duplicate generators$"),
                              ([x, x], {}, "^duplicate generators$"),
                              ([x], {x: dx}, "^d\\(x\\) uses the unknown generator 'y'$")]:
@@ -676,10 +738,10 @@ def test_extend_refuses_what_init_refuses():
     late = Generator("c", 2, index=5)  # sorts before b
     with pytest.raises(InputError, match="^generator 'c' sorts before the existing 'b'$"):
         D.extend([late], {})
-    assert (D.gens, D.d_on_gens, D.basis(4), D._handed_down) == before
+    assert (D.gens, d_on_gens(D), D.basis(4), D._handed_down) == before
     # a batch in any order, whose d uses a generator of the same batch
     D.extend([y, x], {x: dx})
-    assert D.gens == (a, b, y, x) and D.d_on_gens[x] == dx
+    assert D.gens == (a, b, y, x) and d_on_gens(D)[x] == dx
 
 
 def _assert_handed_down_rows_are_a_basis(D, degrees):

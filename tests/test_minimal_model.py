@@ -174,6 +174,15 @@ def test_built_models_satisfy_invariants(data):
     assert model.dgca.minimality_violations() == []
     assert verify_standard(model) == []
     assert model.verify() == []
+    # the kill step's lemma: a class representative is either Lambda(V_0)-pure
+    # or has no pure term, so no stage >= 2 differential has a pure term
+    for m in range(truncation + 1):
+        for cls in model.dgca.cohomology(m).classes:
+            kinds = {mon.max_stage() == 0 for mon in cls.representative.monomials()}
+            assert len(kinds) <= 1, (m, str(cls))
+    for g in model.generators:
+        if g.stage >= 2:
+            assert all(mon.max_stage() > 0 for mon in model.d_of(g).monomials()), g.name
 
 
 @settings(max_examples=60, deadline=None)
