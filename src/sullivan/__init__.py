@@ -37,8 +37,6 @@ from .formality import (
     FormalityVerdict,
     even_complex_formality,
     formality_verdict,
-    hurewicz_vanishes,
-    is_special,
 )
 
 __version__ = "0.1.0"
@@ -67,8 +65,6 @@ __all__ = [
     "build_minimal_model",
     "even_complex_formality",
     "formality_verdict",
-    "hurewicz_vanishes",
-    "is_special",
     "monomial_basis",
     "normalize_monomial",
     "standardize",

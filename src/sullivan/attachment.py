@@ -244,16 +244,15 @@ class AttachmentModel:
         """The first generator g with d_tw(d_tw g) != 0, or None.
 
         d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, so this is the
-        base model's d^2 check plus alpha on the linear part of every dg.
+        base model's d^2 check plus alpha on the linear part of every dg,
+        read off the code table of d(g) and summed over the terms alpha holds.
         """
-        dgca = self.base.dgca
-        bad = dgca.verify_d_squared()
+        bad = self.base.dgca.verify_d_squared()
         alpha = self._alpha_on_keys
-        for g in self.base.generators:
+        for g, dg in self.base.dgca.d_codes():
             if bad is not None and g == bad[0]:
                 return g
-            dg = dgca.d_basis(dgca.key(Monomial.of(g)))
-            if sum(alpha.get(k, _ZERO) * c for k, c in dg):
+            if sum(alpha[code] * c for code, _, c in dg if code in alpha):
                 return g
         return None
 

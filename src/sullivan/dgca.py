@@ -48,10 +48,17 @@ form in which a `FreeDGCA` keeps its differential: d(g) is read as
 `Generator` appear only at the API boundary: ``element_of`` decodes codes
 where a result leaves the complex (a class representative, `d_monomial`,
 `basis`), and `extend`, `key` and ``terms_of`` encode the elements handed in.
+
+Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
+generator at its position, so the renamed complex shares the code tables,
+the keys, the handed-down records and the class rows of the cached
+cohomology with its source; only the generator tuple and the decoding
+tables that turn codes back into monomials are new.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,7 +90,8 @@ class FreeDGCA:
     ):
         self.truncation = truncation
         self.gens: tuple[Generator, ...] = ()
-        self._keys_cache: dict[int, list[tuple]] = {}
+        # degree m -> (the codes of degree m, their first positions); see keys
+        self._codes: list[tuple[list[tuple], list[int]]] = []
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         # degree k -> the codes of CohomologySpace(k).complement (see boundaries)
         self._handed_down: dict[int, list[tuple]] = {}
@@ -129,8 +137,8 @@ class FreeDGCA:
         new ones take the next positions in their sorted order, and a code may
         use any old or new position.  Every term of d(g) must have degree
         |g| + 1.  A refused batch leaves the complex unchanged.  The keys and
-        cohomology caches of every degree at or above the smallest new degree
-        are dropped; code positions stay stable.  A handed-down coboundary
+        cohomology of every degree at or above the smallest new degree are
+        dropped; code positions stay stable.  A handed-down coboundary
         record for degree k survives when every new g has k < |g|,
         k = |g| + 1, or k = |g| and dg = 0: g adds cochains only in degree |g|
         (g itself) and in degrees >= |g| + 2, so otherwise d of the degree-k
@@ -169,9 +177,9 @@ class FreeDGCA:
         self._degree, self._odd = degree, odd
         self._d_codes += d_codes
         low = new[0].degree
-        for cache in (self._keys_cache, self._cohomology_cache):
-            for m in [m for m in cache if m >= low]:
-                del cache[m]
+        del self._codes[low:]
+        for m in [m for m in self._cohomology_cache if m >= low]:
+            del self._cohomology_cache[m]
         for k in list(self._handed_down):
             if not all(
                 k < g.degree or k == g.degree + 1 or (k == g.degree and not terms)
@@ -183,18 +191,50 @@ class FreeDGCA:
     def keys(self, m: int) -> list[tuple]:
         """The codes of the degree-m monomials, in the canonical monomial order.
 
-        They are enumerated over the position, degree and parity tables and
-        cached per degree (m <= truncation + 1).
+        They are enumerated over the position, degree and parity tables, each
+        degree once, from the kept codes of the degrees below (m <= truncation + 1).
         """
         if m > self.truncation + 1:
             raise TruncationError(
                 f"degree {m} data requested from a model truncated at {self.truncation}"
             )
-        cached = self._keys_cache.get(m)
-        if cached is None:
-            cached = monomial_codes(self._degree, self._odd, m)
-            self._keys_cache[m] = cached
-        return cached
+        return monomial_codes(self._degree, self._odd, m, self._codes)
+
+    def renamed(self, names: Sequence[str]) -> "FreeDGCA":
+        """This complex with the generator at position p named names[p].
+
+        Each generator keeps its degree, stage and index, so every code keeps
+        its meaning and nothing is rebuilt or re-encoded: the renamed complex
+        shares the code tables, the keys, the handed-down coboundary records
+        and the class rows of the cached cohomology, and decodes its classes
+        afresh, with the new names.  It copies the lists and dicts that
+        `extend_codes` changes in place, so extending either complex leaves
+        the other as it was.  Names that would reorder two generators
+        (`Generator.sort_key` breaks a tie by name) are refused with an
+        `InputError` that names both.
+        """
+        gens = tuple(
+            Generator(name, g.degree, g.stage, g.index)
+            for name, g in zip(names, self.gens, strict=True)
+        )
+        for p in range(1, len(gens)):
+            if gens[p - 1].sort_key() >= gens[p].sort_key():
+                before, after = self.gens[p - 1], self.gens[p]
+                raise InputError(
+                    f"the new names {gens[p - 1].name!r} and {gens[p].name!r} would "
+                    f"reorder the generators {before.name!r} and {after.name!r}"
+                )
+        out = copy.copy(self)
+        out.gens = gens
+        out._position = {g: p for p, g in enumerate(gens)}
+        out._pairs = {}
+        out._d_codes = list(self._d_codes)
+        out._codes = list(self._codes)
+        out._handed_down = dict(self._handed_down)
+        out._cohomology_cache = {
+            m: space.rebased(out) for m, space in self._cohomology_cache.items()
+        }
+        return out
 
     def basis(self, m: int) -> list[Monomial]:
         """Monomial basis of the degree-m cochains (m <= truncation + 1)."""
@@ -214,6 +254,10 @@ class FreeDGCA:
         for mon, coeff in x.terms():
             out = out + coeff * self.d_monomial(mon)
         return out
+
+    def d_codes(self):
+        """Each generator with d(g) as it is kept: (code, odd positions, coefficient) triples."""
+        return zip(self.gens, self._d_codes)
 
     def d_monomial(self, mon: Monomial) -> Element:
         """d of one monomial by the Leibniz rule."""
@@ -418,6 +462,18 @@ class CohomologySpace:
         self._class_pivots = [min(row) for row in self._class_rows]
         class_pivots = set(self._class_pivots)
         self.complement = [keys[j] for j in free if j not in class_pivots]
+
+    def rebased(self, cochains) -> "CohomologySpace":
+        """This space read through another complex with the same keys and d.
+
+        The rows are shared; the classes are built afresh, through the other
+        complex's ``element_of``.  `FreeDGCA.renamed` re-points its cached
+        cohomology this way.
+        """
+        out = copy.copy(self)
+        out.cochains = cochains
+        out.__dict__.pop("classes", None)
+        return out
 
     @cached_property
     def classes(self) -> list[CohomologyClass]:

@@ -98,20 +98,6 @@ def _special(alpha: AlphaFunctional) -> tuple[bool, list[Generator]]:
     return not violators, violators
 
 
-def hurewicz_vanishes(model: BigradedModel, alpha: AlphaFunctional) -> bool:
-    """True when alpha kills every stage-0 generator of degree n-1."""
-    _require_standard(model)
-    return _hurewicz_zero(model, alpha)
-
-
-def is_special(
-    model: BigradedModel, alpha: AlphaFunctional
-) -> tuple[bool, list[Generator]]:
-    """Specialness: the support of alpha lies entirely in stage 1."""
-    _require_standard(model)
-    return _special(alpha)
-
-
 def _witness_text(witness) -> list[str]:
     return [
         (f"{c}*{c1}*{c2}" if c != 1 else f"{c1}*{c2}")

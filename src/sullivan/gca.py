@@ -319,7 +319,12 @@ def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:
     return [Monomial(tuple([(ordered[p], e) for p, e in code])) for code in codes]
 
 
-def monomial_codes(degrees: Sequence[int], odd: Sequence[bool], degree: int) -> list[tuple]:
+def monomial_codes(
+    degrees: Sequence[int],
+    odd: Sequence[bool],
+    degree: int,
+    table: list[tuple[list[tuple], list[int]]] | None = None,
+) -> list[tuple]:
     """The codes of all monomials of the given degree, in increasing order.
 
     Position p stands for a generator of degree ``degrees[p]``, odd when
@@ -332,12 +337,20 @@ def monomial_codes(degrees: Sequence[int], odd: Sequence[bool], degree: int) -> 
     first factor (p, e) followed by each code of degree r - e * degrees[p]
     whose first position lies above p.  In a sorted list those codes form a
     suffix, so every degree comes out sorted.
+
+    ``table`` lists, for degrees 0, 1, ... in turn, the codes of that degree
+    and their first positions.  A caller keeps it between calls, and the
+    degrees it lacks are appended to it in place, so each degree is
+    enumerated once.  Its entries must come from the same generators: a
+    caller that adds generators of degree k deletes the entries from k on.
     """
     if degree < 0:
         return []
-    codes_of: list[list[tuple]] = [[()]]
-    firsts: list[list[int]] = [[-1]]  # first positions; the empty code takes -1
-    for r in range(1, degree + 1):
+    if table is None:
+        table = []
+    if not table:
+        table.append(([()], [-1]))  # the empty code; its first position is -1
+    for r in range(len(table), degree + 1):
         codes: list[tuple] = []
         for p, dp in enumerate(degrees):
             if dp > r:
@@ -348,11 +361,10 @@ def monomial_codes(degrees: Sequence[int], odd: Sequence[bool], degree: int) -> 
                 if rest == 0:
                     codes.append(head)
                 else:
-                    tails = codes_of[rest]
-                    codes += [head + tail for tail in tails[bisect_right(firsts[rest], p) :]]
-        codes_of.append(codes)
-        firsts.append([code[0][0] for code in codes])
-    return codes_of[degree]
+                    tails, firsts = table[rest]
+                    codes += [head + tail for tail in tails[bisect_right(firsts, p) :]]
+        table.append((codes, [code[0][0] for code in codes]))
+    return table[degree][0]
 
 
 def split_by_stage(x: Element) -> tuple[Element, Element]:

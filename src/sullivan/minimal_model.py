@@ -169,31 +169,32 @@ class BigradedModel:
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "BigradedModel":
-        """Rename generators; degrees, stages and ordering are unchanged."""
+        """Rename generators; degrees, stages and ordering are unchanged.
+
+        Nothing is built again: the renamed complex is `FreeDGCA.renamed` of
+        this one, which shares the code tables, the keys, the handed-down
+        coboundary records and the class rows of the cohomology computed so
+        far, and decodes classes with the new names.  `Generator.sort_key`
+        breaks a (degree, stage, index) tie by name, so new names could
+        reorder two generators; such a renaming is refused with an
+        `InputError` that names both.
+        """
         taken = {g.name for g in self.generators if g.name not in mapping}
-        gmap: dict[Generator, Generator] = {}
+        names = []
         for g in self.generators:
             new_name = mapping.get(g.name, g.name)
             if new_name != g.name and new_name in taken:
                 raise InputError(f"rename target {new_name!r} already in use")
             taken.add(new_name)
-            gmap[g] = Generator(new_name, g.degree, g.stage, g.index)
-        new_d = {gmap[g]: _map_generators(self.d_of(g), gmap) for g in self.generators}
-        new_rho = {gmap[g]: img for g, img in self.rho.items()}
+            names.append(new_name)
+        dgca = self.dgca.renamed(names)
+        gmap = dict(zip(self.generators, dgca.gens))
         return BigradedModel(
-            FreeDGCA(tuple(gmap[g] for g in self.generators), new_d, self.truncation),
-            new_rho,
+            dgca,
+            {gmap[g]: img for g, img in self.rho.items()},
             self.algebra,
             self.truncation,
         )
-
-
-def _map_generators(element: Element, gmap: Mapping[Generator, Generator]) -> Element:
-    out: dict[Monomial, Fraction] = {}
-    for mon, c in element.terms():
-        powers = tuple((gmap.get(g, g), e) for g, e in mon.powers)
-        out[Monomial(powers)] = c
-    return Element(out)
 
 
 def _substitute_in_element(element: Element, gen: Generator, replacement: Element) -> Element:
@@ -379,19 +380,25 @@ def verify_standard(model: BigradedModel) -> list[str]:
     """Violations of standardness; empty list when the model is standard.
 
     Standard means rho kills every positive-stage generator and, for stages
-    k >= 2, no differential has a Lambda(V_0)-pure component.
+    k >= 2, no differential has a Lambda(V_0)-pure component.  The pure terms
+    are found on the codes of d(g), through a position -> stage table; only a
+    pure component that is found is decoded, for its message.
     """
+    dgca = model.dgca
+    stage_of = [g.stage for g in dgca.gens]
     problems = []
-    for g in model.generators:
+    for g, dg in dgca.d_codes():
         if g.stage >= 1 and not model.rho[g].is_zero:
             problems.append(
                 f"rho({g.name}) = {model.rho[g]} != 0 on stage {g.stage}"
             )
         if g.stage >= 2:
-            pure, _ = split_by_stage(model.d_of(g))
-            if not pure.is_zero:
+            pure = {
+                code: c for code, _, c in dg if c and not any(stage_of[p] for p, _ in code)
+            }
+            if pure:
                 problems.append(
-                    f"d({g.name}) has the Lambda(V_0)-pure component {pure}"
+                    f"d({g.name}) has the Lambda(V_0)-pure component {dgca.element_of(pure)}"
                 )
     return problems
 

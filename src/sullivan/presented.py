@@ -20,7 +20,10 @@ from typing import Mapping, Sequence
 from . import expr
 from .dgca import CohomologySpace, DecomposableSubspace
 from .errors import InputError, TruncationError
-from .gca import Element, Generator, Monomial, monomial_basis
+from .gca import Element, Generator, Monomial, monomial_codes
+# Not called here: perfbench/layertrace.py wraps monomial_basis under every
+# module name bound to it and requires this binding.
+from .gca import monomial_basis  # noqa: F401
 
 
 class PresentedAlgebra:
@@ -36,6 +39,9 @@ class PresentedAlgebra:
         self.relations = tuple(relations)
         self.truncation = truncation
         self._components: dict[int, CohomologySpace] = {}
+        # the monomial codes of each degree over the sorted generators, built once
+        self._sorted = sorted(self.generators, key=Generator.sort_key)
+        self._codes: list[tuple[list[tuple], list[int]]] = []
 
     @classmethod
     def from_strings(
@@ -97,8 +103,13 @@ class PresentedAlgebra:
 
     # --- the cochain-complex interface read by CohomologySpace --------------
     def keys(self, m: int) -> list[Monomial]:
-        """The degree-m monomials: a presented algebra keys its columns by monomial."""
-        return monomial_basis(self.generators, m)
+        """The degree-m monomials, in the canonical order: a presented algebra
+        keys its columns by monomial."""
+        gens = self._sorted
+        codes = monomial_codes(
+            [g.degree for g in gens], [g.is_odd for g in gens], m, self._codes
+        )
+        return [Monomial(tuple([(gens[p], e) for p, e in code])) for code in codes]
 
     @staticmethod
     def d_basis(mon: Monomial):
@@ -116,7 +127,7 @@ class PresentedAlgebra:
             if d is None or d > m:
                 continue
             if d not in cofactors:
-                cofactors[d] = monomial_basis(self.generators, m - d)
+                cofactors[d] = self.keys(m - d)
             for cof in cofactors[d]:
                 yield (Element.from_monomial(cof) * rel).terms()
 

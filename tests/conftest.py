@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from sullivan import formality
 from sullivan.attachment import AlphaFunctional
 from sullivan.dgca import DecomposableSubspace
 from sullivan.fixtures import build_fixture
@@ -47,6 +48,20 @@ def class_product(dgca, c1, c2):
 
 def decomposable_subspace(dgca, m):
     return DecomposableSubspace(dgca.cohomology, m)
+
+
+def hurewicz_vanishes(model, alpha):
+    """The verdict's Hurewicz test on a standard model: alpha kills every
+    stage-0 generator of degree n - 1."""
+    formality._require_standard(model)
+    return formality._hurewicz_zero(model, alpha)
+
+
+def is_special(model, alpha):
+    """The verdict's specialness test on a standard model: (special, violators),
+    special when the support of alpha lies in stage 1."""
+    formality._require_standard(model)
+    return formality._special(alpha)
 
 
 def scaled(alpha, c):

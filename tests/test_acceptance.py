@@ -23,15 +23,13 @@ from sullivan.formality import (
     NOT_FORMAL,
     even_complex_formality,
     formality_verdict,
-    hurewicz_vanishes,
-    is_special,
 )
 from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
 from sullivan.linalg import RowSpace
 from sullivan.minimal_model import build_minimal_model, standardize, verify_standard
 from sullivan.presented import PresentedAlgebra
 
-from conftest import class_product, scaled, small_presentations
+from conftest import class_product, hurewicz_vanishes, is_special, scaled, small_presentations
 
 F = Fraction
 

@@ -183,6 +183,19 @@ def test_twisted_d_squared_fails_when_alpha_meets_a_linear_part():
         build_attachment(model, alpha)
 
 
+def test_twisted_d_squared_sums_alpha_over_the_linear_part():
+    # dx = y1 + y2 + a*b: alpha(y1) + alpha(y2) = 0 passes, and 1 + 1 fails
+    a, b = Generator("a", 2, 0, 0), Generator("b", 2, 0, 1)
+    x, y1, y2 = Generator("x", 3, 1, 2), Generator("y1", 4, 0, 3), Generator("y2", 4, 0, 4)
+    dx = Element.from_generator(y1) + Element.from_generator(y2) + (
+        Element.from_generator(a) * Element.from_generator(b)
+    )
+    model = _hand_built_model([a, b, x, y1, y2], {x: dx}, 5)
+    build_attachment(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", -1)]))
+    with pytest.raises(IntegrityError, match=r"at x$"):
+        build_attachment(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", 1)]))
+
+
 def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
     # db = a^2, dc = a*b: d(dc) = a^3 != 0, whatever the cell does
     a, b, c = Generator("a", 2, 0, 0), Generator("b", 3, 1, 1), Generator("c", 4, 2, 2)

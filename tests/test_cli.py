@@ -290,6 +290,60 @@ def test_model_json_builds_each_algebra_degree_once(fixture, monkeypatch, capsys
     assert built and all(n == 1 for n in built.values()), built
 
 
+@pytest.mark.parametrize("fixture", ["fatwedge-e6", "wedge3-e6", "even-4k"])
+def test_verdict_reads_each_model_from_its_build(fixture, monkeypatch, capsys):
+    """One FreeDGCA per built model: rename shares it, and verify_standard,
+    rename and the twisted d^2 check read its code tables, not decoded d(g)."""
+    import sys
+
+    from sullivan import cli, minimal_model
+    from sullivan.attachment import AttachmentModel
+    from sullivan.dgca import FreeDGCA
+
+    counts = {"init": 0, "build": 0}
+    init, build = FreeDGCA.__init__, minimal_model.build_minimal_model
+
+    def counting_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(FreeDGCA, "__init__", counting_init)
+    for module in (cli, minimal_model, sys.modules["sullivan.formality"],
+                   sys.modules["sullivan.fixtures"]):
+        monkeypatch.setattr(module, "build_minimal_model", counting_build)
+
+    readers = {
+        minimal_model.verify_standard.__code__,
+        minimal_model.BigradedModel.rename.__code__,
+        AttachmentModel.verify_d_squared.__code__,
+    }
+    decoded = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in readers:
+                    decoded.append((name, frame.f_code.co_name))
+                frame = frame.f_back
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(minimal_model, "split_by_stage",
+                        spy("split_by_stage", minimal_model.split_by_stage))
+    monkeypatch.setattr(minimal_model.BigradedModel, "d_of",
+                        spy("d_of", minimal_model.BigradedModel.d_of))
+    code = cli.main(["verdict", "--fixture", fixture, "--json"])
+    assert code in (0, 10, 20), capsys.readouterr().err  # a verdict, whichever it is
+    assert json.loads(capsys.readouterr().out)
+    assert counts["build"] >= 1 and counts["init"] == counts["build"], counts
+    assert decoded == []
+
+
 _WEDGE_HEAD = "algebra:\ngen a 2\nrel a^2\n"
 
 

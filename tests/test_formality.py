@@ -11,14 +11,12 @@ from sullivan.formality import (
     NOT_FORMAL,
     even_complex_formality,
     formality_verdict,
-    hurewicz_vanishes,
-    is_special,
 )
 from sullivan.fixtures import algebra_of, even_cells_of, get_fixture
 from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import scaled, small_presentations
+from conftest import hurewicz_vanishes, is_special, scaled, small_presentations
 
 F = Fraction
 

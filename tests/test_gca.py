@@ -12,6 +12,7 @@ from sullivan.gca import (
     Monomial,
     generating_series_dimension,
     monomial_basis,
+    monomial_codes,
     normalize_monomial,
 )
 
@@ -161,3 +162,17 @@ def test_basis_size_matches_generating_series(degree):
     assert len(monomial_basis(gens_pool, degree)) == generating_series_dimension(
         gens_pool, degree
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1, 9), max_size=8))
+def test_monomial_codes_table_builds_each_degree_once(degrees_asked):
+    ordered = sorted(gens_pool, key=Generator.sort_key)
+    degrees, odd = [g.degree for g in ordered], [g.is_odd for g in ordered]
+    table = []
+    for degree in degrees_asked:
+        before = list(table)
+        assert monomial_codes(degrees, odd, degree, table) == monomial_codes(degrees, odd, degree)
+        # the table grows to the degree asked, and keeps every entry it had
+        assert len(table) == max(len(before), degree + 1)
+        assert all(entry is old for entry, old in zip(table, before))

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, TruncationError
 from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
 from sullivan.minimal_model import (
+    BigradedModel,
     build_minimal_model,
     standardize,
     verify_standard,
@@ -352,3 +354,200 @@ def test_complex_projective_space_model(k):
     ((monomial, c),) = model.d_of(b).terms()
     assert c != 0 and Element.from_monomial(monomial) == power
     assert model.d_of(a).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the verdict path reads the code tables: verify_standard and rename
+
+
+def reference_verify_standard(model):
+    """`verify_standard` on decoded differentials: the pure part by `split_by_stage`."""
+    problems = []
+    for g in model.generators:
+        if g.stage >= 1 and not model.rho[g].is_zero:
+            problems.append(f"rho({g.name}) = {model.rho[g]} != 0 on stage {g.stage}")
+        if g.stage >= 2:
+            pure, _ = split_by_stage(model.d_of(g))
+            if not pure.is_zero:
+                problems.append(f"d({g.name}) has the Lambda(V_0)-pure component {pure}")
+    return problems
+
+
+def _substitutions(model, limit):
+    """Up to ``limit`` models model.substitute(gen, w), w built from lower stages.
+
+    For each positive-stage gen, a pure w with rho(w) != 0 gives rho(gen) that
+    value, and, when gen has stage >= 2, a w in Lambda(V_0).Lambda^+(V_1) with
+    d(w) != 0 gives d(gen) a pure part.
+    """
+    made = 0
+    for gen in model.generators:
+        if gen.stage == 0:
+            continue
+        lower = [g for g in model.generators if g.stage < gen.stage]
+        kinds = {0} if gen.stage == 1 else {0, 1}
+        for mon in monomial_basis(lower, gen.degree):
+            if not kinds:
+                break
+            kind = min(mon.max_stage(), 1)
+            if kind not in kinds:
+                continue
+            w = Element.from_monomial(mon)
+            if not (model.rho_of(w) if kind == 0 else model.dgca.d(w)).is_zero:
+                kinds.discard(kind)
+                yield model.substitute(gen, w)
+                made += 1
+                if made == limit:
+                    return
+
+
+def test_verify_standard_matches_the_decoded_reference(
+    cp1, cp2_attach, wedge3_s2, wedge3_e6, fatwedge_e6
+):
+    flagged = set()
+    for fixture in (cp1, cp2_attach, wedge3_s2, wedge3_e6, fatwedge_e6):
+        model = fixture.model
+        assert verify_standard(model) == reference_verify_standard(model) == []
+        for perturbed in _substitutions(model, limit=12):
+            problems = verify_standard(perturbed)
+            assert problems == reference_verify_standard(perturbed)
+            flagged.update(problem.split("(")[0] for problem in problems)
+    assert flagged == {"rho", "d"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations(), st.data())
+def test_verify_standard_matches_the_decoded_reference_random(data, sampler):
+    algebra, truncation = data
+    model = build_minimal_model(algebra, truncation)
+    gen = sampler.draw(st.sampled_from(model.generators))
+    others = [g for g in model.generators if g != gen]
+    delta = sampler.draw(elements_of(FreeDGCA(others, {}, truncation), gen.degree))
+    perturbed = model.substitute(gen, delta)
+    assert verify_standard(perturbed) == reference_verify_standard(perturbed)
+
+
+_WEDGES = {
+    r: ([(f"a{i}", 2) for i in range(1, r + 1)],
+        [f"a{i}*a{j}" for i in range(1, r + 1) for j in range(i, r + 1)])
+    for r in (2, 3)
+}
+
+
+@st.composite
+def built_wedge_and_dense_models(draw):
+    """A built model of a wedge of 2-spheres or of a dense quadratic presentation."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(sorted(_WEDGES)))
+        truncation = draw(st.integers(4, 6 if r == 2 else 5))
+        algebra = PresentedAlgebra.from_strings(*_WEDGES[r], truncation + 1)
+    else:
+        algebra = draw(dense_quadratic_presentations())
+        truncation = algebra.truncation - 1
+    return build_minimal_model(algebra, truncation)
+
+
+def _rebuilt(model, gmap):
+    """The reference rename: every d(g) decoded, renamed by gmap and encoded afresh."""
+    def renamed(x):
+        return Element(
+            {Monomial(tuple((gmap[g], e) for g, e in mon.powers)): c for mon, c in x.terms()}
+        )
+
+    return FreeDGCA(
+        [gmap[g] for g in model.generators],
+        {gmap[g]: renamed(model.d_of(g)) for g in model.generators},
+        model.truncation,
+    )
+
+
+def _outputs(D):
+    """What a complex answers, in every degree it answers in."""
+    out = {
+        "gens": D.gens,
+        "d": [(g, {code: (odds, c) for code, odds, c in dg}) for g, dg in D.d_codes()],
+    }
+    for m in range(D.truncation + 2):
+        out["keys", m] = D.keys(m)
+    for m in range(D.truncation + 1):
+        space = D.cohomology(m)
+        out["cohomology", m] = (
+            space._class_rows,
+            space.coboundaries.fraction_rows(),
+            space.complement,
+            [(c.representative, c.coordinates) for c in space.classes],
+        )
+    return out
+
+
+def _state(D):
+    """The tables and caches of a complex, by value and, for cached spaces, by identity."""
+    return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), dict(D._position),
+            list(D._codes), dict(D._handed_down), dict(D._cohomology_cache))
+
+
+@settings(max_examples=30, deadline=None)
+@given(built_wedge_and_dense_models(), st.data())
+def test_rename_matches_a_rebuilt_model(model, data):
+    # classes read before the rename: their cached spaces carry over, rebased
+    for m in data.draw(st.lists(st.integers(0, model.truncation), max_size=3)):
+        model.dgca.cohomology(m).classes
+    names = [g.name for g in model.generators]
+    pool = names + [f"r{i}" for i in range(len(names))]
+    new_names = data.draw(st.permutations(pool))[: len(names)]
+    renamed = model.rename({old: new for old, new in zip(names, new_names) if old != new})
+    gmap = dict(zip(model.generators, renamed.generators))
+    assert [h.name for h in renamed.generators] == new_names
+    assert all(
+        (h.degree, h.stage, h.index) == (g.degree, g.stage, g.index) for g, h in gmap.items()
+    )
+    assert renamed.rho == {gmap[g]: image for g, image in model.rho.items()}
+    # the records the build handed down carry over, and a fresh complex finds them
+    records = renamed.dgca._handed_down
+    assert records == model.dgca._handed_down and records
+    reference = _rebuilt(model, gmap)
+    for k in records:
+        reference.cohomology(k)
+    assert {k: reference._handed_down[k] for k in records} == records
+    assert _outputs(renamed.dgca) == _outputs(reference)
+    assert renamed.dgca._handed_down == reference._handed_down
+
+
+@settings(max_examples=20, deadline=None)
+@given(built_wedge_and_dense_models())
+def test_extending_a_renamed_model_leaves_its_source_unchanged(model):
+    source = model.dgca
+    before = _state(source)
+    renamed = model.rename({g.name: f"r_{g.name}" for g in model.generators}).dgca
+    top = renamed.gens[-1]
+    z = Generator("z", top.degree, top.stage + 1, top.index + 1)
+    renamed.extend([z], {})
+    for m in range(renamed.truncation + 1):
+        renamed.cohomology(m).classes
+    assert renamed.gens[-1] == z and renamed.keys(top.degree)[-1] == ((len(source.gens), 1),)
+    assert _state(source) == before
+    assert _outputs(source) == _outputs(_rebuilt(model, {g: g for g in model.generators}))
+
+
+def test_rename_refuses_to_reorder_generators():
+    # x and y tie on (degree, stage, index), so their names order them
+    x, y, b = Generator("x", 2), Generator("y", 2), Generator("b", 3, 1, 1)
+    algebra = PresentedAlgebra([x, y], [Element.from_generator(x) * Element.from_generator(y)], 5)
+    model = BigradedModel(
+        FreeDGCA([x, y, b], {b: Element.from_generator(x) * Element.from_generator(y)}, 4),
+        {x: Element.from_generator(x), y: Element.from_generator(y), b: Element.zero()},
+        algebra,
+        4,
+    )
+    refusals = [
+        ({"x": "z"}, "^the new names 'z' and 'y' would reorder the generators 'x' and 'y'$"),
+        ({"y": "w"}, "^the new names 'x' and 'w' would reorder the generators 'x' and 'y'$"),
+        ({"x": "y", "y": "x"},
+         "^the new names 'y' and 'x' would reorder the generators 'x' and 'y'$"),
+    ]
+    for mapping, message in refusals:
+        with pytest.raises(InputError, match=message):
+            model.rename(mapping)
+    renamed = model.rename({"x": "a", "b": "c"})
+    assert [g.name for g in renamed.generators] == ["a", "y", "c"]
+    assert str(renamed.d_of(renamed.generator_named("c"))) == "a*y"

@@ -118,6 +118,7 @@ def test_dimension_two_routes_agree(data):
     algebra, truncation = data
     for m in range(0, truncation + 1):
         comp = algebra.graded_component(m)
+        assert algebra.keys(m) == monomial_basis(algebra.generators, m)
         total = len(monomial_basis(algebra.generators, m))
         # rank of the reduction map = number of independent images of monomials
         from sullivan.linalg import RowSpace
