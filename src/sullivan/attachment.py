@@ -10,10 +10,28 @@ On monomials of word length >= 2 the twisted differential agrees with the
 model differential, because the u-contributions are annihilated by the
 product rules.  The complex is not free, so elements are represented as an
 explicit pair (body in Lambda(V), u-coefficient).
+
+The twisted complex equals the base model in every degree but n - 1 and n,
+so its cohomology is read off the base model's, with no elimination.  d_tw^2
+= 0 makes alpha vanish on the coboundaries of degree n - 1 (a product has no
+linear part to pair with), so alpha is a functional on H^(n-1).
+
+* m not in {n - 1, n}: H^m is the base model's space.
+* m = n - 1: B is unchanged and Z_tw = {z in Z_base : alpha(z) = 0}.  With
+  a_i = alpha(c_i) on the base class rows c_i and j the last i with a_i != 0,
+  the RREF of ker(a) in class coordinates has the rows e_i - (a_i / a_j) e_j,
+  i != j, so the class rows are c_i - (a_i / a_j) c_j, and the complement
+  gains the pivot column of c_j.  With no such j nothing changes.
+* m = n: Z_tw = Z_base (+) Q.u, and B_tw is d_tw of the twisted complement
+  of degree n - 1, with no dependent row.  If alpha is nonzero on H^(n-1),
+  u = d_tw(z) for a cocycle z, so u is a coboundary pivot and [u] = 0; the
+  class rows are the base rows.  Otherwise B_tw projects isomorphically onto
+  B_base, u is no pivot, and the class rows are the base rows and u.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -233,12 +251,12 @@ class AttachmentModel:
         """A spanning set of the degree-m coboundaries, key-keyed.
 
         The twist changes d only on the degree-(n - 1) generators, and d(u) =
-        0, so off degree n these are the base model's coboundaries.
+        0, so off degree n these are the base model's coboundaries.  In degree
+        n they are d_tw of the complement of the twisted H^(n - 1), a basis.
         """
-        dgca = self.base.dgca
         if m != self.n:
-            return dgca.boundaries(m)
-        return (self.d_basis(k) for k in dgca.keys(m - 1))
+            return self.base.dgca.boundaries(m)
+        return (self.d_basis(k) for k in self.cohomology(m - 1).complement)
 
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.
@@ -265,9 +283,42 @@ class AttachmentModel:
             )
         cached = self._cohomology_cache.get(m)
         if cached is None:
-            cached = CohomologySpace(self, m)
+            cached = self._derived(m)
             self._cohomology_cache[m] = cached
         return cached
+
+    def _derived(self, m: int) -> CohomologySpace:
+        """H^m of the twisted complex, read off the base model's spaces.
+
+        See the module docstring for the facts used in degrees n - 1 and n.
+        """
+        base = self.base.dgca.cohomology(m)
+        if m == self.n - 1:
+            rows, complement = base._class_rows, base.complement
+            keys, alpha = base.keys, self._alpha_on_keys
+            values = [
+                sum((alpha[keys[col]] * v for col, v in row.items() if keys[col] in alpha), _ZERO)
+                for row in rows
+            ]
+            last = max((i for i, a in enumerate(values) if a), default=None)
+            if last is not None:
+                # the RREF of ker(alpha) in class coordinates: e_i - (a_i / a_last) e_last
+                pivot_row, a_last = rows[last], values[last]
+                rows = [
+                    _minus(row, values[i] / a_last, pivot_row) if values[i] else row
+                    for i, row in enumerate(rows)
+                    if i != last
+                ]
+                complement = list(complement)
+                insort(complement, keys[min(pivot_row)])
+            return CohomologySpace.from_class_rows(self, m, rows, complement)
+        if m == self.n:
+            rows = base._class_rows
+            if self.cohomology(m - 1).dimension == self.base.dgca.cohomology(m - 1).dimension:
+                # alpha vanishes on H^(n - 1), so u is no coboundary pivot
+                rows = [*rows, {len(base.keys): _ONE}]
+            return CohomologySpace.from_class_rows(self, m, rows, base.complement)
+        return base.rebased(self)
 
     def u_class(self) -> CohomologyClass:
         """The class of u in degree n; zero exactly when u became exact."""
@@ -303,6 +354,18 @@ class AttachmentModel:
             raise InputError("u is zero in cohomology; decomposability is undefined")
         witness = DecomposableSubspace(self.cohomology, self.n).witness(u)
         return witness is not None, witness
+
+
+def _minus(row: Mapping[int, Fraction], c: Fraction, other: Mapping[int, Fraction]) -> dict:
+    """row - c * other, with no zero entries."""
+    out = dict(row)
+    for col, v in other.items():
+        w = out.get(col, _ZERO) - c * v
+        if w:
+            out[col] = w
+        else:
+            out.pop(col, None)
+    return out
 
 
 def build_attachment(model: BigradedModel, alpha: AlphaFunctional) -> AttachmentModel:

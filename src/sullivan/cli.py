@@ -83,14 +83,17 @@ def _integer(word: str, what: str, lineno: int) -> int:
     ``2_0`` and non-ASCII digits."""
     if not _INTEGER.fullmatch(word):
         raise ParseError(f"bad {what} {word!r}", lineno)
-    return int(word)
+    return expr.parse_integer(word, lineno)
 
 
 def _integer_flag(word: str) -> int:
     """An integer option value, by the rule of `_integer`."""
     if not _INTEGER.fullmatch(word):
         raise argparse.ArgumentTypeError(f"invalid integer {word!r}")
-    return int(word)
+    try:
+        return expr.parse_integer(word)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_job(text: str) -> JobSpec:
@@ -388,7 +391,7 @@ def _load_inputs(args) -> tuple[PresentedAlgebra, int, list[AttachSection], obje
 def cmd_model(args) -> int:
     algebra, truncation, _, fixture = _load_inputs(args)
     if fixture is not None:
-        model = build_fixture(fixture.fixture_id).model
+        model = build_fixture(fixture.fixture_id, algebra).model
     else:
         model = build_minimal_model(algebra, truncation)
     if args.json:
@@ -407,7 +410,7 @@ def _alpha_for(args) -> tuple[BigradedModel, AlphaFunctional]:
                 f"fixture {fixture.fixture_id!r} is an even-mode fixture; "
                 "use: verdict --even K"
             )
-        built = build_fixture(fixture.fixture_id)
+        built = build_fixture(fixture.fixture_id, algebra)
         if built.alpha is None:
             raise InputError(f"fixture {fixture.fixture_id!r} has no attachment")
         return built.model, built.alpha

@@ -18,12 +18,37 @@ non-pivot cochains once, in reversed column order (`linalg.kernel_rref`),
 and reads the class rows off the kernel.
 
 The coboundary rows and class rows of degree k together form an echelon
-basis of Z^k.  If P is its pivot set, d of the basis cochains off P is a
-basis of B^(k+1), so a `FreeDGCA` hands those cochains from `cohomology(k)`
-down to the coboundaries of degree k + 1, and no coboundary row is
-dependent.  A `FreeDGCA` grows by `extend`, which keeps that record where
-the new generators leave it valid; `minimal_model.build_minimal_model` grows
-one complex through every degree.
+basis of Z^k.  If P is its pivot set, d of the basis cochains off P (the
+complement) is a basis of B^(k+1), so the coboundaries of degree k + 1 are
+taken from the complement of degree k, and no coboundary row is dependent.
+
+A `FreeDGCA` keeps, for each degree k whose cohomology it has computed, a
+`Record` of H^k: the class rows, the complement and the number of degree-k
+keys.  It grows by `extend`, and each record lives through the extensions
+that leave it computable.  A new generator g of degree |g| adds the cochain g
+in degree |g| and cochains in degrees >= |g| + 2, since every degree is at
+least 2; it is the last key of degree |g|.  For the record of degree k:
+
+* |g| > k: the cochains of degrees k - 1 and k, and their d, do not change;
+  the record stays.
+* |g| = k and dg = 0 (a stage-0 lift): Z^k gains g and B^k is unchanged,
+  so the record gains the unit class row at g's column.
+* a kill step of H^(k + 1), |g| = k: the caller vouches (``kills`` in
+  `extend_codes`) that the d(g) are independent modulo B^(k+1).  Then Z^k
+  does not change, and g joins the complement.
+* a kill step of H^k, |g| = k - 1: B^k gains the span of the killed classes.
+  The surviving class rows are those at the positions that are not pivots
+  of the killed span, in class coordinates (see `minimal_model`).
+* anything else (|g| <= k - 2, or a degree-k or degree-(k - 1) generator
+  with dg != 0 and no one to vouch for it): the record is dropped, and the
+  next `cohomology(k)` eliminates from scratch.
+
+The rules cost O(new generators) per record: rows and complements are
+amended in place, never copied.  `cohomology(k)` with a record builds its
+space by `CohomologySpace.from_class_rows`, which does no elimination and
+builds the coboundaries only when something reads them, so after
+`minimal_model.build_minimal_model`, which grows one complex through every
+degree, the cohomology of the model costs no elimination at all.
 
 `CohomologySpace` and `DecomposableSubspace` read their complex through a
 small interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
@@ -50,10 +75,10 @@ where a result leaves the complex (a class representative, `d_monomial`,
 `basis`), and `extend`, `key` and ``terms_of`` encode the elements handed in.
 
 Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
-generator at its position, so the renamed complex shares the code tables,
-the keys, the handed-down records and the class rows of the cached
-cohomology with its source; only the generator tuple and the decoding
-tables that turn codes back into monomials are new.
+generator at its position, so the renamed complex shares the code tables and
+the keys with its source and starts from a copy of its records; only the
+generator tuple and the decoding tables that turn codes back into monomials
+are new.
 """
 
 from __future__ import annotations
@@ -62,7 +87,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_codes
@@ -93,8 +118,8 @@ class FreeDGCA:
         # degree m -> (the codes of degree m, their first positions); see keys
         self._codes: list[tuple[list[tuple], list[int]]] = []
         self._cohomology_cache: dict[int, CohomologySpace] = {}
-        # degree k -> the codes of CohomologySpace(k).complement (see boundaries)
-        self._handed_down: dict[int, list[tuple]] = {}
+        # degree k -> what is known of H^k: its class rows and complement
+        self._records: dict[int, Record] = {}
         # code tables: generator positions, degrees and parities, and each
         # d(g) as (code, odd positions, coefficient) triples
         self._position: dict[Generator, int] = {}
@@ -130,7 +155,11 @@ class FreeDGCA:
             layer.append((g, terms))
         self.extend_codes(layer)
 
-    def extend_codes(self, layer: Sequence[tuple[Generator, Mapping[tuple, int | Fraction]]]):
+    def extend_codes(
+        self,
+        layer: Sequence[tuple[Generator, Mapping[tuple, int | Fraction]]],
+        kills: Collection[int] | None = None,
+    ):
         """Append generators, each with its d given as {code: coefficient}.
 
         The generators, in any order, must sort after every existing one; the
@@ -138,11 +167,14 @@ class FreeDGCA:
         use any old or new position.  Every term of d(g) must have degree
         |g| + 1.  A refused batch leaves the complex unchanged.  The keys and
         cohomology of every degree at or above the smallest new degree are
-        dropped; code positions stay stable.  A handed-down coboundary
-        record for degree k survives when every new g has k < |g|,
-        k = |g| + 1, or k = |g| and dg = 0: g adds cochains only in degree |g|
-        (g itself) and in degrees >= |g| + 2, so otherwise d of the degree-k
-        cochains still spans the same coboundaries.
+        dropped; code positions stay stable, and the records of H^k follow
+        the rules of the module docstring.
+
+        ``kills`` is given by a caller that vouches for a kill step: every new
+        generator has one degree k - 1, and the d(g) are representatives of
+        classes of H^k that are independent modulo the coboundaries, whose
+        span has its reduced echelon pivots at the class positions ``kills``
+        of `cohomology(k)`.
         """
         layer = sorted(layer, key=lambda pair: pair[0].sort_key())
         if not layer:
@@ -180,12 +212,29 @@ class FreeDGCA:
         del self._codes[low:]
         for m in [m for m in self._cohomology_cache if m >= low]:
             del self._cohomology_cache[m]
-        for k in list(self._handed_down):
-            if not all(
-                k < g.degree or k == g.degree + 1 or (k == g.degree and not terms)
-                for g, terms in layer
-            ):
-                del self._handed_down[k]
+        self._update_records(new, [terms for _, terms in layer], count - len(new), kills)
+
+    def _update_records(self, new, d_layer, first: int, kills):
+        """Keep, amend or drop each record of H^k by the rules of the module docstring.
+
+        The new generators are sorted and sit at positions first, first + 1, ...
+        """
+        low, top = new[0].degree, new[-1].degree
+        killing = kills is not None and low == top
+        for k in [k for k in self._records if k >= low]:
+            record = self._records[k]
+            if killing and k == low + 1:
+                record.rows = [row for i, row in enumerate(record.rows) if i not in kills]
+            elif killing and k == low:
+                record.complement.extend(((p, 1),) for p in range(first, first + len(new)))
+                record.size += len(new)
+            elif k == low and all(not dg for g, dg in zip(new, d_layer) if g.degree == k):
+                for g in new:
+                    if g.degree == k:
+                        record.rows.append({record.size: _ONE})
+                        record.size += 1
+            else:
+                del self._records[k]
 
     # --- cochain spaces -------------------------------------------------
     def keys(self, m: int) -> list[tuple]:
@@ -205,11 +254,11 @@ class FreeDGCA:
 
         Each generator keeps its degree, stage and index, so every code keeps
         its meaning and nothing is rebuilt or re-encoded: the renamed complex
-        shares the code tables, the keys, the handed-down coboundary records
-        and the class rows of the cached cohomology, and decodes its classes
-        afresh, with the new names.  It copies the lists and dicts that
-        `extend_codes` changes in place, so extending either complex leaves
-        the other as it was.  Names that would reorder two generators
+        shares the code tables and the keys, reads its cohomology off a copy
+        of the records, and decodes its classes afresh, with the new names.
+        It copies the lists and dicts that `extend_codes` changes in place,
+        the records included, so extending either complex leaves the other
+        as it was.  Names that would reorder two generators
         (`Generator.sort_key` breaks a tie by name) are refused with an
         `InputError` that names both.
         """
@@ -230,10 +279,10 @@ class FreeDGCA:
         out._pairs = {}
         out._d_codes = list(self._d_codes)
         out._codes = list(self._codes)
-        out._handed_down = dict(self._handed_down)
-        out._cohomology_cache = {
-            m: space.rebased(out) for m, space in self._cohomology_cache.items()
+        out._records = {
+            k: Record(list(r.rows), list(r.complement), r.size) for k, r in self._records.items()
         }
+        out._cohomology_cache = {}
         return out
 
     def basis(self, m: int) -> list[Monomial]:
@@ -354,9 +403,13 @@ class FreeDGCA:
             )
         cached = self._cohomology_cache.get(m)
         if cached is None:
-            cached = CohomologySpace(self, m)
+            record = self._records.get(m)
+            if record is None:
+                cached = CohomologySpace(self, m)
+                self._records[m] = Record(cached._class_rows, cached.complement, len(cached.keys))
+            else:
+                cached = CohomologySpace.from_class_rows(self, m, record.rows, record.complement)
             self._cohomology_cache[m] = cached
-            self._handed_down[m] = cached.complement
         return cached
 
     # --- the cochain-complex interface read by CohomologySpace --------------
@@ -367,13 +420,12 @@ class FreeDGCA:
     def boundaries(self, m: int):
         """The degree-m coboundaries as code-keyed terms of d of degree-(m - 1) cochains.
 
-        Once `cohomology(m - 1)` has handed down its complement (see
-        `CohomologySpace`) and no extension has dropped it, these are d of the
-        complement cochains, a basis of B^m; otherwise d of every code in keys(m - 1).
+        While a record of H^(m - 1) is kept, these are d of its complement
+        cochains (see `CohomologySpace`), a basis of B^m; otherwise d of every
+        code in keys(m - 1).
         """
-        codes = self._handed_down.get(m - 1)
-        if codes is None:
-            codes = self.keys(m - 1)
+        record = self._records.get(m - 1)
+        codes = self.keys(m - 1) if record is None else record.complement
         return (self._d_code(code).items() for code in codes)
 
     def terms_of(self, x: Element):
@@ -391,6 +443,22 @@ class FreeDGCA:
         """The element with these code-keyed terms."""
         monomial = self._monomial
         return Element({monomial(code): c for code, c in terms.items()})
+
+
+@dataclass(slots=True)
+class Record:
+    """What a `FreeDGCA` keeps of H^k through its extensions.
+
+    ``rows`` and ``complement`` are those of the `CohomologySpace` of degree
+    k: the class rows, over column positions in keys(k), and the codes of
+    the complement cochains.  ``size`` is the number of degree-k keys.
+    `FreeDGCA.extend_codes` amends them in place, so a space of degree k read
+    before an extension that adds degree-k generators is stale.
+    """
+
+    rows: list[dict[int, Fraction]]
+    complement: list[tuple]
+    size: int
 
 
 @dataclass(frozen=True)
@@ -438,17 +506,16 @@ class CohomologySpace:
     ``complement`` lists by key, span a complement of Z^m, and d maps their
     span isomorphically onto B^(m+1): `FreeDGCA.boundaries` hands them down
     as a basis of the coboundaries one degree up.
+
+    `from_class_rows` builds the space from class rows and a complement found
+    some other way (a `FreeDGCA` record, or a twisted complex derived from
+    its base); the coboundaries are then built only if something reads them.
     """
 
     def __init__(self, cochains, m: int):
         self.cochains = cochains
         self.degree = m
         self.keys = keys = cochains.keys(m)
-        self.index = index = {k: i for i, k in enumerate(keys)}
-
-        self.coboundaries = RowSpace(
-            {index[t]: c for t, c in boundary} for boundary in cochains.boundaries(m)
-        )
 
         # classes: the kernel of d on the non-pivot columns, one constraint
         # row per target cochain
@@ -458,17 +525,47 @@ class CohomologySpace:
         for j in free:
             for t, c in cochains.d_basis(keys[j]):
                 constraint_rows.setdefault(t, {})[j] = c
-        self._class_rows = kernel_rref(constraint_rows.values(), free)
+        # handed over one at a time, so that each row is freed once flipped
+        drained = (constraint_rows.popitem()[1] for _ in range(len(constraint_rows)))
+        self._class_rows = kernel_rref(drained, free)
         self._class_pivots = [min(row) for row in self._class_rows]
         class_pivots = set(self._class_pivots)
         self.complement = [keys[j] for j in free if j not in class_pivots]
+
+    @classmethod
+    def from_class_rows(cls, cochains, m: int, rows, complement) -> "CohomologySpace":
+        """H^m from its known class rows and complement, with no elimination.
+
+        The coboundaries are built only when first read.
+        """
+        out = cls.__new__(cls)
+        out.cochains = cochains
+        out.degree = m
+        out.keys = cochains.keys(m)
+        out._class_rows = rows
+        out._class_pivots = [min(row) for row in rows]
+        out.complement = complement
+        return out
+
+    @cached_property
+    def index(self) -> dict:
+        """Column position of each key."""
+        return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def coboundaries(self) -> RowSpace:
+        """The degree-m coboundaries in reduced form; built on first read."""
+        index = self.index
+        return RowSpace(
+            {index[t]: c for t, c in boundary} for boundary in self.cochains.boundaries(self.degree)
+        )
 
     def rebased(self, cochains) -> "CohomologySpace":
         """This space read through another complex with the same keys and d.
 
         The rows are shared; the classes are built afresh, through the other
-        complex's ``element_of``.  `FreeDGCA.renamed` re-points its cached
-        cohomology this way.
+        complex's ``element_of``.  An `attachment.AttachmentModel` reads the
+        base model's spaces this way in the degrees the twist does not touch.
         """
         out = copy.copy(self)
         out.cochains = cochains

@@ -25,6 +25,18 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def parse_integer(digits: str, line: int | None = None, column: int | None = None) -> int:
+    """The value of a run of ASCII digits.
+
+    Python refuses to convert a run longer than its limit for integer string
+    conversion (4300 digits by default); that is a `ParseError` here.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits)} digits is too long", line, column) from None
+
+
 def _tokenize(text: str, line: int | None = None):
     tokens = []
     pos = 0
@@ -98,14 +110,16 @@ class _Parser:
         self.error("expected a coefficient or a generator name")
 
     def rational(self) -> Fraction:
-        num, _ = self.take("num")
+        digits, col = self.take("num")
+        num = parse_integer(digits, self.line, col + 1)
         if self.peek()[1] == "/":
             self.take()
-            den, col = self.take("num")
-            if int(den) == 0:
+            digits, col = self.take("num")
+            den = parse_integer(digits, self.line, col + 1)
+            if den == 0:
                 self.error("zero denominator", col + 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+            return Fraction(num, den)
+        return Fraction(num)
 
     def monomial(self) -> Element:
         out = self.factor()
@@ -123,7 +137,7 @@ class _Parser:
         if self.peek()[1] == "^":
             self.take()
             e, ecol = self.take("num")
-            exponent = int(e)
+            exponent = parse_integer(e, self.line, ecol + 1)
             if exponent < 1:
                 self.error("exponents must be >= 1", ecol + 1)
         if gen.is_odd and exponent > 1:
@@ -151,8 +165,8 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
     m = re.fullmatch(r"([0-9]+)(?:\s*/\s*([0-9]+))?", s.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}", line)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_integer(m.group(1), line)
+    den = parse_integer(m.group(2), line) if m.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator", line)
     return Fraction(sign * num, den)

@@ -305,10 +305,14 @@ def algebra_of(fixture: Fixture) -> PresentedAlgebra:
     )
 
 
-def build_fixture(fixture_id: str) -> BuiltFixture:
-    """Build the fixture's model (with aliases) and its alpha, if any."""
+def build_fixture(fixture_id: str, algebra: PresentedAlgebra | None = None) -> BuiltFixture:
+    """Build the fixture's model (with aliases) and its alpha, if any.
+
+    ``algebra`` is the fixture's algebra when the caller has already built it.
+    """
     fixture = get_fixture(fixture_id)
-    algebra = algebra_of(fixture)
+    if algebra is None:
+        algebra = algebra_of(fixture)
     model = build_minimal_model(algebra, fixture.truncation)
     if fixture._alias_builder is not None:
         model = model.rename(fixture._alias_builder(model))

@@ -95,8 +95,11 @@ class RowSpace:
     def __init__(self, rows: Iterable[Mapping[int, Fraction | int]] = ()):
         self._rows: dict[int, dict[int, int]] = {}
         self._pivots: list[int] = []
-        for row in sorted(filter(None, rows), key=lambda r: (-min(r), len(r))):
-            self.insert(row)
+        pending = sorted(filter(None, rows), key=lambda r: (-min(r), len(r)))
+        # popped in that order, so that each row is freed once inserted
+        pending.reverse()
+        while pending:
+            self.insert(pending.pop())
 
     @property
     def rank(self) -> int:

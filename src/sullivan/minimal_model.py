@@ -41,10 +41,23 @@ never built.  The differential stays in codes until `FreeDGCA.extend_codes`
 takes it, and its stage is read off a position -> stage table.
 
 The construction keeps one `FreeDGCA` and extends it: with the stage-0
-generators of degree m, then the stage-1 layer, then the higher-stage layer.
-Each batch sorts after every generator before it, so code positions and the
-caches of lower degrees survive, and the coboundaries of H^(m+1) come handed
-down from the cohomology of degree m.
+generators of degree m, then with the stage-1 and higher-stage layers in one
+batch, the kill step of H^(m+1).  Each batch sorts after every generator
+before it, so code positions stay, and each degree keeps a record of its
+class rows and complement (see `dgca`): the coboundaries of H^(m+1) come
+from the complement of degree m, and after the build every H^k, k <= N, is
+known without an elimination.  The kill step amends the record of H^(m+1)
+by this lemma.  Let c_1, ..., c_h be the class rows, with pivots p_1 < ... <
+p_h, and K the killed span in class coordinates, with RREF pivot set Q.
+Each class row is zero at every other class pivot, so sum_i x_i c_i has the
+entry x_i at p_i; the new coboundaries B + K then have pivots
+P_B u {p_i : i in Q}.  The rows c_i with i not in Q are zero at all of those
+pivots, lie in Z, and are as many as dim Z - rank(B + K); they are rows of
+an RREF.  So they are the RREF of Z cap span(non-pivot columns of B + K),
+the class rows of the quotient, and the pivot set of coboundary and class
+rows together, hence the complement, does not change.  Here Q is the union
+of the pivots of the stage-1 span and of the remaining kill span, which is
+reduced modulo the first.
 
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
@@ -172,9 +185,9 @@ class BigradedModel:
         """Rename generators; degrees, stages and ordering are unchanged.
 
         Nothing is built again: the renamed complex is `FreeDGCA.renamed` of
-        this one, which shares the code tables, the keys, the handed-down
-        coboundary records and the class rows of the cohomology computed so
-        far, and decodes classes with the new names.  `Generator.sort_key`
+        this one, which shares the code tables and the keys, copies the
+        records of the cohomology computed so far, and decodes classes with
+        the new names.  `Generator.sort_key`
         breaks a (degree, stage, index) tie by name, so new names could
         reorder two generators; such a renaming is refused with an
         `InputError` that names both.
@@ -231,6 +244,9 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
         )
 
     model = FreeDGCA((), {}, truncation)
+    # H^0, H^1 and H^2 of the empty complex: the lifts amend their records
+    for k in range(3):
+        model.cohomology(k)
     rho: dict[Generator, Element] = {}
     next_index = len(algebra.generators)
 
@@ -300,23 +316,20 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
                 raise IntegrityError("pure kernel class lost its pure representative")
             target = {model.key(mon): c for mon, c in zip(pure_monomials, coeffs) if c}
             layer.append((new_generator(1), target))
-        model.extend_codes(layer)
 
         # higher stages: the remaining kernel classes, which combine class
-        # rows with no pure term (see the module docstring).  Their
-        # generators join the model together once the layer is complete, in
-        # sorted order.
+        # rows with no pure term (see the module docstring).  Both layers join
+        # the model together, in sorted order, as the kill step of H^(m+1).
         stage_of = [g.stage for g in model.gens]
         handled = RowSpace(pure_kernel)
         leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
-        layer = []
         for row in leftovers.fraction_rows():
             target = h_space.combination(row)
             stages = [max(stage_of[p] for p, _ in code) for code in target]
             if not all(stages):
                 raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
             layer.append((new_generator(1 + max(stages)), target))
-        model.extend_codes(layer)
+        model.extend_codes(layer, kills={*handled.pivots(), *leftovers.pivots()})
 
     return BigradedModel(model, rho, algebra, truncation)
 

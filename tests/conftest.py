@@ -8,6 +8,7 @@ from sullivan.attachment import AlphaFunctional
 from sullivan.dgca import DecomposableSubspace
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
+from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 
@@ -121,3 +122,36 @@ def elements_of(draw, dgca, degree, max_terms=3):
     for mon in picks:
         out = out + Element.from_monomial(mon, draw(coefficients))
     return out
+
+
+@st.composite
+def dense_quadratic_presentations(draw):
+    """Degree-2 generators with quadratic relations that use every square."""
+    k = draw(st.integers(2, 3))
+    gens = [Generator(f"x{i}", 2, 0, i) for i in range(k)]
+    squares = monomial_basis(gens, 4)
+    relations = [
+        Element({mon: draw(coefficients) for mon in squares})
+        for _ in range(draw(st.integers(1, k - 1)))
+    ]
+    return PresentedAlgebra(gens, relations, 7)
+
+
+_WEDGES = {
+    r: ([(f"a{i}", 2) for i in range(1, r + 1)],
+        [f"a{i}*a{j}" for i in range(1, r + 1) for j in range(i, r + 1)])
+    for r in (2, 3)
+}
+
+
+@st.composite
+def built_wedge_and_dense_models(draw):
+    """A built model of a wedge of 2-spheres or of a dense quadratic presentation."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(sorted(_WEDGES)))
+        truncation = draw(st.integers(4, 6 if r == 2 else 5))
+        algebra = PresentedAlgebra.from_strings(*_WEDGES[r], truncation + 1)
+    else:
+        algebra = draw(dense_quadratic_presentations())
+        truncation = algebra.truncation - 1
+    return build_minimal_model(algebra, truncation)

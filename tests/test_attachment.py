@@ -8,13 +8,15 @@ from sullivan.attachment import (
     AttachmentElement,
     build_attachment,
 )
-from sullivan.dgca import FreeDGCA
+from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, IntegrityError
 from sullivan.gca import Element, Generator, Monomial
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import small_presentations
+from sullivan.fixtures import build_fixture, fixture_ids
+
+from conftest import built_wedge_and_dense_models, coefficients, small_presentations
 
 F = Fraction
 
@@ -207,3 +209,87 @@ def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
     alpha = AlphaFunctional.build(model, 4, [("b", 1)])
     with pytest.raises(IntegrityError, match=r"at c$"):
         build_attachment(model, alpha)
+
+
+# ---------------------------------------------------------------------------
+# derived spaces: the records of the build, and the twisted spaces read off them
+
+
+class _Fresh:
+    """A complex read with no record: its coboundaries are d of every cochain one degree down."""
+
+    def __init__(self, cochains):
+        self.cochains = cochains
+
+    def __getattr__(self, name):
+        return getattr(self.cochains, name)
+
+    def boundaries(self, m):
+        return (self.cochains.d_basis(k) for k in self.cochains.keys(m - 1))
+
+
+def _facts(space):
+    return (
+        space._class_rows,
+        space.coboundaries.fraction_rows(),
+        set(space.complement),
+        [str(c.representative) for c in space.classes],
+    )
+
+
+def _assert_spaces_are_fresh(cochains, top):
+    for m in range(top + 1):
+        assert _facts(cochains.cohomology(m)) == _facts(CohomologySpace(_Fresh(cochains), m)), m
+
+
+def _assert_attachments_are_fresh(model, alphas):
+    """The model's spaces, and each attachment's, equal a fresh elimination.
+
+    Returns how many attachments had [u] = 0 and how many [u] != 0.
+    """
+    _assert_spaces_are_fresh(model.dgca, model.truncation)
+    u_zero = u_nonzero = 0
+    for n, pairs in alphas:
+        attached = build_attachment(model, AlphaFunctional.build(model, n, pairs))
+        _assert_spaces_are_fresh(attached, model.truncation)
+        if attached.u_class().is_zero:
+            u_zero += 1
+        else:
+            u_nonzero += 1
+    return u_zero, u_nonzero
+
+
+@settings(max_examples=25, deadline=None)
+@given(built_wedge_and_dense_models(), st.data())
+def test_derived_spaces_equal_a_fresh_elimination(model, data):
+    alphas = []
+    for n in range(3, model.truncation + 1):
+        names = [g.name for g in model.generators if g.degree == n - 1]
+        support = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)) if names else []
+        alphas.append((n, [(name, data.draw(coefficients)) for name in support]))
+    _assert_attachments_are_fresh(model, alphas)
+
+
+def test_derived_spaces_equal_a_fresh_elimination_fixtures():
+    higher = build_minimal_model(
+        PresentedAlgebra.from_strings(
+            [("x", 2), ("y", 3), ("z", 4), ("w", 5)], ["x^2", "x*y", "x*z - y^2"], 8
+        ),
+        7,
+    )
+    models = [higher] + [build_fixture(fid).model for fid in fixture_ids()]
+    counts = [0, 0]
+    for model in models:
+        # every generator one degree below each cell, with distinct values, so
+        # that alpha is nonzero on several classes wherever H^(n - 1) has them
+        alphas = [
+            (n, [(g.name, F(i + 1)) for i, g in enumerate(model.generators) if g.degree == n - 1])
+            for n in range(3, model.truncation + 1)
+        ]
+        for i, c in enumerate(_assert_attachments_are_fresh(model, alphas)):
+            counts[i] += c
+    for fid in fixture_ids():
+        built = build_fixture(fid)
+        if built.alpha is not None:
+            _assert_spaces_are_fresh(build_attachment(built.model, built.alpha), built.model.truncation)
+    assert all(counts), counts  # both [u] = 0 and [u] != 0 occur

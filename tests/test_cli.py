@@ -421,6 +421,15 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, argv, flag, word):
     assert result.stdout == ""
 
 
+def test_an_integer_flag_too_long_to_convert_is_a_usage_error(tmp_path):
+    job = tmp_path / "job.txt"
+    job.write_text(_WEDGE_HEAD + "truncation 4\n", encoding="utf-8")
+    result = run_cli("model", "--truncation", "9" * 4400, "--input", str(job))
+    assert result.returncode == 64, result.stdout
+    assert "error: argument --truncation: a number of 4400 digits is too long\n" in result.stderr
+    assert result.stdout == ""
+
+
 def test_closed_stdout_exits_70_without_a_traceback(tmp_path):
     job = tmp_path / "job.txt"
     job.write_text(_WEDGE_HEAD + "truncation 4\n", encoding="utf-8")
@@ -446,3 +455,90 @@ def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):
     monkeypatch.setattr(cli, "cmd_examples", closed_pipe)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["examples"]) == 70
+
+
+def _wedge_cell_job(tmp_path, n=8, seed=8):
+    """An input file: an n-cell on the wedge of three 2-spheres, alpha drawn from a seed."""
+    import random
+
+    from sullivan.minimal_model import build_minimal_model
+    from sullivan.presented import PresentedAlgebra
+
+    gens = [("a1", 2), ("a2", 2), ("a3", 2)]
+    rels = ["a1^2", "a2^2", "a3^2", "a1*a2", "a1*a3", "a2*a3"]
+    model = build_minimal_model(PresentedAlgebra.from_strings(gens, rels, n + 1), n)
+    rng = random.Random(seed)
+    names = [g.name for g in model.generators if g.degree == n - 1]
+    lines = ["algebra:", *(f"  gen {name} {d}" for name, d in gens),
+             *(f"  rel {r}" for r in rels), f"  truncation {n}", "attach:", f"  cell {n}",
+             *(f"  alpha {name} {rng.randint(1, 9)}/{rng.randint(1, 5)}"
+               for name in rng.sample(names, 3))]
+    job = tmp_path / "cell.txt"
+    job.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--input", str(job)]
+
+
+@pytest.mark.parametrize(
+    "case,n", [("wedge-cell8", 8), ("fatwedge-e6", 6), ("wedge3-e6", 6)]
+)
+def test_verdict_repeats_no_elimination(case, n, tmp_path, monkeypatch, capsys):
+    """After the build, a verdict eliminates no class rows, and below degree
+    n - 1 it builds no coboundaries: every space comes from the build."""
+    import functools
+
+    from sullivan import cli, dgca, minimal_model
+
+    source = _wedge_cell_job(tmp_path) if case == "wedge-cell8" else ["--fixture", case]
+    state = {"built": False}
+    late = []
+    build, kernel_rref = minimal_model.build_minimal_model, dgca.kernel_rref
+    coboundaries = dgca.CohomologySpace.__dict__["coboundaries"].func
+
+    def marking_build(*args, **kwargs):
+        model = build(*args, **kwargs)
+        state["built"] = True
+        return model
+
+    def counting_kernel_rref(*args, **kwargs):
+        if state["built"]:
+            late.append("kernel_rref")
+        return kernel_rref(*args, **kwargs)
+
+    def counting_coboundaries(self):
+        if state["built"]:
+            late.append(("coboundaries", type(self.cochains).__name__, self.degree))
+        return coboundaries(self)
+
+    for module in (cli, sys.modules["sullivan.fixtures"], sys.modules["sullivan.formality"]):
+        monkeypatch.setattr(module, "build_minimal_model", marking_build)
+    monkeypatch.setattr(dgca, "kernel_rref", counting_kernel_rref)
+    spy = functools.cached_property(counting_coboundaries)
+    spy.__set_name__(dgca.CohomologySpace, "coboundaries")
+    monkeypatch.setattr(dgca.CohomologySpace, "coboundaries", spy)
+
+    code = cli.main(["verdict", *source, "--json"])
+    assert code in (0, 10, 20), capsys.readouterr().err
+    assert state["built"]
+    assert "kernel_rref" not in late, late
+    assert all(m >= n - 1 for _, _, m in late), late
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["model", "--fixture", "wedge3-s2"], ["attach", "--fixture", "cp2-attach"],
+     ["verdict", "--fixture", "fatwedge-e6"], ["verdict", "--fixture", "even-4k"]],
+)
+def test_fixture_commands_build_the_algebra_once(argv, monkeypatch, capsys):
+    from sullivan import cli, fixtures
+
+    calls = []
+    original = fixtures.algebra_of
+
+    def counting(fixture):
+        calls.append(fixture.fixture_id)
+        return original(fixture)
+
+    monkeypatch.setattr(fixtures, "algebra_of", counting)
+    monkeypatch.setattr(cli, "algebra_of", counting)
+    assert cli.main(argv) in (0, 10, 20), capsys.readouterr().err
+    assert calls == [argv[-1]]

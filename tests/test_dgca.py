@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -690,7 +691,7 @@ def test_extend_codes_refuses_bad_codes():
     D.cohomology(5)
 
     def state():
-        return (D.gens, d_on_gens(D), D.keys(5), dict(D._handed_down),
+        return (D.gens, d_on_gens(D), D.keys(5), copy.deepcopy(D._records),
                 dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
 
     before = state()
@@ -729,7 +730,7 @@ def test_extend_refuses_what_init_refuses():
             FreeDGCA(gens, d, truncation=8)
     D = FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
     D.cohomology(4)
-    before = (D.gens, d_on_gens(D), D.basis(4), dict(D._handed_down))
+    before = (D.gens, d_on_gens(D), D.basis(4), copy.deepcopy(D._records))
     for gens, d, message in [([a], {}, "^duplicate generators$"),
                              ([x, x], {}, "^duplicate generators$"),
                              ([x], {x: dx}, "^d\\(x\\) uses the unknown generator 'y'$")]:
@@ -738,7 +739,7 @@ def test_extend_refuses_what_init_refuses():
     late = Generator("c", 2, index=5)  # sorts before b
     with pytest.raises(InputError, match="^generator 'c' sorts before the existing 'b'$"):
         D.extend([late], {})
-    assert (D.gens, d_on_gens(D), D.basis(4), D._handed_down) == before
+    assert (D.gens, d_on_gens(D), D.basis(4), D._records) == before
     # a batch in any order, whose d uses a generator of the same batch
     D.extend([y, x], {x: dx})
     assert D.gens == (a, b, y, x) and d_on_gens(D)[x] == dx
@@ -748,10 +749,10 @@ def _assert_handed_down_rows_are_a_basis(D, degrees):
     """d of the handed-down cochains: independent, and the span of d(basis(k))."""
     for k in degrees:
         D.cohomology(k)
-        assert k in D._handed_down
+        assert k in D._records
         index = {D.key(b): i for i, b in enumerate(D.basis(k + 1))}
         rows = [{index[t]: c for t, c in terms} for terms in D.boundaries(k + 1)]
-        assert len(rows) == len(D._handed_down[k])
+        assert len(rows) == len(D._records[k].complement)
         assert RowSpace(rows).rank == len(rows), k
         full = RowSpace(
             {index[D.key(t)]: c for t, c in D.d_monomial(b).terms()} for b in D.basis(k)
@@ -781,7 +782,7 @@ def test_handed_down_rows_are_a_basis_closed(D):
 
 
 def test_extend_keeps_or_drops_the_record():
-    # Lambda(a, b), db = a^2; the record of degree 6 is H^6's complement
+    # Lambda(a, b), db = a^2; the record of degree 6 is what is known of H^6
     a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
     d = {b: Element.from_monomial(Monomial.of(a, 2))}
 
@@ -790,16 +791,39 @@ def test_extend_keeps_or_drops_the_record():
         D.cohomology(6)
         x = Generator("x", degree, stage=2, index=2)
         D.extend([x], {x: dx})
-        return 6 in D._handed_down
+        kept = 6 in D._records
+        assert _pieces(D, 6) == _pieces(FreeDGCA([a, b, x], {**d, x: dx}, truncation=9), 6)
+        return kept
 
     def a_power(e, times=Element.one()):
         return Element.from_monomial(Monomial.of(a, e)) * times
 
     assert record_after(6, Element.zero())  # k = |x| and dx = 0
     assert not record_after(6, a_power(2, Element.from_generator(b)))  # dx != 0
-    assert record_after(5, a_power(3))  # k = |x| + 1
+    # k = |x| + 1: dx may change B^6, and a plain extend does not vouch for it
+    assert not record_after(5, a_power(3))
     assert record_after(7, a_power(4))  # k < |x|
     assert not record_after(4, Element.zero())  # x * a in degree 6
+
+
+def test_extending_a_built_model_drops_what_it_cannot_vouch_for():
+    # the model of Q[a]/(a^3) is a, b with db = a^3; its build leaves a record
+    # in every degree.  x two degrees below k = 7 with dx = a^3 adds the cocycle
+    # a*b - a*x to Z^7; y of degree 7 with dy = a^4 = d(a*b) adds a*b - y.
+    model = _built([("a", 2)], ["a^3"], 9)
+    a, b = model.gens
+    assert set(model._records) == set(range(10))
+    a_cubed = Element.from_monomial(Monomial.of(a, 3))
+    for degree, dx in [(5, a_cubed), (7, a_cubed * Element.from_generator(a))]:
+        D = _built([("a", 2)], ["a^3"], 9)
+        for m in range(10):
+            D.cohomology(m)
+        x = Generator("x", degree, stage=2, index=2)
+        D.extend([x], {x: dx})
+        fresh = FreeDGCA([a, b, x], {b: a_cubed, x: dx}, truncation=9)
+        assert D.cohomology(7).dimension == fresh.cohomology(7).dimension == 1
+        for m in range(10):
+            assert _pieces(D, m) == _pieces(fresh, m), (degree, m)
 
 
 @pytest.mark.parametrize(
@@ -812,19 +836,20 @@ def test_extend_keeps_or_drops_the_record():
     ids=["wedge", "higher-stage-0"],
 )
 def test_build_hands_down_every_coboundary_basis(monkeypatch, generators, relations):
-    # from H^4 on, each H^(m+1) of the build reads the complement that H^m
-    # handed down, through the stage-0 and kill extensions in between
+    # the build starts with H^0, H^1 and H^2 of the empty complex; from H^1
+    # on, each H^(m+1) reads the complement of the record of H^m, through the
+    # stage-0 and kill extensions in between
     seen = []
     original = FreeDGCA.boundaries
 
     def spy(self, m):
-        seen.append((m, m - 1 in self._handed_down))
+        seen.append((m, m - 1 in self._records))
         return original(self, m)
 
     monkeypatch.setattr(FreeDGCA, "boundaries", spy)
     _built(generators, relations, 7)
-    assert [m for m, _ in seen] == list(range(3, 8))
-    assert all(handed for m, handed in seen if m >= 4), seen
+    assert [m for m, _ in seen] == list(range(0, 8))
+    assert all(handed for m, handed in seen if m >= 1), seen
 
 
 def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwedge_e6):

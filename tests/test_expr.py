@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sullivan.errors import ParseError
+from sullivan.cli import parse_job
+from sullivan.errors import ParseError, SullivanError
 from sullivan.expr import parse_element, parse_rational
 from sullivan.gca import Element, Generator, Monomial
 
@@ -81,3 +83,55 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text parses or is refused with a SullivanError
+
+_LONG = "9" * 4400  # beyond Python's default limit for integer string conversion
+_ELEMENT_PIECES = st.sampled_from(
+    ["a1", "b", "c", "x", "^", "*", "/", "+", "-", " ", "0", "1", "2", "3/2", "^2",
+     "\t", "\x00", "\x1b", "\u00e9", "\u0663", "\u2028", "\uff11", _LONG]
+)
+_JOB_PIECES = st.sampled_from(
+    ["algebra:", "attach:", "gen a 2", "gen b 3", "rel a^2", "rel a*b - b", "truncation 4",
+     "cell 3", "alpha a 1/2", "alpha b -3/", "# note", "", "gen", "gen a \u0663",
+     f"gen a {_LONG}", f"truncation {_LONG}", f"cell {_LONG}", f"alpha a {_LONG}/2",
+     "cell x", "\x00", "\x0c", "\u2029"]
+)
+
+
+def _texts(pieces, sep):
+    return st.one_of(
+        st.text(),
+        st.lists(st.one_of(pieces, st.text(max_size=3)), max_size=10).map(sep.join),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_ELEMENT_PIECES, ""))
+def test_parse_element_parses_or_refuses_any_text(text):
+    try:
+        x = parse_element(text, GENS)
+    except SullivanError:
+        return
+    printed = str(x)
+    assert parse_element(printed, GENS) == x
+    assert str(parse_element(printed, GENS)) == printed
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_JOB_PIECES, "\n"))
+def test_parse_job_parses_or_refuses_any_text(text):
+    try:
+        parse_job(text)
+    except SullivanError:
+        pass
+
+
+def test_a_number_too_long_to_convert_is_a_parse_error():
+    for text in (_LONG, f"a1^{_LONG}", f"1/{_LONG}"):
+        with pytest.raises(ParseError, match="^a number of 4400 digits is too long"):
+            parse_element(text, GENS)
+    with pytest.raises(ParseError, match="^a number of 4400 digits is too long \\(line 2\\)$"):
+        parse_job(f"algebra:\n  gen a {_LONG}\n")

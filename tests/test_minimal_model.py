@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,12 @@ from sullivan.minimal_model import (
 )
 from sullivan.presented import PresentedAlgebra
 
-from conftest import coefficients, elements_of, small_presentations
+from conftest import (
+    built_wedge_and_dense_models,
+    dense_quadratic_presentations,
+    elements_of,
+    small_presentations,
+)
 
 F = Fraction
 
@@ -243,19 +249,6 @@ _RHO_PRESENTATIONS = {
 }
 
 
-@st.composite
-def dense_quadratic_presentations(draw):
-    """Degree-2 generators with quadratic relations that use every square."""
-    k = draw(st.integers(2, 3))
-    gens = [Generator(f"x{i}", 2, 0, i) for i in range(k)]
-    squares = monomial_basis(gens, 4)
-    relations = [
-        Element({mon: draw(coefficients) for mon in squares})
-        for _ in range(draw(st.integers(1, k - 1)))
-    ]
-    return PresentedAlgebra(gens, relations, 7)
-
-
 def _rho_models(algebra):
     """A built model, a renamed copy, and a copy whose rho is not monomial."""
     model = build_minimal_model(algebra, algebra.truncation - 1)
@@ -427,26 +420,6 @@ def test_verify_standard_matches_the_decoded_reference_random(data, sampler):
     assert verify_standard(perturbed) == reference_verify_standard(perturbed)
 
 
-_WEDGES = {
-    r: ([(f"a{i}", 2) for i in range(1, r + 1)],
-        [f"a{i}*a{j}" for i in range(1, r + 1) for j in range(i, r + 1)])
-    for r in (2, 3)
-}
-
-
-@st.composite
-def built_wedge_and_dense_models(draw):
-    """A built model of a wedge of 2-spheres or of a dense quadratic presentation."""
-    if draw(st.booleans()):
-        r = draw(st.sampled_from(sorted(_WEDGES)))
-        truncation = draw(st.integers(4, 6 if r == 2 else 5))
-        algebra = PresentedAlgebra.from_strings(*_WEDGES[r], truncation + 1)
-    else:
-        algebra = draw(dense_quadratic_presentations())
-        truncation = algebra.truncation - 1
-    return build_minimal_model(algebra, truncation)
-
-
 def _rebuilt(model, gmap):
     """The reference rename: every d(g) decoded, renamed by gmap and encoded afresh."""
     def renamed(x):
@@ -483,13 +456,14 @@ def _outputs(D):
 def _state(D):
     """The tables and caches of a complex, by value and, for cached spaces, by identity."""
     return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), dict(D._position),
-            list(D._codes), dict(D._handed_down), dict(D._cohomology_cache))
+            list(D._codes), copy.deepcopy(D._records), dict(D._cohomology_cache))
 
 
 @settings(max_examples=30, deadline=None)
 @given(built_wedge_and_dense_models(), st.data())
 def test_rename_matches_a_rebuilt_model(model, data):
-    # classes read before the rename: their cached spaces carry over, rebased
+    # classes read before the rename: the renamed complex reads its own copy
+    # of the records, not the source's cached spaces
     for m in data.draw(st.lists(st.integers(0, model.truncation), max_size=3)):
         model.dgca.cohomology(m).classes
     names = [g.name for g in model.generators]
@@ -503,14 +477,14 @@ def test_rename_matches_a_rebuilt_model(model, data):
     )
     assert renamed.rho == {gmap[g]: image for g, image in model.rho.items()}
     # the records the build handed down carry over, and a fresh complex finds them
-    records = renamed.dgca._handed_down
-    assert records == model.dgca._handed_down and records
+    records = renamed.dgca._records
+    assert records == model.dgca._records and records
     reference = _rebuilt(model, gmap)
     for k in records:
         reference.cohomology(k)
-    assert {k: reference._handed_down[k] for k in records} == records
+    assert {k: reference._records[k] for k in records} == records
     assert _outputs(renamed.dgca) == _outputs(reference)
-    assert renamed.dgca._handed_down == reference._handed_down
+    assert renamed.dgca._records == reference._records
 
 
 @settings(max_examples=20, deadline=None)
@@ -525,8 +499,15 @@ def test_extending_a_renamed_model_leaves_its_source_unchanged(model):
     for m in range(renamed.truncation + 1):
         renamed.cohomology(m).classes
     assert renamed.gens[-1] == z and renamed.keys(top.degree)[-1] == ((len(source.gens), 1),)
+    # z is a closed generator of degree top.degree: the record of that degree
+    # gains a class row in the renamed complex only
+    assert renamed._records[top.degree].size == source._records[top.degree].size + 1
     assert _state(source) == before
     assert _outputs(source) == _outputs(_rebuilt(model, {g: g for g in model.generators}))
+    # and the other way round: extending the source leaves the renamed records
+    after = copy.deepcopy(renamed._records)
+    source.extend([Generator("z", top.degree, top.stage + 1, top.index + 1)], {})
+    assert renamed._records == after
 
 
 def test_rename_refuses_to_reorder_generators():
