@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Where a model build spends its time, by cProfile cumulative share.
+
+    python3 scripts/profile_build.py --wedge 3 10
+    python3 scripts/profile_build.py --fixture fatwedge-e6 --repeat 5
+
+``--wedge r N`` builds the minimal model of the wedge of r 2-spheres
+(degree-2 generators, every quadratic monomial a relation) truncated at N.
+``--fixture ID`` runs the command a user would: ``sullivan verdict`` for a
+fixture with a cell, ``sullivan model`` otherwise, with ``--json`` output
+discarded.  ``--repeat`` runs the work that many times under one profile.
+
+For each hot layer of the cohomology elimination it prints the number of
+calls, the cumulative seconds and the share of the profiled total.  cProfile
+adds a cost to every Python call, so the shares are indicative; time the
+same work with profiling off before quoting a speed-up.  Standard library
+only.
+"""
+
+import argparse
+import contextlib
+import cProfile
+import io
+import pathlib
+import pstats
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from sullivan import cli, dgca, linalg  # noqa: E402
+from sullivan.fixtures import get_fixture  # noqa: E402
+from sullivan.minimal_model import build_minimal_model  # noqa: E402
+from sullivan.presented import PresentedAlgebra  # noqa: E402
+
+LAYERS = {
+    "CohomologySpace.__init__": dgca.CohomologySpace.__init__,
+    "kernel_rref": linalg.kernel_rref,
+    "RowSpace.insert": linalg.RowSpace.insert,
+    "RowSpace.kernel": linalg.RowSpace.kernel,
+    "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
+    "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
+}
+
+
+def wedge_job(r: int, n: int):
+    gens = [(f"a{i}", 2) for i in range(1, r + 1)]
+    rels = [f"a{i}*a{j}" if i != j else f"a{i}^2"
+            for i in range(1, r + 1) for j in range(i, r + 1)]
+
+    def job():
+        algebra = PresentedAlgebra.from_strings(gens, rels, n + 1)
+        build_minimal_model(algebra, n)
+
+    return job
+
+
+def fixture_job(fixture_id: str):
+    command = "verdict" if get_fixture(fixture_id).cell is not None else "model"
+    argv = [command, "--fixture", fixture_id, "--json"]
+
+    def job():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+
+    return job
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--wedge", nargs=2, type=int, metavar=("R", "N"))
+    which.add_argument("--fixture", metavar="ID")
+    p.add_argument("--repeat", type=int, default=1)
+    args = p.parse_args(argv)
+    job = wedge_job(*args.wedge) if args.wedge else fixture_job(args.fixture)
+
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(args.repeat):
+        job()
+    profile.disable()
+    stats = pstats.Stats(profile)
+    total = stats.total_tt
+    by_code = {(file, line, name): (nc, ct) for (file, line, name), (_, nc, _, ct, _)
+               in stats.stats.items()}
+
+    print(f"profiled total {total:.3f} s over {args.repeat} run(s)")
+    print(f"{'layer':<26} {'calls':>9} {'cum s':>8} {'share':>7}")
+    for label, func in LAYERS.items():
+        code = func.__code__
+        calls, cum = by_code.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0.0))
+        share = cum / total if total else 0.0
+        print(f"{label:<26} {calls:>9} {cum:>8.3f} {share:>7.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

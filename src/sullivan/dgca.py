@@ -64,15 +64,25 @@ pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
 monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
-new generator and its d(g) as codes, checking the degree of every term;
+new generator and its d(g) as codes, checking the degree of every term and
+that the positions of every code increase;
 `keys(m)` enumerates the codes of degree m over those tables
 (`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
-with the Koszul sign counted from odd positions.  The codes are the only
-form in which a `FreeDGCA` keeps its differential: d(g) is read as
-`d_monomial` of the one-factor monomial g.  `Element`, `Monomial` and
-`Generator` appear only at the API boundary: ``element_of`` decodes codes
-where a result leaves the complex (a class representative, `d_monomial`,
-`basis`), and `extend`, `key` and ``terms_of`` encode the elements handed in.
+with the Koszul sign counted from odd positions.  In a minimal model every
+term of d(g) lies at positions below g's: it has word length at least 2 and
+every degree is at least 2, so each of its factors has degree below |g|,
+and generators sort by degree first.  Then d of a factor g of a monomial
+only merges each term into the factors before g and appends the factors
+from g on (`_d_code`).  `extend` accepts any d, linear terms and terms at
+higher positions included, so the general merge stays for the generators
+whose d does not lie below them.
+
+The codes are the only form in which a `FreeDGCA` keeps its differential:
+d(g) is read as `d_monomial` of the one-factor monomial g.  `Element`,
+`Monomial` and `Generator` appear only at the API boundary: ``element_of``
+decodes codes where a result leaves the complex (a class representative,
+`d_monomial`, `basis`), and `extend`, `key` and ``terms_of`` encode the
+elements handed in.
 
 Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
 generator at its position, so the renamed complex shares the code tables and
@@ -84,6 +94,7 @@ are new.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -126,6 +137,8 @@ class FreeDGCA:
         self._degree: list[int] = []
         self._odd: list[bool] = []
         self._d_codes: list[tuple] = []
+        # whether every term of d(g) lies at positions below g's; see _d_code
+        self._below: list[bool] = []
         # (position, exponent) -> (generator, exponent): one pair object shared
         # by every decoded monomial
         self._pairs: dict[tuple[int, int], tuple[Generator, int]] = {}
@@ -165,7 +178,7 @@ class FreeDGCA:
         The generators, in any order, must sort after every existing one; the
         new ones take the next positions in their sorted order, and a code may
         use any old or new position.  Every term of d(g) must have degree
-        |g| + 1.  A refused batch leaves the complex unchanged.  The keys and
+        |g| + 1, and its code increasing positions.  A refused batch leaves the complex unchanged.  The keys and
         cohomology of every degree at or above the smallest new degree are
         dropped; code positions stay stable, and the records of H^k follow
         the rules of the module docstring.
@@ -189,24 +202,31 @@ class FreeDGCA:
         count = len(self.gens) + len(new)
         degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
+        below = list(self._below)
         d_codes = []
-        for g, terms in layer:
+        for position, (g, terms) in enumerate(layer, len(self.gens)):
             triples = []
+            top = -1  # the highest position in d(g)
             for code, c in terms.items():
-                total = 0
+                total, last = 0, -1
                 for p, e in code:
                     if not 0 <= p < count:
                         raise InputError(f"d({g.name}) uses the unknown position {p}")
+                    if p <= last:
+                        raise InputError(f"d({g.name}) has a code whose positions do not increase")
                     total += degree[p] * e
+                    last = p
                 if total != g.degree + 1:
                     raise InputError(f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
                 odds = tuple([q for q, _ in code if odd[q]])
                 triples.append((code, odds, c.numerator if c.denominator == 1 else c))
+                top = max(top, last)
             d_codes.append(tuple(triples))
+            below.append(top < position)
 
         self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
-        self._degree, self._odd = degree, odd
+        self._degree, self._odd, self._below = degree, odd, below
         self._d_codes += d_codes
         low = new[0].degree
         del self._codes[low:]
@@ -328,56 +348,96 @@ class FreeDGCA:
 
         Terms are listed in the order the Leibniz rule produces them: factor by
         factor, and within a factor in the order of the terms of d(g).
+
+        The factor g at position p gives prefix * d(g) * g^(e-1) * rest, where
+        every position in prefix is below p and every one in rest is at least
+        p.  When every term t of d(g) lies at positions below p (``_below``,
+        true of every generator a model build makes), the product's code is
+        merge(prefix, t) + rest, simply t + rest when prefix is empty, and t
+        passes no factor of rest: the Koszul sign counts only the odd
+        positions of prefix.  Otherwise t is merged into prefix + rest, and
+        its odd factors may pass odd factors of either.  That general merge
+        stays for the complexes `extend` builds from any d, with a linear
+        term or a term at a higher position.
         """
-        odd, d_codes = self._odd, self._d_codes
+        odd, d_codes, below = self._odd, self._d_codes, self._below
         out: dict[tuple, int | Fraction] = {}
         parity = 0  # parity of the degree of the factors before position i
         for i, (p, e) in enumerate(code):
             dg = d_codes[p]
             if dg:
-                # the term prefix * d(g) * g^(e-1) * suffix; every position in
-                # prefix is below p and every one in rest is at least p
                 prefix = code[:i]
                 rest = code[i + 1 :] if e == 1 else ((p, e - 1), *code[i + 1 :])
-                left = [q for q, _ in prefix if odd[q]]
-                right = [q for q, _ in rest if odd[q]]
-                others = dict(prefix + rest)
                 scale = -e if parity else e
-                for t, t_odds, c in dg:
-                    # Koszul sign: odd factors of the term passing odd factors
-                    # of prefix and rest on their way into sorted position
-                    inversions = 0
-                    for q in t_odds:
-                        if q in others:
-                            break  # an odd factor repeats
-                        for x in left:
-                            if x > q:
-                                inversions += 1
-                        for z in right:
-                            if z < q:
-                                inversions += 1
+                if below[p] and not prefix:
+                    terms = [(t + rest, c) for t, _, c in dg]
+                else:
+                    # the code of each term is t merged into base, then tail
+                    if below[p]:
+                        base, tail, right = prefix, rest, ()
                     else:
-                        merged = others.copy()
-                        for q, f in t:
-                            merged[q] = merged.get(q, 0) + f
-                        key = tuple(sorted(merged.items()))
-                        v = out.get(key, 0) + (-scale * c if inversions & 1 else scale * c)
-                        if v:
-                            out[key] = v
+                        base, tail, right = prefix + rest, (), [q for q, _ in rest if odd[q]]
+                    left = [q for q, _ in prefix if odd[q]]
+                    n = len(base)
+                    terms = []
+                    for t, t_odds, c in dg:
+                        # Koszul sign: odd factors of the term passing odd
+                        # factors of prefix and rest on their way into sorted
+                        # position
+                        inversions = 0
+                        for q in t_odds:
+                            if q in left or q in right:
+                                break  # an odd factor repeats
+                            for x in left:
+                                if x > q:
+                                    inversions += 1
+                            for z in right:
+                                if z < q:
+                                    inversions += 1
                         else:
-                            out.pop(key, None)
+                            merged = []
+                            j = 0
+                            for q, f in t:
+                                while j < n and base[j][0] < q:
+                                    merged.append(base[j])
+                                    j += 1
+                                if j < n and base[j][0] == q:
+                                    merged.append((q, base[j][1] + f))
+                                    j += 1
+                                else:
+                                    merged.append((q, f))
+                            terms.append(((*merged, *base[j:], *tail), -c if inversions & 1 else c))
+                for key, c in terms:
+                    v = out.get(key, 0) + scale * c
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
             if odd[p]:
                 parity ^= e & 1
         return out
 
     def verify_d_squared(self) -> tuple[Generator, Element] | None:
-        """None when d*d kills every generator, else (generator, residue)."""
-        for g, dg in zip(self.gens, self._d_codes):
-            if not dg or g.degree > self.truncation:
-                continue
+        """None when d*d kills every generator, else (generator, residue).
+
+        The d(g) of a model share most of their terms, so d of each distinct
+        term code is computed once per call, and kept until its last use.
+        """
+        checked = [
+            (g, dg) for g, dg in zip(self.gens, self._d_codes) if dg and g.degree <= self.truncation
+        ]
+        uses = Counter(code for _, dg in checked for code, _, _ in dg)
+        d_of: dict[tuple, dict[tuple, int | Fraction]] = {}
+        for g, dg in checked:
             residue: dict[tuple, int | Fraction] = {}
             for code, _, coeff in dg:
-                for t, c in self._d_code(code).items():
+                d_code = d_of.pop(code, None)
+                if d_code is None:
+                    d_code = self._d_code(code)
+                uses[code] -= 1
+                if uses[code]:
+                    d_of[code] = d_code
+                for t, c in d_code.items():
                     v = residue.get(t, 0) + coeff * c
                     if v:
                         residue[t] = v
@@ -518,14 +578,16 @@ class CohomologySpace:
         self.keys = keys = cochains.keys(m)
 
         # classes: the kernel of d on the non-pivot columns, one constraint
-        # row per target cochain
+        # row per target cochain, built over the reversed free columns that
+        # kernel_rref eliminates in
         pivots = set(self.coboundaries.pivots())
         free = [j for j in range(len(keys)) if j not in pivots]
         constraint_rows: dict[object, dict[int, Fraction]] = {}
-        for j in free:
+        last = len(free) - 1
+        for i, j in enumerate(free):
             for t, c in cochains.d_basis(keys[j]):
-                constraint_rows.setdefault(t, {})[j] = c
-        # handed over one at a time, so that each row is freed once flipped
+                constraint_rows.setdefault(t, {})[last - i] = c
+        # handed over one at a time, so that each row is freed once inserted
         drained = (constraint_rows.popitem()[1] for _ in range(len(constraint_rows)))
         self._class_rows = kernel_rref(drained, free)
         self._class_pivots = [min(row) for row in self._class_rows]

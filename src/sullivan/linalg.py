@@ -14,6 +14,15 @@ built by one constructor call, which inserts the rows rightmost leading
 column first; a new pivot then usually lies left of every existing one and
 needs no back-substitution at all.
 
+An insert clears the row's denominators, eliminates its pivot columns and
+then makes it primitive (content divided out, leading entry positive),
+once: scaling a row before the elimination scales the result by the same
+factor, so the stored row is the same.  A row of ints, which is what a
+differential with integer coefficients gives, skips the denominator pass,
+and a combination with a pivot row whose leading entry is 1 copies the row
+instead of scaling it.  Kernel vectors keep `Fraction` entries; those that
+are -v for a small int v are shared objects.
+
 >>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
 >>> space.fraction_rows(), space.pivots()
 ([{0: Fraction(1, 1), 1: Fraction(2, 1)}], [0])
@@ -32,6 +41,8 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# -v for the small nonzero ints v, shared by every kernel vector
+_NEGATED = {v: Fraction(-v) for v in range(-16, 17) if v}
 
 
 def _as_fraction(x) -> Fraction:
@@ -58,12 +69,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """Clear denominators and reduce to a primitive integer row.
+    """The row times the lcm of its denominators, without its zero entries.
 
     An entry is an int or a `Fraction`, never a subclass of one, so a type
     test tells them apart; `isinstance` would pay for an ABC check on every
-    int entry.
+    int entry.  A row of ints, the common case, is copied in one pass, which
+    stops at the first entry that is not an int.
     """
+    out = {}
+    for c, v in row.items():
+        if type(v) is not int:
+            break
+        if v:
+            out[c] = v
+    else:
+        return out
     den = 1
     for v in row.values():
         if type(v) is Fraction:
@@ -76,7 +96,7 @@ def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
             n = v * den
         if n:
             out[c] = n
-    return _primitive(out)
+    return out
 
 
 class RowSpace:
@@ -138,7 +158,7 @@ class RowSpace:
     def _combine(r: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
         """Return piv[c]*r - r[c]*piv, which kills column c."""
         a, b = piv[c], r[c]
-        out = {col: v * a for col, v in r.items()}
+        out = r.copy() if a == 1 else {col: v * a for col, v in r.items()}
         for col, v in piv.items():
             w = out.get(col, 0) - b * v
             if w:
@@ -183,9 +203,14 @@ class RowSpace:
         for p in self._pivots:
             row = self._rows[p]
             lead = row[p]
-            for f, v in row.items():
-                if f != p:
-                    entries.setdefault(f, []).append((p, Fraction(-v, lead)))
+            if lead == 1:
+                for f, v in row.items():
+                    if f != p:
+                        entries.setdefault(f, []).append((p, _NEGATED.get(v) or Fraction(-v)))
+            else:
+                for f, v in row.items():
+                    if f != p:
+                        entries.setdefault(f, []).append((p, Fraction(-v, lead)))
         out = []
         for f in range(ncols):
             if f in self._rows:
@@ -201,28 +226,26 @@ def kernel_rref(
 ) -> list[dict[int, Fraction]]:
     """Reduced row-echelon basis of the kernel of ``rows`` on ``columns``.
 
-    The kernel is ``{x : x_c = 0 off columns, row . x = 0 for all rows}``;
-    entries of a row outside ``columns`` meet only zero coordinates and are
-    ignored.  ``columns`` must be increasing.  The rows are eliminated with
-    the column order reversed, and the free-variable kernel of that reduced
-    form is already the forward one: the vector of free column f is 1 at f,
-    0 at every other free column, and nonzero elsewhere only at pivots,
-    which in reversed order all lie above f.  So the result, in increasing
-    leading column with leading coefficient 1, is what
-    ``RowSpace(RowSpace(rows).kernel(n)).fraction_rows()`` gives over those
-    columns, without a second elimination.
+    The kernel is ``{x : x_c = 0 off columns, row . x = 0 for all rows}``.
+    ``columns`` must be increasing, and the rows are given over the reversed
+    column order, in which they are eliminated: position i of a row is its
+    coefficient at columns[-1 - i], for 0 <= i < len(columns).  The
+    free-variable kernel of that reduced form is already the forward one:
+    the vector of free column f is 1 at f, 0 at every other free column, and
+    nonzero elsewhere only at pivots, which in reversed order all lie above
+    f.  So the result, over ``columns`` in increasing leading column with
+    leading coefficient 1, is the forward reduced row-echelon form of the
+    kernel, without a second elimination.  A caller that builds its rows
+    over the reversed positions from the start hands each row to the
+    elimination as it is, with no second dict per row.
 
-    >>> kernel_rref([{0: 1, 1: 1, 2: 1}], [0, 1, 2])
-    [{0: Fraction(1, 1), 2: Fraction(-1, 1)}, {1: Fraction(1, 1), 2: Fraction(-1, 1)}]
+    >>> kernel_rref([{0: 1, 2: 1}], [3, 5, 7])
+    [{3: Fraction(1, 1), 7: Fraction(-1, 1)}, {5: Fraction(1, 1)}]
     """
     top = len(columns) - 1
-    flipped = {c: top - i for i, c in enumerate(columns)}
-    space = RowSpace(
-        {flipped[c]: v for c, v in row.items() if c in flipped} for row in rows
-    )
     return [
         {columns[top - c]: v for c, v in vec.items()}
-        for vec in reversed(space.kernel(len(columns)))
+        for vec in reversed(RowSpace(rows).kernel(len(columns)))
     ]
 
 

@@ -18,7 +18,7 @@ from sullivan.linalg import RowSpace
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import class_product, coefficients, decomposable_subspace, small_presentations
+from conftest import _WEDGES, class_product, coefficients, decomposable_subspace, small_presentations
 
 F = Fraction
 
@@ -252,16 +252,24 @@ _FORCED_TERMS = {
 
 
 @st.composite
-def leibniz_differentials(draw):
-    """A random d on the mixed-parity generators _ORACLE_GENS (d^2 need not vanish)."""
+def leibniz_differentials(draw, below=False):
+    """A random d on the mixed-parity generators _ORACLE_GENS (d^2 need not vanish).
+
+    With ``below``, every term of d(g) uses only generators before g, as in a
+    built model.  Otherwise a term may use any generator, and d(b2) always has
+    the linear term c, which sorts after b2.
+    """
     d = {}
-    for g in _ORACLE_GENS:
+    for i, g in enumerate(_ORACLE_GENS):
         terms = {}
         if g in _FORCED_TERMS:
             terms[_FORCED_TERMS[g]] = draw(coefficients)
-        targets = monomial_basis(_ORACLE_GENS, g.degree + 1)
-        for mon in draw(st.lists(st.sampled_from(targets), max_size=3)):
-            terms[mon] = draw(coefficients)
+        if g == _B2 and not below:
+            terms[Monomial.of(_C)] = draw(coefficients)
+        targets = monomial_basis(_ORACLE_GENS[:i] if below else _ORACLE_GENS, g.degree + 1)
+        if targets:
+            for mon in draw(st.lists(st.sampled_from(targets), max_size=3)):
+                terms[mon] = draw(coefficients)
         d[g] = Element(terms)
     return d
 
@@ -277,22 +285,60 @@ def monomials_of(draw, D):
     return Monomial(tuple(powers))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_d_monomial_matches_reference_leibniz(data):
-    d = data.draw(leibniz_differentials())
-    D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
-    for _ in range(4):
-        mon = data.draw(monomials_of(D))
-        expected = reference_d_monomial(d, mon)
-        assert D.d_monomial(mon) == expected
-        decoded = Element(
-            {
-                Monomial(tuple((D.gens[p], e) for p, e in code)): c
-                for code, c in D.d_basis(D.key(mon))
-            }
-        )
-        assert decoded == expected
+def _d_code_branches(D, mon):
+    """The branches of `FreeDGCA._d_code` that d of ``mon`` goes through."""
+    code = D.key(mon)
+    out = set()
+    for i, (p, _) in enumerate(code):
+        dg = D._d_codes[p]
+        if not dg:
+            continue
+        if not D._below[p]:
+            out.add("general merge")
+        elif i == 0:
+            out.add("below, empty prefix")
+        else:
+            out.add("below, merged with the prefix")
+            prefix_odds = {q for q, _ in code[:i] if D._odd[q]}
+            if any(prefix_odds.intersection(odds) for _, odds, _ in dg):
+                out.add("below, a term killed by a repeated odd factor")
+    return out
+
+
+def test_d_monomial_matches_reference_leibniz():
+    branches = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        below = data.draw(st.booleans())
+        d = data.draw(leibniz_differentials(below))
+        D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
+        assert D._below == [
+            all(_ORACLE_GENS.index(h) < p for mon in d[g].monomials() for h in mon.generators())
+            for p, g in enumerate(_ORACLE_GENS)
+        ]
+        # b1 * e: the term b1 * b3 of d(e) repeats the odd prefix factor b1
+        mons = [data.draw(monomials_of(D)) for _ in range(4)] + [Monomial(((_B1, 1), (_E, 1)))]
+        for mon in mons:
+            expected = reference_d_monomial(d, mon)
+            assert D.d_monomial(mon) == expected
+            decoded = Element(
+                {
+                    Monomial(tuple((D.gens[p], e) for p, e in code)): c
+                    for code, c in D.d_basis(D.key(mon))
+                }
+            )
+            assert decoded == expected
+            branches.update(_d_code_branches(D, mon))
+
+    check()
+    assert branches == {
+        "general merge",
+        "below, empty prefix",
+        "below, merged with the prefix",
+        "below, a term killed by a repeated odd factor",
+    }
 
 
 def _random_element(data, D, degree):
@@ -365,6 +411,25 @@ def test_verify_d_squared_residue_with_odd_and_even_generators():
     assert str(residue) == (
         "-a1*a2*b1*b3 - 2*a1^2*b1*b2 + a1^2*b2*b3 - 2*a1^3*c + a2^2*b1*b2"
     )
+
+
+def test_verify_d_squared_takes_d_of_each_distinct_term_once(monkeypatch):
+    # the wedge of three 2-spheres at N = 8: 770 terms over its d(g), 450
+    # distinct codes
+    algebra = PresentedAlgebra.from_strings(*_WEDGES[3], 9)
+    D = build_minimal_model(algebra, 8).dgca
+    terms = [code for g, dg in D.d_codes() if g.degree <= D.truncation for code, _, _ in dg]
+    assert (len(terms), len(set(terms))) == (770, 450)
+    calls = []
+    d_code = D._d_code
+
+    def counting(code):
+        calls.append(code)
+        return d_code(code)
+
+    monkeypatch.setattr(D, "_d_code", counting)
+    assert D.verify_d_squared() is None
+    assert sorted(calls) == sorted(set(terms))
 
 
 def test_d_of_a_generator_is_the_element_given_for_it_hand_built():
@@ -692,7 +757,8 @@ def test_extend_codes_refuses_bad_codes():
 
     def state():
         return (D.gens, d_on_gens(D), D.keys(5), copy.deepcopy(D._records),
-                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
+                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes),
+                list(D._below))
 
     before = state()
     refusals = [
@@ -701,6 +767,10 @@ def test_extend_codes_refuses_bad_codes():
          "^d\\(x\\) must be homogeneous of degree 5$"),
         ([(x, {((0, 1), (3, 1)): F(1)})], "^d\\(x\\) uses the unknown position 3$"),
         ([(x, {((-1, 1), (1, 1)): F(1)})], "^d\\(x\\) uses the unknown position -1$"),
+        ([(x, {((1, 1), (0, 1)): F(1)})],
+         "^d\\(x\\) has a code whose positions do not increase$"),
+        ([(x, {((0, 1), (0, 1), (0, 1)): F(1)})],
+         "^d\\(x\\) has a code whose positions do not increase$"),
         ([(x, {}), (x, {})], "^duplicate generators$"),
         ([(b, {})], "^duplicate generators$"),
         ([(Generator("c", 2, index=5), {})], "^generator 'c' sorts before the existing 'b'$"),

@@ -1,5 +1,6 @@
 import doctest
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,11 +186,21 @@ def _sympy_kernel_rref(rows, columns, n):
     ]
 
 
+def _over_reversed_columns(rows, columns):
+    """The rows as `kernel_rref` takes them: position i holds column columns[-1 - i].
+
+    Entries off ``columns`` meet only zero coordinates of the kernel, so they
+    are dropped.
+    """
+    position = {c: len(columns) - 1 - i for i, c in enumerate(columns)}
+    return [{position[c]: v for c, v in row.items() if c in position} for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(kernel_problems())
 def test_kernel_rref_matches_two_eliminations_and_sympy(problem):
     rows, columns, n = problem
-    got = kernel_rref(rows, columns)
+    got = kernel_rref(_over_reversed_columns(rows, columns), columns)
     assert got == _reference_kernel_rref(rows, columns, n)
     assert got == _sympy_kernel_rref(rows, columns, n)
     leads = [min(vec) for vec in got]
@@ -198,13 +209,18 @@ def test_kernel_rref_matches_two_eliminations_and_sympy(problem):
 
 
 def test_kernel_rref_edges():
+    def kernel(rows, columns):
+        return kernel_rref(_over_reversed_columns(rows, columns), columns)
+
     # no rows: the unit vectors of the kept columns, untouched columns included
-    assert kernel_rref([], [1, 4]) == [{1: F(1)}, {4: F(1)}]
-    assert kernel_rref([{0: 1, 2: 1}, {}], []) == []
+    assert kernel([], [1, 4]) == [{1: F(1)}, {4: F(1)}]
+    assert kernel([{0: 1, 2: 1}, {}], []) == []
     # entries off the kept columns meet only zero coordinates
-    assert kernel_rref([{0: 5, 1: 2, 2: -1}], [1, 2]) == [{1: F(1), 2: F(2)}]
+    assert kernel([{0: 5, 1: 2, 2: -1}], [1, 2]) == [{1: F(1), 2: F(2)}]
     big = 2**200 + 1
-    assert kernel_rref([{0: big, 1: F(1, 3)}], [0, 1]) == [{0: F(1), 1: F(-3 * big)}]
+    assert kernel([{0: big, 1: F(1, 3)}], [0, 1]) == [{0: F(1), 1: F(-3 * big)}]
+    # the rows as given: position 0 is the last column
+    assert kernel_rref([{0: 2, 1: 1}], [4, 9]) == [{4: F(1), 9: F(-1, 2)}]
 
 
 nonzero_entries = kernel_entries.filter(bool)
@@ -282,6 +298,83 @@ def test_rowspace_matches_sympy(problem):
     reduced, pivots = matrix.rref()
     assert space.pivots() == list(pivots)
     assert space.fraction_rows() == [_fractions(reduced.row(i)) for i in range(len(pivots))]
+
+
+# entries the integer fast path of RowSpace.insert meets: ints, explicit
+# zeros, and Fractions that are ints in value or not
+small_entries = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-20, 20).map(F),
+    st.builds(F, st.integers(-20, 20), st.integers(1, 4)),
+)
+
+
+@st.composite
+def int_and_fraction_rows(draw):
+    """Rows over n columns: all-int ones, ones mixing ints with Fraction(v, 1),
+    and ones with a proper fraction; with zero entries and negative leads."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["int", "int-valued", "any"]))
+        entries = {
+            "int": st.integers(-20, 20),
+            "int-valued": st.one_of(st.integers(-20, 20), st.integers(-20, 20).map(F)),
+            "any": small_entries,
+        }[kind]
+        row = draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=n))
+        nonzero = [c for c, v in row.items() if v]
+        if nonzero and draw(st.booleans()):
+            lead = min(nonzero)
+            row[lead] = -abs(row[lead])
+        rows.append(row)
+    return rows, n
+
+
+def _reference_integer_row(row):
+    """The integer row as insert made it before its int fast path: every entry
+    scaled by the lcm of the Fraction denominators, then made primitive."""
+    den = 1
+    for v in row.values():
+        if type(v) is F:
+            den = lcm(den, v.denominator)
+    out = {}
+    for c, v in row.items():
+        n = v.numerator * (den // v.denominator) if type(v) is F else v * den
+        if n:
+            out[c] = n
+    if not out:
+        return out
+    g = 0
+    for v in out.values():
+        g = gcd(g, v)
+    if out[min(out)] < 0:
+        g = -g
+    return {c: v // g for c, v in out.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_and_fraction_rows())
+def test_insert_fast_paths_match_the_old_path_and_sympy(problem):
+    rows, n = problem
+    for row in rows:
+        assert linalg._primitive(linalg._integer_row(row)) == _reference_integer_row(row)
+    space = RowSpace(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_integer_row", _reference_integer_row)
+        old = RowSpace(rows)
+    assert space._rows == old._rows and space.pivots() == old.pivots()
+    kernel = space.kernel(n)
+    assert kernel == old.kernel(n)
+    matrix = _sympy_matrix(rows, n)
+    reduced, pivots = matrix.rref()
+    assert space.pivots() == list(pivots)
+    assert space.fraction_rows() == [_fractions(reduced.row(i)) for i in range(len(pivots))]
+    assert kernel == [_fractions(vec) for vec in matrix.nullspace()]
+    # entries are Fractions, never ints or floats, whichever path made them
+    columns = list(range(n))
+    for vectors in (kernel, kernel_rref(rows, columns), space.fraction_rows()):
+        assert all(type(v) is F for vec in vectors for v in vec.values())
 
 
 @st.composite

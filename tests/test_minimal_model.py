@@ -1,4 +1,5 @@
 import copy
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -332,6 +333,80 @@ def test_wedge_of_two_spheres_has_witt_many_generators(r, n):
     assert counts[n] == 0 and set(counts) <= set(range(2, n + 1))
 
 
+def _koszul_dual_dimensions(k, relations, top):
+    """l_n = dim L_n, n = 1..top, for A = Q[x_0..x_(k-1)]/(x_i x_j : (i, j) in
+    relations) with |x_i| = 2, from the Hilbert series of A alone.
+
+    Quadratic monomial relations make A Koszul (Froeberg, Math. Scand. 37,
+    1975), so U(L) has Poincare series 1/H_A(-t) in word length (Berglund,
+    Trans. AMS 366, 2014).  H_A is counted on the untruncated algebra, as the
+    monomials that no relation pair divides.  The graded PBW theorem then
+    peels l_n off in turn: a factor (1 + t^n)^(l_n) for odd n and
+    1/(1 - t^n)^(l_n) for even n.
+    """
+    hilbert = []
+    for w in range(top + 1):
+        count = 0
+        for factors in itertools.combinations_with_replacement(range(k), w):
+            exponents = Counter(factors)
+            if not any(
+                exponents[i] >= 2 if i == j else exponents[i] and exponents[j]
+                for i, j in relations
+            ):
+                count += 1
+        hilbert.append(count)
+    # series = 1 / H_A(-t), to t^top
+    series = [1] + [0] * top
+    for n in range(1, top + 1):
+        series[n] = -sum((-1) ** i * hilbert[i] * series[n - i] for i in range(1, n + 1))
+    dims = []
+    for n in range(1, top + 1):
+        dims.append(series[n])
+        assert series[n] >= 0, (n, series)
+        for _ in range(series[n]):
+            if n % 2:  # divide by 1 + t^n
+                for m in range(n, top + 1):
+                    series[m] -= series[m - n]
+            else:  # multiply by 1 - t^n
+                for m in range(top, n - 1, -1):
+                    series[m] -= series[m - n]
+    return dims
+
+
+def test_koszul_dual_dimensions_by_hand():
+    # no relations: L = L_1, abelian; every relation: the Witt numbers
+    assert _koszul_dual_dimensions(3, [], 5) == [3, 0, 0, 0, 0]
+    everything = [(i, j) for i in range(3) for j in range(i, 3)]
+    assert _koszul_dual_dimensions(3, everything, 7) == _graded_witt_numbers(3, 7)
+    # Q[x, y]/(x^2): the model of S^2 x CP^infinity is x, y and b with db = x^2
+    assert _koszul_dual_dimensions(2, [(0, 0)], 5) == [2, 1, 0, 0, 0]
+
+
+@st.composite
+def quadratic_monomial_presentations(draw):
+    """2-4 degree-2 generators, any set of quadratic monomials as relations, N = 7 or 8."""
+    k = draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    relations = sorted(draw(st.sets(st.sampled_from(pairs))))
+    return k, relations, draw(st.integers(7, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(quadratic_monomial_presentations())
+def test_quadratic_monomial_relations_give_the_koszul_dual_generators(problem):
+    k, relations, n = problem
+    gens = [(f"x{i}", 2) for i in range(k)]
+    rels = [f"x{i}^2" if i == j else f"x{i}*x{j}" for i, j in relations]
+    model = build_minimal_model(PresentedAlgebra.from_strings(gens, rels, n + 1), n)
+    counts = Counter(g.degree for g in model.generators)
+    # dim V^(m+1) = l_m in every degree m + 1 < N; degree N holds no generators
+    assert [counts[m + 1] for m in range(1, n - 1)] == _koszul_dual_dimensions(k, relations, n - 2)
+    assert counts[n] == 0
+    # coformal: every d(g) is purely quadratic
+    for g, dg in model.dgca.d_codes():
+        assert all(sum(e for _, e in code) == 2 for code, _, _ in dg), g.name
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_complex_projective_space_model(k):
     # CP^k: A = Q[a]/(a^(k+1)), |a| = 2; its model is V = {a, b}, |b| = 2k+1,
@@ -455,8 +530,9 @@ def _outputs(D):
 
 def _state(D):
     """The tables and caches of a complex, by value and, for cached spaces, by identity."""
-    return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), dict(D._position),
-            list(D._codes), copy.deepcopy(D._records), dict(D._cohomology_cache))
+    return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), list(D._below),
+            dict(D._position), list(D._codes), copy.deepcopy(D._records),
+            dict(D._cohomology_cache))
 
 
 @settings(max_examples=30, deadline=None)
