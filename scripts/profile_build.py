@@ -10,8 +10,9 @@
 fixture with a cell, ``sullivan model`` otherwise, with ``--json`` output
 discarded.  ``--repeat`` runs the work that many times under one profile.
 
-For each hot layer of the cohomology elimination it prints the number of
-calls, the cumulative seconds and the share of the profiled total.  cProfile
+For each hot layer of the cohomology elimination and of the kill step
+(``_kill_step``, which includes its ``extend_codes`` call) it prints the
+number of calls, the cumulative seconds and the share of the profiled total.  cProfile
 adds a cost to every Python call, so the shares are indicative; time the
 same work with profiling off before quoting a speed-up.  Standard library
 only.
@@ -27,7 +28,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from sullivan import cli, dgca, linalg  # noqa: E402
+from sullivan import cli, dgca, linalg, minimal_model  # noqa: E402
 from sullivan.fixtures import get_fixture  # noqa: E402
 from sullivan.minimal_model import build_minimal_model  # noqa: E402
 from sullivan.presented import PresentedAlgebra  # noqa: E402
@@ -39,6 +40,9 @@ LAYERS = {
     "RowSpace.kernel": linalg.RowSpace.kernel,
     "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
+    "minimal_model._kill_step": minimal_model._kill_step,
+    "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
+    "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
 }
 
 

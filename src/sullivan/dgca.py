@@ -65,7 +65,8 @@ are kept in the global generator order, a sorted code is a normalised
 monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
 new generator and its d(g) as codes, checking the degree of every term and
-that the positions of every code increase;
+that the positions of every code increase, or, in a kill step, that every
+term is a key of degree |g| + 1;
 `keys(m)` enumerates the codes of degree m over those tables
 (`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
 with the Koszul sign counted from odd positions.  In a minimal model every
@@ -178,16 +179,21 @@ class FreeDGCA:
         The generators, in any order, must sort after every existing one; the
         new ones take the next positions in their sorted order, and a code may
         use any old or new position.  Every term of d(g) must have degree
-        |g| + 1, and its code increasing positions.  A refused batch leaves the complex unchanged.  The keys and
-        cohomology of every degree at or above the smallest new degree are
-        dropped; code positions stay stable, and the records of H^k follow
-        the rules of the module docstring.
+        |g| + 1, and its code increasing positions.  A refused batch leaves
+        the complex unchanged.  The keys and cohomology of every degree at or
+        above the smallest new degree are dropped; code positions stay
+        stable, and the records of H^k follow the rules of the module
+        docstring.
 
         ``kills`` is given by a caller that vouches for a kill step: every new
         generator has one degree k - 1, and the d(g) are representatives of
         classes of H^k that are independent modulo the coboundaries, whose
         span has its reduced echelon pivots at the class positions ``kills``
-        of `cohomology(k)`.
+        of `cohomology(k)`.  Each term of such a layer must then be a key of
+        degree k, which `cohomology(k).index` answers in one lookup.  That is
+        stricter than the check of each (position, exponent) pair that every
+        other batch gets: a key also has no odd generator twice, and it uses
+        only old positions, so every term lies below its generator.
         """
         layer = sorted(layer, key=lambda pair: pair[0].sort_key())
         if not layer:
@@ -199,28 +205,42 @@ class FreeDGCA:
             raise InputError(
                 f"generator {new[0].name!r} sorts before the existing {self.gens[-1].name!r}"
             )
+        keyed = None  # the degree-k keys, for a kill layer
+        if kills is not None:
+            if new[0].degree != new[-1].degree:
+                raise InputError("the generators of a kill step must have one degree")
+            keyed = self.cohomology(new[0].degree + 1).index.keys()
         count = len(self.gens) + len(new)
         degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
         below = list(self._below)
         d_codes = []
         for position, (g, terms) in enumerate(layer, len(self.gens)):
+            if keyed is not None and not terms.keys() <= keyed:
+                raise InputError(
+                    f"d({g.name}) has a term that is not a monomial of degree {g.degree + 1}"
+                )
             triples = []
             top = -1  # the highest position in d(g)
             for code, c in terms.items():
-                total, last = 0, -1
-                for p, e in code:
-                    if not 0 <= p < count:
-                        raise InputError(f"d({g.name}) uses the unknown position {p}")
-                    if p <= last:
-                        raise InputError(f"d({g.name}) has a code whose positions do not increase")
-                    total += degree[p] * e
-                    last = p
-                if total != g.degree + 1:
-                    raise InputError(f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
+                if keyed is None:
+                    total, last = 0, -1
+                    for p, e in code:
+                        if not 0 <= p < count:
+                            raise InputError(f"d({g.name}) uses the unknown position {p}")
+                        if p <= last:
+                            raise InputError(
+                                f"d({g.name}) has a code whose positions do not increase"
+                            )
+                        total += degree[p] * e
+                        last = p
+                    if total != g.degree + 1:
+                        raise InputError(
+                            f"d({g.name}) must be homogeneous of degree {g.degree + 1}"
+                        )
+                    top = max(top, last)
                 odds = tuple([q for q, _ in code if odd[q]])
                 triples.append((code, odds, c.numerator if c.denominator == 1 else c))
-                top = max(top, last)
             d_codes.append(tuple(triples))
             below.append(top < position)
 
@@ -655,31 +675,29 @@ class CohomologySpace:
         coords[i] = _ONE
         return tuple(coords)
 
-    def combination(self, coords: Mapping[int, Fraction]) -> dict:
-        """The cocycle sum of coords[i] * (representative of class i), key-keyed.
+    def combination(self, coords: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The cocycle sum of coords[i] * (class row i), by column position.
 
         ``coords`` maps class positions to coefficients, as a sparse row of
-        class coordinates; the result maps column keys to coefficients, and
-        ``element_of`` of the complex turns it into an element.  A single
-        nonzero coordinate reads its class row, scaled only if it is not 1.
+        class coordinates; ``keys`` names the columns of the result.  A
+        single nonzero coordinate reads its class row, scaled only if it is
+        not 1: a coordinate 1 returns the class row itself, which the caller
+        must not change.
         """
         nonzero = [(i, c) for i, c in coords.items() if c]
         if len(nonzero) == 1:
             [(i, c)] = nonzero
             vec = self._class_rows[i]
-            if c != 1:
-                vec = {col: c * v for col, v in vec.items()}
-        else:
-            vec = {}
-            for i, c in nonzero:
-                for col, v in self._class_rows[i].items():
-                    w = vec.get(col, _ZERO) + c * v
-                    if w:
-                        vec[col] = w
-                    else:
-                        vec.pop(col, None)
-        keys = self.keys
-        return {keys[col]: v for col, v in vec.items()}
+            return vec if c == 1 else {col: c * v for col, v in vec.items()}
+        vec = {}
+        for i, c in nonzero:
+            for col, v in self._class_rows[i].items():
+                w = vec.get(col, _ZERO) + c * v
+                if w:
+                    vec[col] = w
+                else:
+                    vec.pop(col, None)
+        return vec
 
     def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
@@ -690,15 +708,17 @@ class CohomologySpace:
             vec[i] = c
         return vec
 
-    def class_of(self, element) -> CohomologyClass:
-        """The class of a cocycle, in canonical coordinates."""
-        vec = self.vector_of(element)
-        if not self.cochains.d(element).is_zero:
-            raise InputError("element is not a cocycle")
-        reduced = self.coboundaries.reduce(vec)
-        coords = [_ZERO] * len(self._class_rows)
-        residual = dict(reduced)
+    def coordinates(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The class coordinates {class position: c} of a cocycle given by column.
+
+        Reduced modulo the coboundaries, it is the sum of c * (class row) over
+        its entries c at the class pivots.
+        """
+        residual = self.coboundaries.reduce(vec)
+        coords = {}
         for i, (p, row) in enumerate(zip(self._class_pivots, self._class_rows)):
+            if not residual:
+                break
             c = residual.get(p)
             if not c:
                 continue
@@ -711,7 +731,19 @@ class CohomologySpace:
                     residual.pop(col, None)
         if residual:
             raise IntegrityError("cocycle does not reduce into the class basis")
-        return CohomologyClass(self.degree, self._element(reduced), tuple(coords))
+        return coords
+
+    def class_of(self, element) -> CohomologyClass:
+        """The class of a cocycle, in canonical coordinates."""
+        vec = self.vector_of(element)
+        if not self.cochains.d(element).is_zero:
+            raise InputError("element is not a cocycle")
+        reduced = self.coboundaries.reduce(vec)
+        dense = [_ZERO] * len(self._class_rows)
+        # reduced already: its second reduction in coordinates finds no pivot
+        for i, c in self.coordinates(reduced).items():
+            dense[i] = c
+        return CohomologyClass(self.degree, self._element(reduced), tuple(dense))
 
 
 class DecomposableSubspace:

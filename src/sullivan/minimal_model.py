@@ -30,15 +30,22 @@ lies in Lambda(V_0), and let P be the span of the classes of pure monomials.
 The build checks this: a remaining target with a pure term raises
 `IntegrityError`.
 
-The kill step works on class coordinates.  rho* is evaluated only where
-A^(m+1) != 0; where A^(m+1) = 0 (for a wedge of spheres, every m >= 2) the
-kernel is all of H^(m+1) and no rho image is formed.  Each rho image is
-multiplied out in the free cover and reduced in A once.  A kernel row becomes
-its differential through `CohomologySpace.combination`, one sum of sparse
-class rows keyed by code, read straight off one class row when the kernel row
-is a unit vector, so where A^(m+1) = 0 the list of class representatives is
-never built.  The differential stays in codes until `FreeDGCA.extend_codes`
-takes it, and its stage is read off a position -> stage table.
+The kill step (`_kill_step`) works on class coordinates and on the codes of
+the columns of H^(m+1), whose largest stages it reads once per degree.  rho
+kills every term with a factor of stage >= 1, so rho* of a class row is rho
+of its pure terms alone, and a row with none gives no constraint.  The pure
+classes are the sparse class coordinates of the pure columns.  If rho* has a
+constraint, its kernel K is eliminated; the stage-1 layer is the RREF of
+K cap P, and the remaining kill span that of K reduced modulo K cap P.  If it
+has none (for a wedge of spheres, A^(m+1) = 0 for every m >= 2), K is all of
+H^(m+1) and K cap P = P.  With Q the pivot set of P, reducing the unit
+vectors modulo P leaves e_i for i off Q and, for i in Q, vectors that are
+zero on Q: the span of the e_i, i off Q, whose RREF is those unit vectors.
+So the remaining targets are the class rows off Q, in increasing order, and
+every class position is killed: the targets the general branch finds, with
+no kernel, reduction or second elimination.  A target's stage is one more
+than the largest stage among its columns, and `FreeDGCA.extend_codes` checks
+each term of the layer against the keys of degree m + 1.
 
 The construction keeps one `FreeDGCA` and extends it: with the stage-0
 generators of degree m, then with the stage-1 and higher-stage layers in one
@@ -77,11 +84,12 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis, split_by_stage
-from .dgca import FreeDGCA
+from .dgca import CohomologySpace, FreeDGCA
 from .linalg import RowSpace, intersect_spans, solve_in_span
 from .presented import PresentedAlgebra, validate_presentation
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -266,72 +274,110 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             break
 
         h_space = model.cohomology(m + 1)
-        if h_space.dimension == 0:
-            continue
-        target_component = algebra.graded_component(m + 1)
-
-        # kernel of rho*: H^(m+1) -> A^(m+1), in class coordinates; when
-        # A^(m+1) = 0 there is no constraint and the kernel is all of H^(m+1)
-        constraint_rows: dict[int, dict[int, Fraction]] = {}
-        if target_component.dimension:
-            for i, cls in enumerate(h_space.classes):
-                image = _rho_of(cls.representative, rho, algebra)
-                for j, c in enumerate(target_component.class_of(image).coordinates):
-                    if c:
-                        constraint_rows.setdefault(j, {})[i] = c
-        kernel = RowSpace(constraint_rows.values()).kernel(h_space.dimension)
-        if not kernel:
-            continue
-
-        # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
-        stage0 = [g for g in model.gens if g.stage == 0]
-        pure_monomials = monomial_basis(stage0, m + 1)
-        pure_vectors: list[tuple[Fraction, ...]] = []
-        for mon in pure_monomials:
-            cls = h_space.class_of(Element.from_monomial(mon))
-            pure_vectors.append(cls.coordinates)
-        pure_rows = [
-            {i: c for i, c in enumerate(vec) if c} for vec in pure_vectors
-        ]
-        pure_rows = [r for r in pure_rows if r]
-
-        counters: dict[int, int] = {}
-
-        def new_generator(stage: int) -> Generator:
-            nonlocal next_index
-            serial = counters.get(stage, 0)
-            counters[stage] = serial + 1
-            g = Generator(f"v{m}_s{stage}_{serial}", m, stage, next_index)
-            next_index += 1
-            rho[g] = Element.zero()
-            return g
-
-        # stage-1 layer: kernel classes with a representative in Lambda(V_0)
-        pure_kernel = intersect_spans(kernel, pure_rows)
-        layer = []
-        for row in pure_kernel:
-            vec = tuple(row.get(i, _ZERO) for i in range(h_space.dimension))
-            coeffs = solve_in_span(pure_vectors, vec)
-            if coeffs is None:
-                raise IntegrityError("pure kernel class lost its pure representative")
-            target = {model.key(mon): c for mon, c in zip(pure_monomials, coeffs) if c}
-            layer.append((new_generator(1), target))
-
-        # higher stages: the remaining kernel classes, which combine class
-        # rows with no pure term (see the module docstring).  Both layers join
-        # the model together, in sorted order, as the kill step of H^(m+1).
-        stage_of = [g.stage for g in model.gens]
-        handled = RowSpace(pure_kernel)
-        leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
-        for row in leftovers.fraction_rows():
-            target = h_space.combination(row)
-            stages = [max(stage_of[p] for p, _ in code) for code in target]
-            if not all(stages):
-                raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
-            layer.append((new_generator(1 + max(stages)), target))
-        model.extend_codes(layer, kills={*handled.pivots(), *leftovers.pivots()})
+        if h_space.dimension:
+            a_space = algebra.graded_component(m + 1)
+            next_index = _kill_step(model, h_space, a_space, rho, next_index)
 
     return BigradedModel(model, rho, algebra, truncation)
+
+
+def _kill_step(
+    model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpace, rho: dict, index: int
+) -> int:
+    """Kill the kernel of rho*: H^(m+1) = ``h_space`` -> A^(m+1) = ``a_space``.
+
+    The new generators, of degree m, take the indices from ``index`` on and
+    have rho = 0; returns the next free index.  See the module docstring.
+    """
+    m = h_space.degree - 1
+    h = h_space.dimension
+    keys = h_space.keys
+    stage_of = [g.stage for g in model.gens]
+    # the largest stage in each degree-(m + 1) monomial; 0 marks a pure one
+    top_stage = [max([stage_of[p] for p, _ in code]) for code in keys]
+    constraints = _rho_constraints(h_space, top_stage, rho, a_space)
+    kernel = None  # no constraint: the kernel is all of H^(m+1)
+    if constraints:
+        kernel = RowSpace(constraints).kernel(h)
+        if not kernel:
+            return index
+
+    # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
+    pure_codes, pure_rows = [], []
+    for j, stage in enumerate(top_stage):
+        if not stage:
+            if model.d_basis(keys[j]):
+                pure = model.element_of({keys[j]: _ONE})
+                raise IntegrityError(f"the pure monomial {pure} is not a cocycle")
+            pure_codes.append(keys[j])
+            pure_rows.append(h_space.coordinates({j: _ONE}))
+    nonzero = [row for row in pure_rows if row]
+
+    # the stage-1 layer: kernel classes with a representative in Lambda(V_0);
+    # then the remaining kernel classes, which combine class rows with no pure
+    # term, as rows of class coordinates
+    if kernel is None:
+        # the meet with the pure span is that span, and the rest is spanned
+        # by the unit vectors off its pivots (see the module docstring)
+        pure_space = RowSpace(nonzero)
+        pure_kernel = pure_space.fraction_rows()
+        pivots = set(pure_space.pivots())
+        rest = [{i: _ONE} for i in range(h) if i not in pivots]
+        kills = range(h)
+    else:
+        pure_kernel = intersect_spans(kernel, nonzero)
+        handled = RowSpace(pure_kernel)
+        leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
+        rest = leftovers.fraction_rows()
+        kills = {*handled.pivots(), *leftovers.pivots()}
+
+    staged = []
+    if pure_kernel:
+        pure_vectors = [tuple([row.get(i, _ZERO) for i in range(h)]) for row in pure_rows]
+        for row in pure_kernel:
+            coeffs = solve_in_span(pure_vectors, tuple([row.get(i, _ZERO) for i in range(h)]))
+            if coeffs is None:
+                raise IntegrityError("pure kernel class lost its pure representative")
+            staged.append((1, {code: c for code, c in zip(pure_codes, coeffs) if c}))
+    for row in rest:
+        dg, top = {}, 0
+        for j, c in h_space.combination(row).items():
+            dg[keys[j]] = c
+            stage = top_stage[j]
+            if not stage:
+                raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
+            top = stage if stage > top else top
+        staged.append((1 + top, dg))
+
+    # both layers join the model together, in sorted order
+    counters: dict[int, int] = {}
+    layer = []
+    for stage, dg in staged:
+        serial = counters[stage] = counters.get(stage, -1) + 1
+        g = Generator(f"v{m}_s{stage}_{serial}", m, stage, index + len(layer))
+        rho[g] = Element.zero()
+        layer.append((g, dg))
+    model.extend_codes(layer, kills=kills)
+    return index + len(layer)
+
+
+def _rho_constraints(h_space, top_stage, rho, a_space) -> list[dict[int, Fraction]]:
+    """rho*: H^(m+1) -> A^(m+1) = ``a_space`` as rows over class coordinates.
+
+    ``top_stage`` is the largest stage in each column of H^(m+1); rho sees
+    only the pure terms of a class row, and a row with none gives no entry.
+    """
+    if not a_space.dimension:
+        return []
+    keys = h_space.keys
+    rows: dict[int, dict[int, Fraction]] = {}
+    for i, row in enumerate(h_space._class_rows):
+        pure = {keys[j]: c for j, c in row.items() if not top_stage[j]}
+        if pure:
+            image = _rho_of(h_space.cochains.element_of(pure), rho, a_space.cochains)
+            for j, c in a_space.coordinates(a_space.vector_of(image)).items():
+                rows.setdefault(j, {})[i] = c
+    return list(rows.values())
 
 
 def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: PresentedAlgebra) -> Element:

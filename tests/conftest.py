@@ -8,7 +8,8 @@ from sullivan.attachment import AlphaFunctional
 from sullivan.dgca import DecomposableSubspace
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
-from sullivan.minimal_model import build_minimal_model
+from sullivan.linalg import RowSpace, intersect_spans, solve_in_span
+from sullivan.minimal_model import _rho_of, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 
@@ -73,6 +74,62 @@ def scaled(alpha, c):
     return AlphaFunctional(
         alpha.n, tuple((g, c * x) for g, x in alpha.coefficients), alpha.coerced
     )
+
+
+def reference_kill_step(model, h_space, a_space, rho, index):
+    """The kill step as first written, for `minimal_model._kill_step`'s signature.
+
+    It decodes every class, forms rho* of each whole representative, takes
+    the kernel of rho* even when it has no constraint, reads the pure classes
+    through `class_of`, and reduces every kernel vector modulo the stage-1
+    span.  The only change is that `CohomologySpace.combination` now answers
+    by column, which this maps to codes.
+    """
+    m = h_space.degree - 1
+    constraint_rows = {}
+    if a_space.dimension:
+        for i, cls in enumerate(h_space.classes):
+            image = _rho_of(cls.representative, rho, a_space.cochains)
+            for j, c in enumerate(a_space.class_of(image).coordinates):
+                if c:
+                    constraint_rows.setdefault(j, {})[i] = c
+    kernel = RowSpace(constraint_rows.values()).kernel(h_space.dimension)
+    if not kernel:
+        return index
+    stage0 = [g for g in model.gens if g.stage == 0]
+    pure_monomials = monomial_basis(stage0, m + 1)
+    pure_vectors = [
+        h_space.class_of(Element.from_monomial(mon)).coordinates for mon in pure_monomials
+    ]
+    pure_rows = [{i: c for i, c in enumerate(vec) if c} for vec in pure_vectors]
+    pure_rows = [r for r in pure_rows if r]
+    counters = {}
+    layer = []
+
+    def new_generator(stage):
+        serial = counters.get(stage, 0)
+        counters[stage] = serial + 1
+        g = Generator(f"v{m}_s{stage}_{serial}", m, stage, index + len(layer))
+        rho[g] = Element.zero()
+        return g
+
+    pure_kernel = intersect_spans(kernel, pure_rows)
+    for row in pure_kernel:
+        vec = tuple(row.get(i, Fraction(0)) for i in range(h_space.dimension))
+        coeffs = solve_in_span(pure_vectors, vec)
+        assert coeffs is not None
+        target = {model.key(mon): c for mon, c in zip(pure_monomials, coeffs) if c}
+        layer.append((new_generator(1), target))
+    stage_of = [g.stage for g in model.gens]
+    handled = RowSpace(pure_kernel)
+    leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
+    for row in leftovers.fraction_rows():
+        target = {h_space.keys[j]: c for j, c in h_space.combination(row).items()}
+        stages = [max(stage_of[p] for p, _ in code) for code in target]
+        assert all(stages)
+        layer.append((new_generator(1 + max(stages)), target))
+    model.extend_codes(layer, kills={*handled.pivots(), *leftovers.pivots()})
+    return index + len(layer)
 
 
 # ---------------------------------------------------------------------------

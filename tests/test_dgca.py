@@ -518,7 +518,7 @@ def test_combination_is_the_sum_of_class_representatives(wedge3_s2, fatwedge_e6)
             expected = F(0) * space.classes[0].representative
             for i, c in coords.items():
                 expected = expected + c * space.classes[i].representative
-            assert cochains.element_of(space.combination(coords)) == expected
+            assert space._element(space.combination(coords)) == expected
             assert space.class_of(expected).coordinates == tuple(
                 coords.get(i, F(0)) for i in range(space.dimension)
             )
@@ -541,7 +541,7 @@ def test_combination_of_random_coordinates_decodes_to_the_sum(combination_spaces
             expected = expected + c * space.classes[i].representative
         combination = space.combination(coords)
         assert all(combination.values())
-        assert cochains.element_of(combination) == expected
+        assert space._element(combination) == expected
 
 
 def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
@@ -787,6 +787,45 @@ def test_extend_codes_refuses_bad_codes():
     assert D.d(Element.from_generator(x)) == d_on_gens(D)[x]
 
 
+def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
+    # positions: a (2), b (3, db = a^2), c (4); keys(6) are a^3 and a*c
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    c = Generator("c", 4, index=2)
+    D = FreeDGCA([a, b, c], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
+    for m in range(7):
+        D.cohomology(m)
+    assert D.keys(6) == [((0, 1), (2, 1)), ((0, 3),)]
+    x, y = Generator("x", 5, stage=2, index=3), Generator("y", 5, stage=2, index=4)
+
+    def state():
+        return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), list(D._below),
+                dict(D._position), list(D._codes), copy.deepcopy(D._records),
+                dict(D._cohomology_cache))
+
+    before = state()
+    refusals = [
+        {((0, 1), (1, 1)): F(1)},  # a*b: a key of degree 5
+        {((0, 2),): F(1)},  # a^2: degree 4
+        {((2, 1), (0, 1)): F(1)},  # c*a: positions decrease
+        {((0, 1), (0, 2)): F(1)},  # a*a^2: a position repeats
+        {((0, 3),): F(1), ((0, 1), (5, 1)): F(1)},  # an unknown position
+        {((1, 2),): F(1)},  # b^2: degree 6, but b is odd
+    ]
+    message = "^d\\(x\\) has a term that is not a monomial of degree 6$"
+    for dx in refusals:
+        with pytest.raises(InputError, match=message):
+            D.extend_codes([(x, dx), (y, {((0, 3),): F(1)})], kills=[0])
+        assert state() == before, dx
+    z = Generator("z", 6, stage=2, index=5)
+    with pytest.raises(InputError, match="^the generators of a kill step must have one degree$"):
+        D.extend_codes([(x, {((0, 3),): F(1)}), (z, {})], kills=[0])
+    assert state() == before
+    # a layer of keys of degree 6 is taken, and each d lies below its generator
+    D.extend_codes([(x, {((0, 1), (2, 1)): F(2)}), (y, {((0, 3),): F(-1, 2)})], kills=[])
+    assert D.gens[-2:] == (x, y) and D._below[-2:] == [True, True]
+    assert d_on_gens(D)[x] == 2 * Element.from_monomial(Monomial(((a, 1), (c, 1))))
+
+
 def test_extend_refuses_what_init_refuses():
     a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
     x, y = Generator("x", 4, index=2), Generator("y", 3, stage=1, index=3)
@@ -932,5 +971,5 @@ def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwed
                 for j in range(space.dimension):
                     expected = expected + (c if j == i else F(0)) * space.classes[j].representative
                 for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
-                    combination = cochains.element_of(space.combination(coords))
+                    combination = space._element(space.combination(coords))
                     assert combination == expected, (cochains, m, coords)

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sullivan import minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, TruncationError
+from sullivan.fixtures import fixture_ids, get_fixture
 from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
 from sullivan.minimal_model import (
     BigradedModel,
+    _rho_of,
     build_minimal_model,
     standardize,
     verify_standard,
@@ -21,6 +24,7 @@ from conftest import (
     built_wedge_and_dense_models,
     dense_quadratic_presentations,
     elements_of,
+    reference_kill_step,
     small_presentations,
 )
 
@@ -422,6 +426,147 @@ def test_complex_projective_space_model(k):
     ((monomial, c),) = model.d_of(b).terms()
     assert c != 0 and Element.from_monomial(monomial) == power
     assert model.d_of(a).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the kill step against the kill step as first written (tests/conftest.py)
+
+
+def _tables(model):
+    """The generator table and the records of a built model, as text."""
+    D = model.dgca
+    gens = [(g.name, g.degree, g.stage, g.index, dg, str(model.rho[g])) for g, dg in D.d_codes()]
+    records = [
+        (k, [list(row.items()) for row in r.rows], r.complement, r.size)
+        for k, r in sorted(D._records.items())
+    ]
+    return repr(gens), repr(records)
+
+
+def _square_free_text(i, j):
+    return f"x{i}^2" if i == j else f"x{i}*x{j}"
+
+
+def _fixture_algebra(fixture_id):
+    """A fixture's presentation and model truncation."""
+    fixture = get_fixture(fixture_id)
+    algebra = PresentedAlgebra.from_strings(
+        fixture.generators, fixture.relations, fixture.truncation + 1
+    )
+    return algebra, fixture.truncation
+
+
+@st.composite
+def kill_step_problems(draw):
+    """(algebra, N, family) over the families of inputs the kill step meets."""
+    family = draw(st.sampled_from(["wedge", "monomial", "dense", "cp", "s2xs2"]))
+    if family == "dense":
+        algebra = draw(dense_quadratic_presentations())
+        return algebra, algebra.truncation - 1, family
+    if family == "wedge":
+        r = draw(st.integers(2, 4))
+        n = draw(st.integers(4, {2: 8, 3: 7, 4: 6}[r]))
+        gens = [(f"x{i}", 2) for i in range(r)]
+        rels = [_square_free_text(i, j) for i in range(r) for j in range(i, r)]
+    elif family == "monomial":
+        k, relations, _ = draw(quadratic_monomial_presentations())
+        n = draw(st.integers(4, 6))
+        gens = [(f"x{i}", 2) for i in range(k)]
+        rels = [_square_free_text(i, j) for i, j in relations]
+    elif family == "cp":
+        k = draw(st.integers(1, 4))
+        n, gens, rels = 2 * k + 3, [("x", 2)], [f"x^{k + 1}"]
+    else:
+        n, gens, rels = draw(st.integers(4, 7)), [("x", 2), ("y", 2)], ["x^2", "y^2"]
+    return PresentedAlgebra.from_strings(gens, rels, n + 1), n, family
+
+
+def test_kill_step_matches_the_reference_kill_step(monkeypatch):
+    kill_step, rho_constraints = minimal_model._kill_step, minimal_model._rho_constraints
+    ran = set()
+
+    def compare(algebra, n, family):
+        constrained = []
+
+        def spy_constraints(*args):
+            rows = rho_constraints(*args)
+            constrained.append(bool(rows))
+            return rows
+
+        def spy_kill_step(model, h_space, a_space, rho, index):
+            out = kill_step(model, h_space, a_space, rho, index)
+            new = model.gens[len(model.gens) - (out - index):]
+            branch = "general" if constrained[-1] else "fast"
+            ran.add(branch)
+            if branch == "fast" and family == "wedge" and h_space.degree == 4:
+                if any(g.stage == 1 for g in new):
+                    ran.add("fast, with a stage-1 layer")
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(minimal_model, "_rho_constraints", spy_constraints)
+            mp.setattr(minimal_model, "_kill_step", spy_kill_step)
+            model = build_minimal_model(algebra, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(minimal_model, "_kill_step", reference_kill_step)
+            reference = build_minimal_model(algebra, n)
+        assert _tables(model) == _tables(reference), family
+
+    for fixture_id in fixture_ids():
+        compare(*_fixture_algebra(fixture_id), "fixture")
+
+    @settings(max_examples=60, deadline=None)
+    @given(kill_step_problems())
+    def check(problem):
+        compare(*problem)
+
+    check()
+    assert ran == {"fast", "general", "fast, with a stage-1 layer"}
+
+
+def _reference_constraints(h_space, rho, a_space):
+    """rho* of each whole class representative, as the kill step first formed it."""
+    rows = {}
+    if a_space.dimension:
+        for i, cls in enumerate(h_space.classes):
+            image = _rho_of(cls.representative, rho, a_space.cochains)
+            for j, c in enumerate(a_space.class_of(image).coordinates):
+                if c:
+                    rows.setdefault(j, {})[i] = c
+    return list(rows.values())
+
+
+def _constraints_checked(monkeypatch, algebra, n):
+    """Build, checking the constraint rows of every kill step; returns how many were nonempty."""
+    rho_constraints = minimal_model._rho_constraints
+    nonempty = []
+
+    def spy(h_space, top_stage, rho, a_space):
+        rows = rho_constraints(h_space, top_stage, rho, a_space)
+        expected = _reference_constraints(h_space, rho, a_space)
+        assert rows == expected and repr(rows) == repr(expected), h_space.degree
+        nonempty.append(bool(rows))
+        return rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(minimal_model, "_rho_constraints", spy)
+        build_minimal_model(algebra, n)
+    return sum(nonempty)
+
+
+def test_rho_constraints_on_pure_parts_equal_those_of_whole_representatives(monkeypatch):
+    nonempty = 0
+    for fixture_id in ("cp2-attach", "fatwedge-e6", "even-4k"):
+        nonempty += _constraints_checked(monkeypatch, *_fixture_algebra(fixture_id))
+
+    @settings(max_examples=20, deadline=None)
+    @given(dense_quadratic_presentations())
+    def check(algebra):
+        nonlocal nonempty
+        nonempty += _constraints_checked(monkeypatch, algebra, algebra.truncation - 1)
+
+    check()
+    assert nonempty
 
 
 # ---------------------------------------------------------------------------
