@@ -3,16 +3,21 @@
 
     python3 scripts/profile_build.py --wedge 3 10
     python3 scripts/profile_build.py --fixture fatwedge-e6 --repeat 5
+    python3 scripts/profile_build.py --input presentation.txt
 
 ``--wedge r N`` builds the minimal model of the wedge of r 2-spheres
 (degree-2 generators, every quadratic monomial a relation) truncated at N.
 ``--fixture ID`` runs the command a user would: ``sullivan verdict`` for a
 fixture with a cell, ``sullivan model`` otherwise, with ``--json`` output
-discarded.  ``--repeat`` runs the work that many times under one profile.
+discarded.  ``--input FILE`` runs ``sullivan model --input FILE --json``,
+so that any presentation, a dense one say, can be profiled.  ``--repeat``
+runs the work that many times under one profile.
 
-For each hot layer of the cohomology elimination and of the kill step
-(``_kill_step``, which includes its ``extend_codes`` call) it prints the
-number of calls, the cumulative seconds and the share of the profiled total.  cProfile
+For each hot layer of the cohomology elimination, of the kill step
+(``_kill_step``, which includes its ``extend_codes`` call) and of the
+presented algebra A (its ideal slices and its graded components) it prints
+the number of calls, the cumulative seconds and the share of the profiled
+total.  cProfile
 adds a cost to every Python call, so the shares are indicative; time the
 same work with profiling off before quoting a speed-up.  Standard library
 only.
@@ -43,6 +48,8 @@ LAYERS = {
     "minimal_model._kill_step": minimal_model._kill_step,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
+    "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,
+    "PresentedAlgebra.graded_component": PresentedAlgebra.graded_component,
 }
 
 
@@ -60,11 +67,15 @@ def wedge_job(r: int, n: int):
 
 def fixture_job(fixture_id: str):
     command = "verdict" if get_fixture(fixture_id).cell is not None else "model"
-    argv = [command, "--fixture", fixture_id, "--json"]
+    return cli_job([command, "--fixture", fixture_id, "--json"])
 
+
+def cli_job(argv: list[str]):
     def job():
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
+            code = cli.main(argv)
+        if code not in (0, 10, 20):  # the command failed; its message is on stderr
+            sys.exit(code)
 
     return job
 
@@ -74,9 +85,15 @@ def main(argv=None) -> int:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--wedge", nargs=2, type=int, metavar=("R", "N"))
     which.add_argument("--fixture", metavar="ID")
+    which.add_argument("--input", metavar="FILE")
     p.add_argument("--repeat", type=int, default=1)
     args = p.parse_args(argv)
-    job = wedge_job(*args.wedge) if args.wedge else fixture_job(args.fixture)
+    if args.wedge:
+        job = wedge_job(*args.wedge)
+    elif args.fixture:
+        job = fixture_job(args.fixture)
+    else:
+        job = cli_job(["model", "--input", args.input, "--json"])
 
     profile = cProfile.Profile()
     profile.enable()
@@ -89,12 +106,12 @@ def main(argv=None) -> int:
                in stats.stats.items()}
 
     print(f"profiled total {total:.3f} s over {args.repeat} run(s)")
-    print(f"{'layer':<26} {'calls':>9} {'cum s':>8} {'share':>7}")
+    print(f"{'layer':<34} {'calls':>9} {'cum s':>8} {'share':>7}")
     for label, func in LAYERS.items():
         code = func.__code__
         calls, cum = by_code.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0.0))
         share = cum / total if total else 0.0
-        print(f"{label:<26} {calls:>9} {cum:>8.3f} {share:>7.1%}")
+        print(f"{label:<34} {calls:>9} {cum:>8.3f} {share:>7.1%}")
     return 0
 
 

@@ -31,6 +31,7 @@ linear part to pair with), so alpha is a functional on H^(n-1).
 
 from __future__ import annotations
 
+import weakref
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,6 +285,7 @@ class AttachmentModel:
         cached = self._cohomology_cache.get(m)
         if cached is None:
             cached = self._derived(m)
+            cached.cochains = weakref.proxy(self)  # see CohomologySpace
             self._cohomology_cache[m] = cached
         return cached
 

@@ -54,25 +54,28 @@ degree, the cohomology of the model costs no elimination at all.
 small interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
 ``element_of`` and ``d`` -- which three complexes serve: `FreeDGCA`, the
 cell-attachment complex `attachment.AttachmentModel`, and the presented
-algebra (A, 0) of `presented.PresentedAlgebra`.  Columns are keyed by a code
-in a free complex, u for the attached cell, the monomial itself in a
-presented algebra.
+algebra (A, 0) of `presented.PresentedAlgebra`.  All three key their columns
+by integer codes: a free complex and a presented algebra by the codes of
+their monomials, the attachment complex by the codes of its base model and
+one more key, u, for the attached cell.
 
 Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
 pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
-monomial, and increasing code order is the canonical monomial order.
+monomial, and increasing code order is the canonical monomial order.  (A
+presented algebra indexes its sorted generators the same way.)
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
 new generator and its d(g) as codes, checking the degree of every term and
 that the positions of every code increase, or, in a kill step, that every
 term is a key of degree |g| + 1;
 `keys(m)` enumerates the codes of degree m over those tables
 (`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
-with the Koszul sign counted from odd positions.  In a minimal model every
-term of d(g) lies at positions below g's: it has word length at least 2 and
-every degree is at least 2, so each of its factors has degree below |g|,
-and generators sort by degree first.  Then d of a factor g of a monomial
+with the Koszul sign counted from odd positions (`code_products`, which also
+multiplies out the ideal slices of a presented algebra).  In a minimal model
+every term of d(g) lies at positions below g's: it has word length at least
+2 and every degree is at least 2, so each of its factors has degree below
+|g|, and generators sort by degree first.  Then d of a factor g of a monomial
 only merges each term into the factors before g and appends the factors
 from g on (`_d_code`).  `extend` accepts any d, linear terms and terms at
 higher positions included, so the general merge stays for the generators
@@ -95,6 +98,7 @@ are new.
 from __future__ import annotations
 
 import copy
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +114,45 @@ from .linalg import RowSpace, kernel_rref, solve_in_span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def code_products(terms, base: tuple, left, right=(), tail: tuple = ()) -> list:
+    """Each term t of ``terms`` multiplied into the code ``base``, as (code, coefficient) pairs.
+
+    ``terms`` holds (code, odd positions, coefficient) triples.  t stands
+    between the factors of ``base`` with the odd positions ``left`` and those
+    with the odd positions ``right``; every position of ``tail`` lies above
+    t's.  The product's code is t merged into ``base``, then ``tail``; its
+    Koszul sign counts the odd factors of t passing those of ``left`` and
+    ``right``, and an odd factor in both t and ``base`` kills the term.
+    """
+    n = len(base)
+    out = []
+    for t, t_odds, c in terms:
+        inversions = 0
+        for q in t_odds:
+            if q in left or q in right:
+                break  # an odd factor repeats
+            for x in left:
+                if x > q:
+                    inversions += 1
+            for z in right:
+                if z < q:
+                    inversions += 1
+        else:
+            merged = []
+            j = 0
+            for q, f in t:
+                while j < n and base[j][0] < q:
+                    merged.append(base[j])
+                    j += 1
+                if j < n and base[j][0] == q:
+                    merged.append((q, base[j][1] + f))
+                    j += 1
+                else:
+                    merged.append((q, f))
+            out.append(((*merged, *base[j:], *tail), -c if inversions & 1 else c))
+    return out
 
 
 class FreeDGCA:
@@ -215,6 +258,7 @@ class FreeDGCA:
         odd = self._odd + [g.is_odd for g in new]
         below = list(self._below)
         d_codes = []
+        odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
         for position, (g, terms) in enumerate(layer, len(self.gens)):
             if keyed is not None and not terms.keys() <= keyed:
                 raise InputError(
@@ -239,7 +283,9 @@ class FreeDGCA:
                             f"d({g.name}) must be homogeneous of degree {g.degree + 1}"
                         )
                     top = max(top, last)
-                odds = tuple([q for q, _ in code if odd[q]])
+                odds = odds_of.get(code)
+                if odds is None:
+                    odds = odds_of[code] = tuple([q for q, _ in code if odd[q]])
                 triples.append((code, odds, c.numerator if c.denominator == 1 else c))
             d_codes.append(tuple(triples))
             below.append(top < position)
@@ -392,41 +438,12 @@ class FreeDGCA:
                 if below[p] and not prefix:
                     terms = [(t + rest, c) for t, _, c in dg]
                 else:
-                    # the code of each term is t merged into base, then tail
-                    if below[p]:
-                        base, tail, right = prefix, rest, ()
-                    else:
-                        base, tail, right = prefix + rest, (), [q for q, _ in rest if odd[q]]
                     left = [q for q, _ in prefix if odd[q]]
-                    n = len(base)
-                    terms = []
-                    for t, t_odds, c in dg:
-                        # Koszul sign: odd factors of the term passing odd
-                        # factors of prefix and rest on their way into sorted
-                        # position
-                        inversions = 0
-                        for q in t_odds:
-                            if q in left or q in right:
-                                break  # an odd factor repeats
-                            for x in left:
-                                if x > q:
-                                    inversions += 1
-                            for z in right:
-                                if z < q:
-                                    inversions += 1
-                        else:
-                            merged = []
-                            j = 0
-                            for q, f in t:
-                                while j < n and base[j][0] < q:
-                                    merged.append(base[j])
-                                    j += 1
-                                if j < n and base[j][0] == q:
-                                    merged.append((q, base[j][1] + f))
-                                    j += 1
-                                else:
-                                    merged.append((q, f))
-                            terms.append(((*merged, *base[j:], *tail), -c if inversions & 1 else c))
+                    if below[p]:
+                        terms = code_products(dg, prefix, left, tail=rest)
+                    else:
+                        right = [q for q, _ in rest if odd[q]]
+                        terms = code_products(dg, prefix + rest, left, right)
                 for key, c in terms:
                     v = out.get(key, 0) + scale * c
                     if v:
@@ -489,6 +506,7 @@ class FreeDGCA:
                 self._records[m] = Record(cached._class_rows, cached.complement, len(cached.keys))
             else:
                 cached = CohomologySpace.from_class_rows(self, m, record.rows, record.complement)
+            cached.cochains = weakref.proxy(self)  # see CohomologySpace
             self._cohomology_cache[m] = cached
         return cached
 
@@ -590,6 +608,11 @@ class CohomologySpace:
     `from_class_rows` builds the space from class rows and a complement found
     some other way (a `FreeDGCA` record, or a twisted complex derived from
     its base); the coboundaries are then built only if something reads them.
+
+    A complex that caches its spaces sets the ``cochains`` of each to a
+    `weakref.proxy` of itself, so that no reference cycle runs through the
+    cache: refcounting frees a dropped complex with its spaces, and a cached
+    space is read only while its complex lives.
     """
 
     def __init__(self, cochains, m: int):

@@ -10,15 +10,27 @@ the relation ideal, spanned by all products monomial * relation of degree m.
 A^m is its cohomology, a `dgca.CohomologySpace`.  Every cochain is a cocycle,
 so the canonical basis of A^m consists of the monomials at the non-pivot
 columns of the reduced row-echelon form of the ideal slice.
+
+Like the other two complexes of `dgca`, it keys its columns by integer
+codes: a monomial is a tuple of ``(position, exponent)`` pairs over the
+generators in `Generator.sort_key` order, so the column order is the
+canonical monomial order.  Each relation is encoded once, with integer
+coefficients, and a row of the ideal slice merges a cofactor code with the
+terms of one relation (`dgca.code_products`).  `Monomial` and `Element`
+appear only where an element enters (``terms_of``) or a result leaves
+(``element_of``).
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import expr
-from .dgca import CohomologySpace, DecomposableSubspace
+from .dgca import CohomologySpace, DecomposableSubspace, code_products
 from .errors import InputError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_codes
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
@@ -39,8 +51,11 @@ class PresentedAlgebra:
         self.relations = tuple(relations)
         self.truncation = truncation
         self._components: dict[int, CohomologySpace] = {}
-        # the monomial codes of each degree over the sorted generators, built once
+        # code tables over the sorted generators, and the codes of each degree
         self._sorted = sorted(self.generators, key=Generator.sort_key)
+        self._position = {g: p for p, g in enumerate(self._sorted)}
+        self._degree = [g.degree for g in self._sorted]
+        self._odd = [g.is_odd for g in self._sorted]
         self._codes: list[tuple[list[tuple], list[int]]] = []
 
     @classmethod
@@ -79,6 +94,7 @@ class PresentedAlgebra:
         cached = self._components.get(m)
         if cached is None:
             cached = CohomologySpace(self, m)
+            cached.cochains = weakref.proxy(self)  # see dgca.CohomologySpace
             self._components[m] = cached
         return cached
 
@@ -102,17 +118,15 @@ class PresentedAlgebra:
         return self.graded_component(x.homogeneous_degree()).class_of(x).representative
 
     # --- the cochain-complex interface read by CohomologySpace --------------
-    def keys(self, m: int) -> list[Monomial]:
-        """The degree-m monomials, in the canonical order: a presented algebra
-        keys its columns by monomial."""
-        gens = self._sorted
-        codes = monomial_codes(
-            [g.degree for g in gens], [g.is_odd for g in gens], m, self._codes
-        )
-        return [Monomial(tuple([(gens[p], e) for p, e in code])) for code in codes]
+    def keys(self, m: int) -> list[tuple]:
+        """The codes of the degree-m monomials, in the canonical monomial order.
+
+        A position indexes the sorted generators; see `gca.monomial_codes`.
+        """
+        return monomial_codes(self._degree, self._odd, m, self._codes)
 
     @staticmethod
-    def d_basis(mon: Monomial):
+    def d_basis(code: tuple):
         return ()
 
     @staticmethod
@@ -120,24 +134,56 @@ class PresentedAlgebra:
         return Element.zero()
 
     def boundaries(self, m: int):
-        """The degree-m slice of the relation ideal: cofactor * relation."""
-        cofactors: dict[int, list[Monomial]] = {}  # one basis per relation degree
-        for rel in self.relations:
-            d = rel.homogeneous_degree()
-            if d is None or d > m:
+        """The degree-m slice of the relation ideal: cofactor * relation, code-keyed.
+
+        Each cofactor code is merged with the terms of the relation
+        (`dgca.code_products`).  The coefficients of one relation are scaled
+        to integers, which scales each of its rows by one factor and leaves
+        the span, and so the reduced row-echelon form, as it was.
+        """
+        odd = self._odd
+        for degree, terms in self._relation_codes:
+            if degree > m:
                 continue
-            if d not in cofactors:
-                cofactors[d] = self.keys(m - d)
-            for cof in cofactors[d]:
-                yield (Element.from_monomial(cof) * rel).terms()
+            for cofactor in self.keys(m - degree):
+                yield code_products(terms, cofactor, [p for p, _ in cofactor if odd[p]])
 
-    @staticmethod
-    def terms_of(x: Element):
-        return x.terms()
+    @cached_property
+    def _relation_codes(self) -> list[tuple[int, tuple]]:
+        """Each nonzero relation as its degree and its (code, odd positions,
+        integer coefficient) triples."""
+        position, odd = self._position, self._odd
+        out = []
+        for rel in self.relations:
+            degree = rel.homogeneous_degree()
+            if degree is None:
+                continue
+            scale = lcm(*[c.denominator for _, c in rel.terms()])
+            triples = []
+            for mon, c in rel.terms():
+                code = tuple([(position[g], e) for g, e in mon.powers])
+                odds = tuple([p for p, _ in code if odd[p]])
+                triples.append((code, odds, c.numerator * (scale // c.denominator)))
+            out.append((degree, tuple(triples)))
+        return out
 
-    @staticmethod
-    def element_of(terms: Mapping[Monomial, Fraction]) -> Element:
-        return Element(terms)
+    def terms_of(self, x: Element):
+        """The terms of an element, code-keyed.
+
+        A generator outside the algebra gets the position None, so a term
+        holding one matches no column.
+        """
+        position = self._position
+        return [
+            (tuple([(position.get(g), e) for g, e in mon.powers]), c) for mon, c in x.terms()
+        ]
+
+    def element_of(self, terms: Mapping[tuple, Fraction]) -> Element:
+        """The element with these code-keyed terms."""
+        gens = self._sorted
+        return Element(
+            {Monomial(tuple([(gens[p], e) for p, e in code])): c for code, c in terms.items()}
+        )
 
 
 def validate_presentation(algebra: PresentedAlgebra) -> list[str]:

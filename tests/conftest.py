@@ -132,6 +132,38 @@ def reference_kill_step(model, h_space, a_space, rho, index):
     return index + len(layer)
 
 
+class ReferenceSlices(PresentedAlgebra):
+    """A presented algebra as it was before its columns were keyed by code.
+
+    Its keys are the `Monomial`s of each degree, and its ideal slice is each
+    cofactor monomial times each relation, multiplied out as `Element`s with
+    their `Fraction` coefficients; `graded_component`, `indecomposables` and
+    `reduce` are inherited.
+    """
+
+    def keys(self, m):
+        return monomial_basis(self.generators, m)
+
+    def boundaries(self, m):
+        cofactors = {}  # one basis per relation degree
+        for rel in self.relations:
+            d = rel.homogeneous_degree()
+            if d is None or d > m:
+                continue
+            if d not in cofactors:
+                cofactors[d] = self.keys(m - d)
+            for cof in cofactors[d]:
+                yield (Element.from_monomial(cof) * rel).terms()
+
+    @staticmethod
+    def terms_of(x):
+        return x.terms()
+
+    @staticmethod
+    def element_of(terms):
+        return Element(terms)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 
@@ -164,6 +196,44 @@ def small_presentations(draw):
         if not rel.is_zero:
             relations.append(rel)
     return PresentedAlgebra(gens, relations, truncation + 1), truncation
+
+
+_SLICE_COEFFICIENTS = ["1", "2", "3", "1/2", "2/3", "5/4"]
+
+
+@st.composite
+def mixed_parity_presentations(draw):
+    """Odd and even generators, listed out of order, with fractional relations.
+
+    At least three generators are odd, so cofactors hold odd * odd terms,
+    meet relation terms that share an odd factor, and have odd factors
+    between those of two terms of one relation.  A relation may write an
+    odd generator squared (which parses to zero), and the relations of one
+    presentation have mixed degrees.  Returns an algebra truncated at 10.
+    """
+    degrees = [3, 3, 5, *draw(st.lists(st.sampled_from([2, 2, 3, 4]), min_size=1, max_size=2))]
+    degrees = draw(st.permutations(degrees))
+    gens = [(f"g{i}", deg) for i, deg in enumerate(degrees)]
+    generators = [Generator(name, deg, 0, i) for i, (name, deg) in enumerate(gens)]
+    odd = [name for name, deg in gens if deg % 2]
+    relations = []
+    for degree in draw(st.lists(st.integers(4, 10), min_size=1, max_size=3)):
+        basis = monomial_basis(generators, degree)
+        picks = draw(st.lists(st.sampled_from(basis), max_size=4)) if basis else []
+        terms = [f"{draw(st.sampled_from(_SLICE_COEFFICIENTS))}*{mon}" for mon in picks]
+        square = draw(st.sampled_from(odd))
+        rest = degree - 2 * dict(gens)[square]
+        cofactors = monomial_basis(generators, rest)
+        if rest == 0:
+            terms.append(f"{square}^2")
+        elif cofactors:
+            terms.append(f"{square}*{draw(st.sampled_from(cofactors))}*{square}")
+        if terms:
+            text = terms[0]
+            for term in terms[1:]:
+                text += draw(st.sampled_from([" + ", " - "])) + term
+            relations.append(draw(st.sampled_from(["", "-"])) + text)
+    return PresentedAlgebra.from_strings(gens, relations, 10)
 
 
 @st.composite

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, TruncationError
+from sullivan.fixtures import build_fixture
+from sullivan.formality import formality_verdict
 from sullivan.gca import (
     Element,
     Generator,
@@ -568,7 +572,8 @@ def reference_coboundaries(cochains, m):
 
     B is d of every cochain of degree m - 1, not the complex's own
     `boundaries`; for a presented algebra, whose d is zero, it is the relation
-    ideal's slice, cofactor * relation multiplied out here.
+    ideal's slice, cofactor * relation multiplied out here as `Element`s and
+    keyed through the algebra's encoder.
     """
     index = {k: i for i, k in enumerate(cochains.keys(m))}
     if isinstance(cochains, PresentedAlgebra):
@@ -576,7 +581,7 @@ def reference_coboundaries(cochains, m):
             degree = rel.homogeneous_degree()
             for cofactor in monomial_basis(cochains.generators, m - degree):
                 product = Element.from_monomial(cofactor) * rel
-                yield {index[t]: c for t, c in product.terms()}
+                yield {index[t]: c for t, c in cochains.terms_of(product)}
         return
     for k in cochains.keys(m - 1):
         yield {index[t]: c for t, c in cochains.d_basis(k)}
@@ -973,3 +978,37 @@ def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwed
                 for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
                     combination = space._element(space.combination(coords))
                     assert combination == expected, (cochains, m, coords)
+
+
+# ---------------------------------------------------------------------------
+# no reference cycle through a cohomology cache
+
+
+def test_a_dropped_model_is_freed_by_refcounting():
+    """With the cyclic collector off, a dropped model, its algebra and an
+    attachment on it are freed as soon as the last reference goes, though
+    every cache holds spaces whose classes and coboundaries were read."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        algebra = PresentedAlgebra.from_strings(*_WEDGES[3], 8)
+        model = build_minimal_model(algebra, 7)
+        fixture = build_fixture("cp2-attach")
+        attached = formality_verdict(fixture.model, fixture.alpha).attached
+        for space in (
+            model.dgca.cohomology(5),
+            algebra.graded_component(4),
+            fixture.algebra.graded_component(4),
+            attached.cohomology(attached.n),
+            attached.cohomology(attached.n - 1),
+        ):
+            assert space.classes is not None and space.coboundaries is not None
+        refs = [
+            weakref.ref(x)
+            for x in (model.dgca, algebra, fixture.model.dgca, fixture.algebra, attached)
+        ]
+        del algebra, model, fixture, attached, space
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,14 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sullivan.errors import InputError, TruncationError
 from sullivan.expr import parse_element
 from sullivan.gca import Element, monomial_basis
 from sullivan.presented import PresentedAlgebra, validate_presentation
 
-from conftest import small_presentations
+from conftest import ReferenceSlices, mixed_parity_presentations, small_presentations
 
 F = Fraction
 
@@ -118,7 +118,8 @@ def test_dimension_two_routes_agree(data):
     algebra, truncation = data
     for m in range(0, truncation + 1):
         comp = algebra.graded_component(m)
-        assert algebra.keys(m) == monomial_basis(algebra.generators, m)
+        decoded = [algebra.element_of({code: 1}).monomials()[0] for code in algebra.keys(m)]
+        assert decoded == monomial_basis(algebra.generators, m)
         total = len(monomial_basis(algebra.generators, m))
         # rank of the reduction map = number of independent images of monomials
         from sullivan.linalg import RowSpace
@@ -190,3 +191,40 @@ def test_indecomposables_complement_decomposables(data):
                     if vec:
                         dec.insert(vec)
         assert len(ind) + dec.rank == comp.dimension
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_parity_presentations())
+@example(
+    # b * (a*x) = -a*b*x but b * c = b*c: the Koszul sign differs between
+    # the terms of one row; a * (a*x) = 0, and b^2 parses to 0; 1/2 scales
+    # the first relation
+    PresentedAlgebra.from_strings(
+        [("a", 3), ("x", 2), ("b", 3), ("c", 5)],
+        ["a*x + 1/2*c", "2/3*x^3 - b^2"],
+        10,
+    )
+)
+def test_code_keyed_slices_match_the_element_product_slices(algebra):
+    """Each A^m equals, as text, that of the Element-product ideal slice."""
+    reference = ReferenceSlices(algebra.generators, algebra.relations, algebra.truncation)
+    for m in range(algebra.truncation + 1):
+        space, expected = algebra.graded_component(m), reference.graded_component(m)
+        decoded = [algebra.element_of({code: 1}).monomials()[0] for code in space.keys]
+        assert decoded == expected.keys, m
+        assert repr(space.coboundaries.fraction_rows()) == repr(
+            expected.coboundaries.fraction_rows()
+        ), m
+        assert repr(space._class_rows) == repr(expected._class_rows), m
+        assert [str(algebra.element_of({code: 1})) for code in space.complement] == [
+            str(mon) for mon in expected.complement
+        ], m
+        assert [str(mon) for mon in algebra.indecomposables(m)] == [
+            str(mon) for mon in reference.indecomposables(m)
+        ], m
+        everything = Element.zero()
+        for i, mon in enumerate(expected.keys):
+            x = Element.from_monomial(mon, F(i + 1, 2))
+            everything = everything + x
+            assert str(algebra.reduce(x)) == str(reference.reduce(x)), (m, mon)
+        assert str(algebra.reduce(everything)) == str(reference.reduce(everything)), m
