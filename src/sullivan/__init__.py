@@ -17,18 +17,8 @@ from .errors import (
 from .gca import Element, Generator, Monomial, monomial_basis, normalize_monomial
 from .presented import PresentedAlgebra, validate_presentation
 from .dgca import FreeDGCA
-from .minimal_model import (
-    BigradedModel,
-    build_minimal_model,
-    standardize,
-    verify_standard,
-)
-from .attachment import (
-    AlphaFunctional,
-    AttachmentElement,
-    AttachmentModel,
-    build_attachment,
-)
+from .minimal_model import BigradedModel, build_minimal_model, verify_standard
+from .attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from .formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -61,13 +51,11 @@ __all__ = [
     "PresentedAlgebra",
     "SullivanError",
     "TruncationError",
-    "build_attachment",
     "build_minimal_model",
     "even_complex_formality",
     "formality_verdict",
     "monomial_basis",
     "normalize_monomial",
-    "standardize",
     "validate_presentation",
     "verify_standard",
 ]

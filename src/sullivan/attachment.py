@@ -369,7 +369,3 @@ def _minus(row: Mapping[int, Fraction], c: Fraction, other: Mapping[int, Fractio
             out.pop(col, None)
     return out
 
-
-def build_attachment(model: BigradedModel, alpha: AlphaFunctional) -> AttachmentModel:
-    """Attach one cell along ``alpha``; validates the twisted differential."""
-    return AttachmentModel(model, alpha)

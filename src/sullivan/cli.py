@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr
-from .attachment import AlphaFunctional, AttachmentModel, build_attachment
+from .attachment import AlphaFunctional, AttachmentModel
 from .errors import InputError, IntegrityError, ParseError, SullivanError
 from .fixtures import (
     FIXTURES,
@@ -424,7 +424,7 @@ def _alpha_for(args) -> tuple[BigradedModel, AlphaFunctional]:
 
 
 def cmd_attach(args) -> int:
-    attached = build_attachment(*_alpha_for(args))
+    attached = AttachmentModel(*_alpha_for(args))
     if args.json:
         print(json.dumps(attach_json(attached), indent=2))
     else:

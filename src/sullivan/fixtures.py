@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .attachment import AlphaFunctional, AttachmentModel, build_attachment
+from .attachment import AlphaFunctional, AttachmentModel
 from .errors import InputError, IntegrityError
 from .gca import Generator, Monomial
 from .minimal_model import BigradedModel, build_minimal_model
@@ -68,7 +68,7 @@ class BuiltFixture:
         """The fixture's attachment, built on first use."""
         if self.alpha is None:
             return None
-        return build_attachment(self.model, self.alpha)
+        return AttachmentModel(self.model, self.alpha)
 
 
 def _suffix(name: str) -> str:

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .attachment import (
-    AlphaFunctional,
-    AttachmentElement,
-    AttachmentModel,
-    build_attachment,
-)
+from .attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from .errors import InputError, IntegrityError
 from .fixtures import alias_monomial_targets
 from .gca import Element, Generator, monomial_basis
@@ -115,7 +110,7 @@ def formality_verdict(
 ) -> FormalityVerdict:
     """Apply the cell-attachment criterion to one attachment."""
     _require_standard(model)
-    attached = build_attachment(model, alpha)
+    attached = AttachmentModel(model, alpha)
     verdict = _decide(attached)
     verdict.attached = attached
     return verdict

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
 
@@ -90,12 +90,6 @@ class Monomial:
 
     def max_stage(self) -> int:
         return max((g.stage for g, _ in self.powers), default=0)
-
-    def exponent(self, gen: Generator) -> int:
-        for g, e in self.powers:
-            if g == gen:
-                return e
-        return 0
 
     def sort_key(self):
         return tuple((g.sort_key(), e) for g, e in self.powers)
@@ -222,9 +216,6 @@ class Element:
             raise InputError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
 
-    def filter_terms(self, keep: Callable[[Monomial], bool]) -> "Element":
-        return Element({m: c for m, c in self._terms.items() if keep(m)})
-
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -274,14 +265,6 @@ class Element:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            raise InputError("negative powers are not defined")
-        out = Element.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -365,16 +348,6 @@ def monomial_codes(
                     codes += [head + tail for tail in tails[bisect_right(firsts, p) :]]
         table.append((codes, [code[0][0] for code in codes]))
     return table[degree][0]
-
-
-def split_by_stage(x: Element) -> tuple[Element, Element]:
-    """Split into the stage-0-pure part and the rest.
-
-    The first component collects the monomials all of whose factors have
-    stage 0; the second collects everything with a positive-stage factor.
-    """
-    pure = x.filter_terms(lambda m: m.max_stage() == 0)
-    return pure, x - pure
 
 
 def generating_series_dimension(gens: Sequence[Generator], degree: int) -> int:

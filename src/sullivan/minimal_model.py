@@ -70,10 +70,10 @@ The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
 see, while H^m(model) = A^m for every m <= N already holds without them.
 
-`standardize` repairs a model whose positive-stage differentials have
-acquired Lambda(V_0)-pure parts: it solves for a preimage of the pure part in
-Lambda(V_0).Lambda^+(V_1) (`preimage_in_v0_v1`) and substitutes
-y -> y - (preimage).
+Standardness (rho kills every positive-stage generator, and no differential
+of stage >= 2 has a Lambda(V_0)-pure term) is proven by the build, through the
+lemma above and the `IntegrityError` in `_kill_step`, and checked by
+`verify_standard` on every verdict.  There is no repair path.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
-from .gca import Element, Generator, Monomial, monomial_basis, split_by_stage
+from .gca import Element, Generator, Monomial, monomial_basis
 from .dgca import CohomologySpace, FreeDGCA
 from .linalg import RowSpace, intersect_spans, solve_in_span
 from .presented import PresentedAlgebra, validate_presentation
@@ -159,36 +159,6 @@ class BigradedModel:
                 problems.append(f"rho(d({g.name})) != 0")
         return problems
 
-    # --- basis changes ------------------------------------------------------
-    def substitute(self, gen: Generator, delta: Element) -> "BigradedModel":
-        """Basis change gen -> gen + delta; every other structure map follows.
-
-        ``delta`` must be homogeneous of the generator's degree and must not
-        involve the generator itself.
-        """
-        if delta.is_zero:
-            return self
-        if delta.homogeneous_degree() != gen.degree:
-            raise InputError("substitution must preserve the degree")
-        for mon in delta.monomials():
-            if gen in mon.generators():
-                raise InputError("substitution may not be recursive")
-        replacement = Element.from_generator(gen) - delta  # old gen in the new basis
-        new_d: dict[Generator, Element] = {}
-        for g in self.generators:
-            if g == gen:
-                new_d[g] = self.d_of(g) + self.dgca.d(delta)
-            else:
-                new_d[g] = _substitute_in_element(self.d_of(g), gen, replacement)
-        new_rho = dict(self.rho)
-        new_rho[gen] = self.algebra.reduce(self.rho[gen] + self.rho_of(delta))
-        return BigradedModel(
-            FreeDGCA(self.generators, new_d, self.truncation),
-            new_rho,
-            self.algebra,
-            self.truncation,
-        )
-
     def rename(self, mapping: Mapping[str, str]) -> "BigradedModel":
         """Rename generators; degrees, stages and ordering are unchanged.
 
@@ -216,21 +186,6 @@ class BigradedModel:
             self.algebra,
             self.truncation,
         )
-
-
-def _substitute_in_element(element: Element, gen: Generator, replacement: Element) -> Element:
-    """Replace every occurrence of ``gen`` by ``replacement``."""
-    out = Element.zero()
-    for mon, coeff in element.terms():
-        e = mon.exponent(gen)
-        if e == 0:
-            out = out + Element.from_monomial(mon, coeff)
-            continue
-        idx = [g for g, _ in mon.powers].index(gen)
-        prefix = Element.from_monomial(Monomial(mon.powers[:idx]))
-        suffix = Element.from_monomial(Monomial(mon.powers[idx + 1 :]))
-        out = out + coeff * (prefix * replacement**e * suffix)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +355,9 @@ def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: Present
     return algebra.reduce(out)
 
 
+# Not called here: perfbench/layertrace.py wraps preimage_in_v0_v1 and
+# requires this binding.  It is the only caller of this module's
+# monomial_basis import, which the tracer also requires.
 def preimage_in_v0_v1(
     model: FreeDGCA, gens: Sequence[Generator], pure: Element, m: int
 ) -> Element | None:
@@ -432,7 +390,7 @@ def preimage_in_v0_v1(
 
 
 # --------------------------------------------------------------------------
-# standardisation
+# the standardness check
 
 
 def verify_standard(model: BigradedModel) -> list[str]:
@@ -460,34 +418,3 @@ def verify_standard(model: BigradedModel) -> list[str]:
                     f"d({g.name}) has the Lambda(V_0)-pure component {dgca.element_of(pure)}"
                 )
     return problems
-
-
-def standardize(model: BigradedModel) -> BigradedModel:
-    """Remove Lambda(V_0)-pure components from all stage >= 2 differentials.
-
-    Each offending generator y with d(y) = u0 + u1 (u0 the pure part) is
-    replaced by y - w where d(w) = u0; the substitution rewrites every other
-    differential mentioning y.  Idempotent; already-standard models are
-    returned unchanged.
-    """
-    for g in model.generators:
-        if g.stage >= 1 and not model.rho[g].is_zero:
-            raise InputError(
-                f"rho({g.name}) != 0: not a model with a standard-ready witness"
-            )
-    staged = sorted(
-        (g for g in model.generators if g.stage >= 2),
-        key=lambda g: (g.stage, g.degree, g.index),
-    )
-    for g in staged:
-        pure, _ = split_by_stage(model.d_of(g))
-        if pure.is_zero:
-            continue
-        w = preimage_in_v0_v1(model.dgca, model.generators, pure, g.degree)
-        if w is None:
-            raise IntegrityError(
-                f"the pure component of d({g.name}) is not exact on "
-                "Lambda(V_0).Lambda^+(V_1); the input is not a valid model"
-            )
-        model = model.substitute(g, -1 * w)
-    return model

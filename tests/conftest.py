@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from sullivan import formality
 from sullivan.attachment import AlphaFunctional
-from sullivan.dgca import DecomposableSubspace
+from sullivan.dgca import DecomposableSubspace, FreeDGCA
+from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
 from sullivan.linalg import RowSpace, intersect_spans, solve_in_span
-from sullivan.minimal_model import _rho_of, build_minimal_model
+from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 
@@ -74,6 +75,50 @@ def scaled(alpha, c):
     return AlphaFunctional(
         alpha.n, tuple((g, c * x) for g, x in alpha.coefficients), alpha.coerced
     )
+
+
+def pure_part(x):
+    """The Lambda(V_0)-pure terms of ``x``: those whose factors all have stage 0."""
+    return Element({mon: c for mon, c in x.terms() if mon.max_stage() == 0})
+
+
+def substitute(model, gen, delta):
+    """The basis change gen -> gen + delta of a `BigradedModel`.
+
+    Every other structure map follows: d(gen) gains d(delta), rho(gen) gains
+    rho(delta), and every other differential has gen replaced by gen - delta.
+    ``delta`` must be homogeneous of the generator's degree and must not
+    involve the generator itself.  The build never needs this; tests use it
+    to make models that are valid but not standard, or whose rho is not
+    monomial.
+    """
+    if delta.is_zero:
+        return model
+    if delta.homogeneous_degree() != gen.degree:
+        raise InputError("substitution must preserve the degree")
+    if any(gen in mon.generators() for mon in delta.monomials()):
+        raise InputError("substitution may not be recursive")
+    replacement = Element.from_generator(gen) - delta  # old gen in the new basis
+    d = {g: _replaced(model.d_of(g), gen, replacement) for g in model.generators}
+    d[gen] = model.d_of(gen) + model.dgca.d(delta)
+    rho = dict(model.rho)
+    rho[gen] = model.algebra.reduce(model.rho[gen] + model.rho_of(delta))
+    return BigradedModel(
+        FreeDGCA(model.generators, d, model.truncation), rho, model.algebra, model.truncation
+    )
+
+
+def _replaced(x, gen, replacement):
+    """``x`` with every factor ``gen`` replaced by ``replacement``."""
+    out = Element.zero()
+    for mon, coeff in x.terms():
+        value = Element.scalar(coeff)
+        for g, e in mon.powers:
+            factor = replacement if g == gen else Element.from_generator(g)
+            for _ in range(e):
+                value = value * factor
+        out = out + value
+    return out
 
 
 def reference_kill_step(model, h_space, a_space, rho, index):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from sullivan.attachment import (
     AlphaFunctional,
     AttachmentElement,
-    build_attachment,
+    AttachmentModel,
 )
 from sullivan.dgca import FreeDGCA
 from sullivan.formality import (
@@ -24,9 +24,9 @@ from sullivan.formality import (
     even_complex_formality,
     formality_verdict,
 )
-from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
+from sullivan.gca import Element, Generator, Monomial
 from sullivan.linalg import RowSpace
-from sullivan.minimal_model import build_minimal_model, standardize, verify_standard
+from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 from conftest import class_product, hurewicz_vanishes, is_special, scaled, small_presentations
@@ -121,7 +121,7 @@ def test_criterion_4_torsion_clause(cp1, wedge3_e6, fatwedge_e6, n_override):
         verdict = formality_verdict(model, alpha)
         assert verdict.status == FORMAL
         assert verdict.clause == "torsion"
-        attached = build_attachment(model, alpha)
+        attached = AttachmentModel(model, alpha)
         assert (
             attached.cohomology(n).dimension
             == algebra.graded_component(n).dimension + 1
@@ -147,7 +147,7 @@ def test_criterion_5_hurewicz_nonvanishing(name, c, add_more):
         other = next(n for n in ("a1", "a2", "a3") if n != name)
         pairs.append((other, F(1)))
     alpha = AlphaFunctional.build(model, 3, pairs)
-    attached = build_attachment(model, alpha)
+    attached = AttachmentModel(model, alpha)
     assert attached.u_class().is_zero
     assert (
         attached.cohomology(2).dimension
@@ -270,46 +270,6 @@ def test_criterion_8c_koszul_commutativity_associativity(data):
 
 @settings(max_examples=CASES, deadline=None)
 @given(st.data())
-def test_criterion_8d_standardize_postconditions_idempotence(data):
-    from sullivan.fixtures import build_fixture
-
-    if not _W6_CACHE:
-        _W6_CACHE.append(build_fixture("wedge3-e6"))
-    model = _W6_CACHE[0].model
-    staged = [g for g in model.generators if g.stage >= 2]
-    gen = data.draw(st.sampled_from(staged))
-    low = [g for g in model.generators if g.stage <= 1]
-    candidates = [
-        mon for mon in monomial_basis(low, gen.degree) if mon.max_stage() == 1
-    ]
-    if not candidates:
-        return
-    mon = data.draw(st.sampled_from(candidates))
-    coeff = F(data.draw(st.integers(-3, 3)) or 1)
-    perturbed = model.substitute(gen, Element.from_monomial(mon, coeff))
-    repaired = standardize(perturbed)
-    assert verify_standard(repaired) == []
-    for g in repaired.generators:
-        if g.stage >= 1:
-            assert repaired.rho[g].is_zero
-        if g.stage >= 2:
-            pure, _ = split_by_stage(repaired.d_of(g))
-            assert pure.is_zero
-    # degrees, stages and slice dimensions survive
-    assert Counter((g.degree, g.stage) for g in repaired.generators) == Counter(
-        (g.degree, g.stage) for g in model.generators
-    )
-    assert repaired.dgca.verify_d_squared() is None
-    twice = standardize(repaired)
-    for g in repaired.generators:
-        assert twice.d_of(g) == repaired.d_of(g)
-
-
-_W6_CACHE = []
-
-
-@settings(max_examples=CASES, deadline=None)
-@given(st.data())
 def test_criterion_8e_class_product_representative_independence(data):
     model = _wedge().model
     dgca = model.dgca
@@ -362,7 +322,7 @@ def test_criterion_8f_u_class_iff_stage0_vanishing(data, sampler):
             if c:
                 pairs.append((g.name, F(c)))
     alpha = AlphaFunctional.build(model, n, pairs)
-    attached = build_attachment(model, alpha)
+    attached = AttachmentModel(model, alpha)
     vanishes = all(
         not alpha.value(g) for g in model.stage_slice(0, n - 1)
     )
@@ -473,7 +433,7 @@ def test_criterion_9_random_models(data, sampler):
         if c:
             pairs.append((g.name, F(c)))
     alpha = AlphaFunctional.build(model, n, pairs)
-    attached = build_attachment(model, alpha)
+    attached = AttachmentModel(model, alpha)
     if attached.u_class().is_zero:
         return
     expected, _ = attached.u_decomposable()

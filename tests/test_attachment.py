@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sullivan.attachment import (
     AlphaFunctional,
     AttachmentElement,
-    build_attachment,
+    AttachmentModel,
 )
 from sullivan.dgca import CohomologySpace, FreeDGCA
 from sullivan.errors import InputError, IntegrityError
@@ -32,7 +32,7 @@ def test_twisted_differential_on_generator(cp2_attach):
 def test_zero_alpha_keeps_differential(cp1):
     model = cp1.model
     alpha = AlphaFunctional.zero(4)
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     for g in model.generators:
         img = att.d(AttachmentElement(Element.from_generator(g)))
         assert img.u == 0
@@ -81,7 +81,7 @@ def test_u_exact_against_sphere_relation(cp2_attach):
 def test_wedge_attachment_dimension_law(cp1):
     """alpha = 0: dim H^n grows by one, everything else is unchanged."""
     model, algebra = cp1.model, cp1.algebra
-    att = build_attachment(model, AlphaFunctional.zero(4))
+    att = AttachmentModel(model, AlphaFunctional.zero(4))
     for m in range(0, 5):
         expected = algebra.graded_component(m).dimension + (1 if m == 4 else 0)
         assert att.cohomology(m).dimension == expected
@@ -93,7 +93,7 @@ def test_hurewicz_nonzero_dimension_law(wedge3_s2):
     """alpha hitting a stage-0 class: u dies and H^(n-1) drops by one."""
     model, algebra = wedge3_s2.model, wedge3_s2.algebra
     alpha = AlphaFunctional.build(model, 3, [("a1", 1)])
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     assert att.u_class().is_zero
     assert att.cohomology(2).dimension == algebra.graded_component(2).dimension - 1
     for m in (0, 1, 3, 4):
@@ -105,7 +105,7 @@ def test_u_class_zero_when_alpha_hits_stage0_mixed(wedge3_s2):
     b_name = next(g.name for g in model.generators if g.degree == 3)
     # degree-3 support on a stage-1 generator, with n = 4
     alpha = AlphaFunctional.build(model, 4, [(b_name, 1)])
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     assert not att.u_class().is_zero
 
 
@@ -129,7 +129,7 @@ def test_indecomposable_u(wedge3_e6):
 
 def test_u_decomposable_requires_nonzero_u(wedge3_s2):
     model = wedge3_s2.model
-    att = build_attachment(model, AlphaFunctional.build(model, 3, [("a1", 1)]))
+    att = AttachmentModel(model, AlphaFunctional.build(model, 3, [("a1", 1)]))
     with pytest.raises(InputError):
         att.u_decomposable()
 
@@ -139,7 +139,7 @@ def test_s3_attachment_kills_everything():
     A = PresentedAlgebra.from_strings([("s", 3)], [], truncation=6)
     model = build_minimal_model(A, 5)
     alpha = AlphaFunctional.build(model, 4, [("s", 1)])
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     assert att.u_class().is_zero
     assert att.cohomology(3).dimension == 0
     assert att.cohomology(4).dimension == 0
@@ -158,7 +158,7 @@ def test_u_class_vanishing_matches_stage0_support(data, sampler):
         if c:
             pairs.append((g.name, F(c)))
     alpha = AlphaFunctional.build(model, n, pairs)
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     stage0_hit = any(
         alpha.value(g) for g in model.generators if g.degree == n - 1 and g.stage == 0
     )
@@ -182,7 +182,7 @@ def test_twisted_d_squared_fails_when_alpha_meets_a_linear_part():
     model = _hand_built_model([x, y], {x: Element.from_generator(y)}, 5)
     alpha = AlphaFunctional.build(model, 5, [("y", 1)])
     with pytest.raises(IntegrityError, match=r"at x$"):
-        build_attachment(model, alpha)
+        AttachmentModel(model, alpha)
 
 
 def test_twisted_d_squared_sums_alpha_over_the_linear_part():
@@ -193,9 +193,9 @@ def test_twisted_d_squared_sums_alpha_over_the_linear_part():
         Element.from_generator(a) * Element.from_generator(b)
     )
     model = _hand_built_model([a, b, x, y1, y2], {x: dx}, 5)
-    build_attachment(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", -1)]))
+    AttachmentModel(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", -1)]))
     with pytest.raises(IntegrityError, match=r"at x$"):
-        build_attachment(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", 1)]))
+        AttachmentModel(model, AlphaFunctional.build(model, 5, [("y1", 1), ("y2", 1)]))
 
 
 def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
@@ -208,7 +208,7 @@ def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
     model = _hand_built_model([a, b, c], d_on_gens, 6)
     alpha = AlphaFunctional.build(model, 4, [("b", 1)])
     with pytest.raises(IntegrityError, match=r"at c$"):
-        build_attachment(model, alpha)
+        AttachmentModel(model, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _assert_attachments_are_fresh(model, alphas):
     _assert_spaces_are_fresh(model.dgca, model.truncation)
     u_zero = u_nonzero = 0
     for n, pairs in alphas:
-        attached = build_attachment(model, AlphaFunctional.build(model, n, pairs))
+        attached = AttachmentModel(model, AlphaFunctional.build(model, n, pairs))
         _assert_spaces_are_fresh(attached, model.truncation)
         if attached.u_class().is_zero:
             u_zero += 1
@@ -291,5 +291,5 @@ def test_derived_spaces_equal_a_fresh_elimination_fixtures():
     for fid in fixture_ids():
         built = build_fixture(fid)
         if built.alpha is not None:
-            _assert_spaces_are_fresh(build_attachment(built.model, built.alpha), built.model.truncation)
+            _assert_spaces_are_fresh(AttachmentModel(built.model, built.alpha), built.model.truncation)
     assert all(counts), counts  # both [u] = 0 and [u] != 0 occur

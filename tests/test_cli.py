@@ -333,8 +333,6 @@ def test_verdict_reads_each_model_from_its_build(fixture, monkeypatch, capsys):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(minimal_model, "split_by_stage",
-                        spy("split_by_stage", minimal_model.split_by_stage))
     monkeypatch.setattr(minimal_model.BigradedModel, "d_of",
                         spy("d_of", minimal_model.BigradedModel.d_of))
     code = cli.main(["verdict", "--fixture", fixture, "--json"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sullivan.attachment import AlphaFunctional, build_attachment
+from sullivan.attachment import AlphaFunctional, AttachmentModel
 from sullivan.errors import InputError
 from sullivan.formality import (
     FORMAL,
@@ -191,5 +191,5 @@ def test_hurewicz_matches_u_class_on_random_models(data, sampler):
             if c:
                 pairs.append((g.name, F(c)))
     alpha = AlphaFunctional.build(model, n, pairs)
-    att = build_attachment(model, alpha)
+    att = AttachmentModel(model, alpha)
     assert hurewicz_vanishes(model, alpha) == (not att.u_class().is_zero)

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from sullivan import minimal_model
 from sullivan.dgca import FreeDGCA
-from sullivan.errors import InputError, TruncationError
+from sullivan.errors import InputError, IntegrityError, TruncationError
 from sullivan.fixtures import fixture_ids, get_fixture
-from sullivan.gca import Element, Generator, Monomial, monomial_basis, split_by_stage
+from sullivan.gca import Element, Generator, Monomial, monomial_basis
 from sullivan.minimal_model import (
     BigradedModel,
     _rho_of,
     build_minimal_model,
-    standardize,
     verify_standard,
 )
 from sullivan.presented import PresentedAlgebra
@@ -24,8 +23,10 @@ from conftest import (
     built_wedge_and_dense_models,
     dense_quadratic_presentations,
     elements_of,
+    pure_part,
     reference_kill_step,
     small_presentations,
+    substitute,
 )
 
 F = Fraction
@@ -98,10 +99,6 @@ def test_verify_standard_on_built_models(wedge3_s2, fatwedge_e6):
     assert verify_standard(fatwedge_e6.model) == []
 
 
-def _perturb(model, gen, w):
-    return model.substitute(gen, w)
-
-
 def _stage2_perturbation(model):
     """A nonzero w in Lambda(V_0).Lambda^+(V_1) matching a stage-2 generator."""
     for gen in model.generators:
@@ -120,43 +117,30 @@ def _stage2_perturbation(model):
     return None, None
 
 
-def test_standardize_repairs_perturbation(wedge3_e6):
+def test_verify_standard_names_a_perturbed_generator(wedge3_e6):
+    # gen -> gen + w, w in Lambda(V_0).Lambda^+(V_1): d(gen) gains the pure part d(w)
     model = wedge3_e6.model
     gen, w = _stage2_perturbation(model)
     assert gen is not None
-    perturbed = _perturb(model, gen, w)
+    perturbed = substitute(model, gen, w)
     # the perturbed model is a valid model but no longer standard
     assert perturbed.verify() == []
     assert any(gen.name in v for v in verify_standard(perturbed))
-    repaired = standardize(perturbed)
-    assert verify_standard(repaired) == []
-    assert repaired.d_of(gen) == model.d_of(gen)
-    # shape is preserved
-    assert {(g.name, g.degree, g.stage) for g in repaired.generators} == {
-        (g.name, g.degree, g.stage) for g in model.generators
-    }
-
-
-def test_standardize_identity_on_standard(wedge3_s2):
-    model = wedge3_s2.model
-    result = standardize(model)
-    for g in model.generators:
-        assert result.d_of(g) == model.d_of(g)
-
-
-def test_standardize_idempotent(wedge3_e6):
-    model = wedge3_e6.model
-    gen, w = _stage2_perturbation(model)
-    assert gen is not None
-    once = standardize(_perturb(model, gen, w))
-    twice = standardize(once)
-    for g in once.generators:
-        assert once.d_of(g) == twice.d_of(g)
-        assert once.rho[g] == twice.rho[g]
 
 
 def test_stage1_only_model_standard(cp1):
     assert verify_standard(cp1.model) == []
+
+
+def test_the_build_refuses_a_kill_target_with_a_pure_term(monkeypatch):
+    # With no stage-1 layer, the pure kernel class of a*b is left to the
+    # higher-stage targets; the build's standardness guard must refuse it.
+    monkeypatch.setattr(minimal_model, "intersect_spans", lambda *args: [])
+    algebra = PresentedAlgebra.from_strings([("a", 2), ("b", 2)], ["a*b"], truncation=6)
+    with pytest.raises(
+        IntegrityError, match="a kill target outside the stage-1 layer has a pure term"
+    ):
+        build_minimal_model(algebra, 5)
 
 
 def test_rename_roundtrip(cp1):
@@ -168,14 +152,6 @@ def test_rename_roundtrip(cp1):
     assert {g.name for g in back.generators} == {g.name for g in model.generators}
     with pytest.raises(InputError):
         model.rename({"b": "a"})
-
-
-def test_substitute_rejects_degree_mismatch(wedge3_s2):
-    model = wedge3_s2.model
-    a1 = model.generator_named("a1")
-    b = next(g for g in model.generators if g.degree == 3)
-    with pytest.raises(InputError):
-        model.substitute(b, Element.from_generator(a1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,7 +238,7 @@ def _rho_models(algebra):
     evens = [g for g in model.generators if g.stage == 0 and g.degree == 2]
     if len(evens) >= 2:
         # gen -> gen + other: rho(gen) becomes a sum of two classes
-        substituted = model.substitute(evens[0], Element.from_generator(evens[1]))
+        substituted = substitute(model, evens[0], Element.from_generator(evens[1]))
         assert len(list(substituted.rho[evens[0]].terms())) == 2
         yield substituted
 
@@ -574,20 +550,20 @@ def test_rho_constraints_on_pure_parts_equal_those_of_whole_representatives(monk
 
 
 def reference_verify_standard(model):
-    """`verify_standard` on decoded differentials: the pure part by `split_by_stage`."""
+    """`verify_standard` on decoded differentials: the pure part by `pure_part`."""
     problems = []
     for g in model.generators:
         if g.stage >= 1 and not model.rho[g].is_zero:
             problems.append(f"rho({g.name}) = {model.rho[g]} != 0 on stage {g.stage}")
         if g.stage >= 2:
-            pure, _ = split_by_stage(model.d_of(g))
+            pure = pure_part(model.d_of(g))
             if not pure.is_zero:
                 problems.append(f"d({g.name}) has the Lambda(V_0)-pure component {pure}")
     return problems
 
 
 def _substitutions(model, limit):
-    """Up to ``limit`` models model.substitute(gen, w), w built from lower stages.
+    """Up to ``limit`` models substitute(model, gen, w), w built from lower stages.
 
     For each positive-stage gen, a pure w with rho(w) != 0 gives rho(gen) that
     value, and, when gen has stage >= 2, a w in Lambda(V_0).Lambda^+(V_1) with
@@ -608,7 +584,7 @@ def _substitutions(model, limit):
             w = Element.from_monomial(mon)
             if not (model.rho_of(w) if kind == 0 else model.dgca.d(w)).is_zero:
                 kinds.discard(kind)
-                yield model.substitute(gen, w)
+                yield substitute(model, gen, w)
                 made += 1
                 if made == limit:
                     return
@@ -636,7 +612,7 @@ def test_verify_standard_matches_the_decoded_reference_random(data, sampler):
     gen = sampler.draw(st.sampled_from(model.generators))
     others = [g for g in model.generators if g != gen]
     delta = sampler.draw(elements_of(FreeDGCA(others, {}, truncation), gen.degree))
-    perturbed = model.substitute(gen, delta)
+    perturbed = substitute(model, gen, delta)
     assert verify_standard(perturbed) == reference_verify_standard(perturbed)
 
 
