@@ -15,12 +15,11 @@ runs the work that many times under one profile.
 
 For each hot layer of the cohomology elimination, of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call) and of the
-presented algebra A (its ideal slices and its graded components) it prints
-the number of calls, the cumulative seconds and the share of the profiled
-total.  cProfile
-adds a cost to every Python call, so the shares are indicative; time the
-same work with profiling off before quoting a speed-up.  Standard library
-only.
+presented algebra A (its ideal slices, its graded components and its
+indecomposables) it prints the number of calls, the cumulative seconds and
+the share of the profiled total.  cProfile adds a cost to every Python call,
+so the shares are indicative; time the same work with profiling off before
+quoting a speed-up.  Standard library only.
 """
 
 import argparse
@@ -50,6 +49,7 @@ LAYERS = {
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
     "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,
     "PresentedAlgebra.graded_component": PresentedAlgebra.graded_component,
+    "PresentedAlgebra.indecomposables": PresentedAlgebra.indecomposables,
 }
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dgca import CohomologyClass, CohomologySpace, DecomposableSubspace
+from .dgca import CohomologyClass, CohomologySpace, decomposition
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial
 # Not called here: perfbench/layertrace.py wraps solve_in_span under every
@@ -206,6 +206,7 @@ class AttachmentModel:
             base.dgca.key(mon): c for mon, c in self._alpha_on_basis.items()
         }
         self._cohomology_cache: dict[int, CohomologySpace] = {}
+        self._u_class: CohomologyClass | None = None
         bad = self.verify_d_squared()
         if bad is not None:
             raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
@@ -323,10 +324,12 @@ class AttachmentModel:
         return base.rebased(self)
 
     def u_class(self) -> CohomologyClass:
-        """The class of u in degree n; zero exactly when u became exact."""
-        return self.cohomology(self.n).class_of(
-            AttachmentElement(Element.zero(), _ONE)
-        )
+        """The class of u in degree n, found once; zero exactly when u became exact."""
+        if self._u_class is None:
+            self._u_class = self.cohomology(self.n).class_of(
+                AttachmentElement(Element.zero(), _ONE)
+            )
+        return self._u_class
 
     def u_body_representative(self) -> Element | None:
         """A representative of [u] inside Lambda(V), when one exists.
@@ -354,7 +357,7 @@ class AttachmentModel:
         u = self.u_class()
         if u.is_zero:
             raise InputError("u is zero in cohomology; decomposability is undefined")
-        witness = DecomposableSubspace(self.cohomology, self.n).witness(u)
+        witness = decomposition(self.cohomology, u)
         return witness is not None, witness
 
 

@@ -50,14 +50,17 @@ builds the coboundaries only when something reads them, so after
 `minimal_model.build_minimal_model`, which grows one complex through every
 degree, the cohomology of the model costs no elimination at all.
 
-`CohomologySpace` and `DecomposableSubspace` read their complex through a
-small interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
-``element_of`` and ``d`` -- which three complexes serve: `FreeDGCA`, the
-cell-attachment complex `attachment.AttachmentModel`, and the presented
-algebra (A, 0) of `presented.PresentedAlgebra`.  All three key their columns
-by integer codes: a free complex and a presented algebra by the codes of
-their monomials, the attachment complex by the codes of its base model and
-one more key, u, for the attached cell.
+`CohomologySpace` reads its complex through a small interface -- ``keys``,
+``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and ``d`` -- which
+three complexes serve: `FreeDGCA`, the cell-attachment complex
+`attachment.AttachmentModel`, and the presented algebra (A, 0) of
+`presented.PresentedAlgebra`.  All three key their columns by integer codes:
+a free complex and a presented algebra by the codes of their monomials, the
+attachment complex by the codes of its base model and one more key, u, for
+the attached cell.  `decomposition` writes one class as a combination of
+products of classes, over the spaces a complex caches; the verdict asks it
+of [u] alone, since a presented algebra reads its indecomposables off its
+relations.
 
 Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
@@ -769,53 +772,28 @@ class CohomologySpace:
         return CohomologyClass(self.degree, self._element(reduced), tuple(dense))
 
 
-class DecomposableSubspace:
-    """Span of all products of positive-degree classes inside H^m.
+def decomposition(
+    cohomology, cls: CohomologyClass
+) -> list[tuple[Fraction, CohomologyClass, CohomologyClass]] | None:
+    """``cls`` as a combination of products of positive-degree classes, or None.
 
     ``cohomology`` maps a degree to its cached `CohomologySpace`, over a
-    complex whose class representatives multiply.
+    complex whose class representatives multiply.  The witness lists the
+    nonzero (coefficient, left class, right class) terms.
     """
-
-    def __init__(self, cohomology, m: int):
-        self.degree = m
-        self._products: list[tuple[tuple[Fraction, ...], CohomologyClass, CohomologyClass]] = []
-        target = cohomology(m)
-        for p in range(1, m // 2 + 1):
-            left = cohomology(p).classes
-            right = cohomology(m - p).classes
-            for c1 in left:
-                for c2 in right:
-                    product = target.class_of(c1.representative * c2.representative)
-                    if not product.is_zero:
-                        self._products.append((product.coordinates, c1, c2))
-        self._space = RowSpace(
-            {i: c for i, c in enumerate(vec) if c} for vec, _, _ in self._products
-        )
-
-    @property
-    def dimension(self) -> int:
-        return self._space.rank
-
-    def pivots(self) -> list[int]:
-        """Class coordinates at which the decomposables have their pivots."""
-        return self._space.pivots()
-
-    def contains(self, cls: CohomologyClass) -> bool:
-        return self._space.contains(
-            {i: c for i, c in enumerate(cls.coordinates) if c}
-        )
-
-    def witness(
-        self, cls: CohomologyClass
-    ) -> list[tuple[Fraction, CohomologyClass, CohomologyClass]] | None:
-        """Express a class as a combination of products, if possible."""
-        if not self._products:
-            return [] if cls.is_zero else None
-        coeffs = solve_in_span([vec for vec, _, _ in self._products], cls.coordinates)
-        if coeffs is None:
-            return None
-        return [
-            (c, c1, c2)
-            for c, (_, c1, c2) in zip(coeffs, self._products)
-            if c
-        ]
+    m = cls.degree
+    target = cohomology(m)
+    products = []
+    for p in range(1, m // 2 + 1):
+        left, right = cohomology(p).classes, cohomology(m - p).classes
+        for c1 in left:
+            for c2 in right:
+                product = target.class_of(c1.representative * c2.representative)
+                if not product.is_zero:
+                    products.append((product.coordinates, c1, c2))
+    if not products:
+        return [] if cls.is_zero else None
+    coeffs = solve_in_span([vec for vec, _, _ in products], cls.coordinates)
+    if coeffs is None:
+        return None
+    return [(c, c1, c2) for c, (_, c1, c2) in zip(coeffs, products) if c]

@@ -1,8 +1,9 @@
 """Bigraded minimal Sullivan models of presented algebras with zero differential.
 
-The construction runs degree by degree.  In degree m it first adjoins stage-0
-generators mapping onto a basis of the indecomposables of A^m (rho sends each
-one to its monomial lift, the differential is zero).  It then kills the
+The construction runs degree by degree.  In degree m it first adjoins, as
+stage-0 generators with zero differential, the degree-m generators of A that
+`PresentedAlgebra.indecomposables` picks: their classes are a basis of the
+indecomposables of A^m, and rho sends each one to itself.  It then kills the
 kernel K of the induced map rho*: H^(m+1)(current model) -> A^(m+1):
 
 * kernel classes that admit a representative inside Lambda(V_0) become
@@ -214,16 +215,10 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
     next_index = len(algebra.generators)
 
     for m in range(2, truncation + 1):
-        # stage 0: lifts of the indecomposables of A^m
-        lifts = []
-        for lift in algebra.indecomposables(m):
-            if lift.word_length != 1:
-                raise IntegrityError(
-                    f"indecomposable lift {lift} is not a single generator"
-                )
-            g = lift.generators()[0]
-            lifts.append(g)
-            rho[g] = Element.from_monomial(lift)
+        # stage 0: the generators of A whose classes span Q(A)^m
+        lifts = algebra.indecomposables(m)
+        for g in lifts:
+            rho[g] = Element.from_generator(g)
         model.extend(lifts, {})
         if m == truncation:
             break

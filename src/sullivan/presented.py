@@ -19,6 +19,19 @@ coefficients, and a row of the ideal slice merges a cofactor code with the
 terms of one relation (`dgca.code_products`).  `Monomial` and `Element`
 appear only where an element enters (``terms_of``) or a result leaves
 (``element_of``).
+
+The indecomposables Q(A)^m = A^m / (A^+ . A^+)^m need no product of
+classes.  Let F^m be the degree-m part of the free cover, I^m the ideal
+slice and W = I^m + F^m_(>=2).  Reduced modulo I^m, the decomposables lie on
+the non-pivot columns of I^m, the columns of A's classes, so the pivots of W
+are those of I^m and those of the decomposables in class coordinates.  In
+the canonical order every degree-m generator sorts after every monomial of
+word length >= 2, whose first factor has a lower degree.  So the RREF of W
+has a unit row at every column of word length >= 2, and its other rows are
+the RREF of the linear parts of I^m.  A cofactor of positive degree adds no
+linear term, so those are the linear parts of the degree-m relations.  Hence
+the classes of the generators off the pivots of those linear parts are a
+basis of Q(A)^m (`indecomposables`).
 """
 
 from __future__ import annotations
@@ -30,9 +43,10 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from . import expr
-from .dgca import CohomologySpace, DecomposableSubspace, code_products
+from .dgca import CohomologySpace, code_products
 from .errors import InputError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_codes
+from .linalg import RowSpace
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
 # module name bound to it and requires this binding.
 from .gca import monomial_basis  # noqa: F401
@@ -79,18 +93,9 @@ class PresentedAlgebra:
         rels = [expr.parse_element(text, seen) for text in relations]
         return cls(gens, rels, truncation)
 
-    def generator_named(self, name: str) -> Generator | None:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        return None
-
     def graded_component(self, m: int) -> CohomologySpace:
         """A^m, with the non-pivot monomials as its canonical basis."""
-        if m > self.truncation:
-            raise TruncationError(
-                f"degree {m} exceeds the algebra truncation {self.truncation}"
-            )
+        self._check_degree(m)
         cached = self._components.get(m)
         if cached is None:
             cached = CohomologySpace(self, m)
@@ -98,15 +103,26 @@ class PresentedAlgebra:
             self._components[m] = cached
         return cached
 
-    def indecomposables(self, m: int) -> list[Monomial]:
-        """Monomial lifts of a basis of A^m modulo decomposables."""
-        comp = self.graded_component(m)
-        pivots = set(DecomposableSubspace(self.graded_component, m).pivots())
-        return [
-            cls.representative.monomials()[0]
-            for i, cls in enumerate(comp.classes)
-            if i not in pivots
-        ]
+    def indecomposables(self, m: int) -> list[Generator]:
+        """The degree-m generators whose classes are a basis of Q(A)^m.
+
+        They are the generators off the pivots of the linear parts of the
+        degree-m relations, in position order; see the module docstring.
+        """
+        self._check_degree(m)
+        linear = RowSpace(
+            {code[0][0]: c for code, _, c in terms if len(code) == 1 and code[0][1] == 1}
+            for degree, terms in self._relation_codes
+            if degree == m
+        )
+        pivots = set(linear.pivots())
+        return [g for p, g in enumerate(self._sorted) if g.degree == m and p not in pivots]
+
+    def _check_degree(self, m: int):
+        if m > self.truncation:
+            raise TruncationError(
+                f"degree {m} exceeds the algebra truncation {self.truncation}"
+            )
 
     def product(self, x: Element, y: Element) -> Element:
         """Cup product: multiply in the free cover, reduce modulo relations."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sullivan import formality
 from sullivan.attachment import AlphaFunctional
-from sullivan.dgca import DecomposableSubspace, FreeDGCA
+from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
@@ -49,8 +49,28 @@ def class_product(dgca, c1, c2):
     return dgca.cohomology(c1.degree + c2.degree).class_of(product)
 
 
-def decomposable_subspace(dgca, m):
-    return DecomposableSubspace(dgca.cohomology, m)
+def product_route_indecomposables(algebra, m):
+    """The names of the generators that lift a basis of Q(A)^m, found the long way.
+
+    Every product of classes of degrees p and m - p, 0 < p <= m / 2, is
+    formed by `PresentedAlgebra.product` and read into class coordinates by
+    `class_of`; the indecomposables are the classes off the pivots of their
+    span, named by the one monomial of their representative.
+    """
+    comp = algebra.graded_component(m)
+    products = RowSpace()
+    for p in range(1, m // 2 + 1):
+        for x in algebra.graded_component(p).classes:
+            for y in algebra.graded_component(m - p).classes:
+                prod = algebra.product(x.representative, y.representative)
+                coords = comp.class_of(prod).coordinates
+                products.insert({i: c for i, c in enumerate(coords) if c})
+    pivots = set(products.pivots())
+    return [
+        str(cls.representative.monomials()[0])
+        for i, cls in enumerate(comp.classes)
+        if i not in pivots
+    ]
 
 
 def hurewicz_vanishes(model, alpha):
@@ -182,8 +202,8 @@ class ReferenceSlices(PresentedAlgebra):
 
     Its keys are the `Monomial`s of each degree, and its ideal slice is each
     cofactor monomial times each relation, multiplied out as `Element`s with
-    their `Fraction` coefficients; `graded_component`, `indecomposables` and
-    `reduce` are inherited.
+    their `Fraction` coefficients; `graded_component` and `reduce` are
+    inherited.
     """
 
     def keys(self, m):

@@ -241,6 +241,10 @@ def test_two_cell_notice(tmp_path):
     assert "alpha: 0" in result.stdout
 
 
+# CP^2: a 4-cell on the 2-sphere along the stage-1 generator
+CP2_JOB = "algebra:\n  gen a 2\n  rel a^2\n  truncation 4\nattach:\n  cell 4\n  alpha v3_s1_0 1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -255,10 +259,7 @@ def test_verdict_builds_one_attachment(argv, tmp_path, monkeypatch, capsys):
     from sullivan.attachment import AttachmentModel
 
     job = tmp_path / "job.txt"
-    job.write_text(
-        "algebra:\n  gen a 2\n  rel a^2\n  truncation 4\nattach:\n  cell 4\n  alpha v3_s1_0 1\n",
-        encoding="utf-8",
-    )
+    job.write_text(CP2_JOB, encoding="utf-8")
     built = []
     original = AttachmentModel.__init__
 
@@ -270,6 +271,41 @@ def test_verdict_builds_one_attachment(argv, tmp_path, monkeypatch, capsys):
     code = cli.main([str(job) if a == "JOB" else a for a in argv])
     assert code == 0, capsys.readouterr().err
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "--input", "JOB"],
+        ["attach", "--input", "JOB"],
+        ["attach", "--input", "JOB", "--json"],
+        ["verdict", "--fixture", "cp2-attach"],
+    ],
+    ids=["verdict", "attach", "attach-json", "cp2-attach"],
+)
+def test_each_command_finds_the_class_of_u_once(argv, tmp_path, monkeypatch, capsys):
+    from fractions import Fraction
+
+    from sullivan import cli
+    from sullivan.attachment import AttachmentElement
+    from sullivan.dgca import CohomologySpace
+    from sullivan.gca import Element
+
+    job = tmp_path / "job.txt"
+    job.write_text(CP2_JOB, encoding="utf-8")
+    u = AttachmentElement(Element.zero(), Fraction(1))
+    calls = []
+    original = CohomologySpace.class_of
+
+    def counting_class_of(self, element):
+        if isinstance(element, AttachmentElement) and element == u:
+            calls.append(self.degree)
+        return original(self, element)
+
+    monkeypatch.setattr(CohomologySpace, "class_of", counting_class_of)
+    code = cli.main([str(job) if a == "JOB" else a for a in argv])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("fixture", ["cp1", "wedge3-s2"])

@@ -8,7 +8,12 @@ from sullivan.expr import parse_element
 from sullivan.gca import Element, monomial_basis
 from sullivan.presented import PresentedAlgebra, validate_presentation
 
-from conftest import ReferenceSlices, mixed_parity_presentations, small_presentations
+from conftest import (
+    ReferenceSlices,
+    mixed_parity_presentations,
+    product_route_indecomposables,
+    small_presentations,
+)
 
 F = Fraction
 
@@ -84,7 +89,8 @@ def test_truncation_error(wedge):
 def test_indecomposables_of_truncated_polynomial_ring():
     A = PresentedAlgebra.from_strings([("a", 2)], ["a^2"], truncation=6)
     ind = A.indecomposables(2)
-    assert [str(m) for m in ind] == ["a"]
+    assert [g.name for g in ind] == ["a"]
+    assert A.indecomposables(0) == []
 
 
 def test_indecomposables_vanish_on_products(fat_wedge_part):
@@ -176,21 +182,48 @@ def test_component_matches_sympy_rref(fat_wedge_part):
 @given(small_presentations())
 def test_indecomposables_complement_decomposables(data):
     algebra, truncation = data
-    for m in range(2, truncation + 1):
-        comp = algebra.graded_component(m)
-        ind = algebra.indecomposables(m)
-        from sullivan.linalg import RowSpace
+    for m in range(1, truncation + 2):  # Q(A) is taken of positive degrees
+        names = [g.name for g in algebra.indecomposables(m)]
+        assert names == product_route_indecomposables(algebra, m), m
 
-        dec = RowSpace()
-        for p in range(1, m // 2 + 1):
-            for x in algebra.graded_component(p).classes:
-                for y in algebra.graded_component(m - p).classes:
-                    prod = algebra.product(x.representative, y.representative)
-                    coords = comp.class_of(prod).coordinates
-                    vec = {i: c for i, c in enumerate(coords) if c}
-                    if vec:
-                        dec.insert(vec)
-        assert len(ind) + dec.rank == comp.dimension
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_parity_presentations())
+@example(
+    # a linear part in degree 5, beside a decomposable term
+    PresentedAlgebra.from_strings(
+        [("a", 3), ("x", 2), ("b", 3), ("c", 5)],
+        ["a*x + 1/2*c", "2/3*x^3 - b^2"],
+        10,
+    )
+)
+def test_indecomposables_match_the_product_route(algebra):
+    for m in range(1, algebra.truncation + 1):
+        names = [g.name for g in algebra.indecomposables(m)]
+        assert names == product_route_indecomposables(algebra, m), m
+
+
+@pytest.mark.parametrize(
+    "generators, relation, expected",
+    [
+        ([("a", 2), ("b", 2), ("x", 4)], "x - a*b", []),
+        ([("a", 2), ("b", 2), ("x", 4), ("y", 4)], "2*x + 3*y - a*b", ["y"]),
+        ([("a", 2), ("x", 4), ("y", 4)], "x - y", ["y"]),
+        ([("a", 2), ("x", 4)], "x - a^2", []),
+    ],
+    ids=["generator-is-a-product", "one-of-two-survives", "generators-identified",
+         "generator-is-a-square"],
+)
+def test_indecomposables_of_relations_with_linear_parts(generators, relation, expected):
+    algebra = PresentedAlgebra.from_strings(generators, [relation], 6)
+    assert [g.name for g in algebra.indecomposables(4)] == expected
+    assert product_route_indecomposables(algebra, 4) == expected
+
+
+def test_indecomposables_refuse_degrees_past_the_truncation(wedge):
+    assert len(wedge.indecomposables(7)) == 0
+    with pytest.raises(TruncationError):
+        wedge.indecomposables(8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,9 +251,6 @@ def test_code_keyed_slices_match_the_element_product_slices(algebra):
         assert repr(space._class_rows) == repr(expected._class_rows), m
         assert [str(algebra.element_of({code: 1})) for code in space.complement] == [
             str(mon) for mon in expected.complement
-        ], m
-        assert [str(mon) for mon in algebra.indecomposables(m)] == [
-            str(mon) for mon in reference.indecomposables(m)
         ], m
         everything = Element.zero()
         for i, mon in enumerate(expected.keys):
