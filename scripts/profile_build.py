@@ -15,11 +15,13 @@ runs the work that many times under one profile.
 
 For each hot layer of the cohomology elimination, of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call) and of the
-presented algebra A (its ideal slices, its graded components and its
-indecomposables) it prints the number of calls, the cumulative seconds and
-the share of the profiled total.  cProfile adds a cost to every Python call,
-so the shares are indicative; time the same work with profiling off before
-quoting a speed-up.  Standard library only.
+presented algebra A (its ideal slices and its indecomposables) it prints the
+number of calls, the cumulative seconds and the share of the profiled total.
+A's graded components have no row of their own: ``graded_component`` is
+``FreeDGCA.cohomology``, one code object, so its row would count the
+model's cohomology too.  cProfile adds a cost to every Python call, so the
+shares are indicative; time the same work with profiling off before quoting
+a speed-up.  Standard library only.
 """
 
 import argparse
@@ -48,7 +50,6 @@ LAYERS = {
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
     "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,
-    "PresentedAlgebra.graded_component": PresentedAlgebra.graded_component,
     "PresentedAlgebra.indecomposables": PresentedAlgebra.indecomposables,
 }
 

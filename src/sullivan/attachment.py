@@ -40,6 +40,7 @@ from typing import Mapping, Sequence
 from .dgca import CohomologyClass, CohomologySpace, decomposition
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial
+from .linalg import add_scaled
 # Not called here: perfbench/layertrace.py wraps solve_in_span under every
 # module name bound to it and requires this binding.
 from .linalg import solve_in_span  # noqa: F401
@@ -201,10 +202,7 @@ class AttachmentModel:
                     f"alpha is keyed on {g.name!r} of degree {g.degree}; "
                     f"an {self.n}-cell pairs only with degree {self.n - 1}"
                 )
-        self._alpha_on_basis = {Monomial.of(g): c for g, c in alpha.coefficients}
-        self._alpha_on_keys = {
-            base.dgca.key(mon): c for mon, c in self._alpha_on_basis.items()
-        }
+        self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None
         bad = self.verify_d_squared()
@@ -212,15 +210,14 @@ class AttachmentModel:
             raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
 
     # --- complex structure -------------------------------------------------
-    def _alpha_of(self, body: Element) -> Fraction:
-        """alpha paired with the word-length-1 part of ``body``."""
-        return sum(
-            (c * body.coefficient(mon) for mon, c in self._alpha_on_basis.items()), _ZERO
-        )
-
     def d(self, x: AttachmentElement) -> AttachmentElement:
-        """Twisted differential; the u-part of the input is closed."""
-        return AttachmentElement(self.base.dgca.d(x.body), self._alpha_of(x.body))
+        """Twisted differential; the u-part of the input is closed.
+
+        alpha pairs with the word-length-1 part of the body, read off its codes.
+        """
+        dgca, alpha = self.base.dgca, self._alpha_on_keys
+        paired = sum((alpha[k] * c for k, c in dgca.terms_of(x.body) if k in alpha), _ZERO)
+        return AttachmentElement(dgca.d(x.body), paired)
 
     def keys(self, m: int) -> list:
         """Degree-m column keys: the base model's codes, then u in degree n."""
@@ -308,7 +305,7 @@ class AttachmentModel:
                 # the RREF of ker(alpha) in class coordinates: e_i - (a_i / a_last) e_last
                 pivot_row, a_last = rows[last], values[last]
                 rows = [
-                    _minus(row, values[i] / a_last, pivot_row) if values[i] else row
+                    add_scaled(dict(row), -values[i] / a_last, pivot_row) if values[i] else row
                     for i, row in enumerate(rows)
                     if i != last
                 ]
@@ -359,16 +356,4 @@ class AttachmentModel:
             raise InputError("u is zero in cohomology; decomposability is undefined")
         witness = decomposition(self.cohomology, u)
         return witness is not None, witness
-
-
-def _minus(row: Mapping[int, Fraction], c: Fraction, other: Mapping[int, Fraction]) -> dict:
-    """row - c * other, with no zero entries."""
-    out = dict(row)
-    for col, v in other.items():
-        w = out.get(col, _ZERO) - c * v
-        if w:
-            out[col] = w
-        else:
-            out.pop(col, None)
-    return out
 

@@ -52,10 +52,11 @@ degree, the cohomology of the model costs no elimination at all.
 
 `CohomologySpace` reads its complex through a small interface -- ``keys``,
 ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and ``d`` -- which
-three complexes serve: `FreeDGCA`, the cell-attachment complex
-`attachment.AttachmentModel`, and the presented algebra (A, 0) of
-`presented.PresentedAlgebra`.  All three key their columns by integer codes:
-a free complex and a presented algebra by the codes of their monomials, the
+two complexes serve: `FreeDGCA` and the cell-attachment complex
+`attachment.AttachmentModel`.  The presented algebra (A, 0) of
+`presented.PresentedAlgebra` is a `FreeDGCA` with zero differential that
+overrides ``boundaries`` alone: its coboundaries are the ideal slices.  A
+free complex keys its columns by the integer codes of its monomials, the
 attachment complex by the codes of its base model and one more key, u, for
 the attached cell.  `decomposition` writes one class as a combination of
 products of classes, over the spaces a complex caches; the verdict asks it
@@ -66,8 +67,7 @@ Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
 pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
-monomial, and increasing code order is the canonical monomial order.  (A
-presented algebra indexes its sorted generators the same way.)
+monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
 new generator and its d(g) as codes, checking the degree of every term and
 that the positions of every code increase, or, in a kill step, that every
@@ -113,7 +113,7 @@ from .gca import Element, Generator, Monomial, monomial_codes
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
 # module name bound to it and requires this binding.
 from .gca import monomial_basis  # noqa: F401
-from .linalg import RowSpace, kernel_rref, solve_in_span
+from .linalg import RowSpace, add_scaled, kernel_rref, solve_in_span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -477,12 +477,7 @@ class FreeDGCA:
                 uses[code] -= 1
                 if uses[code]:
                     d_of[code] = d_code
-                for t, c in d_code.items():
-                    v = residue.get(t, 0) + coeff * c
-                    if v:
-                        residue[t] = v
-                    else:
-                        residue.pop(t, None)
+                add_scaled(residue, coeff, d_code)
             if residue:
                 return g, self.element_of(residue)
         return None
@@ -717,12 +712,7 @@ class CohomologySpace:
             return vec if c == 1 else {col: c * v for col, v in vec.items()}
         vec = {}
         for i, c in nonzero:
-            for col, v in self._class_rows[i].items():
-                w = vec.get(col, _ZERO) + c * v
-                if w:
-                    vec[col] = w
-                else:
-                    vec.pop(col, None)
+            add_scaled(vec, c, self._class_rows[i])
         return vec
 
     def vector_of(self, element) -> dict[int, Fraction]:
@@ -749,12 +739,7 @@ class CohomologySpace:
             if not c:
                 continue
             coords[i] = c
-            for col, v in row.items():
-                w = residual.get(col, _ZERO) - c * v
-                if w:
-                    residual[col] = w
-                else:
-                    residual.pop(col, None)
+            add_scaled(residual, -c, row)
         if residual:
             raise IntegrityError("cocycle does not reduce into the class basis")
         return coords

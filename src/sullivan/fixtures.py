@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from .attachment import AlphaFunctional, AttachmentModel
 from .errors import InputError, IntegrityError
@@ -46,11 +46,9 @@ class Fixture:
     cell: int | None = None
     expected_status: str | None = None
     even_half_degree: int | None = None
-    notes: str = ""
-    # computed against the built model; returns (name, coefficient) pairs
-    _alpha_builder: Callable[[BigradedModel], list[tuple[str, Fraction]]] | None = field(
-        default=None, repr=False
-    )
+    # the attaching data: (generator name, coefficient) pairs, named as the
+    # aliased model names them
+    alpha: tuple[tuple[str, Fraction], ...] = ()
     _alias_builder: Callable[[BigradedModel], dict[str, str]] | None = field(
         default=None, repr=False
     )
@@ -181,20 +179,6 @@ def _fatwedge_aliases(model: BigradedModel) -> dict[str, str]:
     return mapping
 
 
-def _fatwedge_alpha(model: BigradedModel) -> list[tuple[str, Fraction]]:
-    z = model.generator_named("z")
-    g12 = model.generator_named("g12")
-    if z is None or g12 is None:
-        raise IntegrityError("fatwedge fixture aliases were not applied")
-    return [(z.name, Fraction(1)), (g12.name, Fraction(1))]
-
-
-def _wedge3_alpha(model: BigradedModel) -> list[tuple[str, Fraction]]:
-    if model.generator_named("k12") is None:
-        raise IntegrityError("wedge3 fixture alias k12 was not applied")
-    return [("k12", Fraction(1))]
-
-
 FIXTURES: dict[str, Fixture] = {}
 
 
@@ -224,7 +208,7 @@ _register(
         cell=4,
         expected_status="Formal",
         _alias_builder=alias_monomial_targets,
-        _alpha_builder=lambda model: [("b", Fraction(1))],
+        alpha=(("b", Fraction(1)),),
     )
 )
 _register(
@@ -249,7 +233,7 @@ _register(
         cell=6,
         expected_status="NotFormal",
         _alias_builder=_wedge3_aliases,
-        _alpha_builder=_wedge3_alpha,
+        alpha=(("k12", Fraction(1)),),
     )
 )
 _register(
@@ -264,7 +248,7 @@ _register(
         cell=6,
         expected_status="Inconclusive",
         _alias_builder=_fatwedge_aliases,
-        _alpha_builder=_fatwedge_alpha,
+        alpha=(("z", Fraction(1)), ("g12", Fraction(1))),
     )
 )
 _register(
@@ -279,7 +263,7 @@ _register(
         cell=4,
         expected_status="Formal",
         even_half_degree=1,
-        notes="alpha is the functional b12 -> 1 on the skeleton model",
+        alpha=(("b12", Fraction(1)),),
     )
 )
 
@@ -318,8 +302,14 @@ def build_fixture(fixture_id: str, algebra: PresentedAlgebra | None = None) -> B
         model = model.rename(fixture._alias_builder(model))
     alpha = None
     if fixture.cell is not None and fixture.even_half_degree is None:
-        pairs = fixture._alpha_builder(model) if fixture._alpha_builder else []
-        alpha = AlphaFunctional.build(model, fixture.cell, pairs)
+        missing = [name for name, _ in fixture.alpha if model.generator_named(name) is None]
+        if missing:
+            raise IntegrityError(
+                f"fixture {fixture_id!r}: the alpha names "
+                + ", ".join(repr(name) for name in missing)
+                + " are not in its aliased model"
+            )
+        alpha = AlphaFunctional.build(model, fixture.cell, fixture.alpha)
     return BuiltFixture(fixture, algebra, model, alpha)
 
 
@@ -327,4 +317,4 @@ def even_cells_of(fixture: Fixture) -> list[tuple[int, list[tuple[str, Fraction]
     """The cell list an even-mode fixture feeds to even_complex_formality."""
     if fixture.even_half_degree is None:
         raise InputError(f"fixture {fixture.fixture_id!r} is not an even-mode fixture")
-    return [(fixture.cell, [("b12", Fraction(1))])]
+    return [(fixture.cell, list(fixture.alpha))]

@@ -207,7 +207,6 @@ class EvenComplexResult:
     half_degree: int
     verdicts: list[FormalityVerdict]
     algebras: list[PresentedAlgebra]
-    models: list[BigradedModel]
 
     @property
     def status(self) -> str:
@@ -255,7 +254,6 @@ def even_complex_formality(
 
     verdicts: list[FormalityVerdict] = []
     algebras = [current]
-    models: list[BigradedModel] = []
     degenerate_reason: str | None = None
 
     for cell_index, (n, pairs) in enumerate(cells):
@@ -271,7 +269,6 @@ def even_complex_formality(
             continue
         model = build_minimal_model(current, 4 * k)
         model = model.rename(alias_monomial_targets(model))
-        models.append(model)
         _check_even_slices(model, k)
         alpha = AlphaFunctional.build(model, n, pairs)
         verdict = formality_verdict(model, alpha)
@@ -291,7 +288,7 @@ def even_complex_formality(
         current = _synthesize_presentation(verdict.attached, gens, k)
         algebras.append(current)
 
-    return EvenComplexResult(k, verdicts, algebras, models)
+    return EvenComplexResult(k, verdicts, algebras)
 
 
 def _check_even_slices(model: BigradedModel, k: int):

@@ -53,6 +53,20 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def add_scaled(vec: dict, c, row: Mapping) -> dict:
+    """``vec += c * row`` in place, dropping the entries that cancel; returns ``vec``."""
+    get = vec.get
+    for col, v in row.items():
+        w = get(col)
+        # a new entry adds no zero: 0 + Fraction takes Fraction's slow reflected path
+        w = c * v if w is None else w + c * v
+        if w:
+            vec[col] = w
+        else:
+            vec.pop(col, None)
+    return vec
+
+
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """Divide out the content and make the leading (lowest-column) entry positive."""
     if not row:
@@ -175,17 +189,8 @@ class RowSpace:
             if c not in v:
                 continue
             row = self._rows[c]
-            factor = v[c] / row[c]
-            for col, x in row.items():
-                w = v.get(col, _ZERO) - factor * x
-                if w:
-                    v[col] = w
-                else:
-                    v.pop(col, None)
+            add_scaled(v, -v[c] / row[c], row)
         return v
-
-    def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
-        return not self.reduce(vec)
 
     def fraction_rows(self) -> list[dict[int, Fraction]]:
         """The canonical reduced rows, normalised to leading coefficient 1."""
@@ -305,13 +310,7 @@ def intersect_spans(
         vec: dict[int, Fraction] = {}
         for i, r in enumerate(rows_a):
             a = coeff.get(i)
-            if not a:
-                continue
-            for c, v in r.items():
-                w = vec.get(c, _ZERO) + a * v
-                if w:
-                    vec[c] = w
-                else:
-                    vec.pop(c, None)
+            if a:
+                add_scaled(vec, a, r)
         meet.append(vec)
     return RowSpace(meet).fraction_rows()

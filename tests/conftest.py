@@ -209,6 +209,11 @@ class ReferenceSlices(PresentedAlgebra):
     def keys(self, m):
         return monomial_basis(self.generators, m)
 
+    @staticmethod
+    def d_basis(key):
+        # the differential is zero; the inherited d_basis reads codes
+        return ()
+
     def boundaries(self, m):
         cofactors = {}  # one basis per relation degree
         for rel in self.relations:

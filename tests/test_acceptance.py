@@ -408,7 +408,7 @@ def _brute_force_u_decomposable(attached):
                 product = z1 * z2
                 if not product.is_zero:
                     span.insert(vector_of(product))
-    return span.contains({u_idx: F(1)})
+    return not span.reduce({u_idx: F(1)})
 
 
 def test_criterion_9_fixtures(cp2_attach, wedge3_e6, fatwedge_e6):

@@ -113,6 +113,19 @@ def test_fixture_attach_resolves_printed_names():
     assert "alpha: k12 -> 1" in attach_out.stdout
 
 
+def test_fixture_alpha_missing_from_its_model_is_an_internal_fault(monkeypatch, capsys):
+    """A fixture whose alpha names a generator its aliased model lacks is broken
+    bundled data, not bad user input: exit 70, naming the missing name."""
+    import dataclasses
+
+    from sullivan import cli, fixtures
+
+    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], alpha=(("k99", 1),))
+    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
+    assert "'k99'" in capsys.readouterr().err
+
+
 def test_verdict_json_schema():
     result = run_cli("verdict", "--fixture", "cp2-attach", "--json")
     payload = json.loads(result.stdout)
@@ -311,16 +324,19 @@ def test_each_command_finds_the_class_of_u_once(argv, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("fixture", ["cp1", "wedge3-s2"])
 def test_model_json_builds_each_algebra_degree_once(fixture, monkeypatch, capsys):
     """The JSON cohomology dimensions read the A^m the model was built on."""
-    from sullivan import cli, presented
+    from sullivan import cli, dgca
+    from sullivan.presented import PresentedAlgebra
 
     built = {}
-    original = presented.CohomologySpace
 
-    def counting(cochains, m):
-        built[m] = built.get(m, 0) + 1
-        return original(cochains, m)
+    class Counting(dgca.CohomologySpace):
+        # A^m is built by FreeDGCA.cohomology; count only the spaces over A
+        def __init__(self, cochains, m):
+            if isinstance(cochains, PresentedAlgebra):
+                built[m] = built.get(m, 0) + 1
+            super().__init__(cochains, m)
 
-    monkeypatch.setattr(presented, "CohomologySpace", counting)
+    monkeypatch.setattr(dgca, "CohomologySpace", Counting)
     assert cli.main(["model", "--fixture", fixture, "--json"]) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["cohomology"]
     assert built and all(n == 1 for n in built.values()), built
@@ -335,12 +351,15 @@ def test_verdict_reads_each_model_from_its_build(fixture, monkeypatch, capsys):
     from sullivan import cli, minimal_model
     from sullivan.attachment import AttachmentModel
     from sullivan.dgca import FreeDGCA
+    from sullivan.presented import PresentedAlgebra
 
     counts = {"init": 0, "build": 0}
     init, build = FreeDGCA.__init__, minimal_model.build_minimal_model
 
     def counting_init(self, *args, **kwargs):
-        counts["init"] += 1
+        # a presented algebra is a FreeDGCA too; count only the models' complexes
+        if not isinstance(self, PresentedAlgebra):
+            counts["init"] += 1
         init(self, *args, **kwargs)
 
     def counting_build(*args, **kwargs):

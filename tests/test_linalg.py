@@ -128,9 +128,9 @@ def test_kernel_vectors_annihilate(entries):
 def test_rowspace_reduce_and_contains():
     space = RowSpace([{0: 1, 1: 2}, {1: 1, 2: 1}])
     assert space.rank == 2
-    assert space.contains({0: F(2), 1: F(4)})
-    assert space.contains({0: F(1), 1: F(3), 2: F(1)})
-    assert not space.contains({2: F(1)})
+    assert not space.reduce({0: F(2), 1: F(4)})
+    assert not space.reduce({0: F(1), 1: F(3), 2: F(1)})
+    assert space.reduce({2: F(1)})
 
 
 def test_intersect_spans():

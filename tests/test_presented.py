@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 
 from sullivan.errors import InputError, TruncationError
 from sullivan.expr import parse_element
-from sullivan.gca import Element, monomial_basis
+from sullivan.gca import Element, Generator, monomial_basis
 from sullivan.presented import PresentedAlgebra, validate_presentation
 
 from conftest import (
@@ -84,6 +84,14 @@ def test_component_dimension_wedge_degree4(wedge):
 def test_truncation_error(wedge):
     with pytest.raises(TruncationError):
         wedge.graded_component(8)
+
+
+def test_duplicate_generators_are_refused():
+    # a generator listed twice is one generator, not two: A^2 and A^4 would
+    # otherwise be counted over two copies of it
+    a = Generator("a", 2, 0, 0)
+    with pytest.raises(InputError, match="duplicate generators"):
+        PresentedAlgebra([a, a], [], 5)
 
 
 def test_indecomposables_of_truncated_polynomial_ring():
