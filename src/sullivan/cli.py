@@ -181,20 +181,16 @@ def _algebra_from_spec(spec: JobSpec, truncation_flag: int | None) -> tuple[Pres
     if not spec.generators:
         raise InputError("A+ = 0; nothing to model")
     # the model through degree N reads the algebra through degree N + 1
-    shell = PresentedAlgebra.from_strings(spec.generators, [], n + 1)
-    by_name = {g.name: g for g in shell.generators}
-    relations = [
-        expr.parse_element(text, by_name, line=lineno)
-        for text, lineno in zip(spec.relations, spec.relation_lines)
-    ]
-    for i, rel in enumerate(relations, 1):
+    algebra = PresentedAlgebra.from_strings(
+        spec.generators, spec.relations, n + 1, spec.relation_lines
+    )
+    for i, rel in enumerate(algebra.relations, 1):
         d = rel.homogeneous_degree() if rel.is_homogeneous else None
         if d is not None and d > n + 1:
             raise InputError(
                 f"invalid presentation: relation #{i} ({rel}): degree {d} exceeds "
                 f"N + 1 = {n + 1} for truncation N = {n}"
             )
-    algebra = PresentedAlgebra(shell.generators, relations, n + 1)
     problems = validate_presentation(algebra)
     if problems:
         raise InputError("invalid presentation: " + "; ".join(problems))
@@ -270,62 +266,15 @@ def model_json(model: BigradedModel) -> dict:
     }
 
 
-def _u_report(attached: AttachmentModel) -> tuple[str, dict]:
-    u = attached.u_class()
-    if u.is_zero:
-        text = "u = 0 (the attaching class has nonzero Hurewicz image)"
-        data = {"zero": True}
-        return text, data
-    body = attached.u_body_representative()
-    if body is not None:
-        text = f"u = [{body}]  (nonzero)"
-        data = {"zero": False, "expression": str(body)}
-    else:
-        text = "u spans a new class (not visible in the base)"
-        data = {"zero": False, "expression": None}
-    return text, data
-
-
-def render_attach_text(attached: AttachmentModel) -> str:
-    lines = [f"cell: n = {attached.n}"]
-    if attached.alpha.coerced:
-        lines.append("notice: a 2-cell attachment is rationally a wedge; alpha = 0")
-    if attached.alpha.is_zero:
-        lines.append("alpha: 0")
-    else:
-        for g, c in attached.alpha.coefficients:
-            lines.append(f"alpha: {g.name} -> {c}")
-    u_text, _ = _u_report(attached)
-    lines.append(u_text)
-    u = attached.u_class()
-    if not u.is_zero:
-        decomposable, witness = attached.u_decomposable()
-        if decomposable:
-            terms = " + ".join(
-                f"({c})*{c1}*{c2}" for c, c1, c2 in witness
-            )
-            lines.append(f"u decomposable: yes;  u = {terms}")
-        else:
-            lines.append("u decomposable: no")
-    lines.append("")
-    lines.append("cohomology of the attached complex:")
-    rows = [
-        [str(m), str(attached.cohomology(m).dimension)]
-        for m in range(0, attached.truncation + 1)
-    ]
-    lines.append(_format_table(rows, ["degree", "dim"]))
-    return "\n".join(lines)
-
-
 def attach_json(attached: AttachmentModel) -> dict:
     u = attached.u_class()
-    u_text, u_data = _u_report(attached)
-    decomposable = None
-    witness_data = None
+    u_data = {"zero": u.is_zero}
+    decomposable = witness_data = None
     if not u.is_zero:
-        dec, witness = attached.u_decomposable()
-        decomposable = dec
-        if dec:
+        body = attached.u_body_representative()
+        u_data["expression"] = None if body is None else str(body)
+        decomposable, witness = attached.u_decomposable()
+        if decomposable:
             witness_data = [
                 {"coefficient": str(c), "left": str(c1), "right": str(c2)}
                 for c, c1, c2 in witness
@@ -346,18 +295,95 @@ def attach_json(attached: AttachmentModel) -> dict:
     }
 
 
-def render_verdict_text(verdict) -> str:
-    lines = [f"status: {verdict.status}", f"clause: {verdict.clause}"]
-    for key in sorted(verdict.witness):
-        lines.append(f"witness.{key}: {verdict.witness[key]}")
+def render_attach_text(payload: dict) -> str:
+    lines = [f"cell: n = {payload['cell']}"]
+    if payload["alpha_coerced"]:
+        lines.append("notice: a 2-cell attachment is rationally a wedge; alpha = 0")
+    if not payload["alpha"]:
+        lines.append("alpha: 0")
+    for name, c in payload["alpha"]:
+        lines.append(f"alpha: {name} -> {c}")
+    u = payload["u"]
+    if u["zero"]:
+        lines.append("u = 0 (the attaching class has nonzero Hurewicz image)")
+    elif u["expression"] is None:
+        lines.append("u spans a new class (not visible in the base)")
+    else:
+        lines.append(f"u = [{u['expression']}]  (nonzero)")
+    if payload["u_decomposable"]:
+        terms = " + ".join(
+            f"({w['coefficient']})*{w['left']}*{w['right']}" for w in payload["u_decomposition"]
+        )
+        lines.append(f"u decomposable: yes;  u = {terms}")
+    elif payload["u_decomposable"] is not None:
+        lines.append("u decomposable: no")
+    lines.append("")
+    lines.append("cohomology of the attached complex:")
+    rows = [[str(row["degree"]), str(row["dim"])] for row in payload["cohomology"]]
+    lines.append(_format_table(rows, ["degree", "dim"]))
+    return "\n".join(lines)
+
+
+def render_verdict_text(payload: dict) -> str:
+    lines = [f"status: {payload['status']}", f"clause: {payload['clause']}"]
+    for key in sorted(payload["witness"]):
+        lines.append(f"witness.{key}: {payload['witness'][key]}")
     lines.append("assumptions:")
-    for a in verdict.assumptions:
+    for a in payload["assumptions"]:
         lines.append(f"  - {a}")
     return "\n".join(lines)
 
 
 def verdict_json(verdict) -> dict:
     return {"schema": SCHEMA, "command": "verdict", **verdict.to_json()}
+
+
+def even_json(result) -> dict:
+    return {
+        "schema": SCHEMA,
+        "command": "verdict",
+        "mode": "even-complex",
+        "half_degree": result.half_degree,
+        "status": result.status,
+        "cells": [verdict_json(v) for v in result.verdicts],
+        "final_cohomology": [
+            {"degree": m, "dim": result.algebras[-1].graded_component(m).dimension}
+            for m in range(0, 4 * result.half_degree + 1)
+        ],
+    }
+
+
+def render_even_text(payload: dict) -> str:
+    lines = [f"even-complex mode, k = {payload['half_degree']}"]
+    for i, v in enumerate(payload["cells"]):
+        lines.append(f"cell {i}: {v['status']} ({v['clause']})")
+    dims = " ".join(str(row["dim"]) for row in payload["final_cohomology"])
+    lines.append("final cohomology dims (degree 0..4k): " + dims)
+    lines.append(f"overall: {payload['status']}")
+    return "\n".join(lines)
+
+
+def examples_json() -> dict:
+    return {
+        "schema": SCHEMA,
+        "command": "examples",
+        "fixtures": [
+            {
+                "id": f.fixture_id,
+                "description": f.description,
+                "truncation": f.truncation,
+                "cell": f.cell,
+                "even_half_degree": f.even_half_degree,
+                "expected_status": f.expected_status,
+            }
+            for f in (FIXTURES[i] for i in fixture_ids())
+        ],
+    }
+
+
+def render_examples_text(payload: dict) -> str:
+    rows = [[f["id"], f["expected_status"] or "-", f["description"]] for f in payload["fixtures"]]
+    return _format_table(rows, ["id", "verdict", "description"])
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +427,8 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _alpha_for(args) -> tuple[BigradedModel, AlphaFunctional]:
-    """The model and the attaching functional of an attach or verdict job."""
-    algebra, truncation, attaches, fixture = _load_inputs(args)
+def _alpha_for(algebra, truncation, attaches, fixture) -> tuple[BigradedModel, AlphaFunctional]:
+    """The model and the attaching functional of a loaded attach or verdict job."""
     if fixture is not None:
         if fixture.even_half_degree is not None:
             raise InputError(
@@ -423,113 +448,53 @@ def _alpha_for(args) -> tuple[BigradedModel, AlphaFunctional]:
     return model, AlphaFunctional.build(model, section.cell, section.pairs)
 
 
+def _even_cells(k, algebra, attaches, fixture) -> tuple[int, list]:
+    """The half-degree (``k``, or a fixture's own) and the cells of a loaded even-mode job."""
+    if fixture is not None:
+        return fixture.even_half_degree, even_cells_of(fixture)
+    if algebra.relations:
+        raise InputError(
+            "even mode derives the wedge skeleton itself; "
+            "remove the relations from the algebra section"
+        )
+    cells = []
+    for section in attaches:
+        if section.cell is None:
+            raise InputError("every attach section needs a 'cell N' line")
+        cells.append((section.cell, section.pairs))
+    if not cells:
+        raise InputError("even mode needs at least one attach: section")
+    return k, cells
+
+
+def _emit(args, payload: dict, render) -> None:
+    """Print a command's payload: as JSON under --json, else as its text."""
+    print(json.dumps(payload, indent=2) if args.json else render(payload))
+
+
 def cmd_attach(args) -> int:
-    attached = AttachmentModel(*_alpha_for(args))
-    if args.json:
-        print(json.dumps(attach_json(attached), indent=2))
-    else:
-        print(render_attach_text(attached))
+    attached = AttachmentModel(*_alpha_for(*_load_inputs(args)))
+    _emit(args, attach_json(attached), render_attach_text)
     return EXIT_OK
 
 
 def cmd_verdict(args) -> int:
-    if args.even is None and args.fixture:
-        if get_fixture(args.fixture).even_half_degree is not None:
-            return _cmd_verdict_even(args)
-    if args.even is not None:
-        return _cmd_verdict_even(args)
-    verdict = formality_verdict(*_alpha_for(args))
-    if args.json:
-        print(json.dumps(verdict_json(verdict), indent=2))
-    else:
-        print(render_verdict_text(verdict))
-    return _STATUS_EXIT[verdict.status]
-
-
-def _cmd_verdict_even(args) -> int:
-    k = args.even
+    """Even mode under --even or for an even-mode fixture, else the criterion."""
     algebra, truncation, attaches, fixture = _load_inputs(args)
-    if fixture is not None:
-        if fixture.even_half_degree is None:
-            raise InputError(f"fixture {fixture.fixture_id!r} is not an even-mode fixture")
-        k = fixture.even_half_degree
-        cells = even_cells_of(fixture)
+    if args.even is not None or (fixture is not None and fixture.even_half_degree is not None):
+        k, cells = _even_cells(args.even, algebra, attaches, fixture)
+        payload = even_json(even_complex_formality(algebra, k, cells))
+        render = render_even_text
     else:
-        if algebra.relations:
-            raise InputError(
-                "even mode derives the wedge skeleton itself; "
-                "remove the relations from the algebra section"
-            )
-        cells = []
-        for section in attaches:
-            if section.cell is None:
-                raise InputError("every attach section needs a 'cell N' line")
-            cells.append((section.cell, section.pairs))
-        if not cells:
-            raise InputError("even mode needs at least one attach: section")
-    result = even_complex_formality(algebra, k, cells)
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "verdict",
-            "mode": "even-complex",
-            "half_degree": result.half_degree,
-            "status": result.status,
-            "cells": [verdict_json(v) for v in result.verdicts],
-            "final_cohomology": [
-                {
-                    "degree": m,
-                    "dim": result.algebras[-1].graded_component(m).dimension,
-                }
-                for m in range(0, 4 * result.half_degree + 1)
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = [f"even-complex mode, k = {result.half_degree}"]
-        for i, v in enumerate(result.verdicts):
-            lines.append(f"cell {i}: {v.status} ({v.clause})")
-        final = result.algebras[-1]
-        dims = [
-            str(final.graded_component(m).dimension)
-            for m in range(0, 4 * result.half_degree + 1)
-        ]
-        lines.append("final cohomology dims (degree 0..4k): " + " ".join(dims))
-        lines.append(f"overall: {result.status}")
-        print("\n".join(lines))
-    return _STATUS_EXIT[result.status]
+        model, alpha = _alpha_for(algebra, truncation, attaches, fixture)
+        payload = verdict_json(formality_verdict(model, alpha))
+        render = render_verdict_text
+    _emit(args, payload, render)
+    return _STATUS_EXIT[payload["status"]]
 
 
 def cmd_examples(args) -> int:
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "examples",
-            "fixtures": [
-                {
-                    "id": f.fixture_id,
-                    "description": f.description,
-                    "truncation": f.truncation,
-                    "cell": f.cell,
-                    "even_half_degree": f.even_half_degree,
-                    "expected_status": f.expected_status,
-                }
-                for f in (FIXTURES[i] for i in fixture_ids())
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    rows = []
-    for fid in fixture_ids():
-        f = FIXTURES[fid]
-        rows.append(
-            [
-                f.fixture_id,
-                f.expected_status or "-",
-                f.description,
-            ]
-        )
-    print(_format_table(rows, ["id", "verdict", "description"]))
+    _emit(args, examples_json(), render_examples_text)
     return EXIT_OK
 
 

@@ -1,22 +1,29 @@
 """Bundled example inputs with known verdicts.
 
 Each fixture describes a base algebra, a model truncation, and optionally an
-attachment or an even-complex run.  Stage-1 generators whose differentials
-are single monomials get conventional aliases (b1, b12, v1, w12, c11, z,
-...) so that printed tables read like the usual hand computations; anything
-without a clean pattern keeps its machine name.
+attachment or an even-complex run.  Its generators are named as the usual
+hand computations name them, by one rule for every fixture:
+
+- the b-rule (`alias_monomial_targets`): a stage-1 generator whose
+  differential is g^2 or g*h is named b + suffix(g), or b + suffix(g) +
+  suffix(h), as in b1 and b12, unless that name is taken;
+- then each (alias, term) entry of the fixture's ``aliases``, in order,
+  names the first generator, in generator order, whose differential has a
+  nonzero coefficient on the term.  The term is written in the names given
+  so far, and an entry replaces a b-name.
+
+Anything else keeps its machine name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
+from . import expr
 from .attachment import AlphaFunctional, AttachmentModel
-from .errors import InputError, IntegrityError
-from .gca import Generator, Monomial
+from .errors import InputError, IntegrityError, ParseError
 from .minimal_model import BigradedModel, build_minimal_model
 from .presented import PresentedAlgebra
 
@@ -32,6 +39,13 @@ _FATWEDGE_RELS = [
     "a2*x1", "a2*x2", "a2*x3",
     "a3*x1", "a3*x2", "a3*x3",
 ]
+_FATWEDGE_ALIASES = (
+    *((f"c{i}{j}", f"a{i}*a{j}") for i in "123" for j in "123" if i <= j),
+    *((f"w{i}{j}", f"a{i}*x{j}") for i in "123" for j in "123"),
+    *((f"v{i}", f"x{i}^2") for i in "123"),
+    ("z", "x1*x2*x3"),
+    ("g12", "c11*c12"),
+)
 
 
 @dataclass(frozen=True)
@@ -49,9 +63,8 @@ class Fixture:
     # the attaching data: (generator name, coefficient) pairs, named as the
     # aliased model names them
     alpha: tuple[tuple[str, Fraction], ...] = ()
-    _alias_builder: Callable[[BigradedModel], dict[str, str]] | None = field(
-        default=None, repr=False
-    )
+    # (alias, term) entries applied after the b-rule; see the module docstring
+    aliases: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass
@@ -80,31 +93,21 @@ def _suffix(name: str) -> str:
     return "" if len(name) == 1 else "_" + name
 
 
-def _single_monomial(model: BigradedModel, gen: Generator) -> Monomial | None:
-    d = model.d_of(gen)
-    mons = d.monomials()
-    if len(mons) == 1 and d.coefficient(mons[0]) == 1:
-        return mons[0]
-    return None
-
-
 def alias_monomial_targets(model: BigradedModel) -> dict[str, str]:
-    """Alias stage-1 generators with monomial differentials.
+    """Alias stage-1 generators with monomial differentials (the b-rule).
 
     A target g^2 becomes b + suffix(g); a target g*h becomes
     b + suffix(g) + suffix(h).  Ambiguous cases are skipped.
     """
     mapping: dict[str, str] = {}
     used = {g.name for g in model.generators}
-    for gen in model.generators:
-        if gen.stage != 1:
+    for gen, dg in model.dgca.d_codes():
+        if gen.stage != 1 or len(dg) != 1:
             continue
-        mon = _single_monomial(model, gen)
-        if mon is None:
+        [(code, _, c)] = dg
+        if c != 1 or [e for _, e in code] not in ([2], [1, 1]):
             continue
-        if [e for _, e in mon.powers] not in ([2], [1, 1]):
-            continue
-        alias = "b" + "".join(_suffix(g.name) for g, _ in mon.powers)
+        alias = "b" + "".join(_suffix(model.generators[p].name) for p, _ in code)
         if alias in used:
             continue
         used.add(alias)
@@ -112,70 +115,26 @@ def alias_monomial_targets(model: BigradedModel) -> dict[str, str]:
     return mapping
 
 
-def _wedge3_aliases(model: BigradedModel) -> dict[str, str]:
+def _aliases(fixture: Fixture, model: BigradedModel) -> dict[str, str]:
+    """The fixture's rename map: the b-rule, then its entries, each term
+    matched by its code against the kept differentials, none decoded."""
     mapping = alias_monomial_targets(model)
-    renamed = model.rename(mapping)
-    # name the degree-5 stage-3 generators whose differentials contain a
-    # product of two square-type b's after the pair they involve
-    squares = {}
-    for g in renamed.generators:
-        if g.stage == 1:
-            mon = _single_monomial(renamed, g)
-            if mon and len(mon.powers) == 1:
-                squares[_suffix(mon.powers[0][0].name)] = g
-    reverse = {v: k for k, v in mapping.items()}
-    for i, j in (("1", "2"), ("1", "3"), ("2", "3")):
-        bi, bj = squares.get(i), squares.get(j)
-        if bi is None or bj is None:
-            continue
-        pair = Monomial(tuple(sorted([(bi, 1), (bj, 1)], key=lambda p: p[0].sort_key())))
-        alias = f"k{i}{j}"
-        for g in renamed.generators:
-            if g.degree == 5 and g.stage == 3 and renamed.d_of(g).coefficient(pair):
-                mapping[reverse.get(g.name, g.name)] = alias
-                break
-    return mapping
-
-
-def _fatwedge_aliases(model: BigradedModel) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    used = {g.name for g in model.generators}
-    for gen in model.generators:
-        if gen.stage == 1 and gen.degree == 3:
-            mon = _single_monomial(model, gen)
-            if mon is None:
-                continue
-            powers = mon.powers
-            names = sorted(g.name for g, _ in powers)
-            if len(powers) == 1 and powers[0][1] == 2:
-                base = powers[0][0].name
-                alias = ("v" if base.startswith("x") else "c") + _suffix(base) + (
-                    "" if base.startswith("x") else _suffix(base)
-                )
-            elif len(powers) == 2:
-                first, second = powers[0][0].name, powers[1][0].name
-                if first.startswith("a") and second.startswith("a"):
-                    alias = "c" + _suffix(first) + _suffix(second)
-                elif first.startswith("a") and second.startswith("x"):
-                    alias = "w" + _suffix(first) + _suffix(second)
-                else:
-                    continue
-            else:
-                continue
-            if alias in used:
-                continue
-            used.add(alias)
-            mapping[gen.name] = alias
-        elif gen.stage == 1 and gen.degree == 5:
-            mon = _single_monomial(model, gen)
-            if mon and mon.word_length == 3 and "z" not in used:
-                mapping[gen.name] = "z"
-                used.add("z")
-    first_violator = next(
-        (g for g in model.generators if g.degree == 5 and g.stage == 3), None
-    )
-    if first_violator is not None and "g12" not in used:
-        mapping[first_violator.name] = "g12"
+    named = {mapping.get(g.name, g.name): g for g in model.generators}
+    for alias, term in fixture.aliases:
+        fault = f"fixture {fixture.fixture_id!r}: the alias {alias!r} on {term!r}"
+        try:
+            mons = expr.parse_element(term, named).monomials()
+        except ParseError as exc:
+            raise IntegrityError(f"{fault}: {exc}") from None
+        code = model.dgca.key(mons[0]) if len(mons) == 1 else None
+        gen = next(
+            (g for g, dg in model.dgca.d_codes() if any(t == code for t, _, _ in dg)), None
+        )
+        if gen is None:
+            raise IntegrityError(f"{fault}: no differential has that term")
+        del named[mapping.get(gen.name, gen.name)]
+        mapping[gen.name] = alias
+        named[alias] = gen
     return mapping
 
 
@@ -194,7 +153,6 @@ _register(
         ("a^2",),
         truncation=4,
         expected_status=None,
-        _alias_builder=alias_monomial_targets,
     )
 )
 _register(
@@ -207,7 +165,6 @@ _register(
         truncation=4,
         cell=4,
         expected_status="Formal",
-        _alias_builder=alias_monomial_targets,
         alpha=(("b", Fraction(1)),),
     )
 )
@@ -219,7 +176,6 @@ _register(
         tuple(_WEDGE3_RELS),
         truncation=5,
         expected_status=None,
-        _alias_builder=alias_monomial_targets,
     )
 )
 _register(
@@ -232,7 +188,7 @@ _register(
         truncation=6,
         cell=6,
         expected_status="NotFormal",
-        _alias_builder=_wedge3_aliases,
+        aliases=(("k12", "b1*b2"), ("k13", "b1*b3"), ("k23", "b2*b3")),
         alpha=(("k12", Fraction(1)),),
     )
 )
@@ -247,7 +203,7 @@ _register(
         truncation=6,
         cell=6,
         expected_status="Inconclusive",
-        _alias_builder=_fatwedge_aliases,
+        aliases=_FATWEDGE_ALIASES,
         alpha=(("z", Fraction(1)), ("g12", Fraction(1))),
     )
 )
@@ -298,8 +254,7 @@ def build_fixture(fixture_id: str, algebra: PresentedAlgebra | None = None) -> B
     if algebra is None:
         algebra = algebra_of(fixture)
     model = build_minimal_model(algebra, fixture.truncation)
-    if fixture._alias_builder is not None:
-        model = model.rename(fixture._alias_builder(model))
+    model = model.rename(_aliases(fixture, model))
     alpha = None
     if fixture.cell is not None and fixture.even_half_degree is None:
         missing = [name for name, _ in fixture.alpha if model.generator_named(name) is None]

@@ -78,8 +78,9 @@ class PresentedAlgebra(FreeDGCA):
         generators: Sequence[tuple[str, int]],
         relations: Sequence[str],
         truncation: int,
+        lines: Sequence[int] | None = None,
     ) -> "PresentedAlgebra":
-        """Build from (name, degree) pairs and relation expressions."""
+        """Build from (name, degree) pairs and relation expressions, given at input ``lines``."""
         seen: dict[str, Generator] = {}
         gens = []
         for i, (name, degree) in enumerate(generators):
@@ -90,7 +91,8 @@ class PresentedAlgebra(FreeDGCA):
             g = Generator(name, degree, stage=0, index=i)
             seen[name] = g
             gens.append(g)
-        rels = [expr.parse_element(text, seen) for text in relations]
+        lines = lines or [None] * len(relations)
+        rels = [expr.parse_element(text, seen, line) for text, line in zip(relations, lines)]
         return cls(gens, rels, truncation)
 
     # A^m, with the non-pivot monomials as its canonical basis.  Bound here,
@@ -122,7 +124,9 @@ class PresentedAlgebra(FreeDGCA):
     def reduce(self, x: Element) -> Element:
         if x.is_zero:
             return x
-        return self.graded_component(x.homogeneous_degree()).class_of(x).representative
+        space = self.graded_component(x.homogeneous_degree())
+        reduced = space.coboundaries.reduce(space.vector_of(x))
+        return self.element_of({space.keys[i]: c for i, c in reduced.items()})
 
     def boundaries(self, m: int):
         """The degree-m slice of the relation ideal: cofactor * relation, code-keyed.

@@ -28,6 +28,11 @@ GOLDEN_CASES = [
     ("verdict_wedge3_e6_json.txt", ["verdict", "--fixture", "wedge3-e6", "--json"], 10),
     ("attach_wedge3_e6_json.txt", ["attach", "--fixture", "wedge3-e6", "--json"], 0),
     ("examples.txt", ["examples"], 0),
+    ("model_wedge3_e6.txt", ["model", "--fixture", "wedge3-e6"], 0),
+    ("model_fatwedge_e6.txt", ["model", "--fixture", "fatwedge-e6"], 0),
+    ("attach_wedge3_e6.txt", ["attach", "--fixture", "wedge3-e6"], 0),
+    ("verdict_even4k_json.txt", ["verdict", "--fixture", "even-4k", "--json"], 0),
+    ("examples_json.txt", ["examples", "--json"], 0),
 ]
 
 
@@ -124,6 +129,27 @@ def test_fixture_alpha_missing_from_its_model_is_an_internal_fault(monkeypatch, 
     monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
     assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
     assert "'k99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "term,fault",
+    [("b1*q7", "'q7'"), ("a1", "no differential has that term")],
+    ids=["unknown-generator", "absent-term"],
+)
+def test_fixture_alias_table_fault_is_an_internal_fault(term, fault, monkeypatch, capsys):
+    """A naming-table entry whose term names no generator of the model, or
+    that no differential has, is broken bundled data: exit 70, naming the
+    fixture and the alias."""
+    import dataclasses
+
+    from sullivan import cli, fixtures
+
+    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], aliases=(("k12", term),))
+    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error: fixture 'wedge3-e6': the alias 'k12'"), err
+    assert fault in err
 
 
 def test_verdict_json_schema():
@@ -252,6 +278,46 @@ def test_two_cell_notice(tmp_path):
     result = run_cli("attach", "--input", str(job))
     assert result.returncode == 0
     assert "alpha: 0" in result.stdout
+
+
+_WEDGE3_JOB = (
+    "algebra:\ngen a1 2\ngen a2 2\ngen a3 2\n"
+    "rel a1^2\nrel a1*a2\nrel a1*a3\nrel a2^2\nrel a2*a3\nrel a3^2\ntruncation 4\n"
+)
+_ATTACH_TABLE = "cohomology of the attached complex:\ndegree  dim\n------  ---\n"
+
+ATTACH_TEXT_CASES = {
+    "u-zero": (
+        _WEDGE3_JOB + "attach:\ncell 3\nalpha a1 1\n",
+        "cell: n = 3\nalpha: a1 -> 1\n"
+        "u = 0 (the attaching class has nonzero Hurewicz image)\n\n"
+        + _ATTACH_TABLE + "0       1\n1       0\n2       2\n3       0\n4       0\n",
+    ),
+    "torsion": (
+        _WEDGE3_JOB + "attach:\ncell 4\n",
+        "cell: n = 4\nalpha: 0\nu spans a new class (not visible in the base)\n"
+        "u decomposable: no\n\n"
+        + _ATTACH_TABLE + "0       1\n1       0\n2       3\n3       0\n4       1\n",
+    ),
+    "two-cell": (
+        "algebra:\ngen a 2\nrel a^2\ntruncation 4\nattach:\ncell 2\nalpha a 1\n",
+        "cell: n = 2\nnotice: a 2-cell attachment is rationally a wedge; alpha = 0\n"
+        "alpha: 0\nu spans a new class (not visible in the base)\nu decomposable: no\n\n"
+        + _ATTACH_TABLE + "0       1\n1       0\n2       2\n3       0\n4       0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTACH_TEXT_CASES))
+def test_attach_text_is_exact(case, tmp_path, capsys):
+    """attach text for u = 0, for a u with no alpha, and for a coerced 2-cell."""
+    from sullivan import cli
+
+    text, expected = ATTACH_TEXT_CASES[case]
+    job = tmp_path / "job.txt"
+    job.write_text(text, encoding="utf-8")
+    assert cli.main(["attach", "--input", str(job)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # CP^2: a 4-cell on the 2-sphere along the stage-1 generator

@@ -28,6 +28,27 @@ def fat_wedge_part():
     )
 
 
+def test_reduce_takes_no_differential(fat_wedge_part, monkeypatch):
+    """A's differential is zero, so reducing modulo the ideal reads no d."""
+    from sullivan.dgca import FreeDGCA
+
+    by_name = {g.name: g for g in fat_wedge_part.generators}
+    x = parse_element("x1*x2 + 3*x1^2 - x2*x3", by_name)
+    space = fat_wedge_part.graded_component(4)  # built before the count
+    calls = []
+    original = FreeDGCA._d_code
+
+    def counting(self, code):
+        calls.append(code)
+        return original(self, code)
+
+    monkeypatch.setattr(FreeDGCA, "_d_code", counting)
+    reduced = fat_wedge_part.reduce(x)
+    assert calls == []
+    assert str(reduced) == "x1*x2 - x2*x3"
+    assert str(space.class_of(x).representative) == str(reduced)
+
+
 @pytest.fixture(scope="module")
 def wedge():
     return PresentedAlgebra.from_strings(
