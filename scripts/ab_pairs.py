@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Paired CPU-time comparison of two source trees on one benchmark workload.
+
+    python3 scripts/ab_pairs.py PARENT_TREE CHANGE_TREE WORKLOAD SEED PAIRS
+
+``src/sullivan`` of each tree is copied under a package name of its own into
+a temporary directory, and both copies are loaded into this one process, so
+that a pair of passes shares the machine's state of the moment.  The job list
+is WORKLOAD's seeded list from ``perfbench/workloads.py`` of the tree this
+script lives in, loaded once per copy and only read; its ``run_job`` and
+``digest`` then run against that copy.
+
+First every job runs once on each side, and the two sides' output digests
+must agree (exit 1 otherwise).  Then PAIRS pairs of passes over the whole job
+list are timed by ``time.process_time``, the side that goes first alternating
+from pair to pair.  The report gives each side's median and quartiles, the
+median and quartiles of the per-pair ratio change / parent, and the number of
+pairs in which the change was faster.
+"""
+
+import importlib
+import importlib.util
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS_PY = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
+SIDES = ("parent", "change")
+# the modules perfbench/workloads.py imports from the package
+IMPORTED = ("cli", "fixtures", "gca", "minimal_model", "presented")
+
+
+def _load_side(side: str, tree: str, tmp: str):
+    """Copy the tree's package to ``sullivan_<side>`` and load workloads.py on it."""
+    name = f"sullivan_{side}"
+    shutil.copytree(
+        os.path.join(tree, "src", "sullivan"),
+        os.path.join(tmp, name),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    aliases = {"sullivan": importlib.import_module(name)}
+    for sub in IMPORTED:
+        aliases[f"sullivan.{sub}"] = importlib.import_module(f"{name}.{sub}")
+    saved = {key: sys.modules.get(key) for key in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{side}", WORKLOADS_PY)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        for key, module in saved.items():
+            if module is None:
+                del sys.modules[key]
+            else:
+                sys.modules[key] = module
+    return workloads
+
+
+def _summary(values) -> str:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{q2:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def main(argv) -> int:
+    if len(argv) != 5:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 64
+    parent_tree, change_tree, workload, seed, pairs = argv
+    seed, pairs = int(seed), int(pairs)
+    if pairs < 2:
+        print("PAIRS must be at least 2", file=sys.stderr)
+        return 64
+    tmp = tempfile.mkdtemp(prefix="ab_pairs_")
+    try:
+        sys.path.insert(0, tmp)
+        loaded = {
+            side: _load_side(side, tree, tmp)
+            for side, tree in zip(SIDES, (parent_tree, change_tree))
+        }
+        jobs = loaded["parent"].make_inputs(workload, seed, os.path.join(tmp, "work"))
+
+        differ = []
+        for job in jobs:
+            digests = {
+                side: wl.digest(job, *wl.run_job(job)) for side, wl in loaded.items()
+            }
+            if digests["parent"] != digests["change"]:
+                differ.append(job.label)
+        if differ:
+            print(f"outputs differ on {len(differ)} of {len(jobs)} jobs: {', '.join(differ)}")
+            return 1
+        print(f"{workload} seed {seed}: {len(jobs)} jobs, outputs identical")
+
+        times = {side: [] for side in SIDES}
+        for i in range(pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                run_job = loaded[side].run_job
+                started = time.process_time()
+                for job in jobs:
+                    run_job(job)
+                times[side].append(time.process_time() - started)
+        ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+        for side in SIDES:
+            print(f"{side:6} CPU s per pass, median [q1, q3]: {_summary(times[side])}")
+        print(f"ratio change/parent, median [q1, q3]: {_summary(ratios)}")
+        print(f"change faster in {sum(r < 1 for r in ratios)}/{pairs} pairs")
+        return 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

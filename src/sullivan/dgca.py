@@ -220,7 +220,7 @@ class FreeDGCA:
         layer: Sequence[tuple[Generator, Mapping[tuple, int | Fraction]]],
         kills: Collection[int] | None = None,
     ):
-        """Append generators, each with its d given as {code: coefficient}.
+        """Append generators, each with its d given as {code: nonzero coefficient}.
 
         The generators, in any order, must sort after every existing one; the
         new ones take the next positions in their sorted order, and a code may
@@ -428,6 +428,15 @@ class FreeDGCA:
         its odd factors may pass odd factors of either.  That general merge
         stays for the complexes `extend` builds from any d, with a linear
         term or a term at a higher position.
+
+        No two terms share a key, so none is added to another.  A term t of
+        d(g) has degree |g| + 1 and every degree is at least 2, so t has no
+        factor g: the keys of the factor g^e hold g^(e-1), those of any
+        other factor hold g^e or more, and distinct terms of d(g) give
+        distinct keys.  Each factor's terms are stored as they come, scaled
+        by its sign times its exponent only when that is not 1, as
+        ``c * scale``: no ``0 + c`` and no ``int * c`` takes `Fraction`'s
+        slow reflected path.
         """
         odd, d_codes, below = self._odd, self._d_codes, self._below
         out: dict[tuple, int | Fraction] = {}
@@ -447,12 +456,9 @@ class FreeDGCA:
                     else:
                         right = [q for q, _ in rest if odd[q]]
                         terms = code_products(dg, prefix + rest, left, right)
-                for key, c in terms:
-                    v = out.get(key, 0) + scale * c
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+                if scale != 1:
+                    terms = [(key, c * scale) for key, c in terms]
+                out.update(terms)  # no key of an earlier factor: see the docstring
             if odd[p]:
                 parity ^= e & 1
         return out

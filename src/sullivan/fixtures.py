@@ -10,7 +10,8 @@ hand computations name them, by one rule for every fixture:
 - then each (alias, term) entry of the fixture's ``aliases``, in order,
   names the first generator, in generator order, whose differential has a
   nonzero coefficient on the term.  The term is written in the names given
-  so far, and an entry replaces a b-name.
+  so far, and an entry replaces a b-name; an alias that another generator
+  already has is a fault of the table.
 
 Anything else keeps its machine name.
 """
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import expr
-from .attachment import AlphaFunctional, AttachmentModel
+from .attachment import AlphaFunctional
 from .errors import InputError, IntegrityError, ParseError
 from .minimal_model import BigradedModel, build_minimal_model
 from .presented import PresentedAlgebra
@@ -73,13 +73,6 @@ class BuiltFixture:
     algebra: PresentedAlgebra
     model: BigradedModel
     alpha: AlphaFunctional | None
-
-    @cached_property
-    def attached(self) -> AttachmentModel | None:
-        """The fixture's attachment, built on first use."""
-        if self.alpha is None:
-            return None
-        return AttachmentModel(self.model, self.alpha)
 
 
 def _suffix(name: str) -> str:
@@ -133,6 +126,8 @@ def _aliases(fixture: Fixture, model: BigradedModel) -> dict[str, str]:
         if gen is None:
             raise IntegrityError(f"{fault}: no differential has that term")
         del named[mapping.get(gen.name, gen.name)]
+        if alias in named:
+            raise IntegrityError(f"{fault}: that name is already in use")
         mapping[gen.name] = alias
         named[alias] = gen
     return mapping

@@ -319,7 +319,9 @@ def monomial_codes(
     The codes of degree r are built from those of every lower degree: a
     first factor (p, e) followed by each code of degree r - e * degrees[p]
     whose first position lies above p.  In a sorted list those codes form a
-    suffix, so every degree comes out sorted.
+    suffix, so every degree comes out sorted; a remainder degree with no
+    code that starts above p, often none at all, is skipped before the
+    search.
 
     ``table`` lists, for degrees 0, 1, ... in turn, the codes of that degree
     and their first positions.  A caller keeps it between calls, and the
@@ -345,7 +347,8 @@ def monomial_codes(
                     codes.append(head)
                 else:
                     tails, firsts = table[rest]
-                    codes += [head + tail for tail in tails[bisect_right(firsts, p) :]]
+                    if firsts and firsts[-1] > p:
+                        codes += [head + tail for tail in tails[bisect_right(firsts, p) :]]
         table.append((codes, [code[0][0] for code in codes]))
     return table[degree][0]
 

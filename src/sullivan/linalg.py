@@ -20,8 +20,13 @@ once: scaling a row before the elimination scales the result by the same
 factor, so the stored row is the same.  A row of ints, which is what a
 differential with integer coefficients gives, skips the denominator pass,
 and a combination with a pivot row whose leading entry is 1 copies the row
-instead of scaling it.  Kernel vectors keep `Fraction` entries; those that
-are -v for a small int v are shared objects.
+instead of scaling it.  Otherwise a combination that kills the entry b with
+the leading entry a divides g = gcd(a, b) out of both before scaling, which
+keeps the entries small: a stored row's leading entry a is positive, so
+every row built that way is a positive rational multiple of the one built
+from a * r - b * piv, and `_primitive` maps both to the same stored row.
+Kernel vectors keep `Fraction` entries; those that are -v for a small int v
+are shared objects.
 
 >>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
 >>> space.fraction_rows(), space.pivots()
@@ -170,8 +175,12 @@ class RowSpace:
 
     @staticmethod
     def _combine(r: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
-        """Return piv[c]*r - r[c]*piv, which kills column c."""
+        """Return (a*r - b*piv) / gcd(a, b) for a = piv[c] and b = r[c]; it kills column c."""
         a, b = piv[c], r[c]
+        if a != 1:
+            g = gcd(a, b)
+            a //= g
+            b //= g
         out = r.copy() if a == 1 else {col: v * a for col, v in r.items()}
         for col, v in piv.items():
             w = out.get(col, 0) - b * v

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sullivan import formality
-from sullivan.attachment import AlphaFunctional
+from sullivan.attachment import AlphaFunctional, AttachmentModel
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
@@ -41,6 +41,11 @@ def fatwedge_e6():
 
 # ---------------------------------------------------------------------------
 # helpers built on the library's public API
+
+
+def attachment_of(built):
+    """A bundled fixture's attachment, built afresh from its model and alpha."""
+    return AttachmentModel(built.model, built.alpha)
 
 
 def class_product(dgca, c1, c2):

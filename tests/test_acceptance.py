@@ -29,7 +29,14 @@ from sullivan.linalg import RowSpace
 from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import class_product, hurewicz_vanishes, is_special, scaled, small_presentations
+from conftest import (
+    attachment_of,
+    class_product,
+    hurewicz_vanishes,
+    is_special,
+    scaled,
+    small_presentations,
+)
 
 F = Fraction
 
@@ -66,7 +73,7 @@ def test_criterion_1_wedge_model(wedge3_s2):
 
 
 def test_criterion_2_wedge_six_cell(wedge3_e6):
-    model, alpha, attached = wedge3_e6.model, wedge3_e6.alpha, wedge3_e6.attached
+    model, alpha, attached = wedge3_e6.model, wedge3_e6.alpha, attachment_of(wedge3_e6)
     k12 = model.generator_named("k12")
     assert k12 is not None and alpha.value(k12) == 1
     assert hurewicz_vanishes(model, alpha) is True
@@ -84,7 +91,7 @@ def test_criterion_2_wedge_six_cell(wedge3_e6):
 
 
 def test_criterion_3_fatwedge_six_cell(fatwedge_e6):
-    model, alpha, attached = fatwedge_e6.model, fatwedge_e6.alpha, fatwedge_e6.attached
+    model, alpha, attached = fatwedge_e6.model, fatwedge_e6.alpha, attachment_of(fatwedge_e6)
     targets = {str(model.d_of(g)) for g in model.generators}
     for expected in (
         "x1^2", "x2^2", "x3^2",
@@ -175,7 +182,7 @@ def test_criterion_5_pass_line():
 
 
 def test_criterion_6_cp2(cp2_attach):
-    model, alpha, attached = cp2_attach.model, cp2_attach.alpha, cp2_attach.attached
+    model, alpha, attached = cp2_attach.model, cp2_attach.alpha, attachment_of(cp2_attach)
     verdict = formality_verdict(model, alpha)
     assert verdict.status == FORMAL
     assert verdict.clause == "special-decomposable"
@@ -413,8 +420,9 @@ def _brute_force_u_decomposable(attached):
 
 def test_criterion_9_fixtures(cp2_attach, wedge3_e6, fatwedge_e6):
     for built in (cp2_attach, wedge3_e6, fatwedge_e6):
-        expected, _ = built.attached.u_decomposable()
-        assert _brute_force_u_decomposable(built.attached) == expected
+        attached = attachment_of(built)
+        expected, _ = attached.u_decomposable()
+        assert _brute_force_u_decomposable(attached) == expected
     _passed("9 (decomposability oracle: bundled examples)")
 
 

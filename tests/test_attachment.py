@@ -16,13 +16,18 @@ from sullivan.presented import PresentedAlgebra
 
 from sullivan.fixtures import build_fixture, fixture_ids
 
-from conftest import built_wedge_and_dense_models, coefficients, small_presentations
+from conftest import (
+    attachment_of,
+    built_wedge_and_dense_models,
+    coefficients,
+    small_presentations,
+)
 
 F = Fraction
 
 
 def test_twisted_differential_on_generator(cp2_attach):
-    att = cp2_attach.attached
+    att = attachment_of(cp2_attach)
     b = att.base.generator_named("b")
     db = att.d(AttachmentElement(Element.from_generator(b)))
     assert str(db.body) == "a^2"
@@ -40,7 +45,7 @@ def test_zero_alpha_keeps_differential(cp1):
 
 
 def test_alpha_on_word_two_monomials_has_no_u_part(wedge3_e6):
-    att = wedge3_e6.attached
+    att = attachment_of(wedge3_e6)
     # word length >= 2: the twisted differential agrees with the plain one
     for mon in att.base.dgca.basis(att.n - 1):
         if mon.word_length >= 2:
@@ -67,7 +72,7 @@ def test_two_cell_coerced_to_wedge(cp1):
 
 
 def test_u_exact_against_sphere_relation(cp2_attach):
-    att = cp2_attach.attached
+    att = attachment_of(cp2_attach)
     u = att.u_class()
     assert not u.is_zero
     h4 = att.cohomology(4)
@@ -110,7 +115,7 @@ def test_u_class_zero_when_alpha_hits_stage0_mixed(wedge3_s2):
 
 
 def test_decomposability_witness_reconstructs(cp2_attach):
-    att = cp2_attach.attached
+    att = attachment_of(cp2_attach)
     dec, witness = att.u_decomposable()
     assert dec
     u = att.u_class()
@@ -122,7 +127,7 @@ def test_decomposability_witness_reconstructs(cp2_attach):
 
 
 def test_indecomposable_u(wedge3_e6):
-    att = wedge3_e6.attached
+    att = attachment_of(wedge3_e6)
     dec, witness = att.u_decomposable()
     assert not dec and witness is None
 

@@ -152,6 +152,28 @@ def test_fixture_alias_table_fault_is_an_internal_fault(term, fault, monkeypatch
     assert fault in err
 
 
+@pytest.mark.parametrize(
+    "aliases",
+    [(("k12", "b1*b2"), ("k12", "b1*b3")), (("a2", "b1*b2"),)],
+    ids=["alias-twice", "alias-is-a-generator"],
+)
+def test_fixture_alias_collision_is_an_internal_fault(aliases, monkeypatch, capsys):
+    """A naming-table alias that another generator already has is broken
+    bundled data: exit 70, naming the fixture and the alias."""
+    import dataclasses
+
+    from sullivan import cli, fixtures
+
+    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], aliases=aliases)
+    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
+    alias, term = aliases[-1]
+    assert capsys.readouterr().err == (
+        f"integrity error: fixture 'wedge3-e6': the alias {alias!r} on {term!r}:"
+        " that name is already in use\n"
+    )
+
+
 def test_verdict_json_schema():
     result = run_cli("verdict", "--fixture", "cp2-attach", "--json")
     payload = json.loads(result.stdout)
@@ -269,15 +291,22 @@ def test_even_mode_via_file(tmp_path):
 
 
 def test_two_cell_notice(tmp_path):
+    """A 2-cell's alpha is coerced to 0, with a notice in text and a flag in JSON."""
     job = tmp_path / "wedge.txt"
     job.write_text(
         "algebra:\ngen a 2\nrel a^2\ntruncation 4\n"
-        "attach:\ncell 2\n",
+        "attach:\ncell 2\nalpha a 1\n",
         encoding="utf-8",
     )
     result = run_cli("attach", "--input", str(job))
     assert result.returncode == 0
+    assert "notice: a 2-cell attachment is rationally a wedge; alpha = 0\n" in result.stdout
     assert "alpha: 0" in result.stdout
+    result = run_cli("attach", "--input", str(job), "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["alpha_coerced"] is True
+    assert payload["alpha"] == []
 
 
 _WEDGE3_JOB = (

@@ -22,7 +22,7 @@ from sullivan.linalg import RowSpace
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import _WEDGES, class_product, coefficients, small_presentations
+from conftest import _WEDGES, attachment_of, class_product, coefficients, small_presentations
 
 F = Fraction
 
@@ -214,14 +214,14 @@ def test_leibniz_identity_random(data):
     assert D.d(x * y) == D.d(x) * y + sign * (x * D.d(y))
 
 
-def reference_d_monomial(d, mon):
-    """Leibniz rule by `Element` products: sum of sign * e * prefix * d(g) * rest.
+def reference_leibniz_terms(d, mon):
+    """Leibniz rule by `Element` products: sign * e * prefix * d(g) * rest,
+    one `Element` per factor g^e of ``mon`` with d(g) != 0.
 
     ``d`` maps generators to the `Element`s given for their differentials, so
     the rule is independent of the exponent-code tables `FreeDGCA` computes d
     with.
     """
-    out = Element.zero()
     powers = mon.powers
     prefix_degree = 0
     for idx, (g, e) in enumerate(powers):
@@ -235,9 +235,13 @@ def reference_d_monomial(d, mon):
             rest = Element.from_monomial(
                 Monomial(tuple(sorted(rest_powers, key=lambda p: p[0].sort_key())))
             )
-            out = out + (sign * e) * (prefix * dg * rest)
+            yield (sign * e) * (prefix * dg * rest)
         prefix_degree += g.degree * e
-    return out
+
+
+def reference_d_monomial(d, mon):
+    """d of ``mon``: the sum of its reference Leibniz terms."""
+    return sum(reference_leibniz_terms(d, mon), Element.zero())
 
 
 _A1, _A2 = Generator("a1", 2, index=0), Generator("a2", 2, index=1)
@@ -295,10 +299,16 @@ def _d_code_branches(D, mon):
     """The branches of `FreeDGCA._d_code` that d of ``mon`` goes through."""
     code = D.key(mon)
     out = set()
-    for i, (p, _) in enumerate(code):
+    parity = 0  # as in _d_code
+    for i, (p, e) in enumerate(code):
+        scale = -e if parity else e
+        if D._odd[p]:
+            parity ^= e & 1
         dg = D._d_codes[p]
         if not dg:
             continue
+        if scale != 1:
+            out.add("scale is not 1")
         if not D._below[p]:
             out.add("general merge")
         elif i == 0:
@@ -336,6 +346,9 @@ def test_d_monomial_matches_reference_leibniz():
                 }
             )
             assert decoded == expected
+            # _d_code stores each factor's terms as they come: no key repeats
+            keys = [m for term in reference_leibniz_terms(d, mon) for m in term.monomials()]
+            assert len(keys) == len(set(keys))
             branches.update(_d_code_branches(D, mon))
 
     check()
@@ -344,6 +357,7 @@ def test_d_monomial_matches_reference_leibniz():
         "below, empty prefix",
         "below, merged with the prefix",
         "below, a term killed by a repeated odd factor",
+        "scale is not 1",
     }
 
 
@@ -355,6 +369,34 @@ def _random_element(data, D, degree):
     for mon in data.draw(st.lists(st.sampled_from(basis), max_size=3)):
         out = out + Element.from_monomial(mon, F(data.draw(st.integers(-2, 2)) or 1))
     return out
+
+
+def test_d_code_takes_no_reflected_fraction_operation(monkeypatch):
+    """d over the degree-7 keys of a dense model, whose kill steps give
+    fractional d(g), calls neither Fraction.__radd__ nor Fraction.__rmul__."""
+    algebra = PresentedAlgebra.from_strings(
+        [("x1", 2), ("x2", 2), ("x3", 2)],
+        [
+            "2*x1^2 - 3*x1*x2 + x2^2 - x3^2",
+            "x1*x3 + 4*x2*x3 - 2*x2^2 + 3*x1^2",
+            "x1*x2 - x2*x3 + 2*x3^2",
+            "x1^2 + x1*x3 - 3*x2^2",
+        ],
+        8,
+    )
+    D = build_minimal_model(algebra, 7).dgca
+    calls = []
+    for name in ("__radd__", "__rmul__"):
+        reflected = getattr(Fraction, name)
+
+        def counted(self, other, name=name, reflected=reflected):
+            calls.append(name)
+            return reflected(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    values = [c for code in D.keys(7) for c in D._d_code(code).values()]
+    assert any(type(c) is Fraction for c in values)
+    assert calls == []
 
 
 def test_class_product_representative_independence():
@@ -672,11 +714,12 @@ def test_class_rows_match_three_pass_reference_complexes(wedge3_s2, cp2_attach, 
     )
     beside = AttachmentModel(_wedge_stage01(wedge3_s2), AlphaFunctional.zero(5))
     u = AttachmentElement(Element.zero(), F(1))
-    assert not cp2_attach.attached.u_class().is_zero
-    assert not wedge3_e6.attached.u_class().is_zero
+    cp2, e6 = attachment_of(cp2_attach), attachment_of(wedge3_e6)
+    assert not cp2.u_class().is_zero
+    assert not e6.u_class().is_zero
     assert not beside.u_class().is_zero
     assert exact.cohomology(3).class_of(u).is_zero
-    for attached in (cp2_attach.attached, wedge3_e6.attached, beside, exact):
+    for attached in (cp2, e6, beside, exact):
         n = attached.n
         _assert_class_rows_match_reference(attached, range(n - 2, n + 1))
     presented = PresentedAlgebra.from_strings(

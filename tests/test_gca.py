@@ -1,4 +1,5 @@
 import doctest
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,29 @@ def test_monomial_codes_table_builds_each_degree_once(degrees_asked):
         # the table grows to the degree asked, and keeps every entry it had
         assert len(table) == max(len(before), degree + 1)
         assert all(entry is old for entry, old in zip(table, before))
+
+
+@pytest.mark.parametrize(
+    "degrees,odd",
+    [
+        ((3, 4, 7), (True, False, False)),
+        ((3, 4, 7), (False, False, True)),
+        ((3, 3, 4, 7, 7), (True, True, False, False, True)),
+        ((2, 5), (False, True)),
+    ],
+)
+def test_monomial_codes_match_brute_force_enumeration(degrees, odd):
+    """Every exponent vector of the right degree, in increasing code order; the
+    degrees leave gaps, so many remainders of the enumeration have no codes."""
+    top = 30
+    ranges = [range(2) if o else range(top // d + 1) for d, o in zip(degrees, odd)]
+    expected = [[] for _ in range(top + 1)]
+    for exps in itertools.product(*ranges):
+        total = sum(d * e for d, e in zip(degrees, exps))
+        if total <= top:
+            expected[total].append(tuple((p, e) for p, e in enumerate(exps) if e))
+    table = []
+    for degree in range(top + 1):
+        codes = monomial_codes(degrees, odd, degree, table)
+        assert codes == sorted(expected[degree])
+        assert monomial_codes(degrees, odd, degree) == codes

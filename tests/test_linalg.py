@@ -300,6 +300,14 @@ def test_rowspace_matches_sympy(problem):
     assert space.fraction_rows() == [_fractions(reduced.row(i)) for i in range(len(pivots))]
 
 
+def test_combine_divides_out_the_common_factor():
+    """The pivot row's leading entry a = 6 and the killed entry b = 4 share 2:
+    the combination is 3*r - 2*piv, not 6*r - 4*piv."""
+    piv = {0: 6, 1: 1, 3: 5}
+    r = {0: 4, 2: 7, 3: -1}
+    assert RowSpace._combine(r, piv, 0) == {1: -2, 2: 21, 3: -13}
+
+
 # entries the integer fast path of RowSpace.insert meets: ints, explicit
 # zeros, and Fractions that are ints in value or not
 small_entries = st.one_of(
