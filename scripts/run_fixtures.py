@@ -3,53 +3,52 @@
 
     python3 scripts/run_fixtures.py
 
-Exits 1 when a fixture's status differs from the one it expects.
+Each fixture runs as `sullivan verdict --fixture ID --json`, or `model` for a
+fixture without a cell: the route every job takes.  Exits 1 when a
+fixture's status differs from the one it expects or its command fails.
 """
 
+import contextlib
+import io
+import json
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from sullivan import even_complex_formality, formality_verdict  # noqa: E402
-from sullivan.fixtures import (  # noqa: E402
-    algebra_of,
-    build_fixture,
-    even_cells_of,
-    fixture_ids,
-    get_fixture,
-)
+from sullivan import cli  # noqa: E402
+from sullivan.fixtures import fixture_ids, get_fixture  # noqa: E402
+
+
+def _summary(command: str, payload: dict) -> tuple[str, str]:
+    """(status, detail) of a command's JSON payload."""
+    if command == "model":
+        counts = {}
+        for g in payload["generators"]:
+            counts[g["degree"]] = counts.get(g["degree"], 0) + 1
+        return "model", "dim V = " + " ".join(f"{d}:{n}" for d, n in sorted(counts.items()))
+    if "cells" in payload:  # even-complex mode
+        return payload["status"], ", ".join(f"{v['status']}({v['clause']})" for v in payload["cells"])
+    return payload["status"], payload["clause"]
 
 
 def main():
     failures = 0
     for fid in fixture_ids():
         fixture = get_fixture(fid)
+        command = "model" if fixture.cell is None else "verdict"
+        out = io.StringIO()
         started = time.perf_counter()
-        if fixture.even_half_degree is not None:
-            result = even_complex_formality(
-                algebra_of(fixture), fixture.even_half_degree, even_cells_of(fixture)
-            )
-            status = result.status
-            detail = ", ".join(f"{v.status}({v.clause})" for v in result.verdicts)
-        else:
-            built = build_fixture(fid)
-            if built.alpha is None:
-                status = "model"
-                counts = {}
-                for g in built.model.generators:
-                    counts[g.degree] = counts.get(g.degree, 0) + 1
-                detail = "dim V = " + " ".join(
-                    f"{d}:{n}" for d, n in sorted(counts.items())
-                )
-            else:
-                verdict = formality_verdict(built.model, built.alpha)
-                status = verdict.status
-                detail = verdict.clause
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--fixture", fid, "--json"])
         elapsed = time.perf_counter() - started
+        if code in (0, 10, 20):
+            status, detail = _summary(command, json.loads(out.getvalue()))
+        else:  # the command's message is on stderr
+            status, detail = "failed", f"exit {code}"
         expected = fixture.expected_status
-        ok = expected is None or status == expected
+        ok = code in (0, 10, 20) and (expected is None or status == expected)
         if not ok:
             failures += 1
         flag = "" if ok else "  <-- EXPECTED " + str(expected)

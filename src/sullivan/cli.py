@@ -18,22 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import expr
-from .attachment import AlphaFunctional, AttachmentModel
+from .attachment import AttachmentModel
 from .errors import InputError, IntegrityError, ParseError, SullivanError
-from .fixtures import (
-    FIXTURES,
-    algebra_of,
-    build_fixture,
-    even_cells_of,
-    fixture_ids,
-    get_fixture,
-)
+from .fixtures import FIXTURES, Job, JobSpec, fixture_ids, get_fixture, load_job
 from .formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -41,8 +31,13 @@ from .formality import (
     even_complex_formality,
     formality_verdict,
 )
-from .minimal_model import BigradedModel, build_minimal_model
-from .presented import PresentedAlgebra, validate_presentation
+from .minimal_model import BigradedModel
+
+# Not called here: perfbench/layertrace.py wraps build_fixture and
+# build_minimal_model under every module name bound to them and requires
+# these bindings.
+from .fixtures import build_fixture  # noqa: F401
+from .minimal_model import build_minimal_model  # noqa: F401
 
 SCHEMA = 1
 
@@ -56,145 +51,15 @@ EXIT_INTERNAL = 70
 _STATUS_EXIT = {FORMAL: EXIT_OK, NOT_FORMAL: EXIT_NOT_FORMAL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
-# ---------------------------------------------------------------------------
-# input files
-
-
-@dataclass
-class AttachSection:
-    cell: int | None = None
-    pairs: list[tuple[str, Fraction]] = field(default_factory=list)
-
-
-@dataclass
-class JobSpec:
-    generators: list[tuple[str, int]] = field(default_factory=list)
-    relations: list[str] = field(default_factory=list)
-    relation_lines: list[int] = field(default_factory=list)
-    truncation: int | None = None
-    attaches: list[AttachSection] = field(default_factory=list)
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _integer(word: str, what: str, lineno: int) -> int:
-    """An optionally signed run of ASCII digits; `int` alone also takes
-    ``2_0`` and non-ASCII digits."""
-    if not _INTEGER.fullmatch(word):
-        raise ParseError(f"bad {what} {word!r}", lineno)
-    return expr.parse_integer(word, lineno)
-
-
 def _integer_flag(word: str) -> int:
-    """An integer option value, by the rule of `_integer`."""
-    if not _INTEGER.fullmatch(word):
+    """An integer option value: an optionally signed run of ASCII digits, as
+    in the input file."""
+    if not expr.INTEGER.fullmatch(word):
         raise argparse.ArgumentTypeError(f"invalid integer {word!r}")
     try:
         return expr.parse_integer(word)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def parse_job(text: str) -> JobSpec:
-    """Parse the sectioned input format (``algebra:`` / ``attach:``).
-
-    A job has at most one ``truncation`` line and each attach section at
-    most one ``cell`` line; a repeated one is refused, not overwritten.
-    """
-    spec = JobSpec()
-    section = None
-    current_attach: AttachSection | None = None
-    truncation_line = cell_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "algebra:":
-            section = "algebra"
-            continue
-        if line == "attach:":
-            section = "attach"
-            current_attach = AttachSection()
-            spec.attaches.append(current_attach)
-            cell_line = None
-            continue
-        words = line.split()
-        directive = words[0]
-        if section == "algebra":
-            if directive == "gen":
-                if len(words) != 3:
-                    raise ParseError("expected: gen NAME DEGREE", lineno)
-                spec.generators.append((words[1], _integer(words[2], "degree", lineno)))
-            elif directive == "rel":
-                rest = line[len("rel") :].strip()
-                if not rest:
-                    raise ParseError("expected: rel EXPRESSION", lineno)
-                spec.relations.append(rest)
-                spec.relation_lines.append(lineno)
-            elif directive == "truncation":
-                if len(words) != 2:
-                    raise ParseError("expected: truncation N", lineno)
-                if truncation_line is not None:
-                    raise ParseError(
-                        f"repeated truncation (first given on line {truncation_line})", lineno
-                    )
-                spec.truncation = _integer(words[1], "truncation", lineno)
-                truncation_line = lineno
-            else:
-                raise ParseError(f"unknown algebra directive {directive!r}", lineno)
-        elif section == "attach":
-            assert current_attach is not None
-            if directive == "cell":
-                if len(words) != 2:
-                    raise ParseError("expected: cell N", lineno)
-                if cell_line is not None:
-                    raise ParseError(
-                        f"repeated cell in one attach section (first given on line {cell_line})",
-                        lineno,
-                    )
-                current_attach.cell = _integer(words[1], "cell dimension", lineno)
-                cell_line = lineno
-            elif directive == "alpha":
-                if len(words) != 3:
-                    raise ParseError("expected: alpha NAME COEFFICIENT", lineno)
-                coeff = expr.parse_rational(words[2], lineno)
-                current_attach.pairs.append((words[1], coeff))
-            else:
-                raise ParseError(f"unknown attach directive {directive!r}", lineno)
-        else:
-            raise ParseError(
-                "content before a section header (expected 'algebra:' or 'attach:')",
-                lineno,
-            )
-    return spec
-
-
-def _algebra_from_spec(spec: JobSpec, truncation_flag: int | None) -> tuple[PresentedAlgebra, int]:
-    if truncation_flag is not None:
-        spec.truncation = truncation_flag
-    n = spec.truncation
-    if n is None:
-        raise InputError("no truncation given (use 'truncation N' or --truncation)")
-    if n < 2:
-        raise InputError(f"truncation {n} is below 2")
-    if not spec.generators:
-        raise InputError("A+ = 0; nothing to model")
-    # the model through degree N reads the algebra through degree N + 1
-    algebra = PresentedAlgebra.from_strings(
-        spec.generators, spec.relations, n + 1, spec.relation_lines
-    )
-    for i, rel in enumerate(algebra.relations, 1):
-        d = rel.homogeneous_degree() if rel.is_homogeneous else None
-        if d is not None and d > n + 1:
-            raise InputError(
-                f"invalid presentation: relation #{i} ({rel}): degree {d} exceeds "
-                f"N + 1 = {n + 1} for truncation N = {n}"
-            )
-    problems = validate_presentation(algebra)
-    if problems:
-        raise InputError("invalid presentation: " + "; ".join(problems))
-    return algebra, n
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +255,18 @@ def render_examples_text(payload: dict) -> str:
 # command implementations
 
 
-def _load_inputs(args) -> tuple[PresentedAlgebra, int, list[AttachSection], object]:
-    """Returns (algebra, truncation, attach sections, fixture-or-None)."""
+def _load_job(args) -> tuple[Job, int | None]:
+    """The job of --input or --fixture, and the half-degree of an even-mode
+    run: --even K, or else an even-mode fixture's own."""
+    even = getattr(args, "even", None)
     if args.fixture and args.input:
         raise InputError("--fixture and --input are mutually exclusive")
     if args.fixture:
         if args.truncation is not None:
             raise InputError("--truncation cannot override a fixture's truncation")
         fixture = get_fixture(args.fixture)
-        algebra = algebra_of(fixture)
-        return algebra, fixture.truncation, [], fixture
+        k = fixture.even_half_degree if even is None else even
+        return load_job(fixture.text, fixture_id=fixture.fixture_id), k
     if not args.input:
         raise InputError("either --input FILE or --fixture ID is required")
     try:
@@ -409,17 +276,11 @@ def _load_inputs(args) -> tuple[PresentedAlgebra, int, list[AttachSection], obje
         raise InputError(f"cannot read {args.input}: {exc}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {args.input}: not UTF-8 text at byte {exc.start}")
-    spec = parse_job(text)
-    algebra, truncation = _algebra_from_spec(spec, args.truncation)
-    return algebra, truncation, spec.attaches, None
+    return load_job(text, args.truncation), even
 
 
 def cmd_model(args) -> int:
-    algebra, truncation, _, fixture = _load_inputs(args)
-    if fixture is not None:
-        model = build_fixture(fixture.fixture_id, algebra).model
-    else:
-        model = build_minimal_model(algebra, truncation)
+    model = _load_job(args)[0].model()
     if args.json:
         print(json.dumps(model_json(model), indent=2))
     else:
@@ -427,44 +288,25 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _alpha_for(algebra, truncation, attaches, fixture) -> tuple[BigradedModel, AlphaFunctional]:
-    """The model and the attaching functional of a loaded attach or verdict job."""
-    if fixture is not None:
-        if fixture.even_half_degree is not None:
-            raise InputError(
-                f"fixture {fixture.fixture_id!r} is an even-mode fixture; "
-                "use: verdict --even K"
-            )
-        built = build_fixture(fixture.fixture_id, algebra)
-        if built.alpha is None:
-            raise InputError(f"fixture {fixture.fixture_id!r} has no attachment")
-        return built.model, built.alpha
-    if len(attaches) != 1:
-        raise InputError("exactly one attach: section is required")
-    section = attaches[0]
-    if section.cell is None:
-        raise InputError("the attach section needs a 'cell N' line")
-    model = build_minimal_model(algebra, truncation)
-    return model, AlphaFunctional.build(model, section.cell, section.pairs)
-
-
-def _even_cells(k, algebra, attaches, fixture) -> tuple[int, list]:
-    """The half-degree (``k``, or a fixture's own) and the cells of a loaded even-mode job."""
-    if fixture is not None:
-        return fixture.even_half_degree, even_cells_of(fixture)
-    if algebra.relations:
+def _even_cells(spec: JobSpec) -> list:
+    """The cells of an even-mode job."""
+    if spec.relations:
         raise InputError(
             "even mode derives the wedge skeleton itself; "
             "remove the relations from the algebra section"
         )
+    if spec.names is not None:
+        raise InputError(
+            "even mode names the skeleton's generators itself; remove the names: section"
+        )
     cells = []
-    for section in attaches:
+    for section in spec.attaches:
         if section.cell is None:
             raise InputError("every attach section needs a 'cell N' line")
         cells.append((section.cell, section.pairs))
     if not cells:
         raise InputError("even mode needs at least one attach: section")
-    return k, cells
+    return cells
 
 
 def _emit(args, payload: dict, render) -> None:
@@ -473,21 +315,24 @@ def _emit(args, payload: dict, render) -> None:
 
 
 def cmd_attach(args) -> int:
-    attached = AttachmentModel(*_alpha_for(*_load_inputs(args)))
+    job, k = _load_job(args)
+    if k is not None:  # attach has no --even: k is an even-mode fixture's own
+        raise InputError(
+            f"fixture {job.fixture_id!r} is an even-mode fixture; use: verdict --even K"
+        )
+    attached = AttachmentModel(*job.attachment())
     _emit(args, attach_json(attached), render_attach_text)
     return EXIT_OK
 
 
 def cmd_verdict(args) -> int:
     """Even mode under --even or for an even-mode fixture, else the criterion."""
-    algebra, truncation, attaches, fixture = _load_inputs(args)
-    if args.even is not None or (fixture is not None and fixture.even_half_degree is not None):
-        k, cells = _even_cells(args.even, algebra, attaches, fixture)
-        payload = even_json(even_complex_formality(algebra, k, cells))
+    job, k = _load_job(args)
+    if k is not None:
+        payload = even_json(even_complex_formality(job.algebra, k, _even_cells(job.spec)))
         render = render_even_text
     else:
-        model, alpha = _alpha_for(algebra, truncation, attaches, fixture)
-        payload = verdict_json(formality_verdict(model, alpha))
+        payload = verdict_json(formality_verdict(*job.attachment()))
         render = render_verdict_text
     _emit(args, payload, render)
     return _STATUS_EXIT[payload["status"]]

@@ -21,6 +21,7 @@ class ParseError(InputError):
     """Text input could not be parsed; carries line/column when known."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""

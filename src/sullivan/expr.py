@@ -23,6 +23,8 @@ from .gca import Element, Generator, Monomial
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# an optionally signed run of ASCII digits, as numbers in job text and flags are
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_integer(digits: str, line: int | None = None, column: int | None = None) -> int:

@@ -78,10 +78,6 @@ class Monomial:
         return sum(g.degree * e for g, e in self.powers)
 
     @property
-    def word_length(self) -> int:
-        return sum(e for _, e in self.powers)
-
-    @property
     def is_unit(self) -> bool:
         return not self.powers
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -118,60 +119,201 @@ def test_fixture_attach_resolves_printed_names():
     assert "alpha: k12 -> 1" in attach_out.stdout
 
 
+def _patch_fixture_text(monkeypatch, fixture_id, old, new):
+    """Replace ``old`` by ``new`` in a bundled fixture's job text."""
+    import dataclasses
+
+    from sullivan import fixtures
+
+    fixture = fixtures.FIXTURES[fixture_id]
+    assert old in fixture.text
+    broken = dataclasses.replace(fixture, text=fixture.text.replace(old, new))
+    monkeypatch.setitem(fixtures.FIXTURES, fixture_id, broken)
+    return broken.text
+
+
+def _names_line(text, alias):
+    """The line number of the last names: entry for ``alias``."""
+    return [i for i, line in enumerate(text.splitlines(), 1) if line.split()[:2] == ["name", alias]][-1]
+
+
 def test_fixture_alpha_missing_from_its_model_is_an_internal_fault(monkeypatch, capsys):
     """A fixture whose alpha names a generator its aliased model lacks is broken
     bundled data, not bad user input: exit 70, naming the missing name."""
-    import dataclasses
+    from sullivan import cli
 
-    from sullivan import cli, fixtures
-
-    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], alpha=(("k99", 1),))
-    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    _patch_fixture_text(monkeypatch, "wedge3-e6", "alpha k12 1", "alpha k99 1")
     assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
-    assert "'k99'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error: fixture 'wedge3-e6': "), err
+    assert "'k99'" in err
 
 
-@pytest.mark.parametrize(
-    "term,fault",
-    [("b1*q7", "'q7'"), ("a1", "no differential has that term")],
-    ids=["unknown-generator", "absent-term"],
-)
-def test_fixture_alias_table_fault_is_an_internal_fault(term, fault, monkeypatch, capsys):
+# a bad entry of wedge3-e6's names: section: (entry lines, their replacement,
+# what the message says of it)
+NAMES_FAULTS = {
+    "unknown-generator": ("name k12 b1*b2", "name k12 b1*q7", "'q7'"),
+    "absent-term": ("name k12 b1*b2", "name k12 a1", "no differential has that term"),
+    "alias-not-an-identifier": ("name k12 b1*b2", "name k-12 b1*b2", "not an identifier"),
+    "alias-twice": ("name k12 b1*b2\n  name k13 b1*b3", "name k12 b1*b2\n  name k12 b1*b3",
+                    "that name is already in use"),
+    "alias-is-a-generator": ("name k12 b1*b2", "name a2 b1*b2", "that name is already in use"),
+}
+
+
+def _bad_entry(case):
+    """(old, new, alias, term, fault) of a NAMES_FAULTS case."""
+    old, new, fault = NAMES_FAULTS[case]
+    _, alias, term = new.split("\n")[-1].split()
+    return old, new, alias, term, fault
+
+
+@pytest.mark.parametrize("case", ["unknown-generator", "absent-term"])
+def test_fixture_alias_table_fault_is_an_internal_fault(case, monkeypatch, capsys):
     """A naming-table entry whose term names no generator of the model, or
     that no differential has, is broken bundled data: exit 70, naming the
     fixture and the alias."""
-    import dataclasses
+    from sullivan import cli
 
-    from sullivan import cli, fixtures
-
-    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], aliases=(("k12", term),))
-    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    old, new, _, _, fault = _bad_entry(case)
+    _patch_fixture_text(monkeypatch, "wedge3-e6", old, new)
     assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
     err = capsys.readouterr().err
     assert err.startswith("integrity error: fixture 'wedge3-e6': the alias 'k12'"), err
     assert fault in err
 
 
-@pytest.mark.parametrize(
-    "aliases",
-    [(("k12", "b1*b2"), ("k12", "b1*b3")), (("a2", "b1*b2"),)],
-    ids=["alias-twice", "alias-is-a-generator"],
-)
-def test_fixture_alias_collision_is_an_internal_fault(aliases, monkeypatch, capsys):
-    """A naming-table alias that another generator already has is broken
-    bundled data: exit 70, naming the fixture and the alias."""
-    import dataclasses
+@pytest.mark.parametrize("case", ["alias-twice", "alias-is-a-generator", "alias-not-an-identifier"])
+def test_fixture_alias_collision_is_an_internal_fault(case, monkeypatch, capsys):
+    """A naming-table alias that another generator already has, or that is not
+    an identifier (printed names must re-parse), is broken bundled data: exit
+    70, naming the fixture and the alias."""
+    from sullivan import cli
 
-    from sullivan import cli, fixtures
-
-    broken = dataclasses.replace(fixtures.FIXTURES["wedge3-e6"], aliases=aliases)
-    monkeypatch.setitem(fixtures.FIXTURES, "wedge3-e6", broken)
+    old, new, alias, term, fault = _bad_entry(case)
+    _patch_fixture_text(monkeypatch, "wedge3-e6", old, new)
     assert cli.main(["verdict", "--fixture", "wedge3-e6"]) == 70
-    alias, term = aliases[-1]
     assert capsys.readouterr().err == (
-        f"integrity error: fixture 'wedge3-e6': the alias {alias!r} on {term!r}:"
-        " that name is already in use\n"
+        f"integrity error: fixture 'wedge3-e6': the alias {alias!r} on {term!r}: {fault}\n"
     )
+
+
+def _user_copy(tmp_path, fixture_id, old, new):
+    """A user's file holding a fixture's text with ``old`` replaced by ``new``."""
+    from sullivan.fixtures import get_fixture
+
+    text = get_fixture(fixture_id).text
+    assert old in text
+    job = tmp_path / "job.txt"
+    job.write_text(text.replace(old, new), encoding="utf-8")
+    return job
+
+
+@pytest.mark.parametrize("case", sorted(NAMES_FAULTS))
+def test_bad_names_entry_in_a_users_file_is_a_data_error(case, tmp_path, capsys):
+    """The same entries in a user's file exit 65 and name the entry's line."""
+    from sullivan import cli
+
+    old, new, alias, term, fault = _bad_entry(case)
+    job = _user_copy(tmp_path, "wedge3-e6", old, new)
+    line = _names_line(job.read_text(encoding="utf-8"), alias)
+    assert cli.main(["verdict", "--input", str(job)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: the alias {alias!r} on {term!r}: "), err
+    assert fault in err and err.endswith(f" (line {line})\n"), err
+
+
+def test_alpha_missing_from_a_users_model_is_a_data_error(tmp_path, capsys):
+    from sullivan import cli
+
+    job = _user_copy(tmp_path, "wedge3-e6", "alpha k12 1", "alpha k99 1")
+    assert cli.main(["verdict", "--input", str(job)]) == 65
+    assert capsys.readouterr().err == "input error: alpha names not found in the model: 'k99'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["attach", "--fixture", "cp1"], "has no attachment"),
+        (["attach", "--fixture", "even-4k"], "is an even-mode fixture; use: verdict --even K"),
+        (["model", "--fixture", "cp1", "--truncation", "5"],
+         "--truncation cannot override a fixture's truncation"),
+    ],
+    ids=["no-attachment", "even-mode", "truncation"],
+)
+def test_fixture_misuse_is_a_data_error(argv, message, capsys):
+    from sullivan import cli
+
+    assert cli.main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err, captured.err
+
+
+def test_even_mode_job_with_names_is_refused(tmp_path, capsys):
+    from sullivan import cli
+
+    job = _user_copy(tmp_path, "even-4k", "attach:", "names:\nattach:")
+    assert cli.main(["verdict", "--even", "1", "--input", str(job)]) == 65
+    assert "remove the names: section" in capsys.readouterr().err
+
+
+def _fixture_commands():
+    """Every (fixture, command, --json or not), but attach on an even-mode
+    fixture: attach refuses the fixture, and its text alone is no even-mode job."""
+    from sullivan.fixtures import FIXTURES
+
+    return [(fid, command, json_flag) for fid, fixture in sorted(FIXTURES.items())
+            for command in ("model", "attach", "verdict") for json_flag in ((), ("--json",))
+            if command != "attach" or fixture.even_half_degree is None]
+
+
+@pytest.mark.parametrize("fid,command,json_flag", _fixture_commands())
+def test_a_fixture_is_its_job_text(fid, command, json_flag, tmp_path, capsys):
+    """--fixture ID and --input on the fixture's text print the same stdout and
+    stderr and exit alike; an even-mode fixture's run adds --even K."""
+    from sullivan import cli
+    from sullivan.fixtures import get_fixture
+
+    fixture = get_fixture(fid)
+    job = tmp_path / "job.txt"
+    job.write_text(fixture.text, encoding="utf-8")
+    even = () if command != "verdict" or fixture.even_half_degree is None else (
+        "--even", str(fixture.even_half_degree))
+    runs = []
+    for source in (["--fixture", fid], ["--input", str(job), *even]):
+        code = cli.main([command, *source, *json_flag])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_job():
+    """The input-format sample of the README."""
+    fenced = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    blocks = [block for block in fenced if block.startswith("algebra:")]
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_the_readme_input_sample_runs(tmp_path):
+    job = tmp_path / "job.txt"
+    job.write_text(_readme_job(), encoding="utf-8")
+    result = run_cli("verdict", "--input", str(job))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("status: Formal\n")
+
+
+def test_names_job_output_is_the_same_under_hash_seeds(tmp_path):
+    job = tmp_path / "job.txt"
+    job.write_text(_readme_job(), encoding="utf-8")
+    outputs = [run_cli("model", "--input", str(job), env={**os.environ, "PYTHONHASHSEED": seed})
+               for seed in ("0", "1")]
+    assert outputs[0].returncode == 0, outputs[0].stderr
+    assert " w1 " in outputs[0].stdout and " b12 " in outputs[0].stdout
+    assert outputs[0].stdout == outputs[1].stdout
 
 
 def test_verdict_json_schema():
@@ -539,7 +681,7 @@ def test_repeated_truncation_or_cell_is_refused(tmp_path, text, line, first):
 
 
 def test_signed_and_per_section_numbers_still_parse():
-    from sullivan.cli import parse_job
+    from sullivan.fixtures import parse_job
 
     spec = parse_job(
         _WEDGE_HEAD + "truncation +4\nattach:\ncell 4\nalpha b 1\nattach:\ncell 3\n"
@@ -674,19 +816,37 @@ def test_verdict_repeats_no_elimination(case, n, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["model", "--fixture", "wedge3-s2"], ["attach", "--fixture", "cp2-attach"],
-     ["verdict", "--fixture", "fatwedge-e6"], ["verdict", "--fixture", "even-4k"]],
+     ["verdict", "--fixture", "fatwedge-e6"], ["verdict", "--fixture", "even-4k"],
+     ["model", "--input", "JOB"], ["attach", "--input", "JOB", "--json"],
+     ["verdict", "--input", "JOB"]],
+    ids=["model-fixture", "attach-fixture", "verdict-fixture", "even-fixture",
+         "model-input", "attach-input", "verdict-input"],
 )
-def test_fixture_commands_build_the_algebra_once(argv, monkeypatch, capsys):
-    from sullivan import cli, fixtures
+def test_each_command_presents_the_algebra_once(argv, tmp_path, monkeypatch, capsys):
+    """--fixture and --input take one route, which builds the job's algebra once."""
+    from sullivan import cli
+    from sullivan.presented import PresentedAlgebra
 
+    job = tmp_path / "job.txt"
+    job.write_text(CP2_JOB, encoding="utf-8")
     calls = []
-    original = fixtures.algebra_of
+    original = PresentedAlgebra.from_strings.__func__
 
-    def counting(fixture):
-        calls.append(fixture.fixture_id)
-        return original(fixture)
+    def counting(cls, *args, **kwargs):
+        calls.append(args[0])
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(fixtures, "algebra_of", counting)
-    monkeypatch.setattr(cli, "algebra_of", counting)
-    assert cli.main(argv) in (0, 10, 20), capsys.readouterr().err
-    assert calls == [argv[-1]]
+    monkeypatch.setattr(PresentedAlgebra, "from_strings", classmethod(counting))
+    code = cli.main([str(job) if a == "JOB" else a for a in argv])
+    assert code in (0, 10, 20), capsys.readouterr().err
+    assert len(calls) == 1, calls
+
+
+def test_run_fixtures_script_meets_every_expected_status():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_fixtures.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    from sullivan.fixtures import fixture_ids
+
+    assert [line.split()[0] for line in result.stdout.splitlines()] == fixture_ids()
+    assert "EXPECTED" not in result.stdout

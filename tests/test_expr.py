@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sullivan.cli import parse_job
+from sullivan.fixtures import parse_job
 from sullivan.errors import ParseError, SullivanError
 from sullivan.expr import parse_element, parse_rational
 from sullivan.gca import Element, Generator, Monomial
@@ -97,7 +97,7 @@ _JOB_PIECES = st.sampled_from(
     ["algebra:", "attach:", "gen a 2", "gen b 3", "rel a^2", "rel a*b - b", "truncation 4",
      "cell 3", "alpha a 1/2", "alpha b -3/", "# note", "", "gen", "gen a \u0663",
      f"gen a {_LONG}", f"truncation {_LONG}", f"cell {_LONG}", f"alpha a {_LONG}/2",
-     "cell x", "\x00", "\x0c", "\u2029"]
+     "cell x", "\x00", "\x0c", "\u2029", "names:", "name k a^2", "name k", "name 1k a"]
 )
 
 

@@ -12,7 +12,7 @@ from sullivan.formality import (
     even_complex_formality,
     formality_verdict,
 )
-from sullivan.fixtures import algebra_of, even_cells_of, get_fixture
+from sullivan.fixtures import get_fixture, load_job, parse_job
 from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
@@ -172,8 +172,9 @@ def test_even_complex_two_cells_sequential():
 
 def test_even_fixture_cells():
     fx = get_fixture("even-4k")
+    [section] = parse_job(fx.text).attaches
     result = even_complex_formality(
-        algebra_of(fx), fx.even_half_degree, even_cells_of(fx)
+        load_job(fx.text).algebra, fx.even_half_degree, [(section.cell, section.pairs)]
     )
     assert result.status == FORMAL
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sullivan import minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, IntegrityError, TruncationError
-from sullivan.fixtures import fixture_ids, get_fixture
+from sullivan.fixtures import fixture_ids, get_fixture, load_job
 from sullivan.gca import Element, Generator, Monomial, monomial_basis
 from sullivan.minimal_model import (
     BigradedModel,
@@ -425,11 +425,8 @@ def _square_free_text(i, j):
 
 def _fixture_algebra(fixture_id):
     """A fixture's presentation and model truncation."""
-    fixture = get_fixture(fixture_id)
-    algebra = PresentedAlgebra.from_strings(
-        fixture.generators, fixture.relations, fixture.truncation + 1
-    )
-    return algebra, fixture.truncation
+    job = load_job(get_fixture(fixture_id).text)
+    return job.algebra, job.spec.truncation
 
 
 @st.composite
