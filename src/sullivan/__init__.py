@@ -14,7 +14,7 @@ from .errors import (
     SullivanError,
     TruncationError,
 )
-from .gca import Element, Generator, Monomial, monomial_basis, normalize_monomial
+from .gca import Element, Generator, Monomial, monomial_basis
 from .presented import PresentedAlgebra, validate_presentation
 from .dgca import FreeDGCA
 from .minimal_model import BigradedModel, build_minimal_model, verify_standard
@@ -55,7 +55,6 @@ __all__ = [
     "even_complex_formality",
     "formality_verdict",
     "monomial_basis",
-    "normalize_monomial",
     "validate_presentation",
     "verify_standard",
 ]

@@ -53,6 +53,13 @@ _ONE = Fraction(1)
 _U = "u"
 
 
+def _degree_mismatch(name: str, degree: int, n: int) -> InputError:
+    return InputError(
+        f"alpha is keyed on {name!r} of degree {degree}; "
+        f"the {n}-cell pairs only with degree {n - 1}"
+    )
+
+
 @dataclass(frozen=True)
 class AlphaFunctional:
     """A functional on the degree-(n-1) generators: the attaching data.
@@ -88,10 +95,7 @@ class AlphaFunctional:
         for name, raw in pairs:
             g = by_name[name]
             if g.degree != n - 1:
-                raise InputError(
-                    f"alpha is keyed on {name!r} of degree {g.degree}; "
-                    f"an {n}-cell pairs only with degree {n - 1}"
-                )
+                raise _degree_mismatch(name, g.degree, n)
             resolved[g] = resolved.get(g, _ZERO) + Fraction(raw)
         coeffs = tuple(
             sorted(
@@ -190,7 +194,7 @@ class AttachmentModel:
         self.truncation = base.truncation
         if self.n > self.truncation:
             raise TruncationError(
-                f"an {self.n}-cell needs the model through degree {self.n}; "
+                f"the {self.n}-cell needs the model through degree {self.n}; "
                 f"it is truncated at {self.truncation}"
             )
         known = set(base.generators)
@@ -198,10 +202,7 @@ class AttachmentModel:
             if g not in known:
                 raise InputError(f"alpha references {g.name!r}, not a model generator")
             if g.degree != self.n - 1:
-                raise InputError(
-                    f"alpha is keyed on {g.name!r} of degree {g.degree}; "
-                    f"an {self.n}-cell pairs only with degree {self.n - 1}"
-                )
+                raise _degree_mismatch(g.name, g.degree, self.n)
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None

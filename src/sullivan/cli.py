@@ -212,7 +212,7 @@ def even_json(result) -> dict:
         "status": result.status,
         "cells": [verdict_json(v) for v in result.verdicts],
         "final_cohomology": [
-            {"degree": m, "dim": result.algebras[-1].graded_component(m).dimension}
+            {"degree": m, "dim": result.final.graded_component(m).dimension}
             for m in range(0, 4 * result.half_degree + 1)
         ],
     }

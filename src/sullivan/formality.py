@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .attachment import AlphaFunctional, AttachmentElement, AttachmentModel
+from .attachment import AlphaFunctional, AttachmentModel
 from .errors import InputError, IntegrityError
 from .fixtures import alias_monomial_targets
 from .gca import Element, Generator, monomial_basis
@@ -35,7 +35,7 @@ from .linalg import RowSpace
 from .minimal_model import BigradedModel, build_minimal_model, verify_standard
 from .presented import PresentedAlgebra, validate_presentation
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 FORMAL = "Formal"
 NOT_FORMAL = "NotFormal"
@@ -53,19 +53,12 @@ GRADATION_ASSUMPTION = (
 
 @dataclass
 class FormalityVerdict:
-    """Outcome of the criterion, with the clause that fired and a witness.
-
-    ``attached`` is the attachment the verdict was decided on, when one was
-    built; it is not part of the serialised verdict.
-    """
+    """Outcome of the criterion, with the clause that fired and a witness."""
 
     status: str
     clause: str
     witness: dict
     assumptions: list[str] = field(default_factory=list)
-    attached: AttachmentModel | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def to_json(self) -> dict:
         return {
@@ -110,10 +103,7 @@ def formality_verdict(
 ) -> FormalityVerdict:
     """Apply the cell-attachment criterion to one attachment."""
     _require_standard(model)
-    attached = AttachmentModel(model, alpha)
-    verdict = _decide(attached)
-    verdict.attached = attached
-    return verdict
+    return _decide(AttachmentModel(model, alpha))
 
 
 def _decide(attached: AttachmentModel) -> FormalityVerdict:
@@ -202,11 +192,16 @@ def _decide(attached: AttachmentModel) -> FormalityVerdict:
 
 @dataclass
 class EvenComplexResult:
-    """Per-cell verdicts plus the synthesized presentations along the way."""
+    """Per-cell verdicts plus the presentation of the assembled complex.
+
+    ``final`` presents the cohomology after the last cell shown formal (the
+    wedge skeleton when there is none); intermediate presentations are not
+    kept.
+    """
 
     half_degree: int
     verdicts: list[FormalityVerdict]
-    algebras: list[PresentedAlgebra]
+    final: PresentedAlgebra
 
     @property
     def status(self) -> str:
@@ -253,7 +248,6 @@ def even_complex_formality(
     current = PresentedAlgebra(gens, relations, truncation=4 * k + 1)
 
     verdicts: list[FormalityVerdict] = []
-    algebras = [current]
     degenerate_reason: str | None = None
 
     for cell_index, (n, pairs) in enumerate(cells):
@@ -271,7 +265,9 @@ def even_complex_formality(
         model = model.rename(alias_monomial_targets(model))
         _check_even_slices(model, k)
         alpha = AlphaFunctional.build(model, n, pairs)
-        verdict = formality_verdict(model, alpha)
+        _require_standard(model)
+        attached = AttachmentModel(model, alpha)
+        verdict = _decide(attached)
         verdicts.append(verdict)
         if verdict.status != FORMAL:
             degenerate_reason = (
@@ -285,23 +281,22 @@ def even_complex_formality(
                 "cohomology is no longer generated in degree 2k"
             )
             continue
-        current = _synthesize_presentation(verdict.attached, gens, k)
-        algebras.append(current)
+        current = _synthesize_presentation(attached, gens, k)
 
-    return EvenComplexResult(k, verdicts, algebras)
+    return EvenComplexResult(k, verdicts, current)
 
 
 def _check_even_slices(model: BigradedModel, k: int):
     """The degree-(4k-1) slice must be pure stage 1 (specialness for free)."""
-    if model.stage_slice(0, 4 * k - 1):
+    stages = {g.stage for g in model.generators if g.degree == 4 * k - 1}
+    if 0 in stages:
         raise IntegrityError(
             "stage-0 generators in degree 4k-1 contradict even generation"
         )
-    for stage in model.stages():
-        if stage >= 2 and model.stage_slice(stage, 4 * k - 1):
-            raise IntegrityError(
-                "stage >= 2 generators in degree 4k-1 contradict even generation"
-            )
+    if stages - {1}:
+        raise IntegrityError(
+            "stage >= 2 generators in degree 4k-1 contradict even generation"
+        )
 
 
 def _synthesize_presentation(
@@ -310,34 +305,28 @@ def _synthesize_presentation(
     """Presentation of the attached complex from its computed cohomology.
 
     Generators are the degree-2k classes; relations are the kernel of the
-    multiplication map Sym^2(H^2k) -> H^4k of the attachment cohomology.
-    Degrees above 4k vanish for dimension reasons and stay outside the
-    synthesized truncation.
+    multiplication map Sym^2(H^2k) -> H^4k of the attachment cohomology.  The
+    generators are stage-0 cocycles of the model, so the class of a product
+    g_i*g_j is that of its pure degree-4k column.  Degrees above 4k vanish
+    for dimension reasons and stay outside the synthesized truncation.
     """
     n = 4 * k
     target = attached.cohomology(n)
+    key = attached.base.dgca.key
     pair_monomials = monomial_basis(gens, n)
-    squares: list[tuple[Fraction, ...]] = []
-    for mon in pair_monomials:
-        body = Element.one()
-        for g, e in mon.powers:
-            for _ in range(e):
-                body = body * Element.from_generator(_model_gen(attached, g))
-        cls = target.class_of(AttachmentElement(body))
-        squares.append(cls.coordinates)
-    ncols = len(pair_monomials)
-    dim_target = len(squares[0]) if squares else 0
-    constraints = RowSpace(
-        {j: squares[j][coord] for j in range(ncols) if squares[j][coord]}
-        for coord in range(dim_target)
-    )
-    relations = []
-    for vec in constraints.kernel(ncols):
-        rel = Element(
-            {pair_monomials[j]: c for j, c in vec.items() if c}
-        )
-        if not rel.is_zero:
-            relations.append(rel)
+    # one constraint row per class coordinate of H^4k, over the products
+    constraints: dict[int, dict[int, Fraction]] = {}
+    for j, mon in enumerate(pair_monomials):
+        try:
+            column = target.index[key(mon)]
+        except KeyError:
+            raise IntegrityError(f"the product {mon} has no column in the model") from None
+        for i, c in target.coordinates({column: _ONE}).items():
+            constraints.setdefault(i, {})[j] = c
+    relations = [
+        Element({pair_monomials[j]: c for j, c in vec.items()})
+        for vec in RowSpace(constraints.values()).kernel(len(pair_monomials))
+    ]
     synthesized = PresentedAlgebra(gens, relations, truncation=n + 1)
     problems = validate_presentation(synthesized)
     if problems:
@@ -351,10 +340,3 @@ def _synthesize_presentation(
                 f"cohomology in degree {m}"
             )
     return synthesized
-
-
-def _model_gen(attached: AttachmentModel, g: Generator) -> Generator:
-    found = attached.base.generator_named(g.name)
-    if found is None:
-        raise IntegrityError(f"degree-2k generator {g.name!r} missing from the model")
-    return found

@@ -9,11 +9,10 @@ Elements are finite rational combinations of monomials.
 
 >>> a = Generator("a", 2)
 >>> b = Generator("b", 3, stage=1, index=1)
->>> sign, m = normalize_monomial([b, a, a])
->>> sign, str(m)
-(1, 'a^2*b')
->>> normalize_monomial([b, b])
-(0, None)
+>>> c = Generator("c", 3, stage=1, index=2)
+>>> x, y, z = (Element.from_generator(g) for g in (a, b, c))
+>>> str(y * x * x), str(z * y), str(y * y)
+('a^2*b', '-b*c', '0')
 """
 
 from __future__ import annotations
@@ -97,28 +96,6 @@ class Monomial:
         for g, e in self.powers:
             parts.append(g.name if e == 1 else f"{g.name}^{e}")
         return "*".join(parts)
-
-
-def normalize_monomial(factors: Sequence[Generator]) -> tuple[int, Monomial | None]:
-    """Sort a factor list into a monomial, tracking the Koszul sign.
-
-    Returns ``(sign, monomial)`` with sign in {1, -1}, or ``(0, None)`` when
-    an odd generator repeats.
-    """
-    odds = [g for g in factors if g.is_odd]
-    if len({g for g in odds}) != len(odds):
-        return 0, None
-    inversions = 0
-    keys = [g.sort_key() for g in odds]
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if keys[i] > keys[j]:
-                inversions += 1
-    counts: dict[Generator, int] = {}
-    for g in factors:
-        counts[g] = counts.get(g, 0) + 1
-    powers = tuple(sorted(counts.items(), key=lambda p: p[0].sort_key()))
-    return (-1 if inversions % 2 else 1), Monomial(powers)
 
 
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:

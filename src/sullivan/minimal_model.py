@@ -110,12 +110,6 @@ class BigradedModel:
     def generators(self) -> tuple[Generator, ...]:
         return self.dgca.gens
 
-    def generator_named(self, name: str) -> Generator | None:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        return None
-
     def d_of(self, gen: Generator) -> Element:
         """d(gen): d of the one-factor monomial gen."""
         return self.dgca.d_monomial(Monomial.of(gen))
@@ -128,9 +122,6 @@ class BigradedModel:
         return [
             g for g in self.generators if g.stage == stage and g.degree == degree
         ]
-
-    def stages(self) -> list[int]:
-        return sorted({g.stage for g in self.generators})
 
     def rho_of(self, element: Element) -> Element:
         """Multiplicative extension of rho, reduced to canonical form in A."""

@@ -43,6 +43,12 @@ def fatwedge_e6():
 # helpers built on the library's public API
 
 
+def generator(model, name):
+    """The model generator with this name."""
+    [found] = [g for g in model.generators if g.name == name]
+    return found
+
+
 def attachment_of(built):
     """A bundled fixture's attachment, built afresh from its model and alpha."""
     return AttachmentModel(built.model, built.alpha)

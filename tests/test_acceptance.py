@@ -32,6 +32,7 @@ from sullivan.presented import PresentedAlgebra
 from conftest import (
     attachment_of,
     class_product,
+    generator,
     hurewicz_vanishes,
     is_special,
     scaled,
@@ -74,8 +75,8 @@ def test_criterion_1_wedge_model(wedge3_s2):
 
 def test_criterion_2_wedge_six_cell(wedge3_e6):
     model, alpha, attached = wedge3_e6.model, wedge3_e6.alpha, attachment_of(wedge3_e6)
-    k12 = model.generator_named("k12")
-    assert k12 is not None and alpha.value(k12) == 1
+    k12 = generator(model, "k12")
+    assert alpha.value(k12) == 1
     assert hurewicz_vanishes(model, alpha) is True
     assert not attached.u_class().is_zero
     decomposable, _ = attached.u_decomposable()
@@ -103,7 +104,7 @@ def test_criterion_3_fatwedge_six_cell(fatwedge_e6):
         assert expected in targets
     u = attached.u_class()
     assert not u.is_zero
-    xs = [model.generator_named(n) for n in ("x1", "x2", "x3")]
+    xs = [generator(model, n) for n in ("x1", "x2", "x3")]
     xxx = Element.from_monomial(Monomial(tuple((g, 1) for g in xs)))
     minus_xxx = attached.cohomology(6).class_of(AttachmentElement(-1 * xxx))
     assert minus_xxx.coordinates == u.coordinates
@@ -203,7 +204,7 @@ def test_criterion_7_even_complex():
     result = even_complex_formality(A, 1, [(4, [("b12", F(1))])])
     assert result.status == FORMAL
     assert all(v.status == FORMAL for v in result.verdicts)
-    final = result.algebras[-1]
+    final = result.final
     assert final.graded_component(2).dimension == 2
     assert final.graded_component(4).dimension == 1
     assert [str(c.representative) for c in final.graded_component(4).classes] == ["a1*a2"]

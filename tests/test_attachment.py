@@ -20,6 +20,7 @@ from conftest import (
     attachment_of,
     built_wedge_and_dense_models,
     coefficients,
+    generator,
     small_presentations,
 )
 
@@ -28,7 +29,7 @@ F = Fraction
 
 def test_twisted_differential_on_generator(cp2_attach):
     att = attachment_of(cp2_attach)
-    b = att.base.generator_named("b")
+    b = generator(att.base, "b")
     db = att.d(AttachmentElement(Element.from_generator(b)))
     assert str(db.body) == "a^2"
     assert db.u == 1
@@ -76,7 +77,7 @@ def test_u_exact_against_sphere_relation(cp2_attach):
     u = att.u_class()
     assert not u.is_zero
     h4 = att.cohomology(4)
-    a = att.base.generator_named("a")
+    a = generator(att.base, "a")
     a2 = Element.from_monomial(Monomial.of(a, 2))
     both = h4.class_of(AttachmentElement(-1 * a2))
     assert both.coordinates == u.coordinates

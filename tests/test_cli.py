@@ -34,6 +34,16 @@ GOLDEN_CASES = [
     ("attach_wedge3_e6.txt", ["attach", "--fixture", "wedge3-e6"], 0),
     ("verdict_even4k_json.txt", ["verdict", "--fixture", "even-4k", "--json"], 0),
     ("examples_json.txt", ["examples", "--json"], 0),
+    (
+        "verdict_even_chain.txt",
+        ["verdict", "--input", str(GOLDEN / "even_chain.job"), "--even", "1"],
+        0,
+    ),
+    (
+        "verdict_even_chain_json.txt",
+        ["verdict", "--input", str(GOLDEN / "even_chain.job"), "--even", "1", "--json"],
+        0,
+    ),
 ]
 
 
@@ -45,7 +55,15 @@ def test_golden_outputs_are_stable(name, argv, code):
 
 
 HASH_SEED_CASES = [
-    c for c in GOLDEN_CASES if c[0] in ("model_wedge3_s2_json.txt", "verdict_fatwedge_e6.txt")
+    c
+    for c in GOLDEN_CASES
+    if c[0]
+    in (
+        "model_wedge3_s2_json.txt",
+        "verdict_fatwedge_e6.txt",
+        "verdict_even_chain.txt",
+        "verdict_even_chain_json.txt",
+    )
 ]
 
 
@@ -229,6 +247,32 @@ def test_alpha_missing_from_a_users_model_is_a_data_error(tmp_path, capsys):
     job = _user_copy(tmp_path, "wedge3-e6", "alpha k12 1", "alpha k99 1")
     assert cli.main(["verdict", "--input", str(job)]) == 65
     assert capsys.readouterr().err == "input error: alpha names not found in the model: 'k99'\n"
+
+
+_WEDGE2 = "algebra:\n  gen a1 2\n  gen a2 2\n  rel a1^2\n  rel a1*a2\n  rel a2^2\n"
+CELL_REFUSALS = {
+    5: (
+        "truncation 5\nattach:\n  cell 5\n  alpha v3_s1_0 1\n",
+        "input error: alpha is keyed on 'v3_s1_0' of degree 3; "
+        "the 5-cell pairs only with degree 4\n",
+    ),
+    8: (
+        "truncation 6\nattach:\n  cell 8\n",
+        "input error: the 8-cell needs the model through degree 8; it is truncated at 6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CELL_REFUSALS))
+@pytest.mark.parametrize("command", ["attach", "verdict"])
+def test_a_cell_the_model_cannot_take_is_a_data_error(command, n, tmp_path, capsys):
+    from sullivan import cli
+
+    tail, message = CELL_REFUSALS[n]
+    job = tmp_path / "job.txt"
+    job.write_text(_WEDGE2 + "  " + tail, encoding="utf-8")
+    assert cli.main([command, "--input", str(job)]) == 65
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(

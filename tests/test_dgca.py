@@ -10,7 +10,6 @@ from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentMo
 from sullivan.dgca import CohomologySpace, FreeDGCA, decomposition
 from sullivan.errors import InputError, TruncationError
 from sullivan.fixtures import build_fixture
-from sullivan.formality import formality_verdict
 from sullivan.gca import (
     Element,
     Generator,
@@ -1039,7 +1038,7 @@ def test_a_dropped_model_is_freed_by_refcounting():
         algebra = PresentedAlgebra.from_strings(*_WEDGES[3], 8)
         model = build_minimal_model(algebra, 7)
         fixture = build_fixture("cp2-attach")
-        attached = formality_verdict(fixture.model, fixture.alpha).attached
+        attached = attachment_of(fixture)
         for space in (
             model.dgca.cohomology(5),
             algebra.graded_component(4),

@@ -1,10 +1,14 @@
+import gc
+import pathlib
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sullivan import formality
 from sullivan.attachment import AlphaFunctional, AttachmentModel
-from sullivan.errors import InputError
+from sullivan.errors import InputError, IntegrityError
 from sullivan.formality import (
     FORMAL,
     INCONCLUSIVE,
@@ -13,10 +17,11 @@ from sullivan.formality import (
     formality_verdict,
 )
 from sullivan.fixtures import get_fixture, load_job, parse_job
+from sullivan.gca import Generator
 from sullivan.minimal_model import build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import hurewicz_vanishes, is_special, scaled, small_presentations
+from conftest import attachment_of, hurewicz_vanishes, is_special, scaled, small_presentations
 
 F = Fraction
 
@@ -120,7 +125,7 @@ def test_even_complex_two_spheres():
     result = even_complex_formality(A, 1, [(4, [("b12", F(1))])])
     assert result.status == FORMAL
     assert [v.status for v in result.verdicts] == [FORMAL]
-    final = result.algebras[-1]
+    final = result.final
     assert final.graded_component(2).dimension == 2
     assert final.graded_component(4).dimension == 1
     assert [str(c.representative) for c in final.graded_component(4).classes] == ["a1*a2"]
@@ -130,7 +135,7 @@ def test_even_complex_cp2():
     A = PresentedAlgebra.from_strings([("a", 2)], [], truncation=5)
     result = even_complex_formality(A, 1, [(4, [("b", F(1))])])
     assert result.status == FORMAL
-    final = result.algebras[-1]
+    final = result.final
     assert [final.graded_component(m).dimension for m in range(5)] == [1, 0, 1, 0, 1]
 
 
@@ -166,7 +171,7 @@ def test_even_complex_two_cells_sequential():
         A, 1, [(4, [("b12", F(1))]), (4, [("b1", F(1))])]
     )
     assert [v.status for v in result.verdicts] == [FORMAL, FORMAL]
-    final = result.algebras[-1]
+    final = result.final
     assert final.graded_component(4).dimension == 2
 
 
@@ -177,6 +182,66 @@ def test_even_fixture_cells():
         load_job(fx.text).algebra, fx.even_half_degree, [(section.cell, section.pairs)]
     )
     assert result.status == FORMAL
+
+
+_CHAIN = (pathlib.Path(__file__).parent / "golden" / "even_chain.job").read_text(encoding="utf-8")
+
+
+def _chain_cells():
+    return [(section.cell, section.pairs) for section in parse_job(_CHAIN).attaches]
+
+
+@pytest.mark.parametrize(
+    "cells,relations",
+    [(1, ["a1^2", "a2^2"]), (2, ["a2^2"]), (3, [])],
+)
+def test_even_chain_prefix_relations(cells, relations):
+    """Each prefix of the chain presents the cohomology it has built."""
+    result = even_complex_formality(load_job(_CHAIN).algebra, 1, _chain_cells()[:cells])
+    assert [v.status for v in result.verdicts] == [FORMAL] * cells
+    assert [str(rel) for rel in result.final.relations] == relations
+
+
+def test_even_mode_keeps_no_intermediate_presentation(monkeypatch):
+    """With the cyclic collector off, only the final presentation of the
+    three-cell chain outlives the call."""
+    synthesize = formality._synthesize_presentation
+    refs = []
+
+    def recording(*args):
+        algebra = synthesize(*args)
+        refs.append(weakref.ref(algebra))
+        return algebra
+
+    monkeypatch.setattr(formality, "_synthesize_presentation", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = even_complex_formality(load_job(_CHAIN).algebra, 1, _chain_cells())
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, result.final]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_even_slice_check_names_the_offending_stage():
+    # a degree-3 class of A is a stage-0 generator in degree 4k - 1 for k = 1
+    odd = PresentedAlgebra.from_strings([("a", 2), ("e", 3)], [], truncation=5)
+    with pytest.raises(IntegrityError, match="^stage-0 generators in degree 4k-1"):
+        formality._check_even_slices(build_minimal_model(odd, 4), 1)
+    # the wedge of two 2-spheres has stage-5 generators in degree 7 (k = 2)
+    wedge = PresentedAlgebra.from_strings(
+        [("a1", 2), ("a2", 2)], ["a1^2", "a1*a2", "a2^2"], truncation=9
+    )
+    with pytest.raises(IntegrityError, match="^stage >= 2 generators in degree 4k-1"):
+        formality._check_even_slices(build_minimal_model(wedge, 8), 2)
+
+
+def test_a_product_outside_the_model_is_an_integrity_error(cp2_attach):
+    stranger = Generator("z", 2, 0, 9)
+    with pytest.raises(IntegrityError, match=r"z.* the model$"):
+        formality._synthesize_presentation(attachment_of(cp2_attach), [stranger], 1)
 
 
 @settings(max_examples=50, deadline=None)

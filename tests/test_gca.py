@@ -14,7 +14,6 @@ from sullivan.gca import (
     generating_series_dimension,
     monomial_basis,
     monomial_codes,
-    normalize_monomial,
 )
 
 F = Fraction
@@ -40,28 +39,30 @@ def test_degree_one_generator_rejected():
 
 
 def test_odd_square_is_zero():
-    sign, mon = normalize_monomial([b, b])
-    assert sign == 0 and mon is None
+    assert (E(b) * E(b)).is_zero
+    assert (E(a) * E(b) * E(a1) * E(b)).is_zero
 
 
 def test_odd_swap_flips_sign():
-    sign, mon = normalize_monomial([c, b])
-    assert sign == -1
-    assert str(mon) == "b*c"
+    assert E(c) * E(b) == Element({Monomial(((b, 1), (c, 1))): F(-1)})
+    assert str(E(c) * E(b)) == "-b*c"
+    assert E(c) * E(a) * E(b) == -(E(b) * E(c) * E(a))
 
 
 def test_even_square():
-    sign, mon = normalize_monomial([a, a])
-    assert sign == 1
-    assert str(mon) == "a^2"
+    assert E(a) * E(a) == Element.from_monomial(Monomial.of(a, 2))
+    assert str(E(a) * E(a)) == "a^2"
 
 
 def test_normalize_is_stable():
-    sign, mon = normalize_monomial([a, b, a1])
-    again_sign, again = normalize_monomial(
-        [g for g, e in mon.powers for _ in range(e)]
-    )
-    assert (again_sign, again) == (1, mon)
+    product = E(a) * E(b) * E(a1)
+    [mon] = product.monomials()
+    assert product.coefficient(mon) == 1
+    again = Element.one()
+    for g, e in mon.powers:
+        for _ in range(e):
+            again = again * E(g)
+    assert again == product
 
 
 def test_multiply_distributes():
