@@ -16,6 +16,13 @@ list are timed by ``time.process_time``, the side that goes first alternating
 from pair to pair.  The report gives each side's median and quartiles, the
 median and quartiles of the per-pair ratio change / parent, and the number of
 pairs in which the change was faster.
+
+Each job is timed on its own as well.  Per job, the report gives each side's
+median over the passes and the number of pairs in which the change was
+faster.  The median of a side's per-job medians is how the benchmark defines
+``job_p50_s``; it is printed for each side, and so is the number of pairs in
+which the median over the jobs of that pair's job times was lower on the
+change.
 """
 
 import importlib
@@ -96,18 +103,38 @@ def main(argv) -> int:
         print(f"{workload} seed {seed}: {len(jobs)} jobs, outputs identical")
 
         times = {side: [] for side in SIDES}
+        # job_times[side][p][j]: CPU s of job j in pass p
+        job_times = {side: [] for side in SIDES}
         for i in range(pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 run_job = loaded[side].run_job
                 started = time.process_time()
+                marks = []
                 for job in jobs:
                     run_job(job)
-                times[side].append(time.process_time() - started)
+                    marks.append(time.process_time())
+                times[side].append(marks[-1] - started)
+                job_times[side].append([t - s for s, t in zip([started] + marks, marks)])
         ratios = [c / p for p, c in zip(times["parent"], times["change"])]
         for side in SIDES:
             print(f"{side:6} CPU s per pass, median [q1, q3]: {_summary(times[side])}")
         print(f"ratio change/parent, median [q1, q3]: {_summary(ratios)}")
         print(f"change faster in {sum(r < 1 for r in ratios)}/{pairs} pairs")
+
+        medians = {
+            side: [statistics.median(column) for column in zip(*job_times[side])]
+            for side in SIDES
+        }
+        for j, job in enumerate(jobs):
+            wins = sum(c[j] < p[j] for p, c in zip(job_times["parent"], job_times["change"]))
+            print(f"job {job.label:24} CPU s median parent {medians['parent'][j]:.5f} "
+                  f"change {medians['change'][j]:.5f}  change faster in {wins}/{pairs} pairs")
+        for side in SIDES:
+            print(f"{side:6} median of per-job medians (job_p50): "
+                  f"{statistics.median(medians[side]):.5f} s")
+        pair_p50 = {side: [statistics.median(row) for row in job_times[side]] for side in SIDES}
+        wins = sum(c < p for p, c in zip(pair_p50["parent"], pair_p50["change"]))
+        print(f"median job time lower on the change in {wins}/{pairs} pairs")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

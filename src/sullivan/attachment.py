@@ -338,17 +338,16 @@ class AttachmentModel:
         """
         space = self.cohomology(self.n)
         u = space.index[_U]
-        best: dict[int, Fraction] | None = None
-        for row in space.coboundaries.fraction_rows():
-            c = row.get(u)
-            if not c:
-                continue
-            body = {col: -v / c for col, v in row.items() if col != u}
-            if best is None or len(body) < len(best):
-                best = body
+        # the first of the shortest stored rows through u; only it is converted
+        best = min(
+            (row for row in space.coboundaries.rows() if u in row), key=len, default=None
+        )
         if best is None:
             return None
-        return self.base.dgca.element_of({space.keys[i]: c for i, c in best.items()})
+        c = best[u]
+        return self.base.dgca.element_of(
+            {space.keys[i]: Fraction(-v, c) for i, v in best.items() if i != u}
+        )
 
     def u_decomposable(self) -> tuple[bool, list | None]:
         """Is [u] a combination of products of positive-degree classes?"""

@@ -16,6 +16,7 @@ not be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -361,19 +362,21 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    It holds no command function: `main` looks ``cmd_<command>`` up when it
+    is called, so the parser is an input-independent constant.
+    """
     parser = _Parser(
         prog="sullivan",
         description="Minimal Sullivan models and formality of cell attachments "
         "over Q, in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p_model = sub.add_parser("model", help="build and print the bigraded model")
-    _add_common(p_model)
-    p_model.set_defaults(func=cmd_model)
-    p_attach = sub.add_parser("attach", help="attach a cell, print the cohomology")
-    _add_common(p_attach)
-    p_attach.set_defaults(func=cmd_attach)
+    _add_common(sub.add_parser("model", help="build and print the bigraded model"))
+    _add_common(sub.add_parser("attach", help="attach a cell, print the cohomology"))
     p_verdict = sub.add_parser("verdict", help="run the formality criterion")
     _add_common(p_verdict)
     p_verdict.add_argument(
@@ -382,18 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="even-complex mode with half-degree K (cells of dimension 4K)",
     )
-    p_verdict.set_defaults(func=cmd_verdict)
     p_examples = sub.add_parser("examples", help="list bundled fixtures")
     p_examples.add_argument("--json", action="store_true")
-    p_examples.set_defaults(func=cmd_examples)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        args = _parser().parse_args(argv)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

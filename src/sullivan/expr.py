@@ -9,6 +9,11 @@ The grammar (whitespace-insensitive) is the same one `Element.__str__` emits:
     factor      = identifier [ "^" integer ] ;
 
 so parsing and printing round-trip exactly.
+
+An expression is parsed in one pass: each term's factors are multiplied as
+monomials (`gca.monomial_product`), the terms are summed into one
+``{Monomial: Fraction}`` dict in order of first appearance with zero sums
+dropped, and a single `Element` is built at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ParseError
-from .gca import Element, Generator, Monomial
+from .gca import Element, Generator, Monomial, monomial_product
+
+_ONE = Fraction(1)
 
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^]))")
 
@@ -83,33 +90,46 @@ class _Parser:
         return v, col
 
     def parse(self) -> Element:
-        total = Element.zero()
+        """The whole expression, its terms summed into one dict as they are read."""
+        terms: dict[Monomial, Fraction] = {}
         sign = 1
         if self.peek()[1] == "-":
             self.take()
             sign = -1
-        total = total + self.term() * sign
-        while self.peek()[0] is not None:
+        while True:
+            coeff, mon_sign, mon = self.term()
+            if mon is not None and coeff:
+                c = coeff if sign * mon_sign > 0 else -coeff
+                old = terms.get(mon)
+                if old is not None:
+                    c += old
+                if c:
+                    terms[mon] = c
+                else:
+                    del terms[mon]
+            if self.peek()[0] is None:
+                return Element(terms)
             op, _ = self.take("op")
             if op == "+":
-                total = total + self.term()
+                sign = 1
             elif op == "-":
-                total = total - self.term()
+                sign = -1
             else:
                 self.error(f"expected '+' or '-', found {op!r}")
-        return total
 
-    def term(self) -> Element:
+    def term(self) -> tuple[Fraction, int, Monomial | None]:
+        """A term as (coefficient, sign, monomial); the monomial is None when it is zero."""
         kind, _, _ = self.peek()
         if kind == "num":
             coeff = self.rational()
-            if self.peek()[1] == "*":
-                self.take()
-                return self.monomial() * coeff
-            return Element.scalar(coeff)
-        if kind == "ident":
-            return self.monomial()
-        self.error("expected a coefficient or a generator name")
+            if self.peek()[1] != "*":
+                return coeff, 1, Monomial.unit()
+            self.take()
+        elif kind == "ident":
+            coeff = _ONE
+        else:
+            self.error("expected a coefficient or a generator name")
+        return (coeff, *self.monomial())
 
     def rational(self) -> Fraction:
         digits, col = self.take("num")
@@ -123,14 +143,20 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def monomial(self) -> Element:
-        out = self.factor()
+    def monomial(self) -> tuple[int, Monomial | None]:
+        """The product of the factors as (sign, monomial); the monomial is None when it is zero."""
+        sign, out = 1, self.factor()
         while self.peek()[1] == "*":
             self.take()
-            out = out * self.factor()
-        return out
+            right = self.factor()
+            if out is not None and right is not None:
+                s, out = monomial_product(out, right)
+                sign *= s
+            else:
+                out = None
+        return sign, out
 
-    def factor(self) -> Element:
+    def factor(self) -> Monomial | None:
         name, col = self.take("ident")
         gen = self.generators.get(name)
         if gen is None:
@@ -143,8 +169,8 @@ class _Parser:
             if exponent < 1:
                 self.error("exponents must be >= 1", ecol + 1)
         if gen.is_odd and exponent > 1:
-            return Element.zero()
-        return Element.from_monomial(Monomial.of(gen, exponent))
+            return None
+        return Monomial.of(gen, exponent)
 
 
 def parse_element(text: str, generators: Mapping[str, Generator], line: int | None = None) -> Element:

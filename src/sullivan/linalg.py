@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -200,6 +200,10 @@ class RowSpace:
             row = self._rows[c]
             add_scaled(v, -v[c] / row[c], row)
         return v
+
+    def rows(self) -> Iterator[dict[int, int]]:
+        """The stored primitive integer rows, in increasing pivot order; read them only."""
+        return (self._rows[p] for p in self._pivots)
 
     def fraction_rows(self) -> list[dict[int, Fraction]]:
         """The canonical reduced rows, normalised to leading coefficient 1."""

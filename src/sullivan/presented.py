@@ -176,23 +176,20 @@ def validate_presentation(algebra: PresentedAlgebra) -> list[str]:
             problems.append(f"generator {g.name!r} has degree {g.degree} < 2")
     min_degree = min(degrees, default=0)
     for i, rel in enumerate(algebra.relations):
-        label = f"relation #{i + 1} ({rel})"
-        if rel.is_zero:
-            problems.append(f"{label}: zero relation")
-            continue
-        if not rel.is_homogeneous:
-            problems.append(
-                f"{label}: inhomogeneous (degrees {sorted(rel.degrees())})"
-            )
-            continue
-        d = rel.homogeneous_degree()
-        if d < 2 * min_degree:
-            problems.append(
-                f"{label}: degree {d} lies in the indecomposable range "
-                f"(below {2 * min_degree})"
-            )
-        if d > algebra.truncation:
-            problems.append(
-                f"{label}: degree {d} exceeds the truncation {algebra.truncation}"
-            )
+        found = []
+        rel_degrees = rel.degrees()
+        if not rel_degrees:
+            found.append("zero relation")
+        elif len(rel_degrees) > 1:
+            found.append(f"inhomogeneous (degrees {sorted(rel_degrees)})")
+        else:
+            (d,) = rel_degrees
+            if d < 2 * min_degree:
+                found.append(
+                    f"degree {d} lies in the indecomposable range (below {2 * min_degree})"
+                )
+            if d > algebra.truncation:
+                found.append(f"degree {d} exceeds the truncation {algebra.truncation}")
+        # the relation is printed only when it has a problem to report
+        problems += [f"relation #{i + 1} ({rel}): {problem}" for problem in found]
     return problems

@@ -791,6 +791,42 @@ def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):
         assert cli.main(["examples"]) == 70
 
 
+def _in_process(argv):
+    """(stdout, stderr, exit code) of one `cli.main` call in this process."""
+    from sullivan import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch):
+    from sullivan import cli
+
+    job = tmp_path / "sphere.job"
+    job.write_text("algebra:\n  gen a 2\n  rel a^2\n", encoding="utf-8")
+    calls = [
+        ["verdict", "--fixture", "even-4k"],
+        ["verdict", "--fixture", "cp2-attach", "--json"],
+        ["model", "--input", str(job), "--truncation", "6"],
+        ["attach", "--fixture", "cp2-attach"],
+        ["examples"],
+        ["model", "--bogus-flag"],
+        ["--help"],
+    ]
+    first = [_in_process(argv) for argv in calls]
+    assert [code for _, _, code in first] == [0, 0, 0, 0, 0, 64, 0]
+    assert (GOLDEN / "verdict_even4k.txt").read_text(encoding="utf-8") == first[0][0]
+    assert "unrecognized arguments: --bogus-flag" in first[5][1]
+    assert first[6][0].startswith("usage: sullivan")
+    for i in reversed(range(len(calls))):
+        assert _in_process(calls[i]) == first[i], calls[i]
+
+    monkeypatch.setattr(cli, "cmd_examples", lambda args: 42)
+    assert _in_process(["examples"]) == ("", "", 42)
+
+
 def _wedge_cell_job(tmp_path, n=8, seed=8):
     """An input file: an n-cell on the wedge of three 2-spheres, alpha drawn from a seed."""
     import random

@@ -53,26 +53,61 @@ def test_unknown_generator_reports_column():
         parse_element("a1*zz", GENS)
     assert "zz" in str(err.value)
     assert err.value.column == 4
+    for text, name, column in [("2*b*zz^2", "zz", 5), ("zz", "zz", 1), ("b^2 - 3*q", "q", 9)]:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS, 7)
+        assert str(err.value) == f"unknown generator {name!r} (line 7, column {column})"
 
 
 def test_trailing_operator_rejected():
     with pytest.raises(ParseError):
         parse_element("a1 +", GENS)
+    for text in ("a1 +", "a1 -", "-"):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS)
+        assert str(err.value) == "expected a coefficient or a generator name"
+    for text in ("a1*", "3/", "a1^"):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS)
+        assert str(err.value) == "unexpected end of expression"
+    for text, message in [
+        ("a1 / 2", "expected '+' or '-', found '/' (column 6)"),
+        ("a1 b", "expected op, found 'b' (column 4)"),
+        ("+a1", "expected a coefficient or a generator name (column 1)"),
+        ("^2", "expected a coefficient or a generator name (column 1)"),
+        ("a1^0", "exponents must be >= 1 (column 4)"),
+        ("1/0", "zero denominator (column 3)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS)
+        assert str(err.value) == message
 
 
 def test_number_after_star_rejected():
     with pytest.raises(ParseError):
         parse_element("a1*3", GENS)
+    for text, message in [
+        ("a1*3", "expected ident, found '3' (column 4)"),
+        ("2*3", "expected ident, found '3' (column 3)"),
+        ("a1^b", "expected num, found 'b' (column 4)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS)
+        assert str(err.value) == message
 
 
 def test_empty_expression_rejected():
-    with pytest.raises(ParseError):
-        parse_element("   ", GENS)
+    for text in ("   ", "", "\t"):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS, 3)
+        assert str(err.value) == "empty expression (line 3)"
 
 
 def test_stray_character_rejected():
-    with pytest.raises(ParseError):
-        parse_element("a1 @ b", GENS)
+    for text, char, column in [("a1 @ b", "@", 3), ("a1 . b", ".", 3), ("\u00e9", "\u00e9", 1)]:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, GENS)
+        assert str(err.value) == f"unexpected character {char!r} (column {column})"
 
 
 def test_parse_rational():
@@ -83,6 +118,60 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the parse equals the same expression built from Element arithmetic
+
+ORACLE_GENS = {**GENS, "a2": Generator("a2", 4, index=3), "d": Generator("d", 5, index=4)}
+
+# a factor is (name, exponent), exponent None when it is not written
+_FACTORS = st.tuples(st.sampled_from(sorted(ORACLE_GENS)), st.one_of(st.none(), st.integers(1, 3)))
+# a term is (coefficient, factors): the coefficient is None when it is not
+# written, else (numerator, denominator or None); no factors is a scalar
+_COEFFICIENTS = st.one_of(
+    st.none(), st.tuples(st.integers(0, 12), st.one_of(st.none(), st.integers(1, 6)))
+)
+_TERMS = st.tuples(_COEFFICIENTS, st.lists(_FACTORS, max_size=5)).filter(
+    lambda term: term[0] is not None or term[1]
+)
+
+
+@st.composite
+def _expressions(draw):
+    """Signed terms; some repeat an earlier term with the opposite sign."""
+    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), _TERMS), min_size=1, max_size=6))
+    for i in draw(st.lists(st.integers(0, len(terms) - 1), max_size=3)):
+        sign, term = terms[i]
+        terms.append((-sign, term))
+    return terms
+
+
+def _term_text(term):
+    coeff, factors = term
+    words = [] if coeff is None else [str(coeff[0]) + ("" if coeff[1] is None else f"/{coeff[1]}")]
+    words += [name + ("" if e is None else f"^{e}") for name, e in factors]
+    return "*".join(words)
+
+
+def _term_element(term):
+    coeff, factors = term
+    out = Element.one() if coeff is None else Element.scalar(F(coeff[0], coeff[1] or 1))
+    for name, e in factors:
+        for _ in range(e or 1):
+            out = out * Element.from_generator(ORACLE_GENS[name])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_parse_element_matches_element_arithmetic(terms):
+    text = ("-" if terms[0][0] < 0 else "") + _term_text(terms[0][1])
+    expected = _term_element(terms[0][1]) * terms[0][0]
+    for sign, term in terms[1:]:
+        text += f" {'+' if sign > 0 else '-'} {_term_text(term)}"
+        expected = expected + _term_element(term) if sign > 0 else expected - _term_element(term)
+    assert parse_element(text, ORACLE_GENS) == expected
 
 
 # ---------------------------------------------------------------------------
