@@ -22,7 +22,10 @@ median over the passes and the number of pairs in which the change was
 faster.  The median of a side's per-job medians is how the benchmark defines
 ``job_p50_s``; it is printed for each side, and so is the number of pairs in
 which the median over the jobs of that pair's job times was lower on the
-change.
+change.  Last come each side's sum over the jobs of the job's minimum time
+and the ratio change / parent of those sums.  A minimum is reached in a fast
+spell of the machine, so that sum holds up better than the medians when the
+machine's speed swings during the run.
 """
 
 import importlib
@@ -135,6 +138,10 @@ def main(argv) -> int:
         pair_p50 = {side: [statistics.median(row) for row in job_times[side]] for side in SIDES}
         wins = sum(c < p for p, c in zip(pair_p50["parent"], pair_p50["change"]))
         print(f"median job time lower on the change in {wins}/{pairs} pairs")
+        minima = {side: sum(map(min, zip(*job_times[side]))) for side in SIDES}
+        for side in SIDES:
+            print(f"{side:6} sum of per-job CPU minima: {minima[side]:.5f} s")
+        print(f"ratio of the sums change/parent: {minima['change'] / minima['parent']:.4f}")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -47,6 +47,7 @@ LAYERS = {
     "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
     "minimal_model._kill_step": minimal_model._kill_step,
+    "linalg.solve_rows": linalg.solve_rows,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
     "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,

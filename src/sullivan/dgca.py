@@ -113,7 +113,10 @@ from .gca import Element, Generator, Monomial, monomial_codes
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
 # module name bound to it and requires this binding.
 from .gca import monomial_basis  # noqa: F401
-from .linalg import RowSpace, add_scaled, kernel_rref, solve_in_span
+from .linalg import RowSpace, add_scaled, kernel_rref, solve_rows
+# Not called here: perfbench/layertrace.py wraps solve_in_span under every
+# module name bound to it and requires this binding.
+from .linalg import solve_in_span  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -226,10 +229,14 @@ class FreeDGCA:
         new ones take the next positions in their sorted order, and a code may
         use any old or new position.  Every term of d(g) must have degree
         |g| + 1, and its code increasing positions.  A refused batch leaves
-        the complex unchanged.  The keys and cohomology of every degree at or
-        above the smallest new degree are dropped; code positions stay
-        stable, and the records of H^k follow the rules of the module
-        docstring.
+        the complex unchanged.  The cohomology of every degree at or above
+        the smallest new degree, low, is dropped; code positions stay stable,
+        and the records of H^k follow the rules of the module docstring.
+        Every degree is at least 2, so a product with a new generator has
+        degree at least low + 2, and a new one-factor code sorts after every
+        other code of its degree.  So the code tables of degrees below
+        low + 2 are kept, with the new one-factor codes appended to new
+        lists, and only those from low + 2 on are dropped.
 
         ``kills`` is given by a caller that vouches for a kill step: every new
         generator has one degree k - 1, and the d(g) are representatives of
@@ -298,7 +305,14 @@ class FreeDGCA:
         self._degree, self._odd, self._below = degree, odd, below
         self._d_codes += d_codes
         low = new[0].degree
-        del self._codes[low:]
+        # see the docstring; a kept entry is replaced, never appended to in
+        # place, since keys(m) and renamed() share its lists
+        del self._codes[low + 2 :]
+        for m in range(low, len(self._codes)):
+            ones = [p for p in range(count - len(new), count) if degree[p] == m]
+            if ones:
+                codes, firsts = self._codes[m]
+                self._codes[m] = (codes + [((p, 1),) for p in ones], firsts + ones)
         for m in [m for m in self._cohomology_cache if m >= low]:
             del self._cohomology_cache[m]
         self._update_records(new, [terms for _, terms in layer], count - len(new), kills)
@@ -434,33 +448,36 @@ class FreeDGCA:
         factor g: the keys of the factor g^e hold g^(e-1), those of any
         other factor hold g^e or more, and distinct terms of d(g) give
         distinct keys.  Each factor's terms are stored as they come, scaled
-        by its sign times its exponent only when that is not 1, as
-        ``c * scale``: no ``0 + c`` and no ``int * c`` takes `Fraction`'s
-        slow reflected path.
+        by its sign times its exponent only when that is not 1: negated as
+        ``-c`` when it is -1, which skips the gcd that ``Fraction * int``
+        pays for, and otherwise as ``c * scale``.  No ``0 + c`` and no
+        ``int * c`` takes `Fraction`'s slow reflected path.  The odd
+        positions of the prefix grow in one list as the factors go by.
         """
         odd, d_codes, below = self._odd, self._d_codes, self._below
         out: dict[tuple, int | Fraction] = {}
         parity = 0  # parity of the degree of the factors before position i
+        left = []  # the odd positions of the factors before position i
         for i, (p, e) in enumerate(code):
             dg = d_codes[p]
             if dg:
-                prefix = code[:i]
                 rest = code[i + 1 :] if e == 1 else ((p, e - 1), *code[i + 1 :])
                 scale = -e if parity else e
-                if below[p] and not prefix:
+                if below[p] and not i:
                     terms = [(t + rest, c) for t, _, c in dg]
+                elif below[p]:
+                    terms = code_products(dg, code[:i], left, tail=rest)
                 else:
-                    left = [q for q, _ in prefix if odd[q]]
-                    if below[p]:
-                        terms = code_products(dg, prefix, left, tail=rest)
-                    else:
-                        right = [q for q, _ in rest if odd[q]]
-                        terms = code_products(dg, prefix + rest, left, right)
-                if scale != 1:
+                    right = [q for q, _ in rest if odd[q]]
+                    terms = code_products(dg, code[:i] + rest, left, right)
+                if scale == -1:
+                    terms = [(key, -c) for key, c in terms]
+                elif scale != 1:
                     terms = [(key, c * scale) for key, c in terms]
                 out.update(terms)  # no key of an earlier factor: see the docstring
             if odd[p]:
                 parity ^= e & 1
+                left.append(p)
         return out
 
     def verify_d_squared(self) -> tuple[Generator, Element] | None:
@@ -784,7 +801,10 @@ def decomposition(
                     products.append((product.coordinates, c1, c2))
     if not products:
         return [] if cls.is_zero else None
-    coeffs = solve_in_span([vec for vec, _, _ in products], cls.coordinates)
-    if coeffs is None:
+    solutions = solve_rows(
+        [{i: c for i, c in enumerate(vec) if c} for vec, _, _ in products],
+        [{i: c for i, c in enumerate(cls.coordinates) if c}],
+    )
+    if solutions is None:
         return None
-    return [(c, c1, c2) for c, (_, c1, c2) in zip(coeffs, products) if c]
+    return [(c, products[j][1], products[j][2]) for j, c in solutions[0].items()]

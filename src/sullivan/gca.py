@@ -299,8 +299,12 @@ def monomial_codes(
     ``table`` lists, for degrees 0, 1, ... in turn, the codes of that degree
     and their first positions.  A caller keeps it between calls, and the
     degrees it lacks are appended to it in place, so each degree is
-    enumerated once.  Its entries must come from the same generators: a
-    caller that adds generators of degree k deletes the entries from k on.
+    enumerated once.  Its entries must come from the same generators.  A
+    caller that adds generators, the lowest of degree k, deletes the entries
+    from k + 2 on, and appends each new generator's one-factor code to the
+    entry of its degree below that: every degree is at least 2, so each
+    other new code has degree k + 2 or more, and a one-factor code at a new,
+    higher position sorts last in its degree.
     """
     if degree < 0:
         return []

@@ -4,8 +4,12 @@ All arithmetic is arbitrary-precision rational; there is no floating point
 anywhere in the package.  `RowSpace` is the engine: a Gauss-Jordan
 accumulator over sparse integer rows, which is what keeps the big, very
 sparse differential slices cheap.  Rows handed to it are ``{column: value}``
-dicts; values may be ints or Fractions.  `kernel_rref`, `solve_in_span` and
-`intersect_spans` are built on it.
+dicts; values may be ints or Fractions.  `kernel_rref`, `solve_rows`,
+`solve_in_span` and `intersect_spans` are built on it.  `solve_rows` writes
+several sparse targets over one sparse basis from a single elimination, one
+augmented column per target.  `solve_in_span` solves one dense target; its
+only library caller left is `minimal_model.preimage_in_v0_v1`, which no
+construction calls and `perfbench/layertrace.py` requires.
 
 A row of a reduced row-echelon form has no entry left of its pivot, so a
 new pivot p can occur only in the rows whose pivots lie below p: those are
@@ -300,6 +304,47 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Vector | None:
         if aug in row:
             coeffs[p] = Fraction(row[aug], row[p])
     return tuple(coeffs)
+
+
+def solve_rows(
+    basis: Sequence[Mapping[int, Fraction | int]],
+    targets: Sequence[Mapping[int, Fraction | int]],
+) -> list[dict[int, Fraction]] | None:
+    """Each target as a combination of the basis rows, or None if one is outside their span.
+
+    Rows are sparse ``{coordinate: value}`` dicts.  The transposed system
+    [basis^T | targets^T], with one column per basis row and then one per
+    target, is eliminated once.  The RREF of that system restricted to the
+    basis columns is the RREF of basis^T, however many target columns ride
+    along; a target column holds a pivot exactly when its target is outside
+    the span.  Each solution is the canonical one, with every free coefficient
+    zero, as ``{basis index: c}`` in increasing index with no zero entries:
+    the entry at the pivot row of basis index p is row[target] / row[p], which
+    does not depend on the scaling of the row.
+
+    >>> solve_rows([{0: 2, 1: 4}, {1: 1}], [{0: 1, 1: 2}, {1: 3}, {}])
+    [{0: Fraction(1, 2)}, {1: Fraction(3, 1)}, {}]
+    >>> solve_rows([{0: 1}], [{1: 1}]) is None
+    True
+    """
+    k = len(basis)
+    transposed: dict[int, dict[int, Fraction | int]] = {}
+    for i, row in enumerate([*basis, *targets]):
+        for j, v in row.items():
+            if v:
+                transposed.setdefault(j, {})[i] = v
+    space = RowSpace(transposed.values())
+    pivots = space._pivots
+    if pivots and pivots[-1] >= k:
+        return None
+    out: list[dict[int, Fraction]] = [{} for _ in targets]
+    for p in pivots:
+        row = space._rows[p]
+        lead = row[p]
+        for col, v in row.items():
+            if col >= k:
+                out[col - k][p] = Fraction(v, lead)
+    return out
 
 
 def intersect_spans(

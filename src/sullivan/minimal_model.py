@@ -48,6 +48,15 @@ no kernel, reduction or second elimination.  A target's stage is one more
 than the largest stage among its columns, and `FreeDGCA.extend_codes` checks
 each term of the layer against the keys of degree m + 1.
 
+The stage-1 layer needs cochains, not classes: each of its RREF rows, a
+combination of pure classes, is written as a combination of the pure
+monomials whose classes those are, and that combination is d of the new
+stage-1 generator.  `linalg.solve_rows` does the whole layer at once: it
+eliminates the transposed pure-class rows, one sparse row per pure monomial,
+with one augmented column per stage-1 row, and reads each row's canonical
+solution (every free coefficient zero) off the one reduced form.  The
+solution lists the pure monomials in key order, so each d(g) does too.
+
 The construction keeps one `FreeDGCA` and extends it: with the stage-0
 generators of degree m, then with the stage-1 and higher-stage layers in one
 batch, the kill step of H^(m+1).  Each batch sorts after every generator
@@ -86,10 +95,9 @@ from typing import Mapping, Sequence
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis
 from .dgca import CohomologySpace, FreeDGCA
-from .linalg import RowSpace, intersect_spans, solve_in_span
+from .linalg import RowSpace, intersect_spans, solve_in_span, solve_rows
 from .presented import PresentedAlgebra, validate_presentation
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -274,12 +282,12 @@ def _kill_step(
 
     staged = []
     if pure_kernel:
-        pure_vectors = [tuple([row.get(i, _ZERO) for i in range(h)]) for row in pure_rows]
-        for row in pure_kernel:
-            coeffs = solve_in_span(pure_vectors, tuple([row.get(i, _ZERO) for i in range(h)]))
-            if coeffs is None:
-                raise IntegrityError("pure kernel class lost its pure representative")
-            staged.append((1, {code: c for code, c in zip(pure_codes, coeffs) if c}))
+        # every stage-1 row over the pure monomials, from one elimination
+        solutions = solve_rows(pure_rows, pure_kernel)
+        if solutions is None:
+            raise IntegrityError("pure kernel class lost its pure representative")
+        for coeffs in solutions:
+            staged.append((1, {pure_codes[j]: c for j, c in coeffs.items()}))
     for row in rest:
         dg, top = {}, 0
         for j, c in h_space.combination(row).items():
@@ -343,7 +351,7 @@ def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: Present
 
 # Not called here: perfbench/layertrace.py wraps preimage_in_v0_v1 and
 # requires this binding.  It is the only caller of this module's
-# monomial_basis import, which the tracer also requires.
+# monomial_basis and solve_in_span imports, which the tracer also requires.
 def preimage_in_v0_v1(
     model: FreeDGCA, gens: Sequence[Generator], pure: Element, m: int
 ) -> Element | None:

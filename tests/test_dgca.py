@@ -306,8 +306,10 @@ def _d_code_branches(D, mon):
         dg = D._d_codes[p]
         if not dg:
             continue
-        if scale != 1:
-            out.add("scale is not 1")
+        if scale == -1:
+            out.add("scale is -1")
+        elif scale != 1:
+            out.add("scale is neither 1 nor -1")
         if not D._below[p]:
             out.add("general merge")
         elif i == 0:
@@ -356,7 +358,8 @@ def test_d_monomial_matches_reference_leibniz():
         "below, empty prefix",
         "below, merged with the prefix",
         "below, a term killed by a repeated odd factor",
-        "scale is not 1",
+        "scale is -1",
+        "scale is neither 1 nor -1",
     }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sullivan import linalg
 from sullivan.errors import InputError
-from sullivan.linalg import RowSpace, kernel_rref, solve_in_span
+from sullivan.linalg import RowSpace, kernel_rref, solve_in_span, solve_rows
 
 F = Fraction
 
@@ -416,6 +416,101 @@ def test_solve_in_span_matches_sympy(problem):
     # the canonical solution sets every free coefficient to zero
     expected = solution.subs({p: 0 for p in params})
     assert got == tuple(F(int(v.p), int(v.q)) for v in expected)
+
+
+@st.composite
+def solve_rows_problems(draw):
+    """Sparse basis rows over n coordinates and several targets.
+
+    The basis may be empty and may hold duplicate rows, empty rows and rows
+    whose entries are all explicit zeros; entries are ints and Fractions of
+    every size.  Each target is a combination of the basis rows, an empty or
+    all-zero row, or a random row, which may lie outside the span.
+    """
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), kernel_entries)
+    row = st.dictionaries(st.integers(0, n - 1), entries, max_size=n)
+    basis = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "duplicate", "zero"]))
+        if kind == "duplicate" and basis:
+            basis.append(dict(draw(st.sampled_from(basis))))
+        elif kind == "zero":
+            basis.append(draw(st.sampled_from([{}, {draw(st.integers(0, n - 1)): 0}])))
+        else:
+            basis.append(draw(row))
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["combination", "combination", "zero", "random"]))
+        if kind == "combination":
+            target = {}
+            for b in basis:
+                linalg.add_scaled(target, draw(kernel_entries), {c: F(v) for c, v in b.items()})
+        elif kind == "zero":
+            target = draw(st.sampled_from([{}, {0: 0}, {n - 1: F(0)}]))
+        else:
+            target = draw(row)
+        targets.append(target)
+    return basis, targets, n
+
+
+def _dense(row, n):
+    return tuple(F(row.get(j, 0)) for j in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_rows_problems())
+def test_solve_rows_matches_solve_in_span(problem):
+    basis, targets, n = problem
+    got = solve_rows(basis, targets)
+    dense_basis = [_dense(b, n) for b in basis]
+    expected = [solve_in_span(dense_basis, _dense(t, n)) for t in targets]
+    # None exactly when some target is outside the span
+    if any(coeffs is None for coeffs in expected):
+        assert got is None
+        return
+    assert got == [{i: c for i, c in enumerate(coeffs) if c} for coeffs in expected]
+    for solution, target in zip(got, targets):
+        assert list(solution) == sorted(solution)
+        assert all(type(c) is F and c for c in solution.values())
+        rebuilt = {}
+        for i, c in solution.items():
+            linalg.add_scaled(rebuilt, c, basis[i])
+        assert rebuilt == {j: v for j, v in target.items() if v}
+
+
+@settings(max_examples=100, deadline=None)
+@given(solve_rows_problems())
+def test_solve_rows_matches_sympy(problem):
+    basis, targets, n = problem
+    got = solve_rows(basis, targets)
+    if not basis:
+        # no unknowns: only zero targets are solvable, each by the empty combination
+        assert got == (None if any(any(t.values()) for t in targets) else [{}] * len(targets))
+        return
+    columns = _sympy_matrix(basis, n).T
+    expected = []
+    for target in targets:
+        rhs = _sympy_matrix([{0: target.get(j, 0)} for j in range(n)], 1)
+        try:
+            solution, params = columns.gauss_jordan_solve(rhs)
+        except ValueError:  # sympy: the system is inconsistent
+            assert got is None
+            return
+        # the canonical solution sets every free coefficient to zero
+        canonical = solution.subs({p: 0 for p in params})
+        expected.append(_fractions(canonical))
+    assert got == expected
+
+
+def test_solve_rows_edges():
+    assert solve_rows([], []) == []
+    assert solve_rows([], [{}, {2: 0}]) == [{}, {}]
+    assert solve_rows([], [{0: 1}]) is None
+    assert solve_rows([{0: 2}, {}, {0: 2}], [{0: 3}, {}]) == [{0: F(3, 2)}, {}]
+    # one inconsistent target makes the whole call None
+    assert solve_rows([{0: 1, 1: 1}], [{0: 2, 1: 2}, {0: 1}]) is None
+    assert solve_rows([{0: F(1, 3)}, {1: 1}], [{0: 1, 1: F(-1, 2)}]) == [{0: F(3), 1: F(-1, 2)}]
 
 
 @settings(max_examples=100, deadline=None)

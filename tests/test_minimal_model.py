@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sullivan import minimal_model
+from sullivan import dgca, minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, IntegrityError, TruncationError
 from sullivan.fixtures import fixture_ids, get_fixture, load_job
-from sullivan.gca import Element, Generator, Monomial, monomial_basis
+from sullivan.gca import Element, Generator, Monomial, monomial_basis, monomial_codes
 from sullivan.minimal_model import (
     BigradedModel,
     _rho_of,
@@ -703,6 +703,81 @@ def test_extending_a_renamed_model_leaves_its_source_unchanged(model):
     after = copy.deepcopy(renamed._records)
     source.extend([Generator("z", top.degree, top.stage + 1, top.index + 1)], {})
     assert renamed._records == after
+
+
+# ---------------------------------------------------------------------------
+# the code tables a complex keeps through its extensions
+
+
+def _fresh_code_table(D):
+    """The code tables of D's degrees so far, enumerated afresh over its generators."""
+    table = []
+    monomial_codes(D._degree, D._odd, len(D._codes) - 1, table)
+    return table
+
+
+def _check_code_tables_after_build_rename_and_extend(model):
+    for D in (model.dgca, model.algebra):
+        assert D._codes == _fresh_code_table(D)
+    source = model.dgca
+    before = copy.deepcopy(source._codes)
+    renamed = model.rename({g.name: f"r_{g.name}" for g in model.generators}).dgca
+    # every degree tabled, and the keys handed out held, before the extension
+    held = {m: renamed.keys(m) for m in range(renamed.truncation + 2)}
+    copies = {m: list(keys) for m, keys in held.items()}
+    top = renamed.gens[-1]
+    z = Generator("z", top.degree, top.stage + 1, top.index + 1)
+    w = Generator("w", top.degree + 1, top.stage + 1, top.index + 2)
+    renamed.extend([z, w], {})
+    assert renamed._codes == _fresh_code_table(renamed)
+    assert len(renamed._codes) == min(top.degree + 2, len(before))
+    for m in range(renamed.truncation + 2):
+        renamed.keys(m)
+    assert renamed._codes == _fresh_code_table(renamed)
+    assert held == copies
+    assert source._codes == before
+
+
+def test_code_tables_match_a_fresh_enumeration_fixtures():
+    for fixture_id in fixture_ids():
+        algebra, n = _fixture_algebra(fixture_id)
+        _check_code_tables_after_build_rename_and_extend(build_minimal_model(algebra, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(built_wedge_and_dense_models())
+def test_code_tables_match_a_fresh_enumeration_wedge_and_dense(model):
+    _check_code_tables_after_build_rename_and_extend(model)
+
+
+def test_a_build_enumerates_each_degree_once_per_complex(monkeypatch):
+    enumerate_codes = dgca.monomial_codes
+
+    def check(algebra, n):
+        tables = {}  # id(table) -> (table, the degrees enumerated into it)
+
+        def counting(degrees, odd, degree, table):
+            before = len(table)
+            out = enumerate_codes(degrees, odd, degree, table)
+            tables.setdefault(id(table), (table, []))[1].extend(range(before, len(table)))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dgca, "monomial_codes", counting)
+            build_minimal_model(algebra, n)
+        assert tables
+        for _, degrees in tables.values():
+            assert len(degrees) == len(set(degrees)), degrees
+
+    for fixture_id in fixture_ids():
+        check(*_fixture_algebra(fixture_id))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kill_step_problems())
+    def random(problem):
+        check(*problem[:2])
+
+    random()
 
 
 def test_rename_refuses_to_reorder_generators():
