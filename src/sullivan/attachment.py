@@ -8,8 +8,10 @@ yields the complex whose underlying space is Lambda(V) (+) Q.u with
 
 On monomials of word length >= 2 the twisted differential agrees with the
 model differential, because the u-contributions are annihilated by the
-product rules.  The complex is not free, so elements are represented as an
-explicit pair (body in Lambda(V), u-coefficient).
+product rules.  The model's d is minimal, so no d(v) has a linear part for
+alpha to pair with, and d_tw^2 = 0 exactly when d^2 = 0.  The complex is not
+free, so elements are represented as an explicit pair (body in Lambda(V),
+u-coefficient).
 
 The twisted complex equals the base model in every degree but n - 1 and n,
 so its cohomology is read off the base model's, with no elimination.  d_tw^2
@@ -261,18 +263,12 @@ class AttachmentModel:
     def verify_d_squared(self) -> Generator | None:
         """The first generator g with d_tw(d_tw g) != 0, or None.
 
-        d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, so this is the
-        base model's d^2 check plus alpha on the linear part of every dg,
-        read off the code table of d(g) and summed over the terms alpha holds.
+        d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, and the base
+        model's d is minimal, so no d(g) has a linear part for alpha to pair
+        with: this is the base model's d^2 check.
         """
         bad = self.base.dgca.verify_d_squared()
-        alpha = self._alpha_on_keys
-        for g, dg in self.base.dgca.d_codes():
-            if bad is not None and g == bad[0]:
-                return g
-            if sum(alpha[code] * c for code, _, c in dg if code in alpha):
-                return g
-        return None
+        return None if bad is None else bad[0]
 
     # --- cohomology ---------------------------------------------------------
     def cohomology(self, m: int) -> CohomologySpace:

@@ -1,10 +1,14 @@
 """Free differential graded-commutative algebras and their cohomology.
 
 A `FreeDGCA` is a free graded-commutative algebra with a degree +1
-differential given on generators and extended by the Leibniz rule.  All
-statements about degree m require generator data through degree m and
-differential targets through m + 1; operations refuse to answer beyond the
-declared truncation instead of silently truncating.
+differential given on generators and extended by the Leibniz rule.  The
+differential is minimal: d(V) lies in the decomposables, so no d(g) has a
+linear term, and the complex refuses one wherever it grows.  Every complex
+the package builds is such: a minimal model, a presented algebra (zero
+differential) and the complexes of even mode.  All statements about degree m
+require generator data through degree m and differential targets through
+m + 1; operations refuse to answer beyond the declared truncation instead of
+silently truncating.
 
 Cohomology in each degree is computed by exact linear algebra, with the
 canonical class representatives fixed by a reduced row-echelon form (RREF).
@@ -69,20 +73,17 @@ pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
 monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
-new generator and its d(g) as codes, checking the degree of every term and
-that the positions of every code increase, or, in a kill step, that every
-term is a key of degree |g| + 1;
-`keys(m)` enumerates the codes of degree m over those tables
-(`gca.monomial_codes`), and d of a monomial is a merge of small int tuples
-with the Koszul sign counted from odd positions (`code_products`, which also
-multiplies out the ideal slices of a presented algebra).  In a minimal model
-every term of d(g) lies at positions below g's: it has word length at least
-2 and every degree is at least 2, so each of its factors has degree below
-|g|, and generators sort by degree first.  Then d of a factor g of a monomial
-only merges each term into the factors before g and appends the factors
-from g on (`_d_code`).  `extend` accepts any d, linear terms and terms at
-higher positions included, so the general merge stays for the generators
-whose d does not lie below them.
+new generator and its d(g) as codes, checking the degree of every term, that
+the positions of every code increase and that no term is linear, or, in a
+kill step, that every term is a key of degree |g| + 1; `keys(m)` enumerates
+the codes of degree m over those tables (`gca.monomial_codes`), and d of a
+monomial is a merge of small int tuples with the Koszul sign counted from odd
+positions (`code_products`, which also multiplies out the ideal slices of a
+presented algebra).  Since d is minimal, every term of d(g) lies at positions
+below g's: it has word length at least 2 and every degree is at least 2, so
+each of its factors has degree below |g|, and generators sort by degree
+first.  So d of a factor g of a monomial only merges each term into the
+factors before g and appends the factors from g on (`_d_code`).
 
 The codes are the only form in which a `FreeDGCA` keeps its differential:
 d(g) is read as `d_monomial` of the one-factor monomial g.  `Element`,
@@ -122,28 +123,25 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def code_products(terms, base: tuple, left, right=(), tail: tuple = ()) -> list:
+def code_products(terms, base: tuple, left, tail: tuple = ()) -> list:
     """Each term t of ``terms`` multiplied into the code ``base``, as (code, coefficient) pairs.
 
     ``terms`` holds (code, odd positions, coefficient) triples.  t stands
-    between the factors of ``base`` with the odd positions ``left`` and those
-    with the odd positions ``right``; every position of ``tail`` lies above
-    t's.  The product's code is t merged into ``base``, then ``tail``; its
-    Koszul sign counts the odd factors of t passing those of ``left`` and
-    ``right``, and an odd factor in both t and ``base`` kills the term.
+    after the factors of ``base``, whose odd positions are ``left``, and
+    before those of ``tail``, every position of which lies above t's.  The
+    product's code is t merged into ``base``, then ``tail``; its Koszul sign
+    counts the odd factors of t passing those of ``left``, and an odd factor
+    in both t and ``base`` kills the term.
     """
     n = len(base)
     out = []
     for t, t_odds, c in terms:
         inversions = 0
         for q in t_odds:
-            if q in left or q in right:
+            if q in left:
                 break  # an odd factor repeats
             for x in left:
                 if x > q:
-                    inversions += 1
-            for z in right:
-                if z < q:
                     inversions += 1
         else:
             merged = []
@@ -187,8 +185,6 @@ class FreeDGCA:
         self._degree: list[int] = []
         self._odd: list[bool] = []
         self._d_codes: list[tuple] = []
-        # whether every term of d(g) lies at positions below g's; see _d_code
-        self._below: list[bool] = []
         # (position, exponent) -> (generator, exponent): one pair object shared
         # by every decoded monomial
         self._pairs: dict[tuple[int, int], tuple[Generator, int]] = {}
@@ -228,8 +224,12 @@ class FreeDGCA:
         The generators, in any order, must sort after every existing one; the
         new ones take the next positions in their sorted order, and a code may
         use any old or new position.  Every term of d(g) must have degree
-        |g| + 1, and its code increasing positions.  A refused batch leaves
-        the complex unchanged.  The cohomology of every degree at or above
+        |g| + 1, its code increasing positions, and no term may be linear.
+        Every degree is at least 2 and generators sort by degree first, so
+        every factor of a longer term sorts before g, and a linear term, of
+        degree |g| + 1, after it: a term is linear exactly when its last
+        position is not below g's.  A refused batch leaves the complex
+        unchanged.  The cohomology of every degree at or above
         the smallest new degree, low, is dropped; code positions stay stable,
         and the records of H^k follow the rules of the module docstring.
         Every degree is at least 2, so a product with a new generator has
@@ -246,7 +246,9 @@ class FreeDGCA:
         degree k, which `cohomology(k).index` answers in one lookup.  That is
         stricter than the check of each (position, exponent) pair that every
         other batch gets: a key also has no odd generator twice, and it uses
-        only old positions, so every term lies below its generator.
+        only old positions.  The new generators sort after every old one, so
+        no old generator has degree k, no key of degree k is linear, and
+        every term lies below its generator.
         """
         layer = sorted(layer, key=lambda pair: pair[0].sort_key())
         if not layer:
@@ -266,7 +268,6 @@ class FreeDGCA:
         count = len(self.gens) + len(new)
         degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
-        below = list(self._below)
         d_codes = []
         odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
         for position, (g, terms) in enumerate(layer, len(self.gens)):
@@ -275,7 +276,6 @@ class FreeDGCA:
                     f"d({g.name}) has a term that is not a monomial of degree {g.degree + 1}"
                 )
             triples = []
-            top = -1  # the highest position in d(g)
             for code, c in terms.items():
                 if keyed is None:
                     total, last = 0, -1
@@ -292,17 +292,20 @@ class FreeDGCA:
                         raise InputError(
                             f"d({g.name}) must be homogeneous of degree {g.degree + 1}"
                         )
-                    top = max(top, last)
+                    if last >= position:  # a linear term: see the docstring
+                        raise InputError(
+                            f"d({g.name}) has the linear term {(self.gens + new)[last].name!r}; "
+                            "a FreeDGCA takes minimal differentials only"
+                        )
                 odds = odds_of.get(code)
                 if odds is None:
                     odds = odds_of[code] = tuple([q for q, _ in code if odd[q]])
                 triples.append((code, odds, c.numerator if c.denominator == 1 else c))
             d_codes.append(tuple(triples))
-            below.append(top < position)
 
         self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
-        self._degree, self._odd, self._below = degree, odd, below
+        self._degree, self._odd = degree, odd
         self._d_codes += d_codes
         low = new[0].degree
         # see the docstring; a kept entry is replaced, never appended to in
@@ -434,14 +437,10 @@ class FreeDGCA:
 
         The factor g at position p gives prefix * d(g) * g^(e-1) * rest, where
         every position in prefix is below p and every one in rest is at least
-        p.  When every term t of d(g) lies at positions below p (``_below``,
-        true of every generator a model build makes), the product's code is
-        merge(prefix, t) + rest, simply t + rest when prefix is empty, and t
-        passes no factor of rest: the Koszul sign counts only the odd
-        positions of prefix.  Otherwise t is merged into prefix + rest, and
-        its odd factors may pass odd factors of either.  That general merge
-        stays for the complexes `extend` builds from any d, with a linear
-        term or a term at a higher position.
+        p.  d is minimal, so every term t of d(g) lies at positions below p
+        (see `extend_codes`): the product's code is merge(prefix, t) + rest,
+        simply t + rest when prefix is empty, and t passes no factor of rest,
+        so the Koszul sign counts only the odd positions of prefix.
 
         No two terms share a key, so none is added to another.  A term t of
         d(g) has degree |g| + 1 and every degree is at least 2, so t has no
@@ -454,7 +453,7 @@ class FreeDGCA:
         ``int * c`` takes `Fraction`'s slow reflected path.  The odd
         positions of the prefix grow in one list as the factors go by.
         """
-        odd, d_codes, below = self._odd, self._d_codes, self._below
+        odd, d_codes = self._odd, self._d_codes
         out: dict[tuple, int | Fraction] = {}
         parity = 0  # parity of the degree of the factors before position i
         left = []  # the odd positions of the factors before position i
@@ -463,13 +462,10 @@ class FreeDGCA:
             if dg:
                 rest = code[i + 1 :] if e == 1 else ((p, e - 1), *code[i + 1 :])
                 scale = -e if parity else e
-                if below[p] and not i:
-                    terms = [(t + rest, c) for t, _, c in dg]
-                elif below[p]:
-                    terms = code_products(dg, code[:i], left, tail=rest)
+                if i:
+                    terms = code_products(dg, code[:i], left, rest)
                 else:
-                    right = [q for q, _ in rest if odd[q]]
-                    terms = code_products(dg, code[:i] + rest, left, right)
+                    terms = [(t + rest, c) for t, _, c in dg]
                 if scale == -1:
                     terms = [(key, -c) for key, c in terms]
                 elif scale != 1:
@@ -504,14 +500,6 @@ class FreeDGCA:
             if residue:
                 return g, self.element_of(residue)
         return None
-
-    def minimality_violations(self) -> list[Generator]:
-        """Generators whose differential has a word-length-1 part."""
-        return [
-            g
-            for g, dg in zip(self.gens, self._d_codes)
-            if any(sum(e for _, e in code) < 2 for code, _, _ in dg)
-        ]
 
     # --- cohomology -------------------------------------------------------
     def cohomology(self, m: int) -> "CohomologySpace":

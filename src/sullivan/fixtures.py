@@ -33,7 +33,7 @@ from . import expr
 from .attachment import AlphaFunctional
 from .errors import InputError, IntegrityError, ParseError
 from .minimal_model import BigradedModel, build_minimal_model
-from .presented import PresentedAlgebra, validate_presentation
+from .presented import PresentedAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,15 @@ class Job:
     fixture_id: str | None = None
 
     def model(self) -> BigradedModel:
-        """The model through the truncation, named by the names: section if any."""
-        model = build_minimal_model(self.algebra, self.spec.truncation)
-        if self.spec.names is None:
-            return model
+        """The model through the truncation, named by the names: section if any.
+
+        The build validates the presentation, so a bad relation in a
+        fixture's text is reported here, naming the fixture.
+        """
         with _faults_of(self.fixture_id):
+            model = build_minimal_model(self.algebra, self.spec.truncation)
+            if self.spec.names is None:
+                return model
             return model.rename(_aliases(model, self.spec.names))
 
     def attachment(self) -> tuple[BigradedModel, AlphaFunctional]:
@@ -284,9 +288,6 @@ def load_job(text: str, truncation: int | None = None, fixture_id: str | None = 
                     f"invalid presentation: relation #{i} ({rel}): degree {d} exceeds "
                     f"N + 1 = {n + 1} for truncation N = {n}"
                 )
-        problems = validate_presentation(algebra)
-        if problems:
-            raise InputError("invalid presentation: " + "; ".join(problems))
     return Job(spec, algebra, fixture_id)
 
 

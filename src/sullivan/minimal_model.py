@@ -137,13 +137,15 @@ class BigradedModel:
 
     # --- structural checks ------------------------------------------------
     def verify(self) -> list[str]:
-        """Structural invariants; returns human-readable violations."""
+        """Structural invariants; returns human-readable violations.
+
+        Minimality is not among them: the `FreeDGCA` refuses a linear term
+        of d where it grows.
+        """
         problems = []
         bad = self.dgca.verify_d_squared()
         if bad is not None:
             problems.append(f"d^2 != 0 at generator {bad[0].name}: {bad[1]}")
-        for g in self.dgca.minimality_violations():
-            problems.append(f"d({g.name}) has a linear part")
         for g in self.generators:
             dg = self.d_of(g)
             for mon in dg.monomials():

@@ -216,6 +216,44 @@ def test_fixture_alias_collision_is_an_internal_fault(case, monkeypatch, capsys)
     )
 
 
+def test_fixture_bad_relation_is_an_internal_fault(monkeypatch, capsys):
+    """A relation the presentation check refuses, in a fixture's text, is
+    broken bundled data: exit 70, naming the fixture."""
+    from sullivan import cli
+
+    _patch_fixture_text(monkeypatch, "wedge3-s2", "rel a1*a2", "rel a1*a2 + a3")
+    assert cli.main(["model", "--fixture", "wedge3-s2"]) == 70
+    assert capsys.readouterr().err == (
+        "integrity error: fixture 'wedge3-s2': invalid presentation: "
+        "relation #2 (a1*a2 + a3): inhomogeneous (degrees [2, 4])\n"
+    )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verdict", "--fixture", "wedge3-e6"], 10),
+    (["verdict", "--fixture", "cp2-attach", "--json"], 0),
+    (["model", "--fixture", "wedge3-s2"], 0),
+])
+def test_a_command_validates_its_presentation_once(argv, code, monkeypatch, capsys):
+    from sullivan import cli, presented
+
+    original = presented.validate_presentation
+    calls = []
+
+    def counting(algebra):
+        calls.append(algebra)
+        return original(algebra)
+
+    # the function is wrapped under every name a module of the package binds it to
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validate_presentation", None)
+        if name.split(".")[0] == "sullivan" and bound is original:
+            monkeypatch.setattr(module, "validate_presentation", counting)
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def _user_copy(tmp_path, fixture_id, old, new):
     """A user's file holding a fixture's text with ``old`` replaced by ``new``."""
     from sullivan.fixtures import get_fixture

@@ -261,21 +261,19 @@ _FORCED_TERMS = {
 
 
 @st.composite
-def leibniz_differentials(draw, below=False):
-    """A random d on the mixed-parity generators _ORACLE_GENS (d^2 need not vanish).
+def leibniz_differentials(draw):
+    """A random minimal d on the mixed-parity generators _ORACLE_GENS (d^2 need not vanish).
 
-    With ``below``, every term of d(g) uses only generators before g, as in a
-    built model.  Otherwise a term may use any generator, and d(b2) always has
-    the linear term c, which sorts after b2.
+    Every term of d(g) is a monomial of degree |g| + 1 in the generators
+    before g: exactly the terms of word length at least 2, since every
+    degree is at least 2 and a linear term sorts after g.
     """
     d = {}
     for i, g in enumerate(_ORACLE_GENS):
         terms = {}
         if g in _FORCED_TERMS:
             terms[_FORCED_TERMS[g]] = draw(coefficients)
-        if g == _B2 and not below:
-            terms[Monomial.of(_C)] = draw(coefficients)
-        targets = monomial_basis(_ORACLE_GENS[:i] if below else _ORACLE_GENS, g.degree + 1)
+        targets = monomial_basis(_ORACLE_GENS[:i], g.degree + 1)
         if targets:
             for mon in draw(st.lists(st.sampled_from(targets), max_size=3)):
                 terms[mon] = draw(coefficients)
@@ -310,15 +308,13 @@ def _d_code_branches(D, mon):
             out.add("scale is -1")
         elif scale != 1:
             out.add("scale is neither 1 nor -1")
-        if not D._below[p]:
-            out.add("general merge")
-        elif i == 0:
-            out.add("below, empty prefix")
+        if i == 0:
+            out.add("empty prefix")
         else:
-            out.add("below, merged with the prefix")
+            out.add("merged with the prefix")
             prefix_odds = {q for q, _ in code[:i] if D._odd[q]}
             if any(prefix_odds.intersection(odds) for _, odds, _ in dg):
-                out.add("below, a term killed by a repeated odd factor")
+                out.add("a term killed by a repeated odd factor")
     return out
 
 
@@ -328,13 +324,8 @@ def test_d_monomial_matches_reference_leibniz():
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def check(data):
-        below = data.draw(st.booleans())
-        d = data.draw(leibniz_differentials(below))
+        d = data.draw(leibniz_differentials())
         D = FreeDGCA(_ORACLE_GENS, d, truncation=12)
-        assert D._below == [
-            all(_ORACLE_GENS.index(h) < p for mon in d[g].monomials() for h in mon.generators())
-            for p, g in enumerate(_ORACLE_GENS)
-        ]
         # b1 * e: the term b1 * b3 of d(e) repeats the odd prefix factor b1
         mons = [data.draw(monomials_of(D)) for _ in range(4)] + [Monomial(((_B1, 1), (_E, 1)))]
         for mon in mons:
@@ -354,10 +345,9 @@ def test_d_monomial_matches_reference_leibniz():
 
     check()
     assert branches == {
-        "general merge",
-        "below, empty prefix",
-        "below, merged with the prefix",
-        "below, a term killed by a repeated odd factor",
+        "empty prefix",
+        "merged with the prefix",
+        "a term killed by a repeated odd factor",
         "scale is -1",
         "scale is neither 1 nor -1",
     }
@@ -502,24 +492,32 @@ def test_d_of_a_generator_is_the_element_given_for_it_hand_built():
         assert D.d(Element.from_generator(g)) == d.get(g, Element.zero()), g.name
 
 
-def test_minimality_violations_flag_a_linear_term():
+def test_a_linear_term_is_refused_on_every_route():
     a = Generator("a", 2, index=0)
     b, x = Generator("b", 3, stage=1, index=1), Generator("x", 3, stage=1, index=2)
     c = Generator("c", 4, stage=1, index=3)
-    e = Generator("e", 5, stage=2, index=4)
     a2 = Element.from_monomial(Monomial.of(a, 2))
-    D = FreeDGCA(
-        [a, b, x, c, e],
-        {
-            b: a2 + Element.from_generator(c),  # a linear term beside a square
-            x: -2 * Element.from_generator(c),  # a linear term alone
-            c: Element.zero(),
-            e: Element.from_monomial(Monomial(((b, 1), (x, 1)))),
-        },
-        truncation=6,
-    )
-    assert D.minimality_violations() == [b, x]
-    assert FreeDGCA([a, b], {b: a2}, truncation=6).minimality_violations() == []
+    with pytest.raises(InputError, match="^d\\(b\\) has the linear term 'c'; "):
+        # a linear term beside a square
+        FreeDGCA([a, b, c], {b: a2 + Element.from_generator(c)}, truncation=6)
+    D = FreeDGCA([a, b], {b: a2}, truncation=6)
+    D.cohomology(4)
+
+    def state():
+        return (D.gens, d_on_gens(D), D.keys(4), copy.deepcopy(D._records),
+                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
+
+    before = state()
+    with pytest.raises(InputError, match="^d\\(x\\) has the linear term 'c'; "):
+        # a linear term alone, on a generator of the batch
+        D.extend([x, c], {x: -2 * Element.from_generator(c)})
+    assert state() == before
+    with pytest.raises(InputError, match="^d\\(x\\) has the linear term 'c'; "):
+        D.extend_codes([(x, {((0, 2),): F(1), ((3, 1),): F(-2)}), (c, {})])
+    assert state() == before
+    # the same batch without its linear term is taken
+    D.extend_codes([(x, {((0, 2),): F(1)}), (c, {})])
+    assert D.gens == (a, b, x, c)
 
 
 def _wedge_stage01(wedge3_s2):
@@ -809,8 +807,7 @@ def test_extend_codes_refuses_bad_codes():
 
     def state():
         return (D.gens, d_on_gens(D), D.keys(5), copy.deepcopy(D._records),
-                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes),
-                list(D._below))
+                dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
 
     before = state()
     refusals = [
@@ -850,7 +847,7 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
     x, y = Generator("x", 5, stage=2, index=3), Generator("y", 5, stage=2, index=4)
 
     def state():
-        return (D.gens, list(D._d_codes), list(D._degree), list(D._odd), list(D._below),
+        return (D.gens, list(D._d_codes), list(D._degree), list(D._odd),
                 dict(D._position), list(D._codes), copy.deepcopy(D._records),
                 dict(D._cohomology_cache))
 
@@ -872,9 +869,9 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
     with pytest.raises(InputError, match="^the generators of a kill step must have one degree$"):
         D.extend_codes([(x, {((0, 3),): F(1)}), (z, {})], kills=[0])
     assert state() == before
-    # a layer of keys of degree 6 is taken, and each d lies below its generator
+    # a layer of keys of degree 6 is taken
     D.extend_codes([(x, {((0, 1), (2, 1)): F(2)}), (y, {((0, 3),): F(-1, 2)})], kills=[])
-    assert D.gens[-2:] == (x, y) and D._below[-2:] == [True, True]
+    assert D.gens[-2:] == (x, y)
     assert d_on_gens(D)[x] == 2 * Element.from_monomial(Monomial(((a, 1), (c, 1))))
 
 

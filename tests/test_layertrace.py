@@ -7,6 +7,7 @@ here turns that into a test failure.
 """
 
 import pathlib
+import re
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +42,41 @@ def test_tracer_counts_graded_component_cache_hits(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counters["presented.graded_component.hits"] > 0
+
+
+def _pinned_bindings():
+    """(module, name) of each binding under a ``# Not called here`` comment in src/.
+
+    The binding is the first line after the comment block: an import of one
+    name, or a function definition.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "sullivan"
+    out = []
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("# Not called here"):
+                continue
+            binding = next(rest for rest in lines[i + 1 :] if not rest.startswith("#"))
+            match = re.match(r"from \.\w+ import (\w+)  # noqa: F401$|def (\w+)\(", binding)
+            assert match, (path.name, binding)
+            out.append((path.stem, match.group(1) or match.group(2)))
+    return out
+
+
+def test_every_pinned_binding_is_one_the_tracer_requires(monkeypatch):
+    """Code kept only for the tracer goes when the tracer stops requiring it.
+
+    A binding under ``# Not called here`` must be an alias the tracer
+    requires in that module, or a function it wraps there.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+
+    pinned = _pinned_bindings()
+    assert pinned
+    for module, name in pinned:
+        owner = getattr(layertrace, module)
+        required = owner in layertrace.REQUIRED_ALIASES.get(name, ())
+        wrapped = (owner, name) in layertrace.TARGETS.values()
+        assert required or wrapped, (module, name)
