@@ -15,8 +15,9 @@ runs the work that many times under one profile.
 
 For each hot layer of the cohomology elimination, of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call) and of the
-presented algebra A (its ideal slices and its indecomposables) it prints the
-number of calls, the cumulative seconds and the share of the profiled total.
+presented algebra A (its ideal slices and its indecomposables), and for the
+d^2 and standardness checks of a model, it prints the number of calls, the
+cumulative seconds and the share of the profiled total.
 A's graded components have no row of their own: ``graded_component`` is
 ``FreeDGCA.cohomology``, one code object, so its row would count the
 model's cohomology too.  cProfile adds a cost to every Python call, so the
@@ -52,6 +53,8 @@ LAYERS = {
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
     "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,
     "PresentedAlgebra.indecomposables": PresentedAlgebra.indecomposables,
+    "FreeDGCA.verify_d_squared": dgca.FreeDGCA.verify_d_squared,
+    "minimal_model.verify_standard": minimal_model.verify_standard,
 }
 
 

@@ -13,6 +13,14 @@ alpha to pair with, and d_tw^2 = 0 exactly when d^2 = 0.  The complex is not
 free, so elements are represented as an explicit pair (body in Lambda(V),
 u-coefficient).
 
+So d_tw^2 = 0 is checked on the base model, and only where its d is data.
+A model from `minimal_model.build_minimal_model` is closed by construction:
+its stage-0 lifts have d = 0, and every later d(g) is a cocycle its kill
+step vouched for.  That holds for its renamed copies too, and for the models
+of even mode.  A base whose complex took a nonzero d as data, through
+`FreeDGCA(...)`, `extend` or `extend_codes` without ``kills``, has
+``d_is_data`` set and is checked when its attachment is made.
+
 The twisted complex equals the base model in every degree but n - 1 and n,
 so its cohomology is read off the base model's, with no elimination.  d_tw^2
 = 0 makes alpha vanish on the coboundaries of degree n - 1 (a product has no
@@ -187,6 +195,10 @@ class AttachmentModel:
     the last basis cochain of degree n; `CohomologySpace` reads it through
     ``keys``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
     ``d``.  Its column keys are the base model's codes, and u for itself.
+
+    A base whose d is data (``base.dgca.d_is_data``) is checked for d^2 = 0
+    here, and refused with an `IntegrityError`; a built base is closed by
+    construction and is not checked again (see the module docstring).
     """
 
     def __init__(self, base: BigradedModel, alpha: AlphaFunctional):
@@ -208,9 +220,10 @@ class AttachmentModel:
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None
-        bad = self.verify_d_squared()
-        if bad is not None:
-            raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
+        if base.dgca.d_is_data:
+            bad = self.verify_d_squared()
+            if bad is not None:
+                raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
 
     # --- complex structure -------------------------------------------------
     def d(self, x: AttachmentElement) -> AttachmentElement:
@@ -265,7 +278,8 @@ class AttachmentModel:
 
         d_tw(d_tw g) = d(d g) + alpha(linear part of d g) u, and the base
         model's d is minimal, so no d(g) has a linear part for alpha to pair
-        with: this is the base model's d^2 check.
+        with: this is the base model's d^2 check.  `__init__` runs it on a
+        base whose d is data; it checks any base when called.
         """
         bad = self.base.dgca.verify_d_squared()
         return None if bad is None else bad[0]

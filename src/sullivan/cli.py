@@ -9,8 +9,8 @@ Subcommands:
 
 Input files use a flat sectioned format; see the README for the grammar.
 Exit codes: 0 Formal, 10 NotFormal, 20 Inconclusive, 64 usage errors,
-65 invalid input data, 70 internal integrity failures or output that could
-not be written.
+65 invalid input data, 70 internal integrity failures, output that could
+not be written or running out of memory.
 """
 
 from __future__ import annotations
@@ -413,6 +413,10 @@ def main(argv=None) -> int:
     except SullivanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed the command's frames
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _discard_stdout():

@@ -188,6 +188,8 @@ class FreeDGCA:
         # (position, exponent) -> (generator, exponent): one pair object shared
         # by every decoded monomial
         self._pairs: dict[tuple[int, int], tuple[Generator, int]] = {}
+        # set once a batch with no kills vouch brings a nonzero d(g); see extend_codes
+        self.d_is_data = False
         self.extend(gens, d_on_gens)
 
     def extend(self, gens: Sequence[Generator], d_on_gens: Mapping[Generator, Element]):
@@ -249,6 +251,13 @@ class FreeDGCA:
         only old positions.  The new generators sort after every old one, so
         no old generator has degree k, no key of degree k is linear, and
         every term lies below its generator.
+
+        The vouch also covers d(d g) = 0, since each d(g) of a kill layer is
+        a cocycle.  Any other batch is data that nothing proved closed: the
+        first one that brings a nonzero d(g) sets ``d_is_data``, which
+        `renamed` carries over, and `attachment.AttachmentModel` checks d^2
+        only on a complex that has it set.  Batches with d = 0 (stage-0
+        lifts, every `presented.PresentedAlgebra`) leave it as it is.
         """
         layer = sorted(layer, key=lambda pair: pair[0].sort_key())
         if not layer:
@@ -307,6 +316,8 @@ class FreeDGCA:
         self.gens += new
         self._degree, self._odd = degree, odd
         self._d_codes += d_codes
+        if kills is None and any(d_codes):
+            self.d_is_data = True
         low = new[0].degree
         # see the docstring; a kept entry is replaced, never appended to in
         # place, since keys(m) and renamed() share its lists

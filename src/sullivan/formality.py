@@ -70,6 +70,12 @@ class FormalityVerdict:
 
 
 def _require_standard(model: BigradedModel):
+    """Refuse a model that is not standard.
+
+    The caller's model is data: a hand-made rho or stage table that no build
+    vouched for.  A model from `build_minimal_model` is standard by
+    construction, so even mode, which builds its own, does not call this.
+    """
     problems = verify_standard(model)
     if problems:
         raise InputError(
@@ -265,7 +271,6 @@ def even_complex_formality(
         model = model.rename(alias_monomial_targets(model))
         _check_even_slices(model, k)
         alpha = AlphaFunctional.build(model, n, pairs)
-        _require_standard(model)
         attached = AttachmentModel(model, alpha)
         verdict = _decide(attached)
         verdicts.append(verdict)

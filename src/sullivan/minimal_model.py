@@ -82,8 +82,13 @@ see, while H^m(model) = A^m for every m <= N already holds without them.
 
 Standardness (rho kills every positive-stage generator, and no differential
 of stage >= 2 has a Lambda(V_0)-pure term) is proven by the build, through the
-lemma above and the `IntegrityError` in `_kill_step`, and checked by
-`verify_standard` on every verdict.  There is no repair path.
+lemma above and the `IntegrityError` in `_kill_step`.  So is d^2 = 0: the
+lifts have d = 0 and every later d(g) is a cocycle, which the kill layer's
+``kills`` vouches for (see `dgca.FreeDGCA.extend_codes`), so an attachment
+does not check a built model again.  `verify_standard` checks the model a
+caller hands to `formality.formality_verdict`, which no build vouched for;
+even mode builds its own models and does not call it.  `BigradedModel.verify`
+audits d^2 = 0, the stages and rho on any model.  There is no repair path.
 """
 
 from __future__ import annotations

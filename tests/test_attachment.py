@@ -202,6 +202,53 @@ def test_twisted_d_squared_fails_when_the_base_d_squared_fails():
         AttachmentModel(model, alpha)
 
 
+def _sphere_base_extended(degree, positions):
+    """The built model of the 2-sphere (a, db = a^2), extended by x of this
+    degree whose d is the product of the generators at these positions."""
+    model = build_minimal_model(PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 7), 6)
+    dx = Element.from_monomial(Monomial.unit())
+    for p in positions:
+        dx = dx * Element.from_generator(model.generators[p])
+    x = Generator("x", degree, 2, len(model.generators))
+    model.dgca.extend([x], {x: dx})
+    return model
+
+
+def _hand_bases():
+    """Bases whose d came in as data, each with d^2 = 0: (base, cell dimension)."""
+    a, b = Generator("a", 2, 0, 0), Generator("b", 3, 1, 1)
+    d_on_gens = {b: Element.from_monomial(Monomial.of(a, 2))}
+    return {
+        "hand-built": (_hand_built_model([a, b], d_on_gens, 6), 4),
+        "built-then-extended": (_sphere_base_extended(5, (0, 0, 0)), 6),
+        "renamed-hand-built": (_hand_built_model([a, b], d_on_gens, 6).rename({"b": "y"}), 4),
+    }
+
+
+@pytest.mark.parametrize("case", ["hand-built", "built-then-extended", "renamed-hand-built"])
+def test_a_base_whose_d_is_data_is_checked_once_per_attachment(case, monkeypatch):
+    model, n = _hand_bases()[case]
+    assert model.dgca.d_is_data
+    calls = []
+    original = FreeDGCA.verify_d_squared
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FreeDGCA, "verify_d_squared", counting)
+    for _ in range(2):
+        AttachmentModel(model, AlphaFunctional.zero(n))
+    assert calls == [model.dgca, model.dgca]
+
+
+def test_a_built_model_extended_with_d_squared_nonzero_is_refused():
+    # d(x) = a*b: d(dx) = a^3 != 0, on a base the build had proved closed
+    model = _sphere_base_extended(4, (0, 1))
+    with pytest.raises(IntegrityError, match=r"at x$"):
+        AttachmentModel(model, AlphaFunctional.zero(5))
+
+
 # ---------------------------------------------------------------------------
 # derived spaces: the records of the build, and the twisted spaces read off them
 

@@ -716,6 +716,35 @@ def test_verdict_reads_each_model_from_its_build(fixture, monkeypatch, capsys):
     assert decoded == []
 
 
+def _cell_fixture_verdicts():
+    from sullivan.fixtures import FIXTURES
+
+    return [["verdict", "--fixture", fid]
+            for fid, fixture in sorted(FIXTURES.items()) if fixture.cell is not None]
+
+
+@pytest.mark.parametrize(
+    "argv", [*_cell_fixture_verdicts(), ["attach", "--fixture", "wedge3-e6"]],
+    ids=lambda argv: "-".join(argv[::2]))
+def test_a_built_model_is_not_checked_for_d_squared_again(argv, monkeypatch, capsys):
+    """The build proves d^2 = 0, so no attachment on a built model, renamed
+    or made by even mode, runs the d^2 check."""
+    from sullivan import cli
+    from sullivan.dgca import FreeDGCA
+
+    calls = []
+    original = FreeDGCA.verify_d_squared
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FreeDGCA, "verify_d_squared", counting)
+    assert cli.main(argv) in (0, 10, 20), capsys.readouterr().err
+    capsys.readouterr()
+    assert calls == []
+
+
 _WEDGE_HEAD = "algebra:\ngen a 2\nrel a^2\n"
 
 
@@ -816,6 +845,32 @@ def test_closed_stdout_exits_70_without_a_traceback(tmp_path):
         os.close(write_end)
     assert result.returncode == 70
     assert result.stderr == ""
+
+
+def test_running_out_of_memory_exits_70_without_a_traceback(tmp_path):
+    """The model of the wedge of four 2-spheres at truncation 11 needs more
+    than the 80 MiB of address space the child may use: one line on stderr,
+    exit 70, nothing on stdout.  Only the child's own limit is lowered."""
+    resource = pytest.importorskip("resource")
+    limit = 80 * 2**20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("the address-space limit is already below the test's")
+    gens = [f"a{i}" for i in range(1, 5)]
+    lines = [f"gen {g} 2" for g in gens] + [
+        f"rel {g}*{h}" for i, g in enumerate(gens) for h in gens[i:]]
+    job = tmp_path / "wedge4.job"
+    job.write_text("algebra:\n" + "\n".join(lines) + "\ntruncation 11\n", encoding="utf-8")
+
+    def lower_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "sullivan.cli", "model", "--input", str(job)],
+        capture_output=True, text=True, preexec_fn=lower_limit, timeout=60,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (
+        70, "error: out of memory\n", ""), result.stderr
 
 
 def test_broken_pipe_leaves_a_stdout_without_a_descriptor_alone(monkeypatch):

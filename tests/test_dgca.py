@@ -875,6 +875,34 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
     assert d_on_gens(D)[x] == 2 * Element.from_monomial(Monomial(((a, 1), (c, 1))))
 
 
+def test_only_a_data_batch_with_a_nonzero_d_marks_the_complex():
+    """Zero-d batches and vouched kill layers leave ``d_is_data`` unset; the
+    first batch that brings a nonzero d(g) as data sets it, and `renamed`
+    keeps it."""
+    a = Generator("a", 2, index=0)
+    D = FreeDGCA([a], {}, truncation=8)
+    D.extend([Generator("c", 4, index=1)], {})
+    assert D.d_is_data is False
+    assert D.keys(6) == [((0, 1), (1, 1)), ((0, 3),)]
+    # kill the classes of a^3 and a*c with two degree-5 generators
+    x, y = Generator("x", 5, stage=1, index=2), Generator("y", 5, stage=1, index=3)
+    D.extend_codes([(x, {((0, 3),): F(1)}), (y, {((0, 1), (1, 1)): F(1)})], kills=[0, 1])
+    assert D.d_is_data is False
+    assert D.renamed(["p", "q", "r", "s"]).d_is_data is False
+    assert PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 6).d_is_data is False
+    # the same kind of d as data: a batch with no kills vouch
+    z = Generator("z", 7, stage=1, index=4)
+    D.extend_codes([(z, {((0, 4),): F(1)})])
+    assert D.d_is_data is True
+    assert D.renamed(["p", "q", "r", "s", "t"]).d_is_data is True
+    D.extend([Generator("w", 8, index=5)], {})
+    assert D.d_is_data is True
+    b = Generator("b", 3, stage=1, index=1)
+    assert FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, 8).d_is_data
+    algebra = PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 7)
+    assert build_minimal_model(algebra, 6).dgca.d_is_data is False
+
+
 def test_extend_refuses_what_init_refuses():
     a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
     x, y = Generator("x", 4, index=2), Generator("y", 3, stage=1, index=3)
