@@ -13,7 +13,8 @@ discarded.  ``--input FILE`` runs ``sullivan model --input FILE --json``,
 so that any presentation, a dense one say, can be profiled.  ``--repeat``
 runs the work that many times under one profile.
 
-For each hot layer of the cohomology elimination, of the kill step
+For each hot layer of the cohomology elimination (and of the spaces a
+complex builds again when it extends, ``from_class_rows``), of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call) and of the
 presented algebra A (its ideal slices and its indecomposables), and for the
 d^2 and standardness checks of a model, it prints the number of calls, the
@@ -42,6 +43,7 @@ from sullivan.presented import PresentedAlgebra  # noqa: E402
 
 LAYERS = {
     "CohomologySpace.__init__": dgca.CohomologySpace.__init__,
+    "CohomologySpace.from_class_rows": dgca.CohomologySpace.from_class_rows,
     "kernel_rref": linalg.kernel_rref,
     "RowSpace.insert": linalg.RowSpace.insert,
     "RowSpace.kernel": linalg.RowSpace.kernel,

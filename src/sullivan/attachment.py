@@ -26,7 +26,7 @@ so its cohomology is read off the base model's, with no elimination.  d_tw^2
 = 0 makes alpha vanish on the coboundaries of degree n - 1 (a product has no
 linear part to pair with), so alpha is a functional on H^(n-1).
 
-* m not in {n - 1, n}: H^m is the base model's space.
+* m not in {n - 1, n}: H^m has the base model's class rows and complement.
 * m = n - 1: B is unchanged and Z_tw = {z in Z_base : alpha(z) = 0}.  With
   a_i = alpha(c_i) on the base class rows c_i and j the last i with a_i != 0,
   the RREF of ker(a) in class coordinates has the rows e_i - (a_i / a_j) e_j,
@@ -293,19 +293,18 @@ class AttachmentModel:
             )
         cached = self._cohomology_cache.get(m)
         if cached is None:
-            cached = self._derived(m)
-            cached.cochains = weakref.proxy(self)  # see CohomologySpace
-            self._cohomology_cache[m] = cached
+            cached = self._cohomology_cache[m] = self._derived(m)
         return cached
 
     def _derived(self, m: int) -> CohomologySpace:
-        """H^m of the twisted complex, read off the base model's spaces.
+        """H^m of the twisted complex, over the base model's class rows and complement.
 
-        See the module docstring for the facts used in degrees n - 1 and n.
+        Outside degrees n - 1 and n it shares them as they are; see the module
+        docstring for the facts used in those two.
         """
         base = self.base.dgca.cohomology(m)
+        rows, complement = base._class_rows, base.complement
         if m == self.n - 1:
-            rows, complement = base._class_rows, base.complement
             keys, alpha = base.keys, self._alpha_on_keys
             values = [
                 sum((alpha[keys[col]] * v for col, v in row.items() if keys[col] in alpha), _ZERO)
@@ -322,14 +321,12 @@ class AttachmentModel:
                 ]
                 complement = list(complement)
                 insort(complement, keys[min(pivot_row)])
-            return CohomologySpace.from_class_rows(self, m, rows, complement)
-        if m == self.n:
-            rows = base._class_rows
+        elif m == self.n:
             if self.cohomology(m - 1).dimension == self.base.dgca.cohomology(m - 1).dimension:
                 # alpha vanishes on H^(n - 1), so u is no coboundary pivot
                 rows = [*rows, {len(base.keys): _ONE}]
-            return CohomologySpace.from_class_rows(self, m, rows, base.complement)
-        return base.rebased(self)
+        # read through a proxy: see CohomologySpace
+        return CohomologySpace.from_class_rows(weakref.proxy(self), m, rows, complement)
 
     def u_class(self) -> CohomologyClass:
         """The class of u in degree n, found once; zero exactly when u became exact."""

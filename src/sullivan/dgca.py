@@ -26,17 +26,17 @@ basis of Z^k.  If P is its pivot set, d of the basis cochains off P (the
 complement) is a basis of B^(k+1), so the coboundaries of degree k + 1 are
 taken from the complement of degree k, and no coboundary row is dependent.
 
-A `FreeDGCA` keeps, for each degree k whose cohomology it has computed, a
-`Record` of H^k: the class rows, the complement and the number of degree-k
-keys.  It grows by `extend`, and each record lives through the extensions
-that leave it computable.  A new generator g of degree |g| adds the cochain g
-in degree |g| and cochains in degrees >= |g| + 2, since every degree is at
-least 2; it is the last key of degree |g|.  For the record of degree k:
+A `FreeDGCA` keeps one `CohomologySpace` for each degree k whose cohomology
+it has computed.  It grows by `extend`, and each space lives through the
+extensions that leave it computable.  A new generator g of degree |g| adds
+the cochain g in degree |g| and cochains in degrees >= |g| + 2, since every
+degree is at least 2; it is the last key of degree |g|.  For the space of
+degree k:
 
 * |g| > k: the cochains of degrees k - 1 and k, and their d, do not change;
-  the record stays.
+  the space stays as it is.
 * |g| = k and dg = 0 (a stage-0 lift): Z^k gains g and B^k is unchanged,
-  so the record gains the unit class row at g's column.
+  so the space gains the unit class row at g's column.
 * a kill step of H^(k + 1), |g| = k: the caller vouches (``kills`` in
   `extend_codes`) that the d(g) are independent modulo B^(k+1).  Then Z^k
   does not change, and g joins the complement.
@@ -44,15 +44,17 @@ least 2; it is the last key of degree |g|.  For the record of degree k:
   The surviving class rows are those at the positions that are not pivots
   of the killed span, in class coordinates (see `minimal_model`).
 * anything else (|g| <= k - 2, or a degree-k or degree-(k - 1) generator
-  with dg != 0 and no one to vouch for it): the record is dropped, and the
+  with dg != 0 and no one to vouch for it): the space is dropped, and the
   next `cohomology(k)` eliminates from scratch.
 
-The rules cost O(new generators) per record: rows and complements are
-amended in place, never copied.  `cohomology(k)` with a record builds its
-space by `CohomologySpace.from_class_rows`, which does no elimination and
-builds the coboundaries only when something reads them, so after
-`minimal_model.build_minimal_model`, which grows one complex through every
-degree, the cohomology of the model costs no elimination at all.
+The rules cost O(new generators) per space: rows and complements are
+amended in place, never copied, and an amended space is built again over
+them and the new keys by `CohomologySpace.from_class_rows`, which does no
+elimination and builds the coboundaries only when something reads them.  So
+after `minimal_model.build_minimal_model`, which grows one complex through
+every degree, the cohomology of the model costs no elimination at all.  A
+space read before an extension that amends it is stale; `cohomology(k)`
+answers with the one built again.
 
 `CohomologySpace` reads its complex through a small interface -- ``keys``,
 ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and ``d`` -- which
@@ -94,7 +96,7 @@ elements handed in.
 
 Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
 generator at its position, so the renamed complex shares the code tables and
-the keys with its source and starts from a copy of its records; only the
+the keys with its source and starts from copies of its spaces; only the
 generator tuple and the decoding tables that turn codes back into monomials
 are new.
 """
@@ -176,9 +178,8 @@ class FreeDGCA:
         self.gens: tuple[Generator, ...] = ()
         # degree m -> (the codes of degree m, their first positions); see keys
         self._codes: list[tuple[list[tuple], list[int]]] = []
-        self._cohomology_cache: dict[int, CohomologySpace] = {}
-        # degree k -> what is known of H^k: its class rows and complement
-        self._records: dict[int, Record] = {}
+        # degree k -> H^k, kept through the extensions that leave it computable
+        self._spaces: dict[int, CohomologySpace] = {}
         # code tables: generator positions, degrees and parities, and each
         # d(g) as (code, odd positions, coefficient) triples
         self._position: dict[Generator, int] = {}
@@ -231,9 +232,9 @@ class FreeDGCA:
         every factor of a longer term sorts before g, and a linear term, of
         degree |g| + 1, after it: a term is linear exactly when its last
         position is not below g's.  A refused batch leaves the complex
-        unchanged.  The cohomology of every degree at or above
-        the smallest new degree, low, is dropped; code positions stay stable,
-        and the records of H^k follow the rules of the module docstring.
+        unchanged.  Code positions stay stable, and the spaces of H^k at or
+        above the smallest new degree, low, are kept, amended or dropped by
+        the rules of the module docstring.
         Every degree is at least 2, so a product with a new generator has
         degree at least low + 2, and a new one-factor code sorts after every
         other code of its degree.  So the code tables of degrees below
@@ -327,31 +328,32 @@ class FreeDGCA:
             if ones:
                 codes, firsts = self._codes[m]
                 self._codes[m] = (codes + [((p, 1),) for p in ones], firsts + ones)
-        for m in [m for m in self._cohomology_cache if m >= low]:
-            del self._cohomology_cache[m]
-        self._update_records(new, [terms for _, terms in layer], count - len(new), kills)
+        self._update_spaces(new, [terms for _, terms in layer], count - len(new), kills)
 
-    def _update_records(self, new, d_layer, first: int, kills):
-        """Keep, amend or drop each record of H^k by the rules of the module docstring.
+    def _update_spaces(self, new, d_layer, first: int, kills):
+        """Keep, amend or drop each space of H^k by the rules of the module docstring.
 
         The new generators are sorted and sit at positions first, first + 1, ...
+        An amended space is built again over its rows and complement.
         """
         low, top = new[0].degree, new[-1].degree
         killing = kills is not None and low == top
-        for k in [k for k in self._records if k >= low]:
-            record = self._records[k]
+        for k in [k for k in self._spaces if k >= low]:
+            space = self._spaces[k]
+            rows, complement = space._class_rows, space.complement
             if killing and k == low + 1:
-                record.rows = [row for i, row in enumerate(record.rows) if i not in kills]
+                rows = [row for i, row in enumerate(rows) if i not in kills]
             elif killing and k == low:
-                record.complement.extend(((p, 1),) for p in range(first, first + len(new)))
-                record.size += len(new)
+                complement.extend(((p, 1),) for p in range(first, first + len(new)))
             elif k == low and all(not dg for g, dg in zip(new, d_layer) if g.degree == k):
-                for g in new:
-                    if g.degree == k:
-                        record.rows.append({record.size: _ONE})
-                        record.size += 1
+                # its new keys are the new generators of degree k, last
+                rows.extend({j: _ONE} for j in range(len(space.keys), len(self.keys(k))))
             else:
-                del self._records[k]
+                del self._spaces[k]
+                continue
+            self._spaces[k] = CohomologySpace.from_class_rows(
+                weakref.proxy(self), k, rows, complement
+            )
 
     # --- cochain spaces -------------------------------------------------
     def keys(self, m: int) -> list[tuple]:
@@ -371,11 +373,11 @@ class FreeDGCA:
 
         Each generator keeps its degree, stage and index, so every code keeps
         its meaning and nothing is rebuilt or re-encoded: the renamed complex
-        shares the code tables and the keys, reads its cohomology off a copy
-        of the records, and decodes its classes afresh, with the new names.
-        It copies the lists and dicts that `extend_codes` changes in place,
-        the records included, so extending either complex leaves the other
-        as it was.  Names that would reorder two generators
+        shares the code tables and the keys, builds each space of its source
+        again over copies of its class rows and complement, and decodes its
+        classes afresh, with the new names.  It copies the lists and dicts
+        that `extend_codes` changes in place, so extending either complex
+        leaves the other as it was.  Names that would reorder two generators
         (`Generator.sort_key` breaks a tie by name) are refused with an
         `InputError` that names both.
         """
@@ -396,10 +398,11 @@ class FreeDGCA:
         out._pairs = {}
         out._d_codes = list(self._d_codes)
         out._codes = list(self._codes)
-        out._records = {
-            k: Record(list(r.rows), list(r.complement), r.size) for k, r in self._records.items()
+        proxy = weakref.proxy(out)  # see CohomologySpace
+        out._spaces = {
+            k: CohomologySpace.from_class_rows(proxy, k, list(s._class_rows), list(s.complement))
+            for k, s in self._spaces.items()
         }
-        out._cohomology_cache = {}
         return out
 
     def basis(self, m: int) -> list[Monomial]:
@@ -518,17 +521,11 @@ class FreeDGCA:
             raise TruncationError(
                 f"cohomology in degree {m} exceeds the truncation {self.truncation}"
             )
-        cached = self._cohomology_cache.get(m)
-        if cached is None:
-            record = self._records.get(m)
-            if record is None:
-                cached = CohomologySpace(self, m)
-                self._records[m] = Record(cached._class_rows, cached.complement, len(cached.keys))
-            else:
-                cached = CohomologySpace.from_class_rows(self, m, record.rows, record.complement)
-            cached.cochains = weakref.proxy(self)  # see CohomologySpace
-            self._cohomology_cache[m] = cached
-        return cached
+        space = self._spaces.get(m)
+        if space is None:
+            space = self._spaces[m] = CohomologySpace(self, m)
+            space.cochains = weakref.proxy(self)  # see CohomologySpace
+        return space
 
     # --- the cochain-complex interface read by CohomologySpace --------------
     def d_basis(self, code: tuple):
@@ -538,12 +535,12 @@ class FreeDGCA:
     def boundaries(self, m: int):
         """The degree-m coboundaries as code-keyed terms of d of degree-(m - 1) cochains.
 
-        While a record of H^(m - 1) is kept, these are d of its complement
+        While the space of H^(m - 1) is kept, these are d of its complement
         cochains (see `CohomologySpace`), a basis of B^m; otherwise d of every
         code in keys(m - 1).
         """
-        record = self._records.get(m - 1)
-        codes = self.keys(m - 1) if record is None else record.complement
+        space = self._spaces.get(m - 1)
+        codes = self.keys(m - 1) if space is None else space.complement
         return (self._d_code(code).items() for code in codes)
 
     def terms_of(self, x: Element):
@@ -561,22 +558,6 @@ class FreeDGCA:
         """The element with these code-keyed terms."""
         monomial = self._monomial
         return Element({monomial(code): c for code, c in terms.items()})
-
-
-@dataclass(slots=True)
-class Record:
-    """What a `FreeDGCA` keeps of H^k through its extensions.
-
-    ``rows`` and ``complement`` are those of the `CohomologySpace` of degree
-    k: the class rows, over column positions in keys(k), and the codes of
-    the complement cochains.  ``size`` is the number of degree-k keys.
-    `FreeDGCA.extend_codes` amends them in place, so a space of degree k read
-    before an extension that adds degree-k generators is stale.
-    """
-
-    rows: list[dict[int, Fraction]]
-    complement: list[tuple]
-    size: int
 
 
 @dataclass(frozen=True)
@@ -626,13 +607,14 @@ class CohomologySpace:
     as a basis of the coboundaries one degree up.
 
     `from_class_rows` builds the space from class rows and a complement found
-    some other way (a `FreeDGCA` record, or a twisted complex derived from
-    its base); the coboundaries are then built only if something reads them.
+    some other way (a space a `FreeDGCA` keeps through an extension, or a
+    twisted complex derived from its base); the coboundaries are then built
+    only if something reads them.
 
-    A complex that caches its spaces sets the ``cochains`` of each to a
-    `weakref.proxy` of itself, so that no reference cycle runs through the
-    cache: refcounting frees a dropped complex with its spaces, and a cached
-    space is read only while its complex lives.
+    A complex that keeps its spaces reads each through a `weakref.proxy` of
+    itself, set as the ``cochains`` of the space, so that no reference cycle
+    runs through its store: refcounting frees a dropped complex with its
+    spaces, and a kept space is read only while its complex lives.
     """
 
     def __init__(self, cochains, m: int):
@@ -661,7 +643,11 @@ class CohomologySpace:
     def from_class_rows(cls, cochains, m: int, rows, complement) -> "CohomologySpace":
         """H^m from its known class rows and complement, with no elimination.
 
-        The coboundaries are built only when first read.
+        The lists are taken as they are, not copied: a `FreeDGCA` amends them
+        in place when it extends and builds the space again over them, and
+        `attachment.AttachmentModel` shares its base's lists in the degrees
+        the twist does not touch.  The coboundaries are built only when
+        first read.
         """
         out = cls.__new__(cls)
         out.cochains = cochains
@@ -684,18 +670,6 @@ class CohomologySpace:
         return RowSpace(
             {index[t]: c for t, c in boundary} for boundary in self.cochains.boundaries(self.degree)
         )
-
-    def rebased(self, cochains) -> "CohomologySpace":
-        """This space read through another complex with the same keys and d.
-
-        The rows are shared; the classes are built afresh, through the other
-        complex's ``element_of``.  An `attachment.AttachmentModel` reads the
-        base model's spaces this way in the degrees the twist does not touch.
-        """
-        out = copy.copy(self)
-        out.cochains = cochains
-        out.__dict__.pop("classes", None)
-        return out
 
     @cached_property
     def classes(self) -> list[CohomologyClass]:

@@ -14,7 +14,7 @@ columns of the reduced row-echelon form of the ideal slice.
 So `PresentedAlgebra` is a `dgca.FreeDGCA` on its generators with an empty
 differential, and it overrides only ``boundaries``.  Everything else is the
 free complex's: the code tables, ``keys``, ``terms_of``, ``element_of``, the
-zero ``d`` and the cohomology cache, with `graded_component` bound to
+zero ``d`` and the spaces of its cohomology, with `graded_component` bound to
 `FreeDGCA.cohomology`.  A monomial is a tuple of ``(position, exponent)``
 pairs over the generators in `Generator.sort_key` order, so the column order
 is the canonical monomial order.  Each relation is encoded once, with integer
@@ -69,8 +69,9 @@ class PresentedAlgebra(FreeDGCA):
         self.generators = tuple(generators)
         super().__init__(self.generators, {}, truncation)
         self.relations = tuple(relations)
-        # A^m by degree; perfbench/layertrace.py counts its cache hits here
-        self._components = self._cohomology_cache
+        # A^m by degree, the spaces the complex keeps; perfbench/layertrace.py
+        # counts its cache hits here
+        self._components = self._spaces
 
     @classmethod
     def from_strings(
@@ -168,13 +169,10 @@ def validate_presentation(algebra: PresentedAlgebra) -> list[str]:
     problems = []
     if algebra.truncation < 2:
         problems.append(f"truncation {algebra.truncation} is below 2")
-    degrees = [g.degree for g in algebra.generators]
     for g in algebra.generators:
         if g.stage != 0:
             problems.append(f"generator {g.name!r} has nonzero stage {g.stage}")
-        if g.degree < 2:
-            problems.append(f"generator {g.name!r} has degree {g.degree} < 2")
-    min_degree = min(degrees, default=0)
+    min_degree = min([g.degree for g in algebra.generators], default=0)
     for i, rel in enumerate(algebra.relations):
         found = []
         rel_degrees = rel.degrees()

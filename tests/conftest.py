@@ -54,6 +54,17 @@ def attachment_of(built):
     return AttachmentModel(built.model, built.alpha)
 
 
+def kept_spaces(D):
+    """What a FreeDGCA keeps of each H^k, copied.
+
+    {k: (class rows, complement, number of degree-k keys)}
+    """
+    return {
+        k: ([dict(row) for row in space._class_rows], list(space.complement), len(space.keys))
+        for k, space in D._spaces.items()
+    }
+
+
 def class_product(dgca, c1, c2):
     """The class of the product of two class representatives of a FreeDGCA."""
     product = c1.representative * c2.representative

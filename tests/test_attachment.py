@@ -331,3 +331,22 @@ def test_derived_spaces_equal_a_fresh_elimination_fixtures():
         if built.alpha is not None:
             _assert_spaces_are_fresh(AttachmentModel(built.model, built.alpha), built.model.truncation)
     assert all(counts), counts  # both [u] = 0 and [u] != 0 occur
+
+
+def test_untwisted_degrees_share_the_base_rows_and_decode_through_the_attachment(
+    wedge3_e6, cp2_attach
+):
+    # outside degrees n - 1 and n the twisted space is built over the base
+    # model's lists, not copies, and its classes are attachment elements
+    for built in (wedge3_e6, cp2_attach):
+        attached, base = attachment_of(built), built.model.dgca
+        n = attached.n
+        untouched = [m for m in range(base.truncation + 1) if m not in (n - 1, n)]
+        assert untouched
+        for m in untouched:
+            twisted, space = attached.cohomology(m), base.cohomology(m)
+            assert twisted._class_rows is space._class_rows, m
+            assert twisted.complement is space.complement, m
+            assert all(isinstance(c.representative, AttachmentElement) for c in twisted.classes)
+            assert all(isinstance(c.representative, Element) for c in space.classes)
+            assert [str(c) for c in twisted.classes] == [str(c) for c in space.classes], m

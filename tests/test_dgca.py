@@ -1,4 +1,3 @@
-import copy
 import gc
 import weakref
 from fractions import Fraction
@@ -21,7 +20,9 @@ from sullivan.linalg import RowSpace
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from conftest import _WEDGES, attachment_of, class_product, coefficients, small_presentations
+from conftest import (
+    _WEDGES, attachment_of, class_product, coefficients, kept_spaces, small_presentations,
+)
 
 F = Fraction
 
@@ -504,7 +505,7 @@ def test_a_linear_term_is_refused_on_every_route():
     D.cohomology(4)
 
     def state():
-        return (D.gens, d_on_gens(D), D.keys(4), copy.deepcopy(D._records),
+        return (D.gens, d_on_gens(D), D.keys(4), kept_spaces(D),
                 dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
 
     before = state()
@@ -751,8 +752,8 @@ def _pieces(D, m):
 def _grow(D, data):
     """D rebuilt by `extend` in random batches; yields the complex after each.
 
-    Every cache and record is filled before each extension, so that the
-    extension must keep or drop them correctly.
+    Every space is computed before each extension, so that the extension
+    must keep, amend or drop each correctly.
     """
     gens = D.gens
     cuts = sorted(data.draw(st.sets(st.integers(1, len(gens) - 1), max_size=3)))
@@ -770,9 +771,12 @@ def _grow(D, data):
 @settings(max_examples=100, deadline=None)
 @given(closed_dgcas(), st.data())
 def test_extend_matches_a_fresh_complex(D, data):
-    *_, grown = _grow(D, data)
+    for grown in _grow(D, data):
+        # a kept space is the one the complex answers with, over its keys now
+        for k, space in list(grown._spaces.items()):
+            assert space.keys == grown.keys(k) and grown.cohomology(k) is space, k
     assert grown.gens == D.gens and d_on_gens(grown) == d_on_gens(D)
-    # in any order, so that a degree can read a record from before the last
+    # in any order, so that a degree can read a space from before the last
     # extension rather than one just made
     for m in data.draw(st.permutations(range(_CLOSED_TOP + 1))):
         assert _pieces(grown, m) == _pieces(D, m), m
@@ -806,7 +810,7 @@ def test_extend_codes_refuses_bad_codes():
     D.cohomology(5)
 
     def state():
-        return (D.gens, d_on_gens(D), D.keys(5), copy.deepcopy(D._records),
+        return (D.gens, d_on_gens(D), D.keys(5), kept_spaces(D),
                 dict(D._position), list(D._degree), list(D._odd), list(D._d_codes))
 
     before = state()
@@ -848,8 +852,7 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
 
     def state():
         return (D.gens, list(D._d_codes), list(D._degree), list(D._odd),
-                dict(D._position), list(D._codes), copy.deepcopy(D._records),
-                dict(D._cohomology_cache))
+                dict(D._position), list(D._codes), kept_spaces(D), dict(D._spaces))
 
     before = state()
     refusals = [
@@ -916,7 +919,7 @@ def test_extend_refuses_what_init_refuses():
             FreeDGCA(gens, d, truncation=8)
     D = FreeDGCA([a, b], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
     D.cohomology(4)
-    before = (D.gens, d_on_gens(D), D.basis(4), copy.deepcopy(D._records))
+    before = (D.gens, d_on_gens(D), D.basis(4), kept_spaces(D))
     for gens, d, message in [([a], {}, "^duplicate generators$"),
                              ([x, x], {}, "^duplicate generators$"),
                              ([x], {x: dx}, "^d\\(x\\) uses the unknown generator 'y'$")]:
@@ -925,7 +928,7 @@ def test_extend_refuses_what_init_refuses():
     late = Generator("c", 2, index=5)  # sorts before b
     with pytest.raises(InputError, match="^generator 'c' sorts before the existing 'b'$"):
         D.extend([late], {})
-    assert (D.gens, d_on_gens(D), D.basis(4), D._records) == before
+    assert (D.gens, d_on_gens(D), D.basis(4), kept_spaces(D)) == before
     # a batch in any order, whose d uses a generator of the same batch
     D.extend([y, x], {x: dx})
     assert D.gens == (a, b, y, x) and d_on_gens(D)[x] == dx
@@ -935,10 +938,10 @@ def _assert_handed_down_rows_are_a_basis(D, degrees):
     """d of the handed-down cochains: independent, and the span of d(basis(k))."""
     for k in degrees:
         D.cohomology(k)
-        assert k in D._records
+        assert k in D._spaces
         index = {D.key(b): i for i, b in enumerate(D.basis(k + 1))}
         rows = [{index[t]: c for t, c in terms} for terms in D.boundaries(k + 1)]
-        assert len(rows) == len(D._records[k].complement)
+        assert len(rows) == len(D._spaces[k].complement)
         assert RowSpace(rows).rank == len(rows), k
         full = RowSpace(
             {index[D.key(t)]: c for t, c in D.d_monomial(b).terms()} for b in D.basis(k)
@@ -968,7 +971,7 @@ def test_handed_down_rows_are_a_basis_closed(D):
 
 
 def test_extend_keeps_or_drops_the_record():
-    # Lambda(a, b), db = a^2; the record of degree 6 is what is known of H^6
+    # Lambda(a, b), db = a^2; the kept space of degree 6 is what is known of H^6
     a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
     d = {b: Element.from_monomial(Monomial.of(a, 2))}
 
@@ -977,7 +980,7 @@ def test_extend_keeps_or_drops_the_record():
         D.cohomology(6)
         x = Generator("x", degree, stage=2, index=2)
         D.extend([x], {x: dx})
-        kept = 6 in D._records
+        kept = 6 in D._spaces
         assert _pieces(D, 6) == _pieces(FreeDGCA([a, b, x], {**d, x: dx}, truncation=9), 6)
         return kept
 
@@ -993,12 +996,12 @@ def test_extend_keeps_or_drops_the_record():
 
 
 def test_extending_a_built_model_drops_what_it_cannot_vouch_for():
-    # the model of Q[a]/(a^3) is a, b with db = a^3; its build leaves a record
+    # the model of Q[a]/(a^3) is a, b with db = a^3; its build leaves a space
     # in every degree.  x two degrees below k = 7 with dx = a^3 adds the cocycle
     # a*b - a*x to Z^7; y of degree 7 with dy = a^4 = d(a*b) adds a*b - y.
     model = _built([("a", 2)], ["a^3"], 9)
     a, b = model.gens
-    assert set(model._records) == set(range(10))
+    assert set(model._spaces) == set(range(10))
     a_cubed = Element.from_monomial(Monomial.of(a, 3))
     for degree, dx in [(5, a_cubed), (7, a_cubed * Element.from_generator(a))]:
         D = _built([("a", 2)], ["a^3"], 9)
@@ -1023,13 +1026,13 @@ def test_extending_a_built_model_drops_what_it_cannot_vouch_for():
 )
 def test_build_hands_down_every_coboundary_basis(monkeypatch, generators, relations):
     # the build starts with H^0, H^1 and H^2 of the empty complex; from H^1
-    # on, each H^(m+1) reads the complement of the record of H^m, through the
+    # on, each H^(m+1) reads the complement of the kept H^m, through the
     # stage-0 and kill extensions in between
     seen = []
     original = FreeDGCA.boundaries
 
     def spy(self, m):
-        seen.append((m, m - 1 in self._records))
+        seen.append((m, m - 1 in self._spaces))
         return original(self, m)
 
     monkeypatch.setattr(FreeDGCA, "boundaries", spy)

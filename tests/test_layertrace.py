@@ -28,7 +28,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_tracer_counts_graded_component_cache_hits(monkeypatch):
-    # The tracer reads PresentedAlgebra._components to count cache hits.
+    # The tracer reads PresentedAlgebra._components, the spaces of A^m the
+    # algebra keeps, to count cache hits.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layertrace
     import sullivan.minimal_model as minimal_model

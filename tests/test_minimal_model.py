@@ -24,6 +24,7 @@ from conftest import (
     dense_quadratic_presentations,
     elements_of,
     generator,
+    kept_spaces,
     pure_part,
     reference_kill_step,
     small_presentations,
@@ -411,14 +412,14 @@ def test_complex_projective_space_model(k):
 
 
 def _tables(model):
-    """The generator table and the records of a built model, as text."""
+    """The generator table and the kept spaces of a built model, as text."""
     D = model.dgca
     gens = [(g.name, g.degree, g.stage, g.index, dg, str(model.rho[g])) for g, dg in D.d_codes()]
-    records = [
-        (k, [list(row.items()) for row in r.rows], r.complement, r.size)
-        for k, r in sorted(D._records.items())
+    spaces = [
+        (k, [list(row.items()) for row in rows], complement, size)
+        for k, (rows, complement, size) in sorted(kept_spaces(D).items())
     ]
-    return repr(gens), repr(records)
+    return repr(gens), repr(spaces)
 
 
 def _square_free_text(i, j):
@@ -651,15 +652,14 @@ def _outputs(D):
 def _state(D):
     """The tables and caches of a complex, by value and, for cached spaces, by identity."""
     return (D.gens, list(D._d_codes), list(D._degree), list(D._odd),
-            dict(D._position), list(D._codes), copy.deepcopy(D._records),
-            dict(D._cohomology_cache))
+            dict(D._position), list(D._codes), kept_spaces(D), dict(D._spaces))
 
 
 @settings(max_examples=30, deadline=None)
 @given(built_wedge_and_dense_models(), st.data())
 def test_rename_matches_a_rebuilt_model(model, data):
     # classes read before the rename: the renamed complex reads its own copy
-    # of the records, not the source's cached spaces
+    # of the class rows, not the source's spaces
     for m in data.draw(st.lists(st.integers(0, model.truncation), max_size=3)):
         model.dgca.cohomology(m).classes
     names = [g.name for g in model.generators]
@@ -672,15 +672,15 @@ def test_rename_matches_a_rebuilt_model(model, data):
         (h.degree, h.stage, h.index) == (g.degree, g.stage, g.index) for g, h in gmap.items()
     )
     assert renamed.rho == {gmap[g]: image for g, image in model.rho.items()}
-    # the records the build handed down carry over, and a fresh complex finds them
-    records = renamed.dgca._records
-    assert records == model.dgca._records and records
+    # the spaces the build handed down carry over, and a fresh complex finds them
+    spaces = kept_spaces(renamed.dgca)
+    assert spaces == kept_spaces(model.dgca) and spaces
     reference = _rebuilt(model, gmap)
-    for k in records:
+    for k in spaces:
         reference.cohomology(k)
-    assert {k: reference._records[k] for k in records} == records
+    assert {k: kept_spaces(reference)[k] for k in spaces} == spaces
     assert _outputs(renamed.dgca) == _outputs(reference)
-    assert renamed.dgca._records == reference._records
+    assert kept_spaces(renamed.dgca) == kept_spaces(reference)
 
 
 @settings(max_examples=20, deadline=None)
@@ -695,15 +695,15 @@ def test_extending_a_renamed_model_leaves_its_source_unchanged(model):
     for m in range(renamed.truncation + 1):
         renamed.cohomology(m).classes
     assert renamed.gens[-1] == z and renamed.keys(top.degree)[-1] == ((len(source.gens), 1),)
-    # z is a closed generator of degree top.degree: the record of that degree
-    # gains a class row in the renamed complex only
-    assert renamed._records[top.degree].size == source._records[top.degree].size + 1
+    # z is a closed generator of degree top.degree: the space of that degree
+    # gains a key in the renamed complex only
+    assert kept_spaces(renamed)[top.degree][2] == kept_spaces(source)[top.degree][2] + 1
     assert _state(source) == before
     assert _outputs(source) == _outputs(_rebuilt(model, {g: g for g in model.generators}))
-    # and the other way round: extending the source leaves the renamed records
-    after = copy.deepcopy(renamed._records)
+    # and the other way round: extending the source leaves the renamed spaces
+    after = kept_spaces(renamed)
     source.extend([Generator("z", top.degree, top.stage + 1, top.index + 1)], {})
-    assert renamed._records == after
+    assert kept_spaces(renamed) == after
 
 
 # ---------------------------------------------------------------------------
