@@ -15,10 +15,11 @@ runs the work that many times under one profile.
 
 For each hot layer of the cohomology elimination (and of the spaces a
 complex builds again when it extends, ``from_class_rows``), of the kill step
-(``_kill_step``, which includes its ``extend_codes`` call) and of the
-presented algebra A (its ideal slices and its indecomposables), and for the
-d^2 and standardness checks of a model, it prints the number of calls, the
-cumulative seconds and the share of the profiled total.
+(``_kill_step``, which includes its ``extend_codes`` call, and its rho*
+rows, ``_rho_constraints``) and of the presented algebra A (its ideal slices
+and its indecomposables), and for the d^2 and standardness checks of a
+model, it prints the number of calls, the cumulative seconds and the share
+of the profiled total.
 A's graded components have no row of their own: ``graded_component`` is
 ``FreeDGCA.cohomology``, one code object, so its row would count the
 model's cohomology too.  cProfile adds a cost to every Python call, so the
@@ -50,6 +51,7 @@ LAYERS = {
     "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
     "minimal_model._kill_step": minimal_model._kill_step,
+    "minimal_model._rho_constraints": minimal_model._rho_constraints,
     "linalg.solve_rows": linalg.solve_rows,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,

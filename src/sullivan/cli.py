@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import expr
 from .attachment import AttachmentModel
@@ -78,27 +79,16 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def render_model_text(model: BigradedModel) -> str:
-    degrees: dict[int, int] = {}
-    for g in model.generators:
-        degrees[g.degree] = degrees.get(g.degree, 0) + 1
-    rows = []
-    seen: set[int] = set()
-    for g in sorted(model.generators, key=lambda g: g.sort_key()):
-        first = g.degree not in seen
-        seen.add(g.degree)
-        rows.append(
-            [
-                str(g.degree) if first else "",
-                str(degrees[g.degree]) if first else "",
-                g.name,
-                str(g.stage),
-                str(model.d_of(g)),
-                str(model.rho[g]),
-            ]
-        )
-    if not rows:
+def render_model_text(payload: dict) -> str:
+    gens = payload["generators"]
+    if not gens:
         return "(no generators)"
+    dims = Counter(g["degree"] for g in gens)
+    rows = []
+    for g in gens:
+        dim = dims.pop(g["degree"], 0)  # shown on the first row of its degree only
+        head = [str(g["degree"]), str(dim)] if dim else ["", ""]
+        rows.append([*head, g["name"], str(g["stage"]), g["d"], g["rho"]])
     return _format_table(rows, ["deg", "dim", "generator", "stage", "differential", "rho"])
 
 
@@ -281,11 +271,7 @@ def _load_job(args) -> tuple[Job, int | None]:
 
 
 def cmd_model(args) -> int:
-    model = _load_job(args)[0].model()
-    if args.json:
-        print(json.dumps(model_json(model), indent=2))
-    else:
-        print(render_model_text(model))
+    _emit(args, model_json(_load_job(args)[0].model()), render_model_text)
     return EXIT_OK
 
 

@@ -200,9 +200,10 @@ def _decide(attached: AttachmentModel) -> FormalityVerdict:
 class EvenComplexResult:
     """Per-cell verdicts plus the presentation of the assembled complex.
 
-    ``final`` presents the cohomology after the last cell shown formal (the
-    wedge skeleton when there is none); intermediate presentations are not
-    kept.
+    ``final`` presents the cohomology after the last cell shown formal along
+    a nonzero alpha (the wedge skeleton when there is none).  A torsion cell
+    (alpha = 0) is shown formal but ends the chain, and it is not in
+    ``final``.  Intermediate presentations are not kept.
     """
 
     half_degree: int

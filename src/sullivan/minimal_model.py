@@ -3,8 +3,10 @@
 The construction runs degree by degree.  In degree m it first adjoins, as
 stage-0 generators with zero differential, the degree-m generators of A that
 `PresentedAlgebra.indecomposables` picks: their classes are a basis of the
-indecomposables of A^m, and rho sends each one to itself.  It then kills the
-kernel K of the induced map rho*: H^(m+1)(current model) -> A^(m+1):
+indecomposables of A^m.  These lifts are A's own generators, and rho, a
+rule of the stages, fixes them and kills every generator of stage >= 1.  It
+then kills the kernel K of the induced map rho*: H^(m+1)(current model) ->
+A^(m+1):
 
 * kernel classes that admit a representative inside Lambda(V_0) become
   stage-1 generators whose differentials are those pure representatives;
@@ -33,10 +35,11 @@ The build checks this: a remaining target with a pure term raises
 
 The kill step (`_kill_step`) works on class coordinates and on the codes of
 the columns of H^(m+1), whose largest stages it reads once per degree.  rho
-kills every term with a factor of stage >= 1, so rho* of a class row is rho
-of its pure terms alone, and a row with none gives no constraint.  The pure
-classes are the sparse class coordinates of the pure columns.  If rho* has a
-constraint, its kernel K is eliminated; the stage-1 layer is the RREF of
+kills every term with a factor of stage >= 1 and fixes the pure terms, so
+rho* of a class row is the class in A of its pure terms, one reduction in
+A^(m+1), and a row with none gives no constraint.  The pure classes are the
+sparse class coordinates of the pure columns.  If rho* has a constraint,
+its kernel K is eliminated; the stage-1 layer is the RREF of
 K cap P, and the remaining kill span that of K reduced modulo K cap P.  If it
 has none (for a wedge of spheres, A^(m+1) = 0 for every m >= 2), K is all of
 H^(m+1) and K cap P = P.  With Q the pivot set of P, reducing the unit
@@ -216,46 +219,42 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
     # H^0, H^1 and H^2 of the empty complex: the lifts amend their spaces
     for k in range(3):
         model.cohomology(k)
-    rho: dict[Generator, Element] = {}
-    next_index = len(algebra.generators)
 
     for m in range(2, truncation + 1):
         # stage 0: the generators of A whose classes span Q(A)^m
-        lifts = algebra.indecomposables(m)
-        for g in lifts:
-            rho[g] = Element.from_generator(g)
-        model.extend(lifts, {})
+        model.extend(algebra.indecomposables(m), {})
         if m == truncation:
             break
 
         h_space = model.cohomology(m + 1)
         if h_space.dimension:
-            a_space = algebra.graded_component(m + 1)
-            next_index = _kill_step(model, h_space, a_space, rho, next_index)
+            _kill_step(model, h_space, algebra.graded_component(m + 1))
 
+    # the lifts are the stage-0 generators, and rho kills every other one
+    rho = {g: Element.from_generator(g) if not g.stage else Element.zero() for g in model.gens}
     return BigradedModel(model, rho, algebra, truncation)
 
 
-def _kill_step(
-    model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpace, rho: dict, index: int
-) -> int:
+def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpace) -> None:
     """Kill the kernel of rho*: H^(m+1) = ``h_space`` -> A^(m+1) = ``a_space``.
 
-    The new generators, of degree m, take the indices from ``index`` on and
-    have rho = 0; returns the next free index.  See the module docstring.
+    The new generators, of degree m, are numbered in the order they are
+    made, from the first index above those of A's generators and of every
+    generator of the complex.  See the module docstring.
     """
     m = h_space.degree - 1
+    index = max(len(a_space.cochains.generators), 1 + max(g.index for g in model.gens))
     h = h_space.dimension
     keys = h_space.keys
     stage_of = [g.stage for g in model.gens]
     # the largest stage in each degree-(m + 1) monomial; 0 marks a pure one
     top_stage = [max([stage_of[p] for p, _ in code]) for code in keys]
-    constraints = _rho_constraints(h_space, top_stage, rho, a_space)
+    constraints = _rho_constraints(h_space, top_stage, a_space)
     kernel = None  # no constraint: the kernel is all of H^(m+1)
     if constraints:
         kernel = RowSpace(constraints).kernel(h)
         if not kernel:
-            return index
+            return
 
     # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
     pure_codes, pure_rows = [], []
@@ -307,20 +306,18 @@ def _kill_step(
     # both layers join the model together, in sorted order
     counters: dict[int, int] = {}
     layer = []
-    for stage, dg in staged:
+    for i, (stage, dg) in enumerate(staged, index):
         serial = counters[stage] = counters.get(stage, -1) + 1
-        g = Generator(f"v{m}_s{stage}_{serial}", m, stage, index + len(layer))
-        rho[g] = Element.zero()
-        layer.append((g, dg))
+        layer.append((Generator(f"v{m}_s{stage}_{serial}", m, stage, i), dg))
     model.extend_codes(layer, kills=kills)
-    return index + len(layer)
 
 
-def _rho_constraints(h_space, top_stage, rho, a_space) -> list[dict[int, Fraction]]:
+def _rho_constraints(h_space, top_stage, a_space) -> list[dict[int, Fraction]]:
     """rho*: H^(m+1) -> A^(m+1) = ``a_space`` as rows over class coordinates.
 
-    ``top_stage`` is the largest stage in each column of H^(m+1); rho sees
-    only the pure terms of a class row, and a row with none gives no entry.
+    ``top_stage`` is the largest stage in each column of H^(m+1).  rho fixes
+    the lifts and kills every other generator, so rho* of a class row is the
+    class in A of its pure terms, and a row with none gives no entry.
     """
     if not a_space.dimension:
         return []
@@ -329,8 +326,8 @@ def _rho_constraints(h_space, top_stage, rho, a_space) -> list[dict[int, Fractio
     for i, row in enumerate(h_space._class_rows):
         pure = {keys[j]: c for j, c in row.items() if not top_stage[j]}
         if pure:
-            image = _rho_of(h_space.cochains.element_of(pure), rho, a_space.cochains)
-            for j, c in a_space.coordinates(a_space.vector_of(image)).items():
+            vec = a_space.vector_of(h_space.cochains.element_of(pure))
+            for j, c in a_space.coordinates(vec).items():
                 rows.setdefault(j, {})[i] = c
     return list(rows.values())
 

@@ -163,16 +163,24 @@ def _replaced(x, gen, replacement):
     return out
 
 
-def reference_kill_step(model, h_space, a_space, rho, index):
+def stage_rho(gens):
+    """rho of a built model by its stages: each lift to itself, the rest to zero."""
+    return {g: Element.zero() if g.stage else Element.from_generator(g) for g in gens}
+
+
+def reference_kill_step(model, h_space, a_space):
     """The kill step as first written, for `minimal_model._kill_step`'s signature.
 
     It decodes every class, forms rho* of each whole representative, takes
     the kernel of rho* even when it has no constraint, reads the pure classes
     through `class_of`, and reduces every kernel vector modulo the stage-1
-    span.  The only change is that `CohomologySpace.combination` now answers
-    by column, which this maps to codes.
+    span.  The changes are that `CohomologySpace.combination` now answers by
+    column, which this maps to codes, and that rho (`stage_rho`) and the
+    first free index are read off the complex.
     """
     m = h_space.degree - 1
+    rho = stage_rho(model.gens)
+    index = max(len(a_space.cochains.generators), 1 + max(g.index for g in model.gens))
     constraint_rows = {}
     if a_space.dimension:
         for i, cls in enumerate(h_space.classes):
@@ -182,7 +190,7 @@ def reference_kill_step(model, h_space, a_space, rho, index):
                     constraint_rows.setdefault(j, {})[i] = c
     kernel = RowSpace(constraint_rows.values()).kernel(h_space.dimension)
     if not kernel:
-        return index
+        return
     stage0 = [g for g in model.gens if g.stage == 0]
     pure_monomials = monomial_basis(stage0, m + 1)
     pure_vectors = [
@@ -196,9 +204,7 @@ def reference_kill_step(model, h_space, a_space, rho, index):
     def new_generator(stage):
         serial = counters.get(stage, 0)
         counters[stage] = serial + 1
-        g = Generator(f"v{m}_s{stage}_{serial}", m, stage, index + len(layer))
-        rho[g] = Element.zero()
-        return g
+        return Generator(f"v{m}_s{stage}_{serial}", m, stage, index + len(layer))
 
     pure_kernel = intersect_spans(kernel, pure_rows)
     for row in pure_kernel:
@@ -216,7 +222,6 @@ def reference_kill_step(model, h_space, a_space, rho, index):
         assert all(stages)
         layer.append((new_generator(1 + max(stages)), target))
     model.extend_codes(layer, kills={*handled.pivots(), *leftovers.pivots()})
-    return index + len(layer)
 
 
 class ReferenceSlices(PresentedAlgebra):

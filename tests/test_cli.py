@@ -1023,3 +1023,18 @@ def test_run_fixtures_script_meets_every_expected_status():
 
     assert [line.split()[0] for line in result.stdout.splitlines()] == fixture_ids()
     assert "EXPECTED" not in result.stdout
+
+
+@pytest.mark.parametrize("argv", [["--wedge", "2", "5"], ["--fixture", "fatwedge-e6"]])
+def test_profile_build_script_prints_every_layer(argv, monkeypatch):
+    import importlib.util
+
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "profile_build.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    spec = importlib.util.spec_from_file_location("profile_build", script)
+    profile_build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profile_build)
+    result = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    printed = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    assert printed == list(profile_build.LAYERS)

@@ -159,6 +159,9 @@ def test_even_complex_torsion_cell_then_stop():
     assert result.verdicts[0].clause == "torsion"
     assert result.verdicts[1].status == INCONCLUSIVE
     assert result.verdicts[1].clause == "base-not-established"
+    # the torsion cell ends the chain: final is still the wedge skeleton
+    final = result.final
+    assert [final.graded_component(m).dimension for m in range(5)] == [1, 0, 2, 0, 0]
 
 
 def test_even_complex_two_cells_sequential():

@@ -29,7 +29,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_tracer_counts_graded_component_cache_hits(monkeypatch):
     # The tracer reads PresentedAlgebra._components, the spaces of A^m the
-    # algebra keeps, to count cache hits.
+    # algebra keeps, to count cache hits.  The build reads each A^m it needs
+    # once, so A^4 is read again after it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layertrace
     import sullivan.minimal_model as minimal_model
@@ -40,6 +41,7 @@ def test_tracer_counts_graded_component_cache_hits(monkeypatch):
         tracer.install()
         algebra = PresentedAlgebra.from_strings([("a", 2)], ["a^3"], truncation=7)
         minimal_model.build_minimal_model(algebra, 6)
+        algebra.graded_component(4)
     finally:
         tracer.uninstall()
     assert tracer.counters["presented.graded_component.hits"] > 0

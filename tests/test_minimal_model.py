@@ -28,6 +28,7 @@ from conftest import (
     pure_part,
     reference_kill_step,
     small_presentations,
+    stage_rho,
     substitute,
 )
 
@@ -422,6 +423,41 @@ def _tables(model):
     return repr(gens), repr(spaces)
 
 
+def _assert_rho_and_indices_follow_the_stages(model):
+    """rho fixes each lift and kills every other generator, the lifts of each
+    degree m are A's ``indecomposables(m)``, and the kill generators are
+    numbered on from A's generators, degree by degree."""
+    algebra, gens = model.algebra, model.generators
+    assert set(model.rho) == set(gens)
+    for g in gens:
+        assert model.rho[g] == (Element.zero() if g.stage else Element.from_generator(g)), g.name
+    lifts = [g for m in range(2, model.truncation + 1) for g in algebra.indecomposables(m)]
+    assert [g for g in gens if not g.stage] == lifts
+    # a layer is numbered in the order it is made, which need not be its
+    # position order (stage first), so the indices run on within each degree
+    start = len(algebra.generators)
+    kills = sorted((g.degree, g.index) for g in gens if g.stage)
+    assert [index for _, index in kills] == list(range(start, start + len(kills)))
+
+
+def test_rho_and_indices_of_fixture_and_chosen_models_follow_the_stages():
+    problems = [_fixture_algebra(fixture_id) for fixture_id in fixture_ids()]
+    # c = a*b is never lifted, yet the kill generators are numbered after it
+    gens, relations = [("a", 2), ("b", 2), ("c", 4)], ["c - a*b", "a^2"]
+    problems.append((PresentedAlgebra.from_strings(gens, relations, 8), 7))
+    # its degree-6 layer is made with stages 3, 4, 3, 4, 2: not in position order
+    gens, relations = [("a", 2), ("b", 2), ("c", 3)], ["a*b", "a*c", "b^2"]
+    problems.append((PresentedAlgebra.from_strings(gens, relations, 8), 7))
+    for algebra, n in problems:
+        _assert_rho_and_indices_follow_the_stages(build_minimal_model(algebra, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations())
+def test_rho_and_indices_of_built_models_follow_the_stages(data):
+    _assert_rho_and_indices_follow_the_stages(build_minimal_model(*data))
+
+
 def _square_free_text(i, j):
     return f"x{i}^2" if i == j else f"x{i}*x{j}"
 
@@ -469,15 +505,15 @@ def test_kill_step_matches_the_reference_kill_step(monkeypatch):
             constrained.append(bool(rows))
             return rows
 
-        def spy_kill_step(model, h_space, a_space, rho, index):
-            out = kill_step(model, h_space, a_space, rho, index)
-            new = model.gens[len(model.gens) - (out - index):]
+        def spy_kill_step(model, h_space, a_space):
+            before = len(model.gens)
+            kill_step(model, h_space, a_space)
+            new = model.gens[before:]
             branch = "general" if constrained[-1] else "fast"
             ran.add(branch)
             if branch == "fast" and family == "wedge" and h_space.degree == 4:
                 if any(g.stage == 1 for g in new):
                     ran.add("fast, with a stage-1 layer")
-            return out
 
         with monkeypatch.context() as mp:
             mp.setattr(minimal_model, "_rho_constraints", spy_constraints)
@@ -500,9 +536,10 @@ def test_kill_step_matches_the_reference_kill_step(monkeypatch):
     assert ran == {"fast", "general", "fast, with a stage-1 layer"}
 
 
-def _reference_constraints(h_space, rho, a_space):
+def _reference_constraints(h_space, a_space):
     """rho* of each whole class representative, as the kill step first formed it."""
     rows = {}
+    rho = stage_rho(h_space.cochains.gens)
     if a_space.dimension:
         for i, cls in enumerate(h_space.classes):
             image = _rho_of(cls.representative, rho, a_space.cochains)
@@ -517,9 +554,9 @@ def _constraints_checked(monkeypatch, algebra, n):
     rho_constraints = minimal_model._rho_constraints
     nonempty = []
 
-    def spy(h_space, top_stage, rho, a_space):
-        rows = rho_constraints(h_space, top_stage, rho, a_space)
-        expected = _reference_constraints(h_space, rho, a_space)
+    def spy(h_space, top_stage, a_space):
+        rows = rho_constraints(h_space, top_stage, a_space)
+        expected = _reference_constraints(h_space, a_space)
         assert rows == expected and repr(rows) == repr(expected), h_space.degree
         nonempty.append(bool(rows))
         return rows
