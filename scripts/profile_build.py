@@ -16,9 +16,10 @@ runs the work that many times under one profile.
 For each hot layer of the cohomology elimination (and of the spaces a
 complex builds again when it extends, ``from_class_rows``), of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call, and its rho*
-rows, ``_rho_constraints``) and of the presented algebra A (its ideal slices
-and its indecomposables), and for the d^2 and standardness checks of a
-model, it prints the number of calls, the cumulative seconds and the share
+rows, ``_rho_constraints``), of the product loop that writes [u] as a sum
+of products (``decomposition``) and of the presented algebra A (its ideal
+slices and its indecomposables), and for the d^2 and standardness checks of
+a model, it prints the number of calls, the cumulative seconds and the share
 of the profiled total.
 A's graded components have no row of their own: ``graded_component`` is
 ``FreeDGCA.cohomology``, one code object, so its row would count the
@@ -55,6 +56,7 @@ LAYERS = {
     "linalg.solve_rows": linalg.solve_rows,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
+    "dgca.decomposition": dgca.decomposition,
     "PresentedAlgebra.boundaries": PresentedAlgebra.boundaries,
     "PresentedAlgebra.indecomposables": PresentedAlgebra.indecomposables,
     "FreeDGCA.verify_d_squared": dgca.FreeDGCA.verify_d_squared,

@@ -115,10 +115,6 @@ class AlphaFunctional:
         )
         return cls(n, coeffs)
 
-    @classmethod
-    def zero(cls, n: int) -> "AlphaFunctional":
-        return cls(n, ())
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -169,11 +165,6 @@ class AttachmentElement:
 
     def __neg__(self):
         return AttachmentElement(-self.body, -self.u)
-
-    def __eq__(self, other):
-        if not isinstance(other, AttachmentElement):
-            return NotImplemented
-        return self.body == other.body and self.u == other.u
 
     def __str__(self):
         if self.is_zero:

@@ -105,7 +105,6 @@ from __future__ import annotations
 
 import copy
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -491,28 +490,14 @@ class FreeDGCA:
         return out
 
     def verify_d_squared(self) -> tuple[Generator, Element] | None:
-        """None when d*d kills every generator, else (generator, residue).
-
-        The d(g) of a model share most of their terms, so d of each distinct
-        term code is computed once per call, and kept until its last use.
-        """
-        checked = [
-            (g, dg) for g, dg in zip(self.gens, self._d_codes) if dg and g.degree <= self.truncation
-        ]
-        uses = Counter(code for _, dg in checked for code, _, _ in dg)
-        d_of: dict[tuple, dict[tuple, int | Fraction]] = {}
-        for g, dg in checked:
-            residue: dict[tuple, int | Fraction] = {}
-            for code, _, coeff in dg:
-                d_code = d_of.pop(code, None)
-                if d_code is None:
-                    d_code = self._d_code(code)
-                uses[code] -= 1
-                if uses[code]:
-                    d_of[code] = d_code
-                add_scaled(residue, coeff, d_code)
-            if residue:
-                return g, self.element_of(residue)
+        """None when d*d kills every generator, else (generator, residue)."""
+        for g, dg in zip(self.gens, self._d_codes):
+            if dg and g.degree <= self.truncation:
+                residue: dict[tuple, int | Fraction] = {}
+                for code, _, coeff in dg:
+                    add_scaled(residue, coeff, self._d_code(code))
+                if residue:
+                    return g, self.element_of(residue)
         return None
 
     # --- cohomology -------------------------------------------------------
@@ -760,7 +745,9 @@ def decomposition(
 
     ``cohomology`` maps a degree to its cached `CohomologySpace`, over a
     complex whose class representatives multiply.  The witness lists the
-    nonzero (coefficient, left class, right class) terms.
+    nonzero (coefficient, left class, right class) terms.  A product of
+    cocycles is a cocycle, so its class coordinates are read off its columns,
+    with no d taken and no representative decoded.
     """
     m = cls.degree
     target = cohomology(m)
@@ -769,13 +756,14 @@ def decomposition(
         left, right = cohomology(p).classes, cohomology(m - p).classes
         for c1 in left:
             for c2 in right:
-                product = target.class_of(c1.representative * c2.representative)
-                if not product.is_zero:
-                    products.append((product.coordinates, c1, c2))
+                product = c1.representative * c2.representative
+                coords = target.coordinates(target.vector_of(product))
+                if coords:
+                    products.append((coords, c1, c2))
     if not products:
         return [] if cls.is_zero else None
     solutions = solve_rows(
-        [{i: c for i, c in enumerate(vec) if c} for vec, _, _ in products],
+        [coords for coords, _, _ in products],
         [{i: c for i, c in enumerate(cls.coordinates) if c}],
     )
     if solutions is None:

@@ -144,10 +144,6 @@ class Element:
         return cls()
 
     @classmethod
-    def one(cls) -> "Element":
-        return cls({Monomial.unit(): _ONE})
-
-    @classmethod
     def scalar(cls, c) -> "Element":
         return cls({Monomial.unit(): c})
 

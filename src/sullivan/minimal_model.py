@@ -120,7 +120,10 @@ class BigradedModel:
     dgca: FreeDGCA
     rho: dict[Generator, Element]
     algebra: PresentedAlgebra
-    truncation: int
+
+    @property
+    def truncation(self) -> int:
+        return self.dgca.truncation
 
     @property
     def generators(self) -> tuple[Generator, ...]:
@@ -189,12 +192,7 @@ class BigradedModel:
             names.append(new_name)
         dgca = self.dgca.renamed(names)
         gmap = dict(zip(self.generators, dgca.gens))
-        return BigradedModel(
-            dgca,
-            {gmap[g]: img for g, img in self.rho.items()},
-            self.algebra,
-            self.truncation,
-        )
+        return BigradedModel(dgca, {gmap[g]: img for g, img in self.rho.items()}, self.algebra)
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +230,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
     # the lifts are the stage-0 generators, and rho kills every other one
     rho = {g: Element.from_generator(g) if not g.stage else Element.zero() for g in model.gens}
-    return BigradedModel(model, rho, algebra, truncation)
+    return BigradedModel(model, rho, algebra)
 
 
 def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpace) -> None:

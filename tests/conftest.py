@@ -9,7 +9,7 @@ from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
-from sullivan.linalg import RowSpace, intersect_spans, solve_in_span
+from sullivan.linalg import RowSpace, intersect_spans, solve_in_span, solve_rows
 from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
@@ -69,6 +69,34 @@ def class_product(dgca, c1, c2):
     """The class of the product of two class representatives of a FreeDGCA."""
     product = c1.representative * c2.representative
     return dgca.cohomology(c1.degree + c2.degree).class_of(product)
+
+
+def reference_decomposition(cohomology, cls):
+    """`dgca.decomposition` the long way: each product's class through `class_of`.
+
+    `class_of` checks that the product is closed under d and decodes its
+    reduced representative; its dense coordinates are made sparse again for
+    `linalg.solve_rows`.
+    """
+    m = cls.degree
+    target = cohomology(m)
+    products = []
+    for p in range(1, m // 2 + 1):
+        left, right = cohomology(p).classes, cohomology(m - p).classes
+        for c1 in left:
+            for c2 in right:
+                product = target.class_of(c1.representative * c2.representative)
+                if not product.is_zero:
+                    products.append((product.coordinates, c1, c2))
+    if not products:
+        return [] if cls.is_zero else None
+    solutions = solve_rows(
+        [{i: c for i, c in enumerate(vec) if c} for vec, _, _ in products],
+        [{i: c for i, c in enumerate(cls.coordinates) if c}],
+    )
+    if solutions is None:
+        return None
+    return [(c, products[j][1], products[j][2]) for j, c in solutions[0].items()]
 
 
 def product_route_indecomposables(algebra, m):
@@ -145,9 +173,7 @@ def substitute(model, gen, delta):
     d[gen] = model.d_of(gen) + model.dgca.d(delta)
     rho = dict(model.rho)
     rho[gen] = model.algebra.reduce(model.rho[gen] + model.rho_of(delta))
-    return BigradedModel(
-        FreeDGCA(model.generators, d, model.truncation), rho, model.algebra, model.truncation
-    )
+    return BigradedModel(FreeDGCA(model.generators, d, model.truncation), rho, model.algebra)
 
 
 def _replaced(x, gen, replacement):

@@ -125,7 +125,7 @@ def test_criterion_4_torsion_clause(cp1, wedge3_e6, fatwedge_e6, n_override):
     for built in (cp1, wedge3_e6, fatwedge_e6):
         model, algebra = built.model, built.algebra
         n = built.fixture.cell or 4
-        alpha = AlphaFunctional.zero(n)
+        alpha = AlphaFunctional(n, ())
         verdict = formality_verdict(model, alpha)
         assert verdict.status == FORMAL
         assert verdict.clause == "torsion"

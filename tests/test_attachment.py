@@ -8,19 +8,20 @@ from sullivan.attachment import (
     AttachmentElement,
     AttachmentModel,
 )
-from sullivan.dgca import CohomologySpace, FreeDGCA
+from sullivan.dgca import CohomologySpace, FreeDGCA, decomposition
 from sullivan.errors import InputError, IntegrityError
 from sullivan.gca import Element, Generator, Monomial
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
-from sullivan.fixtures import build_fixture, fixture_ids
+from sullivan.fixtures import build_fixture, fixture_ids, get_fixture
 
 from conftest import (
     attachment_of,
     built_wedge_and_dense_models,
     coefficients,
     generator,
+    reference_decomposition,
     small_presentations,
 )
 
@@ -37,7 +38,7 @@ def test_twisted_differential_on_generator(cp2_attach):
 
 def test_zero_alpha_keeps_differential(cp1):
     model = cp1.model
-    alpha = AlphaFunctional.zero(4)
+    alpha = AlphaFunctional(4, ())
     att = AttachmentModel(model, alpha)
     for g in model.generators:
         img = att.d(AttachmentElement(Element.from_generator(g)))
@@ -87,7 +88,7 @@ def test_u_exact_against_sphere_relation(cp2_attach):
 def test_wedge_attachment_dimension_law(cp1):
     """alpha = 0: dim H^n grows by one, everything else is unchanged."""
     model, algebra = cp1.model, cp1.algebra
-    att = AttachmentModel(model, AlphaFunctional.zero(4))
+    att = AttachmentModel(model, AlphaFunctional(4, ()))
     for m in range(0, 5):
         expected = algebra.graded_component(m).dimension + (1 if m == 4 else 0)
         assert att.cohomology(m).dimension == expected
@@ -131,6 +132,89 @@ def test_indecomposable_u(wedge3_e6):
     att = attachment_of(wedge3_e6)
     dec, witness = att.u_decomposable()
     assert not dec and witness is None
+
+
+def _witness_text(witness):
+    """A decomposition witness as (coefficient, left class, right class) text."""
+    return None if witness is None else [(c, str(c1), str(c2)) for c, c1, c2 in witness]
+
+
+def _decompositions_and_references(cohomology, classes):
+    """(witness, reference witness) of each class, as text."""
+    return [
+        (
+            _witness_text(decomposition(cohomology, cls)),
+            _witness_text(reference_decomposition(cohomology, cls)),
+        )
+        for cls in classes
+    ]
+
+
+def _every_class(att):
+    """The basis classes of an attachment in each degree 2..N, then [u] if nonzero."""
+    classes = [cls for m in range(2, att.truncation + 1) for cls in att.cohomology(m).classes]
+    u = att.u_class()
+    return classes if u.is_zero else [*classes, u]
+
+
+def test_decomposition_matches_the_class_of_reference(monkeypatch, capsys):
+    from sullivan import attachment, cli
+
+    # the verdict of every fixture with a cell, even mode included, as the CLI
+    # runs it: each witness it asks for is checked against the reference
+    pairs = []
+
+    def checked(cohomology, cls):
+        witness = decomposition(cohomology, cls)
+        reference = reference_decomposition(cohomology, cls)
+        pairs.append((_witness_text(witness), _witness_text(reference)))
+        return witness
+
+    monkeypatch.setattr(attachment, "decomposition", checked)
+    cells = [fid for fid in fixture_ids() if get_fixture(fid).cell is not None]
+    for fid in cells:
+        assert cli.main(["verdict", "--fixture", fid]) in (0, 10, 20), capsys.readouterr().err
+    witnesses = [witness for witness, _ in pairs]
+    assert any(witnesses) and None in witnesses, pairs  # both decomposable and not
+    monkeypatch.undo()
+    # and every class of each fixture's attachment outside even mode
+    for fid in cells:
+        built = build_fixture(fid)
+        if built.alpha is not None:
+            att = attachment_of(built)
+            pairs += _decompositions_and_references(att.cohomology, _every_class(att))
+    for witness, reference in pairs:
+        assert witness == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations(), st.data())
+def test_decomposition_matches_the_class_of_reference_on_drawn_attachments(data, sampler):
+    algebra, truncation = data
+    model = build_minimal_model(algebra, truncation)
+    n = sampler.draw(st.integers(3, truncation))
+    names = [g.name for g in model.generators if g.degree == n - 1]
+    support = sampler.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)) if names else []
+    pairs = [(name, sampler.draw(coefficients)) for name in support]
+    att = AttachmentModel(model, AlphaFunctional.build(model, n, pairs))
+    for witness, reference in _decompositions_and_references(att.cohomology, _every_class(att)):
+        assert witness == reference
+
+
+def test_attachment_elements_compare_by_body_and_u():
+    a, b = Generator("a", 2), Generator("b", 2)
+    x = Element.from_generator(a)
+    assert AttachmentElement(x, F(2)) == AttachmentElement(Element.from_generator(a), F(2))
+    assert AttachmentElement(x) == AttachmentElement(x, 0)
+    assert AttachmentElement(x, F(1)) != AttachmentElement(x, F(2))
+    assert AttachmentElement(x, F(1)) != AttachmentElement(x)
+    assert AttachmentElement(x) != AttachmentElement(Element.from_generator(b))
+    # an Element is not an attachment element, even with u = 0
+    assert (AttachmentElement(x) == x) is False
+    assert (x == AttachmentElement(x)) is False
+    assert AttachmentElement(x) != x
+    with pytest.raises(TypeError):
+        hash(AttachmentElement(x))
 
 
 def test_u_decomposable_requires_nonzero_u(wedge3_s2):
@@ -178,7 +262,6 @@ def _hand_built_model(gens, d_on_gens, truncation):
         FreeDGCA(gens, d_on_gens, truncation),
         {g: Element.zero() for g in gens},
         algebra,
-        truncation,
     )
 
 
@@ -238,7 +321,7 @@ def test_a_base_whose_d_is_data_is_checked_once_per_attachment(case, monkeypatch
 
     monkeypatch.setattr(FreeDGCA, "verify_d_squared", counting)
     for _ in range(2):
-        AttachmentModel(model, AlphaFunctional.zero(n))
+        AttachmentModel(model, AlphaFunctional(n, ()))
     assert calls == [model.dgca, model.dgca]
 
 
@@ -246,7 +329,7 @@ def test_a_built_model_extended_with_d_squared_nonzero_is_refused():
     # d(x) = a*b: d(dx) = a^3 != 0, on a base the build had proved closed
     model = _sphere_base_extended(4, (0, 1))
     with pytest.raises(IntegrityError, match=r"at x$"):
-        AttachmentModel(model, AlphaFunctional.zero(5))
+        AttachmentModel(model, AlphaFunctional(5, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def _term_text(term):
 
 def _term_element(term):
     coeff, factors = term
-    out = Element.one() if coeff is None else Element.scalar(F(coeff[0], coeff[1] or 1))
+    out = Element.scalar(1 if coeff is None else F(coeff[0], coeff[1] or 1))
     for name, e in factors:
         for _ in range(e or 1):
             out = out * Element.from_generator(ORACLE_GENS[name])

@@ -38,7 +38,7 @@ def test_hurewicz_fails_on_stage0_support(wedge3_s2):
 
 
 def test_special_zero_alpha(cp1):
-    special, violators = is_special(cp1.model, AlphaFunctional.zero(4))
+    special, violators = is_special(cp1.model, AlphaFunctional(4, ()))
     assert special and violators == []
 
 
@@ -74,7 +74,7 @@ def test_verdict_fatwedge(fatwedge_e6):
 
 
 def test_verdict_zero_alpha_torsion_clause(cp1):
-    v = formality_verdict(cp1.model, AlphaFunctional.zero(4))
+    v = formality_verdict(cp1.model, AlphaFunctional(4, ()))
     assert v.status == FORMAL and v.clause == "torsion"
 
 

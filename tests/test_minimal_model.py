@@ -826,7 +826,6 @@ def test_rename_refuses_to_reorder_generators():
         FreeDGCA([x, y, b], {b: Element.from_generator(x) * Element.from_generator(y)}, 4),
         {x: Element.from_generator(x), y: Element.from_generator(y), b: Element.zero()},
         algebra,
-        4,
     )
     refusals = [
         ({"x": "z"}, "^the new names 'z' and 'y' would reorder the generators 'x' and 'y'$"),
