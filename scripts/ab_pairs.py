@@ -8,7 +8,10 @@ a temporary directory, and both copies are loaded into this one process, so
 that a pair of passes shares the machine's state of the moment.  The job list
 is WORKLOAD's seeded list from ``perfbench/workloads.py`` of the tree this
 script lives in, loaded once per copy and only read; its ``run_job`` and
-``digest`` then run against that copy.
+``digest`` then run against that copy.  A WORKLOAD of the form ``wedge-R-N``
+(``wedge-4-10``, say) is instead one model job, as ``model-wedge`` makes
+them: the wedge of R 2-spheres truncated at N, its relations shuffled by
+SEED, compared by the digest of its generator table.
 
 First every job runs once on each side, and the two sides' output digests
 must agree (exit 1 otherwise).  Then PAIRS pairs of passes over the whole job
@@ -31,6 +34,8 @@ machine's speed swings during the run.
 import importlib
 import importlib.util
 import os
+import random
+import re
 import shutil
 import statistics
 import sys
@@ -42,6 +47,7 @@ WORKLOADS_PY = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
 SIDES = ("parent", "change")
 # the modules perfbench/workloads.py imports from the package
 IMPORTED = ("cli", "fixtures", "gca", "minimal_model", "presented")
+WEDGE = re.compile(r"wedge-(\d+)-(\d+)")
 
 
 def _load_side(side: str, tree: str, tmp: str):
@@ -70,6 +76,16 @@ def _load_side(side: str, tree: str, tmp: str):
     return workloads
 
 
+def _jobs(workloads, workload: str, seed: int, workdir: str) -> list:
+    """WORKLOAD's seeded job list, or the one job of a ``wedge-R-N``."""
+    scale = WEDGE.fullmatch(workload)
+    if scale is None:
+        return workloads.make_inputs(workload, seed, workdir)
+    r, n = map(int, scale.groups())
+    gens, rels = workloads._wedge_presentation(r, random.Random(seed))
+    return [workloads.Job(f"wedge-r{r}-N{n}", "model", gens, rels, n)]
+
+
 def _summary(values) -> str:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return f"{q2:.4f} [{q1:.4f}, {q3:.4f}]"
@@ -91,7 +107,7 @@ def main(argv) -> int:
             side: _load_side(side, tree, tmp)
             for side, tree in zip(SIDES, (parent_tree, change_tree))
         }
-        jobs = loaded["parent"].make_inputs(workload, seed, os.path.join(tmp, "work"))
+        jobs = _jobs(loaded["parent"], workload, seed, os.path.join(tmp, "work"))
 
         differ = []
         for job in jobs:

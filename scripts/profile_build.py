@@ -4,14 +4,29 @@
     python3 scripts/profile_build.py --wedge 3 10
     python3 scripts/profile_build.py --fixture fatwedge-e6 --repeat 5
     python3 scripts/profile_build.py --input presentation.txt
+    python3 scripts/profile_build.py --workload model-wedge 5 --counts
 
 ``--wedge r N`` builds the minimal model of the wedge of r 2-spheres
 (degree-2 generators, every quadratic monomial a relation) truncated at N.
 ``--fixture ID`` runs the command a user would: ``sullivan verdict`` for a
 fixture with a cell, ``sullivan model`` otherwise, with ``--json`` output
 discarded.  ``--input FILE`` runs ``sullivan model --input FILE --json``,
-so that any presentation, a dense one say, can be profiled.  ``--repeat``
-runs the work that many times under one profile.
+so that any presentation, a dense one say, can be profiled.
+``--workload NAME SEED`` runs one pass over the seeded job list of a
+``perfbench`` workload, its input files written to a temporary directory
+before the work starts.  ``--repeat`` runs the work that many times under
+one profile.
+
+``--counts`` runs the work without the profiler and prints what the sparse
+elimination did instead: over every ``RowSpace``, the inserts, the dependent
+ones among them, the rows an insert back-substituted into, and the pivots
+that the walk visits (every pivot below the new one), bucketed by the
+space's rank at the insert, with the number of spaces that inserted in each
+bucket.  The visits are counted whether or not the build looked the rows up
+in its column index instead (from rank ``linalg.INDEX_RANK`` on), so the
+table shows what the walk would cost at each rank.  The counts come from
+wrappers this script puts around ``RowSpace.__init__`` and
+``RowSpace._insert``; they add a copy of the stored rows to every insert.
 
 For each hot layer of the cohomology elimination (and of the spaces a
 complex builds again when it extends, ``from_class_rows``), of the kill step
@@ -35,8 +50,11 @@ import io
 import pathlib
 import pstats
 import sys
+import tempfile
+from bisect import bisect_left, bisect_right
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from sullivan import cli, dgca, linalg, minimal_model  # noqa: E402
 from sullivan.fixtures import get_fixture  # noqa: E402
@@ -81,6 +99,88 @@ def fixture_job(fixture_id: str):
     return cli_job([command, "--fixture", fixture_id, "--json"])
 
 
+def workload_job(name: str, seed: int, workdir: str):
+    """One pass over a perfbench workload's seeded job list."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    jobs = workloads.make_inputs(name, seed, workdir)
+
+    def job():
+        for each in jobs:
+            workloads.run_job(each)
+
+    return job
+
+
+# lower edges of the rank buckets of --counts, after the first (rank 0)
+RANK_EDGES = (64, 128, 256, 512)
+COUNTS = ("spaces", "inserts", "dependent", "back-subs", "pivot visits")
+
+
+def _bucket_label(b: int) -> str:
+    if b == 0:
+        return f"< {RANK_EDGES[0]}"
+    if b == len(RANK_EDGES):
+        return f">= {RANK_EDGES[-1]}"
+    return f"{RANK_EDGES[b - 1]}-{RANK_EDGES[b] - 1}"
+
+
+def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
+    """Run ``job`` with ``RowSpace`` wrapped; the COUNTS per rank bucket, and
+    the largest rank at an insert."""
+    space_class = linalg.RowSpace
+    init, insert = space_class.__init__, space_class._insert
+    table = [[0] * len(COUNTS) for _ in range(len(RANK_EDGES) + 1)]
+    # the bucket each live space last inserted in, by id: a new space starts
+    # with none, so an id that Python hands out again is not mistaken
+    last_bucket: dict[int, int | None] = {}
+    top = 0
+
+    def counted_init(self, rows=()):
+        last_bucket[id(self)] = None
+        init(self, rows)
+
+    def counted_insert(self, row, holders):
+        nonlocal top
+        rank = len(self._rows)
+        top = max(top, rank)
+        b = bisect_right(RANK_EDGES, rank)
+        counts = table[b]
+        if last_bucket.get(id(self)) != b:
+            last_bucket[id(self)] = b
+            counts[0] += 1
+        counts[1] += 1
+        before = self._rows.copy()
+        p = insert(self, row, holders)
+        if p is None:
+            counts[2] += 1
+            return p
+        at = bisect_left(self._pivots, p)
+        rows = self._rows
+        counts[3] += sum(rows[q] is not before[q] for q in self._pivots[:at])
+        counts[4] += at
+        return p
+
+    space_class.__init__, space_class._insert = counted_init, counted_insert
+    try:
+        for _ in range(repeat):
+            job()
+    finally:
+        space_class.__init__, space_class._insert = init, insert
+    return table, top
+
+
+def print_counts(table: list[list[int]], top: int) -> None:
+    print(f"RowSpace inserts by rank at insert (largest rank at an insert {top}; "
+          f"the column index starts at rank {linalg.INDEX_RANK})")
+    print(f"{'rank':<10}" + "".join(f"{name:>14}" for name in COUNTS))
+    for b, counts in enumerate(table):
+        print(f"{_bucket_label(b):<10}" + "".join(f"{c:>14}" for c in counts))
+    totals = [sum(column) for column in zip(*table)]
+    print(f"{'all':<10}" + "".join(f"{c:>14}" for c in [""] + totals[1:]))
+
+
 def cli_job(argv: list[str]):
     def job():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -97,18 +197,31 @@ def main(argv=None) -> int:
     which.add_argument("--wedge", nargs=2, type=int, metavar=("R", "N"))
     which.add_argument("--fixture", metavar="ID")
     which.add_argument("--input", metavar="FILE")
+    which.add_argument("--workload", nargs=2, metavar=("NAME", "SEED"))
     p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--counts", action="store_true",
+                   help="count the elimination's inserts by rank instead of profiling")
     args = p.parse_args(argv)
-    if args.wedge:
-        job = wedge_job(*args.wedge)
-    elif args.fixture:
-        job = fixture_job(args.fixture)
-    else:
-        job = cli_job(["model", "--input", args.input, "--json"])
+    with tempfile.TemporaryDirectory(prefix="profile_build_") as workdir:
+        if args.wedge:
+            job = wedge_job(*args.wedge)
+        elif args.fixture:
+            job = fixture_job(args.fixture)
+        elif args.input:
+            job = cli_job(["model", "--input", args.input, "--json"])
+        else:
+            name, seed = args.workload
+            job = workload_job(name, int(seed), workdir)
+        if args.counts:
+            print_counts(*insert_counts(job, args.repeat))
+            return 0
+        return print_profile(job, args.repeat)
 
+
+def print_profile(job, repeat: int) -> int:
     profile = cProfile.Profile()
     profile.enable()
-    for _ in range(args.repeat):
+    for _ in range(repeat):
         job()
     profile.disable()
     stats = pstats.Stats(profile)
@@ -116,7 +229,7 @@ def main(argv=None) -> int:
     by_code = {(file, line, name): (nc, ct) for (file, line, name), (_, nc, _, ct, _)
                in stats.stats.items()}
 
-    print(f"profiled total {total:.3f} s over {args.repeat} run(s)")
+    print(f"profiled total {total:.3f} s over {repeat} run(s)")
     print(f"{'layer':<34} {'calls':>9} {'cum s':>8} {'share':>7}")
     for label, func in LAYERS.items():
         code = func.__code__

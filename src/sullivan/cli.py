@@ -267,7 +267,10 @@ def _load_job(args) -> tuple[Job, int | None]:
         raise InputError(f"cannot read {args.input}: {exc}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {args.input}: not UTF-8 text at byte {exc.start}")
-    return load_job(text, args.truncation), even
+    # even mode builds each complex through 4k and reads no truncation; the
+    # floor of 2 leaves a bad K to even mode's own refusal
+    default = None if even is None else max(4 * even, 2)
+    return load_job(text, args.truncation, default=default), even
 
 
 def cmd_model(args) -> int:

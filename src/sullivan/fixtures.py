@@ -264,12 +264,20 @@ class Job:
             return model, AlphaFunctional.build(model, section.cell, section.pairs)
 
 
-def load_job(text: str, truncation: int | None = None, fixture_id: str | None = None) -> Job:
-    """Parse a job and build its algebra; ``truncation`` overrides the text's."""
+def load_job(
+    text: str,
+    truncation: int | None = None,
+    fixture_id: str | None = None,
+    default: int | None = None,
+) -> Job:
+    """Parse a job and build its algebra; ``truncation`` overrides the text's,
+    and ``default`` stands in when neither gives one."""
     with _faults_of(fixture_id):
         spec = parse_job(text)
         if truncation is not None:
             spec.truncation = truncation
+        elif spec.truncation is None:
+            spec.truncation = default
         n = spec.truncation
         if n is None:
             raise InputError("no truncation given (use 'truncation N' or --truncation)")

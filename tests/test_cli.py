@@ -514,6 +514,35 @@ def test_even_mode_via_file(tmp_path):
     assert "overall: Formal" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "flags,golden",
+    [([], "verdict_even_chain.txt"), (["--json"], "verdict_even_chain_json.txt")],
+    ids=["text", "json"],
+)
+def test_even_mode_needs_no_truncation_line(flags, golden, tmp_path, capsys):
+    """Without a truncation line, even mode builds through 4k as it always
+    does, and prints what the job with its 'truncation 4' line prints."""
+    from sullivan import cli
+
+    text = (GOLDEN / "even_chain.job").read_text(encoding="utf-8")
+    assert "  truncation 4\n" in text
+    job = tmp_path / "even.job"
+    job.write_text(text.replace("  truncation 4\n", ""), encoding="utf-8")
+    assert cli.main(["verdict", "--input", str(job), "--even", "1", *flags]) == 0
+    assert capsys.readouterr() == ((GOLDEN / golden).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("command", ["model", "attach", "verdict"])
+def test_a_job_without_a_truncation_is_a_data_error_outside_even_mode(command, tmp_path, capsys):
+    from sullivan import cli
+
+    job = tmp_path / "job.txt"
+    job.write_text("algebra:\n  gen a 2\n  rel a^2\nattach:\n  cell 4\n", encoding="utf-8")
+    assert cli.main([command, "--input", str(job)]) == 65
+    assert capsys.readouterr() == (
+        "", "input error: no truncation given (use 'truncation N' or --truncation)\n")
+
+
 def test_two_cell_notice(tmp_path):
     """A 2-cell's alpha is coerced to 0, with a notice in text and a flag in JSON."""
     job = tmp_path / "wedge.txt"
@@ -1025,19 +1054,55 @@ def test_run_fixtures_script_meets_every_expected_status():
     assert "EXPECTED" not in result.stdout
 
 
-@pytest.mark.parametrize("argv", [["--wedge", "2", "5"], ["--fixture", "fatwedge-e6"]])
-def test_profile_build_script_prints_every_layer(argv, monkeypatch):
+PROFILE_BUILD = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "profile_build.py"
+
+
+def _profile_build(monkeypatch):
+    """scripts/profile_build.py, loaded as a module."""
     import importlib.util
 
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "profile_build.py"
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
-    spec = importlib.util.spec_from_file_location("profile_build", script)
+    spec = importlib.util.spec_from_file_location("profile_build", PROFILE_BUILD)
     profile_build = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(profile_build)
-    result = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True)
+    return profile_build
+
+
+@pytest.mark.parametrize("argv", [["--wedge", "2", "5"], ["--fixture", "fatwedge-e6"]])
+def test_profile_build_script_prints_every_layer(argv, monkeypatch):
+    profile_build = _profile_build(monkeypatch)
+    result = subprocess.run([sys.executable, str(PROFILE_BUILD), *argv],
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     rows = [line.split() for line in result.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == list(profile_build.LAYERS)
     # the verdict of fatwedge-e6 writes [u] through products; a model build does not
     calls = {row[0]: int(row[1]) for row in rows}
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
+
+
+def test_profile_build_counts_the_walk_by_rank(monkeypatch):
+    """The constructor pivots at 1, then at 0; insert({2: 1}) walks both
+    pivots and back-substitutes into both rows; insert({0: 1}) is dependent.
+    The walk's visits are counted even where the build used the index."""
+    profile_build = _profile_build(monkeypatch)
+    from sullivan import linalg
+
+    def job():
+        space = linalg.RowSpace([{0: 1, 1: 1}, {1: 1, 2: 1}])
+        assert space.insert({2: 1}) == 2 and space.insert({0: 1}) is None
+
+    empty = [0] * len(profile_build.COUNTS)
+    want = ([[1, 4, 1, 2, 2]] + [empty] * len(profile_build.RANK_EDGES), 3)
+    for index_rank in (linalg.INDEX_RANK, 0):
+        monkeypatch.setattr(linalg, "INDEX_RANK", index_rank)
+        assert profile_build.insert_counts(job, 1) == want
+    # the wrappers are gone again
+    assert (linalg.RowSpace.__init__.__name__, linalg.RowSpace._insert.__name__) == (
+        "__init__", "_insert")
+    result = subprocess.run([sys.executable, str(PROFILE_BUILD), "--wedge", "2", "5", "--counts"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    labels = ["<", "64-127", "128-255", "256-511", ">=", "all"]
+    assert [line.split()[0] for line in lines[2:]] == labels

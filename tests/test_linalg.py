@@ -528,3 +528,56 @@ def test_intersect_spans_matches_sympy(first, second):
     for row in meet:
         assert _sympy_matrix([*rows_a, row], n).rank() == rank_a
         assert _sympy_matrix([*rows_b, row], n).rank() == rank_b
+
+
+# ---------------------------------------------------------------------------
+# the column index that RowSpace(rows) back-substitutes through from INDEX_RANK on
+
+
+@pytest.mark.parametrize("index_rank", [0, 2])
+@pytest.mark.parametrize(
+    "test",
+    [
+        test_rowspace_matches_sympy,
+        test_constructor_matches_inserts_in_any_order,
+        test_insert_fast_paths_match_the_old_path_and_sympy,
+        test_kernel_rref_matches_two_eliminations_and_sympy,
+    ],
+    ids=lambda test: test.__name__,
+)
+def test_the_column_index_passes_the_rref_tests(test, index_rank, monkeypatch):
+    """At 0 a build indexes from its first row; at 2 it walks the pivots for
+    its first two rows and then switches to the index partway through."""
+    monkeypatch.setattr(linalg, "INDEX_RANK", index_rank)
+    test()
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists(), st.integers(0, 9))
+def test_insert_after_a_build_past_the_index_rank_matches_a_fresh_build(problem, split):
+    """A built space keeps no index: a later insert walks the pivots, builds
+    no index, and gives the space that one build of every row gives."""
+    rows, _ = problem
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "INDEX_RANK", 2)
+        holders = RowSpace._holders
+        patch.setattr(RowSpace, "_holders", lambda self: built.append(self) or holders(self))
+        space = RowSpace(rows[:split])
+        indexed = len(built)
+        for row in rows[split:]:
+            space.insert(row)
+        assert len(built) == indexed
+        fresh = RowSpace(rows)
+    assert space._rows == fresh._rows and space.pivots() == fresh.pivots()
+
+
+def test_the_index_skips_a_row_that_lost_the_column():
+    """The row of pivot 1 is listed under column 3 and loses that entry to the
+    new pivot 2; the pivot at 3 then finds the stale entry and passes over it."""
+    rows = [{1: 1, 2: 1, 3: 1}, {1: 1, 2: 2, 3: 2}, {1: 1, 2: 1, 3: 7, 4: 1}]
+    want = RowSpace(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "INDEX_RANK", 0)
+        got = RowSpace(rows)
+    assert got._rows == want._rows == {1: {1: 1}, 2: {2: 6, 4: -1}, 3: {3: 6, 4: 1}}

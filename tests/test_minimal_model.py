@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sullivan import dgca, minimal_model
+from sullivan import dgca, linalg, minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, IntegrityError, TruncationError
 from sullivan.fixtures import fixture_ids, get_fixture, load_job
@@ -839,3 +839,34 @@ def test_rename_refuses_to_reorder_generators():
     renamed = model.rename({"x": "a", "b": "c"})
     assert [g.name for g in renamed.generators] == ["a", "y", "c"]
     assert str(renamed.d_of(generator(renamed, "c"))) == "a*y"
+
+
+def test_the_column_index_leaves_the_generator_tables_unchanged(monkeypatch):
+    """The r = 3, N = 8 wedge and a dense presentation, built with the
+    elimination's column index from every first row (0), from partway through
+    a build (64), at its default, and never (above every rank)."""
+    wedge = (
+        [(f"x{i}", 2) for i in range(1, 4)],
+        [_square_free_text(i, j) for i in range(1, 4) for j in range(i, 4)],
+        8,
+    )
+    squares = [_square_free_text(i, j) for i in range(1, 5) for j in range(i, 5)]
+    dense = (
+        [(f"x{i}", 2) for i in range(1, 5)],
+        [" + ".join(f"{(j + 1) * (m + 3) * (m + j + 5) % 9 - 4}*{s}"
+                    for m, s in enumerate(squares)).replace("+ -", "- ") for j in range(8)],
+        7,
+    )
+    indexed = []  # the INDEX_RANK of each index a build made
+    holders = linalg.RowSpace._holders
+    monkeypatch.setattr(linalg.RowSpace, "_holders",
+                        lambda self: indexed.append(linalg.INDEX_RANK) or holders(self))
+    for gens, relations, n in (wedge, dense):
+        tables = set()
+        for rank in (0, 64, linalg.INDEX_RANK, 10**9):
+            monkeypatch.setattr(linalg, "INDEX_RANK", rank)
+            algebra = PresentedAlgebra.from_strings(gens, relations, n + 1)
+            tables.add(_tables(build_minimal_model(algebra, n)))
+        assert len(tables) == 1
+        assert {0, 64} <= set(indexed) and 10**9 not in indexed
+        indexed.clear()
