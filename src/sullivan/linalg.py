@@ -27,11 +27,14 @@ non-pivot column lists the pivots whose rows may hold it, and a new pivot p
 back-substitutes into the rows listed under p alone.  A row that gains a
 column lists itself under it; a row that loses one stays listed and is
 passed over when the column becomes a pivot, so the lists only grow.  The
-threshold is 256 because below it the walk is cheap and an index costs
-more to keep than it saves: an index from the first row made the
-``model-dense`` jobs about 4% slower, and no space of theirs reaches rank
-256, while the one space of the ``verdict-cli`` jobs that does makes no
-visit past it (``scripts/profile_build.py --counts``).  The index lives only
+threshold is 256 because below it the walk is cheap and the index costs
+more to keep than it saves.  With the index from the first row
+(``INDEX_RANK = 0``), the constructor calls of one ``model-dense`` pass ran
+6-10% slower and those of one ``verdict-cli`` pass 2-3% slower, in the
+median of 30 alternating replays, and ``scripts/ab_pairs.py`` put whole
+passes of both 1-3% slower.  No ``model-dense`` space reaches rank 256, and
+the one ``verdict-cli`` space that does makes no visit past it
+(``scripts/profile_build.py --counts``).  The index lives only
 while the constructor runs, so a built space holds none and a later
 `insert` walks.  Either way the stored rows are the canonical reduced form,
 so nothing a caller reads depends on the path.
