@@ -65,7 +65,7 @@ LAYERS = {
     "CohomologySpace.__init__": dgca.CohomologySpace.__init__,
     "CohomologySpace.from_class_rows": dgca.CohomologySpace.from_class_rows,
     "kernel_rref": linalg.kernel_rref,
-    "RowSpace.insert": linalg.RowSpace.insert,
+    "RowSpace._insert": linalg.RowSpace._insert,
     "RowSpace.kernel": linalg.RowSpace.kernel,
     "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,

@@ -131,7 +131,7 @@ class AlphaFunctional:
 
 @dataclass(frozen=True)
 class AttachmentElement:
-    """An element of the attachment complex: a body in Lambda(V) plus c.u."""
+    """An element of the attachment complex, a body in Lambda(V) plus c.u: a record."""
 
     body: Element
     u: Fraction = _ZERO
@@ -139,32 +139,6 @@ class AttachmentElement:
     @property
     def is_zero(self) -> bool:
         return self.body.is_zero and not self.u
-
-    def __add__(self, other: "AttachmentElement") -> "AttachmentElement":
-        return AttachmentElement(self.body + other.body, self.u + other.u)
-
-    def __sub__(self, other: "AttachmentElement") -> "AttachmentElement":
-        return AttachmentElement(self.body - other.body, self.u - other.u)
-
-    def __mul__(self, other):
-        if isinstance(other, AttachmentElement):
-            # u annihilates everything of positive degree and itself; it
-            # survives only against the scalar parts of the other factor.
-            unit = Monomial.unit()
-            s_scalar = self.body.coefficient(unit)
-            o_scalar = other.body.coefficient(unit)
-            return AttachmentElement(
-                self.body * other.body, self.u * o_scalar + other.u * s_scalar
-            )
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return AttachmentElement(self.body * c, self.u * c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AttachmentElement(-self.body, -self.u)
 
     def __str__(self):
         if self.is_zero:
@@ -183,9 +157,9 @@ class AttachmentModel:
     """The twisted complex for one n-cell attachment on a bigraded model.
 
     As a cochain complex it is the base model's complex with u appended as
-    the last basis cochain of degree n; `CohomologySpace` reads it through
-    ``keys``, ``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and
-    ``d``.  Its column keys are the base model's codes, and u for itself.
+    the last basis cochain of degree n, read through the interface of `dgca`
+    (the parity table ``_odd`` is the base's).  Its column keys are the base
+    model's codes, and u for itself.
 
     A base whose d is data (``base.dgca.d_is_data``) is checked for d^2 = 0
     here, and refused with an `IntegrityError`; a built base is closed by
@@ -209,6 +183,7 @@ class AttachmentModel:
             if g.degree != self.n - 1:
                 raise _degree_mismatch(g.name, g.degree, self.n)
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
+        self._odd = base.dgca._odd  # the parity table; u is no code and has no position
         self._cohomology_cache: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None
         if base.dgca.d_is_data:
@@ -217,15 +192,6 @@ class AttachmentModel:
                 raise IntegrityError(f"twisted differential does not square to zero at {bad.name}")
 
     # --- complex structure -------------------------------------------------
-    def d(self, x: AttachmentElement) -> AttachmentElement:
-        """Twisted differential; the u-part of the input is closed.
-
-        alpha pairs with the word-length-1 part of the body, read off its codes.
-        """
-        dgca, alpha = self.base.dgca, self._alpha_on_keys
-        paired = sum((alpha[k] * c for k, c in dgca.terms_of(x.body) if k in alpha), _ZERO)
-        return AttachmentElement(dgca.d(x.body), paired)
-
     def keys(self, m: int) -> list:
         """Degree-m column keys: the base model's codes, then u in degree n."""
         keys = self.base.dgca.keys(m)

@@ -56,18 +56,19 @@ every degree, the cohomology of the model costs no elimination at all.  A
 space read before an extension that amends it is stale; `cohomology(k)`
 answers with the one built again.
 
-`CohomologySpace` reads its complex through a small interface -- ``keys``,
-``d_basis``, ``boundaries``, ``terms_of``, ``element_of`` and ``d`` -- which
-two complexes serve: `FreeDGCA` and the cell-attachment complex
-`attachment.AttachmentModel`.  The presented algebra (A, 0) of
+`CohomologySpace` and `decomposition` read a complex through a small
+interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
+``element_of`` and the parity table ``_odd`` -- which two complexes serve:
+`FreeDGCA` and the cell-attachment complex `attachment.AttachmentModel`.
+The presented algebra (A, 0) of
 `presented.PresentedAlgebra` is a `FreeDGCA` with zero differential that
 overrides ``boundaries`` alone: its coboundaries are the ideal slices.  A
 free complex keys its columns by the integer codes of its monomials, the
 attachment complex by the codes of its base model and one more key, u, for
 the attached cell.  `decomposition` writes one class as a combination of
-products of classes, over the spaces a complex caches; the verdict asks it
-of [u] alone, since a presented algebra reads its indecomposables off its
-relations.
+products of classes, over the spaces a complex caches, and multiplies class
+rows on codes; the verdict asks it of [u] alone, since a presented algebra
+reads its indecomposables off its relations.
 
 Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
@@ -573,9 +574,9 @@ class CohomologySpace:
     ``d_basis(k)`` (d of the basis cochain with key k, as (key, coefficient)
     pairs), ``boundaries(m)`` (a spanning set of the degree-m coboundaries,
     each as (key, coefficient) pairs), ``terms_of(x)`` (an element as (key,
-    coefficient) pairs), ``element_of(terms)`` (back from a {key:
-    coefficient} mapping) and ``d(x)``; d must square to zero.  Columns are
-    decoded only where an element is built.
+    coefficient) pairs) and ``element_of(terms)`` (back from a {key:
+    coefficient} mapping); d must square to zero.  Columns are decoded only
+    where an element is built.
 
     Class representatives are the rows of the reduced row-echelon form, over
     that key order, of the cocycles with no coordinate at a pivot column
@@ -659,10 +660,7 @@ class CohomologySpace:
     @cached_property
     def classes(self) -> list[CohomologyClass]:
         """The basis classes, each with unit coordinates; built on first read."""
-        return [
-            CohomologyClass(self.degree, self._element(row), self._unit_coords(i))
-            for i, row in enumerate(self._class_rows)
-        ]
+        return [self._basis_class(i) for i in range(len(self._class_rows))]
 
     @property
     def dimension(self) -> int:
@@ -672,10 +670,10 @@ class CohomologySpace:
         keys = self.keys
         return self.cochains.element_of({keys[i]: c for i, c in vec.items()})
 
-    def _unit_coords(self, i: int) -> tuple[Fraction, ...]:
+    def _basis_class(self, i: int) -> CohomologyClass:
         coords = [_ZERO] * len(self._class_rows)
         coords[i] = _ONE
-        return tuple(coords)
+        return CohomologyClass(self.degree, self._element(self._class_rows[i]), tuple(coords))
 
     def combination(self, coords: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """The cocycle sum of coords[i] * (class row i), by column position.
@@ -726,16 +724,49 @@ class CohomologySpace:
         return coords
 
     def class_of(self, element) -> CohomologyClass:
-        """The class of a cocycle, in canonical coordinates."""
-        vec = self.vector_of(element)
-        if not self.cochains.d(element).is_zero:
-            raise InputError("element is not a cocycle")
-        reduced = self.coboundaries.reduce(vec)
-        dense = [_ZERO] * len(self._class_rows)
-        # reduced already: its second reduction in coordinates finds no pivot
-        for i, c in self.coordinates(reduced).items():
-            dense[i] = c
-        return CohomologyClass(self.degree, self._element(reduced), tuple(dense))
+        """The class of a cocycle, in canonical coordinates.
+
+        The cocycles are the coboundaries plus the span of the class rows, so
+        a non-cocycle is what leaves `coordinates` a residual; no d is taken.
+        """
+        reduced = self.coboundaries.reduce(self.vector_of(element))
+        try:
+            coords = self.coordinates(reduced)  # its second reduction finds no pivot
+        except IntegrityError:
+            raise InputError("element is not a cocycle") from None
+        dense = tuple(coords.get(i, _ZERO) for i in range(len(self._class_rows)))
+        return CohomologyClass(self.degree, self._element(reduced), dense)
+
+
+def _class_products(target, left, right):
+    """(i, j, coordinates in ``target``) of each nonzero product of class i of
+    ``left`` and class j of ``right``, both of positive degree.
+
+    `code_products` merges each term of a left class row with a right one,
+    over the parity table: it gives the Koszul sign and kills a repeated odd
+    factor.  An attachment's u, the one key that is no code, is dropped, as
+    u . x = 0 for x of positive degree.  A product of cocycles is a cocycle,
+    so its coordinates are read off the merged row.
+    """
+    index, odd = target.index, target.cochains._odd
+
+    def code_rows(space):
+        keys = space.keys
+        return [
+            [(keys[k], tuple([p for p, _ in keys[k] if odd[p]]), c)
+             for k, c in row.items() if isinstance(keys[k], tuple)]
+            for row in space._class_rows
+        ]
+
+    right_rows = code_rows(right)
+    for i, terms in enumerate(code_rows(left)):
+        for j, factor in enumerate(right_rows):
+            vec: dict[int, Fraction] = {}
+            for code, odds, a in terms:
+                add_scaled(vec, a, {index[k]: c for k, c in code_products(factor, code, odds)})
+            coords = target.coordinates(vec)
+            if coords:
+                yield i, j, coords
 
 
 def decomposition(
@@ -743,23 +774,17 @@ def decomposition(
 ) -> list[tuple[Fraction, CohomologyClass, CohomologyClass]] | None:
     """``cls`` as a combination of products of positive-degree classes, or None.
 
-    ``cohomology`` maps a degree to its cached `CohomologySpace`, over a
-    complex whose class representatives multiply.  The witness lists the
-    nonzero (coefficient, left class, right class) terms.  A product of
-    cocycles is a cocycle, so its class coordinates are read off its columns,
-    with no d taken and no representative decoded.
+    ``cohomology`` maps a degree to its cached `CohomologySpace`.  The witness
+    lists the nonzero (coefficient, left class, right class) terms; only its
+    classes are decoded.
     """
     m = cls.degree
     target = cohomology(m)
     products = []
     for p in range(1, m // 2 + 1):
-        left, right = cohomology(p).classes, cohomology(m - p).classes
-        for c1 in left:
-            for c2 in right:
-                product = c1.representative * c2.representative
-                coords = target.coordinates(target.vector_of(product))
-                if coords:
-                    products.append((coords, c1, c2))
+        left, right = cohomology(p), cohomology(m - p)
+        for i, j, coords in _class_products(target, left, right):
+            products.append((coords, (left, i), (right, j)))
     if not products:
         return [] if cls.is_zero else None
     solutions = solve_rows(
@@ -768,4 +793,4 @@ def decomposition(
     )
     if solutions is None:
         return None
-    return [(c, products[j][1], products[j][2]) for j, c in solutions[0].items()]
+    return [(c, *(s._basis_class(i) for s, i in products[k][1:])) for k, c in solutions[0].items()]

@@ -316,15 +316,23 @@ def _rho_constraints(h_space, top_stage, a_space) -> list[dict[int, Fraction]]:
     ``top_stage`` is the largest stage in each column of H^(m+1).  rho fixes
     the lifts and kills every other generator, so rho* of a class row is the
     class in A of its pure terms, and a row with none gives no entry.
+    A lift is A's own generator, and the lifts keep A's order, so mapping
+    the positions of a pure code to A's gives A's code, still sorted.
     """
     if not a_space.dimension:
         return []
-    keys = h_space.keys
+    keys, a_index = h_space.keys, a_space.index
+    to_a = [a_space.cochains._position.get(g) for g in h_space.cochains.gens]
     rows: dict[int, dict[int, Fraction]] = {}
     for i, row in enumerate(h_space._class_rows):
-        pure = {keys[j]: c for j, c in row.items() if not top_stage[j]}
-        if pure:
-            vec = a_space.vector_of(h_space.cochains.element_of(pure))
+        vec = {}
+        for j, c in row.items():
+            if not top_stage[j]:
+                col = a_index.get(tuple([(to_a[p], e) for p, e in keys[j]]))
+                if col is None:
+                    raise IntegrityError(f"the pure code {keys[j]} has no column in A")
+                vec[col] = c
+        if vec:
             for j, c in a_space.coordinates(vec).items():
                 rows.setdefault(j, {})[i] = c
     return list(rows.values())

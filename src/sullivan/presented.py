@@ -13,9 +13,9 @@ columns of the reduced row-echelon form of the ideal slice.
 
 So `PresentedAlgebra` is a `dgca.FreeDGCA` on its generators with an empty
 differential, and it overrides only ``boundaries``.  Everything else is the
-free complex's: the code tables, ``keys``, ``terms_of``, ``element_of``, the
-zero ``d`` and the spaces of its cohomology, with `graded_component` bound to
-`FreeDGCA.cohomology`.  A monomial is a tuple of ``(position, exponent)``
+free complex's: the code and parity tables, ``keys``, ``terms_of``,
+``element_of`` and the spaces of its cohomology, with `graded_component`
+bound to `FreeDGCA.cohomology`.  A monomial is a tuple of ``(position, exponent)``
 pairs over the generators in `Generator.sort_key` order, so the column order
 is the canonical monomial order.  Each relation is encoded once, with integer
 coefficients, and a row of the ideal slice merges a cofactor code with the

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sullivan import formality
-from sullivan.attachment import AlphaFunctional, AttachmentModel
+from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
@@ -71,6 +71,31 @@ def class_product(dgca, c1, c2):
     return dgca.cohomology(c1.degree + c2.degree).class_of(product)
 
 
+def twisted_d(att, mon):
+    """d_tw of one basis monomial of an attachment's base, through ``d_basis``."""
+    return att.element_of(dict(att.d_basis(att.base.dgca.key(mon))))
+
+
+def combine(cochains, terms):
+    """The element of ``cochains`` summing c * x, or c * x * y, over the
+    (c, x) and (c, x, y) of ``terms``.
+
+    x and y of a product are class representatives of positive degree.  On
+    an attachment complex u annihilates both, so their product is that of
+    their bodies.  The sum is taken on the complex's (key, coefficient)
+    terms, through ``terms_of`` and ``element_of``.
+    """
+    total = {}
+    for c, x, *y in terms:
+        if y and isinstance(x, AttachmentElement):
+            x = AttachmentElement(x.body * y[0].body)
+        elif y:
+            x = x * y[0]
+        for k, v in cochains.terms_of(x):
+            total[k] = total.get(k, 0) + c * v
+    return cochains.element_of({k: v for k, v in total.items() if v})
+
+
 def reference_decomposition(cohomology, cls):
     """`dgca.decomposition` the long way: each product's class through `class_of`.
 
@@ -85,7 +110,9 @@ def reference_decomposition(cohomology, cls):
         left, right = cohomology(p).classes, cohomology(m - p).classes
         for c1 in left:
             for c2 in right:
-                product = target.class_of(c1.representative * c2.representative)
+                product = target.class_of(
+                    combine(target.cochains, [(1, c1.representative, c2.representative)])
+                )
                 if not product.is_zero:
                     products.append((product.coordinates, c1, c2))
     if not products:

@@ -32,11 +32,13 @@ from sullivan.presented import PresentedAlgebra
 from conftest import (
     attachment_of,
     class_product,
+    combine,
     generator,
     hurewicz_vanishes,
     is_special,
     scaled,
     small_presentations,
+    twisted_d,
 )
 
 F = Fraction
@@ -375,7 +377,7 @@ def _raw_cocycles(attached, m):
     u_t = len(target) if m + 1 == attached.n else None
     rows: dict[int, dict[int, F]] = {}
     for j, mon in enumerate(source):
-        img = attached.d(AttachmentElement(Element.from_monomial(mon)))
+        img = twisted_d(attached, mon)
         for tmon, c in img.body.terms():
             rows.setdefault(t_index[tmon], {})[j] = c
         if img.u:
@@ -407,13 +409,13 @@ def _brute_force_u_decomposable(attached):
 
     span = RowSpace()
     for mon in dgca.basis(n - 1):
-        img = attached.d(AttachmentElement(Element.from_monomial(mon)))
+        img = twisted_d(attached, mon)
         if not img.is_zero:
             span.insert(vector_of(img))
     for p in range(1, n // 2 + 1):
         for z1 in _raw_cocycles(attached, p):
             for z2 in _raw_cocycles(attached, n - p):
-                product = z1 * z2
+                product = combine(attached, [(1, z1, z2)])
                 if not product.is_zero:
                     span.insert(vector_of(product))
     return not span.reduce({u_idx: F(1)})

@@ -20,9 +20,11 @@ from conftest import (
     attachment_of,
     built_wedge_and_dense_models,
     coefficients,
+    combine,
     generator,
     reference_decomposition,
     small_presentations,
+    twisted_d,
 )
 
 F = Fraction
@@ -31,7 +33,7 @@ F = Fraction
 def test_twisted_differential_on_generator(cp2_attach):
     att = attachment_of(cp2_attach)
     b = generator(att.base, "b")
-    db = att.d(AttachmentElement(Element.from_generator(b)))
+    db = twisted_d(att, Monomial.of(b))
     assert str(db.body) == "a^2"
     assert db.u == 1
 
@@ -41,7 +43,7 @@ def test_zero_alpha_keeps_differential(cp1):
     alpha = AlphaFunctional(4, ())
     att = AttachmentModel(model, alpha)
     for g in model.generators:
-        img = att.d(AttachmentElement(Element.from_generator(g)))
+        img = twisted_d(att, Monomial.of(g))
         assert img.u == 0
         assert img.body == model.dgca.d(Element.from_generator(g))
 
@@ -51,7 +53,7 @@ def test_alpha_on_word_two_monomials_has_no_u_part(wedge3_e6):
     # word length >= 2: the twisted differential agrees with the plain one
     for mon in att.base.dgca.basis(att.n - 1):
         if sum(e for _, e in mon.powers) >= 2:
-            img = att.d(AttachmentElement(Element.from_monomial(mon)))
+            img = twisted_d(att, mon)
             assert img.u == 0
 
 
@@ -122,9 +124,7 @@ def test_decomposability_witness_reconstructs(cp2_attach):
     assert dec
     u = att.u_class()
     target = att.cohomology(att.n)
-    rebuilt = AttachmentElement(Element.zero())
-    for c, c1, c2 in witness:
-        rebuilt = rebuilt + c * (c1.representative * c2.representative)
+    rebuilt = combine(att, [(c, c1.representative, c2.representative) for c, c1, c2 in witness])
     assert target.class_of(rebuilt).coordinates == u.coordinates
 
 
@@ -222,6 +222,30 @@ def test_u_decomposable_requires_nonzero_u(wedge3_s2):
     att = AttachmentModel(model, AlphaFunctional.build(model, 3, [("a1", 1)]))
     with pytest.raises(InputError):
         att.u_decomposable()
+
+
+def test_class_of_refuses_a_non_cocycle(cp2_attach, wedge3_s2):
+    """No d is taken: a non-cocycle is what leaves a residual in class_of."""
+    # b in the model of the 2-sphere, where db = a^2
+    sphere = cp2_attach.model
+    b = generator(sphere, "b")
+    with pytest.raises(InputError, match="element is not a cocycle"):
+        sphere.dgca.cohomology(3).class_of(Element.from_generator(b))
+    # a base cocycle z of degree n - 1 with alpha(z) != 0: d_tw z = alpha(z) u
+    model = wedge3_s2.model
+    a1 = Element.from_generator(generator(model, "a1"))
+    model.dgca.cohomology(2).class_of(a1)
+    wedge_cell = AttachmentModel(model, AlphaFunctional.build(model, 3, [("a1", 2)]))
+    with pytest.raises(InputError, match="element is not a cocycle"):
+        wedge_cell.cohomology(2).class_of(AttachmentElement(a1))
+    # bodies not closed in the base: a degree-3 generator of the wedge, in
+    # degree n = 3, and b of the 4-cell on the 2-sphere, where d_tw b = a^2 + u
+    w = next(g for g in model.generators if g.degree == 3)
+    assert not model.dgca.d(Element.from_generator(w)).is_zero
+    for att, body in ((wedge_cell, Element.from_generator(w)),
+                      (attachment_of(cp2_attach), Element.from_generator(b))):
+        with pytest.raises(InputError, match="element is not a cocycle"):
+            att.cohomology(3).class_of(AttachmentElement(body))
 
 
 def test_s3_attachment_kills_everything():

@@ -1079,6 +1079,8 @@ def test_profile_build_script_prints_every_layer(argv, monkeypatch):
     # the verdict of fatwedge-e6 writes [u] through products; a model build does not
     calls = {row[0]: int(row[1]) for row in rows}
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
+    # every row of every space goes through _insert
+    assert calls["RowSpace._insert"] > 0
 
 
 def test_profile_build_counts_the_walk_by_rank(monkeypatch):

@@ -3,10 +3,10 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
-from sullivan.dgca import CohomologySpace, FreeDGCA, decomposition
+from sullivan.dgca import CohomologySpace, FreeDGCA, _class_products, decomposition
 from sullivan.errors import InputError, TruncationError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import (
@@ -21,7 +21,8 @@ from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
 from conftest import (
-    _WEDGES, attachment_of, class_product, coefficients, kept_spaces, small_presentations,
+    _WEDGES, attachment_of, class_product, coefficients, combine, kept_spaces,
+    mixed_parity_presentations, small_presentations,
 )
 
 F = Fraction
@@ -168,6 +169,54 @@ def test_decomposables_detect_products():
         for c, c1, c2 in witness:
             rebuilt = rebuilt + c * (c1.representative * c2.representative)
         assert h4.class_of(rebuilt).coordinates == cls.coordinates
+
+
+def _check_class_products(cohomology, top):
+    """Each product of two basis classes of positive degree, through degree
+    ``top``, on codes (`dgca._class_products`) against the class of the
+    product of the decoded representatives.  Returns how many nonzero
+    products had two odd factors."""
+    odd_products = 0
+    for m in range(2, top + 1):
+        target = cohomology(m)
+        for p in range(1, m // 2 + 1):
+            left, right = cohomology(p), cohomology(m - p)
+            found = {(i, j): coords for i, j, coords in _class_products(target, left, right)}
+            for i, c1 in enumerate(left.classes):
+                for j, c2 in enumerate(right.classes):
+                    product = combine(target.cochains, [(1, c1.representative, c2.representative)])
+                    expected = target.class_of(product).coordinates
+                    coords = found.pop((i, j), {})
+                    assert tuple(coords.get(k, F(0)) for k in range(target.dimension)) == expected
+                    odd_products += bool(coords) and p % 2 == 1 and (m - p) % 2 == 1
+            assert not found, (m, p)
+    return odd_products
+
+
+_ODD_EXAMPLE = (
+    # a*b != 0 in degree 6, so b * a = -a*b carries the Koszul sign; a * a = 0
+    [("a", 3), ("x", 2), ("b", 3), ("c", 5)], ["a*x + 1/2*c", "2/3*x^3 - b^2"], 10,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_parity_presentations())
+@example(PresentedAlgebra.from_strings(*_ODD_EXAMPLE))
+def test_class_products_on_codes_match_the_element_products(algebra):
+    _check_class_products(algebra.graded_component, algebra.truncation)
+
+
+def test_class_products_on_codes_match_on_a_model_with_odd_generators():
+    """The model of the odd example, and a 4-cell wedged onto it, whose u
+    meets the degree-3 classes in degree 7."""
+    model = build_minimal_model(PresentedAlgebra.from_strings(*_ODD_EXAMPLE), 7)
+    assert any(g.is_odd and g.stage for g in model.generators)
+    assert _check_class_products(model.dgca.cohomology, 7) > 0
+    att = AttachmentModel(model, AlphaFunctional(4, ()))
+    assert _check_class_products(att.cohomology, 7) > 0
+    # and the example itself has a nonzero product of two odd classes
+    algebra = PresentedAlgebra.from_strings(*_ODD_EXAMPLE)
+    assert _check_class_products(algebra.graded_component, algebra.truncation) > 0
 
 
 def test_cohomology_euler_bookkeeping(sphere_model):
@@ -544,9 +593,9 @@ def test_combination_is_the_sum_of_class_representatives(wedge3_s2, fatwedge_e6)
             {},
         ]
         for coords in patterns:
-            expected = F(0) * space.classes[0].representative
-            for i, c in coords.items():
-                expected = expected + c * space.classes[i].representative
+            expected = combine(
+                cochains, [(c, space.classes[i].representative) for i, c in coords.items()]
+            )
             assert space._element(space.combination(coords)) == expected
             assert space.class_of(expected).coordinates == tuple(
                 coords.get(i, F(0)) for i in range(space.dimension)
@@ -565,9 +614,9 @@ def test_combination_of_random_coordinates_decodes_to_the_sum(combination_spaces
     for cochains, space in combination_spaces:
         positions = st.integers(0, space.dimension - 1)
         coords = data.draw(st.dictionaries(positions, coefficients | st.just(F(0)), max_size=4))
-        expected = F(0) * space.classes[0].representative
-        for i, c in coords.items():
-            expected = expected + c * space.classes[i].representative
+        expected = combine(
+            cochains, [(c, space.classes[i].representative) for i, c in coords.items()]
+        )
         combination = space.combination(coords)
         assert all(combination.values())
         assert space._element(combination) == expected
@@ -1027,9 +1076,10 @@ def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwed
         zeros = {j: F(0) for j in range(space.dimension)}
         for i in range(space.dimension):
             for c in (F(1), F(-3, 2), F(2)):
-                expected = F(0) * space.classes[0].representative
-                for j in range(space.dimension):
-                    expected = expected + (c if j == i else F(0)) * space.classes[j].representative
+                expected = combine(cochains, [
+                    (c if j == i else F(0), space.classes[j].representative)
+                    for j in range(space.dimension)
+                ])
                 for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
                     combination = space._element(space.combination(coords))
                     assert combination == expected, (cochains, m, coords)

@@ -582,6 +582,17 @@ def test_rho_constraints_on_pure_parts_equal_those_of_whole_representatives(monk
     assert nonempty
 
 
+def test_rho_constraints_refuse_a_pure_code_with_no_column_in_a():
+    """A stage-0 generator that is not one of A's has no position in A, so
+    its pure codes have no column there: an IntegrityError, not a KeyError."""
+    algebra = PresentedAlgebra.from_strings([("x", 2)], [], 5)
+    stray = FreeDGCA([Generator("y", 2, index=0)], {}, 4)
+    h_space = stray.cohomology(4)
+    with pytest.raises(IntegrityError, match="has no column in A"):
+        minimal_model._rho_constraints(h_space, [0] * len(h_space.keys),
+                                       algebra.graded_component(4))
+
+
 # ---------------------------------------------------------------------------
 # the verdict path reads the code tables: verify_standard and rename
 
