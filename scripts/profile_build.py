@@ -30,8 +30,9 @@ wrappers this script puts around ``RowSpace.__init__`` and
 
 For each hot layer of the cohomology elimination (and of the spaces a
 complex builds again when it extends, ``from_class_rows``), of the kill step
-(``_kill_step``, which includes its ``extend_codes`` call, and its rho*
-rows, ``_rho_constraints``), of the product loop that writes [u] as a sum
+(``_kill_step``, which includes its ``extend_codes`` call, its rho*
+rows, ``_rho_constraints``, and its one elimination after the kernel,
+``intersect_spans``), of the product loop that writes [u] as a sum
 of products (``decomposition``) and of the presented algebra A (its ideal
 slices and its indecomposables), and for the d^2 and standardness checks of
 a model, it prints the number of calls, the cumulative seconds and the share
@@ -71,6 +72,7 @@ LAYERS = {
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
     "minimal_model._kill_step": minimal_model._kill_step,
     "minimal_model._rho_constraints": minimal_model._rho_constraints,
+    "linalg.intersect_spans": linalg.intersect_spans,
     "linalg.solve_rows": linalg.solve_rows,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,

@@ -675,25 +675,6 @@ class CohomologySpace:
         coords[i] = _ONE
         return CohomologyClass(self.degree, self._element(self._class_rows[i]), tuple(coords))
 
-    def combination(self, coords: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """The cocycle sum of coords[i] * (class row i), by column position.
-
-        ``coords`` maps class positions to coefficients, as a sparse row of
-        class coordinates; ``keys`` names the columns of the result.  A
-        single nonzero coordinate reads its class row, scaled only if it is
-        not 1: a coordinate 1 returns the class row itself, which the caller
-        must not change.
-        """
-        nonzero = [(i, c) for i, c in coords.items() if c]
-        if len(nonzero) == 1:
-            [(i, c)] = nonzero
-            vec = self._class_rows[i]
-            return vec if c == 1 else {col: c * v for col, v in vec.items()}
-        vec = {}
-        for i, c in nonzero:
-            add_scaled(vec, c, self._class_rows[i])
-        return vec
-
     def vector_of(self, element) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
         for k, c in self.cochains.terms_of(element):

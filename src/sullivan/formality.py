@@ -312,26 +312,24 @@ def _synthesize_presentation(
 
     Generators are the degree-2k classes; relations are the kernel of the
     multiplication map Sym^2(H^2k) -> H^4k of the attachment cohomology.  The
-    generators are stage-0 cocycles of the model, so the class of a product
-    g_i*g_j is that of its pure degree-4k column.  Degrees above 4k vanish
-    for dimension reasons and stay outside the synthesized truncation.
+    generators are the model's stage-0 cocycles, so the products g_i*g_j are
+    its degree-4k keys with stage-0 positions only, in key order, and the
+    class of each is that of its column.  Degrees above 4k vanish for
+    dimension reasons and stay outside the synthesized truncation.
     """
     n = 4 * k
     target = attached.cohomology(n)
-    key = attached.base.dgca.key
-    pair_monomials = monomial_basis(gens, n)
+    dgca = attached.base.dgca
+    stage_of = [g.stage for g in dgca.gens]
+    products = [code for code in dgca.keys(n) if not any(stage_of[p] for p, _ in code)]
     # one constraint row per class coordinate of H^4k, over the products
     constraints: dict[int, dict[int, Fraction]] = {}
-    for j, mon in enumerate(pair_monomials):
-        try:
-            column = target.index[key(mon)]
-        except KeyError:
-            raise IntegrityError(f"the product {mon} has no column in the model") from None
-        for i, c in target.coordinates({column: _ONE}).items():
+    for j, code in enumerate(products):
+        for i, c in target.coordinates({target.index[code]: _ONE}).items():
             constraints.setdefault(i, {})[j] = c
     relations = [
-        Element({pair_monomials[j]: c for j, c in vec.items()})
-        for vec in RowSpace(constraints.values()).kernel(len(pair_monomials))
+        dgca.element_of({products[j]: c for j, c in vec.items()})
+        for vec in RowSpace(constraints.values()).kernel(len(products))
     ]
     synthesized = PresentedAlgebra(gens, relations, truncation=n + 1)
     problems = validate_presentation(synthesized)

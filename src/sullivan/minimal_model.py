@@ -17,39 +17,39 @@ A^(m+1):
 The second kind never needs a pure part removed.  Call a cochain pure when it
 lies in Lambda(V_0), and let P be the span of the classes of pure monomials.
 
-(a) Stage-0 generators have d = 0, so every pure cochain is a cocycle.  The
-    class rows are the RREF of Z cap span(non-pivot columns of B), and that
-    space contains the pure part of each of its elements, so it splits along
-    pure and non-pure columns and so does its RREF: each class row is either
-    pure or has no pure term.  Let P_c be the span of the pure classes and N
-    the span of the others.
-(b) rho kills stage >= 1, so rho* vanishes on N, and K = N (+) (K cap P_c).
-(c) A pure class row is a combination of pure monomials, so P_c lies in P.
-    Hence K cap P = (K cap P_c) (+) (P cap N), and each of its reduced
-    echelon rows lies in P_c or in N.  Reducing a kernel vector modulo
-    K cap P (the stage-1 layer) therefore leaves a vector in N, and the
-    remaining kernel rows combine non-pure class rows only.
+(a) Stage-0 generators have d = 0, so d of a pure monomial is 0.  A monomial
+    with one factor g of positive stage has d = (pure) . dg, which is pure
+    when g has stage 1 and has no pure term when g has stage >= 2 (every
+    earlier kill step made it so); a monomial with two or more such factors
+    keeps one in every term of its d.  So d of every basis cochain is pure
+    or has no pure term.
+(b) Hence the coboundaries B and the cocycles Z split along the pure and
+    non-pure columns, and so does Z cap span(non-pivot columns of B), whose
+    RREF rows are the class rows: each class row is either pure or has no
+    pure term, and its pivot column says which.  Let P_c be the span of the
+    pure classes and N that of the others.  A pure monomial reduced modulo B
+    stays pure, so its class combines pure class rows only, and a pure class
+    row is a combination of pure monomials: P = P_c, and P cap N = 0.
+(c) rho kills stage >= 1, so rho* vanishes on N, and K = N (+) (K cap P).
+    The stage-1 layer is the RREF of K cap P, and the other targets are the
+    non-pure class rows themselves: in class coordinates, the unit vectors
+    at their positions.
 
-The build checks this: a remaining target with a pure term raises
-`IntegrityError`.
+The build checks this: `_kill_step` raises `IntegrityError` unless the
+stage-1 rows and the non-pure class rows number dim K, and if one of those
+class rows has a pure term.
 
 The kill step (`_kill_step`) works on class coordinates and on the codes of
 the columns of H^(m+1), whose largest stages it reads once per degree.  rho
 kills every term with a factor of stage >= 1 and fixes the pure terms, so
 rho* of a class row is the class in A of its pure terms, one reduction in
-A^(m+1), and a row with none gives no constraint.  The pure classes are the
-sparse class coordinates of the pure columns.  If rho* has a constraint,
-its kernel K is eliminated; the stage-1 layer is the RREF of
-K cap P, and the remaining kill span that of K reduced modulo K cap P.  If it
-has none (for a wedge of spheres, A^(m+1) = 0 for every m >= 2), K is all of
-H^(m+1) and K cap P = P.  With Q the pivot set of P, reducing the unit
-vectors modulo P leaves e_i for i off Q and, for i in Q, vectors that are
-zero on Q: the span of the e_i, i off Q, whose RREF is those unit vectors.
-So the remaining targets are the class rows off Q, in increasing order, and
-every class position is killed: the targets the general branch finds, with
-no kernel, reduction or second elimination.  A target's stage is one more
-than the largest stage among its columns, and `FreeDGCA.extend_codes` checks
-each term of the layer against the keys of degree m + 1.
+A^(m+1), and a row with none gives no constraint.  K is the kernel of the
+constraints; with none (for a wedge of spheres, A^(m+1) = 0 for every
+m >= 2) it is all of H^(m+1), its unit vectors, and nothing else changes.
+The pure classes are the sparse class coordinates of the pure columns.  A
+target's stage is one more than the largest stage among its columns, and
+`FreeDGCA.extend_codes` checks each term of the layer against the keys of
+degree m + 1.
 
 The stage-1 layer needs cochains, not classes: each of its RREF rows, a
 combination of pure classes, is written as a combination of the pure
@@ -75,9 +75,9 @@ pivots P_B u {p_i : i in Q}.  The rows c_i with i not in Q are zero at all
 of those pivots, lie in Z, and are as many as dim Z - rank(B + K); they are
 rows of an RREF.  So they are the RREF of Z cap span(non-pivot columns of
 B + K), the class rows of the quotient, and the pivot set of coboundary and
-class rows together, hence the complement, does not change.  Here Q is the
-union of the pivots of the stage-1 span and of the remaining kill span,
-which is reduced modulo the first.
+class rows together, hence the complement, does not change.  The RREF of K is
+the stage-1 rows, which lie on the pure class positions, and the unit
+vectors at the non-pure ones, so Q is the union of their pivots.
 
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
@@ -242,17 +242,14 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
     """
     m = h_space.degree - 1
     index = max(len(a_space.cochains.generators), 1 + max(g.index for g in model.gens))
-    h = h_space.dimension
     keys = h_space.keys
     stage_of = [g.stage for g in model.gens]
     # the largest stage in each degree-(m + 1) monomial; 0 marks a pure one
     top_stage = [max([stage_of[p] for p, _ in code]) for code in keys]
-    constraints = _rho_constraints(h_space, top_stage, a_space)
-    kernel = None  # no constraint: the kernel is all of H^(m+1)
-    if constraints:
-        kernel = RowSpace(constraints).kernel(h)
-        if not kernel:
-            return
+    # with no constraint, the kernel is all of H^(m+1): its unit vectors
+    kernel = RowSpace(_rho_constraints(h_space, top_stage, a_space)).kernel(h_space.dimension)
+    if not kernel:
+        return
 
     # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
     pure_codes, pure_rows = [], []
@@ -263,25 +260,16 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
                 raise IntegrityError(f"the pure monomial {pure} is not a cocycle")
             pure_codes.append(keys[j])
             pure_rows.append(h_space.coordinates({j: _ONE}))
-    nonzero = [row for row in pure_rows if row]
 
     # the stage-1 layer: kernel classes with a representative in Lambda(V_0);
-    # then the remaining kernel classes, which combine class rows with no pure
-    # term, as rows of class coordinates
-    if kernel is None:
-        # the meet with the pure span is that span, and the rest is spanned
-        # by the unit vectors off its pivots (see the module docstring)
-        pure_space = RowSpace(nonzero)
-        pure_kernel = pure_space.fraction_rows()
-        pivots = set(pure_space.pivots())
-        rest = [{i: _ONE} for i in range(h) if i not in pivots]
-        kills = range(h)
-    else:
-        pure_kernel = intersect_spans(kernel, nonzero)
-        handled = RowSpace(pure_kernel)
-        leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
-        rest = leftovers.fraction_rows()
-        kills = {*handled.pivots(), *leftovers.pivots()}
+    # the other targets: the class rows with a non-pure pivot
+    pure_kernel = intersect_spans(kernel, [row for row in pure_rows if row])
+    rest = [i for i, p in enumerate(h_space._class_pivots) if top_stage[p]]
+    if len(pure_kernel) + len(rest) != len(kernel):
+        raise IntegrityError(
+            "the stage-1 layer and the non-pure classes do not span the kernel of rho*"
+        )
+    kills = {min(row) for row in pure_kernel}.union(rest)
 
     staged = []
     if pure_kernel:
@@ -291,9 +279,9 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
             raise IntegrityError("pure kernel class lost its pure representative")
         for coeffs in solutions:
             staged.append((1, {pure_codes[j]: c for j, c in coeffs.items()}))
-    for row in rest:
+    for i in rest:
         dg, top = {}, 0
-        for j, c in h_space.combination(row).items():
+        for j, c in h_space._class_rows[i].items():
             dg[keys[j]] = c
             stage = top_stage[j]
             if not stage:

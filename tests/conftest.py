@@ -9,7 +9,7 @@ from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
-from sullivan.linalg import RowSpace, intersect_spans, solve_in_span, solve_rows
+from sullivan.linalg import RowSpace, add_scaled, intersect_spans, solve_in_span, solve_rows
 from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model
 from sullivan.presented import PresentedAlgebra
 
@@ -227,9 +227,9 @@ def reference_kill_step(model, h_space, a_space):
     It decodes every class, forms rho* of each whole representative, takes
     the kernel of rho* even when it has no constraint, reads the pure classes
     through `class_of`, and reduces every kernel vector modulo the stage-1
-    span.  The changes are that `CohomologySpace.combination` now answers by
-    column, which this maps to codes, and that rho (`stage_rho`) and the
-    first free index are read off the complex.
+    span.  The changes are that it sums the class rows by column and maps
+    the sum to codes, and that rho (`stage_rho`) and the first free index are
+    read off the complex.
     """
     m = h_space.degree - 1
     rho = stage_rho(model.gens)
@@ -270,7 +270,10 @@ def reference_kill_step(model, h_space, a_space):
     handled = RowSpace(pure_kernel)
     leftovers = RowSpace(handled.reduce(vec) for vec in kernel)
     for row in leftovers.fraction_rows():
-        target = {h_space.keys[j]: c for j, c in h_space.combination(row).items()}
+        vec = {}
+        for i, c in row.items():
+            add_scaled(vec, c, h_space._class_rows[i])
+        target = {h_space.keys[j]: c for j, c in vec.items()}
         stages = [max(stage_of[p] for p, _ in code) for code in target]
         assert all(stages)
         layer.append((new_generator(1 + max(stages)), target))

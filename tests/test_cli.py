@@ -1081,6 +1081,8 @@ def test_profile_build_script_prints_every_layer(argv, monkeypatch):
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
     # every row of every space goes through _insert
     assert calls["RowSpace._insert"] > 0
+    # every kill step meets its kernel with the pure classes
+    assert calls["linalg.intersect_spans"] > 0
 
 
 def test_profile_build_counts_the_walk_by_rank(monkeypatch):

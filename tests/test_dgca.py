@@ -596,30 +596,9 @@ def test_combination_is_the_sum_of_class_representatives(wedge3_s2, fatwedge_e6)
             expected = combine(
                 cochains, [(c, space.classes[i].representative) for i, c in coords.items()]
             )
-            assert space._element(space.combination(coords)) == expected
             assert space.class_of(expected).coordinates == tuple(
                 coords.get(i, F(0)) for i in range(space.dimension)
             )
-
-
-@pytest.fixture(scope="module")
-def combination_spaces(wedge3_s2, fatwedge_e6):
-    return [(cochains, CohomologySpace(cochains, m))
-            for cochains, m in _combination_spaces(wedge3_s2, fatwedge_e6)]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_combination_of_random_coordinates_decodes_to_the_sum(combination_spaces, data):
-    for cochains, space in combination_spaces:
-        positions = st.integers(0, space.dimension - 1)
-        coords = data.draw(st.dictionaries(positions, coefficients | st.just(F(0)), max_size=4))
-        expected = combine(
-            cochains, [(c, space.classes[i].representative) for i, c in coords.items()]
-        )
-        combination = space.combination(coords)
-        assert all(combination.values())
-        assert space._element(combination) == expected
 
 
 def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
@@ -629,10 +608,9 @@ def test_classes_read_late_match_classes_read_first(wedge3_s2, fatwedge_e6):
         eager = CohomologySpace(cochains_a, m)
         eager_classes = eager.classes
         lazy = CohomologySpace(cochains_b, m)
-        # class_of and combination before the class list is first read
+        # class_of before the class list is first read
         for cls in eager_classes:
             assert lazy.class_of(cls.representative).coordinates == cls.coordinates
-        lazy.combination({0: F(2)})
         assert [(str(c.representative), c.coordinates) for c in lazy.classes] == [
             (str(c.representative), c.coordinates) for c in eager_classes
         ]
@@ -1068,21 +1046,6 @@ def test_build_hands_down_every_coboundary_basis(monkeypatch, generators, relati
     _built(generators, relations, 7)
     assert [m for m, _ in seen] == list(range(0, 8))
     assert all(handed for m, handed in seen if m >= 1), seen
-
-
-def test_combination_of_one_coordinate_is_the_scaled_class_row(wedge3_s2, fatwedge_e6):
-    for cochains, m in _combination_spaces(wedge3_s2, fatwedge_e6):
-        space = CohomologySpace(cochains, m)
-        zeros = {j: F(0) for j in range(space.dimension)}
-        for i in range(space.dimension):
-            for c in (F(1), F(-3, 2), F(2)):
-                expected = combine(cochains, [
-                    (c if j == i else F(0), space.classes[j].representative)
-                    for j in range(space.dimension)
-                ])
-                for coords in ({i: c}, {**zeros, i: c}, {i: c, (i + 1) % space.dimension: F(0)}):
-                    combination = space._element(space.combination(coords))
-                    assert combination == expected, (cochains, m, coords)
 
 
 # ---------------------------------------------------------------------------

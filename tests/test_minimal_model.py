@@ -136,14 +136,32 @@ def test_stage1_only_model_standard(cp1):
 
 
 def test_the_build_refuses_a_kill_target_with_a_pure_term(monkeypatch):
-    # With no stage-1 layer, the pure kernel class of a*b is left to the
-    # higher-stage targets; the build's standardness guard must refuse it.
+    # With no stage-1 layer, the pure kernel class of a*b is in no kill
+    # layer: the stage-1 rows and the non-pure class rows fall short of the
+    # kernel, and the build's span guard must refuse it.
     monkeypatch.setattr(minimal_model, "intersect_spans", lambda *args: [])
     algebra = PresentedAlgebra.from_strings([("a", 2), ("b", 2)], ["a*b"], truncation=6)
     with pytest.raises(
-        IntegrityError, match="a kill target outside the stage-1 layer has a pure term"
+        IntegrityError,
+        match="the stage-1 layer and the non-pure classes do not span the kernel of rho",
     ):
         build_minimal_model(algebra, 5)
+
+
+def test_the_kill_step_refuses_a_non_pure_class_row_with_a_pure_term():
+    # a, e of stage 0 and v of stage 1 (dv = a^3): the degree-7 keys are a*v,
+    # then the pure a^2*e.  A class row with its pivot at a*v and a pure term
+    # at a^2*e breaks the split the kill step rests on; the pure row a^2*e
+    # keeps the span guard satisfied, so the target guard must refuse it.
+    a, e, v = Generator("a", 2), Generator("e", 3, 0, 1), Generator("v", 5, 1, 2)
+    model = FreeDGCA((a, e, v), {v: Element.from_monomial(Monomial.of(a, 3))}, 8)
+    assert [str(model.element_of({key: 1})) for key in model.keys(7)] == ["a*v", "a^2*e"]
+    h_space = dgca.CohomologySpace.from_class_rows(model, 7, [{0: F(1), 1: F(1)}, {1: F(1)}], [])
+    algebra = PresentedAlgebra.from_strings([("a", 2), ("e", 3)], ["a^2"], truncation=8)
+    with pytest.raises(
+        IntegrityError, match="a kill target outside the stage-1 layer has a pure term"
+    ):
+        minimal_model._kill_step(model, h_space, algebra.graded_component(7))
 
 
 def test_rename_roundtrip(cp1):
@@ -506,14 +524,26 @@ def test_kill_step_matches_the_reference_kill_step(monkeypatch):
             return rows
 
         def spy_kill_step(model, h_space, a_space):
+            # the split the one path rests on: each class row of H^(m+1), and
+            # d of each degree-m key, is all pure or has no pure term
+            stage_of = [g.stage for g in model.gens]
+
+            def kinds(codes):
+                return {not any(stage_of[p] for p, _ in code) for code in codes}
+
+            keys = h_space.keys
+            for row in h_space._class_rows:
+                assert len(kinds(keys[j] for j in row)) == 1, (family, h_space.degree)
+            for key in model.keys(h_space.degree - 1):
+                assert len(kinds(code for code, _ in model.d_basis(key))) <= 1, (family, key)
             before = len(model.gens)
             kill_step(model, h_space, a_space)
             new = model.gens[before:]
-            branch = "general" if constrained[-1] else "fast"
-            ran.add(branch)
-            if branch == "fast" and family == "wedge" and h_space.degree == 4:
+            kind = "constrained" if constrained[-1] else "unconstrained"
+            ran.add(kind)
+            if kind == "unconstrained" and family == "wedge" and h_space.degree == 4:
                 if any(g.stage == 1 for g in new):
-                    ran.add("fast, with a stage-1 layer")
+                    ran.add("unconstrained, with a stage-1 layer")
 
         with monkeypatch.context() as mp:
             mp.setattr(minimal_model, "_rho_constraints", spy_constraints)
@@ -533,7 +563,7 @@ def test_kill_step_matches_the_reference_kill_step(monkeypatch):
         compare(*problem)
 
     check()
-    assert ran == {"fast", "general", "fast, with a stage-1 layer"}
+    assert ran == {"constrained", "unconstrained", "unconstrained, with a stage-1 layer"}
 
 
 def _reference_constraints(h_space, a_space):
