@@ -26,17 +26,17 @@ bucket.  The visits are counted whether or not the build looked the rows up
 in its column index instead (from rank ``linalg.INDEX_RANK`` on), so the
 table shows what the walk would cost at each rank.  The counts come from
 wrappers this script puts around ``RowSpace.__init__`` and
-``RowSpace._insert``; they add a copy of the stored rows to every insert.
+``RowSpace.insert``, which the constructor hands every row; they add a copy
+of the stored rows to every insert.
 
 For each hot layer of the cohomology elimination (and of the spaces a
 complex builds again when it extends, ``from_class_rows``), of the kill step
-(``_kill_step``, which includes its ``extend_codes`` call, its rho*
-rows, ``_rho_constraints``, and its one elimination after the kernel,
-``intersect_spans``), of the product loop that writes [u] as a sum
-of products (``decomposition``) and of the presented algebra A (its ideal
-slices and its indecomposables), and for the d^2 and standardness checks of
-a model, it prints the number of calls, the cumulative seconds and the share
-of the profiled total.
+(``_kill_step``, which includes its ``extend_codes`` call and its rho* rows
+on the pure classes, ``_rho_constraints``), of the product loop that writes
+[u] as a sum of products (``decomposition``) and of the presented algebra A
+(its ideal slices and its indecomposables), and for the d^2 and standardness
+checks of a model, it prints the number of calls, the cumulative seconds and
+the share of the profiled total.
 A's graded components have no row of their own: ``graded_component`` is
 ``FreeDGCA.cohomology``, one code object, so its row would count the
 model's cohomology too.  cProfile adds a cost to every Python call, so the
@@ -66,13 +66,12 @@ LAYERS = {
     "CohomologySpace.__init__": dgca.CohomologySpace.__init__,
     "CohomologySpace.from_class_rows": dgca.CohomologySpace.from_class_rows,
     "kernel_rref": linalg.kernel_rref,
-    "RowSpace._insert": linalg.RowSpace._insert,
+    "RowSpace.insert": linalg.RowSpace.insert,
     "RowSpace.kernel": linalg.RowSpace.kernel,
     "FreeDGCA._d_code": dgca.FreeDGCA._d_code,
     "FreeDGCA.extend_codes": dgca.FreeDGCA.extend_codes,
     "minimal_model._kill_step": minimal_model._kill_step,
     "minimal_model._rho_constraints": minimal_model._rho_constraints,
-    "linalg.intersect_spans": linalg.intersect_spans,
     "linalg.solve_rows": linalg.solve_rows,
     "CohomologySpace.class_of": dgca.CohomologySpace.class_of,
     "CohomologySpace.coordinates": dgca.CohomologySpace.coordinates,
@@ -132,7 +131,7 @@ def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
     """Run ``job`` with ``RowSpace`` wrapped; the COUNTS per rank bucket, and
     the largest rank at an insert."""
     space_class = linalg.RowSpace
-    init, insert = space_class.__init__, space_class._insert
+    init, insert = space_class.__init__, space_class.insert
     table = [[0] * len(COUNTS) for _ in range(len(RANK_EDGES) + 1)]
     # the bucket each live space last inserted in, by id: a new space starts
     # with none, so an id that Python hands out again is not mistaken
@@ -143,7 +142,7 @@ def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
         last_bucket[id(self)] = None
         init(self, rows)
 
-    def counted_insert(self, row, holders):
+    def counted_insert(self, row):
         nonlocal top
         rank = len(self._rows)
         top = max(top, rank)
@@ -154,7 +153,7 @@ def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
             counts[0] += 1
         counts[1] += 1
         before = self._rows.copy()
-        p = insert(self, row, holders)
+        p = insert(self, row)
         if p is None:
             counts[2] += 1
             return p
@@ -164,12 +163,12 @@ def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
         counts[4] += at
         return p
 
-    space_class.__init__, space_class._insert = counted_init, counted_insert
+    space_class.__init__, space_class.insert = counted_init, counted_insert
     try:
         for _ in range(repeat):
             job()
     finally:
-        space_class.__init__, space_class._insert = init, insert
+        space_class.__init__, space_class.insert = init, insert
     return table, top
 
 

@@ -10,6 +10,8 @@ several sparse targets over one sparse basis from a single elimination, one
 augmented column per target.  `solve_in_span` solves one dense target; its
 only library caller left is `minimal_model.preimage_in_v0_v1`, which no
 construction calls and `perfbench/layertrace.py` requires.
+`intersect_spans` has no library caller: `perfbench/layertrace.py` wraps it,
+and the tests' reference kill step meets spans with it.
 
 A row of a reduced row-echelon form has no entry left of its pivot, so a
 new pivot p can occur only in the rows whose pivots lie below p: those are
@@ -34,10 +36,11 @@ more to keep than it saves.  With the index from the first row
 median of 30 alternating replays, and ``scripts/ab_pairs.py`` put whole
 passes of both 1-3% slower.  No ``model-dense`` space reaches rank 256, and
 the one ``verdict-cli`` space that does makes no visit past it
-(``scripts/profile_build.py --counts``).  The index lives only
-while the constructor runs, so a built space holds none and a later
-`insert` walks.  Either way the stored rows are the canonical reduced form,
-so nothing a caller reads depends on the path.
+(``scripts/profile_build.py --counts``).  The constructor hands each row to
+`insert`, the one insert path, and holds the index in the ``_holders`` slot
+only while it runs, so a built space holds none and a later `insert` walks.
+Either way the stored rows are the canonical reduced form, so nothing a
+caller reads depends on the path.
 
 An insert clears the row's denominators, eliminates its pivot columns and
 then makes it primitive (content divided out, leading entry positive),
@@ -160,19 +163,20 @@ class RowSpace:
     through a column index, which it drops when it returns.
     """
 
-    __slots__ = ("_rows", "_pivots")
+    __slots__ = ("_rows", "_pivots", "_holders")
 
     def __init__(self, rows: Iterable[Mapping[int, Fraction | int]] = ()):
         self._rows: dict[int, dict[int, int]] = {}
         self._pivots: list[int] = []
+        self._holders: defaultdict[int, list[int]] | None = None
         pending = sorted(filter(None, rows), key=lambda r: (-min(r), len(r)))
         # popped in that order, so that each row is freed once inserted
         pending.reverse()
-        holders = None
         while pending:
-            if holders is None and len(self._rows) >= INDEX_RANK:
-                holders = self._holders()
-            self._insert(pending.pop(), holders)
+            if self._holders is None and len(self._rows) >= INDEX_RANK:
+                self._holders = self._index()
+            self.insert(pending.pop())
+        self._holders = None
 
     @property
     def rank(self) -> int:
@@ -182,16 +186,10 @@ class RowSpace:
         return list(self._pivots)
 
     def insert(self, row: Mapping[int, Fraction | int]) -> int | None:
-        """Add a row; return its pivot column, or None if it was dependent."""
-        return self._insert(row, None)
+        """Add a row; return its pivot column, or None if it was dependent.
 
-    def _insert(
-        self, row: Mapping[int, Fraction | int], holders: defaultdict[int, list[int]] | None
-    ) -> int | None:
-        """`insert`, back-substituting through ``holders`` when it is given.
-
-        ``holders`` maps a non-pivot column to pivots whose rows may hold it
-        (see `_holders`); this insert keeps it so.
+        It back-substitutes through the column index in ``_holders`` when the
+        constructor has set one (see `_index`), and keeps it so.
         """
         r = self._eliminate(_integer_row(row))
         if not r:
@@ -199,6 +197,7 @@ class RowSpace:
         p = min(r)
         rows = self._rows
         at = bisect_left(self._pivots, p)
+        holders = self._holders
         if holders is None:
             # back-substitute the new pivot into the rows with a pivot below p;
             # the rows with a pivot above p have no entry at p
@@ -222,7 +221,7 @@ class RowSpace:
         self._pivots.insert(at, p)
         return p
 
-    def _holders(self) -> defaultdict[int, list[int]]:
+    def _index(self) -> defaultdict[int, list[int]]:
         """Each non-pivot column of the stored rows, with the pivots of the rows that hold it."""
         holders = defaultdict(list)
         for q, row in self._rows.items():
@@ -408,6 +407,7 @@ def solve_rows(
     return out
 
 
+# Not called here: perfbench/layertrace.py wraps it, and the tests' kill-step oracle calls it.
 def intersect_spans(
     rows_a: Sequence[Mapping[int, Fraction]],
     rows_b: Sequence[Mapping[int, Fraction]],

@@ -31,23 +31,25 @@ lies in Lambda(V_0), and let P be the span of the classes of pure monomials.
     stays pure, so its class combines pure class rows only, and a pure class
     row is a combination of pure monomials: P = P_c, and P cap N = 0.
 (c) rho kills stage >= 1, so rho* vanishes on N, and K = N (+) (K cap P).
-    The stage-1 layer is the RREF of K cap P, and the other targets are the
-    non-pure class rows themselves: in class coordinates, the unit vectors
-    at their positions.
+    A pure class row is its pivot monomial, a pure cocycle off the pivots of
+    B, so P is spanned by the unit vectors at the pure class positions, and
+    K cap P is the kernel of rho* on the pure class positions: the stage-1
+    layer is its RREF.  The other targets are the non-pure class rows: in
+    class coordinates, the unit vectors at their positions.
 
-The build checks this: `_kill_step` raises `IntegrityError` unless the
-stage-1 rows and the non-pure class rows number dim K, and if one of those
-class rows has a pure term.
+The build checks what this rests on: `_kill_step` raises `IntegrityError`
+if the class of a pure monomial has an entry at a non-pure class position
+(P not inside P_c), and if a non-pure class row has a pure term.
 
 The kill step (`_kill_step`) works on class coordinates and on the codes of
-the columns of H^(m+1), whose largest stages it reads once per degree.  rho
-kills every term with a factor of stage >= 1 and fixes the pure terms, so
-rho* of a class row is the class in A of its pure terms, one reduction in
-A^(m+1), and a row with none gives no constraint.  K is the kernel of the
-constraints; with none (for a wedge of spheres, A^(m+1) = 0 for every
-m >= 2) it is all of H^(m+1), its unit vectors, and nothing else changes.
-The pure classes are the sparse class coordinates of the pure columns.  A
-target's stage is one more than the largest stage among its columns, and
+the columns of H^(m+1), whose largest stages it reads once per degree to
+split the class positions by the stage of their pivot.  rho fixes the pure
+terms, so rho* of a pure class row is its class in A, one reduction in
+A^(m+1).  `linalg.kernel_rref` of those constraints gives the stage-1 RREF
+from one elimination; with none (for a wedge of spheres, A^(m+1) = 0 for
+every m >= 2) it is the unit vectors at the pure positions.  The pure
+classes are the sparse class coordinates of the pure columns.  A target's
+stage is one more than the largest stage among its columns, and
 `FreeDGCA.extend_codes` checks each term of the layer against the keys of
 degree m + 1.
 
@@ -103,7 +105,7 @@ from typing import Mapping, Sequence
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis
 from .dgca import CohomologySpace, FreeDGCA
-from .linalg import RowSpace, intersect_spans, solve_in_span, solve_rows
+from .linalg import kernel_rref, solve_in_span, solve_rows
 from .presented import PresentedAlgebra, validate_presentation
 
 _ONE = Fraction(1)
@@ -246,9 +248,14 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
     stage_of = [g.stage for g in model.gens]
     # the largest stage in each degree-(m + 1) monomial; 0 marks a pure one
     top_stage = [max([stage_of[p] for p, _ in code]) for code in keys]
-    # with no constraint, the kernel is all of H^(m+1): its unit vectors
-    kernel = RowSpace(_rho_constraints(h_space, top_stage, a_space)).kernel(h_space.dimension)
-    if not kernel:
+    # the class positions, by the stage of their pivot column; the class rows
+    # with a non-pure pivot are the other targets
+    pivot_stage = [top_stage[p] for p in h_space._class_pivots]
+    pure = [i for i, stage in enumerate(pivot_stage) if not stage]
+    rest = [i for i, stage in enumerate(pivot_stage) if stage]
+    # the stage-1 layer: the kernel of rho* on the pure classes
+    pure_kernel = kernel_rref(_rho_constraints(h_space, pure, a_space), pure)
+    if not pure_kernel and not rest:
         return
 
     # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
@@ -256,19 +263,13 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
     for j, stage in enumerate(top_stage):
         if not stage:
             if model.d_basis(keys[j]):
-                pure = model.element_of({keys[j]: _ONE})
-                raise IntegrityError(f"the pure monomial {pure} is not a cocycle")
+                mon = model.element_of({keys[j]: _ONE})
+                raise IntegrityError(f"the pure monomial {mon} is not a cocycle")
+            row = h_space.coordinates({j: _ONE})
+            if any(pivot_stage[i] for i in row):  # then P is not inside P_c
+                raise IntegrityError(f"the class of the pure code {keys[j]} is not pure")
             pure_codes.append(keys[j])
-            pure_rows.append(h_space.coordinates({j: _ONE}))
-
-    # the stage-1 layer: kernel classes with a representative in Lambda(V_0);
-    # the other targets: the class rows with a non-pure pivot
-    pure_kernel = intersect_spans(kernel, [row for row in pure_rows if row])
-    rest = [i for i, p in enumerate(h_space._class_pivots) if top_stage[p]]
-    if len(pure_kernel) + len(rest) != len(kernel):
-        raise IntegrityError(
-            "the stage-1 layer and the non-pure classes do not span the kernel of rho*"
-        )
+            pure_rows.append(row)
     kills = {min(row) for row in pure_kernel}.union(rest)
 
     staged = []
@@ -298,31 +299,29 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
     model.extend_codes(layer, kills=kills)
 
 
-def _rho_constraints(h_space, top_stage, a_space) -> list[dict[int, Fraction]]:
-    """rho*: H^(m+1) -> A^(m+1) = ``a_space`` as rows over class coordinates.
+def _rho_constraints(h_space, pure, a_space) -> list[dict[int, Fraction]]:
+    """rho* on the pure class positions ``pure`` of H^(m+1), into A^(m+1) = ``a_space``.
 
-    ``top_stage`` is the largest stage in each column of H^(m+1).  rho fixes
-    the lifts and kills every other generator, so rho* of a class row is the
-    class in A of its pure terms, and a row with none gives no entry.
+    rho fixes the lifts and kills every other generator, so rho* of a pure
+    class row, whose terms are all pure, is its class in A.  The rows are
+    over the reversed positions of ``pure``, as `kernel_rref` takes them.
     A lift is A's own generator, and the lifts keep A's order, so mapping
     the positions of a pure code to A's gives A's code, still sorted.
     """
     if not a_space.dimension:
         return []
-    keys, a_index = h_space.keys, a_space.index
+    keys, a_index, class_rows = h_space.keys, a_space.index, h_space._class_rows
     to_a = [a_space.cochains._position.get(g) for g in h_space.cochains.gens]
     rows: dict[int, dict[int, Fraction]] = {}
-    for i, row in enumerate(h_space._class_rows):
+    for t, i in enumerate(reversed(pure)):
         vec = {}
-        for j, c in row.items():
-            if not top_stage[j]:
-                col = a_index.get(tuple([(to_a[p], e) for p, e in keys[j]]))
-                if col is None:
-                    raise IntegrityError(f"the pure code {keys[j]} has no column in A")
-                vec[col] = c
-        if vec:
-            for j, c in a_space.coordinates(vec).items():
-                rows.setdefault(j, {})[i] = c
+        for j, c in class_rows[i].items():
+            col = a_index.get(tuple([(to_a[p], e) for p, e in keys[j]]))
+            if col is None:
+                raise IntegrityError(f"the pure code {keys[j]} has no column in A")
+            vec[col] = c
+        for j, c in a_space.coordinates(vec).items():
+            rows.setdefault(j, {})[t] = c
     return list(rows.values())
 
 

@@ -1079,10 +1079,8 @@ def test_profile_build_script_prints_every_layer(argv, monkeypatch):
     # the verdict of fatwedge-e6 writes [u] through products; a model build does not
     calls = {row[0]: int(row[1]) for row in rows}
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
-    # every row of every space goes through _insert
-    assert calls["RowSpace._insert"] > 0
-    # every kill step meets its kernel with the pure classes
-    assert calls["linalg.intersect_spans"] > 0
+    # every row of every space goes through insert
+    assert calls["RowSpace.insert"] > 0
 
 
 def test_profile_build_counts_the_walk_by_rank(monkeypatch):
@@ -1102,8 +1100,8 @@ def test_profile_build_counts_the_walk_by_rank(monkeypatch):
         monkeypatch.setattr(linalg, "INDEX_RANK", index_rank)
         assert profile_build.insert_counts(job, 1) == want
     # the wrappers are gone again
-    assert (linalg.RowSpace.__init__.__name__, linalg.RowSpace._insert.__name__) == (
-        "__init__", "_insert")
+    assert (linalg.RowSpace.__init__.__name__, linalg.RowSpace.insert.__name__) == (
+        "__init__", "insert")
     result = subprocess.run([sys.executable, str(PROFILE_BUILD), "--wedge", "2", "5", "--counts"],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr

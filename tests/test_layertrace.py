@@ -47,6 +47,28 @@ def test_tracer_counts_graded_component_cache_hits(monkeypatch):
     assert tracer.counters["presented.graded_component.hits"] > 0
 
 
+def test_a_traced_build_sees_the_elimination(monkeypatch):
+    # RowSpace(rows) hands each row to insert, the method the tracer wraps,
+    # so a traced build records insert spans and the largest coefficient.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layertrace
+    import sullivan.minimal_model as minimal_model
+    from sullivan.presented import PresentedAlgebra
+
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        algebra = PresentedAlgebra.from_strings(
+            [("a", 2), ("b", 2), ("c", 2)], ["a^2 + 2*a*b - 3*c^2", "a*c - 5*b^2 + b*c"],
+            truncation=6)
+        minimal_model.build_minimal_model(algebra, 5)
+    finally:
+        tracer.uninstall()
+    insert = tracer.layer_id["linalg.insert"]
+    assert any(span[0] == insert for span in tracer.spans)
+    assert tracer.counters["linalg.max_coeff_bits"] > 0
+
+
 def _pinned_bindings():
     """(module, name) of each binding under a ``# Not called here`` comment in src/.
 

@@ -561,8 +561,8 @@ def test_insert_after_a_build_past_the_index_rank_matches_a_fresh_build(problem,
     built = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "INDEX_RANK", 2)
-        holders = RowSpace._holders
-        patch.setattr(RowSpace, "_holders", lambda self: built.append(self) or holders(self))
+        index = RowSpace._index
+        patch.setattr(RowSpace, "_index", lambda self: built.append(self) or index(self))
         space = RowSpace(rows[:split])
         indexed = len(built)
         for row in rows[split:]:

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sullivan import dgca, linalg, minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, IntegrityError, TruncationError
+from sullivan.expr import parse_element
 from sullivan.fixtures import fixture_ids, get_fixture, load_job
 from sullivan.gca import Element, Generator, Monomial, monomial_basis, monomial_codes
 from sullivan.minimal_model import (
@@ -135,24 +137,57 @@ def test_stage1_only_model_standard(cp1):
     assert verify_standard(cp1.model) == []
 
 
-def test_the_build_refuses_a_kill_target_with_a_pure_term(monkeypatch):
-    # With no stage-1 layer, the pure kernel class of a*b is in no kill
-    # layer: the stage-1 rows and the non-pure class rows fall short of the
-    # kernel, and the build's span guard must refuse it.
-    monkeypatch.setattr(minimal_model, "intersect_spans", lambda *args: [])
-    algebra = PresentedAlgebra.from_strings([("a", 2), ("b", 2)], ["a*b"], truncation=6)
-    with pytest.raises(
-        IntegrityError,
-        match="the stage-1 layer and the non-pure classes do not span the kernel of rho",
-    ):
-        build_minimal_model(algebra, 5)
+def test_the_kill_step_refuses_a_pure_monomial_whose_class_is_not_pure():
+    # a, x of stage 0, v1, v2 of stage 1 (dv = a^2) and w of stage 2 with the
+    # pure term a*x in dw = a*v1 - a*v2 + a*x.  In degree 5 the class of the
+    # pure a*x is minus that of a*v1 - a*v2, the one class, whose pivot is not
+    # pure: P is not inside P_c, and the kill step must refuse it.
+    a, x = Generator("a", 2), Generator("x", 3, 0, 1)
+    v1, v2, w = Generator("v1", 3, 1, 2), Generator("v2", 3, 1, 3), Generator("w", 4, 2, 4)
+    gens = {g.name: g for g in (a, x, v1, v2, w)}
+    d = {v1: parse_element("a^2", gens), v2: parse_element("a^2", gens),
+         w: parse_element("a*v1 - a*v2 + a*x", gens)}
+    model = FreeDGCA((a, x, v1, v2, w), d, 6)
+    h_space = model.cohomology(5)
+    assert [str(model.element_of({key: 1})) for key in h_space.keys] == ["a*x", "a*v1", "a*v2"]
+    assert h_space._class_rows == [{1: F(1), 2: F(-1)}]
+    algebra = PresentedAlgebra.from_strings([("a", 2), ("x", 3)], ["a^2"], truncation=6)
+    message = f"the class of the pure code {h_space.keys[0]} is not pure"
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        minimal_model._kill_step(model, h_space, algebra.graded_component(5))
+
+
+def test_the_kill_step_refuses_a_pure_monomial_that_is_not_a_cocycle():
+    # b of stage 0 with db = a^2 breaks fact (a): d(a*b) = a^3.  The class of
+    # a*v (v of stage 1, dv = 0) is a target, so the kill step reads the pure
+    # monomials and must refuse a*b.
+    a, b, v = Generator("a", 2), Generator("b", 3, 0, 1), Generator("v", 3, 1, 2)
+    model = FreeDGCA((a, b, v), {b: parse_element("a^2", {"a": a})}, 6)
+    h_space = model.cohomology(5)
+    assert [str(model.element_of({key: 1})) for key in h_space.keys] == ["a*b", "a*v"]
+    algebra = PresentedAlgebra.from_strings([("a", 2), ("b", 3)], ["a^2"], truncation=6)
+    with pytest.raises(IntegrityError, match="the pure monomial a\\*b is not a cocycle"):
+        minimal_model._kill_step(model, h_space, algebra.graded_component(5))
+
+
+def test_the_kill_step_refuses_a_stage_1_row_outside_the_pure_classes():
+    # Class rows that claim the coboundary a*b = dc as a class: rho* is zero
+    # (A^4 = 0), so its pure class position is in the stage-1 layer, but no
+    # pure monomial's class reaches it, and the layer has no solution.
+    a, b, c = Generator("a", 2), Generator("b", 2, 0, 1), Generator("c", 3, 0, 2)
+    model = FreeDGCA((a, b, c), {c: parse_element("a*b", {"a": a, "b": b})}, 5)
+    assert [str(model.element_of({key: 1})) for key in model.keys(4)] == ["a*b", "a^2", "b^2"]
+    h_space = dgca.CohomologySpace.from_class_rows(model, 4, [{0: F(1)}, {1: F(1)}, {2: F(1)}], [])
+    algebra = PresentedAlgebra.from_strings([("a", 2), ("b", 2)], ["a^2", "a*b", "b^2"], 5)
+    with pytest.raises(IntegrityError, match="pure kernel class lost its pure representative"):
+        minimal_model._kill_step(model, h_space, algebra.graded_component(4))
 
 
 def test_the_kill_step_refuses_a_non_pure_class_row_with_a_pure_term():
     # a, e of stage 0 and v of stage 1 (dv = a^3): the degree-7 keys are a*v,
     # then the pure a^2*e.  A class row with its pivot at a*v and a pure term
-    # at a^2*e breaks the split the kill step rests on; the pure row a^2*e
-    # keeps the span guard satisfied, so the target guard must refuse it.
+    # at a^2*e breaks the split the kill step rests on; the class of a^2*e is
+    # the pure class row, so the target guard must refuse it.
     a, e, v = Generator("a", 2), Generator("e", 3, 0, 1), Generator("v", 5, 1, 2)
     model = FreeDGCA((a, e, v), {v: Element.from_monomial(Monomial.of(a, 3))}, 8)
     assert [str(model.element_of({key: 1})) for key in model.keys(7)] == ["a*v", "a^2*e"]
@@ -566,16 +601,18 @@ def test_kill_step_matches_the_reference_kill_step(monkeypatch):
     assert ran == {"constrained", "unconstrained", "unconstrained, with a stage-1 layer"}
 
 
-def _reference_constraints(h_space, a_space):
-    """rho* of each whole class representative, as the kill step first formed it."""
+def _reference_constraints(h_space, a_space, pure):
+    """rho* of each whole class representative, as the kill step first formed it,
+    over the reversed positions of ``pure``; rho* must vanish on every other class."""
     rows = {}
     rho = stage_rho(h_space.cochains.gens)
     if a_space.dimension:
-        for i, cls in enumerate(h_space.classes):
-            image = _rho_of(cls.representative, rho, a_space.cochains)
-            for j, c in enumerate(a_space.class_of(image).coordinates):
+        images = [_rho_of(cls.representative, rho, a_space.cochains) for cls in h_space.classes]
+        assert all(image.is_zero for i, image in enumerate(images) if i not in pure)
+        for t, i in enumerate(reversed(pure)):
+            for j, c in enumerate(a_space.class_of(images[i]).coordinates):
                 if c:
-                    rows.setdefault(j, {})[i] = c
+                    rows.setdefault(j, {})[t] = c
     return list(rows.values())
 
 
@@ -584,9 +621,9 @@ def _constraints_checked(monkeypatch, algebra, n):
     rho_constraints = minimal_model._rho_constraints
     nonempty = []
 
-    def spy(h_space, top_stage, a_space):
-        rows = rho_constraints(h_space, top_stage, a_space)
-        expected = _reference_constraints(h_space, a_space)
+    def spy(h_space, pure, a_space):
+        rows = rho_constraints(h_space, pure, a_space)
+        expected = _reference_constraints(h_space, a_space, pure)
         assert rows == expected and repr(rows) == repr(expected), h_space.degree
         nonempty.append(bool(rows))
         return rows
@@ -619,7 +656,7 @@ def test_rho_constraints_refuse_a_pure_code_with_no_column_in_a():
     stray = FreeDGCA([Generator("y", 2, index=0)], {}, 4)
     h_space = stray.cohomology(4)
     with pytest.raises(IntegrityError, match="has no column in A"):
-        minimal_model._rho_constraints(h_space, [0] * len(h_space.keys),
+        minimal_model._rho_constraints(h_space, list(range(h_space.dimension)),
                                        algebra.graded_component(4))
 
 
@@ -899,9 +936,9 @@ def test_the_column_index_leaves_the_generator_tables_unchanged(monkeypatch):
         7,
     )
     indexed = []  # the INDEX_RANK of each index a build made
-    holders = linalg.RowSpace._holders
-    monkeypatch.setattr(linalg.RowSpace, "_holders",
-                        lambda self: indexed.append(linalg.INDEX_RANK) or holders(self))
+    index = linalg.RowSpace._index
+    monkeypatch.setattr(linalg.RowSpace, "_index",
+                        lambda self: indexed.append(linalg.INDEX_RANK) or index(self))
     for gens, relations, n in (wedge, dense):
         tables = set()
         for rank in (0, 64, linalg.INDEX_RANK, 10**9):
