@@ -22,8 +22,10 @@ of even mode.  A base whose complex took a nonzero d as data, through
 ``d_is_data`` set and is checked when its attachment is made.
 
 The twisted complex equals the base model in every degree but n - 1 and n,
-so its cohomology is read off the base model's, with no elimination.  d_tw^2
-= 0 makes alpha vanish on the coboundaries of degree n - 1 (a product has no
+so its cohomology is read off the base model's, with no elimination:
+`FreeDGCA.cohomology` keeps the spaces and refuses a degree beyond the
+truncation, and `AttachmentModel._space` derives each one.  d_tw^2 = 0
+makes alpha vanish on the coboundaries of degree n - 1 (a product has no
 linear part to pair with), so alpha is a functional on H^(n-1).
 
 * m not in {n - 1, n}: H^m has the base model's class rows and complement.
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dgca import CohomologyClass, CohomologySpace, decomposition
+from .dgca import CohomologyClass, CohomologySpace, FreeDGCA, decomposition
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial
 from .linalg import add_scaled
@@ -184,7 +186,8 @@ class AttachmentModel:
                 raise _degree_mismatch(g.name, g.degree, self.n)
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._odd = base.dgca._odd  # the parity table; u is no code and has no position
-        self._cohomology_cache: dict[int, CohomologySpace] = {}
+        # degree m -> H^m, kept by `cohomology`
+        self._spaces: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None
         if base.dgca.d_is_data:
             bad = self.verify_d_squared()
@@ -197,16 +200,14 @@ class AttachmentModel:
         keys = self.base.dgca.keys(m)
         return keys + [_U] if m == self.n else keys
 
-    def _twisted(self, key, terms):
-        """The terms of d(b) in the base model, plus alpha(b) u."""
-        c = self._alpha_on_keys.get(key)
-        return [*terms, (_U, c)] if c else terms
-
     def d_basis(self, key):
-        """d of the basis cochain with this key, as (key, coefficient) pairs."""
+        """d of the basis cochain with this key, as (key, coefficient) pairs:
+        the terms of d(b) in the base model, plus alpha(b) u."""
         if key is _U:
             return ()
-        return self._twisted(key, self.base.dgca.d_basis(key))
+        terms = self.base.dgca.d_basis(key)
+        c = self._alpha_on_keys.get(key)
+        return [*terms, (_U, c)] if c else terms
 
     def terms_of(self, x: AttachmentElement) -> list:
         terms = self.base.dgca.terms_of(x.body)
@@ -242,21 +243,16 @@ class AttachmentModel:
         return None if bad is None else bad[0]
 
     # --- cohomology ---------------------------------------------------------
-    def cohomology(self, m: int) -> CohomologySpace:
-        if m > self.truncation:
-            raise TruncationError(
-                f"attachment cohomology in degree {m} exceeds the truncation "
-                f"{self.truncation}"
-            )
-        cached = self._cohomology_cache.get(m)
-        if cached is None:
-            cached = self._cohomology_cache[m] = self._derived(m)
-        return cached
+    # The free complex's refusal and per-degree store, over `_space`.  Bound
+    # here, not forwarded, so that perfbench/layertrace.py can wrap it by this
+    # name.
+    cohomology = FreeDGCA.cohomology
 
-    def _derived(self, m: int) -> CohomologySpace:
+    def _space(self, m: int) -> CohomologySpace:
         """H^m of the twisted complex, over the base model's class rows and complement.
 
-        Outside degrees n - 1 and n it shares them as they are; see the module
+        `cohomology` calls it when it keeps no space of degree m.  Outside
+        degrees n - 1 and n it shares them as they are; see the module
         docstring for the facts used in those two.
         """
         base = self.base.dgca.cohomology(m)

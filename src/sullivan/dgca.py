@@ -65,10 +65,14 @@ The presented algebra (A, 0) of
 overrides ``boundaries`` alone: its coboundaries are the ideal slices.  A
 free complex keys its columns by the integer codes of its monomials, the
 attachment complex by the codes of its base model and one more key, u, for
-the attached cell.  `decomposition` writes one class as a combination of
-products of classes, over the spaces a complex caches, and multiplies class
-rows on codes; the verdict asks it of [u] alone, since a presented algebra
-reads its indecomposables off its relations.
+the attached cell.  Both keep their spaces by `FreeDGCA.cohomology`, which
+the attachment complex binds as its own: it refuses a degree beyond the
+truncation, keeps one space per degree in ``_spaces`` and has ``_space(m)``
+build a missing one, by elimination in a free complex and from the base
+model's space in the attachment complex.  `decomposition` writes one class
+as a combination of products of classes, over the spaces a complex caches,
+and multiplies class rows on codes; the verdict asks it of [u] alone, since
+a presented algebra reads its indecomposables off its relations.
 
 Inside a `FreeDGCA` everything runs on integer codes, not on `Monomial`s or
 `Element` products.  A code is a sorted tuple of ``(position, exponent)``
@@ -98,8 +102,8 @@ elements handed in.
 Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
 generator at its position, so the renamed complex shares the code tables and
 the keys with its source and starts from copies of its spaces; only the
-generator tuple and the decoding tables that turn codes back into monomials
-are new.
+generator tuple, which decodes codes into monomials, and the position table,
+which encodes them, are new.
 """
 
 from __future__ import annotations
@@ -186,9 +190,6 @@ class FreeDGCA:
         self._degree: list[int] = []
         self._odd: list[bool] = []
         self._d_codes: list[tuple] = []
-        # (position, exponent) -> (generator, exponent): one pair object shared
-        # by every decoded monomial
-        self._pairs: dict[tuple[int, int], tuple[Generator, int]] = {}
         # set once a batch with no kills vouch brings a nonzero d(g); see extend_codes
         self.d_is_data = False
         self.extend(gens, d_on_gens)
@@ -395,7 +396,6 @@ class FreeDGCA:
         out = copy.copy(self)
         out.gens = gens
         out._position = {g: p for p, g in enumerate(gens)}
-        out._pairs = {}
         out._d_codes = list(self._d_codes)
         out._codes = list(self._codes)
         proxy = weakref.proxy(out)  # see CohomologySpace
@@ -410,20 +410,6 @@ class FreeDGCA:
         return list(map(self._monomial, self.keys(m)))
 
     # --- differential ---------------------------------------------------
-    def d(self, x: Element) -> Element:
-        """Leibniz extension of the differential; input must be homogeneous."""
-        if x.is_zero:
-            return x
-        degree = x.homogeneous_degree()
-        if degree + 1 > self.truncation + 1:
-            raise TruncationError(
-                f"d of a degree-{degree} element exceeds the truncation {self.truncation}"
-            )
-        out = Element.zero()
-        for mon, coeff in x.terms():
-            out = out + coeff * self.d_monomial(mon)
-        return out
-
     def d_codes(self):
         """Each generator with d(g) as it is kept: (code, odd positions, coefficient) triples."""
         return zip(self.gens, self._d_codes)
@@ -433,10 +419,8 @@ class FreeDGCA:
         return self.element_of(self._d_code(self.key(mon)))
 
     def _monomial(self, code: tuple) -> Monomial:
-        pairs, gens = self._pairs, self.gens
-        return Monomial(
-            tuple([pairs.get(pe) or pairs.setdefault(pe, (gens[pe[0]], pe[1])) for pe in code])
-        )
+        gens = self.gens
+        return Monomial(tuple([(gens[p], e) for p, e in code]))
 
     def key(self, mon: Monomial) -> tuple:
         """The code of a monomial: its column key in `CohomologySpace`."""
@@ -509,8 +493,13 @@ class FreeDGCA:
             )
         space = self._spaces.get(m)
         if space is None:
-            space = self._spaces[m] = CohomologySpace(self, m)
-            space.cochains = weakref.proxy(self)  # see CohomologySpace
+            space = self._spaces[m] = self._space(m)
+        return space
+
+    def _space(self, m: int) -> "CohomologySpace":
+        """H^m by elimination: the hook `cohomology` calls when no space is kept."""
+        space = CohomologySpace(self, m)
+        space.cochains = weakref.proxy(self)  # see CohomologySpace
         return space
 
     # --- the cochain-complex interface read by CohomologySpace --------------
@@ -656,11 +645,6 @@ class CohomologySpace:
         return RowSpace(
             {index[t]: c for t, c in boundary} for boundary in self.cochains.boundaries(self.degree)
         )
-
-    @cached_property
-    def classes(self) -> list[CohomologyClass]:
-        """The basis classes, each with unit coordinates; built on first read."""
-        return [self._basis_class(i) for i in range(len(self._class_rows))]
 
     @property
     def dimension(self) -> int:

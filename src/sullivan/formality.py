@@ -69,20 +69,6 @@ class FormalityVerdict:
         }
 
 
-def _require_standard(model: BigradedModel):
-    """Refuse a model that is not standard.
-
-    The caller's model is data: a hand-made rho or stage table that no build
-    vouched for.  A model from `build_minimal_model` is standard by
-    construction, so even mode, which builds its own, does not call this.
-    """
-    problems = verify_standard(model)
-    if problems:
-        raise InputError(
-            "the model is not standard: " + "; ".join(problems)
-        )
-
-
 def _hurewicz_zero(model: BigradedModel, alpha: AlphaFunctional) -> bool:
     return not any(alpha.value(g) for g in model.stage_slice(0, alpha.n - 1))
 
@@ -107,8 +93,16 @@ def _u_text(attached: AttachmentModel) -> str:
 def formality_verdict(
     model: BigradedModel, alpha: AlphaFunctional
 ) -> FormalityVerdict:
-    """Apply the cell-attachment criterion to one attachment."""
-    _require_standard(model)
+    """Apply the cell-attachment criterion to one attachment.
+
+    A model that is not standard is refused.  The caller's model is data: a
+    hand-made rho or stage table that no build vouched for.  A model from
+    `build_minimal_model` is standard by construction, so even mode, which
+    builds its own, does not check it.
+    """
+    problems = verify_standard(model)
+    if problems:
+        raise InputError("the model is not standard: " + "; ".join(problems))
     return _decide(AttachmentModel(model, alpha))
 
 

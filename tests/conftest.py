@@ -10,7 +10,7 @@ from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
 from sullivan.gca import Element, Generator, monomial_basis
 from sullivan.linalg import RowSpace, add_scaled, intersect_spans, solve_in_span, solve_rows
-from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model
+from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model, verify_standard
 from sullivan.presented import PresentedAlgebra
 
 
@@ -76,6 +76,20 @@ def twisted_d(att, mon):
     return att.element_of(dict(att.d_basis(att.base.dgca.key(mon))))
 
 
+def d_of(cochains, x):
+    """d of an element of ``cochains``: c * ``d_basis(k)`` summed over its
+    ``terms_of`` (k, c), decoded by ``element_of``."""
+    total = {}
+    for k, c in cochains.terms_of(x):
+        add_scaled(total, c, dict(cochains.d_basis(k)))
+    return cochains.element_of(total)
+
+
+def classes(space):
+    """The basis classes of a `CohomologySpace`, each with unit coordinates."""
+    return [space._basis_class(i) for i in range(space.dimension)]
+
+
 def combine(cochains, terms):
     """The element of ``cochains`` summing c * x, or c * x * y, over the
     (c, x) and (c, x, y) of ``terms``.
@@ -107,7 +121,7 @@ def reference_decomposition(cohomology, cls):
     target = cohomology(m)
     products = []
     for p in range(1, m // 2 + 1):
-        left, right = cohomology(p).classes, cohomology(m - p).classes
+        left, right = classes(cohomology(p)), classes(cohomology(m - p))
         for c1 in left:
             for c2 in right:
                 product = target.class_of(
@@ -137,15 +151,15 @@ def product_route_indecomposables(algebra, m):
     comp = algebra.graded_component(m)
     products = RowSpace()
     for p in range(1, m // 2 + 1):
-        for x in algebra.graded_component(p).classes:
-            for y in algebra.graded_component(m - p).classes:
+        for x in classes(algebra.graded_component(p)):
+            for y in classes(algebra.graded_component(m - p)):
                 prod = algebra.product(x.representative, y.representative)
                 coords = comp.class_of(prod).coordinates
                 products.insert({i: c for i, c in enumerate(coords) if c})
     pivots = set(products.pivots())
     return [
         str(cls.representative.monomials()[0])
-        for i, cls in enumerate(comp.classes)
+        for i, cls in enumerate(classes(comp))
         if i not in pivots
     ]
 
@@ -153,14 +167,14 @@ def product_route_indecomposables(algebra, m):
 def hurewicz_vanishes(model, alpha):
     """The verdict's Hurewicz test on a standard model: alpha kills every
     stage-0 generator of degree n - 1."""
-    formality._require_standard(model)
+    assert not verify_standard(model)
     return formality._hurewicz_zero(model, alpha)
 
 
 def is_special(model, alpha):
     """The verdict's specialness test on a standard model: (special, violators),
     special when the support of alpha lies in stage 1."""
-    formality._require_standard(model)
+    assert not verify_standard(model)
     return formality._special(alpha)
 
 
@@ -197,7 +211,7 @@ def substitute(model, gen, delta):
         raise InputError("substitution may not be recursive")
     replacement = Element.from_generator(gen) - delta  # old gen in the new basis
     d = {g: _replaced(model.d_of(g), gen, replacement) for g in model.generators}
-    d[gen] = model.d_of(gen) + model.dgca.d(delta)
+    d[gen] = model.d_of(gen) + d_of(model.dgca, delta)
     rho = dict(model.rho)
     rho[gen] = model.algebra.reduce(model.rho[gen] + model.rho_of(delta))
     return BigradedModel(FreeDGCA(model.generators, d, model.truncation), rho, model.algebra)
@@ -236,7 +250,7 @@ def reference_kill_step(model, h_space, a_space):
     index = max(len(a_space.cochains.generators), 1 + max(g.index for g in model.gens))
     constraint_rows = {}
     if a_space.dimension:
-        for i, cls in enumerate(h_space.classes):
+        for i, cls in enumerate(classes(h_space)):
             image = _rho_of(cls.representative, rho, a_space.cochains)
             for j, c in enumerate(a_space.class_of(image).coordinates):
                 if c:

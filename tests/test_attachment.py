@@ -9,7 +9,7 @@ from sullivan.attachment import (
     AttachmentModel,
 )
 from sullivan.dgca import CohomologySpace, FreeDGCA, decomposition
-from sullivan.errors import InputError, IntegrityError
+from sullivan.errors import InputError, IntegrityError, TruncationError
 from sullivan.gca import Element, Generator, Monomial
 from sullivan.minimal_model import BigradedModel, build_minimal_model
 from sullivan.presented import PresentedAlgebra
@@ -19,8 +19,10 @@ from sullivan.fixtures import build_fixture, fixture_ids, get_fixture
 from conftest import (
     attachment_of,
     built_wedge_and_dense_models,
+    classes,
     coefficients,
     combine,
+    d_of,
     generator,
     reference_decomposition,
     small_presentations,
@@ -45,7 +47,7 @@ def test_zero_alpha_keeps_differential(cp1):
     for g in model.generators:
         img = twisted_d(att, Monomial.of(g))
         assert img.u == 0
-        assert img.body == model.dgca.d(Element.from_generator(g))
+        assert img.body == d_of(model.dgca, Element.from_generator(g))
 
 
 def test_alpha_on_word_two_monomials_has_no_u_part(wedge3_e6):
@@ -152,9 +154,9 @@ def _decompositions_and_references(cohomology, classes):
 
 def _every_class(att):
     """The basis classes of an attachment in each degree 2..N, then [u] if nonzero."""
-    classes = [cls for m in range(2, att.truncation + 1) for cls in att.cohomology(m).classes]
+    basis = [cls for m in range(2, att.truncation + 1) for cls in classes(att.cohomology(m))]
     u = att.u_class()
-    return classes if u.is_zero else [*classes, u]
+    return basis if u.is_zero else [*basis, u]
 
 
 def test_decomposition_matches_the_class_of_reference(monkeypatch, capsys):
@@ -241,7 +243,7 @@ def test_class_of_refuses_a_non_cocycle(cp2_attach, wedge3_s2):
     # bodies not closed in the base: a degree-3 generator of the wedge, in
     # degree n = 3, and b of the 4-cell on the 2-sphere, where d_tw b = a^2 + u
     w = next(g for g in model.generators if g.degree == 3)
-    assert not model.dgca.d(Element.from_generator(w)).is_zero
+    assert not d_of(model.dgca, Element.from_generator(w)).is_zero
     for att, body in ((wedge_cell, Element.from_generator(w)),
                       (attachment_of(cp2_attach), Element.from_generator(b))):
         with pytest.raises(InputError, match="element is not a cocycle"):
@@ -378,7 +380,7 @@ def _facts(space):
         space._class_rows,
         space.coboundaries.fraction_rows(),
         set(space.complement),
-        [str(c.representative) for c in space.classes],
+        [str(c.representative) for c in classes(space)],
     )
 
 
@@ -440,6 +442,16 @@ def test_derived_spaces_equal_a_fresh_elimination_fixtures():
     assert all(counts), counts  # both [u] = 0 and [u] != 0 occur
 
 
+def test_attachment_cohomology_keeps_each_space_and_refuses_past_the_truncation(cp2_attach):
+    attached = attachment_of(cp2_attach)
+    top = attached.truncation
+    with pytest.raises(TruncationError, match=f"degree {top + 1} exceeds the truncation {top}"):
+        attached.cohomology(top + 1)
+    spaces = [attached.cohomology(m) for m in range(top + 1)]
+    assert all(attached.cohomology(m) is space for m, space in enumerate(spaces))
+    assert top + 1 not in attached._spaces
+
+
 def test_untwisted_degrees_share_the_base_rows_and_decode_through_the_attachment(
     wedge3_e6, cp2_attach
 ):
@@ -454,6 +466,6 @@ def test_untwisted_degrees_share_the_base_rows_and_decode_through_the_attachment
             twisted, space = attached.cohomology(m), base.cohomology(m)
             assert twisted._class_rows is space._class_rows, m
             assert twisted.complement is space.complement, m
-            assert all(isinstance(c.representative, AttachmentElement) for c in twisted.classes)
-            assert all(isinstance(c.representative, Element) for c in space.classes)
-            assert [str(c) for c in twisted.classes] == [str(c) for c in space.classes], m
+            assert all(isinstance(c.representative, AttachmentElement) for c in classes(twisted))
+            assert all(isinstance(c.representative, Element) for c in classes(space))
+            assert [str(c) for c in classes(twisted)] == [str(c) for c in classes(space)], m

@@ -23,6 +23,8 @@ from sullivan.presented import PresentedAlgebra
 
 from conftest import (
     built_wedge_and_dense_models,
+    classes,
+    d_of,
     dense_quadratic_presentations,
     elements_of,
     generator,
@@ -117,7 +119,7 @@ def _stage2_perturbation(model):
         ]
         for mon in candidates:
             w = Element.from_monomial(mon)
-            if not model.dgca.d(w).is_zero:
+            if not d_of(model.dgca, w).is_zero:
                 return gen, w
     return None, None
 
@@ -223,7 +225,7 @@ def test_built_models_satisfy_invariants(data):
     # the kill step's lemma: a class representative is either Lambda(V_0)-pure
     # or has no pure term, so no stage >= 2 differential has a pure term
     for m in range(truncation + 1):
-        for cls in model.dgca.cohomology(m).classes:
+        for cls in classes(model.dgca.cohomology(m)):
             kinds = {mon.max_stage() == 0 for mon in cls.representative.monomials()}
             assert len(kinds) <= 1, (m, str(cls))
     for g in model.generators:
@@ -607,7 +609,7 @@ def _reference_constraints(h_space, a_space, pure):
     rows = {}
     rho = stage_rho(h_space.cochains.gens)
     if a_space.dimension:
-        images = [_rho_of(cls.representative, rho, a_space.cochains) for cls in h_space.classes]
+        images = [_rho_of(cls.representative, rho, a_space.cochains) for cls in classes(h_space)]
         assert all(image.is_zero for i, image in enumerate(images) if i not in pure)
         for t, i in enumerate(reversed(pure)):
             for j, c in enumerate(a_space.class_of(images[i]).coordinates):
@@ -697,7 +699,7 @@ def _substitutions(model, limit):
             if kind not in kinds:
                 continue
             w = Element.from_monomial(mon)
-            if not (model.rho_of(w) if kind == 0 else model.dgca.d(w)).is_zero:
+            if not (model.rho_of(w) if kind == 0 else d_of(model.dgca, w)).is_zero:
                 kinds.discard(kind)
                 yield substitute(model, gen, w)
                 made += 1
@@ -759,7 +761,7 @@ def _outputs(D):
             space._class_rows,
             space.coboundaries.fraction_rows(),
             space.complement,
-            [(c.representative, c.coordinates) for c in space.classes],
+            [(c.representative, c.coordinates) for c in classes(space)],
         )
     return out
 
@@ -776,7 +778,7 @@ def test_rename_matches_a_rebuilt_model(model, data):
     # classes read before the rename: the renamed complex reads its own copy
     # of the class rows, not the source's spaces
     for m in data.draw(st.lists(st.integers(0, model.truncation), max_size=3)):
-        model.dgca.cohomology(m).classes
+        classes(model.dgca.cohomology(m))
     names = [g.name for g in model.generators]
     pool = names + [f"r{i}" for i in range(len(names))]
     new_names = data.draw(st.permutations(pool))[: len(names)]
@@ -808,7 +810,7 @@ def test_extending_a_renamed_model_leaves_its_source_unchanged(model):
     z = Generator("z", top.degree, top.stage + 1, top.index + 1)
     renamed.extend([z], {})
     for m in range(renamed.truncation + 1):
-        renamed.cohomology(m).classes
+        classes(renamed.cohomology(m))
     assert renamed.gens[-1] == z and renamed.keys(top.degree)[-1] == ((len(source.gens), 1),)
     # z is a closed generator of degree top.degree: the space of that degree
     # gains a key in the renamed complex only
