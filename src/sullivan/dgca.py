@@ -110,6 +110,7 @@ from __future__ import annotations
 
 import copy
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -416,7 +417,7 @@ class FreeDGCA:
 
     def d_monomial(self, mon: Monomial) -> Element:
         """d of one monomial by the Leibniz rule."""
-        return self.element_of(self._d_code(self.key(mon)))
+        return self.element_of(dict(self._d_code(self.key(mon))))
 
     def _monomial(self, code: tuple) -> Monomial:
         gens = self.gens
@@ -427,8 +428,8 @@ class FreeDGCA:
         position = self._position
         return tuple([(position[g], e) for g, e in mon.powers])
 
-    def _d_code(self, code: tuple) -> dict[tuple, int | Fraction]:
-        """d of one monomial code as {code: coefficient}, with no zero coefficients.
+    def _d_code(self, code: tuple) -> list[tuple[tuple, int | Fraction]]:
+        """d of one monomial code as (code, coefficient) pairs, with no zero coefficients.
 
         Terms are listed in the order the Leibniz rule produces them: factor by
         factor, and within a factor in the order of the terms of d(g).
@@ -440,7 +441,8 @@ class FreeDGCA:
         simply t + rest when prefix is empty, and t passes no factor of rest,
         so the Koszul sign counts only the odd positions of prefix.
 
-        No two terms share a key, so none is added to another.  A term t of
+        No two terms share a key, so none is added to another and the pairs
+        are listed as they come, with no dict to merge them.  A term t of
         d(g) has degree |g| + 1 and every degree is at least 2, so t has no
         factor g: the keys of the factor g^e hold g^(e-1), those of any
         other factor hold g^e or more, and distinct terms of d(g) give
@@ -452,7 +454,7 @@ class FreeDGCA:
         positions of the prefix grow in one list as the factors go by.
         """
         odd, d_codes = self._odd, self._d_codes
-        out: dict[tuple, int | Fraction] = {}
+        out: list[tuple[tuple, int | Fraction]] = []
         parity = 0  # parity of the degree of the factors before position i
         left = []  # the odd positions of the factors before position i
         for i, (p, e) in enumerate(code):
@@ -468,7 +470,7 @@ class FreeDGCA:
                     terms = [(key, -c) for key, c in terms]
                 elif scale != 1:
                     terms = [(key, c * scale) for key, c in terms]
-                out.update(terms)  # no key of an earlier factor: see the docstring
+                out += terms  # no key of an earlier factor: see the docstring
             if odd[p]:
                 parity ^= e & 1
                 left.append(p)
@@ -480,7 +482,7 @@ class FreeDGCA:
             if dg and g.degree <= self.truncation:
                 residue: dict[tuple, int | Fraction] = {}
                 for code, _, coeff in dg:
-                    add_scaled(residue, coeff, self._d_code(code))
+                    add_scaled(residue, coeff, dict(self._d_code(code)))
                 if residue:
                     return g, self.element_of(residue)
         return None
@@ -503,20 +505,21 @@ class FreeDGCA:
         return space
 
     # --- the cochain-complex interface read by CohomologySpace --------------
-    def d_basis(self, code: tuple):
-        """d of one basis monomial, given by its code, as (code, coefficient) pairs."""
-        return self._d_code(code).items()
+    def d_basis(self, code: tuple) -> list[tuple[tuple, int | Fraction]]:
+        """d of one basis monomial, given by its code, as the list of
+        (code, coefficient) pairs that `_d_code` builds, no key twice."""
+        return self._d_code(code)
 
     def boundaries(self, m: int):
         """The degree-m coboundaries as code-keyed terms of d of degree-(m - 1) cochains.
 
         While the space of H^(m - 1) is kept, these are d of its complement
         cochains (see `CohomologySpace`), a basis of B^m; otherwise d of every
-        code in keys(m - 1).
+        code in keys(m - 1).  Each is the list of pairs `_d_code` builds.
         """
         space = self._spaces.get(m - 1)
         codes = self.keys(m - 1) if space is None else space.complement
-        return (self._d_code(code).items() for code in codes)
+        return map(self._d_code, codes)
 
     def terms_of(self, x: Element):
         """The terms of an element, code-keyed.
@@ -602,11 +605,11 @@ class CohomologySpace:
         # kernel_rref eliminates in
         pivots = set(self.coboundaries.pivots())
         free = [j for j in range(len(keys)) if j not in pivots]
-        constraint_rows: dict[object, dict[int, Fraction]] = {}
+        constraint_rows: defaultdict[object, dict[int, Fraction]] = defaultdict(dict)
         last = len(free) - 1
         for i, j in enumerate(free):
             for t, c in cochains.d_basis(keys[j]):
-                constraint_rows.setdefault(t, {})[last - i] = c
+                constraint_rows[t][last - i] = c
         # handed over one at a time, so that each row is freed once inserted
         drained = (constraint_rows.popitem()[1] for _ in range(len(constraint_rows)))
         self._class_rows = kernel_rref(drained, free)

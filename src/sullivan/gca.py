@@ -17,9 +17,11 @@ Elements are finite rational combinations of monomials.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InputError
@@ -285,12 +287,17 @@ def monomial_codes(
     positions follow `Generator.sort_key`, increasing code order is the
     canonical monomial order.
 
-    The codes of degree r are built from those of every lower degree: a
-    first factor (p, e) followed by each code of degree r - e * degrees[p]
-    whose first position lies above p.  In a sorted list those codes form a
-    suffix, so every degree comes out sorted; a remainder degree with no
-    code that starts above p, often none at all, is skipped before the
-    search.
+    The codes of degree r are built from those of degree r - degrees[p], for
+    each first position p in turn: the first factor (p, 1) followed by each
+    code that starts above p, then, for an even p, each code that starts at
+    p with that exponent raised by 1.  In a sorted list those two runs are a
+    suffix and the slice before it, found by bisection, and the second
+    holds every exponent e >= 2 of p in increasing order, each followed by
+    the codes of degree r - e * degrees[p] that start above p.  So every
+    degree comes out sorted, and the work is one bisection per position plus
+    one tuple per code, however many exponents of p find no code to follow
+    them.  The codes of one degree that share a first factor share its
+    (position, exponent) pair, which keeps the tables a caller keeps small.
 
     ``table`` lists, for degrees 0, 1, ... in turn, the codes of that degree
     and their first positions.  A caller keeps it between calls, and the
@@ -313,15 +320,21 @@ def monomial_codes(
         for p, dp in enumerate(degrees):
             if dp > r:
                 break  # the degrees do not decrease: every later position is too big
-            for e in range(1, (1 if odd[p] else r // dp) + 1):
-                rest = r - e * dp
-                head = ((p, e),)
-                if rest == 0:
-                    codes.append(head)
-                else:
-                    tails, firsts = table[rest]
-                    if firsts and firsts[-1] > p:
-                        codes += [head + tail for tail in tails[bisect_right(firsts, p) :]]
+            if dp == r:
+                codes.append(((p, 1),))
+                continue
+            tails, firsts = table[r - dp]
+            if not firsts or firsts[-1] < p:
+                continue  # no code of degree r - dp starts at p or above it
+            at = bisect_left(firsts, p)
+            above = bisect_right(firsts, p, at)
+            head = ((p, 1),)
+            codes += [head + tail for tail in tails[above:]]
+            if at < above and not odd[p]:
+                # the codes that start with (p, e) share one pair (p, e + 1)
+                for (_, e), run in groupby(tails[at:above], itemgetter(0)):
+                    head = ((p, e + 1),)
+                    codes += [head + code[1:] for code in run]
         table.append((codes, [code[0][0] for code in codes]))
     return table[degree][0]
 

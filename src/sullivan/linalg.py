@@ -42,17 +42,23 @@ only while it runs, so a built space holds none and a later `insert` walks.
 Either way the stored rows are the canonical reduced form, so nothing a
 caller reads depends on the path.
 
-An insert clears the row's denominators, eliminates its pivot columns and
-then makes it primitive (content divided out, leading entry positive),
-once: scaling a row before the elimination scales the result by the same
-factor, so the stored row is the same.  A row of ints, which is what a
-differential with integer coefficients gives, skips the denominator pass,
-and a combination with a pivot row whose leading entry is 1 copies the row
-instead of scaling it.  Otherwise a combination that kills the entry b with
-the leading entry a divides g = gcd(a, b) out of both before scaling, which
-keeps the entries small: a stored row's leading entry a is positive, so
-every row built that way is a positive rational multiple of the one built
-from a * r - b * piv, and `_primitive` maps both to the same stored row.
+An insert copies the row with its denominators cleared (`_integer_row`
+always builds a new dict) and eliminates the copy's pivot columns in place,
+on that copy alone, so a row handed in is never changed.  Then it makes the
+row primitive (content divided out, leading entry positive), once: scaling
+a row before the elimination scales the result by the same factor, so the
+stored row is the same.  A row of ints, which is what a differential with
+integer coefficients gives, skips the denominator pass, and a combination
+with a pivot row whose leading entry is 1 only subtracts the pivot row's
+multiple, without scaling the row first.  Otherwise a combination that
+kills the entry b with the leading entry a divides g = gcd(a, b) out of
+both before scaling, which keeps the entries small: a stored row's leading
+entry a is positive, so every row built that way is a positive rational
+multiple of the one built from a * r - b * piv, and `_primitive` maps both
+to the same stored row.  `_combine` takes each such step in place, and
+back-substitution takes it on a copy of the stored row: a stored row is
+not `insert`'s own, and ``scripts/profile_build.py --counts`` counts each
+back-substitution by the new row it leaves.
 Kernel vectors keep `Fraction` entries; those that are -v for a small int v
 are shared objects.
 
@@ -106,7 +112,12 @@ def add_scaled(vec: dict, c, row: Mapping) -> dict:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide out the content and make the leading (lowest-column) entry positive."""
+    """Divide out the content and make the leading (lowest-column) entry positive.
+
+    A row with content is built anew, not divided in place: the new dict is
+    sized to its entries, where the eliminated one may keep the slots of
+    the entries it lost, and a stored row lives as long as its space.
+    """
     if not row:
         return row
     g = 0
@@ -204,12 +215,12 @@ class RowSpace:
             for q in self._pivots[:at]:
                 other = rows[q]
                 if p in other:
-                    rows[q] = _primitive(self._combine(other, r, p))
+                    rows[q] = _primitive(self._combine(other.copy(), r, p))
         else:
             for q in holders.pop(p, ()):
                 other = rows[q]
                 if p in other:  # else a stale entry: the row lost p since
-                    new = rows[q] = _primitive(self._combine(other, r, p))
+                    new = rows[q] = _primitive(self._combine(other.copy(), r, p))
                     # a column the row gained is one of r's
                     for c in r:
                         if c not in other and c in new:
@@ -231,28 +242,35 @@ class RowSpace:
         return holders
 
     def _eliminate(self, r: dict[int, int]) -> dict[int, int]:
-        hits = [c for c in r if c in self._rows]
-        for c in hits:
+        """Kill every pivot column of ``r``, `insert`'s own copy, in place; make it primitive."""
+        rows = self._rows
+        for c in [c for c in r if c in rows]:
             if c in r:
-                r = self._combine(r, self._rows[c], c)
+                self._combine(r, rows[c], c)
         return _primitive(r)
 
     @staticmethod
     def _combine(r: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
-        """Return (a*r - b*piv) / gcd(a, b) for a = piv[c] and b = r[c]; it kills column c."""
+        """Set r to (a*r - b*piv) / gcd(a, b) in place, for a = piv[c] and b = r[c]; return r.
+
+        It kills column c.
+        """
         a, b = piv[c], r[c]
         if a != 1:
             g = gcd(a, b)
             a //= g
             b //= g
-        out = r.copy() if a == 1 else {col: v * a for col, v in r.items()}
+            if a != 1:
+                for col, v in r.items():
+                    r[col] = v * a
+        get = r.get
         for col, v in piv.items():
-            w = out.get(col, 0) - b * v
+            w = get(col, 0) - b * v
             if w:
-                out[col] = w
+                r[col] = w
             else:
-                out.pop(col, None)
-        return out
+                del r[col]
+        return r
 
     def reduce(self, vec: Mapping[int, Fraction | int]) -> dict[int, Fraction]:
         """Eliminate every pivot coordinate of ``vec``; exact, non-destructive."""
@@ -281,18 +299,18 @@ class RowSpace:
     def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
         """Canonical (free-variable) basis of ``{x : row . x = 0 for all rows}``."""
         # one pass over the rows: each non-pivot column's entries, by pivot
-        entries: dict[int, list[tuple[int, Fraction]]] = {}
+        entries: defaultdict[int, list[tuple[int, Fraction]]] = defaultdict(list)
         for p in self._pivots:
             row = self._rows[p]
             lead = row[p]
             if lead == 1:
                 for f, v in row.items():
                     if f != p:
-                        entries.setdefault(f, []).append((p, _NEGATED.get(v) or Fraction(-v)))
+                        entries[f].append((p, _NEGATED.get(v) or Fraction(-v)))
             else:
                 for f, v in row.items():
                     if f != p:
-                        entries.setdefault(f, []).append((p, Fraction(-v, lead)))
+                        entries[f].append((p, Fraction(-v, lead)))
         out = []
         for f in range(ncols):
             if f in self._rows:
@@ -388,11 +406,11 @@ def solve_rows(
     True
     """
     k = len(basis)
-    transposed: dict[int, dict[int, Fraction | int]] = {}
+    transposed: defaultdict[int, dict[int, Fraction | int]] = defaultdict(dict)
     for i, row in enumerate([*basis, *targets]):
         for j, v in row.items():
             if v:
-                transposed.setdefault(j, {})[i] = v
+                transposed[j][i] = v
     space = RowSpace(transposed.values())
     pivots = space._pivots
     if pivots and pivots[-1] >= k:

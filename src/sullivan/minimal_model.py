@@ -98,6 +98,7 @@ audits d^2 = 0, the stages and rho on any model.  There is no repair path.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -312,7 +313,7 @@ def _rho_constraints(h_space, pure, a_space) -> list[dict[int, Fraction]]:
         return []
     keys, a_index, class_rows = h_space.keys, a_space.index, h_space._class_rows
     to_a = [a_space.cochains._position.get(g) for g in h_space.cochains.gens]
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)
     for t, i in enumerate(reversed(pure)):
         vec = {}
         for j, c in class_rows[i].items():
@@ -321,7 +322,7 @@ def _rho_constraints(h_space, pure, a_space) -> list[dict[int, Fraction]]:
                 raise IntegrityError(f"the pure code {keys[j]} has no column in A")
             vec[col] = c
         for j, c in a_space.coordinates(vec).items():
-            rows.setdefault(j, {})[t] = c
+            rows[j][t] = c
     return list(rows.values())
 
 

@@ -49,7 +49,9 @@ def test_tracer_counts_graded_component_cache_hits(monkeypatch):
 
 def test_a_traced_build_sees_the_elimination(monkeypatch):
     # RowSpace(rows) hands each row to insert, the method the tracer wraps,
-    # so a traced build records insert spans and the largest coefficient.
+    # so a traced build records insert spans and the largest coefficient;
+    # kernel_rref reads its kernel through RowSpace.kernel, which the tracer
+    # wraps too, so the build records kernel spans as well.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layertrace
     import sullivan.minimal_model as minimal_model
@@ -64,8 +66,8 @@ def test_a_traced_build_sees_the_elimination(monkeypatch):
         minimal_model.build_minimal_model(algebra, 5)
     finally:
         tracer.uninstall()
-    insert = tracer.layer_id["linalg.insert"]
-    assert any(span[0] == insert for span in tracer.spans)
+    for layer in ("linalg.insert", "linalg.kernel"):
+        assert any(span[0] == tracer.layer_id[layer] for span in tracer.spans), layer
     assert tracer.counters["linalg.max_coeff_bits"] > 0
 
 

@@ -581,3 +581,65 @@ def test_the_index_skips_a_row_that_lost_the_column():
         patch.setattr(linalg, "INDEX_RANK", 0)
         got = RowSpace(rows)
     assert got._rows == want._rows == {1: {1: 1}, 2: {2: 6, 4: -1}, 3: {3: 6, 4: 1}}
+
+
+# ---------------------------------------------------------------------------
+# the elimination works in place, on insert's own copy of each row
+
+# int rows and Fraction rows; two dependent rows (the fourth is twice the
+# second, the last three times the first); a pivot row with leading entry 3,
+# which scales the row it kills; and new pivots that back-substitute into
+# the rows with a pivot left of them
+HANDED_IN = [
+    {0: 3, 1: 1, 2: 2},
+    {0: 1, 1: 2},
+    {0: F(1, 2), 1: F(3, 4), 2: 1},
+    {0: 2, 1: 4},
+    {1: F(5), 3: F(-2, 3)},
+    {2: 1, 3: 1, 4: 2},
+    {0: 9, 1: 3, 2: 6},
+]
+
+
+@pytest.mark.parametrize("index_rank", [linalg.INDEX_RANK, 0], ids=["walk", "index"])
+def test_rowspace_leaves_the_rows_handed_in_unchanged(index_rank, monkeypatch):
+    """RowSpace(rows) and insert(row) change no row handed in: not its keys,
+    its values or their types.  A back-substitution replaces a stored row."""
+    monkeypatch.setattr(linalg, "INDEX_RANK", index_rank)
+    insert = RowSpace.insert
+    back_substitutions = []
+
+    def tracked(self, row):
+        before = dict(self._rows)
+        p = insert(self, row)
+        back_substitutions.extend(q for q, kept in before.items() if self._rows[q] is not kept)
+        return p
+
+    monkeypatch.setattr(RowSpace, "insert", tracked)
+    rows = [dict(row) for row in HANDED_IN]
+    built = RowSpace(rows)
+    assert repr(rows) == repr(HANDED_IN)
+    assert built.rank == len(rows) - 2 and back_substitutions
+    built_back_substitutions = len(back_substitutions)
+    grown = RowSpace()
+    pivots = [grown.insert(row) for row in rows]
+    assert repr(rows) == repr(HANDED_IN)
+    assert pivots.count(None) == 2 and len(back_substitutions) > built_back_substitutions
+    assert grown._rows == built._rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists(), st.integers(0, 9), st.sampled_from([0, 2, linalg.INDEX_RANK]))
+def test_rowspace_leaves_drawn_rows_unchanged(problem, split, index_rank):
+    """As above, over drawn rows, built at once and grown by insert after a
+    build of the first ``split``, with the column index from rank 0, 2 or
+    the default."""
+    rows, _ = problem
+    before = repr(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "INDEX_RANK", index_rank)
+        RowSpace(rows)
+        space = RowSpace(rows[:split])
+        for row in rows[split:]:
+            space.insert(row)
+    assert repr(rows) == before
