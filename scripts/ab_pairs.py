@@ -29,6 +29,12 @@ change.  Last come each side's sum over the jobs of the job's minimum time
 and the ratio change / parent of those sums.  A minimum is reached in a fast
 spell of the machine, so that sum holds up better than the medians when the
 machine's speed swings during the run.
+
+On a noisy host, run an A/A comparison first: the same tree as both PARENT
+and CHANGE, with the workload, seed and number of pairs of the A/B run.  Its
+ratio shows how far apart two identical sides read on that host, so quote
+it alongside the A/B result; an A/B ratio no further from 1 than the A/A one
+shows nothing.
 """
 
 import importlib

@@ -30,9 +30,9 @@ wrappers this script puts around ``RowSpace.__init__`` and
 of the stored rows to every insert.
 
 For each hot layer of the cohomology elimination (d of each cochain is the
-``_d_code`` row: the list of (code, coefficient) pairs that ``d_basis`` and
-``boundaries`` hand on as it is; the spaces a complex builds again when it
-extends are ``from_class_rows``), of the kill step
+``_d_code`` row: the list of (code, coefficient) pairs that ``boundaries``
+hands on as it is, and ``d_basis`` is ``_d_code`` itself; the spaces a
+complex builds again when it extends are ``from_class_rows``), of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call and its rho* rows
 on the pure classes, ``_rho_constraints``), of the product loop that writes
 [u] as a sum of products (``decomposition``) and of the presented algebra A

@@ -82,7 +82,8 @@ monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
 new generator and its d(g) as codes, checking the degree of every term, that
 the positions of every code increase and that no term is linear, or, in a
-kill step, that every term is a key of degree |g| + 1; `keys(m)` enumerates
+kill step, whose d(g) come keyed by column, that every term is a column of
+degree |g| + 1; `keys(m)` enumerates
 the codes of degree m over those tables (`gca.monomial_codes`), and d of a
 monomial is a merge of small int tuples with the Koszul sign counted from odd
 positions (`code_products`, which also multiplies out the ideal slices of a
@@ -221,10 +222,12 @@ class FreeDGCA:
 
     def extend_codes(
         self,
-        layer: Sequence[tuple[Generator, Mapping[tuple, int | Fraction]]],
+        layer: Sequence[tuple[Generator, Mapping[tuple | int, int | Fraction]]],
         kills: Collection[int] | None = None,
     ):
         """Append generators, each with its d given as {code: nonzero coefficient}.
+
+        A kill layer (see ``kills`` below) gives each d(g) by column instead.
 
         The generators, in any order, must sort after every existing one; the
         new ones take the next positions in their sorted order, and a code may
@@ -247,13 +250,16 @@ class FreeDGCA:
         generator has one degree k - 1, and the d(g) are representatives of
         classes of H^k that are independent modulo the coboundaries, whose
         span has its reduced echelon pivots at the class positions ``kills``
-        of `cohomology(k)`.  Each term of such a layer must then be a key of
-        degree k, which `cohomology(k).index` answers in one lookup.  That is
-        stricter than the check of each (position, exponent) pair that every
-        other batch gets: a key also has no odd generator twice, and it uses
-        only old positions.  The new generators sort after every old one, so
-        no old generator has degree k, no key of degree k is linear, and
-        every term lies below its generator.
+        of `cohomology(k)`.  Such a layer keys each term of d(g) by its int
+        column j of ``cohomology(k).keys``, 0 <= j < len(keys), as the class
+        rows of that space are keyed; any other key, a code included, is
+        refused with an `InputError`.  Each column's code and odd positions
+        are read once per layer.  A column is stricter than the check of each
+        (position, exponent) pair that every other batch gets: its key also
+        has no odd generator twice, and it uses only old positions.  The new
+        generators sort after every old one, so no old generator has degree
+        k, no key of degree k is linear, and every term lies below its
+        generator.
 
         The vouch also covers d(d g) = 0, since each d(g) of a kill layer is
         a cocycle.  Any other batch is data that nothing proved closed: the
@@ -272,24 +278,34 @@ class FreeDGCA:
             raise InputError(
                 f"generator {new[0].name!r} sorts before the existing {self.gens[-1].name!r}"
             )
-        keyed = None  # the degree-k keys, for a kill layer
-        if kills is not None:
-            if new[0].degree != new[-1].degree:
-                raise InputError("the generators of a kill step must have one degree")
-            keyed = self.cohomology(new[0].degree + 1).index.keys()
         count = len(self.gens) + len(new)
         degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
         d_codes = []
-        odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
-        for position, (g, terms) in enumerate(layer, len(self.gens)):
-            if keyed is not None and not terms.keys() <= keyed:
-                raise InputError(
-                    f"d({g.name}) has a term that is not a monomial of degree {g.degree + 1}"
-                )
-            triples = []
-            for code, c in terms.items():
-                if keyed is None:
+        if kills is not None:
+            if new[0].degree != new[-1].degree:
+                raise InputError("the generators of a kill step must have one degree")
+            keys = self.cohomology(new[0].degree + 1).keys
+            columns: dict[int, tuple] = {}  # each column's (code, odd positions), built once
+            for g, terms in layer:
+                triples = []
+                for j, c in terms.items():
+                    column = columns.get(j) if type(j) is int else None
+                    if column is None:
+                        if type(j) is not int or not 0 <= j < len(keys):
+                            raise InputError(
+                                f"d({g.name}) has a term that is not a column of degree "
+                                f"{g.degree + 1}"
+                            )
+                        code = keys[j]
+                        column = columns[j] = (code, tuple([q for q, _ in code if odd[q]]))
+                    triples.append((*column, c.numerator if c.denominator == 1 else c))
+                d_codes.append(tuple(triples))
+        else:
+            odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
+            for position, (g, terms) in enumerate(layer, len(self.gens)):
+                triples = []
+                for code, c in terms.items():
                     total, last = 0, -1
                     for p, e in code:
                         if not 0 <= p < count:
@@ -309,11 +325,11 @@ class FreeDGCA:
                             f"d({g.name}) has the linear term {(self.gens + new)[last].name!r}; "
                             "a FreeDGCA takes minimal differentials only"
                         )
-                odds = odds_of.get(code)
-                if odds is None:
-                    odds = odds_of[code] = tuple([q for q, _ in code if odd[q]])
-                triples.append((code, odds, c.numerator if c.denominator == 1 else c))
-            d_codes.append(tuple(triples))
+                    odds = odds_of.get(code)
+                    if odds is None:
+                        odds = odds_of[code] = tuple([q for q, _ in code if odd[q]])
+                    triples.append((code, odds, c.numerator if c.denominator == 1 else c))
+                d_codes.append(tuple(triples))
 
         self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
@@ -505,10 +521,8 @@ class FreeDGCA:
         return space
 
     # --- the cochain-complex interface read by CohomologySpace --------------
-    def d_basis(self, code: tuple) -> list[tuple[tuple, int | Fraction]]:
-        """d of one basis monomial, given by its code, as the list of
-        (code, coefficient) pairs that `_d_code` builds, no key twice."""
-        return self._d_code(code)
+    # d of one basis monomial, given by its code: `_d_code` itself, no key twice
+    d_basis = _d_code
 
     def boundaries(self, m: int):
         """The degree-m coboundaries as code-keyed terms of d of degree-(m - 1) cochains.

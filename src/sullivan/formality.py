@@ -95,14 +95,17 @@ def formality_verdict(
 ) -> FormalityVerdict:
     """Apply the cell-attachment criterion to one attachment.
 
-    A model that is not standard is refused.  The caller's model is data: a
-    hand-made rho or stage table that no build vouched for.  A model from
-    `build_minimal_model` is standard by construction, so even mode, which
-    builds its own, does not check it.
+    A model that is not standard is refused.  A model from
+    `build_minimal_model` is standard by construction and carries the mark
+    `BigradedModel.built`, which `rename` keeps; such a model is not checked
+    again.  Any other model is data, a hand-made rho or stage table that no
+    build vouched for, and `verify_standard` checks it.  Even mode builds its
+    own models and calls `_decide` directly.
     """
-    problems = verify_standard(model)
-    if problems:
-        raise InputError("the model is not standard: " + "; ".join(problems))
+    if not model.built:
+        problems = verify_standard(model)
+        if problems:
+            raise InputError("the model is not standard: " + "; ".join(problems))
     return _decide(AttachmentModel(model, alpha))
 
 

@@ -18,7 +18,11 @@ new pivot p can occur only in the rows whose pivots lie below p: those are
 the only rows an insert back-substitutes into.  A span known up front is
 built by one constructor call, which inserts the rows rightmost leading
 column first; a new pivot then usually lies left of every existing one and
-needs no back-substitution at all.
+needs no back-substitution at all.  Among rows with one leading column the
+shorter go first, and rows equal in both keep the order they came in.  Two
+stable sorts give that order with C-level keys, by ``len`` and then by
+``min`` reversed, where one sort on a Python key ``(-min(r), len(r))`` would
+call a lambda and build a tuple per row.
 
 An insert finds the rows that hold p by walking every pivot below p.  Few
 of them do: one pass over the benchmark's ``model-wedge`` jobs visits
@@ -47,17 +51,21 @@ always builds a new dict) and eliminates the copy's pivot columns in place,
 on that copy alone, so a row handed in is never changed.  Then it makes the
 row primitive (content divided out, leading entry positive), once: scaling
 a row before the elimination scales the result by the same factor, so the
-stored row is the same.  A row of ints, which is what a differential with
-integer coefficients gives, skips the denominator pass, and a combination
-with a pivot row whose leading entry is 1 only subtracts the pivot row's
-multiple, without scaling the row first.  Otherwise a combination that
-kills the entry b with the leading entry a divides g = gcd(a, b) out of
-both before scaling, which keeps the entries small: a stored row's leading
-entry a is positive, so every row built that way is a positive rational
-multiple of the one built from a * r - b * piv, and `_primitive` maps both
-to the same stored row.  `_combine` takes each such step in place, and
-back-substitution takes it on a copy of the stored row: a stored row is
-not `insert`'s own, and ``scripts/profile_build.py --counts`` counts each
+stored row is the same.  The content is a running gcd that stops at the
+first 1: in the model of the wedge of three 2-spheres through degree 10,
+97% of the rows stop early, and the gcd reads 31% of the entries.  A row of
+ints, which is what a differential with integer coefficients gives, skips
+the denominator pass, and a combination with a pivot row whose leading
+entry is 1 only subtracts the pivot row's multiple, without scaling the row
+first.  Otherwise a combination that kills the entry b with the leading
+entry a divides g = gcd(a, b) out of both before scaling, which keeps the
+entries small: a stored row's leading entry a is positive, so every row
+built that way is a positive rational multiple of the one built from
+a * r - b * piv, and `_primitive` maps both to the same stored row.
+`_eliminate` takes each such step in its own loop, on `insert`'s copy, with
+no call per killed column.  Back-substitution takes the same step through
+`_combine`, on a copy of the stored row: a stored row is not `insert`'s
+own, and ``scripts/profile_build.py --counts`` counts each
 back-substitution by the new row it leaves.
 Kernel vectors keep `Fraction` entries; those that are -v for a small int v
 are shared objects.
@@ -123,6 +131,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:  # no entry can lower it
+            break
     lead = min(row)
     if row[lead] < 0:
         g = -g
@@ -170,8 +180,9 @@ class RowSpace:
     accumulated reduced row-echelon form is the canonical one of the span.
     It does matter for speed, so ``RowSpace(rows)`` drops the empty rows and
     inserts the rest by decreasing leading column, shorter rows first among
-    equal leading columns; from rank `INDEX_RANK` on it back-substitutes
-    through a column index, which it drops when it returns.
+    equal leading columns, ties in the order given; from rank `INDEX_RANK`
+    on it back-substitutes through a column index, which it drops when it
+    returns.
     """
 
     __slots__ = ("_rows", "_pivots", "_holders")
@@ -180,7 +191,10 @@ class RowSpace:
         self._rows: dict[int, dict[int, int]] = {}
         self._pivots: list[int] = []
         self._holders: defaultdict[int, list[int]] | None = None
-        pending = sorted(filter(None, rows), key=lambda r: (-min(r), len(r)))
+        # the order of the key (-min(r), len(r)), by two stable C-level sorts
+        pending = list(filter(None, rows))
+        pending.sort(key=len)
+        pending.sort(key=min, reverse=True)
         # popped in that order, so that each row is freed once inserted
         pending.reverse()
         while pending:
@@ -244,9 +258,26 @@ class RowSpace:
     def _eliminate(self, r: dict[int, int]) -> dict[int, int]:
         """Kill every pivot column of ``r``, `insert`'s own copy, in place; make it primitive."""
         rows = self._rows
+        get = r.get
         for c in [c for c in r if c in rows]:
-            if c in r:
-                self._combine(r, rows[c], c)
+            b = get(c)
+            if b is None:  # an earlier kill cancelled it
+                continue
+            piv = rows[c]
+            a = piv[c]
+            if a != 1:
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    for col, v in r.items():
+                        r[col] = v * a
+            for col, v in piv.items():
+                w = get(col, 0) - b * v
+                if w:
+                    r[col] = w
+                else:
+                    del r[col]
         return _primitive(r)
 
     @staticmethod

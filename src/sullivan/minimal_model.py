@@ -49,9 +49,11 @@ A^(m+1).  `linalg.kernel_rref` of those constraints gives the stage-1 RREF
 from one elimination; with none (for a wedge of spheres, A^(m+1) = 0 for
 every m >= 2) it is the unit vectors at the pure positions.  The pure
 classes are the sparse class coordinates of the pure columns.  A target's
-stage is one more than the largest stage among its columns, and
-`FreeDGCA.extend_codes` checks each term of the layer against the keys of
-degree m + 1.
+stage is one more than the largest stage among its columns.  The kill layer
+is keyed by column of H^(m+1), not by code: each other target is its class
+row as it is, and each stage-1 row is keyed by the pure columns.
+`FreeDGCA.extend_codes` checks each term of the layer against the columns
+of degree m + 1 and reads their codes once.
 
 The stage-1 layer needs cochains, not classes: each of its RREF rows, a
 combination of pure classes, is written as a combination of the pure
@@ -90,10 +92,11 @@ of stage >= 2 has a Lambda(V_0)-pure term) is proven by the build, through the
 lemma above and the `IntegrityError` in `_kill_step`.  So is d^2 = 0: the
 lifts have d = 0 and every later d(g) is a cocycle, which the kill layer's
 ``kills`` vouches for (see `dgca.FreeDGCA.extend_codes`), so an attachment
-does not check a built model again.  `verify_standard` checks the model a
-caller hands to `formality.formality_verdict`, which no build vouched for;
-even mode builds its own models and does not call it.  `BigradedModel.verify`
-audits d^2 = 0, the stages and rho on any model.  There is no repair path.
+does not check a built model again.  The model records this as
+`BigradedModel.built`, so `formality.formality_verdict` runs `verify_standard`
+only on a model that no build vouched for, one made by hand; even mode builds
+its own models and does not call it.  `BigradedModel.verify` audits d^2 = 0,
+the stages and rho on any model.  There is no repair path.
 """
 
 from __future__ import annotations
@@ -118,11 +121,16 @@ class BigradedModel:
 
     ``rho`` sends each generator to an element of A (zero on stages >= 1);
     it extends multiplicatively and intertwines d with the zero differential.
+    ``built`` records how the model was made, as `FreeDGCA.d_is_data` records
+    how d was: `build_minimal_model` sets it, since the build proves its model
+    standard, and `rename` keeps it.  A model made by hand leaves it unset.
+    The mark vouches for the model as the build left it.
     """
 
     dgca: FreeDGCA
     rho: dict[Generator, Element]
     algebra: PresentedAlgebra
+    built: bool = False
 
     @property
     def truncation(self) -> int:
@@ -195,7 +203,8 @@ class BigradedModel:
             names.append(new_name)
         dgca = self.dgca.renamed(names)
         gmap = dict(zip(self.generators, dgca.gens))
-        return BigradedModel(dgca, {gmap[g]: img for g, img in self.rho.items()}, self.algebra)
+        rho = {gmap[g]: img for g, img in self.rho.items()}
+        return BigradedModel(dgca, rho, self.algebra, self.built)
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +242,7 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
 
     # the lifts are the stage-0 generators, and rho kills every other one
     rho = {g: Element.from_generator(g) if not g.stage else Element.zero() for g in model.gens}
-    return BigradedModel(model, rho, algebra)
+    return BigradedModel(model, rho, algebra, built=True)
 
 
 def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpace) -> None:
@@ -241,7 +250,10 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
 
     The new generators, of degree m, are numbered in the order they are
     made, from the first index above those of A's generators and of every
-    generator of the complex.  See the module docstring.
+    generator of the complex.  Their d(g) go to `FreeDGCA.extend_codes` keyed
+    by column of ``h_space.keys``: a target's class row is handed on as it
+    is, and a stage-1 row is keyed by the pure columns.  See the module
+    docstring.
     """
     m = h_space.degree - 1
     index = max(len(a_space.cochains.generators), 1 + max(g.index for g in model.gens))
@@ -260,7 +272,7 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
         return
 
     # pure classes: images of the Lambda(V_0) monomials in H^(m+1)
-    pure_codes, pure_rows = [], []
+    pure_columns, pure_rows = [], []
     for j, stage in enumerate(top_stage):
         if not stage:
             if model.d_basis(keys[j]):
@@ -269,7 +281,7 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
             row = h_space.coordinates({j: _ONE})
             if any(pivot_stage[i] for i in row):  # then P is not inside P_c
                 raise IntegrityError(f"the class of the pure code {keys[j]} is not pure")
-            pure_codes.append(keys[j])
+            pure_columns.append(j)
             pure_rows.append(row)
     kills = {min(row) for row in pure_kernel}.union(rest)
 
@@ -280,16 +292,13 @@ def _kill_step(model: FreeDGCA, h_space: CohomologySpace, a_space: CohomologySpa
         if solutions is None:
             raise IntegrityError("pure kernel class lost its pure representative")
         for coeffs in solutions:
-            staged.append((1, {pure_codes[j]: c for j, c in coeffs.items()}))
+            staged.append((1, {pure_columns[j]: c for j, c in coeffs.items()}))
     for i in rest:
-        dg, top = {}, 0
-        for j, c in h_space._class_rows[i].items():
-            dg[keys[j]] = c
-            stage = top_stage[j]
-            if not stage:
-                raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
-            top = stage if stage > top else top
-        staged.append((1 + top, dg))
+        row = h_space._class_rows[i]  # handed on as it is, and only read
+        stages = [top_stage[j] for j in row]
+        if 0 in stages:
+            raise IntegrityError("a kill target outside the stage-1 layer has a pure term")
+        staged.append((1 + max(stages), row))
 
     # both layers join the model together, in sorted order
     counters: dict[int, int] = {}

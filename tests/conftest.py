@@ -242,8 +242,9 @@ def reference_kill_step(model, h_space, a_space):
     the kernel of rho* even when it has no constraint, reads the pure classes
     through `class_of`, and reduces every kernel vector modulo the stage-1
     span.  The changes are that it sums the class rows by column and maps
-    the sum to codes, and that rho (`stage_rho`) and the first free index are
-    read off the complex.
+    the sum to codes, that rho (`stage_rho`) and the first free index are
+    read off the complex, and that it hands `extend_codes` its layer keyed by
+    column, as a kill layer is, through ``h_space.index``.
     """
     m = h_space.degree - 1
     rho = stage_rho(model.gens)
@@ -291,6 +292,9 @@ def reference_kill_step(model, h_space, a_space):
         stages = [max(stage_of[p] for p, _ in code) for code in target]
         assert all(stages)
         layer.append((new_generator(1 + max(stages)), target))
+    # a kill layer is keyed by column of H^(m+1)
+    column = h_space.index
+    layer = [(g, {column[code]: c for code, c in target.items()}) for g, target in layer]
     model.extend_codes(layer, kills={*handled.pivots(), *leftovers.pivots()})
 
 

@@ -839,7 +839,9 @@ def test_extend_codes_refuses_bad_codes():
 
 
 def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
-    # positions: a (2), b (3, db = a^2), c (4); keys(6) are a^3 and a*c
+    """A kill layer is keyed by column of the degree-k keys; any other key,
+    a code included, is refused and leaves the complex as it was."""
+    # positions: a (2), b (3, db = a^2), c (4); keys(6) are a*c (column 0) and a^3 (column 1)
     a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
     c = Generator("c", 4, index=2)
     D = FreeDGCA([a, b, c], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
@@ -854,26 +856,32 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
 
     before = state()
     refusals = [
-        {((0, 1), (1, 1)): F(1)},  # a*b: a key of degree 5
-        {((0, 2),): F(1)},  # a^2: degree 4
-        {((2, 1), (0, 1)): F(1)},  # c*a: positions decrease
-        {((0, 1), (0, 2)): F(1)},  # a*a^2: a position repeats
-        {((0, 3),): F(1), ((0, 1), (5, 1)): F(1)},  # an unknown position
-        {((1, 2),): F(1)},  # b^2: degree 6, but b is odd
+        {((0, 3),): F(1)},  # a^3 as a code: a key, but not a column
+        {((0, 1), (2, 1)): F(1), 1: F(1)},  # a code beside a column
+        {2: F(1)},  # past the last column
+        {-1: F(1)},  # a negative column
+        {F(1): F(1)},  # a Fraction equal to column 1
+        {True: F(1)},  # a bool
+        {1.0: F(1)},  # a float
     ]
-    message = "^d\\(x\\) has a term that is not a monomial of degree 6$"
+    message = "^d\\(x\\) has a term that is not a column of degree 6$"
     for dx in refusals:
         with pytest.raises(InputError, match=message):
-            D.extend_codes([(x, dx), (y, {((0, 3),): F(1)})], kills=[0])
+            D.extend_codes([(x, dx), (y, {1: F(1)})], kills=[0])
         assert state() == before, dx
+    # an equal number is refused also once its column has been read
+    with pytest.raises(InputError, match="^d\\(y\\) has a term that is not a column"):
+        D.extend_codes([(x, {1: F(1)}), (y, {F(1): F(1)})], kills=[0])
+    assert state() == before
     z = Generator("z", 6, stage=2, index=5)
     with pytest.raises(InputError, match="^the generators of a kill step must have one degree$"):
-        D.extend_codes([(x, {((0, 3),): F(1)}), (z, {})], kills=[0])
+        D.extend_codes([(x, {1: F(1)}), (z, {})], kills=[0])
     assert state() == before
-    # a layer of keys of degree 6 is taken
-    D.extend_codes([(x, {((0, 1), (2, 1)): F(2)}), (y, {((0, 3),): F(-1, 2)})], kills=[])
+    # a layer of columns of degree 6 is taken, and each column decodes to its key
+    D.extend_codes([(x, {0: F(2)}), (y, {1: F(-1, 2), 0: F(3)})], kills=[])
     assert D.gens[-2:] == (x, y)
     assert d_on_gens(D)[x] == 2 * Element.from_monomial(Monomial(((a, 1), (c, 1))))
+    assert D._d_codes[-1] == ((((0, 3),), (), F(-1, 2)), (((0, 1), (2, 1)), (), 3))
 
 
 def test_only_a_data_batch_with_a_nonzero_d_marks_the_complex():
@@ -887,7 +895,7 @@ def test_only_a_data_batch_with_a_nonzero_d_marks_the_complex():
     assert D.keys(6) == [((0, 1), (1, 1)), ((0, 3),)]
     # kill the classes of a^3 and a*c with two degree-5 generators
     x, y = Generator("x", 5, stage=1, index=2), Generator("y", 5, stage=1, index=3)
-    D.extend_codes([(x, {((0, 3),): F(1)}), (y, {((0, 1), (1, 1)): F(1)})], kills=[0, 1])
+    D.extend_codes([(x, {1: F(1)}), (y, {0: F(1)})], kills=[0, 1])  # by column
     assert D.d_is_data is False
     assert D.renamed(["p", "q", "r", "s"]).d_is_data is False
     assert PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 6).d_is_data is False

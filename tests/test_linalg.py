@@ -273,6 +273,29 @@ def test_constructor_matches_inserts_in_any_order(problem, rng):
         assert [list(vec.items()) for vec in space.kernel(n)] == kernel
 
 
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_the_constructor_inserts_in_the_documented_order(problem):
+    """RowSpace(rows) hands `insert` each nonempty row once, the rows handed
+    in themselves, by decreasing leading column, shorter rows first among
+    equal leading columns, and rows equal in both in the order given."""
+    rows, _ = problem
+    handed = []
+    insert = RowSpace.insert
+
+    def recording(self, row):
+        handed.append(row)
+        return insert(self, row)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RowSpace, "insert", recording)
+        RowSpace(rows)
+    position = {id(row): i for i, row in enumerate(rows)}
+    assert sorted(map(id, handed)) == sorted(id(row) for row in rows if row)
+    order = [(-min(row), len(row), position[id(row)]) for row in handed]
+    assert order == sorted(order)
+
+
 # ---------------------------------------------------------------------------
 # differential tests against sympy's exact Matrix (sympy is test-only)
 

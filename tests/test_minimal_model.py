@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -133,6 +134,39 @@ def test_verify_standard_names_a_perturbed_generator(wedge3_e6):
     # the perturbed model is a valid model but no longer standard
     assert perturbed.verify() == []
     assert any(gen.name in v for v in verify_standard(perturbed))
+
+
+def test_a_built_model_is_not_checked_again_and_a_hand_made_one_is(
+    wedge3_e6, monkeypatch, capsys
+):
+    """A verdict runs `verify_standard` on no built model, renamed or not, and
+    on each hand-made one; a hand-made model that is not standard is refused."""
+    from sullivan import cli, formality
+
+    calls = []
+    check = formality.verify_standard
+
+    def counting(model):
+        calls.append(model)
+        return check(model)
+
+    monkeypatch.setattr(formality, "verify_standard", counting)
+    model, alpha = wedge3_e6.model, wedge3_e6.alpha
+    assert model.built and model.rename({}).built
+    verdict = formality.formality_verdict(model, alpha).to_json()
+    assert cli.main(["verdict", "--fixture", "wedge3-e6", "--json"]) in (0, 10, 20)
+    assert json.loads(capsys.readouterr().out)["status"] == verdict["status"]
+    assert calls == []
+    # the same model by hand: checked once, and the verdict is the same
+    hand_made = BigradedModel(model.dgca, dict(model.rho), model.algebra)
+    assert not hand_made.built
+    assert formality.formality_verdict(hand_made, alpha).to_json() == verdict
+    assert calls == [hand_made]
+    gen, w = _stage2_perturbation(model)
+    perturbed = substitute(model, gen, w)
+    with pytest.raises(InputError, match=f"^the model is not standard: d\\({gen.name}\\)"):
+        formality.formality_verdict(perturbed, alpha)
+    assert calls == [hand_made, perturbed]
 
 
 def test_stage1_only_model_standard(cp1):

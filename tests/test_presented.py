@@ -43,7 +43,9 @@ def test_reduce_takes_no_differential(fat_wedge_part, monkeypatch):
         calls.append(code)
         return original(self, code)
 
+    # d_basis is _d_code bound under a second name, so both are patched
     monkeypatch.setattr(FreeDGCA, "_d_code", counting)
+    monkeypatch.setattr(FreeDGCA, "d_basis", counting)
     reduced = fat_wedge_part.reduce(x)
     assert calls == []
     assert str(reduced) == "x1*x2 - x2*x3"
