@@ -27,7 +27,10 @@ in its column index instead (from rank ``linalg.INDEX_RANK`` on), so the
 table shows what the walk would cost at each rank.  The counts come from
 wrappers this script puts around ``RowSpace.__init__`` and
 ``RowSpace.insert``, which the constructor hands every row; they add a copy
-of the stored rows to every insert.
+of the stored rows to every insert.  A last line gives the entries of every
+``RowSpace.kernel`` vector and how many of them are ``Fraction``s, from a
+wrapper around ``RowSpace.kernel``: an entry is an int wherever it is
+integral, so the share shows how far the integral path reaches.
 
 For each hot layer of the cohomology elimination (d of each cochain is the
 ``_d_code`` row: the list of (code, coefficient) pairs that ``boundaries``
@@ -55,6 +58,7 @@ import pstats
 import sys
 import tempfile
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -174,6 +178,31 @@ def insert_counts(job, repeat: int) -> tuple[list[list[int]], int]:
     return table, top
 
 
+def counting_kernel_entries(job, counts: list[int]):
+    """``job`` with ``RowSpace.kernel`` wrapped while it runs: each call adds
+    the entries of the kernel vectors to counts[0] and the ``Fraction``s
+    among them to counts[1]."""
+    space_class = linalg.RowSpace
+
+    def counted_job():
+        kernel = space_class.kernel
+
+        def counted_kernel(self, ncols):
+            vectors = kernel(self, ncols)
+            for vec in vectors:
+                counts[0] += len(vec)
+                counts[1] += sum(type(v) is Fraction for v in vec.values())
+            return vectors
+
+        space_class.kernel = counted_kernel
+        try:
+            job()
+        finally:
+            space_class.kernel = kernel
+
+    return counted_job
+
+
 def print_counts(table: list[list[int]], top: int) -> None:
     print(f"RowSpace inserts by rank at insert (largest rank at an insert {top}; "
           f"the column index starts at rank {linalg.INDEX_RANK})")
@@ -216,7 +245,9 @@ def main(argv=None) -> int:
             name, seed = args.workload
             job = workload_job(name, int(seed), workdir)
         if args.counts:
-            print_counts(*insert_counts(job, args.repeat))
+            kernel = [0, 0]
+            print_counts(*insert_counts(counting_kernel_entries(job, kernel), args.repeat))
+            print(f"RowSpace.kernel entries built {kernel[0]}, Fractions among them {kernel[1]}")
             return 0
         return print_profile(job, args.repeat)
 

@@ -259,6 +259,9 @@ class AttachmentModel:
         rows, complement = base._class_rows, base.complement
         if m == self.n - 1:
             keys, alpha = base.keys, self._alpha_on_keys
+            # a class row's entries may be ints; alpha's Fraction values and
+            # the _ZERO start keep every value a Fraction, so -values[i] /
+            # a_last below is exact, where an int over an int is a float
             values = [
                 sum((alpha[keys[col]] * v for col, v in row.items() if keys[col] in alpha), _ZERO)
                 for row in rows
@@ -277,7 +280,7 @@ class AttachmentModel:
         elif m == self.n:
             if self.cohomology(m - 1).dimension == self.base.dgca.cohomology(m - 1).dimension:
                 # alpha vanishes on H^(n - 1), so u is no coboundary pivot
-                rows = [*rows, {len(base.keys): _ONE}]
+                rows = [*rows, {len(base.keys): 1}]
         # read through a proxy: see CohomologySpace
         return CohomologySpace.from_class_rows(weakref.proxy(self), m, rows, complement)
 

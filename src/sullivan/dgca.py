@@ -254,8 +254,11 @@ class FreeDGCA:
         column j of ``cohomology(k).keys``, 0 <= j < len(keys), as the class
         rows of that space are keyed; any other key, a code included, is
         refused with an `InputError`.  Each column's code and odd positions
-        are read once per layer.  A column is stricter than the check of each
-        (position, exponent) pair that every other batch gets: its key also
+        are read once per layer.  An int coefficient, as a class row's
+        integral entries are, is kept as it is, and a `Fraction` with
+        denominator 1 is stored as its numerator.  A column is stricter than
+        the check of each (position, exponent) pair that every other batch
+        gets: its key also
         has no odd generator twice, and it uses only old positions.  The new
         generators sort after every old one, so no old generator has degree
         k, no key of degree k is linear, and every term lies below its
@@ -299,7 +302,9 @@ class FreeDGCA:
                             )
                         code = keys[j]
                         column = columns[j] = (code, tuple([q for q, _ in code if odd[q]]))
-                    triples.append((*column, c.numerator if c.denominator == 1 else c))
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    triples.append((*column, c))
                 d_codes.append(tuple(triples))
         else:
             odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
@@ -365,7 +370,7 @@ class FreeDGCA:
                 complement.extend(((p, 1),) for p in range(first, first + len(new)))
             elif k == low and all(not dg for g, dg in zip(new, d_layer) if g.degree == k):
                 # its new keys are the new generators of degree k, last
-                rows.extend({j: _ONE} for j in range(len(space.keys), len(self.keys(k))))
+                rows.extend({j: 1} for j in range(len(space.keys), len(self.keys(k))))
             else:
                 del self._spaces[k]
                 continue
@@ -586,11 +591,13 @@ class CohomologySpace:
 
     Class representatives are the rows of the reduced row-echelon form, over
     that key order, of the cocycles with no coordinate at a pivot column
-    of the coboundaries.  Because the coboundaries are cocycles, that space
-    is the span of the cocycles reduced modulo the coboundaries, and it is
-    the kernel of d on the non-pivot columns; `linalg.kernel_rref` gives its
-    forward reduced form from one elimination in reversed column order, so d
-    is taken only of the non-pivot cochains.
+    of the coboundaries, as ``{column: value}`` with an int wherever the
+    value is integral and a `Fraction` otherwise (`linalg.RowSpace.kernel`);
+    `coordinates` gives `Fraction`s.  Because the coboundaries are cocycles,
+    that space is the span of the cocycles reduced modulo the coboundaries,
+    and it is the kernel of d on the non-pivot columns; `linalg.kernel_rref`
+    gives its forward reduced form from one elimination in reversed column
+    order, so d is taken only of the non-pivot cochains.
 
     The coboundary rows and the class rows together are an echelon basis of
     the cocycles Z^m, with pivots P.  So the cochains off P, which
@@ -743,7 +750,7 @@ def _class_products(target, left, right):
     right_rows = code_rows(right)
     for i, terms in enumerate(code_rows(left)):
         for j, factor in enumerate(right_rows):
-            vec: dict[int, Fraction] = {}
+            vec: dict[int, int | Fraction] = {}
             for code, odds, a in terms:
                 add_scaled(vec, a, {index[k]: c for k, c in code_products(factor, code, odds)})
             coords = target.coordinates(vec)

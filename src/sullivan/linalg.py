@@ -67,8 +67,10 @@ no call per killed column.  Back-substitution takes the same step through
 `_combine`, on a copy of the stored row: a stored row is not `insert`'s
 own, and ``scripts/profile_build.py --counts`` counts each
 back-substitution by the new row it leaves.
-Kernel vectors keep `Fraction` entries; those that are -v for a small int v
-are shared objects.
+A kernel entry is an int wherever it is integral and a `Fraction` only
+otherwise: the entry -v / lead is -v when the row's leading entry is 1 and
+the quotient when lead divides v.  On the wedge models nearly every entry is
+an int, and the class rows keep them through to the d(g) tables.
 
 >>> space = RowSpace([{0: 2, 1: 4}, {0: 1, 1: 2}])
 >>> space.fraction_rows(), space.pivots()
@@ -92,9 +94,6 @@ Vector = tuple[Fraction, ...]
 INDEX_RANK = 256
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-# -v for the small nonzero ints v, shared by every kernel vector
-_NEGATED = {v: Fraction(-v) for v in range(-16, 17) if v}
 
 
 def _as_fraction(x) -> Fraction:
@@ -327,26 +326,30 @@ class RowSpace:
             out.append({c: Fraction(v, lead) for c, v in row.items()})
         return out
 
-    def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
-        """Canonical (free-variable) basis of ``{x : row . x = 0 for all rows}``."""
+    def kernel(self, ncols: int) -> list[dict[int, int | Fraction]]:
+        """Canonical (free-variable) basis of ``{x : row . x = 0 for all rows}``.
+
+        An entry is an int when its value is integral, the free column's 1
+        included, and a `Fraction` with denominator > 1 otherwise.
+        """
         # one pass over the rows: each non-pivot column's entries, by pivot
-        entries: defaultdict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+        entries: defaultdict[int, list[tuple[int, int | Fraction]]] = defaultdict(list)
         for p in self._pivots:
             row = self._rows[p]
             lead = row[p]
             if lead == 1:
                 for f, v in row.items():
                     if f != p:
-                        entries[f].append((p, _NEGATED.get(v) or Fraction(-v)))
+                        entries[f].append((p, -v))
             else:
                 for f, v in row.items():
                     if f != p:
-                        entries[f].append((p, Fraction(-v, lead)))
+                        entries[f].append((p, -v // lead if v % lead == 0 else Fraction(-v, lead)))
         out = []
         for f in range(ncols):
             if f in self._rows:
                 continue
-            vec = {f: _ONE}
+            vec = {f: 1}
             vec.update(entries.get(f, ()))
             out.append(vec)
         return out
@@ -354,7 +357,7 @@ class RowSpace:
 
 def kernel_rref(
     rows: Iterable[Mapping[int, Fraction | int]], columns: Sequence[int]
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """Reduced row-echelon basis of the kernel of ``rows`` on ``columns``.
 
     The kernel is ``{x : x_c = 0 off columns, row . x = 0 for all rows}``.
@@ -368,10 +371,13 @@ def kernel_rref(
     leading coefficient 1, is the forward reduced row-echelon form of the
     kernel, without a second elimination.  A caller that builds its rows
     over the reversed positions from the start hands each row to the
-    elimination as it is, with no second dict per row.
+    elimination as it is, with no second dict per row.  The entries are
+    those of `RowSpace.kernel`: ints where integral, `Fraction`s otherwise.
 
     >>> kernel_rref([{0: 1, 2: 1}], [3, 5, 7])
-    [{3: Fraction(1, 1), 7: Fraction(-1, 1)}, {5: Fraction(1, 1)}]
+    [{3: 1, 7: -1}, {5: 1}]
+    >>> kernel_rref([{0: 2, 1: 1}], [4, 9])
+    [{4: 1, 9: Fraction(-1, 2)}]
     """
     top = len(columns) - 1
     return [

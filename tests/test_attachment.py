@@ -469,3 +469,29 @@ def test_untwisted_degrees_share_the_base_rows_and_decode_through_the_attachment
             assert all(isinstance(c.representative, AttachmentElement) for c in classes(twisted))
             assert all(isinstance(c.representative, Element) for c in classes(space))
             assert [str(c) for c in classes(twisted)] == [str(c) for c in classes(space)], m
+
+
+def test_twisted_class_rows_hold_no_float_under_an_integral_alpha():
+    """Every generator one degree below each cell gets an integral alpha
+    value, through `AlphaFunctional.build` and as a plain int: the entries of
+    the twisted class rows and of [u]'s coordinates are ints and Fractions,
+    never a float, though the base class rows hold ints."""
+    twisted = ints = 0
+    for fid in fixture_ids():
+        model = build_fixture(fid).model
+        for n in range(3, model.truncation + 1):
+            pairs = [(g, i + 1) for i, g in enumerate(model.generators) if g.degree == n - 1]
+            for alpha in (
+                AlphaFunctional.build(model, n, [(g.name, c) for g, c in pairs]),
+                AlphaFunctional(n, tuple(pairs)),
+            ):
+                attached = AttachmentModel(model, alpha)
+                for m in (n - 1, n):
+                    for row in attached.cohomology(m)._class_rows:
+                        assert all(type(v) in (int, F) for v in row.values()), (fid, n, m, row)
+                        ints += sum(type(v) is int for v in row.values())
+                coordinates = attached.u_class().coordinates
+                assert all(type(c) in (int, F) for c in coordinates), (fid, n, coordinates)
+                base = model.dgca.cohomology(n - 1).dimension
+                twisted += attached.cohomology(n - 1).dimension < base
+    assert twisted and ints

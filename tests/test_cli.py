@@ -1081,6 +1081,15 @@ def test_profile_build_script_prints_every_layer(argv, monkeypatch):
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
     # every row of every space goes through insert
     assert calls["RowSpace.insert"] > 0
+    # --counts ends with the kernel entries built and the Fractions among them
+    result = subprocess.run([sys.executable, str(PROFILE_BUILD), *argv, "--counts"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    last = re.fullmatch(r"RowSpace\.kernel entries built (\d+), Fractions among them (\d+)",
+                        result.stdout.splitlines()[-1])
+    assert last, result.stdout
+    built, fractions = map(int, last.groups())
+    assert 0 <= fractions <= built and built > 0
 
 
 def test_profile_build_counts_the_walk_by_rank(monkeypatch):
@@ -1102,9 +1111,15 @@ def test_profile_build_counts_the_walk_by_rank(monkeypatch):
     # the wrappers are gone again
     assert (linalg.RowSpace.__init__.__name__, linalg.RowSpace.insert.__name__) == (
         "__init__", "insert")
+    # the kernel of {0: 2, 2: -3}, {1: 1, 2: 3} is {0: 3/2, 1: -3, 2: 1}: one Fraction of three
+    kernel = [0, 0]
+    profile_build.counting_kernel_entries(
+        lambda: linalg.RowSpace([{0: 2, 1: 1}, {1: 1, 2: 3}]).kernel(3), kernel)()
+    assert kernel == [3, 1] and linalg.RowSpace.kernel.__name__ == "kernel"
     result = subprocess.run([sys.executable, str(PROFILE_BUILD), "--wedge", "2", "5", "--counts"],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     labels = ["<", "64-127", "128-255", "256-511", ">=", "all"]
-    assert [line.split()[0] for line in lines[2:]] == labels
+    assert [line.split()[0] for line in lines[2:-1]] == labels
+    assert lines[-1].startswith("RowSpace.kernel entries built ")

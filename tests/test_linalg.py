@@ -402,10 +402,15 @@ def test_insert_fast_paths_match_the_old_path_and_sympy(problem):
     assert space.pivots() == list(pivots)
     assert space.fraction_rows() == [_fractions(reduced.row(i)) for i in range(len(pivots))]
     assert kernel == [_fractions(vec) for vec in matrix.nullspace()]
-    # entries are Fractions, never ints or floats, whichever path made them
+    # whichever path made them, a kernel entry is an int exactly when its
+    # value is integral and otherwise a Fraction with denominator > 1, never
+    # a bool or a float; the reduced rows stay all-Fraction
     columns = list(range(n))
-    for vectors in (kernel, kernel_rref(rows, columns), space.fraction_rows()):
-        assert all(type(v) is F for vec in vectors for v in vec.values())
+    for vectors in (kernel, kernel_rref(rows, columns)):
+        for vec in vectors:
+            for v in vec.values():
+                assert type(v) is int or (type(v) is F and v.denominator > 1), repr(v)
+    assert all(type(v) is F for vec in space.fraction_rows() for v in vec.values())
 
 
 @st.composite

@@ -984,3 +984,50 @@ def test_the_column_index_leaves_the_generator_tables_unchanged(monkeypatch):
         assert len(tables) == 1
         assert {0, 64} <= set(indexed) and 10**9 not in indexed
         indexed.clear()
+
+
+def test_class_rows_and_kill_layers_hold_an_int_wherever_an_entry_is_integral(monkeypatch):
+    """The r = 3, N = 8 wedge, a dense presentation whose kill steps give
+    fractional d(g), and each fixture's model: no entry of a kept space's
+    class rows, read by each kill step and after the build, and no
+    kill-layer coefficient of d(g) is a Fraction with denominator 1, a float
+    or a bool.  Integral values reach the model as ints from the elimination
+    on, and both kinds of entry occur."""
+    read = []  # the class rows of each space a kill step reads
+    kill_step = minimal_model._kill_step
+
+    def recording(model, h_space, a_space):
+        read.extend(h_space._class_rows)
+        return kill_step(model, h_space, a_space)
+
+    monkeypatch.setattr(minimal_model, "_kill_step", recording)
+    wedge = PresentedAlgebra.from_strings(
+        [(f"x{i}", 2) for i in range(1, 4)],
+        [_square_free_text(i, j) for i in range(1, 4) for j in range(i, 4)],
+        9,
+    )
+    dense = PresentedAlgebra.from_strings(
+        [("x1", 2), ("x2", 2), ("x3", 2)],
+        [
+            "2*x1^2 - 3*x1*x2 + x2^2 - x3^2",
+            "x1*x3 + 4*x2*x3 - 2*x2^2 + 3*x1^2",
+            "x1*x2 - x2*x3 + 2*x3^2",
+            "x1^2 + x1*x3 - 3*x2^2",
+        ],
+        8,
+    )
+    problems = [(wedge, 8), (dense, 7)] + [_fixture_algebra(f) for f in fixture_ids()]
+    seen = Counter()
+    for algebra, n in problems:
+        D = build_minimal_model(algebra, n).dgca
+        assert D._spaces
+        rows = [row for space in D._spaces.values() for row in space._class_rows] + read
+        read.clear()
+        kill_layers = [dg for g, dg in D.d_codes() if g.stage]
+        assert all(not dg for g, dg in D.d_codes() if not g.stage)
+        values = [v for row in rows for v in row.values()]
+        values += [c for dg in kill_layers for _, _, c in dg]
+        for v in values:
+            assert type(v) is int or (type(v) is F and v.denominator > 1), repr(v)
+            seen[type(v)] += 1
+    assert seen[int] and seen[F], seen
