@@ -113,7 +113,7 @@ def model_json(model: BigradedModel) -> dict:
                 "d": str(model.d_of(g)),
                 "rho": str(model.rho[g]),
             }
-            for g in sorted(model.generators, key=lambda g: g.sort_key())
+            for g in model.generators
         ],
         "cohomology": [
             {"degree": m, "dim": algebra.graded_component(m).dimension}

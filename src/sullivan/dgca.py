@@ -80,18 +80,20 @@ pairs, where the position indexes ``FreeDGCA.gens``; because the generators
 are kept in the global generator order, a sorted code is a normalised
 monomial, and increasing code order is the canonical monomial order.
 `FreeDGCA.extend_codes` tabulates the position, degree and parity of each
-new generator and its d(g) as codes, checking the degree of every term, that
-the positions of every code increase and that no term is linear, or, in a
-kill step, whose d(g) come keyed by column, that every term is a column of
-degree |g| + 1; `keys(m)` enumerates
-the codes of degree m over those tables (`gca.monomial_codes`), and d of a
-monomial is a merge of small int tuples with the Koszul sign counted from odd
-positions (`code_products`, which also multiplies out the ideal slices of a
-presented algebra).  Since d is minimal, every term of d(g) lies at positions
-below g's: it has word length at least 2 and every degree is at least 2, so
-each of its factors has degree below |g|, and generators sort by degree
-first.  So d of a factor g of a monomial only merges each term into the
-factors before g and appends the factors from g on (`_d_code`).
+new generator and its d(g) as (code, coefficient) pairs, the form every
+code-keyed term list of the package takes.  It checks the degree of every
+term, that the positions of every code increase and that no term is linear,
+or, in a kill step, whose d(g) come keyed by column, that every term is a
+column of degree |g| + 1.  `keys(m)` enumerates the codes of degree m over
+those tables (`gca.monomial_codes`), and d of a monomial is a merge of small
+int tuples with the Koszul sign counted from the odd factors, which the
+parity table ``_odd`` names (`code_products`, which also multiplies out the
+ideal slices of a presented algebra).  Since d is minimal, every term of
+d(g) lies at positions below g's: it has word length at least 2 and every
+degree is at least 2, so each of its factors has degree below |g|, and
+generators sort by degree first.  So d of a factor g of a monomial only
+merges each term into the factors before g and appends the factors from g on
+(`_d_code`).
 
 The codes are the only form in which a `FreeDGCA` keeps its differential:
 d(g) is read as `d_monomial` of the one-factor monomial g.  `Element`,
@@ -131,38 +133,38 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def code_products(terms, base: tuple, left, tail: tuple = ()) -> list:
+def code_products(terms, base: tuple, left, odd, tail: tuple = ()) -> list:
     """Each term t of ``terms`` multiplied into the code ``base``, as (code, coefficient) pairs.
 
-    ``terms`` holds (code, odd positions, coefficient) triples.  t stands
-    after the factors of ``base``, whose odd positions are ``left``, and
-    before those of ``tail``, every position of which lies above t's.  The
-    product's code is t merged into ``base``, then ``tail``; its Koszul sign
-    counts the odd factors of t passing those of ``left``, and an odd factor
-    in both t and ``base`` kills the term.
+    ``terms`` holds (code, coefficient) pairs, and ``odd`` is the parity table
+    of the positions.  t stands after the factors of ``base``, whose odd
+    positions are ``left``, and before those of ``tail``, every position of
+    which lies above t's.  The product's code is t merged into ``base``, then
+    ``tail``; its Koszul sign counts the odd factors of t passing those of
+    ``left``, and an odd factor in both t and ``base`` kills the term.
     """
     n = len(base)
     out = []
-    for t, t_odds, c in terms:
+    for t, c in terms:
         inversions = 0
-        for q in t_odds:
-            if q in left:
-                break  # an odd factor repeats
-            for x in left:
-                if x > q:
-                    inversions += 1
+        merged = []
+        j = 0
+        for q, f in t:
+            if odd[q]:
+                if q in left:
+                    break  # an odd factor repeats
+                for x in left:
+                    if x > q:
+                        inversions += 1
+            while j < n and base[j][0] < q:
+                merged.append(base[j])
+                j += 1
+            if j < n and base[j][0] == q:
+                merged.append((q, base[j][1] + f))
+                j += 1
+            else:
+                merged.append((q, f))
         else:
-            merged = []
-            j = 0
-            for q, f in t:
-                while j < n and base[j][0] < q:
-                    merged.append(base[j])
-                    j += 1
-                if j < n and base[j][0] == q:
-                    merged.append((q, base[j][1] + f))
-                    j += 1
-                else:
-                    merged.append((q, f))
             out.append(((*merged, *base[j:], *tail), -c if inversions & 1 else c))
     return out
 
@@ -187,7 +189,7 @@ class FreeDGCA:
         # degree k -> H^k, kept through the extensions that leave it computable
         self._spaces: dict[int, CohomologySpace] = {}
         # code tables: generator positions, degrees and parities, and each
-        # d(g) as (code, odd positions, coefficient) triples
+        # d(g) as (code, coefficient) pairs
         self._position: dict[Generator, int] = {}
         self._degree: list[int] = []
         self._odd: list[bool] = []
@@ -236,7 +238,11 @@ class FreeDGCA:
         Every degree is at least 2 and generators sort by degree first, so
         every factor of a longer term sorts before g, and a linear term, of
         degree |g| + 1, after it: a term is linear exactly when its last
-        position is not below g's.  A refused batch leaves the complex
+        position is not below g's.  A coefficient must be an int or a
+        `Fraction`, and any other, a float or a bool included, is refused with
+        an `InputError` that names g.  d(g) is kept as (code, coefficient)
+        pairs, the form `_d_code` gives: an int as it is, a `Fraction` with
+        denominator 1 as its numerator.  A refused batch leaves the complex
         unchanged.  Code positions stay stable, and the spaces of H^k at or
         above the smallest new degree, low, are kept, amended or dropped by
         the rules of the module docstring.
@@ -253,16 +259,13 @@ class FreeDGCA:
         of `cohomology(k)`.  Such a layer keys each term of d(g) by its int
         column j of ``cohomology(k).keys``, 0 <= j < len(keys), as the class
         rows of that space are keyed; any other key, a code included, is
-        refused with an `InputError`.  Each column's code and odd positions
-        are read once per layer.  An int coefficient, as a class row's
-        integral entries are, is kept as it is, and a `Fraction` with
-        denominator 1 is stored as its numerator.  A column is stricter than
-        the check of each (position, exponent) pair that every other batch
-        gets: its key also
-        has no odd generator twice, and it uses only old positions.  The new
-        generators sort after every old one, so no old generator has degree
-        k, no key of degree k is linear, and every term lies below its
-        generator.
+        refused with an `InputError`, and the term is kept as the pair of the
+        column's key and its coefficient.  A column is stricter than the
+        check of each (position, exponent) pair that every other batch gets:
+        its key also has no odd generator twice, and it uses only old
+        positions.  The new generators sort after every old one, so no old
+        generator has degree k, no key of degree k is linear, and every term
+        lies below its generator.
 
         The vouch also covers d(d g) = 0, since each d(g) of a kill layer is
         a cocycle.  Any other batch is data that nothing proved closed: the
@@ -284,33 +287,22 @@ class FreeDGCA:
         count = len(self.gens) + len(new)
         degree = self._degree + [g.degree for g in new]
         odd = self._odd + [g.is_odd for g in new]
-        d_codes = []
         if kills is not None:
             if new[0].degree != new[-1].degree:
                 raise InputError("the generators of a kill step must have one degree")
             keys = self.cohomology(new[0].degree + 1).keys
-            columns: dict[int, tuple] = {}  # each column's (code, odd positions), built once
-            for g, terms in layer:
-                triples = []
-                for j, c in terms.items():
-                    column = columns.get(j) if type(j) is int else None
-                    if column is None:
-                        if type(j) is not int or not 0 <= j < len(keys):
-                            raise InputError(
-                                f"d({g.name}) has a term that is not a column of degree "
-                                f"{g.degree + 1}"
-                            )
-                        code = keys[j]
-                        column = columns[j] = (code, tuple([q for q, _ in code if odd[q]]))
-                    if type(c) is not int and c.denominator == 1:
-                        c = c.numerator
-                    triples.append((*column, c))
-                d_codes.append(tuple(triples))
-        else:
-            odds_of: dict[tuple, tuple] = {}  # the odd positions of each code, built once
-            for position, (g, terms) in enumerate(layer, len(self.gens)):
-                triples = []
-                for code, c in terms.items():
+        d_codes = []
+        for position, (g, terms) in enumerate(layer, len(self.gens)):
+            pairs = []
+            for code, c in terms.items():
+                if kills is not None:
+                    if type(code) is not int or not 0 <= code < len(keys):
+                        raise InputError(
+                            f"d({g.name}) has a term that is not a column of degree "
+                            f"{g.degree + 1}"
+                        )
+                    code = keys[code]
+                else:
                     total, last = 0, -1
                     for p, e in code:
                         if not 0 <= p < count:
@@ -330,11 +322,16 @@ class FreeDGCA:
                             f"d({g.name}) has the linear term {(self.gens + new)[last].name!r}; "
                             "a FreeDGCA takes minimal differentials only"
                         )
-                    odds = odds_of.get(code)
-                    if odds is None:
-                        odds = odds_of[code] = tuple([q for q, _ in code if odd[q]])
-                    triples.append((code, odds, c.numerator if c.denominator == 1 else c))
-                d_codes.append(tuple(triples))
+                if type(c) is not int:
+                    if type(c) is not Fraction:
+                        raise InputError(
+                            f"d({g.name}) has the coefficient {c!r}, which is not an int "
+                            "or a Fraction"
+                        )
+                    if c.denominator == 1:
+                        c = c.numerator
+                pairs.append((code, c))
+            d_codes.append(tuple(pairs))
 
         self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
@@ -351,9 +348,9 @@ class FreeDGCA:
             if ones:
                 codes, firsts = self._codes[m]
                 self._codes[m] = (codes + [((p, 1),) for p in ones], firsts + ones)
-        self._update_spaces(new, [terms for _, terms in layer], count - len(new), kills)
+        self._update_spaces(new, count - len(new), kills)
 
-    def _update_spaces(self, new, d_layer, first: int, kills):
+    def _update_spaces(self, new, first: int, kills):
         """Keep, amend or drop each space of H^k by the rules of the module docstring.
 
         The new generators are sorted and sit at positions first, first + 1, ...
@@ -368,7 +365,9 @@ class FreeDGCA:
                 rows = [row for i, row in enumerate(rows) if i not in kills]
             elif killing and k == low:
                 complement.extend(((p, 1),) for p in range(first, first + len(new)))
-            elif k == low and all(not dg for g, dg in zip(new, d_layer) if g.degree == k):
+            elif k == low and all(
+                not dg for g, dg in zip(new, self._d_codes[first:]) if g.degree == k
+            ):
                 # its new keys are the new generators of degree k, last
                 rows.extend({j: 1} for j in range(len(space.keys), len(self.keys(k))))
             else:
@@ -433,7 +432,11 @@ class FreeDGCA:
 
     # --- differential ---------------------------------------------------
     def d_codes(self):
-        """Each generator with d(g) as it is kept: (code, odd positions, coefficient) triples."""
+        """Each generator with d(g) as it is kept: (code, coefficient) pairs.
+
+        A coefficient is an int wherever it is integral and a `Fraction`
+        otherwise; the parity of each position is read from ``_odd``.
+        """
         return zip(self.gens, self._d_codes)
 
     def d_monomial(self, mon: Monomial) -> Element:
@@ -484,9 +487,9 @@ class FreeDGCA:
                 rest = code[i + 1 :] if e == 1 else ((p, e - 1), *code[i + 1 :])
                 scale = -e if parity else e
                 if i:
-                    terms = code_products(dg, code[:i], left, rest)
+                    terms = code_products(dg, code[:i], left, odd, rest)
                 else:
-                    terms = [(t + rest, c) for t, _, c in dg]
+                    terms = [(t + rest, c) for t, c in dg]
                 if scale == -1:
                     terms = [(key, -c) for key, c in terms]
                 elif scale != 1:
@@ -502,7 +505,7 @@ class FreeDGCA:
         for g, dg in zip(self.gens, self._d_codes):
             if dg and g.degree <= self.truncation:
                 residue: dict[tuple, int | Fraction] = {}
-                for code, _, coeff in dg:
+                for code, coeff in dg:
                     add_scaled(residue, coeff, dict(self._d_code(code)))
                 if residue:
                     return g, self.element_of(residue)
@@ -742,8 +745,7 @@ def _class_products(target, left, right):
     def code_rows(space):
         keys = space.keys
         return [
-            [(keys[k], tuple([p for p, _ in keys[k] if odd[p]]), c)
-             for k, c in row.items() if isinstance(keys[k], tuple)]
+            [(keys[k], c) for k, c in row.items() if isinstance(keys[k], tuple)]
             for row in space._class_rows
         ]
 
@@ -751,8 +753,9 @@ def _class_products(target, left, right):
     for i, terms in enumerate(code_rows(left)):
         for j, factor in enumerate(right_rows):
             vec: dict[int, int | Fraction] = {}
-            for code, odds, a in terms:
-                add_scaled(vec, a, {index[k]: c for k, c in code_products(factor, code, odds)})
+            for code, a in terms:
+                products = code_products(factor, code, [p for p, _ in code if odd[p]], odd)
+                add_scaled(vec, a, {index[k]: c for k, c in products})
             coords = target.coordinates(vec)
             if coords:
                 yield i, j, coords

@@ -175,7 +175,7 @@ def alias_monomial_targets(model: BigradedModel) -> dict[str, str]:
     for gen, dg in model.dgca.d_codes():
         if gen.stage != 1 or len(dg) != 1:
             continue
-        [(code, _, c)] = dg
+        [(code, c)] = dg
         if c != 1 or [e for _, e in code] not in ([2], [1, 1]):
             continue
         alias = "b" + "".join(_suffix(model.generators[p].name) for p, _ in code)
@@ -200,9 +200,7 @@ def _aliases(model: BigradedModel, entries: list[tuple[str, str, int]]) -> dict[
         except ParseError as exc:
             raise ParseError(f"{fault}: {exc}", lineno) from None
         code = model.dgca.key(mons[0]) if len(mons) == 1 else None
-        gen = next(
-            (g for g, dg in model.dgca.d_codes() if any(t == code for t, _, _ in dg)), None
-        )
+        gen = next((g for g, dg in model.dgca.d_codes() if any(t == code for t, _ in dg)), None)
         if gen is None:
             raise ParseError(f"{fault}: no differential has that term", lineno)
         del named[mapping.get(gen.name, gen.name)]

@@ -62,10 +62,11 @@ entry a divides g = gcd(a, b) out of both before scaling, which keeps the
 entries small: a stored row's leading entry a is positive, so every row
 built that way is a positive rational multiple of the one built from
 a * r - b * piv, and `_primitive` maps both to the same stored row.
-`_eliminate` takes each such step in its own loop, on `insert`'s copy, with
-no call per killed column.  Back-substitution takes the same step through
-`_combine`, on a copy of the stored row: a stored row is not `insert`'s
-own, and ``scripts/profile_build.py --counts`` counts each
+`_eliminate` takes each such step in its own loop, with no call per killed
+column, and serves both sites: `insert` kills every stored pivot in its
+copy, and a back-substitution kills the new pivot p in a copy of the stored
+row, with ``{p: new row}`` as the pivot rows.  A stored row is not
+`insert`'s own, and ``scripts/profile_build.py --counts`` counts each
 back-substitution by the new row it leaves.
 A kernel entry is an int wherever it is integral and a `Fraction` only
 otherwise: the entry -v / lead is -v when the row's leading entry is 1 and
@@ -215,7 +216,7 @@ class RowSpace:
         It back-substitutes through the column index in ``_holders`` when the
         constructor has set one (see `_index`), and keeps it so.
         """
-        r = self._eliminate(_integer_row(row))
+        r = _primitive(self._eliminate(_integer_row(row), self._rows))
         if not r:
             return None
         p = min(r)
@@ -228,12 +229,12 @@ class RowSpace:
             for q in self._pivots[:at]:
                 other = rows[q]
                 if p in other:
-                    rows[q] = _primitive(self._combine(other.copy(), r, p))
+                    rows[q] = _primitive(self._eliminate(other.copy(), {p: r}))
         else:
             for q in holders.pop(p, ()):
                 other = rows[q]
                 if p in other:  # else a stale entry: the row lost p since
-                    new = rows[q] = _primitive(self._combine(other.copy(), r, p))
+                    new = rows[q] = _primitive(self._eliminate(other.copy(), {p: r}))
                     # a column the row gained is one of r's
                     for c in r:
                         if c not in other and c in new:
@@ -254,9 +255,9 @@ class RowSpace:
                     holders[c].append(q)
         return holders
 
-    def _eliminate(self, r: dict[int, int]) -> dict[int, int]:
-        """Kill every pivot column of ``r``, `insert`'s own copy, in place; make it primitive."""
-        rows = self._rows
+    @staticmethod
+    def _eliminate(r: dict[int, int], rows: Mapping[int, dict[int, int]]) -> dict[int, int]:
+        """Kill every column of ``r`` that is a pivot of ``rows``, in place; return ``r``."""
         get = r.get
         for c in [c for c in r if c in rows]:
             b = get(c)
@@ -277,29 +278,6 @@ class RowSpace:
                     r[col] = w
                 else:
                     del r[col]
-        return _primitive(r)
-
-    @staticmethod
-    def _combine(r: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
-        """Set r to (a*r - b*piv) / gcd(a, b) in place, for a = piv[c] and b = r[c]; return r.
-
-        It kills column c.
-        """
-        a, b = piv[c], r[c]
-        if a != 1:
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            if a != 1:
-                for col, v in r.items():
-                    r[col] = v * a
-        get = r.get
-        for col, v in piv.items():
-            w = get(col, 0) - b * v
-            if w:
-                r[col] = w
-            else:
-                del r[col]
         return r
 
     def reduce(self, vec: Mapping[int, Fraction | int]) -> dict[int, Fraction]:

@@ -17,9 +17,10 @@ free complex's: the code and parity tables, ``keys``, ``terms_of``,
 ``element_of`` and the spaces of its cohomology, with `graded_component`
 bound to `FreeDGCA.cohomology`.  A monomial is a tuple of ``(position, exponent)``
 pairs over the generators in `Generator.sort_key` order, so the column order
-is the canonical monomial order.  Each relation is encoded once, with integer
-coefficients, and a row of the ideal slice merges a cofactor code with the
-terms of one relation (`dgca.code_products`).
+is the canonical monomial order.  Each relation is encoded once, as (code,
+integer coefficient) pairs, the form in which a `FreeDGCA` keeps d(g), and a
+row of the ideal slice merges a cofactor code with the terms of one relation,
+with the Koszul sign read off the parity table (`dgca.code_products`).
 
 The indecomposables Q(A)^m = A^m / (A^+ . A^+)^m need no product of
 classes.  Let F^m be the degree-m part of the free cover, I^m the ideal
@@ -111,7 +112,7 @@ class PresentedAlgebra(FreeDGCA):
                 f"degree {m} exceeds the algebra truncation {self.truncation}"
             )
         linear = RowSpace(
-            {code[0][0]: c for code, _, c in terms if len(code) == 1 and code[0][1] == 1}
+            {code[0][0]: c for code, c in terms if len(code) == 1 and code[0][1] == 1}
             for degree, terms in self._relation_codes
             if degree == m
         )
@@ -142,25 +143,21 @@ class PresentedAlgebra(FreeDGCA):
             if degree > m:
                 continue
             for cofactor in self.keys(m - degree):
-                yield code_products(terms, cofactor, [p for p, _ in cofactor if odd[p]])
+                yield code_products(terms, cofactor, [p for p, _ in cofactor if odd[p]], odd)
 
     @cached_property
     def _relation_codes(self) -> list[tuple[int, tuple]]:
-        """Each nonzero relation as its degree and its (code, odd positions,
-        integer coefficient) triples."""
-        key, odd = self.key, self._odd
+        """Each nonzero relation as its degree and its (code, integer coefficient) pairs."""
         out = []
         for rel in self.relations:
             degree = rel.homogeneous_degree()
             if degree is None:
                 continue
             scale = lcm(*[c.denominator for _, c in rel.terms()])
-            triples = []
-            for mon, c in rel.terms():
-                code = key(mon)
-                odds = tuple([p for p, _ in code if odd[p]])
-                triples.append((code, odds, c.numerator * (scale // c.denominator)))
-            out.append((degree, tuple(triples)))
+            terms = tuple(
+                (self.key(mon), c.numerator * (scale // c.denominator)) for mon, c in rel.terms()
+            )
+            out.append((degree, terms))
         return out
 
 

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -355,7 +356,7 @@ def _d_code_branches(D, mon):
         else:
             out.add("merged with the prefix")
             prefix_odds = {q for q, _ in code[:i] if D._odd[q]}
-            if any(prefix_odds.intersection(odds) for _, odds, _ in dg):
+            if any(prefix_odds.intersection(q for q, _ in t if D._odd[q]) for t, _ in dg):
                 out.add("a term killed by a repeated odd factor")
     return out
 
@@ -881,7 +882,37 @@ def test_extend_codes_refuses_a_kill_layer_term_that_is_not_a_key():
     D.extend_codes([(x, {0: F(2)}), (y, {1: F(-1, 2), 0: F(3)})], kills=[])
     assert D.gens[-2:] == (x, y)
     assert d_on_gens(D)[x] == 2 * Element.from_monomial(Monomial(((a, 1), (c, 1))))
-    assert D._d_codes[-1] == ((((0, 3),), (), F(-1, 2)), (((0, 1), (2, 1)), (), 3))
+    assert D._d_codes[-1] == ((((0, 3),), F(-1, 2)), (((0, 1), (2, 1)), 3))
+
+
+def test_extend_codes_refuses_a_coefficient_that_is_not_an_int_or_a_fraction():
+    """A float, a bool or any other coefficient is refused with an `InputError`
+    that names the generator, in a data layer and in a kill layer alike, and
+    the complex is left as it was."""
+    # positions: a (2), b (3, db = a^2), c (4); keys(6) are a*c (column 0) and a^3 (column 1)
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    c = Generator("c", 4, index=2)
+    D = FreeDGCA([a, b, c], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
+    for m in range(7):
+        D.cohomology(m)
+    x = Generator("x", 5, stage=2, index=3)
+
+    def state():
+        return (D.gens, list(D._d_codes), list(D._degree), list(D._odd),
+                dict(D._position), list(D._codes), kept_spaces(D), dict(D._spaces))
+
+    before = state()
+    for bad in (1.5, 2.0, True, "1", complex(1)):
+        message = (
+            f"^d\\(x\\) has the coefficient {re.escape(repr(bad))}, "
+            "which is not an int or a Fraction$"
+        )
+        with pytest.raises(InputError, match=message):
+            D.extend_codes([(x, {((0, 1), (2, 1)): bad})])
+        assert state() == before, bad
+        with pytest.raises(InputError, match=message):
+            D.extend_codes([(x, {0: bad})], kills=[0])
+        assert state() == before, bad
 
 
 def test_only_a_data_batch_with_a_nonzero_d_marks_the_complex():

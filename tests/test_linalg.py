@@ -328,7 +328,7 @@ def test_combine_divides_out_the_common_factor():
     the combination is 3*r - 2*piv, not 6*r - 4*piv."""
     piv = {0: 6, 1: 1, 3: 5}
     r = {0: 4, 2: 7, 3: -1}
-    assert RowSpace._combine(r, piv, 0) == {1: -2, 2: 21, 3: -13}
+    assert RowSpace._eliminate(r, {0: piv}) == {1: -2, 2: 21, 3: -13}
 
 
 # entries the integer fast path of RowSpace.insert meets: ints, explicit

@@ -253,7 +253,7 @@ def test_built_models_satisfy_invariants(data):
     model = build_minimal_model(algebra, truncation)
     assert model.dgca.verify_d_squared() is None
     # minimal: every term of every d(g) has word length at least 2
-    assert all(sum(e for _, e in code) >= 2 for _, dg in model.dgca.d_codes() for code, _, _ in dg)
+    assert all(sum(e for _, e in code) >= 2 for _, dg in model.dgca.d_codes() for code, _ in dg)
     assert verify_standard(model) == []
     assert model.verify() == []
     # the kill step's lemma: a class representative is either Lambda(V_0)-pure
@@ -477,7 +477,7 @@ def test_quadratic_monomial_relations_give_the_koszul_dual_generators(problem):
     assert counts[n] == 0
     # coformal: every d(g) is purely quadratic
     for g, dg in model.dgca.d_codes():
-        assert all(sum(e for _, e in code) == 2 for code, _, _ in dg), g.name
+        assert all(sum(e for _, e in code) == 2 for code, _ in dg), g.name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -785,7 +785,7 @@ def _outputs(D):
     """What a complex answers, in every degree it answers in."""
     out = {
         "gens": D.gens,
-        "d": [(g, {code: (odds, c) for code, odds, c in dg}) for g, dg in D.d_codes()],
+        "d": [(g, {code: c for code, c in dg}) for g, dg in D.d_codes()],
     }
     for m in range(D.truncation + 2):
         out["keys", m] = D.keys(m)
@@ -1026,8 +1026,50 @@ def test_class_rows_and_kill_layers_hold_an_int_wherever_an_entry_is_integral(mo
         kill_layers = [dg for g, dg in D.d_codes() if g.stage]
         assert all(not dg for g, dg in D.d_codes() if not g.stage)
         values = [v for row in rows for v in row.values()]
-        values += [c for dg in kill_layers for _, _, c in dg]
+        values += [c for dg in kill_layers for _, c in dg]
         for v in values:
             assert type(v) is int or (type(v) is F and v.denominator > 1), repr(v)
             seen[type(v)] += 1
+    assert seen[int] and seen[F], seen
+
+
+def test_every_d_of_a_generator_is_kept_as_code_coefficient_pairs():
+    """d(g) is kept in the form `_d_code` gives: in the model of the r = 3,
+    N = 8 wedge, of a dense presentation and of each fixture, in their
+    renamed copies and in a hand-made `FreeDGCA`, every `d_codes()` entry is
+    a tuple of (code, c) pairs, with c an int (not a bool) or a Fraction with
+    denominator > 1, and it lists d of the one-factor code as `_d_code` does."""
+    wedge = PresentedAlgebra.from_strings(
+        [(f"x{i}", 2) for i in range(1, 4)],
+        [_square_free_text(i, j) for i in range(1, 4) for j in range(i, 4)],
+        9,
+    )
+    dense = PresentedAlgebra.from_strings(
+        [("x1", 2), ("x2", 2), ("x3", 2)],
+        ["2*x1^2 - 3*x1*x2 + x2^2 - x3^2", "x1*x3 + 4*x2*x3 - 2*x2^2 + 3*x1^2"],
+        8,
+    )
+    problems = [(wedge, 8), (dense, 7)] + [_fixture_algebra(f) for f in fixture_ids()]
+    complexes = []
+    for algebra, n in problems:
+        D = build_minimal_model(algebra, n).dgca
+        complexes += [D, D.renamed([f"g{p:05d}" for p in range(len(D.gens))])]
+    a, b, c = Generator("a", 2, index=0), Generator("b", 3, index=1), Generator("c", 3, index=2)
+    x, y = Generator("x", 5, stage=1, index=3), Generator("y", 7, stage=1, index=4)
+    dx = Element({Monomial.of(a, 3): F(1, 2), Monomial(((b, 1), (c, 1))): F(-3)})
+    dy = Element({Monomial.of(a, 4): F(2), Monomial(((a, 1), (b, 1), (c, 1))): F(1)})
+    complexes.append(FreeDGCA([a, b, c, x, y], {x: dx, y: dy}, 8))
+    seen = Counter()
+    for D in complexes:
+        for p, (g, dg) in enumerate(D.d_codes()):
+            assert type(dg) is tuple, g.name
+            for term in dg:
+                assert type(term) is tuple and len(term) == 2, (g.name, term)
+                code, coefficient = term
+                assert type(code) is tuple, (g.name, term)
+                assert type(coefficient) is int or (
+                    type(coefficient) is F and coefficient.denominator > 1
+                ), (g.name, term)
+                seen[type(coefficient)] += 1
+            assert list(dg) == D._d_code(((p, 1),)), g.name
     assert seen[int] and seen[F], seen
