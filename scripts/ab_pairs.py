@@ -11,7 +11,11 @@ script lives in, loaded once per copy and only read; its ``run_job`` and
 ``digest`` then run against that copy.  A WORKLOAD of the form ``wedge-R-N``
 (``wedge-4-10``, say) is instead one model job, as ``model-wedge`` makes
 them: the wedge of R 2-spheres truncated at N, its relations shuffled by
-SEED, compared by the digest of its generator table.
+SEED, compared by the digest of its generator table.  A WORKLOAD of the form
+``json-wedge-R-N`` is the same wedge written to an input file and printed as
+a user meets it, by ``cli.main(["model", "--input", F, "--json"])``, which
+times the build and the printing together; its digest is the sha256 of the
+exit code and the printed text, stdout first.
 
 First every job runs once on each side, and the two sides' output digests
 must agree (exit 1 otherwise).  Then PAIRS pairs of passes over the whole job
@@ -53,7 +57,7 @@ WORKLOADS_PY = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
 SIDES = ("parent", "change")
 # the modules perfbench/workloads.py imports from the package
 IMPORTED = ("cli", "fixtures", "gca", "minimal_model", "presented")
-WEDGE = re.compile(r"wedge-(\d+)-(\d+)")
+WEDGE = re.compile(r"(json-)?wedge-(\d+)-(\d+)")
 
 
 def _load_side(side: str, tree: str, tmp: str):
@@ -83,13 +87,25 @@ def _load_side(side: str, tree: str, tmp: str):
 
 
 def _jobs(workloads, workload: str, seed: int, workdir: str) -> list:
-    """WORKLOAD's seeded job list, or the one job of a ``wedge-R-N``."""
+    """WORKLOAD's seeded job list, or the one job of a ``wedge-R-N`` or a
+    ``json-wedge-R-N``."""
     scale = WEDGE.fullmatch(workload)
     if scale is None:
         return workloads.make_inputs(workload, seed, workdir)
-    r, n = map(int, scale.groups())
+    printed, r, n = scale.groups()
+    r, n = int(r), int(n)
     gens, rels = workloads._wedge_presentation(r, random.Random(seed))
-    return [workloads.Job(f"wedge-r{r}-N{n}", "model", gens, rels, n)]
+    if not printed:
+        return [workloads.Job(f"wedge-r{r}-N{n}", "model", gens, rels, n)]
+    lines = ["algebra:", *(f"  gen {name} {deg}" for name, deg in gens)]
+    lines += [*(f"  rel {rel}" for rel in rels), f"  truncation {n}"]
+    os.makedirs(workdir, exist_ok=True)
+    path = os.path.join(workdir, f"wedge-r{r}-N{n}.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    # run_job hands the argv of any job kind but "model" to cli.main
+    return [workloads.Job(f"json-wedge-r{r}-N{n}", "cli",
+                          argv=["model", "--input", path, "--json"], truncation=n)]
 
 
 def _summary(values) -> str:

@@ -39,9 +39,11 @@ complex builds again when it extends are ``from_class_rows``), of the kill step
 (``_kill_step``, which includes its ``extend_codes`` call and its rho* rows
 on the pure classes, ``_rho_constraints``), of the product loop that writes
 [u] as a sum of products (``decomposition``) and of the presented algebra A
-(its ideal slices and its indecomposables), and for the d^2 and standardness
-checks of a model, it prints the number of calls, the cumulative seconds and
-the share of the profiled total.
+(its ideal slices and its indecomposables), for the d^2 and standardness
+checks of a model, and for the printing of ``sullivan model --json``
+(``cli.model_json``, which prints each d(g) from its stored codes), it prints
+the number of calls, the cumulative seconds and the share of the profiled
+total.
 A's graded components have no row of their own: ``graded_component`` is
 ``FreeDGCA.cohomology``, one code object, so its row would count the
 model's cohomology too.  cProfile adds a cost to every Python call, so the
@@ -86,6 +88,7 @@ LAYERS = {
     "PresentedAlgebra.indecomposables": PresentedAlgebra.indecomposables,
     "FreeDGCA.verify_d_squared": dgca.FreeDGCA.verify_d_squared,
     "minimal_model.verify_standard": minimal_model.verify_standard,
+    "cli.model_json": cli.model_json,
 }
 
 

@@ -51,7 +51,8 @@ from typing import Mapping, Sequence
 
 from .dgca import CohomologyClass, CohomologySpace, FreeDGCA, decomposition
 from .errors import InputError, IntegrityError, TruncationError
-from .gca import Element, Generator, Monomial
+from .expr import parse_rational
+from .gca import Element, Generator, Monomial, format_terms
 from .linalg import add_scaled
 # Not called here: perfbench/layertrace.py wraps solve_in_span under every
 # module name bound to it and requires this binding.
@@ -92,7 +93,10 @@ class AlphaFunctional:
         n: int,
         pairs: Sequence[tuple[str, Fraction | int | str]],
     ) -> "AlphaFunctional":
-        """Resolve (generator name, coefficient) pairs against a model."""
+        """Resolve (generator name, coefficient) pairs against a model.  A
+        coefficient is an int, a `Fraction` or a rational literal of the input
+        file (`expr.parse_rational`); any other, a float or a bool included, is
+        refused with an `InputError`."""
         if n < 2:
             raise InputError(f"cell dimension {n} is below 2")
         if n == 2:
@@ -108,7 +112,11 @@ class AlphaFunctional:
             g = by_name[name]
             if g.degree != n - 1:
                 raise _degree_mismatch(name, g.degree, n)
-            resolved[g] = resolved.get(g, _ZERO) + Fraction(raw)
+            if isinstance(raw, str):
+                raw = parse_rational(raw)  # a ParseError is an InputError
+            elif type(raw) is not int and type(raw) is not Fraction:
+                raise InputError(f"alpha({name}) = {raw!r} is not an int, a Fraction or a str")
+            resolved[g] = resolved.get(g, _ZERO) + raw
         coeffs = tuple(
             sorted(
                 ((g, c) for g, c in resolved.items() if c),
@@ -122,10 +130,7 @@ class AlphaFunctional:
         return not self.coefficients
 
     def value(self, gen: Generator) -> Fraction:
-        for g, c in self.coefficients:
-            if g == gen:
-                return c
-        return _ZERO
+        return dict(self.coefficients).get(gen, _ZERO)
 
     def support(self) -> list[Generator]:
         return [g for g, _ in self.coefficients]
@@ -143,16 +148,7 @@ class AttachmentElement:
         return self.body.is_zero and not self.u
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        if not self.u:
-            return str(self.body)
-        u_text = "u" if self.u == 1 else ("-u" if self.u == -1 else f"{self.u}*u")
-        if self.body.is_zero:
-            return u_text
-        if u_text.startswith("-"):
-            return f"{self.body} - {u_text[1:]}"
-        return f"{self.body} + {u_text}"
+        return format_terms([*self.body.text_terms(), (_U, self.u)])
 
 
 class AttachmentModel:

@@ -33,6 +33,7 @@ from .formality import (
     even_complex_formality,
     formality_verdict,
 )
+from .gca import format_terms, monomial_text
 from .minimal_model import BigradedModel
 
 # Not called here: perfbench/layertrace.py wraps build_fixture and
@@ -79,6 +80,10 @@ def _format_table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+def _dimensions(cohomology, top: int) -> list[dict]:
+    return [{"degree": m, "dim": cohomology(m).dimension} for m in range(top + 1)]
+
+
 def render_model_text(payload: dict) -> str:
     gens = payload["generators"]
     if not gens:
@@ -93,7 +98,11 @@ def render_model_text(payload: dict) -> str:
 
 
 def model_json(model: BigradedModel) -> dict:
+    """The payload of ``model``.  Each d(g) is printed from its codes: their
+    positions follow `Generator.sort_key`, so code order is `Monomial.sort_key`
+    order, and the text is ``str(model.d_of(g))`` with no d(g) decoded."""
     algebra = model.algebra
+    names = [g.name for g in model.generators]
     return {
         "schema": SCHEMA,
         "command": "model",
@@ -110,15 +119,14 @@ def model_json(model: BigradedModel) -> dict:
                 "name": g.name,
                 "degree": g.degree,
                 "stage": g.stage,
-                "d": str(model.d_of(g)),
+                "d": format_terms(  # the codes of one d(g) are distinct
+                    (monomial_text([(names[p], e) for p, e in code]), c) for code, c in sorted(dg)
+                ),
                 "rho": str(model.rho[g]),
             }
-            for g in model.generators
+            for g, dg in model.dgca.d_codes()
         ],
-        "cohomology": [
-            {"degree": m, "dim": algebra.graded_component(m).dimension}
-            for m in range(0, model.truncation + 1)
-        ],
+        "cohomology": _dimensions(algebra.graded_component, model.truncation),
     }
 
 
@@ -144,10 +152,7 @@ def attach_json(attached: AttachmentModel) -> dict:
         "u": u_data,
         "u_decomposable": decomposable,
         "u_decomposition": witness_data,
-        "cohomology": [
-            {"degree": m, "dim": attached.cohomology(m).dimension}
-            for m in range(0, attached.truncation + 1)
-        ],
+        "cohomology": _dimensions(attached.cohomology, attached.truncation),
     }
 
 
@@ -202,10 +207,7 @@ def even_json(result) -> dict:
         "half_degree": result.half_degree,
         "status": result.status,
         "cells": [verdict_json(v) for v in result.verdicts],
-        "final_cohomology": [
-            {"degree": m, "dim": result.final.graded_component(m).dimension}
-            for m in range(0, 4 * result.half_degree + 1)
-        ],
+        "final_cohomology": _dimensions(result.final.graded_component, 4 * result.half_degree),
     }
 
 

@@ -95,12 +95,12 @@ generators sort by degree first.  So d of a factor g of a monomial only
 merges each term into the factors before g and appends the factors from g on
 (`_d_code`).
 
-The codes are the only form in which a `FreeDGCA` keeps its differential:
-d(g) is read as `d_monomial` of the one-factor monomial g.  `Element`,
-`Monomial` and `Generator` appear only at the API boundary: ``element_of``
-decodes codes where a result leaves the complex (a class representative,
-`d_monomial`, `basis`), and `extend`, `key` and ``terms_of`` encode the
-elements handed in.
+The codes are the only form in which a `FreeDGCA` keeps its differential,
+and the printed model reads d(g) from them (`d_codes`, `cli.model_json`).
+`Element`, `Monomial` and `Generator` appear only at the API boundary:
+``element_of`` decodes codes only where a class representative or an API
+result leaves the complex (`d_monomial`, `basis`), and `extend`, `key` and
+``terms_of`` encode the elements handed in.
 
 Renaming generators changes none of that.  `FreeDGCA.renamed` keeps every
 generator at its position, so the renamed complex shares the code tables and
@@ -238,9 +238,9 @@ class FreeDGCA:
         Every degree is at least 2 and generators sort by degree first, so
         every factor of a longer term sorts before g, and a linear term, of
         degree |g| + 1, after it: a term is linear exactly when its last
-        position is not below g's.  A coefficient must be an int or a
-        `Fraction`, and any other, a float or a bool included, is refused with
-        an `InputError` that names g.  d(g) is kept as (code, coefficient)
+        position is not below g's.  A coefficient must be a nonzero int or
+        `Fraction`, and any other, zero, a float or a bool included, is refused
+        with an `InputError` that names g.  d(g) is kept as (code, coefficient)
         pairs, the form `_d_code` gives: an int as it is, a `Fraction` with
         denominator 1 as its numerator.  A refused batch leaves the complex
         unchanged.  Code positions stay stable, and the spaces of H^k at or
@@ -330,6 +330,8 @@ class FreeDGCA:
                         )
                     if c.denominator == 1:
                         c = c.numerator
+                if not c:
+                    raise InputError(f"d({g.name}) has a zero coefficient")
                 pairs.append((code, c))
             d_codes.append(tuple(pairs))
 

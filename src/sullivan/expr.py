@@ -1,6 +1,6 @@
 """Parser for the element grammar used by the CLI and the fixtures.
 
-The grammar (whitespace-insensitive) is the same one `Element.__str__` emits:
+The grammar (whitespace-insensitive) is the one `gca.format_terms` emits:
 
     element     = [ "-" ] term { ( "+" | "-" ) term } ;
     term        = coefficient [ "*" monomial ] | monomial ;

@@ -288,8 +288,8 @@ def load_job(
             spec.generators, spec.relations, n + 1, spec.relation_lines
         )
         for i, rel in enumerate(algebra.relations, 1):
-            d = rel.homogeneous_degree() if rel.is_homogeneous else None
-            if d is not None and d > n + 1:
+            degrees = rel.degrees()  # an inhomogeneous relation is refused in the build
+            if len(degrees) == 1 and (d := degrees.pop()) > n + 1:
                 raise InputError(
                     f"invalid presentation: relation #{i} ({rel}): degree {d} exceeds "
                     f"N + 1 = {n + 1} for truncation N = {n}"

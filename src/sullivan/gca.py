@@ -78,10 +78,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(g.degree * e for g, e in self.powers)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.powers
-
     def generators(self) -> list[Generator]:
         return [g for g, _ in self.powers]
 
@@ -92,12 +88,7 @@ class Monomial:
         return tuple((g.sort_key(), e) for g, e in self.powers)
 
     def __str__(self):
-        if not self.powers:
-            return "1"
-        parts = []
-        for g, e in self.powers:
-            parts.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(parts)
+        return monomial_text([(g.name, e) for g, e in self.powers])
 
 
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:
@@ -174,10 +165,6 @@ class Element:
     def degrees(self) -> set[int]:
         return {mon.degree for mon in self._terms}
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def homogeneous_degree(self) -> int | None:
         """Degree of a homogeneous element; None for zero; error when mixed."""
         degs = self.degrees()
@@ -246,24 +233,36 @@ class Element:
         return f"Element({self})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        pieces = []
-        for mon in self.monomials():
-            c = self._terms[mon]
-            mag = -c if c < 0 else c
-            if mon.is_unit:
-                body = str(mag)
-            elif mag == 1:
-                body = str(mon)
-            else:
-                body = f"{mag}*{mon}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_terms(self.text_terms())
+
+    def text_terms(self) -> list[tuple[str, Fraction]]:
+        """(monomial text, coefficient) of each term, in the canonical monomial order."""
+        return [(str(mon), self._terms[mon]) for mon in self.monomials()]
+
+
+def monomial_text(powers) -> str:
+    """``a^2*b`` from the (name, exponent) pairs; ``1`` for the unit."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in powers]) or "1"
+
+
+def format_terms(terms) -> str:
+    """Every printed sum: (monomial text, int or `Fraction`) terms, in their order.
+
+    A zero term is skipped, a magnitude of 1 is omitted, and the unit ``1``
+    prints as its coefficient; an int prints as its `Fraction` would.  The
+    first term's sign is a leading ``-``, and the empty sum is ``0``.
+    """
+    text = ""
+    for mon, c in terms:
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        body = str(mag) if mon == "1" else mon if mag == 1 else f"{mag}*{mon}"
+        if text:
+            text += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
 
 
 def monomial_basis(gens: Sequence[Generator], degree: int) -> list[Monomial]:

@@ -411,7 +411,7 @@ def verify_standard(model: BigradedModel) -> list[str]:
             )
         if g.stage >= 2:
             pure = {
-                code: c for code, c in dg if c and not any(stage_of[p] for p, _ in code)
+                code: c for code, c in dg if not any(stage_of[p] for p, _ in code)
             }
             if pure:
                 problems.append(

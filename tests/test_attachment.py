@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,39 @@ def test_alpha_unknown_names_reported(cp1):
     with pytest.raises(InputError) as err:
         AlphaFunctional.build(cp1.model, 4, [("nope", 1)])
     assert "'nope'" in str(err.value)
+
+
+def test_alpha_coefficients_are_exact_rationals(cp2_attach):
+    """An int, a Fraction or a rational string is taken exactly; a string
+    outside the rational grammar is refused with an `InputError`, and so is
+    any other type, a float or a bool included, naming the generator."""
+    model = cp2_attach.model
+    (name,) = [g.name for g in model.generators if g.degree == 3]
+    for raw, value in ((2, F(2)), (F(-3, 4), F(-3, 4)), ("3/2", F(3, 2)), (" -1 ", F(-1))):
+        alpha = AlphaFunctional.build(model, 4, [(name, raw)])
+        assert [c for _, c in alpha.coefficients] == [value], raw
+        assert all(type(c) is F for _, c in alpha.coefficients), raw
+    for bad in ("abc", "nan", "inf", "0.1", "1e400", "1/0", ""):
+        with pytest.raises(InputError, match="rational literal|zero denominator"):
+            AlphaFunctional.build(model, 4, [(name, bad)])
+    for bad in (0.1, 2.0, float("inf"), float("nan"), True, None, complex(1)):
+        with pytest.raises(InputError, match=f"^alpha\\({re.escape(name)}\\) = "):
+            AlphaFunctional.build(model, 4, [(name, bad)])
+
+
+def test_attachment_elements_print_the_body_then_u():
+    a, b, c = Generator("a", 2, index=0), Generator("b", 3, index=1), Generator("c", 3, index=2)
+    body = Element({Monomial.of(a, 3): F(-1), Monomial(((b, 1), (c, 1))): F(1, 2)})
+    expected = {
+        0: ("0", "-a^3 + 1/2*b*c"),
+        1: ("u", "-a^3 + 1/2*b*c + u"),
+        -1: ("-u", "-a^3 + 1/2*b*c - u"),
+        F(3, 2): ("3/2*u", "-a^3 + 1/2*b*c + 3/2*u"),
+        F(-3, 2): ("-3/2*u", "-a^3 + 1/2*b*c - 3/2*u"),
+    }
+    for u, (alone, beside) in expected.items():
+        assert str(AttachmentElement(Element.zero(), F(u))) == alone, u
+        assert str(AttachmentElement(body, F(u))) == beside, u
 
 
 def test_two_cell_coerced_to_wedge(cp1):

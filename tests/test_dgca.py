@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
+from sullivan.cli import model_json
 from sullivan.dgca import CohomologySpace, FreeDGCA, _class_products, decomposition
 from sullivan.errors import InputError, TruncationError
-from sullivan.fixtures import build_fixture
+from sullivan.fixtures import build_fixture, fixture_ids
 from sullivan.gca import (
     Element,
     Generator,
@@ -705,6 +706,40 @@ def test_d_of_a_generator_is_the_element_given_for_it_closed(gens_d):
         assert D.d_monomial(Monomial.of(g)) == d[g], g.name
 
 
+def _assert_printed_d_is_the_element_route(model):
+    """`cli.model_json` prints each d(g) from its codes as ``str(model.d_of(g))``."""
+    printed = [g["d"] for g in model_json(model)["generators"]]
+    assert printed == [str(model.d_of(g)) for g in model.generators]
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_dgcas())
+def test_model_json_prints_d_as_the_element_route_closed(D):
+    rho = {g: Element.zero() for g in D.gens}
+    _assert_printed_d_is_the_element_route(
+        BigradedModel(D, rho, PresentedAlgebra([], [], _CLOSED_TOP + 1))
+    )
+
+
+def test_model_json_prints_d_as_the_element_route_built():
+    """Over every fixture (some renamed by a names: section), a dense
+    presentation with fractional terms, a wedge and its renamed copy."""
+    models = [build_fixture(fixture_id).model for fixture_id in fixture_ids()]
+    dense = PresentedAlgebra.from_strings(
+        [("x1", 2), ("x2", 2), ("x3", 2)],
+        ["2*x1^2 - 3*x1*x2 + x2^2 - x3^2", "x1*x3 + 4*x2*x3 - 2*x2^2 + 3*x1^2",
+         "3*x1*x2 - 2*x3^2 + x2*x3"],
+        8,
+    )
+    wedge = build_minimal_model(PresentedAlgebra.from_strings(*_WEDGES[3], 8), 7)
+    models += [build_minimal_model(dense, 7), wedge]
+    models.append(wedge.rename({g.name: f"g{p:04d}" for p, g in enumerate(wedge.generators)}))
+    for model in models:
+        _assert_printed_d_is_the_element_route(model)
+    printed = [g["d"] for model in models for g in model_json(model)["generators"]]
+    assert any("/" in d for d in printed) and any(" - " in d for d in printed)
+
+
 def test_class_rows_match_three_pass_reference_complexes(wedge3_s2, cp2_attach, wedge3_e6):
     # u survives as a multiple of a body class (cp2), u survives as a new
     # class (wedge3-e6, and a 5-cell beside the eight triple-product classes
@@ -913,6 +948,31 @@ def test_extend_codes_refuses_a_coefficient_that_is_not_an_int_or_a_fraction():
         with pytest.raises(InputError, match=message):
             D.extend_codes([(x, {0: bad})], kills=[0])
         assert state() == before, bad
+
+
+def test_extend_codes_refuses_a_zero_coefficient():
+    """A zero coefficient, an int or a `Fraction`, is refused with an
+    `InputError` that names the generator, in a data layer and in a kill
+    layer alike, and the complex is left as it was."""
+    a, b = Generator("a", 2, index=0), Generator("b", 3, stage=1, index=1)
+    D = FreeDGCA([a], {}, truncation=6)
+    with pytest.raises(InputError, match=r"^d\(b\) has a zero coefficient$"):
+        D.extend_codes([(b, {((0, 2),): 0})])
+    assert (D.gens, D._d_codes, D.d_is_data) == ((a,), [()], False)
+    # positions: a (2), b (3, db = a^2), c (4); keys(6) are a*c (column 0) and a^3 (column 1)
+    c = Generator("c", 4, index=2)
+    D = FreeDGCA([a, b, c], {b: Element.from_monomial(Monomial.of(a, 2))}, truncation=8)
+    for m in range(7):
+        D.cohomology(m)
+    x = Generator("x", 5, stage=2, index=3)
+    before = (D.gens, list(D._d_codes), dict(D._position), kept_spaces(D), dict(D._spaces))
+    for zero in (0, F(0)):
+        data, kill = {((0, 1), (2, 1)): 1, ((0, 3),): zero}, {0: 1, 1: zero}
+        for terms, kills in ((data, None), (kill, [0])):
+            with pytest.raises(InputError, match=r"^d\(x\) has a zero coefficient$"):
+                D.extend_codes([(x, terms)], kills=kills)
+            after = (D.gens, list(D._d_codes), dict(D._position), kept_spaces(D), dict(D._spaces))
+            assert after == before, (zero, kills)
 
 
 def test_only_a_data_batch_with_a_nonzero_d_marks_the_complex():

@@ -11,9 +11,11 @@ from sullivan.gca import (
     Element,
     Generator,
     Monomial,
+    format_terms,
     generating_series_dimension,
     monomial_basis,
     monomial_codes,
+    monomial_text,
 )
 
 F = Fraction
@@ -204,3 +206,16 @@ def test_monomial_codes_match_brute_force_enumeration(degrees, odd):
         codes = monomial_codes(degrees, odd, degree, table)
         assert codes == sorted(expected[degree])
         assert monomial_codes(degrees, odd, degree) == codes
+
+
+def test_format_terms_writes_signs_magnitudes_and_the_unit():
+    assert format_terms([]) == "0"
+    terms = [("1", F(-2)), ("a", 1), ("b", F(-1)), ("c", F(3, 2))]
+    assert format_terms(terms) == "-2 + a - b + 3/2*c"
+    assert format_terms([("1", 1), ("a^2", -1)]) == "1 - a^2"
+    assert format_terms([("a", 0), ("b", F(-5, 3)), ("c", 0)]) == "-5/3*b"
+    # an int prints as its Fraction would
+    for c in (3, -3, 1, -1):
+        assert format_terms([("a", c), ("b", c)]) == format_terms([("a", F(c)), ("b", F(c))])
+    assert monomial_text([]) == "1"
+    assert monomial_text([("a", 2), ("b", 1)]) == "a^2*b" == str(Monomial(((a, 2), (b, 1))))
