@@ -7,7 +7,9 @@
     python3 scripts/profile_build.py --workload model-wedge 5 --counts
 
 ``--wedge r N`` builds the minimal model of the wedge of r 2-spheres
-(degree-2 generators, every quadratic monomial a relation) truncated at N.
+(degree-2 generators, every quadratic monomial a relation) truncated at N,
+from the presentation that ``perfbench/workloads.py`` gives ``model-wedge``
+and ``scripts/ab_pairs.py wedge-R-N``, with its relations left unshuffled.
 ``--fixture ID`` runs the command a user would: ``sullivan verdict`` for a
 fixture with a cell, ``sullivan model`` otherwise, with ``--json`` output
 discarded.  ``--input FILE`` runs ``sullivan model --input FILE --json``,
@@ -92,10 +94,18 @@ LAYERS = {
 }
 
 
+def _workloads():
+    """perfbench/workloads.py, which makes the benchmark's inputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
+
+
 def wedge_job(r: int, n: int):
-    gens = [(f"a{i}", 2) for i in range(1, r + 1)]
-    rels = [f"a{i}*a{j}" if i != j else f"a{i}^2"
-            for i in range(1, r + 1) for j in range(i, r + 1)]
+    """The wedge as ``model-wedge`` and ``ab_pairs.py wedge-R-N`` make it,
+    with its relations in generator order."""
+    gens, rels = _workloads()._wedge_presentation(r, None)
 
     def job():
         algebra = PresentedAlgebra.from_strings(gens, rels, n + 1)
@@ -111,9 +121,7 @@ def fixture_job(fixture_id: str):
 
 def workload_job(name: str, seed: int, workdir: str):
     """One pass over a perfbench workload's seeded job list."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
+    workloads = _workloads()
     jobs = workloads.make_inputs(name, seed, workdir)
 
     def job():

@@ -77,14 +77,38 @@ def _degree_mismatch(name: str, degree: int, n: int) -> InputError:
 class AlphaFunctional:
     """A functional on the degree-(n-1) generators: the attaching data.
 
-    ``coefficients`` holds the nonzero values, keyed by generator.  For
-    n == 2 the zero functional is forced (the attachment is a wedge) and
-    ``coerced`` records that this happened.
+    ``coefficients`` holds the nonzero values, each an int or a `Fraction`
+    (not a bool), keyed by generator: one pair per generator, in
+    `Generator.sort_key` order.  n is an int of at least 2; for n == 2 the zero
+    functional is forced (the attachment is a wedge) and ``coerced`` records
+    that this happened.  A functional that breaks any of these is refused with
+    an `InputError` however it is made.
     """
 
     n: int
     coefficients: tuple[tuple[Generator, Fraction], ...]
     coerced: bool = False
+
+    def __post_init__(self):
+        if type(self.n) is not int:
+            raise InputError(f"cell dimension {self.n!r} is not an int")
+        if self.n < 2:
+            raise InputError(f"cell dimension {self.n} is below 2")
+        previous = None
+        # no generator has degree 1, so this refuses every pair when n == 2
+        for g, c in self.coefficients:
+            if not isinstance(g, Generator):
+                raise InputError(f"alpha is keyed on {g!r}, not a generator")
+            if g.degree != self.n - 1:
+                raise _degree_mismatch(g.name, g.degree, self.n)
+            if type(c) is not int and type(c) is not Fraction or not c:
+                raise InputError(f"alpha({g.name}) = {c!r} is not a nonzero int or Fraction")
+            if previous is not None and previous.sort_key() >= g.sort_key():
+                raise InputError(
+                    f"alpha lists {g.name!r} after {previous.name!r}; each generator "
+                    "appears once, in Generator.sort_key order"
+                )
+            previous = g
 
     @classmethod
     def build(
@@ -97,10 +121,8 @@ class AlphaFunctional:
         coefficient is an int, a `Fraction` or a rational literal of the input
         file (`expr.parse_rational`); any other, a float or a bool included, is
         refused with an `InputError`."""
-        if n < 2:
-            raise InputError(f"cell dimension {n} is below 2")
-        if n == 2:
-            return cls(2, (), coerced=bool(pairs))
+        if n <= 2:  # below 2, the constructor refuses the cell
+            return cls(n, (), coerced=bool(pairs))
         by_name = {g.name: g for g in model.generators}
         unknown = [name for name, _ in pairs if name not in by_name]
         if unknown:
@@ -128,9 +150,6 @@ class AlphaFunctional:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def value(self, gen: Generator) -> Fraction:
-        return dict(self.coefficients).get(gen, _ZERO)
 
     def support(self) -> list[Generator]:
         return [g for g, _ in self.coefficients]
@@ -178,8 +197,6 @@ class AttachmentModel:
         for g in alpha.support():
             if g not in known:
                 raise InputError(f"alpha references {g.name!r}, not a model generator")
-            if g.degree != self.n - 1:
-                raise _degree_mismatch(g.name, g.degree, self.n)
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._odd = base.dgca._odd  # the parity table; u is no code and has no position
         # degree m -> H^m, kept by `cohomology`

@@ -69,15 +69,6 @@ class FormalityVerdict:
         }
 
 
-def _hurewicz_zero(model: BigradedModel, alpha: AlphaFunctional) -> bool:
-    return not any(alpha.value(g) for g in model.stage_slice(0, alpha.n - 1))
-
-
-def _special(alpha: AlphaFunctional) -> tuple[bool, list[Generator]]:
-    violators = [g for g in alpha.support() if g.stage != 1]
-    return not violators, violators
-
-
 def _witness_text(witness) -> list[str]:
     return [
         (f"{c}*{c1}*{c2}" if c != 1 else f"{c1}*{c2}")
@@ -111,7 +102,7 @@ def formality_verdict(
 
 def _decide(attached: AttachmentModel) -> FormalityVerdict:
     """The criterion on an attachment whose base is known to be standard."""
-    model, alpha = attached.base, attached.alpha
+    alpha = attached.alpha
     assumptions = [BASE_ASSUMPTION, GRADATION_ASSUMPTION]
 
     if alpha.is_zero:
@@ -126,16 +117,15 @@ def _decide(attached: AttachmentModel) -> FormalityVerdict:
             assumptions,
         )
 
-    hurewicz_zero = _hurewicz_zero(model, alpha)
-    u = attached.u_class()
-    if hurewicz_zero == u.is_zero:
+    # alpha's support has degree n - 1: its stage-0 generators are the
+    # Hurewicz image, and its stage >= 2 ones break specialness
+    support = alpha.support()
+    offenders = [g.name for g in support if g.stage == 0]
+    if (not offenders) == attached.u_class().is_zero:
         raise IntegrityError(
             "Hurewicz test and u-class vanishing disagree; model corrupt"
         )
-    if not hurewicz_zero:
-        offenders = [
-            g.name for g in alpha.support() if g.stage == 0 and alpha.value(g)
-        ]
+    if offenders:
         return FormalityVerdict(
             INCONCLUSIVE,
             "hurewicz-nonzero",
@@ -148,17 +138,17 @@ def _decide(attached: AttachmentModel) -> FormalityVerdict:
             assumptions,
         )
 
-    special, violators = _special(alpha)
+    violators = [g for g in support if g.stage >= 2]
     decomposable, witness = attached.u_decomposable()
 
-    if decomposable and special:
+    if decomposable and not violators:
         return FormalityVerdict(
             FORMAL,
             "special-decomposable",
             {
                 "u": _u_text(attached),
                 "decomposition": _witness_text(witness),
-                "special_support": [g.name for g in alpha.support()],
+                "special_support": [g.name for g in support],
             },
             assumptions,
         )

@@ -203,10 +203,6 @@ class RowSpace:
             self.insert(pending.pop())
         self._holders = None
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def pivots(self) -> list[int]:
         return list(self._pivots)
 

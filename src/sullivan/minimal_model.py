@@ -144,15 +144,6 @@ class BigradedModel:
         """d(gen): d of the one-factor monomial gen."""
         return self.dgca.d_monomial(Monomial.of(gen))
 
-    def stage_slice(self, stage: int, degree: int) -> list[Generator]:
-        if degree > self.truncation:
-            raise TruncationError(
-                f"degree {degree} exceeds the model truncation {self.truncation}"
-            )
-        return [
-            g for g in self.generators if g.stage == stage and g.degree == degree
-        ]
-
     def rho_of(self, element: Element) -> Element:
         """Multiplicative extension of rho, reduced to canonical form in A."""
         return _rho_of(element, self.rho, self.algebra)

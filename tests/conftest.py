@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from sullivan import formality
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
@@ -165,17 +164,20 @@ def product_route_indecomposables(algebra, m):
 
 
 def hurewicz_vanishes(model, alpha):
-    """The verdict's Hurewicz test on a standard model: alpha kills every
-    stage-0 generator of degree n - 1."""
+    """The Hurewicz test on a standard model, read off the model's generator
+    table: alpha kills every stage-0 generator of degree n - 1."""
     assert not verify_standard(model)
-    return formality._hurewicz_zero(model, alpha)
+    stage0 = {g for g in model.generators if g.stage == 0 and g.degree == alpha.n - 1}
+    return not any(c for g, c in alpha.coefficients if g in stage0)
 
 
 def is_special(model, alpha):
-    """The verdict's specialness test on a standard model: (special, violators),
-    special when the support of alpha lies in stage 1."""
+    """The specialness test on a standard model: (special, violators), special
+    when every generator alpha is nonzero on has stage 1 in the model's table."""
     assert not verify_standard(model)
-    return formality._special(alpha)
+    stage = {g: g.stage for g in model.generators}
+    violators = [g for g, c in alpha.coefficients if c and stage[g] != 1]
+    return not violators, violators
 
 
 def scaled(alpha, c):

@@ -89,6 +89,39 @@ def test_alpha_coefficients_are_exact_rationals(cp2_attach):
             AlphaFunctional.build(model, 4, [(name, bad)])
 
 
+def test_alpha_functional_is_checked_wherever_it_is_made(cp2_attach, wedge3_s2):
+    """A functional made directly, not through `build`, is refused at
+    construction when it breaks one of its invariants, so no attachment or
+    verdict is reached; on the 2-sphere the zero coefficient used to read as
+    NotFormal and n = -3 as the torsion clause."""
+    sphere = cp2_attach.model
+    a, b = generator(sphere, "a"), generator(sphere, "b")
+    k1, k2 = [g for g in wedge3_s2.model.generators if g.degree == 3][:2]
+    refused = {
+        "n = -3": (-3, ()),
+        "n = 0": (0, ()),
+        "n = 1": (1, ()),
+        "n = 4.0": (4.0, ((b, 1),)),
+        "n = True": (True, ()),
+        "n = 2 with a coefficient": (2, ((a, 1),)),
+        "a zero Fraction": (4, ((b, F(0)),)),
+        "a zero int": (4, ((b, 0),)),
+        "a float": (4, ((b, 0.5),)),
+        "a bool": (4, ((b, True),)),
+        "a wrong-degree generator": (5, ((b, 1),)),
+        "a generator listed twice": (4, ((k1, 1), (k1, 2))),
+        "generators out of order": (4, ((k2, 1), (k1, 1))),
+        "a name, not a generator": (4, (("b", 1),)),
+    }
+    for case, (n, pairs) in refused.items():
+        with pytest.raises(InputError):
+            AlphaFunctional(n, pairs)
+            pytest.fail(case)
+    for n, pairs in ((2, ()), (4, ((b, 1),)), (4, ((k1, F(-1, 2)), (k2, 3)))):
+        assert AlphaFunctional(n, pairs).coefficients == pairs
+    assert AlphaFunctional(2, (), coerced=True).is_zero
+
+
 def test_attachment_elements_print_the_body_then_u():
     a, b, c = Generator("a", 2, index=0), Generator("b", 3, index=1), Generator("c", 3, index=2)
     body = Element({Monomial.of(a, 3): F(-1), Monomial(((b, 1), (c, 1))): F(1, 2)})
@@ -309,8 +342,9 @@ def test_u_class_vanishing_matches_stage0_support(data, sampler):
             pairs.append((g.name, F(c)))
     alpha = AlphaFunctional.build(model, n, pairs)
     att = AttachmentModel(model, alpha)
+    values = dict(alpha.coefficients)
     stage0_hit = any(
-        alpha.value(g) for g in model.generators if g.degree == n - 1 and g.stage == 0
+        values.get(g) for g in model.generators if g.degree == n - 1 and g.stage == 0
     )
     assert att.u_class().is_zero == stage0_hit
 

@@ -93,15 +93,6 @@ def test_model_requires_algebra_headroom():
         build_minimal_model(A, 4)  # needs data through degree 5
 
 
-def test_stage_slices(wedge3_s2):
-    model = wedge3_s2.model
-    assert [g.name for g in model.stage_slice(0, 2)] == ["a1", "a2", "a3"]
-    assert model.stage_slice(5, 2) == []
-    assert len(model.stage_slice(2, 4)) == 8
-    with pytest.raises(TruncationError):
-        model.stage_slice(0, 99)
-
-
 def test_verify_standard_on_built_models(wedge3_s2, fatwedge_e6):
     assert verify_standard(wedge3_s2.model) == []
     assert verify_standard(fatwedge_e6.model) == []
