@@ -77,9 +77,9 @@ def _degree_mismatch(name: str, degree: int, n: int) -> InputError:
 class AlphaFunctional:
     """A functional on the degree-(n-1) generators: the attaching data.
 
-    ``coefficients`` holds the nonzero values, each an int or a `Fraction`
-    (not a bool), keyed by generator: one pair per generator, in
-    `Generator.sort_key` order.  n is an int of at least 2; for n == 2 the zero
+    ``coefficients`` is a tuple of (generator, value) pairs, one per
+    generator, in `Generator.sort_key` order, with each value a nonzero int
+    or `Fraction` (not a bool).  n is an int of at least 2; for n == 2 the zero
     functional is forced (the attachment is a wedge) and ``coerced`` records
     that this happened.  A functional that breaks any of these is refused with
     an `InputError` however it is made.
@@ -94,9 +94,12 @@ class AlphaFunctional:
             raise InputError(f"cell dimension {self.n!r} is not an int")
         if self.n < 2:
             raise InputError(f"cell dimension {self.n} is below 2")
+        pairs = self.coefficients
+        if type(pairs) is not tuple or any(type(p) is not tuple or len(p) != 2 for p in pairs):
+            raise InputError(f"alpha's coefficients {pairs!r} are not a tuple of pairs")
         previous = None
         # no generator has degree 1, so this refuses every pair when n == 2
-        for g, c in self.coefficients:
+        for g, c in pairs:
             if not isinstance(g, Generator):
                 raise InputError(f"alpha is keyed on {g!r}, not a generator")
             if g.degree != self.n - 1:
@@ -117,10 +120,14 @@ class AlphaFunctional:
         n: int,
         pairs: Sequence[tuple[str, Fraction | int | str]],
     ) -> "AlphaFunctional":
-        """Resolve (generator name, coefficient) pairs against a model.  A
-        coefficient is an int, a `Fraction` or a rational literal of the input
-        file (`expr.parse_rational`); any other, a float or a bool included, is
-        refused with an `InputError`."""
+        """Resolve a list or tuple of (generator name, coefficient) pairs
+        against a model.  A coefficient is an int, a `Fraction` or a rational
+        literal of the input file (`expr.parse_rational`).  Any other pair or
+        coefficient, a float or a bool included, is refused with an `InputError`."""
+        if type(pairs) not in (list, tuple) or not all(
+            type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is str for p in pairs
+        ):
+            raise InputError(f"alpha takes (name, coefficient) pairs, not {pairs!r}")
         if n <= 2:  # below 2, the constructor refuses the cell
             return cls(n, (), coerced=bool(pairs))
         by_name = {g.name: g for g in model.generators}

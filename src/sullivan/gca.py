@@ -137,10 +137,6 @@ class Element:
         return cls()
 
     @classmethod
-    def scalar(cls, c) -> "Element":
-        return cls({Monomial.unit(): c})
-
-    @classmethod
     def from_generator(cls, gen: Generator) -> "Element":
         return cls({Monomial.of(gen): _ONE})
 

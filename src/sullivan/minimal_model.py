@@ -95,8 +95,11 @@ lifts have d = 0 and every later d(g) is a cocycle, which the kill layer's
 does not check a built model again.  The model records this as
 `BigradedModel.built`, so `formality.formality_verdict` runs `verify_standard`
 only on a model that no build vouched for, one made by hand; even mode builds
-its own models and does not call it.  `BigradedModel.verify` audits d^2 = 0,
-the stages and rho on any model.  There is no repair path.
+its own models and does not call it.  rho is data only on V_0: the build maps
+each lift to itself and every other generator to one shared zero, and
+`BigradedModel` checks a hand-made rho when it is made.  `BigradedModel.verify`
+audits d^2 = 0, the stages and rho(d(g)) = 0 on any model, on the codes of
+d(g).  There is no repair path.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
 from .gca import Element, Generator, Monomial, monomial_basis
-from .dgca import CohomologySpace, FreeDGCA
-from .linalg import kernel_rref, solve_in_span, solve_rows
+from .dgca import CohomologySpace, FreeDGCA, code_products
+from .linalg import add_scaled, kernel_rref, solve_in_span, solve_rows
 from .presented import PresentedAlgebra, validate_presentation
 
 _ONE = Fraction(1)
@@ -124,13 +127,35 @@ class BigradedModel:
     ``built`` records how the model was made, as `FreeDGCA.d_is_data` records
     how d was: `build_minimal_model` sets it, since the build proves its model
     standard, and `rename` keeps it.  A model made by hand leaves it unset.
-    The mark vouches for the model as the build left it.
+    The mark vouches for the model as the build left it.  Without it, rho is
+    checked when the model is made: it has an image for exactly the model's
+    generators, each an `Element` of A's generators, zero or of its
+    generator's degree; any other rho is an `InputError` naming the generator.
     """
 
     dgca: FreeDGCA
     rho: dict[Generator, Element]
     algebra: PresentedAlgebra
     built: bool = False
+
+    def __post_init__(self):
+        if self.built:
+            return
+        for g in self.dgca.gens:
+            if g not in self.rho:
+                raise InputError(f"rho has no image for the generator {g.name!r}")
+        for g, image in self.rho.items():
+            if g not in self.dgca._position:
+                name = g.name if isinstance(g, Generator) else g
+                raise InputError(f"rho has an image for {name!r}, which is not a generator")
+            if not isinstance(image, Element):
+                raise InputError(f"rho({g.name}) = {image!r} is not an Element")
+            for mon, _ in image.terms():
+                for h in mon.generators():
+                    if h not in self.algebra._position:
+                        raise InputError(f"rho({g.name}) uses {h.name!r}, which is not in A")
+                if mon.degree != g.degree:
+                    raise InputError(f"rho({g.name}) has degree {mon.degree}, not {g.degree}")
 
     @property
     def truncation(self) -> int:
@@ -144,33 +169,55 @@ class BigradedModel:
         """d(gen): d of the one-factor monomial gen."""
         return self.dgca.d_monomial(Monomial.of(gen))
 
-    def rho_of(self, element: Element) -> Element:
-        """Multiplicative extension of rho, reduced to canonical form in A."""
-        return _rho_of(element, self.rho, self.algebra)
+    def _rho_codes(self):
+        """rho on codes: a function of the (code, coefficient) terms of a
+        degree-k element of the model and k, giving rho of it reduced in A^k
+        as {column: c}.  Each image is encoded once, products of images are
+        merged by `dgca.code_products` over A's parity table, and the sum is
+        reduced once, since the relations span an ideal."""
+        algebra, odd = self.algebra, self.algebra._odd
+        images = [algebra.terms_of(self.rho[g]) for g in self.dgca.gens]
+
+        def rho_of(terms, degree):
+            total = {}
+            for code, c in terms:
+                value = {(): c}
+                for p in [p for p, e in code for _ in range(e)]:
+                    product = {}
+                    for base, b in value.items():
+                        left = [q for q, _ in base if odd[q]]
+                        add_scaled(product, b, dict(code_products(images[p], base, left, odd)))
+                    value = product
+                add_scaled(total, 1, value)
+            if not total:
+                return {}
+            space = algebra.graded_component(degree)
+            return space.coboundaries.reduce({space.index[k]: c for k, c in total.items()})
+
+        return rho_of
 
     # --- structural checks ------------------------------------------------
     def verify(self) -> list[str]:
         """Structural invariants; returns human-readable violations.
 
-        Minimality is not among them: the `FreeDGCA` refuses a linear term
-        of d where it grows.
+        d^2 = 0, the stages of the terms of each d(g), the first too high one
+        named in code order (`Monomial.sort_key` order), and rho(d(g)) = 0,
+        all read on the codes.  Minimality is not among them: the `FreeDGCA`
+        refuses a linear term of d where it grows; nor is rho = 0 on stages
+        >= 1, which `verify_standard` checks.
         """
         problems = []
         bad = self.dgca.verify_d_squared()
         if bad is not None:
             problems.append(f"d^2 != 0 at generator {bad[0].name}: {bad[1]}")
-        for g in self.generators:
-            dg = self.d_of(g)
-            for mon in dg.monomials():
-                if mon.max_stage() >= g.stage:
-                    problems.append(
-                        f"d({g.name}) involves stage {mon.max_stage()} "
-                        f">= its own stage {g.stage}"
-                    )
-                    break
-            if g.stage >= 1 and not self.rho[g].is_zero:
-                problems.append(f"rho({g.name}) != 0 on a stage-{g.stage} generator")
-            if not self.rho_of(dg).is_zero:
+        stage_of = [g.stage for g in self.generators]
+        rho_of = self._rho_codes()
+        for g, dg in self.dgca.d_codes():
+            high = [code for code, _ in dg if max([stage_of[p] for p, _ in code]) >= g.stage]
+            if high:
+                stage = max([stage_of[p] for p, _ in min(high)])
+                problems.append(f"d({g.name}) involves stage {stage} >= its own stage {g.stage}")
+            if rho_of(dg, g.degree + 1):
                 problems.append(f"rho(d({g.name})) != 0")
         return problems
 
@@ -232,7 +279,8 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
             _kill_step(model, h_space, algebra.graded_component(m + 1))
 
     # the lifts are the stage-0 generators, and rho kills every other one
-    rho = {g: Element.from_generator(g) if not g.stage else Element.zero() for g in model.gens}
+    zero = Element.zero()
+    rho = {g: zero if g.stage else Element.from_generator(g) for g in model.gens}
     return BigradedModel(model, rho, algebra, built=True)
 
 
@@ -324,26 +372,6 @@ def _rho_constraints(h_space, pure, a_space) -> list[dict[int, Fraction]]:
         for j, c in a_space.coordinates(vec).items():
             rows[j][t] = c
     return list(rows.values())
-
-
-def _rho_of(element: Element, rho: Mapping[Generator, Element], algebra: PresentedAlgebra) -> Element:
-    """rho of ``element``, multiplied out in the free cover and reduced once.
-
-    The relations span an ideal, so reducing only the finished sum gives the
-    same canonical element as reducing after every factor.
-    """
-    out = Element.zero()
-    for mon, coeff in element.terms():
-        value = Element.scalar(coeff)
-        for g, e in mon.powers:
-            image = rho[g]
-            if image.is_zero:
-                value = Element.zero()
-                break
-            for _ in range(e):
-                value = value * image
-        out = out + value
-    return algebra.reduce(out)
 
 
 # Not called here: perfbench/layertrace.py wraps preimage_in_v0_v1 and

@@ -7,9 +7,9 @@ from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentMo
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError
 from sullivan.fixtures import build_fixture
-from sullivan.gca import Element, Generator, monomial_basis
+from sullivan.gca import Element, Generator, Monomial, monomial_basis
 from sullivan.linalg import RowSpace, add_scaled, intersect_spans, solve_in_span, solve_rows
-from sullivan.minimal_model import BigradedModel, _rho_of, build_minimal_model, verify_standard
+from sullivan.minimal_model import BigradedModel, build_minimal_model, verify_standard
 from sullivan.presented import PresentedAlgebra
 
 
@@ -195,6 +195,30 @@ def pure_part(x):
     return Element({mon: c for mon, c in x.terms() if mon.max_stage() == 0})
 
 
+def reference_rho_of(rho, algebra, element):
+    """rho of ``element``, with the product reduced in A after every factor
+    (`PresentedAlgebra.product`)."""
+    out = Element.zero()
+    for mon, coeff in element.terms():
+        value = Element({Monomial.unit(): coeff})
+        for g, e in mon.powers:
+            for _ in range(e):
+                value = algebra.product(value, rho[g])
+        out = out + value
+    return algebra.reduce(out)
+
+
+def code_rho_of(model, element):
+    """rho of an element of the model through the model's code evaluator,
+    decoded in A."""
+    degree = element.homogeneous_degree() or 0
+    vec = model._rho_codes()(model.dgca.terms_of(element), degree)
+    if not vec:
+        return Element.zero()
+    keys = model.algebra.graded_component(degree).keys
+    return model.algebra.element_of({keys[i]: c for i, c in vec.items()})
+
+
 def substitute(model, gen, delta):
     """The basis change gen -> gen + delta of a `BigradedModel`.
 
@@ -215,7 +239,8 @@ def substitute(model, gen, delta):
     d = {g: _replaced(model.d_of(g), gen, replacement) for g in model.generators}
     d[gen] = model.d_of(gen) + d_of(model.dgca, delta)
     rho = dict(model.rho)
-    rho[gen] = model.algebra.reduce(model.rho[gen] + model.rho_of(delta))
+    image = reference_rho_of(model.rho, model.algebra, delta)
+    rho[gen] = model.algebra.reduce(model.rho[gen] + image)
     return BigradedModel(FreeDGCA(model.generators, d, model.truncation), rho, model.algebra)
 
 
@@ -223,7 +248,7 @@ def _replaced(x, gen, replacement):
     """``x`` with every factor ``gen`` replaced by ``replacement``."""
     out = Element.zero()
     for mon, coeff in x.terms():
-        value = Element.scalar(coeff)
+        value = Element({Monomial.unit(): coeff})
         for g, e in mon.powers:
             factor = replacement if g == gen else Element.from_generator(g)
             for _ in range(e):
@@ -240,7 +265,8 @@ def stage_rho(gens):
 def reference_kill_step(model, h_space, a_space):
     """The kill step as first written, for `minimal_model._kill_step`'s signature.
 
-    It decodes every class, forms rho* of each whole representative, takes
+    It decodes every class, forms rho* of each whole representative
+    (`reference_rho_of`, which reduces after every factor), takes
     the kernel of rho* even when it has no constraint, reads the pure classes
     through `class_of`, and reduces every kernel vector modulo the stage-1
     span.  The changes are that it sums the class rows by column and maps
@@ -254,7 +280,7 @@ def reference_kill_step(model, h_space, a_space):
     constraint_rows = {}
     if a_space.dimension:
         for i, cls in enumerate(classes(h_space)):
-            image = _rho_of(cls.representative, rho, a_space.cochains)
+            image = reference_rho_of(rho, a_space.cochains, cls.representative)
             for j, c in enumerate(a_space.class_of(image).coordinates):
                 if c:
                     constraint_rows.setdefault(j, {})[i] = c

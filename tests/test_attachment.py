@@ -93,7 +93,10 @@ def test_alpha_functional_is_checked_wherever_it_is_made(cp2_attach, wedge3_s2):
     """A functional made directly, not through `build`, is refused at
     construction when it breaks one of its invariants, so no attachment or
     verdict is reached; on the 2-sphere the zero coefficient used to read as
-    NotFormal and n = -3 as the torsion clause."""
+    NotFormal and n = -3 as the torsion clause.  A malformed container of
+    coefficients or pairs is an `InputError` too, not a `TypeError` or a
+    `ValueError`, and a list of pairs no longer leaves the functional
+    unhashable."""
     sphere = cp2_attach.model
     a, b = generator(sphere, "a"), generator(sphere, "b")
     k1, k2 = [g for g in wedge3_s2.model.generators if g.degree == 3][:2]
@@ -112,11 +115,24 @@ def test_alpha_functional_is_checked_wherever_it_is_made(cp2_attach, wedge3_s2):
         "a generator listed twice": (4, ((k1, 1), (k1, 2))),
         "generators out of order": (4, ((k2, 1), (k1, 1))),
         "a name, not a generator": (4, (("b", 1),)),
+        "no coefficients at all": (4, None),
+        "a list of pairs": (4, [(b, 1)]),
+        "a pair of three": (4, ((b, 1, 2),)),
+        "a lone generator": (4, (b,)),
+        "a list as a pair": (4, ([b, 1],)),
     }
     for case, (n, pairs) in refused.items():
         with pytest.raises(InputError):
             AlphaFunctional(n, pairs)
             pytest.fail(case)
+    for case, pairs in {
+        "None": None, "a pair of three": [("b", 1, 2)], "a lone name": ["b"],
+        "a dict": {"b": 1}, "a name that is no str": [(["b"], 1)],
+    }.items():
+        for n in (2, 4):
+            with pytest.raises(InputError, match="^alpha takes \\(name, coefficient\\) pairs"):
+                AlphaFunctional.build(sphere, n, pairs)
+                pytest.fail(f"build, n = {n}: {case}")
     for n, pairs in ((2, ()), (4, ((b, 1),)), (4, ((k1, F(-1, 2)), (k2, 3)))):
         assert AlphaFunctional(n, pairs).coefficients == pairs
     assert AlphaFunctional(2, (), coerced=True).is_zero

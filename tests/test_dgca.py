@@ -1081,7 +1081,7 @@ def test_extend_keeps_or_drops_the_record():
         assert _pieces(D, 6) == _pieces(FreeDGCA([a, b, x], {**d, x: dx}, truncation=9), 6)
         return kept
 
-    def a_power(e, times=Element.scalar(1)):
+    def a_power(e, times=Element({Monomial.unit(): 1})):
         return Element.from_monomial(Monomial.of(a, e)) * times
 
     assert record_after(6, Element.zero())  # k = |x| and dx = 0

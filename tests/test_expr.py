@@ -37,7 +37,7 @@ def test_leading_minus():
 
 
 def test_bare_coefficient_is_a_constant():
-    assert parse_element("5/3", GENS) == Element.scalar(F(5, 3))
+    assert parse_element("5/3", GENS) == Element({Monomial.unit(): F(5, 3)})
 
 
 def test_coefficient_times_monomial():
@@ -156,7 +156,7 @@ def _term_text(term):
 
 def _term_element(term):
     coeff, factors = term
-    out = Element.scalar(1 if coeff is None else F(coeff[0], coeff[1] or 1))
+    out = Element({Monomial.unit(): 1 if coeff is None else F(coeff[0], coeff[1] or 1)})
     for name, e in factors:
         for _ in range(e or 1):
             out = out * Element.from_generator(ORACLE_GENS[name])

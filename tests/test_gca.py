@@ -60,7 +60,7 @@ def test_normalize_is_stable():
     product = E(a) * E(b) * E(a1)
     [mon] = product.monomials()
     assert product.coefficient(mon) == 1
-    again = Element.scalar(1)
+    again = Element({Monomial.unit(): 1})
     for g, e in mon.powers:
         for _ in range(e):
             again = again * E(g)

@@ -12,19 +12,15 @@ from sullivan import dgca, linalg, minimal_model
 from sullivan.dgca import FreeDGCA
 from sullivan.errors import InputError, IntegrityError, TruncationError
 from sullivan.expr import parse_element
-from sullivan.fixtures import fixture_ids, get_fixture, load_job
+from sullivan.fixtures import build_fixture, fixture_ids, get_fixture, load_job
 from sullivan.gca import Element, Generator, Monomial, monomial_basis, monomial_codes
-from sullivan.minimal_model import (
-    BigradedModel,
-    _rho_of,
-    build_minimal_model,
-    verify_standard,
-)
+from sullivan.minimal_model import BigradedModel, build_minimal_model, verify_standard
 from sullivan.presented import PresentedAlgebra
 
 from conftest import (
     built_wedge_and_dense_models,
     classes,
+    code_rho_of,
     d_of,
     dense_quadratic_presentations,
     elements_of,
@@ -32,6 +28,7 @@ from conftest import (
     kept_spaces,
     pure_part,
     reference_kill_step,
+    reference_rho_of,
     small_presentations,
     stage_rho,
     substitute,
@@ -288,22 +285,9 @@ def test_rho_is_multiplicative_on_samples(data, sampler):
         return
     x = Element.from_monomial(sampler.draw(st.sampled_from(xs)))
     y = Element.from_monomial(sampler.draw(st.sampled_from(ys)))
-    lhs = model.rho_of(x * y)
-    rhs = algebra.product(model.rho_of(x), model.rho_of(y))
+    lhs = code_rho_of(model, x * y)
+    rhs = algebra.product(code_rho_of(model, x), code_rho_of(model, y))
     assert lhs == rhs
-
-
-def reference_rho_of(model, element):
-    """rho of ``element`` with the product reduced in A after every factor."""
-    algebra = model.algebra
-    out = Element.zero()
-    for mon, coeff in element.terms():
-        value = Element.scalar(coeff)
-        for g, e in mon.powers:
-            for _ in range(e):
-                value = algebra.product(value, model.rho[g])
-        out = out + value
-    return algebra.reduce(out)
 
 
 # (generators, relations, algebra truncation): A^m != 0 in several degrees
@@ -330,10 +314,11 @@ def _rho_models(algebra):
 def _check_rho_against_reference(model, data):
     for m in range(0, model.truncation + 1):
         x = data.draw(elements_of(model.dgca, m, max_terms=4))
-        assert model.rho_of(x) == reference_rho_of(model, x), f"degree {m}: {x}"
+        expected = reference_rho_of(model.rho, model.algebra, x)
+        assert code_rho_of(model, x) == expected, f"degree {m}: {x}"
     for g in model.generators:
         dg = model.d_of(g)
-        assert model.rho_of(dg) == reference_rho_of(model, dg)
+        assert code_rho_of(model, dg) == reference_rho_of(model.rho, model.algebra, dg)
 
 
 @settings(max_examples=20, deadline=None)
@@ -634,7 +619,9 @@ def _reference_constraints(h_space, a_space, pure):
     rows = {}
     rho = stage_rho(h_space.cochains.gens)
     if a_space.dimension:
-        images = [_rho_of(cls.representative, rho, a_space.cochains) for cls in classes(h_space)]
+        images = [
+            reference_rho_of(rho, a_space.cochains, cls.representative) for cls in classes(h_space)
+        ]
         assert all(image.is_zero for i, image in enumerate(images) if i not in pure)
         for t, i in enumerate(reversed(pure)):
             for j, c in enumerate(a_space.class_of(images[i]).coordinates):
@@ -724,7 +711,11 @@ def _substitutions(model, limit):
             if kind not in kinds:
                 continue
             w = Element.from_monomial(mon)
-            if not (model.rho_of(w) if kind == 0 else d_of(model.dgca, w)).is_zero:
+            if kind == 0:
+                moved = reference_rho_of(model.rho, model.algebra, w)
+            else:
+                moved = d_of(model.dgca, w)
+            if not moved.is_zero:
                 kinds.discard(kind)
                 yield substitute(model, gen, w)
                 made += 1
@@ -756,6 +747,149 @@ def test_verify_standard_matches_the_decoded_reference_random(data, sampler):
     delta = sampler.draw(elements_of(FreeDGCA(others, {}, truncation), gen.degree))
     perturbed = substitute(model, gen, delta)
     assert verify_standard(perturbed) == reference_verify_standard(perturbed)
+
+
+# ---------------------------------------------------------------------------
+# rho's rules, checked when a model is made, and verify on the code tables
+
+
+def _hand_made(a_gens, relations, gens, d, rho, n):
+    """A hand-made model over A = <a_gens | relations>, truncated at n.
+
+    ``gens`` lists (name, degree, stage) in position order; ``d`` and ``rho``
+    map names to the texts of d(g), over the model, and of rho(g), over A;
+    a generator that ``rho`` omits maps to zero.
+    """
+    algebra = PresentedAlgebra.from_strings(a_gens, relations, n + 1)
+    in_a = {g.name: g for g in algebra.generators}
+    named = {name: Generator(name, deg, stage, i) for i, (name, deg, stage) in enumerate(gens)}
+    dgca = FreeDGCA(list(named.values()),
+                    {named[x]: parse_element(text, named) for x, text in d.items()}, n)
+    images = {g: parse_element(rho.get(name, "0"), in_a) for name, g in named.items()}
+    return BigradedModel(dgca, images, algebra)
+
+
+def test_a_hand_made_rho_is_checked_when_the_model_is_made():
+    """On the 2-sphere (a^2 = 0, N = 4), each fault is an `InputError` that
+    names the generator; before, `verify`, `verify_standard`, `rename` or a
+    verdict met it as a `KeyError`, or as a nonzero rho(d(g))."""
+    model = build_minimal_model(PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 5), 4)
+    a, b = model.generators
+    assert b.name == "v3_s1_0"
+    other = Generator("x", 2, 0, 1)
+    refused = {
+        "a missing stage-0 key": ({b: Element.zero()}, "^rho has no image for the generator 'a'$"),
+        "a missing stage-1 key": (
+            {a: model.rho[a]}, "^rho has no image for the generator 'v3_s1_0'$"),
+        "an extra key": (
+            {**model.rho, other: Element.zero()},
+            "^rho has an image for 'x', which is not a generator$"),
+        "an image outside A": (
+            {a: Element.from_generator(other), b: Element.zero()},
+            "^rho\\(a\\) uses 'x', which is not in A$"),
+        "an image of the wrong degree": (
+            {a: model.rho[a], b: Element({Monomial.unit(): 1})},
+            "^rho\\(v3_s1_0\\) has degree 0, not 3$"),
+        "an image that is not an Element": (
+            {a: model.rho[a], b: 0}, "^rho\\(v3_s1_0\\) = 0 is not an Element$"),
+    }
+    for case, (rho, message) in refused.items():
+        with pytest.raises(InputError, match=message):
+            BigradedModel(model.dgca, rho, model.algebra)
+            pytest.fail(case)
+    # the same rho by hand is taken, and the built mark skips the checks
+    assert BigradedModel(model.dgca, dict(model.rho), model.algebra).verify() == []
+    BigradedModel(model.dgca, {}, model.algebra, built=True)
+
+
+# Hand-made faults and what `verify() + verify_standard(model)` gives for them.
+# The lists are those of the code before verify read the code tables, less
+# verify's copy of "rho(g) != 0 on a stage-k generator", which only
+# verify_standard now reports.
+_SPHERE = ([("a", 2)], ["a^2"])
+_FAULTS = {
+    "d^2": (
+        (*_SPHERE, [("a", 2, 0), ("b", 3, 1), ("c", 4, 2)], {"b": "a^2", "c": "a*b"},
+         {"a": "a"}, 4),
+        ["d^2 != 0 at generator c: a^3"],
+    ),
+    "stage": (
+        (*_SPHERE, [("a", 2, 0), ("x", 3, 0), ("b", 3, 1), ("e", 3, 1), ("c", 4, 1)],
+         {"x": "a^2", "b": "a^2", "e": "a^2", "c": "a*b - a*e"}, {"a": "a"}, 4),
+        ["d(x) involves stage 0 >= its own stage 0", "d(c) involves stage 1 >= its own stage 1"],
+    ),
+    "the first offending term in code order": (
+        (*_SPHERE, [("a", 2, 0), ("b", 3, 1), ("e", 3, 1), ("f", 4, 2), ("c", 5, 1)],
+         {"b": "a^2", "e": "a^2", "f": "a*b - a*e", "c": "a*f + b*e"}, {"a": "a"}, 5),
+        ["d(c) involves stage 2 >= its own stage 1"],
+    ),
+    "rho(d(g)) in a free A": (
+        ([("a", 2)], [], [("a", 2, 0), ("b", 3, 1)], {"b": "a^2"}, {"a": "a"}, 4),
+        ["rho(d(b)) != 0"],
+    ),
+    "rho(d(g)) of a mixed product": (
+        ([("a", 2), ("x", 2)], ["a^2", "x^2"], [("a", 2, 0), ("x", 2, 0), ("b", 3, 1)],
+         {"b": "a*x"}, {"a": "a", "x": "x"}, 4),
+        ["rho(d(b)) != 0"],
+    ),
+    "rho(d(g)) of odd images": (
+        ([("y", 3), ("z", 3)], [], [("y", 3, 0), ("z", 3, 0), ("w", 5, 1)], {"w": "y*z"},
+         {"y": "y + z", "z": "y - z"}, 6),
+        ["rho(d(w)) != 0"],
+    ),
+    "odd images whose product is a relation": (
+        ([("y", 3), ("z", 3)], ["y*z"], [("y", 3, 0), ("z", 3, 0), ("w", 5, 1)], {"w": "y*z"},
+         {"y": "y + z", "z": "y - z"}, 6),
+        [],
+    ),
+    "rho on a positive stage": (
+        ([("a", 2), ("x", 3)], ["a^2"], [("a", 2, 0), ("x", 3, 0), ("b", 3, 1)], {"b": "a^2"},
+         {"a": "a", "x": "x", "b": "x"}, 4),
+        ["rho(b) = x != 0 on stage 1"],
+    ),
+    "every kind at once": (
+        ([("a", 2), ("x", 3)], [],
+         [("a", 2, 0), ("x", 3, 0), ("b", 3, 1), ("e", 3, 1), ("c", 4, 1), ("f", 4, 2)],
+         {"b": "a^2", "e": "a^2", "c": "a*b - a*e", "f": "a*b"},
+         {"a": "a", "x": "x", "b": "-2*x", "e": "x"}, 4),
+        ["d^2 != 0 at generator f: a^3", "rho(d(b)) != 0", "rho(d(e)) != 0",
+         "d(c) involves stage 1 >= its own stage 1", "rho(d(c)) != 0", "rho(d(f)) != 0",
+         "rho(b) = -2*x != 0 on stage 1", "rho(e) = x != 0 on stage 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTS))
+def test_verify_on_codes_flags_the_hand_made_faults(case):
+    args, expected = _FAULTS[case]
+    model = _hand_made(*args)
+    assert model.verify() + verify_standard(model) == expected
+
+
+def test_verify_multiplies_no_element(monkeypatch, wedge3_s2):
+    """verify reads the code tables: with `Element` products and sums and
+    `FreeDGCA.element_of` refused, it still passes every fixture model, a
+    dense model, one whose rho is not monomial, and the r = 3, N = 8 wedge."""
+    models = [build_fixture(fixture_id).model for fixture_id in fixture_ids()]
+    dense = PresentedAlgebra.from_strings(
+        [("x1", 2), ("x2", 2), ("x3", 2)],
+        ["2*x1^2 - 3/2*x1*x2 + x2^2 - x3^2", "x1*x3 + 4*x2*x3 - 2/3*x2^2 + 3*x1^2"], 8)
+    models.append(build_minimal_model(dense, 7))
+    x1, x2 = models[-1].generators[:2]
+    models.append(substitute(models[-1], x1, Element.from_generator(x2)))
+    wedge = PresentedAlgebra.from_strings(
+        [(f"x{i}", 2) for i in range(1, 4)],
+        [_square_free_text(i, j) for i in range(1, 4) for j in range(i, 4)], 9)
+    models.append(build_minimal_model(wedge, 8))
+
+    def refuse(*args):
+        raise AssertionError("verify built an Element")
+
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(Element, name, refuse)
+    monkeypatch.setattr(FreeDGCA, "element_of", refuse)
+    for model in models:
+        assert model.verify() == []
 
 
 def _rebuilt(model, gmap):
