@@ -29,10 +29,17 @@ in its column index instead (from rank ``linalg.INDEX_RANK`` on), so the
 table shows what the walk would cost at each rank.  The counts come from
 wrappers this script puts around ``RowSpace.__init__`` and
 ``RowSpace.insert``, which the constructor hands every row; they add a copy
-of the stored rows to every insert.  A last line gives the entries of every
-``RowSpace.kernel`` vector and how many of them are ``Fraction``s, from a
-wrapper around ``RowSpace.kernel``: an entry is an int wherever it is
-integral, so the share shows how far the integral path reaches.
+of the stored rows to every insert.  A line after the table gives the
+entries of every ``RowSpace.kernel`` vector and how many of them are
+``Fraction``s, from a wrapper around ``RowSpace.kernel``: an entry is an int
+wherever it is integral, so the share shows how far the integral path
+reaches.  Then, by
+degree, come the cocycle eliminations of ``CohomologySpace.__init__``: how
+many ran, how many of them were split by grading block, the blocks and the
+chunks they used, and the most columns one chunk held.  An elimination that
+is not split is one chunk of all its free columns and counts no block.  The
+counts come from wrappers around ``CohomologySpace.__init__`` and
+``dgca._chunks``.
 
 For each hot layer of the cohomology elimination (d of each cochain is the
 ``_d_code`` row: the list of (code, coefficient) pairs that ``boundaries``
@@ -62,6 +69,7 @@ import pstats
 import sys
 import tempfile
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -214,6 +222,56 @@ def counting_kernel_entries(job, counts: list[int]):
     return counted_job
 
 
+CHUNK_COUNTS = ("eliminations", "split", "blocks", "chunks", "largest")
+
+
+def counting_chunks(job, table: defaultdict):
+    """``job`` with the cocycle elimination wrapped while it runs: each
+    ``CohomologySpace.__init__`` of degree m adds to ``table[m]``, a list of
+    the CHUNK_COUNTS, the last of which is a maximum."""
+    space_class = dgca.CohomologySpace
+
+    def counted_job():
+        init, chunks = space_class.__init__, dgca._chunks
+        split = []  # the chunks of the elimination that runs, if it is split
+
+        def counted_chunks(free, keys, grade):
+            out = chunks(free, keys, grade)
+            split.append(out)
+            return out
+
+        def counted_init(self, cochains, m):
+            split.clear()
+            init(self, cochains, m)
+            row = table[m]
+            row[0] += 1
+            if split:
+                [out] = split
+                sizes = [sum(map(len, chunk)) for chunk in out]
+                row[1] += 1
+                row[2] += sum(map(len, out))
+            else:
+                sizes = [len(self._class_pivots) + len(self.complement)]
+            row[3] += len(sizes)
+            row[4] = max(row[4], *sizes)
+
+        space_class.__init__, dgca._chunks = counted_init, counted_chunks
+        try:
+            job()
+        finally:
+            space_class.__init__, dgca._chunks = init, chunks
+
+    return counted_job
+
+
+def print_chunks(table: dict) -> None:
+    print(f"cocycle eliminations by degree (chunks of whole grading blocks, of at least "
+          f"{linalg.INDEX_RANK} columns)")
+    print(f"{'degree':<10}" + "".join(f"{name:>14}" for name in CHUNK_COUNTS))
+    for m in sorted(table):
+        print(f"{m:<10}" + "".join(f"{c:>14}" for c in table[m]))
+
+
 def print_counts(table: list[list[int]], top: int) -> None:
     print(f"RowSpace inserts by rank at insert (largest rank at an insert {top}; "
           f"the column index starts at rank {linalg.INDEX_RANK})")
@@ -256,9 +314,11 @@ def main(argv=None) -> int:
             name, seed = args.workload
             job = workload_job(name, int(seed), workdir)
         if args.counts:
-            kernel = [0, 0]
-            print_counts(*insert_counts(counting_kernel_entries(job, kernel), args.repeat))
+            kernel, chunks = [0, 0], defaultdict(lambda: [0] * len(CHUNK_COUNTS))
+            job = counting_chunks(counting_kernel_entries(job, kernel), chunks)
+            print_counts(*insert_counts(job, args.repeat))
             print(f"RowSpace.kernel entries built {kernel[0]}, Fractions among them {kernel[1]}")
+            print_chunks(chunks)
             return 0
         return print_profile(job, args.repeat)
 

@@ -206,6 +206,8 @@ class AttachmentModel:
                 raise InputError(f"alpha references {g.name!r}, not a model generator")
         self._alpha_on_keys = {base.dgca.key(Monomial.of(g)): c for g, c in alpha.coefficients}
         self._odd = base.dgca._odd  # the parity table; u is no code and has no position
+        # no grade table: u has no code, and d(x) + alpha(x) u is not homogeneous
+        self._grade = None
         # degree m -> H^m, kept by `cohomology`
         self._spaces: dict[int, CohomologySpace] = {}
         self._u_class: CohomologyClass | None = None

@@ -21,6 +21,24 @@ coefficient 1.  So `CohomologySpace` eliminates the d-constraints of the
 non-pivot cochains once, in reversed column order (`linalg.kernel_rref`),
 and reads the class rows off the kernel.
 
+A complex whose every d(g) is homogeneous under a grading of its generators
+eliminates in chunks.  A code's grade is the sum of its factors' grades, d
+preserves it, and so the constraint rows of the free columns of one grade, a
+block, have targets of that grade alone: the system is block-diagonal.  Its
+kernel is the direct sum of the blocks' kernels, and the union of the
+blocks' RREFs, each over its own columns in their order, is the RREF of the
+whole: every row is zero off its block, so at the pivots of every other
+block, and sorted by pivot the rows are in echelon form.  So
+`CohomologySpace` packs whole blocks into chunks of at least
+`linalg.INDEX_RANK` columns, builds and eliminates one chunk's constraint
+table at a time, and merges the class rows by pivot, with the same result as
+one elimination and the working set of the largest chunk.  A chunk holds
+many blocks, so the number of eliminations stays near one per degree.
+`FreeDGCA` keeps the grade of each position (see `extend_codes`): a
+`minimal_model` build seeds it with A's grading (see `presented`), and any
+other complex has none and eliminates each degree whole, as does a degree
+with no more free columns than one chunk.
+
 The coboundary rows and class rows of degree k together form an echelon
 basis of Z^k.  If P is its pivot set, d of the basis cochains off P (the
 complement) is a basis of B^(k+1), so the coboundaries of degree k + 1 are
@@ -58,7 +76,8 @@ answers with the one built again.
 
 `CohomologySpace` and `decomposition` read a complex through a small
 interface -- ``keys``, ``d_basis``, ``boundaries``, ``terms_of``,
-``element_of`` and the parity table ``_odd`` -- which two complexes serve:
+``element_of``, the parity table ``_odd`` and the grade table ``_grade`` or
+None -- which two complexes serve:
 `FreeDGCA` and the cell-attachment complex `attachment.AttachmentModel`.
 The presented algebra (A, 0) of
 `presented.PresentedAlgebra` is a `FreeDGCA` with zero differential that
@@ -117,6 +136,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Collection, Mapping, Sequence
 
 from .errors import InputError, IntegrityError, TruncationError
@@ -124,7 +144,7 @@ from .gca import Element, Generator, Monomial, monomial_codes
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
 # module name bound to it and requires this binding.
 from .gca import monomial_basis  # noqa: F401
-from .linalg import RowSpace, add_scaled, kernel_rref, solve_rows
+from .linalg import INDEX_RANK, RowSpace, add_scaled, kernel_rref, solve_rows
 # Not called here: perfbench/layertrace.py wraps solve_in_span under every
 # module name bound to it and requires this binding.
 from .linalg import solve_in_span  # noqa: F401
@@ -194,6 +214,9 @@ class FreeDGCA:
         self._degree: list[int] = []
         self._odd: list[bool] = []
         self._d_codes: list[tuple] = []
+        # the grade of each position, or None once a batch comes that no
+        # grading vouches for; see extend_codes
+        self._grade: list[int] | None = []
         # set once a batch with no kills vouch brings a nonzero d(g); see extend_codes
         self.d_is_data = False
         self.extend(gens, d_on_gens)
@@ -226,6 +249,7 @@ class FreeDGCA:
         self,
         layer: Sequence[tuple[Generator, Mapping[tuple | int, int | Fraction]]],
         kills: Collection[int] | None = None,
+        grades: Mapping[Generator, int] | None = None,
     ):
         """Append generators, each with its d given as {code: nonzero coefficient}.
 
@@ -273,6 +297,15 @@ class FreeDGCA:
         `renamed` carries over, and `attachment.AttachmentModel` checks d^2
         only on a complex that has it set.  Batches with d = 0 (stage-0
         lifts, every `presented.PresentedAlgebra`) leave it as it is.
+
+        The grade table, one int per position, keeps a grading that every
+        d(g) preserves, for `CohomologySpace` to eliminate by.  The empty
+        complex has an empty table.  ``grades``, given by a caller that
+        vouches for it (the stage-0 lifts of `minimal_model`, with d = 0),
+        gives each new generator's grade.  A kill layer's d(g) are class rows
+        of a graded H^k and so homogeneous (see `minimal_model`), and each new
+        generator takes the grade of the first term of its d(g).  Any other
+        batch drops the table for good, and `renamed` shares it.
         """
         layer = sorted(layer, key=lambda pair: pair[0].sort_key())
         if not layer:
@@ -334,10 +367,22 @@ class FreeDGCA:
                     raise InputError(f"d({g.name}) has a zero coefficient")
                 pairs.append((code, c))
             d_codes.append(tuple(pairs))
+        grade = self._grade
+        if grade is not None and kills is not None:
+            grade = list(grade)
+            for dg in d_codes:
+                total = 0
+                for p, e in dg[0][0] if dg else ():
+                    total += e * grade[p]
+                grade.append(total)
+        elif grade is not None and grades is not None:
+            grade = grade + [grades[g] for g in new]
+        else:
+            grade = None
 
         self._position.update((g, p) for p, g in enumerate(new, len(self.gens)))
         self.gens += new
-        self._degree, self._odd = degree, odd
+        self._degree, self._odd, self._grade = degree, odd, grade
         self._d_codes += d_codes
         if kills is None and any(d_codes):
             self.d_is_data = True
@@ -602,7 +647,12 @@ class CohomologySpace:
     that space is the span of the cocycles reduced modulo the coboundaries,
     and it is the kernel of d on the non-pivot columns; `linalg.kernel_rref`
     gives its forward reduced form from one elimination in reversed column
-    order, so d is taken only of the non-pivot cochains.
+    order, so d is taken only of the non-pivot cochains.  When the complex
+    has a grade table (``_grade``) and the non-pivot columns are more than
+    `linalg.INDEX_RANK`, that elimination runs once per chunk of whole
+    grading blocks, and the class rows are merged by pivot: the RREF of a
+    block-diagonal system is the union of its blocks' RREFs (see the module
+    docstring).
 
     The coboundary rows and the class rows together are an echelon basis of
     the cocycles Z^m, with pivots P.  So the cochains off P, which
@@ -626,19 +676,18 @@ class CohomologySpace:
         self.degree = m
         self.keys = keys = cochains.keys(m)
 
-        # classes: the kernel of d on the non-pivot columns, one constraint
-        # row per target cochain, built over the reversed free columns that
-        # kernel_rref eliminates in
+        # classes: the kernel of d on the non-pivot columns, chunk by chunk
         pivots = set(self.coboundaries.pivots())
         free = [j for j in range(len(keys)) if j not in pivots]
-        constraint_rows: defaultdict[object, dict[int, Fraction]] = defaultdict(dict)
-        last = len(free) - 1
-        for i, j in enumerate(free):
-            for t, c in cochains.d_basis(keys[j]):
-                constraint_rows[t][last - i] = c
-        # handed over one at a time, so that each row is freed once inserted
-        drained = (constraint_rows.popitem()[1] for _ in range(len(constraint_rows)))
-        self._class_rows = kernel_rref(drained, free)
+        grade = cochains._grade
+        if grade is None or len(free) <= INDEX_RANK:
+            rows = _kernel(cochains, keys, free)
+        else:
+            rows = []
+            for chunk in _chunks(free, keys, grade):
+                rows += _kernel(cochains, keys, sorted(chain.from_iterable(chunk)))
+            rows.sort(key=min)  # merged by pivot
+        self._class_rows = rows
         self._class_pivots = [min(row) for row in self._class_rows]
         class_pivots = set(self._class_pivots)
         self.complement = [keys[j] for j in free if j not in class_pivots]
@@ -730,6 +779,48 @@ class CohomologySpace:
             raise InputError("element is not a cocycle") from None
         dense = tuple(coords.get(i, _ZERO) for i in range(len(self._class_rows)))
         return CohomologyClass(self.degree, self._element(reduced), dense)
+
+
+def _kernel(cochains, keys, columns: list[int]) -> list[dict]:
+    """The RREF of the kernel of d on the increasing ``columns`` of ``keys``.
+
+    One constraint row per target cochain, built over the reversed columns
+    that `kernel_rref` eliminates in, and handed over one at a time, so that
+    each row is freed once inserted.
+    """
+    constraint_rows: defaultdict[object, dict[int, Fraction]] = defaultdict(dict)
+    last = len(columns) - 1
+    for i, j in enumerate(columns):
+        for t, c in cochains.d_basis(keys[j]):
+            constraint_rows[t][last - i] = c
+    drained = (constraint_rows.popitem()[1] for _ in range(len(constraint_rows)))
+    return kernel_rref(drained, columns)
+
+
+def _chunks(free: list[int], keys, grade: list[int]) -> list[list[list[int]]]:
+    """The free columns by grading block, whole blocks packed into chunks.
+
+    A block is the free columns of one grade, ``sum(e * grade[p])`` over the
+    (p, e) pairs of the code, in increasing order.  The blocks go into chunks
+    in the order their first free column appears, and a chunk is closed once
+    it holds `linalg.INDEX_RANK` columns or more.
+    """
+    blocks: defaultdict[int, list[int]] = defaultdict(list)
+    for j in free:
+        g = 0
+        for p, e in keys[j]:
+            g += e * grade[p]
+        blocks[g].append(j)
+    chunks, chunk, size = [], [], 0
+    for block in blocks.values():
+        chunk.append(block)
+        size += len(block)
+        if size >= INDEX_RANK:
+            chunks.append(chunk)
+            chunk, size = [], 0
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 def _class_products(target, left, right):

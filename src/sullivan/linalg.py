@@ -91,7 +91,9 @@ from .errors import InputError
 Vector = tuple[Fraction, ...]
 
 # the rank at which `RowSpace(rows)` stops walking the pivots to back-substitute
-# and looks the rows up in a column index instead (see the module docstring)
+# and looks the rows up in a column index instead (see the module docstring);
+# also the fewest columns of a chunk of grading blocks that `dgca.CohomologySpace`
+# eliminates on its own, so that a chunk's elimination is one the index serves
 INDEX_RANK = 256
 
 _ZERO = Fraction(0)

@@ -83,6 +83,23 @@ class rows together, hence the complement, does not change.  The RREF of K is
 the stage-1 rows, which lie on the pure class positions, and the unit
 vectors at the non-pure ones, so Q is the union of their pivots.
 
+The build keeps A's grading (see `presented`) on the model: each lift takes
+its grade in A, and each kill generator that of the first term of its d(g)
+(`FreeDGCA.extend_codes`), since every d(g) is homogeneous.  By induction
+every d so far preserves the grading, so the cochains of each degree, whose
+basis is the codes, split into grades, and Z, B and the span of the non-pivot
+columns of B are graded subspaces.  The RREF of a graded subspace in a basis
+of homogeneous vectors is the union of the RREFs of its pieces, so each of
+its rows is homogeneous.  That covers the class rows, which are the other
+targets, handed on as they are; the kernel of rho*, since rho fixes a lift's
+grade and kills every other generator, so that rho* maps the class position
+of each grade into the same grade of A and its kernel, in class coordinates
+graded by pivot, is graded; and the canonical solutions of `solve_rows`,
+whose transposed system is block-diagonal by grade, so that a target's
+solution with every free coefficient zero lies in the target's grade.  So
+`CohomologySpace` may eliminate each degree of the model by grading blocks
+(see `dgca`).
+
 The kill step is skipped in the top degree N: the generators it would add
 have differentials in degree N + 1, which no query within the truncation can
 see, while H^m(model) = A^m for every m <= N already holds without them.
@@ -268,9 +285,13 @@ def build_minimal_model(algebra: PresentedAlgebra, truncation: int) -> BigradedM
     for k in range(3):
         model.cohomology(k)
 
+    a_grades, a_position = algebra._grades, algebra._position
     for m in range(2, truncation + 1):
-        # stage 0: the generators of A whose classes span Q(A)^m
-        model.extend(algebra.indecomposables(m), {})
+        # stage 0: the generators of A whose classes span Q(A)^m, with A's grades
+        lifts = algebra.indecomposables(m)
+        model.extend_codes(
+            [(g, {}) for g in lifts], grades={g: a_grades[a_position[g]] for g in lifts}
+        )
         if m == truncation:
             break
 
@@ -390,7 +411,6 @@ def preimage_in_v0_v1(
     if not candidates:
         return None
     ambient = model.basis(m + 1)
-    index = {mon: i for i, mon in enumerate(ambient)}
     images = []
     for mon in candidates:
         img = model.d_monomial(mon)

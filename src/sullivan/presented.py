@@ -34,6 +34,24 @@ the RREF of the linear parts of I^m.  A cofactor of positive degree adds no
 linear term, so those are the linear parts of the degree-m relations.  Hence
 the classes of the generators off the pivots of those linear parts are a
 basis of Q(A)^m (`indecomposables`).
+
+A is graded by its relations.  Let L in Q^k, k the number of generators, be
+spanned by the differences of the exponent vectors of two terms of one
+relation, and take a basis of the functionals on Q^k that vanish on L (one
+`linalg.RowSpace.kernel`).  Each relation is homogeneous under them, and so
+is the ideal and A.  For a wedge of spheres, whose relations are monomials, L
+= 0 and the grading is Z^k, the exponent vector itself; for a generic
+quadratic presentation it is the letter count.  `_grades` packs the values of
+the functionals on each generator into one int, in a balanced base
+2 F N_A + 1, where F bounds the values on the generators and N_A is A's
+truncation, so that a code's grade is sum(e * grade of p) over its (p, e)
+pairs.  The packing is linear in the exponents, so whatever the base, d
+preserves it wherever it preserves the grading.  The base keeps two distinct
+grades apart: every generator of degree d of A or of its minimal model weighs
+at most d - 1 letters of A (a kill generator the letters of a term of its
+d(g), of degree d + 1 and at least two factors), so a functional's value on
+a code of degree D <= N_A is at most F (D - 1) in size.  `minimal_model`
+seeds the model's grade table with it.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from . import expr
 from .dgca import FreeDGCA, code_products
 from .errors import InputError, TruncationError
 from .gca import Element, Generator
-from .linalg import RowSpace
+from .linalg import RowSpace, add_scaled
 # Not called here: perfbench/layertrace.py wraps monomial_basis under every
 # module name bound to it and requires this binding.
 from .gca import monomial_basis  # noqa: F401
@@ -159,6 +177,30 @@ class PresentedAlgebra(FreeDGCA):
             )
             out.append((degree, terms))
         return out
+
+    @cached_property
+    def _grades(self) -> list[int]:
+        """A's grading: the grade of each generator by position, packed into one int.
+
+        See the module docstring.  The functionals come from one kernel, each
+        scaled to integer values.
+        """
+        k = len(self.gens)
+        differences = []
+        for _, terms in self._relation_codes:
+            first = dict(terms[0][0])
+            differences += [add_scaled(dict(code), -1, first) for code, _ in terms[1:]]
+        functionals = []
+        for f in RowSpace(differences).kernel(k):
+            scale = lcm(*[v.denominator for v in f.values() if type(v) is not int])
+            functionals.append({p: int(v * scale) for p, v in f.items()})
+        bound = max([abs(v) for f in functionals for v in f.values()], default=1)
+        base = 2 * bound * self.truncation + 1
+        grades = [0] * k
+        for j, f in enumerate(functionals):
+            for p, v in f.items():
+                grades[p] += v * base**j
+        return grades
 
 
 def validate_presentation(algebra: PresentedAlgebra) -> list[str]:

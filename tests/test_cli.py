@@ -1081,12 +1081,13 @@ def test_profile_build_script_prints_every_layer(argv, monkeypatch):
     assert (calls["dgca.decomposition"] > 0) == (argv[0] == "--fixture")
     # every row of every space goes through insert
     assert calls["RowSpace.insert"] > 0
-    # --counts ends with the kernel entries built and the Fractions among them
+    # --counts gives the kernel entries built and the Fractions among them
     result = subprocess.run([sys.executable, str(PROFILE_BUILD), *argv, "--counts"],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
     last = re.fullmatch(r"RowSpace\.kernel entries built (\d+), Fractions among them (\d+)",
-                        result.stdout.splitlines()[-1])
+                        lines[8])
     assert last, result.stdout
     built, fractions = map(int, last.groups())
     assert 0 <= fractions <= built and built > 0
@@ -1116,10 +1117,59 @@ def test_profile_build_counts_the_walk_by_rank(monkeypatch):
     profile_build.counting_kernel_entries(
         lambda: linalg.RowSpace([{0: 2, 1: 1}, {1: 1, 2: 3}]).kernel(3), kernel)()
     assert kernel == [3, 1] and linalg.RowSpace.kernel.__name__ == "kernel"
-    result = subprocess.run([sys.executable, str(PROFILE_BUILD), "--wedge", "2", "5", "--counts"],
+    result = subprocess.run([sys.executable, str(PROFILE_BUILD), "--wedge", "3", "8", "--counts"],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     labels = ["<", "64-127", "128-255", "256-511", ">=", "all"]
-    assert [line.split()[0] for line in lines[2:-1]] == labels
-    assert lines[-1].startswith("RowSpace.kernel entries built ")
+    assert [line.split()[0] for line in lines[2:8]] == labels
+    assert lines[8].startswith("RowSpace.kernel entries built ")
+    # then one row per degree of the cocycle eliminations; in degree 8 the
+    # model's is split into chunks of whole grading blocks, and A's is not
+    assert lines[10].split() == ["degree", *profile_build.CHUNK_COUNTS]
+    rows = {int(line.split()[0]): [int(c) for c in line.split()[1:]] for line in lines[11:]}
+    assert sorted(rows) == list(range(9))
+    for m, (runs, split, blocks, chunks, largest) in rows.items():
+        assert split <= runs <= chunks and bool(blocks) == bool(split), m
+    runs, split, blocks, chunks, largest = rows[8]
+    assert (runs, split) == (2, 1) and blocks > chunks > 2 and largest >= linalg.INDEX_RANK
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+
+
+def test_bench_script_writes_one_record_per_rung(tmp_path, monkeypatch):
+    """scripts/bench.py at reduced sizes: each rung is built in a child
+    process, and its digest is that of the same job built here."""
+    import importlib.util
+    import platform
+    import random
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert list(bench.RUNGS) == ["wedge-4-10", "wedge-3-11", "wedge-4-11", "dense-4-8-8"]
+    small = {"wedge-3-6": ("wedge", 3, 6), "dense-4-8-5": ("dense", 4, 8, 5, 3)}
+    out = tmp_path / "bench.json"
+    assert bench.main([str(out)], rungs=small) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == ["commit", "platform", "python", "rungs"]
+    assert record["python"] == platform.python_version()
+    assert list(record["rungs"]) == list(small)
+    monkeypatch.syspath_prepend(str(bench.ROOT / "perfbench"))
+    import workloads
+
+    presentations = {
+        "wedge-3-6": (workloads._wedge_presentation(3, None), 6),
+        "dense-4-8-5": (workloads._dense_presentation(4, 8, random.Random(3)), 5),
+    }
+    for name, rung in record["rungs"].items():
+        assert sorted(rung) == ["cpu_s", "digest", "generators", "maxrss_mb"]
+        assert rung["cpu_s"] > 0 and rung["maxrss_mb"] > 0
+        (gens, rels), n = presentations[name]
+        job = workloads.Job(name, "model", gens, rels, n)
+        output = workloads.run_job(job)
+        assert rung["generators"] == len(output[0].generators)
+        assert rung["digest"] == workloads.digest(job, *output)
+    assert bench.main([]) == 64

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sullivan import dgca
 from sullivan.attachment import AlphaFunctional, AttachmentElement, AttachmentModel
 from sullivan.cli import model_json
 from sullivan.dgca import CohomologySpace, FreeDGCA, _class_products, decomposition
@@ -655,6 +656,36 @@ def _assert_class_rows_match_reference(cochains, degrees):
         assert (space._class_rows, space._class_pivots) == reference_class_rows(cochains, m), m
 
 
+def _wedge_model(r, n):
+    """The built model of the wedge of r 2-spheres through degree n."""
+    gens = [(f"a{i}", 2) for i in range(1, r + 1)]
+    rels = [f"a{i}*a{j}" for i in range(1, r + 1) for j in range(i, r + 1)]
+    return build_minimal_model(PresentedAlgebra.from_strings(gens, rels, n + 1), n)
+
+
+@pytest.mark.parametrize("chunk", [1, dgca.INDEX_RANK])
+@pytest.mark.parametrize("r,n", [(2, 9), (3, 9), (4, 8)])
+def test_chunked_elimination_matches_the_three_pass_reference(r, n, chunk, monkeypatch):
+    """A built model eliminates each degree in chunks of whole grading blocks
+    (one block per chunk at a chunk size of 1); its class rows, pivots and
+    complement are those of the whole degree's reference elimination."""
+    model = _wedge_model(r, n).dgca
+    assert model._grade is not None
+    monkeypatch.setattr(dgca, "INDEX_RANK", chunk)
+    calls = []
+    chunks = dgca._chunks
+    monkeypatch.setattr(dgca, "_chunks", lambda *args: calls.append(1) or chunks(*args))
+    for m in range(n + 1):
+        space = CohomologySpace(model, m)
+        rows, pivots = reference_class_rows(model, m)
+        assert (space._class_rows, space._class_pivots) == (rows, pivots), m
+        keys = model.keys(m)
+        taken = set(RowSpace(reference_coboundaries(model, m)).pivots()) | set(pivots)
+        assert space.complement == [k for j, k in enumerate(keys) if j not in taken], m
+    # at the default size only the large degrees chunk: r = 3 and 4 have some
+    assert calls or (chunk, r) == (dgca.INDEX_RANK, 2)
+
+
 _CLOSED_TOP = 7
 
 
@@ -695,6 +726,25 @@ def closed_dgcas():
 def test_class_rows_match_three_pass_reference_free(D):
     assert D.verify_d_squared() is None
     _assert_class_rows_match_reference(D, range(0, _CLOSED_TOP + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_dgcas())
+def test_a_hand_made_complex_has_no_grade_table(D):
+    """Only a build keeps a grade table: a complex made with `FreeDGCA(...)`,
+    a presented algebra and an attachment have none, and neither has a built
+    model once `extend`, or `extend_codes` without a vouch, adds a batch."""
+    assert D._grade is None
+    assert FreeDGCA((), {}, 4)._grade == []
+    assert PresentedAlgebra.from_strings([("a", 2)], ["a^2"], 6)._grade is None
+    built = _wedge_model(2, 5)
+    assert AttachmentModel(built, AlphaFunctional(4, ()))._grade is None
+    x = Generator("x", 6, stage=3, index=99)
+    for extend in (lambda E: E.extend([x], {}), lambda E: E.extend_codes([(x, {})])):
+        renamed = built.dgca.renamed([g.name for g in built.generators])
+        assert renamed._grade is built.dgca._grade
+        extend(renamed)
+        assert renamed._grade is None and built.dgca._grade is not None
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import json
+import pathlib
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -253,6 +255,88 @@ def test_built_models_satisfy_invariants(data):
     for g in model.generators:
         if g.stage >= 2:
             assert all(mon.max_stage() > 0 for mon in model.d_of(g).monomials()), g.name
+
+
+# ---------------------------------------------------------------------------
+# elimination by grading blocks: the same model as a build with no grade table
+
+
+def _ungraded_build(algebra, truncation):
+    """The model built with its grade table dropped after every batch, so
+    that every degree is eliminated whole."""
+    extend_codes = FreeDGCA.extend_codes
+
+    def ungraded(self, *args, **kwargs):
+        extend_codes(self, *args, **kwargs)
+        self._grade = None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeDGCA, "extend_codes", ungraded)
+        return build_minimal_model(algebra, truncation)
+
+
+def _assert_homogeneous(model):
+    """Every term of every d(g) has the grade of g, in the model and after `rename`."""
+    renamed = model.rename({g.name: g.name + "_r" for g in model.generators})
+    assert renamed.dgca._grade is model.dgca._grade
+    for built in (model, renamed):
+        grade = built.dgca._grade
+        assert len(grade) == len(built.generators)
+        for g, p, dg in zip(built.generators, itertools.count(), built.dgca._d_codes):
+            assert {sum(e * grade[q] for q, e in code) for code, _ in dg} <= {grade[p]}, g.name
+
+
+def _assert_chunked_build_is_the_ungraded_one(algebra, truncation, chunk=None):
+    """The build, at the chunk size ``chunk`` (the default when None), has the
+    generator table of the ungraded build and homogeneous d(g); returns the
+    largest number of chunks that one degree's elimination used."""
+    chunks, used = dgca._chunks, [1]
+
+    def counted(*args):
+        out = chunks(*args)
+        used.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(dgca, "INDEX_RANK", chunk)
+        patch.setattr(dgca, "_chunks", counted)
+        model = build_minimal_model(algebra, truncation)
+    reference = _ungraded_build(algebra, truncation)
+    assert reference.dgca._grade is None
+    assert (model.generators, model.dgca._d_codes) == (
+        reference.generators, reference.dgca._d_codes)
+    _assert_homogeneous(model)
+    return max(used)
+
+
+def test_chunked_builds_match_ungraded_builds_at_scale(monkeypatch):
+    """The r = 3, N = 9 wedge, and the dense draw of ``scripts/bench.py``,
+    whose degree 8 falls into two chunks, at the default chunk size."""
+    gens = [(f"a{i}", 2) for i in range(1, 4)]
+    rels = [f"a{i}*a{j}" for i in range(1, 4) for j in range(i, 4)]
+    wedge = PresentedAlgebra.from_strings(gens, rels, 10)
+    assert _assert_chunked_build_is_the_ungraded_one(wedge, 9) > 1
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    dense = PresentedAlgebra.from_strings(
+        *workloads._dense_presentation(4, 8, random.Random(3)), 9)
+    assert dense._grades == [1, 1, 1, 1]  # the letter count
+    assert _assert_chunked_build_is_the_ungraded_one(dense, 8) > 1
+
+
+@pytest.mark.parametrize("fixture_id", fixture_ids())
+def test_chunked_builds_match_ungraded_builds_on_the_fixtures(fixture_id):
+    """One grading block per chunk, the most chunks a degree can take."""
+    job = load_job(get_fixture(fixture_id).text, fixture_id=fixture_id)
+    _assert_chunked_build_is_the_ungraded_one(job.algebra, job.spec.truncation, chunk=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+def test_chunked_builds_match_ungraded_builds_random(data):
+    _assert_chunked_build_is_the_ungraded_one(*data, chunk=1)
 
 
 @settings(max_examples=60, deadline=None)
